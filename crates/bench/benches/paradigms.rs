@@ -9,7 +9,8 @@
 
 use std::time::Instant;
 
-use pcr::{micros, millis, NotifyMode, Priority, RunLimit, Sim, SimConfig};
+use mesa::RealCtx;
+use pcr::{micros, millis, NotifyMode, Priority, RunLimit, Runtime, Sim, SimConfig, SimDuration};
 
 fn bench<F: FnMut()>(name: &str, iters: u32, mut f: F) {
     f(); // Warmup.
@@ -33,12 +34,16 @@ fn main() {
         });
         sim.run(RunLimit::For(pcr::secs(30)));
     });
-    bench("mesa_mbqueue_5000_actions", 5, || {
-        let mb = mesa::mbqueue::MbQueue::new("mb");
+    bench("real_mbqueue_5000_actions", 5, || {
+        let ctx = &RealCtx::root();
+        let mb = paradigms::serializer::MbQueue::new(ctx, "mb", Priority::of(4), 64);
         for _ in 0..5000 {
-            mb.enqueue(|| {});
+            mb.enqueue(ctx, SimDuration::ZERO, |_| {});
         }
-        mb.shutdown();
+        mb.stop(ctx);
+        while mb.backlog(ctx) > 0 {
+            ctx.yield_now();
+        }
     });
     for policy in [
         paradigms::slack::SlackPolicy::PlainYield,
@@ -72,12 +77,10 @@ fn main() {
             },
         );
     }
-    bench("mesa_pool_10000_jobs", 5, || {
-        let pool = mesa::pool::WorkerPool::new("p", 4);
-        for _ in 0..10_000 {
-            pool.defer(|| {});
-        }
-        pool.shutdown();
+    bench("real_pooled_map_10000_items", 5, || {
+        let items = (0..10_000u32).collect();
+        let cost = SimDuration::ZERO;
+        paradigms::exploit::pooled_map(&RealCtx::root(), "p", 4, items, cost, |_, x| x);
     });
     bench("paradigm_guarded_button_cycle", 10, || {
         let mut sim = Sim::new(SimConfig::default());

@@ -3,7 +3,7 @@
 //! between threads"; "the modest cost of creating a thread"). These
 //! measure the *simulator's* real-time costs per simulated primitive,
 //! i.e. how expensive reproduction experiments are to run, alongside the
-//! real-thread `mesa` monitor for comparison.
+//! real-thread `mesa` backend's monitor for comparison.
 //!
 //! Plain `main()` harness (no external bench framework is available
 //! offline): each target runs a fixed iteration count after a short
@@ -11,7 +11,7 @@
 
 use std::time::Instant;
 
-use pcr::{micros, millis, Priority, RunLimit, Sim, SimConfig};
+use pcr::{micros, millis, Guard, Priority, RunLimit, Runtime, Sim, SimConfig};
 
 fn bench<F: FnMut()>(name: &str, iters: u32, mut f: F) {
     for _ in 0..2 {
@@ -87,11 +87,11 @@ fn main() {
     bench("sim_monitor_enter_exit_1000", 20, sim_monitor_cycle);
     bench("sim_notify_wait_pingpong_500", 20, sim_notify_wait);
     bench("sim_timeslicing_1s_virtual", 10, sim_timeslicing);
-    let m = mesa::Monitor::new("m", 0u64);
+    let ctx = mesa::RealCtx::root();
+    let m = ctx.new_monitor("m", 0u64);
     bench("mesa_monitor_enter_exit_1000", 50, || {
         for _ in 0..1000 {
-            let mut g = m.enter();
-            *g.data() += 1;
+            ctx.enter(&m).with_mut(|v| *v += 1);
         }
     });
 }

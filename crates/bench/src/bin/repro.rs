@@ -403,40 +403,22 @@ fn main() {
         Some(first) if first.starts_with("--") => "all",
         Some(first) => first,
     };
-    let window_flag = args
-        .iter()
-        .position(|a| a == "--window")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| secs(parse_positive("--window", s)));
+    let has = |name: &str| args.iter().any(|a| a == name);
+    let flag_value = |name: &str| flag(&args, name, |s| Ok(s.to_string()));
+    let count = |name: &str| flag(&args, name, positive_u64);
+    let count32 = |name: &str| flag(&args, name, positive_u32);
+    let window_flag = count("--window").map(secs);
     let window = window_flag.unwrap_or(secs(30));
     // `--seed HEX` (0x prefix and _ separators accepted). Subcommands
     // keep their historical defaults when the flag is absent, so
     // existing outputs stay byte-identical.
-    let seed_flag: Option<u64> = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| match parse_seed(s) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("bad --seed {s:?}: {e}");
-                std::process::exit(exit::USAGE);
-            }
-        });
+    let seed_flag = flag(&args, "--seed", parse_seed);
     let seed = seed_flag.unwrap_or(0xCEDA_2026);
-    let serial = args.iter().any(|a| a == "--serial");
-    let workers_flag: Option<usize> = args
-        .iter()
-        .position(|a| a == "--workers")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| match s.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("bad --workers {s:?}: expected a positive integer");
-                std::process::exit(exit::USAGE);
-            }
-        });
-    let workers = if serial {
+    let workers_flag = flag(&args, "--workers", |s| match s.parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err("expected a positive integer".to_string()),
+    });
+    let workers = if has("--serial") {
         1
     } else {
         workers_flag.unwrap_or_else(bench::tables::workers_available)
@@ -444,30 +426,9 @@ fn main() {
     let run_matrix = |window, seed| bench::tables::run_all_with_workers(window, seed, workers);
     // `--policy` (rr | cfs | lottery | mlfq); default is the paper's
     // round-robin, so outputs without the flag stay byte-identical.
-    let policy: pcr::PolicyKind = args
-        .iter()
-        .position(|a| a == "--policy")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| match s.parse() {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("bad --policy: {e}");
-                std::process::exit(exit::USAGE);
-            }
-        })
-        .unwrap_or_default();
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
+    let policy: pcr::PolicyKind = flag(&args, "--policy", str::parse).unwrap_or_default();
+    let json_path = flag_value("--json");
+    let workload = || flag(&args, "--workload", bench::resilience_cli::parse_workload);
 
     let mut code = exit::OK;
     match what {
@@ -481,19 +442,16 @@ fn main() {
             println!("{}", bench::experiments::report_by_name(exp).unwrap());
         }
         "help" => println!("{USAGE}\n\n{}", exit::TABLE),
-        "history" => code = exit::worst(code, history(seed_flag.unwrap_or(0xE7E27))),
-        "contention" => code = exit::worst(code, contention(seed)),
+        "history" => code = history(seed_flag.unwrap_or(0xE7E27)),
+        "contention" => code = contention(seed),
         "trace" => {
-            code = exit::worst(
-                code,
-                trace_cmd(
-                    window_flag.unwrap_or(secs(5)),
-                    seed,
-                    policy,
-                    args.iter().any(|a| a == "--chaos"),
-                    flag_value("--chrome").as_deref(),
-                    flag_value("--jsonl").as_deref(),
-                ),
+            code = trace_cmd(
+                window_flag.unwrap_or(secs(5)),
+                seed,
+                policy,
+                has("--chaos"),
+                flag_value("--chrome").as_deref(),
+                flag_value("--jsonl").as_deref(),
             );
         }
         "diff" => {
@@ -505,100 +463,55 @@ fn main() {
                 eprintln!("diff needs exactly two trace files\n{USAGE}");
                 std::process::exit(exit::USAGE);
             };
-            let threshold = args
-                .iter()
-                .position(|a| a == "--threshold")
-                .and_then(|i| args.get(i + 1))
-                .and_then(|s| s.parse::<f64>().ok())
-                .unwrap_or(1.0);
-            code = exit::worst(
-                code,
-                diff_cmd(
-                    path_a,
-                    path_b,
-                    threshold,
-                    flag_value("--schedule").as_deref(),
-                ),
+            let threshold = flag(&args, "--threshold", threshold).unwrap_or(1.0);
+            let schedule = flag_value("--schedule");
+            code = diff_cmd(path_a, path_b, threshold, schedule.as_deref());
+        }
+        "chaos" if has("--recover") => {
+            code = bench::resilience_cli::recover_cmd(
+                window_flag.unwrap_or(secs(12)),
+                seed,
+                json_path.as_deref(),
             );
         }
-        "chaos" => {
-            if args.iter().any(|a| a == "--recover") {
-                code = exit::worst(
-                    code,
-                    bench::resilience_cli::recover_cmd(
-                        window_flag.unwrap_or(secs(12)),
-                        seed,
-                        json_path.as_deref(),
-                    ),
-                );
-            } else {
-                code = exit::worst(code, chaos(window, seed, policy));
-            }
-        }
+        "chaos" => code = chaos(window, seed, policy),
         "fuzz" => {
-            let workload = match flag_value("--workload") {
-                None => None,
-                Some(w) => match bench::resilience_cli::parse_workload(&w) {
-                    Ok(cell) => Some(cell),
-                    Err(e) => {
-                        eprintln!("{e}\n{USAGE}");
-                        std::process::exit(exit::USAGE);
-                    }
-                },
-            };
             let opts = bench::resilience_cli::FuzzOpts {
-                budget: flag_value("--budget")
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(64),
+                budget: count32("--budget").unwrap_or(64),
                 base_seed: seed_flag.unwrap_or(0x5EED),
-                workload,
+                workload: workload(),
                 out_dir: flag_value("--out")
                     .unwrap_or_else(|| "target/fuzz".to_string())
                     .into(),
-                shrink: args.iter().any(|a| a == "--shrink"),
+                shrink: has("--shrink"),
                 expect: flag_value("--expect").map(Into::into),
-                window_secs: flag_value("--window").and_then(|s| s.parse().ok()),
-                guided: args.iter().any(|a| a == "--guided"),
-                compare_grid: args.iter().any(|a| a == "--compare-grid"),
-                wall_budget_ms: flag_value("--wall-budget-ms").and_then(|s| s.parse().ok()),
+                window_secs: count("--window"),
+                guided: has("--guided"),
+                compare_grid: has("--compare-grid"),
+                wall_budget_ms: count("--wall-budget-ms"),
                 stats: flag_value("--stats").map(Into::into),
                 workers,
                 policy,
             };
-            code = exit::worst(code, bench::resilience_cli::fuzz_cmd(&opts));
+            code = bench::resilience_cli::fuzz_cmd(&opts);
         }
         "shrink" => {
             let Some(file) = args.get(1).filter(|a| !a.starts_with("--")) else {
                 eprintln!("shrink needs a stored case file\n{USAGE}");
                 std::process::exit(exit::USAGE);
             };
-            let max_replays = flag_value("--max-replays")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(150);
-            code = exit::worst(
-                code,
-                bench::resilience_cli::shrink_cmd(std::path::Path::new(file), max_replays),
-            );
+            let max_replays = count32("--max-replays").unwrap_or(150);
+            code = bench::resilience_cli::shrink_cmd(std::path::Path::new(file), max_replays);
         }
         "replay" => {
-            if args.iter().any(|a| a == "--all") {
-                let Some(dir) = flag_value("--all") else {
-                    eprintln!("replay --all needs a corpus directory\n{USAGE}");
-                    std::process::exit(exit::USAGE);
-                };
-                code = exit::worst(
-                    code,
-                    bench::resilience_cli::replay_all_cmd(std::path::Path::new(&dir)),
-                );
+            if let Some(dir) = flag_value("--all") {
+                code = bench::resilience_cli::replay_all_cmd(std::path::Path::new(&dir));
             } else {
                 let Some(file) = args.get(1).filter(|a| !a.starts_with("--")) else {
                     eprintln!("replay needs a stored case file\n{USAGE}");
                     std::process::exit(exit::USAGE);
                 };
-                code = exit::worst(
-                    code,
-                    bench::resilience_cli::replay_cmd(std::path::Path::new(file)),
-                );
+                code = bench::resilience_cli::replay_cmd(std::path::Path::new(file));
             }
         }
         "lint" => {
@@ -606,22 +519,16 @@ fn main() {
                 json: json_path.clone(),
                 sarif: flag_value("--sarif"),
                 baseline: flag_value("--baseline"),
-                write_baseline: args.iter().any(|a| a == "--write-baseline"),
+                write_baseline: has("--write-baseline"),
                 confirm: flag_value("--confirm"),
             };
             if bench::lint::run(&opts) {
-                code = exit::worst(code, exit::HAZARD);
+                code = exit::HAZARD;
             }
         }
         "bench" => {
-            let reps = flag_value("--reps")
-                .map(|s| parse_positive_u32("--reps", &s))
-                .unwrap_or(3);
-            let baseline_path = args
-                .iter()
-                .position(|a| a == "--baseline")
-                .and_then(|i| args.get(i + 1))
-                .cloned();
+            let reps = count32("--reps").unwrap_or(3);
+            let baseline_path = flag_value("--baseline");
             let report = bench::perf::measure(window, seed, reps, workers, policy);
             print!("{}", report.text());
             let path = json_path
@@ -645,23 +552,19 @@ fn main() {
                             eprintln!(
                                 "FAIL bench: aggregate events/sec regressed more than 30% vs {bpath}"
                             );
-                            code = exit::worst(code, exit::REGRESSION);
+                            code = exit::REGRESSION;
                         }
                     }
                     None => {
                         eprintln!("FAIL bench: no aggregate_events_per_sec in baseline {bpath}");
-                        code = exit::worst(code, exit::REGRESSION);
+                        code = exit::REGRESSION;
                     }
                 }
             }
         }
         "serve" => {
-            let mut opts = bench::serve_cli::ServeOpts::new(
-                flag_value("--sessions")
-                    .map(|s| parse_positive_u32("--sessions", &s))
-                    .unwrap_or(25_000),
-                seed,
-            );
+            let mut opts =
+                bench::serve_cli::ServeOpts::new(count32("--sessions").unwrap_or(25_000), seed);
             if let Some(s) = flag_value("--scenario") {
                 opts.scenario =
                     workloads::serve::ServeScenario::from_label(&s).unwrap_or_else(|| {
@@ -676,24 +579,18 @@ fn main() {
                 }
                 opts.scenario = workloads::serve::ServeScenario::Outage;
             }
-            opts.pipeline_workers = flag_value("--pipeline-workers")
-                .map(|s| parse_positive("--pipeline-workers", &s) as usize);
-            opts.reps = flag_value("--reps")
-                .map(|s| parse_positive_u32("--reps", &s))
-                .unwrap_or(1);
+            opts.pipeline_workers = count("--pipeline-workers").map(|n| n as usize);
+            opts.reps = count32("--reps").unwrap_or(1);
             opts.workers = workers;
             opts.policy = policy;
-            opts.no_retry_budget = args.iter().any(|a| a == "--no-retry-budget");
-            opts.slo_p50_ms =
-                flag_value("--slo-p50-ms").map(|s| parse_positive("--slo-p50-ms", &s));
-            opts.slo_p99_ms =
-                flag_value("--slo-p99-ms").map(|s| parse_positive("--slo-p99-ms", &s));
-            opts.slo_p999_ms =
-                flag_value("--slo-p999-ms").map(|s| parse_positive("--slo-p999-ms", &s));
+            opts.no_retry_budget = has("--no-retry-budget");
+            opts.slo_p50_ms = count("--slo-p50-ms");
+            opts.slo_p99_ms = count("--slo-p99-ms");
+            opts.slo_p999_ms = count("--slo-p999-ms");
             opts.json = json_path.clone();
             opts.baseline = flag_value("--baseline");
             opts.chrome = flag_value("--chrome");
-            code = exit::worst(code, bench::serve_cli::serve_cmd(&opts));
+            code = bench::serve_cli::serve_cmd(&opts);
         }
         "tournament" => {
             let mut opts = bench::tournament::TournamentOpts::new(
@@ -701,16 +598,10 @@ fn main() {
                 seed,
                 workers,
             );
-            if args.iter().any(|a| a == "--reference") {
+            if has("--reference") {
                 opts = opts.reference_cells();
-            } else if let Some(w) = flag_value("--workload") {
-                match bench::resilience_cli::parse_workload(&w) {
-                    Ok((system, benchmark)) => opts.cells = vec![(system, benchmark)],
-                    Err(e) => {
-                        eprintln!("{e}\n{USAGE}");
-                        std::process::exit(exit::USAGE);
-                    }
-                }
+            } else if let Some(cell) = workload() {
+                opts.cells = vec![cell];
             }
             opts.trace_dir = flag_value("--trace-dir").map(Into::into);
             let report = bench::tournament::run_tournament(&opts);
@@ -741,12 +632,12 @@ fn main() {
                     report.policies.len()
                 );
             } else {
-                code = exit::worst(code, exit::DEADLOCK);
+                code = exit::DEADLOCK;
             }
         }
         "markdown" => {
             let results = run_matrix(window, seed);
-            code = exit::worst(code, any_hazardous(&results));
+            code = any_hazardous(&results);
             println!("{}", bench::tables::table1(&results).to_markdown());
             println!("{}", bench::tables::table2(&results).to_markdown());
             println!("{}", bench::tables::table3(&results).to_markdown());
@@ -760,7 +651,7 @@ fn main() {
                 }
             }
             let results = run_matrix(window, seed);
-            code = exit::worst(code, any_hazardous(&results));
+            code = any_hazardous(&results);
             if let Some(path) = &json_path {
                 let v = bench::tables::json_summary(&results);
                 std::fs::write(path, v.pretty()).expect("write json");
@@ -824,32 +715,41 @@ fn parse_seed(s: &str) -> Result<u64, String> {
     u64::from_str_radix(&t, 16).map_err(|e| e.to_string())
 }
 
-/// Parses a strictly positive integer flag value, exiting with the
-/// usage code (and a hint in the strict `--seed` style) on junk, zero,
-/// negative, or overflowing input rather than silently defaulting.
-fn parse_positive(name: &str, s: &str) -> u64 {
-    match positive_u64(s) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("bad {name} {s:?}: {e}");
-            std::process::exit(exit::USAGE);
-        }
+/// The value after `--name`, parsed. Junk is a usage error in the strict
+/// `--seed` style (`bad --flag "x": why`) rather than a silent default,
+/// and so is a value-taking flag with nothing after it.
+fn flag<T>(
+    args: &[String],
+    name: &str,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> Option<T> {
+    let i = args.iter().position(|a| a == name)?;
+    let parsed = match args.get(i + 1) {
+        Some(s) => parse(s).map_err(|e| format!(" {s:?}: {e}")),
+        None => Err(": expected a value after it".to_string()),
+    };
+    Some(parsed.unwrap_or_else(|e| {
+        eprintln!("bad {name}{e}");
+        std::process::exit(exit::USAGE);
+    }))
+}
+
+/// `diff --threshold`: a finite, non-negative percentage.
+fn threshold(s: &str) -> Result<f64, String> {
+    match s.parse::<f64>() {
+        Ok(v) if v.is_finite() && v >= 0.0 => Ok(v),
+        _ => Err("expected a non-negative number, like 1.0".to_string()),
     }
 }
 
-/// As [`parse_positive`], additionally bounded to `u32`.
-fn parse_positive_u32(name: &str, s: &str) -> u32 {
-    let v = parse_positive(name, s);
-    u32::try_from(v).unwrap_or_else(|_| {
-        eprintln!(
-            "bad {name} {s:?}: {v} does not fit a 32-bit count (max {})",
-            u32::MAX
-        );
-        std::process::exit(exit::USAGE);
-    })
+/// As [`positive_u64`], additionally bounded to `u32`.
+fn positive_u32(s: &str) -> Result<u32, String> {
+    let v = positive_u64(s)?;
+    u32::try_from(v).map_err(|_| format!("{v} does not fit a 32-bit count (max {})", u32::MAX))
 }
 
-/// The testable core of [`parse_positive`].
+/// A strictly positive integer: junk, zero, negative and overflowing
+/// input each get their own explanation.
 fn positive_u64(s: &str) -> Result<u64, String> {
     use std::num::IntErrorKind;
     match s.parse::<u64>() {

@@ -32,9 +32,7 @@ fn case_cell_label(case: &StoredCase) -> String {
 /// Parses a `--workload SYSTEM/BENCHMARK` filter ("cedar/keyboard",
 /// "gvx/scroll").
 pub fn parse_workload(arg: &str) -> Result<(System, Benchmark), String> {
-    let (sys, bench) = arg
-        .split_once('/')
-        .ok_or_else(|| format!("bad --workload {arg:?}: expected SYSTEM/BENCHMARK"))?;
+    let (sys, bench) = arg.split_once('/').ok_or("expected SYSTEM/BENCHMARK")?;
     let system = match sys.to_ascii_lowercase().as_str() {
         "cedar" => System::Cedar,
         "gvx" => System::Gvx,

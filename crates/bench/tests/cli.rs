@@ -239,6 +239,22 @@ fn bad_counts_are_rejected_with_an_explanation() {
         (&["serve", "--reps", "three"][..], "positive integer"),
         (&["serve", "--slo-p99-ms", "-1"][..], "negative"),
         (&["bench", "--workers", "0"][..], "positive integer"),
+        // These four used to fall back to a default without a word;
+        // `--wall-budget-ms` is the fuzz CI job's only wall-clock bound.
+        (&["fuzz", "--budget", "lots"][..], "positive integer"),
+        (&["fuzz", "--wall-budget-ms", "60s"][..], "positive integer"),
+        (
+            &["shrink", "case.json", "--max-replays", "0"][..],
+            "must be at least 1",
+        ),
+        (
+            &["diff", "a.jsonl", "b.jsonl", "--threshold", "lots"][..],
+            "non-negative number",
+        ),
+        // A value-taking flag with nothing after it is not "absent".
+        (&["fuzz", "--budget"][..], "expected a value"),
+        (&["bench", "--json"][..], "expected a value"),
+        (&["tables", "--window"][..], "expected a value"),
     ] {
         let out = repro().args(args).output().expect("spawn repro");
         assert_eq!(
@@ -252,8 +268,9 @@ fn bad_counts_are_rejected_with_an_explanation() {
             stderr.contains(needle),
             "args {args:?}: expected {needle:?} in:\n{stderr}"
         );
-        // The hint names the offending flag and value, --seed style.
-        assert!(stderr.contains(args[1]), "args {args:?}:\n{stderr}");
+        // The hint names the offending flag, --seed style.
+        let flag = args.iter().find(|a| a.starts_with("--")).unwrap();
+        assert!(stderr.contains(flag), "args {args:?}:\n{stderr}");
     }
 }
 

@@ -9,8 +9,8 @@
 //! This crate holds that taxonomy ([`Paradigm`]) and the census types
 //! ([`Inventory`], [`ForkSite`], [`System`]) used to regenerate Table 4
 //! and to cross-check the synthetic world models against the census.
-//! The paradigm *implementations* live in the `paradigms` crate (on the
-//! simulator) and the `mesa` crate (on real threads).
+//! The paradigm *implementations* live in the `paradigms` crate, once,
+//! for the simulator and for the `mesa` crate's real threads alike.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,27 +1,25 @@
-//! Mesa-style monitors on real threads.
+//! Mesa-style monitors and condition variables on `Mutex`/`Condvar`.
 //!
 //! A monitor couples a mutual-exclusion lock with the data it protects
-//! (paper §2). [`Monitor::enter`] returns a guard; condition-variable
-//! operations require the guard, so "CV operations are only invoked with
-//! the monitor lock held" is enforced by the borrow checker, as the Mesa
-//! compiler enforced it syntactically.
+//! (paper §2). [`crate::RealCtx`]'s `enter` returns a guard; the CV
+//! operations are methods of the guard, so "CV operations are only
+//! invoked with the monitor lock held" is enforced by the borrow
+//! checker, as the Mesa compiler enforced it syntactically.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
+use pcr::{Guard, MonitorId, SimDuration, WaitOutcome};
 
-/// How a condition-variable WAIT completed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WaitOutcome {
-    /// A NOTIFY or BROADCAST woke the waiter.
-    Notified,
-    /// The CV's timeout interval expired first.
-    TimedOut,
+pub(crate) fn to_std(d: SimDuration) -> Duration {
+    Duration::from_micros(d.as_micros())
 }
 
-struct MonitorInner<T: ?Sized> {
+struct MonitorInner<T> {
+    id: MonitorId,
     name: String,
     mutex: Mutex<T>,
 }
@@ -41,442 +39,292 @@ impl<T> Clone for Monitor<T> {
 }
 
 impl<T> Monitor<T> {
-    /// Creates a monitor around `data`.
-    pub fn new(name: &str, data: T) -> Self {
+    pub(crate) fn new(id: MonitorId, name: &str, data: T) -> Self {
         Monitor {
             inner: Arc::new(MonitorInner {
+                id,
                 name: name.to_string(),
                 mutex: Mutex::new(data),
             }),
         }
     }
 
-    /// The monitor's name.
-    pub fn name(&self) -> &str {
-        &self.inner.name
+    /// The monitor's identity within its runtime.
+    pub fn id(&self) -> MonitorId {
+        self.inner.id
     }
 
-    /// Enters the monitor, blocking while another thread is inside.
-    pub fn enter(&self) -> MonitorGuard<'_, T> {
+    pub(crate) fn enter(&self) -> MonitorGuard<'_, T> {
         MonitorGuard {
-            guard: Some(self.inner.mutex.lock()),
+            guard: self.inner.mutex.lock(),
             monitor: self,
         }
     }
 
-    /// Enters with a bound on the wait; `None` on timeout.
-    pub fn try_enter_for(&self, timeout: Duration) -> Option<MonitorGuard<'_, T>> {
-        self.inner
-            .mutex
-            .try_lock_for(timeout)
-            .map(|g| MonitorGuard {
-                guard: Some(g),
-                monitor: self,
-            })
-    }
-
-    /// Creates a condition variable on this monitor with the given
-    /// timeout interval (`None` waits forever), per the Mesa model where
-    /// the timeout is a property of the CV.
-    pub fn condition(&self, name: &str, timeout: Option<Duration>) -> Condition {
+    pub(crate) fn condition(&self, name: &str, timeout: Option<SimDuration>) -> Condition {
         Condition {
-            cv: Arc::new(Condvar::new()),
-            owner: Arc::as_ptr(&self.inner) as *const () as usize,
-            name: name.to_string(),
-            timeout,
-            stats: Arc::new(CvCounters::default()),
+            inner: Arc::new(CvInner {
+                monitor: self.inner.id,
+                name: name.to_string(),
+                timeout: timeout.map(to_std),
+                queue: Mutex::new(VecDeque::new()),
+            }),
         }
-    }
-
-    fn identity(&self) -> usize {
-        Arc::as_ptr(&self.inner) as *const () as usize
     }
 }
 
 impl<T> std::fmt::Debug for Monitor<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Monitor")
+            .field("id", &self.inner.id)
             .field("name", &self.inner.name)
             .finish()
     }
 }
 
-/// Proof of being inside a monitor. Dropping exits (also on unwind, so a
-/// panicking thread releases its locks).
-pub struct MonitorGuard<'a, T> {
-    // Always `Some` except transiently inside `Condition::wait`.
-    guard: Option<MutexGuard<'a, T>>,
-    monitor: &'a Monitor<T>,
+/// One thread inside WAIT: its own condvar, so a wakeup reaches that
+/// thread and no other, and the mark a NOTIFY or BROADCAST leaves on it.
+struct Waiter {
+    cv: Condvar,
+    woken: AtomicBool,
 }
 
-impl<'a, T> MonitorGuard<'a, T> {
-    /// Reads or mutates the protected data.
-    pub fn data(&mut self) -> &mut T {
-        &mut *self.guard.as_mut().expect("guard held")
-    }
-
-    /// Reads the protected data.
-    pub fn data_ref(&self) -> &T {
-        self.guard.as_deref().expect("guard held")
-    }
-
-    /// WAITs on `cv`, atomically releasing the monitor and re-entering
-    /// before returning. Mesa semantics: the awaited condition is *not*
-    /// guaranteed on return — re-check in a loop, or use
-    /// [`MonitorGuard::wait_until`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cv` belongs to a different monitor.
-    pub fn wait(&mut self, cv: &Condition) -> WaitOutcome {
-        assert_eq!(
-            cv.owner,
-            self.monitor.identity(),
-            "WAIT: condition '{}' does not belong to monitor '{}'",
-            cv.name,
-            self.monitor.inner.name
-        );
-        let guard = self.guard.as_mut().expect("guard held");
-        cv.stats.waits.fetch_add(1, Ordering::Relaxed);
-        match cv.timeout {
-            None => {
-                cv.cv.wait(guard);
-                WaitOutcome::Notified
-            }
-            Some(t) => {
-                if cv.cv.wait_for(guard, t).timed_out() {
-                    cv.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                    WaitOutcome::TimedOut
-                } else {
-                    WaitOutcome::Notified
-                }
-            }
-        }
-    }
-
-    /// WAITs until `pred` holds, re-checking after every wakeup — the
-    /// "WAIT only in a loop" convention (§5.3). Timeouts just re-check.
-    pub fn wait_until(&mut self, cv: &Condition, mut pred: impl FnMut(&T) -> bool) {
-        while !pred(self.data_ref()) {
-            self.wait(cv);
-        }
-    }
-
-    /// WAITs until `pred` holds or `deadline` elapses; returns whether
-    /// the predicate held.
-    pub fn wait_until_for(
-        &mut self,
-        cv: &Condition,
-        deadline: Duration,
-        mut pred: impl FnMut(&T) -> bool,
-    ) -> bool {
-        let end = std::time::Instant::now() + deadline;
-        loop {
-            if pred(self.data_ref()) {
-                return true;
-            }
-            if std::time::Instant::now() >= end {
-                return false;
-            }
-            let guard = self.guard.as_mut().expect("guard held");
-            let remaining = end.saturating_duration_since(std::time::Instant::now());
-            let bounded = match cv.timeout {
-                Some(t) => t.min(remaining),
-                None => remaining,
-            };
-            cv.stats.waits.fetch_add(1, Ordering::Relaxed);
-            if cv.cv.wait_for(guard, bounded).timed_out() {
-                cv.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// NOTIFYs `cv`: exactly one waiter wakens, if any is queued. Only a
-    /// performance hint under the WAIT-in-a-loop convention; BROADCAST
-    /// can always be substituted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cv` belongs to a different monitor.
-    pub fn notify(&self, cv: &Condition) {
-        assert_eq!(
-            cv.owner,
-            self.monitor.identity(),
-            "NOTIFY: condition '{}' does not belong to monitor '{}'",
-            cv.name,
-            self.monitor.inner.name
-        );
-        cv.stats.notifies.fetch_add(1, Ordering::Relaxed);
-        cv.cv.notify_one();
-    }
-
-    /// BROADCASTs `cv`: every waiter wakens.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cv` belongs to a different monitor.
-    pub fn broadcast(&self, cv: &Condition) {
-        assert_eq!(
-            cv.owner,
-            self.monitor.identity(),
-            "BROADCAST: condition '{}' does not belong to monitor '{}'",
-            cv.name,
-            self.monitor.inner.name
-        );
-        cv.stats.notifies.fetch_add(1, Ordering::Relaxed);
-        cv.cv.notify_all();
-    }
-}
-
-#[derive(Default)]
-struct CvCounters {
-    waits: AtomicU64,
-    timeouts: AtomicU64,
-    notifies: AtomicU64,
-}
-
-/// Usage statistics for one condition variable — the instrumentation the
-/// paper's authors wished they had when hunting §5.3's timeout-masked
-/// missing NOTIFYs ("debugging the poor performance is often harder than
-/// figuring out why a system has stopped").
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ConditionStats {
-    /// WAITs begun.
-    pub waits: u64,
-    /// WAITs that ended by timeout.
-    pub timeouts: u64,
-    /// NOTIFY/BROADCAST calls.
-    pub notifies: u64,
-}
-
-impl ConditionStats {
-    /// Fraction of waits that timed out.
-    pub fn timeout_fraction(&self) -> f64 {
-        if self.waits == 0 {
-            0.0
-        } else {
-            self.timeouts as f64 / self.waits as f64
-        }
-    }
-
-    /// The §5.3 smell: the CV makes progress almost exclusively through
-    /// timeouts despite real traffic — a NOTIFY is probably missing.
-    pub fn looks_timeout_driven(&self) -> bool {
-        self.waits >= 10 && self.timeout_fraction() > 0.9 && self.notifies * 10 < self.waits
-    }
+struct CvInner {
+    monitor: MonitorId,
+    name: String,
+    timeout: Option<Duration>,
+    // The threads inside WAIT, oldest first. Only touched with the
+    // owning monitor's mutex held (WAIT, NOTIFY and BROADCAST all take
+    // the guard); the inner lock is for `Sync` and never contended.
+    queue: Mutex<VecDeque<Arc<Waiter>>>,
 }
 
 /// A condition variable bound to one monitor, with the Mesa model's
-/// per-CV timeout interval.
+/// per-CV timeout interval. Clones share the queue.
 #[derive(Clone)]
 pub struct Condition {
-    cv: Arc<Condvar>,
-    owner: usize,
-    name: String,
-    timeout: Option<Duration>,
-    stats: Arc<CvCounters>,
-}
-
-impl Condition {
-    /// The CV's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The CV's timeout interval.
-    pub fn timeout(&self) -> Option<Duration> {
-        self.timeout
-    }
-
-    /// Snapshot of this CV's usage counters.
-    pub fn stats(&self) -> ConditionStats {
-        ConditionStats {
-            waits: self.stats.waits.load(Ordering::Relaxed),
-            timeouts: self.stats.timeouts.load(Ordering::Relaxed),
-            notifies: self.stats.notifies.load(Ordering::Relaxed),
-        }
-    }
+    inner: Arc<CvInner>,
 }
 
 impl std::fmt::Debug for Condition {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Condition")
-            .field("name", &self.name)
-            .field("timeout", &self.timeout)
+            .field("name", &self.inner.name)
+            .field("monitor", &self.inner.monitor)
+            .field("timeout", &self.inner.timeout)
             .finish()
+    }
+}
+
+/// Proof of being inside a monitor. Dropping exits (also on unwind, so a
+/// panicking thread releases its locks, as Mesa's UNWIND machinery did).
+pub struct MonitorGuard<'a, T> {
+    guard: MutexGuard<'a, T>,
+    monitor: &'a Monitor<T>,
+}
+
+impl<T> MonitorGuard<'_, T> {
+    fn check_owner(&self, op: &str, cv: &Condition) {
+        assert_eq!(
+            cv.inner.monitor, self.monitor.inner.id,
+            "{op}: condition '{}' does not belong to monitor '{}'",
+            cv.inner.name, self.monitor.inner.name
+        );
+    }
+
+    /// WAIT bounded by `limit` instead of the CV's own interval.
+    ///
+    /// NOTIFY and BROADCAST take waiters *off the queue* and mark them, and
+    /// only a marked waiter returns `Notified`. So a wakeup goes to a
+    /// thread that was waiting when it was issued — a later arrival cannot
+    /// take it — and an unmarked wakeup (the OS condvar may wake
+    /// spuriously) goes back to sleep.
+    fn wait_bounded(&mut self, cv: &Condition, limit: Option<Duration>) -> WaitOutcome {
+        self.check_owner("WAIT", cv);
+        let end = limit.map(|t| Instant::now() + t);
+        let me = Arc::new(Waiter {
+            cv: Condvar::new(),
+            woken: AtomicBool::new(false),
+        });
+        cv.inner.queue.lock().push_back(Arc::clone(&me));
+        loop {
+            let timed_out = match end {
+                None => {
+                    me.cv.wait(&mut self.guard);
+                    false
+                }
+                Some(end) => {
+                    let left = end.saturating_duration_since(Instant::now());
+                    me.cv.wait_for(&mut self.guard, left).timed_out()
+                }
+            };
+            if me.woken.load(Ordering::Relaxed) {
+                return WaitOutcome::Notified;
+            }
+            if timed_out {
+                cv.inner.queue.lock().retain(|w| !Arc::ptr_eq(w, &me));
+                return WaitOutcome::TimedOut;
+            }
+        }
+    }
+}
+
+impl<T> Guard<T> for MonitorGuard<'_, T> {
+    type Condition = Condition;
+
+    fn with<R>(&self, f: impl FnOnce(&T) -> R) -> R {
+        f(&self.guard)
+    }
+
+    fn with_mut<R>(&mut self, f: impl FnOnce(&mut T) -> R) -> R {
+        f(&mut self.guard)
+    }
+
+    fn wait(&mut self, cv: &Condition) -> WaitOutcome {
+        self.wait_bounded(cv, cv.inner.timeout)
+    }
+
+    /// Unlike the simulator's, each WAIT here is also bounded by what is
+    /// left of `deadline`, so a CV without a timeout cannot overstay it.
+    fn wait_until_before(
+        &mut self,
+        cv: &Condition,
+        deadline: SimDuration,
+        mut pred: impl FnMut(&T) -> bool,
+    ) -> bool {
+        let end = Instant::now() + to_std(deadline);
+        loop {
+            if pred(&self.guard) {
+                return true;
+            }
+            let left = end.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return false;
+            }
+            let limit = cv.inner.timeout.map_or(left, |t| t.min(left));
+            self.wait_bounded(cv, Some(limit));
+        }
+    }
+
+    fn notify(&self, cv: &Condition) {
+        self.check_owner("NOTIFY", cv);
+        if let Some(w) = cv.inner.queue.lock().pop_front() {
+            w.woken.store(true, Ordering::Relaxed);
+            w.cv.notify_one();
+        }
+    }
+
+    fn broadcast(&self, cv: &Condition) {
+        self.check_owner("BROADCAST", cv);
+        for w in cv.inner.queue.lock().drain(..) {
+            w.woken.store(true, Ordering::Relaxed);
+            w.cv.notify_one();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
-    use std::time::Instant;
-
-    #[test]
-    fn mutual_exclusion_counter() {
-        let m = Monitor::new("counter", 0u64);
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let m = m.clone();
-            handles.push(thread::spawn(move || {
-                for _ in 0..1000 {
-                    let mut g = m.enter();
-                    *g.data() += 1;
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(*m.enter().data(), 8000);
-    }
-
-    #[test]
-    fn producer_consumer_with_notify() {
-        let m = Monitor::new("queue", Vec::<u32>::new());
-        let cv = m.condition("nonempty", None);
-        let (mc, cvc) = (m.clone(), cv.clone());
-        let consumer = thread::spawn(move || {
-            let mut got = Vec::new();
-            let mut g = mc.enter();
-            while got.len() < 5 {
-                g.wait_until(&cvc, |q| !q.is_empty());
-                got.append(g.data());
-            }
-            got
-        });
-        for i in 0..5u32 {
-            thread::sleep(Duration::from_millis(2));
-            let mut g = m.enter();
-            g.data().push(i);
-            g.notify(&cv);
-        }
-        let mut got = consumer.join().unwrap();
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn wait_times_out_per_cv_interval() {
-        let m = Monitor::new("m", ());
-        let cv = m.condition("never", Some(Duration::from_millis(20)));
-        let start = Instant::now();
-        let mut g = m.enter();
-        assert_eq!(g.wait(&cv), WaitOutcome::TimedOut);
-        assert!(start.elapsed() >= Duration::from_millis(15));
-    }
-
-    #[test]
-    fn broadcast_wakes_all() {
-        let m = Monitor::new("flag", false);
-        let cv = m.condition("set", None);
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let (m, cv) = (m.clone(), cv.clone());
-            handles.push(thread::spawn(move || {
-                let mut g = m.enter();
-                g.wait_until(&cv, |&f| f);
-                true
-            }));
-        }
-        thread::sleep(Duration::from_millis(20));
-        {
-            let mut g = m.enter();
-            *g.data() = true;
-            g.broadcast(&cv);
-        }
-        for h in handles {
-            assert!(h.join().unwrap());
-        }
-    }
+    use crate::RealCtx;
+    use pcr::{millis, Runtime};
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     #[should_panic(expected = "does not belong to monitor")]
     fn cross_monitor_wait_rejected() {
-        let a = Monitor::new("a", ());
-        let b = Monitor::new("b", ());
-        let cv = b.condition("of-b", None);
-        let mut g = a.enter();
+        let ctx = RealCtx::root();
+        let a = ctx.new_monitor("a", ());
+        let b = ctx.new_monitor("b", ());
+        let cv = ctx.new_condition(&b, "of-b", None);
+        let mut g = ctx.enter(&a);
         let _ = g.wait(&cv);
     }
 
     #[test]
-    fn wait_until_for_gives_up() {
-        let m = Monitor::new("m", 0u32);
-        let cv = m.condition("cv", Some(Duration::from_millis(5)));
-        let mut g = m.enter();
-        let ok = g.wait_until_for(&cv, Duration::from_millis(30), |&v| v > 0);
-        assert!(!ok);
+    fn notify_without_waiters_is_forgotten() {
+        // Mesa NOTIFY is not a semaphore V: with nobody waiting it is
+        // forgotten, so a later WAIT must run to its timeout.
+        let ctx = RealCtx::root();
+        let m = ctx.new_monitor("m", ());
+        let cv = ctx.new_condition(&m, "cv", Some(millis(5)));
+        let mut g = ctx.enter(&m);
+        g.notify(&cv);
+        g.broadcast(&cv);
+        assert_eq!(g.wait(&cv), WaitOutcome::TimedOut);
     }
 
     #[test]
-    fn try_enter_for_times_out_under_contention() {
-        let m = Monitor::new("held", ());
-        let mc = m.clone();
-        let holder = thread::spawn(move || {
-            let _g = mc.enter();
-            thread::sleep(Duration::from_millis(50));
-        });
-        thread::sleep(Duration::from_millis(10));
-        assert!(m.try_enter_for(Duration::from_millis(5)).is_none());
-        holder.join().unwrap();
-        assert!(m.try_enter_for(Duration::from_millis(50)).is_some());
-    }
-
-    #[test]
-    fn condition_stats_track_usage() {
-        let m = Monitor::new("m", 0u32);
-        let cv = m.condition("cv", Some(Duration::from_millis(5)));
-        let mut g = m.enter();
-        for _ in 0..3 {
-            let _ = g.wait(&cv); // All time out: nobody notifies.
+    fn an_unmarked_os_wakeup_is_not_a_notify() {
+        // Poke the OS condvar directly, as a spurious wakeup would: the
+        // waiter must stay inside WAIT until a real NOTIFY arrives.
+        let ctx = RealCtx::root();
+        let m = ctx.new_monitor("m", ());
+        let cv = ctx.new_condition(&m, "cv", None);
+        let returned = Arc::new(AtomicBool::new(false));
+        let (m2, cv2, r2) = (m.clone(), cv.clone(), Arc::clone(&returned));
+        let waiter = ctx
+            .fork("waiter", move |ctx: &RealCtx| {
+                let outcome = ctx.enter(&m2).wait(&cv2);
+                r2.store(true, Ordering::SeqCst);
+                outcome
+            })
+            .unwrap();
+        while cv.inner.queue.lock().is_empty() {
+            ctx.yield_now();
         }
+        for _ in 0..20 {
+            cv.inner.queue.lock()[0].cv.notify_all();
+            ctx.sleep(millis(1));
+        }
+        assert!(!returned.load(Ordering::SeqCst), "spurious wakeup escaped");
+        let g = ctx.enter(&m);
         g.notify(&cv);
         drop(g);
-        let st = cv.stats();
-        assert_eq!(st.waits, 3);
-        assert_eq!(st.timeouts, 3);
-        assert_eq!(st.notifies, 1);
-        assert!((st.timeout_fraction() - 1.0).abs() < 1e-9);
+        assert_eq!(ctx.join(waiter).unwrap(), WaitOutcome::Notified);
     }
 
     #[test]
-    fn timeout_driven_smell_detector() {
-        let healthy = ConditionStats {
-            waits: 100,
-            timeouts: 20,
-            notifies: 80,
-        };
-        assert!(!healthy.looks_timeout_driven());
-        let buggy = ConditionStats {
-            waits: 100,
-            timeouts: 98,
-            notifies: 2,
-        };
-        assert!(buggy.looks_timeout_driven());
-        // Idle sleepers time out a lot but also see few waits relative
-        // to traffic; the detector needs volume before it accuses.
-        let quiet = ConditionStats {
-            waits: 5,
-            timeouts: 5,
-            notifies: 0,
-        };
-        assert!(!quiet.looks_timeout_driven());
+    fn broadcast_wakes_exactly_those_waiting_when_it_was_issued() {
+        // The broadcaster turns waiter itself before any of the woken can
+        // re-enter, and leaves through its time limit at once. It was not
+        // waiting at the BROADCAST, so it must not take one of their
+        // wakeups — or one of them would sleep forever on this CV.
+        let ctx = RealCtx::root();
+        let m = ctx.new_monitor("m", ());
+        let cv = ctx.new_condition(&m, "cv", None);
+        for _round in 0..50 {
+            let waiters: Vec<_> = (0..4)
+                .map(|i| {
+                    let (m2, cv2) = (m.clone(), cv.clone());
+                    ctx.fork(&format!("w{i}"), move |ctx: &RealCtx| {
+                        ctx.enter(&m2).wait(&cv2)
+                    })
+                    .unwrap()
+                })
+                .collect();
+            while cv.inner.queue.lock().len() < waiters.len() {
+                ctx.yield_now();
+            }
+            let mut g = ctx.enter(&m);
+            g.broadcast(&cv);
+            let late = g.wait_bounded(&cv, Some(Duration::ZERO));
+            drop(g);
+            assert_eq!(late, WaitOutcome::TimedOut);
+            for w in waiters {
+                assert_eq!(ctx.join(w).unwrap(), WaitOutcome::Notified);
+            }
+        }
     }
 
     #[test]
-    fn guard_released_on_panic() {
-        let m = Monitor::new("m", 0u32);
-        let mc = m.clone();
-        let t = thread::spawn(move || {
-            let mut g = mc.enter();
-            *g.data() = 1;
-            panic!("die holding the monitor");
-        });
-        assert!(t.join().is_err());
-        // The monitor must be free again.
-        let mut g = m.enter();
-        assert_eq!(*g.data(), 1);
+    fn wait_until_before_is_bounded_even_without_a_cv_timeout() {
+        let ctx = RealCtx::root();
+        let m = ctx.new_monitor("m", 0u32);
+        let cv = ctx.new_condition(&m, "never", None);
+        let mut g = ctx.enter(&m);
+        assert!(!g.wait_until_before(&cv, millis(10), |v| *v > 0));
+        g.with_mut(|v| *v = 1);
+        assert!(g.wait_until_before(&cv, millis(10), |v| *v > 0));
     }
 }

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex as PlMutex;
-use pcr::{Priority, SimDuration, ThreadCtx};
+use pcr::{Priority, Runtime, SimDuration, ThreadCtx};
 
 /// How a registered callback is invoked.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -22,21 +22,21 @@ pub enum CallbackMode {
     Unforked,
 }
 
-type Callback<E> = Arc<dyn Fn(&ThreadCtx, &E) + Send + Sync + 'static>;
+type Callback<E, C> = Arc<dyn Fn(&C, &E) + Send + Sync + 'static>;
 
-struct Registered<E> {
-    callback: Callback<E>,
+struct Registered<E, C> {
+    callback: Callback<E, C>,
     mode: CallbackMode,
     cost: SimDuration,
 }
 
 /// A registry of client callbacks with per-registration fork control.
-pub struct CallbackRegistry<E: Clone + Send + Sync + 'static> {
-    entries: Arc<PlMutex<Vec<Registered<E>>>>,
+pub struct CallbackRegistry<E: Clone + Send + Sync + 'static, C: Runtime = ThreadCtx> {
+    entries: Arc<PlMutex<Vec<Registered<E, C>>>>,
     fork_priority: Priority,
 }
 
-impl<E: Clone + Send + Sync + 'static> Clone for CallbackRegistry<E> {
+impl<E: Clone + Send + Sync + 'static, C: Runtime> Clone for CallbackRegistry<E, C> {
     fn clone(&self) -> Self {
         CallbackRegistry {
             entries: Arc::clone(&self.entries),
@@ -45,7 +45,7 @@ impl<E: Clone + Send + Sync + 'static> Clone for CallbackRegistry<E> {
     }
 }
 
-impl<E: Clone + Send + Sync + 'static> CallbackRegistry<E> {
+impl<E: Clone + Send + Sync + 'static, C: Runtime> CallbackRegistry<E, C> {
     /// Creates a registry; forked callbacks run at `fork_priority`.
     pub fn new(fork_priority: Priority) -> Self {
         CallbackRegistry {
@@ -58,7 +58,7 @@ impl<E: Clone + Send + Sync + 'static> CallbackRegistry<E> {
     /// default is almost always TRUE").
     pub fn register<F>(&self, cost: SimDuration, f: F)
     where
-        F: Fn(&ThreadCtx, &E) + Send + Sync + 'static,
+        F: Fn(&C, &E) + Send + Sync + 'static,
     {
         self.register_with(CallbackMode::Forked, cost, f);
     }
@@ -66,7 +66,7 @@ impl<E: Clone + Send + Sync + 'static> CallbackRegistry<E> {
     /// Registers a callback with an explicit mode.
     pub fn register_with<F>(&self, mode: CallbackMode, cost: SimDuration, f: F)
     where
-        F: Fn(&ThreadCtx, &E) + Send + Sync + 'static,
+        F: Fn(&C, &E) + Send + Sync + 'static,
     {
         self.entries.lock().push(Registered {
             callback: Arc::new(f),
@@ -88,8 +88,8 @@ impl<E: Clone + Send + Sync + 'static> CallbackRegistry<E> {
     /// Delivers `event` to every callback. Forked callbacks cost the
     /// service only the fork; unforked ones charge their full cost (and
     /// their panics!) to the calling thread.
-    pub fn invoke(&self, ctx: &ThreadCtx, event: E) {
-        let snapshot: Vec<(Callback<E>, CallbackMode, SimDuration)> = self
+    pub fn invoke(&self, ctx: &C, event: E) {
+        let snapshot: Vec<(Callback<E, C>, CallbackMode, SimDuration)> = self
             .entries
             .lock()
             .iter()

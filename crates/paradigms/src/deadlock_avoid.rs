@@ -20,14 +20,15 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use parking_lot::Mutex as PlMutex;
-use pcr::{ForkError, Monitor, MonitorGuard, MonitorId, ThreadCtx, ThreadId};
+use pcr::{ForkError, Guard, MonitorId, Runtime, ThreadCtx, ThreadId};
 
 /// Forks `f` so it can acquire locks in a legal order that the caller —
 /// already inside one or more monitors — cannot. Semantically a
 /// detached fork; the name records intent at the call site.
-pub fn fork_to_avoid_deadlock<F>(ctx: &ThreadCtx, name: &str, f: F) -> Result<ThreadId, ForkError>
+pub fn fork_to_avoid_deadlock<C, F>(ctx: &C, name: &str, f: F) -> Result<ThreadId, ForkError>
 where
-    F: FnOnce(&ThreadCtx) + Send + 'static,
+    C: Runtime,
+    F: FnOnce(&C) + Send + 'static,
 {
     ctx.fork_detached(name, f)
 }
@@ -70,39 +71,37 @@ impl LockOrderRegistry {
 
     /// Enters `m` through the registry, recording the acquisition edge
     /// and checking it against the observed global order.
-    pub fn enter<'a, T: Send + 'static>(
+    pub fn enter<'a, T: Send + 'static, C: Runtime>(
         &self,
-        ctx: &'a ThreadCtx,
-        m: &'a Monitor<T>,
-    ) -> TrackedGuard<'a, T> {
+        ctx: &'a C,
+        m: &'a C::Monitor<T>,
+    ) -> TrackedGuard<'a, T, C> {
         let guard = ctx.enter(m);
+        let mid = C::monitor_id(m);
         let mut st = self.state.lock();
         let held = st.held.entry(ctx.tid()).or_default().clone();
         for &h in &held {
             // h acquired-before m.id while h held: edge h -> m.
-            st.edges
-                .entry(h.as_u32())
-                .or_default()
-                .insert(m.id().as_u32());
+            st.edges.entry(h.as_u32()).or_default().insert(mid.as_u32());
             // Violation if the reverse edge already exists.
             if st
                 .edges
-                .get(&m.id().as_u32())
+                .get(&mid.as_u32())
                 .is_some_and(|s| s.contains(&h.as_u32()))
             {
                 st.violations.push(OrderViolation {
                     tid: ctx.tid(),
-                    acquired: m.id(),
+                    acquired: mid,
                     while_holding: h,
                 });
             }
         }
-        st.held.entry(ctx.tid()).or_default().push(m.id());
+        st.held.entry(ctx.tid()).or_default().push(mid);
         TrackedGuard {
             guard: Some(guard),
             registry: self.clone(),
             tid: ctx.tid(),
-            mid: m.id(),
+            mid,
         }
     }
 
@@ -122,17 +121,17 @@ impl LockOrderRegistry {
 }
 
 /// A monitor guard that unregisters from the [`LockOrderRegistry`] on
-/// drop. Derefs to the underlying [`MonitorGuard`].
-pub struct TrackedGuard<'a, T: Send + 'static> {
-    guard: Option<MonitorGuard<'a, T>>,
+/// drop, wrapping the runtime's own guard.
+pub struct TrackedGuard<'a, T: Send + 'static, C: Runtime = ThreadCtx> {
+    guard: Option<C::Guard<'a, T>>,
     registry: LockOrderRegistry,
     tid: ThreadId,
     mid: MonitorId,
 }
 
-impl<'a, T: Send + 'static> TrackedGuard<'a, T> {
+impl<'a, T: Send + 'static, C: Runtime> TrackedGuard<'a, T, C> {
     /// Access the underlying guard.
-    pub fn guard(&mut self) -> &mut MonitorGuard<'a, T> {
+    pub fn guard(&mut self) -> &mut C::Guard<'a, T> {
         self.guard.as_mut().expect("guard present until drop")
     }
 
@@ -147,7 +146,7 @@ impl<'a, T: Send + 'static> TrackedGuard<'a, T> {
     }
 }
 
-impl<'a, T: Send + 'static> Drop for TrackedGuard<'a, T> {
+impl<'a, T: Send + 'static, C: Runtime> Drop for TrackedGuard<'a, T, C> {
     fn drop(&mut self) {
         drop(self.guard.take());
         self.registry.note_exit(self.tid, self.mid);

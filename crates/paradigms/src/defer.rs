@@ -8,16 +8,17 @@
 //! responsiveness that they fork almost *any* work beyond noticing what
 //! work needs to be done, playing the role of interrupt handlers.
 
-use pcr::{ForkError, Priority, SimDuration, ThreadCtx, ThreadId};
+use pcr::{ForkError, Priority, Runtime, SimDuration, ThreadId};
 
 /// Forks `f` as deferred work and returns immediately.
 ///
 /// The deferred thread is detached (fire-and-forget), matching the
 /// common Cedar shape where results are reported through a separate
 /// window rather than back to the caller.
-pub fn defer<F>(ctx: &ThreadCtx, name: &str, f: F) -> Result<ThreadId, ForkError>
+pub fn defer<C, F>(ctx: &C, name: &str, f: F) -> Result<ThreadId, ForkError>
 where
-    F: FnOnce(&ThreadCtx) + Send + 'static,
+    C: Runtime,
+    F: FnOnce(&C) + Send + 'static,
 {
     ctx.fork_detached(name, f)
 }
@@ -25,14 +26,10 @@ where
 /// Forks deferred work at an explicit (typically lower) priority —
 /// "forking the real work allows it to be done in a lower priority
 /// thread and frees the critical thread to respond to the next event".
-pub fn defer_at<F>(
-    ctx: &ThreadCtx,
-    name: &str,
-    priority: Priority,
-    f: F,
-) -> Result<ThreadId, ForkError>
+pub fn defer_at<C, F>(ctx: &C, name: &str, priority: Priority, f: F) -> Result<ThreadId, ForkError>
 where
-    F: FnOnce(&ThreadCtx) + Send + 'static,
+    C: Runtime,
+    F: FnOnce(&C) + Send + 'static,
 {
     ctx.fork_detached_prio(name, priority, f)
 }
@@ -42,15 +39,16 @@ where
 /// a lower-priority thread.
 ///
 /// Returns the deferred thread's id.
-pub fn notice_then_defer<F>(
-    ctx: &ThreadCtx,
+pub fn notice_then_defer<C, F>(
+    ctx: &C,
     name: &str,
     notice_cost: SimDuration,
     defer_priority: Priority,
     rest: F,
 ) -> Result<ThreadId, ForkError>
 where
-    F: FnOnce(&ThreadCtx) + Send + 'static,
+    C: Runtime,
+    F: FnOnce(&C) + Send + 'static,
 {
     ctx.work(notice_cost);
     defer_at(ctx, name, defer_priority, rest)

@@ -7,7 +7,7 @@
 //! condition, not JOIN, so the handle is cloneable and the value can be
 //! read by several threads).
 
-use pcr::{Condition, ForkError, Monitor, Priority, ThreadCtx};
+use pcr::{ForkError, Guard, Priority, Runtime, ThreadCtx};
 
 /// State of a deferred computation.
 enum Slot<T> {
@@ -17,12 +17,12 @@ enum Slot<T> {
 }
 
 /// A cloneable handle to a value being computed by a deferred thread.
-pub struct DeferredValue<T: Clone + Send + 'static> {
-    slot: Monitor<Slot<T>>,
-    ready: Condition,
+pub struct DeferredValue<T: Clone + Send + 'static, C: Runtime = ThreadCtx> {
+    slot: C::Monitor<Slot<T>>,
+    ready: C::Condition,
 }
 
-impl<T: Clone + Send + 'static> Clone for DeferredValue<T> {
+impl<T: Clone + Send + 'static, C: Runtime> Clone for DeferredValue<T, C> {
     fn clone(&self) -> Self {
         DeferredValue {
             slot: self.slot.clone(),
@@ -31,18 +31,13 @@ impl<T: Clone + Send + 'static> Clone for DeferredValue<T> {
     }
 }
 
-impl<T: Clone + Send + 'static> DeferredValue<T> {
+impl<T: Clone + Send + 'static, C: Runtime> DeferredValue<T, C> {
     /// Forks `f` as deferred work; the returned handle yields its value.
-    pub fn spawn<F>(
-        ctx: &ThreadCtx,
-        name: &str,
-        priority: Priority,
-        f: F,
-    ) -> Result<Self, ForkError>
+    pub fn spawn<F>(ctx: &C, name: &str, priority: Priority, f: F) -> Result<Self, ForkError>
     where
-        F: FnOnce(&ThreadCtx) -> T + Send + 'static,
+        F: FnOnce(&C) -> T + Send + 'static,
     {
-        let slot: Monitor<Slot<T>> = ctx.new_monitor(&format!("{name}.slot"), Slot::Pending);
+        let slot = ctx.new_monitor(&format!("{name}.slot"), Slot::Pending);
         let ready = ctx.new_condition(&slot, &format!("{name}.ready"), Some(pcr::millis(50)));
         let (s2, r2) = (slot.clone(), ready.clone());
         // The worker is forked (not joined): failures are captured into
@@ -64,14 +59,14 @@ impl<T: Clone + Send + 'static> DeferredValue<T> {
     }
 
     /// True once the value (or failure) is available.
-    pub fn is_ready(&self, ctx: &ThreadCtx) -> bool {
+    pub fn is_ready(&self, ctx: &C) -> bool {
         let g = ctx.enter(&self.slot);
         g.with(|s| !matches!(s, Slot::Pending))
     }
 
     /// Blocks until the deferred work finishes; returns its value, or
     /// the panic message if it panicked.
-    pub fn get(&self, ctx: &ThreadCtx) -> Result<T, String> {
+    pub fn get(&self, ctx: &C) -> Result<T, String> {
         let mut g = ctx.enter(&self.slot);
         g.wait_until(&self.ready, |s| !matches!(s, Slot::Pending));
         g.with(|s| match s {
@@ -82,7 +77,7 @@ impl<T: Clone + Send + 'static> DeferredValue<T> {
     }
 
     /// Non-blocking read.
-    pub fn try_get(&self, ctx: &ThreadCtx) -> Option<Result<T, String>> {
+    pub fn try_get(&self, ctx: &C) -> Option<Result<T, String>> {
         let g = ctx.enter(&self.slot);
         g.with(|s| match s {
             Slot::Pending => None,

@@ -1,8 +1,9 @@
-//! # paradigms — the ten thread-usage paradigms on the simulator
+//! # paradigms — the ten thread-usage paradigms, written once
 //!
 //! The paper's §4 classifies every thread-creation site in Cedar and GVX
 //! into ten paradigms. This crate implements each as a reusable
-//! component on the [`pcr`] runtime, in the paper's order:
+//! component against [`pcr::Runtime`] — the §2 primitive surface as a
+//! trait the thread context implements — in the paper's order:
 //!
 //! | § | Paradigm | Here |
 //! |---|----------|------|
@@ -17,37 +18,45 @@
 //! | 4.7 | Concurrency exploiters | [`exploit`] |
 //! | 4.8 | Encapsulated forks | the packaged constructors throughout ([`oneshot::delayed_fork`] = `DelayedFork`, [`sleeper::Periodical`] = `PeriodicalFork`, [`serializer::MbQueue`] = `MBQueue`) |
 //!
-//! [`mistakes`] reproduces §5.3's anti-patterns (IF-based WAIT,
-//! timeout-masked missing NOTIFYs) for the experiments that measure their
-//! cost. The same paradigms on real `std::thread`s are in the `mesa`
-//! crate.
+//! The backend is the type of the context and nothing else. Structs
+//! take a defaulted parameter — `BoundedQueue<T>` is
+//! `BoundedQueue<T, pcr::ThreadCtx>`, the simulator — and functions
+//! infer it from `ctx`, so simulator code names no backend at all;
+//! `BoundedQueue<T, mesa::RealCtx>` is the same queue on real threads.
 //!
-//! # Example: a pipeline fed by a sleeper, drained by a serializer
+//! [`mistakes`] reproduces §5.3's anti-patterns (IF-based WAIT,
+//! timeout-masked missing NOTIFYs) for the experiments that measure
+//! their cost; it stays on the simulator, as do the `*_in_sim`
+//! constructors that build a component before the run starts.
+//!
+//! # Example: one pipeline, both backends
 //!
 //! ```
+//! use mesa::RealCtx;
 //! use paradigms::pipeline::pipeline;
-//! use paradigms::serializer::MbQueue;
-//! use pcr::{millis, Priority, RunLimit, Sim, SimConfig};
+//! use pcr::{millis, Priority, RunLimit, Runtime, Sim, SimConfig};
 //!
-//! let mut sim = Sim::new(SimConfig::default());
-//! let h = sim.fork_root("main", Priority::of(5), |ctx| {
-//!     let p = pipeline::<u32>(ctx, "p", 8, Priority::of(4))
+//! /// Written once: two pump stages between bounded buffers (§4.2).
+//! fn run<C: Runtime>(ctx: &C) -> Vec<u32> {
+//!     let p = pipeline::<u32, C>(ctx, "p", 8, Priority::of(4))
 //!         .stage(millis(1), |x| Some(x * 2))
+//!         .stage(millis(1), |x| Some(x + 1))
 //!         .build();
-//!     let mb = MbQueue::new(ctx, "apply", Priority::of(4), 8);
 //!     for i in 0..4 {
 //!         p.source.put(ctx, i);
 //!     }
 //!     p.source.close(ctx);
-//!     let mut sum = 0;
-//!     while let Some(v) = p.sink.take(ctx) {
-//!         sum += v;
-//!     }
-//!     mb.stop(ctx);
-//!     sum
-//! });
+//!     std::iter::from_fn(|| p.sink.take(ctx)).collect()
+//! }
+//!
+//! // On the simulator: deterministic virtual time.
+//! let mut sim = Sim::new(SimConfig::default());
+//! let h = sim.fork_root("main", Priority::of(5), |ctx| run(ctx));
 //! sim.run(RunLimit::For(pcr::secs(10)));
-//! assert_eq!(h.into_result().unwrap().unwrap(), 12);
+//! assert_eq!(h.into_result().unwrap().unwrap(), [1, 3, 5, 7]);
+//!
+//! // On real threads: the same function, handed the other context.
+//! assert_eq!(run(&RealCtx::root()), [1, 3, 5, 7]);
 //! ```
 
 #![forbid(unsafe_code)]

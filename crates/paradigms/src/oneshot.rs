@@ -10,33 +10,45 @@
 //! [`delayed_fork`] is the `DelayedFork` encapsulation ("only used in our window
 //! systems", counted under encapsulated forks in Table 4).
 
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
-use pcr::{Priority, SimDuration, ThreadCtx, ThreadId};
+use pcr::{Guard, Priority, Runtime, SimDuration, ThreadCtx, ThreadId};
+
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Shot {
+    Pending,
+    Cancelled,
+    Fired,
+}
 
 /// Handle to a scheduled one-shot.
-#[derive(Clone)]
-pub struct OneShot {
-    cancelled: Arc<AtomicBool>,
-    fired: Arc<AtomicBool>,
+///
+/// The one-shot does not sleep its delay out: it WAITs on a CV whose
+/// timeout is the delay, and [`OneShot::cancel`] NOTIFYs it, so a
+/// cancelled one-shot's thread is gone at once on every backend.
+pub struct OneShot<C: Runtime = ThreadCtx> {
+    state: C::Monitor<Shot>,
+    wake: C::Condition,
     tid: ThreadId,
 }
 
-impl OneShot {
+impl<C: Runtime> OneShot<C> {
     /// Cancels the one-shot if it has not fired yet. Returns `true` if
     /// the cancellation happened in time.
-    pub fn cancel(&self) -> bool {
-        if self.fired.load(Ordering::Relaxed) {
+    pub fn cancel(&self, ctx: &C) -> bool {
+        let mut g = ctx.enter(&self.state);
+        if g.with(|s| *s == Shot::Fired) {
             return false;
         }
-        self.cancelled.store(true, Ordering::Relaxed);
-        !self.fired.load(Ordering::Relaxed)
+        g.with_mut(|s| *s = Shot::Cancelled);
+        g.notify(&self.wake);
+        true
     }
 
-    /// True once the action has run.
-    pub fn fired(&self) -> bool {
-        self.fired.load(Ordering::Relaxed)
+    /// True once the action has been started.
+    pub fn fired(&self, ctx: &C) -> bool {
+        ctx.enter(&self.state).with(|s| *s == Shot::Fired)
     }
 
     /// The one-shot thread's id.
@@ -47,34 +59,32 @@ impl OneShot {
 
 /// The `DelayedFork` encapsulation: "calls a procedure at some time in
 /// the future". The delay is subject to the runtime's timer granularity.
-pub fn delayed_fork<F>(
-    ctx: &ThreadCtx,
+pub fn delayed_fork<C, F>(
+    ctx: &C,
     name: &str,
     priority: Priority,
     delay: SimDuration,
     f: F,
-) -> OneShot
+) -> OneShot<C>
 where
-    F: FnOnce(&ThreadCtx) + Send + 'static,
+    C: Runtime,
+    F: FnOnce(&C) + Send + 'static,
 {
-    let cancelled = Arc::new(AtomicBool::new(false));
-    let fired = Arc::new(AtomicBool::new(false));
-    let (c, fl) = (Arc::clone(&cancelled), Arc::clone(&fired));
+    let state = ctx.new_monitor(&format!("{name}.state"), Shot::Pending);
+    let wake = ctx.new_condition(&state, &format!("{name}.wake"), Some(delay));
+    let (st, wk) = (state.clone(), wake.clone());
     let tid = ctx
         .fork_detached_prio(name, priority, move |ctx| {
-            ctx.sleep(delay);
-            if c.load(Ordering::Relaxed) {
+            let mut g = ctx.enter(&st);
+            if g.wait_until_before(&wk, delay, |s| *s == Shot::Cancelled) {
                 return;
             }
-            fl.store(true, Ordering::Relaxed);
+            g.with_mut(|s| *s = Shot::Fired);
+            drop(g);
             f(ctx);
         })
         .expect("fork one-shot");
-    OneShot {
-        cancelled,
-        fired,
-        tid,
-    }
+    OneShot { state, wake, tid }
 }
 
 /// Guarded-button states.
@@ -129,7 +139,7 @@ impl GuardedButton {
 
     /// Registers a press. Returns `true` if the press fired the button's
     /// action (i.e. it landed in the armed window).
-    pub fn press(&self, ctx: &ThreadCtx) -> bool {
+    pub fn press<C: Runtime>(&self, ctx: &C) -> bool {
         match self.state.load(Ordering::Relaxed) {
             GUARDED => {
                 self.state.store(ARMING, Ordering::Relaxed);
@@ -181,7 +191,7 @@ mod tests {
                 g.with_mut(|v| *v = Some(now));
             });
             ctx.sleep_precise(millis(300));
-            assert!(shot.fired());
+            assert!(shot.fired(ctx));
             let g = ctx.enter(&f);
             g.with(|v| *v)
         });
@@ -200,9 +210,9 @@ mod tests {
                 panic!("must not fire");
             });
             ctx.work(millis(1));
-            assert!(shot.cancel());
+            assert!(shot.cancel(ctx));
             ctx.sleep_precise(millis(300));
-            shot.fired()
+            shot.fired(ctx)
         });
         let r = sim.run(RunLimit::For(secs(2)));
         assert!(!r.deadlocked());
@@ -216,7 +226,7 @@ mod tests {
         let h = sim.fork_root("driver", Priority::DEFAULT, move |ctx| {
             let shot = delayed_fork(ctx, "shot", Priority::of(5), millis(50), |_ctx| {});
             ctx.sleep_precise(millis(200));
-            shot.cancel()
+            shot.cancel(ctx)
         });
         sim.run(RunLimit::For(secs(2)));
         assert!(!h.into_result().unwrap().unwrap());

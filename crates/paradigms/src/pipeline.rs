@@ -10,29 +10,29 @@
 //! back-pressure, optionally ending in a slack stage; feeding and
 //! closing the source propagates shutdown stage by stage.
 
-use pcr::{Priority, SimDuration, ThreadCtx};
+use pcr::{Priority, Runtime, SimDuration, ThreadCtx};
 
 use crate::pump::{spawn_pump, BoundedQueue};
 
 /// A pipeline under construction: `In` is the source item type, `T` the
 /// current tail type.
-pub struct PipelineBuilder<'a, In: Send + 'static, T: Send + 'static> {
-    ctx: &'a ThreadCtx,
+pub struct PipelineBuilder<'a, In: Send + 'static, T: Send + 'static, C: Runtime = ThreadCtx> {
+    ctx: &'a C,
     name: String,
     stage: usize,
     capacity: usize,
     priority: Priority,
-    source: BoundedQueue<In>,
-    tail: BoundedQueue<T>,
+    source: BoundedQueue<In, C>,
+    tail: BoundedQueue<T, C>,
 }
 
 /// Starts a pipeline: returns a builder whose source queue accepts `T`.
-pub fn pipeline<'a, T: Send + 'static>(
-    ctx: &'a ThreadCtx,
+pub fn pipeline<'a, T: Send + 'static, C: Runtime>(
+    ctx: &'a C,
     name: &str,
     capacity: usize,
     priority: Priority,
-) -> PipelineBuilder<'a, T, T> {
+) -> PipelineBuilder<'a, T, T, C> {
     let source = BoundedQueue::new(ctx, &format!("{name}.q0"), capacity, None);
     PipelineBuilder {
         ctx,
@@ -45,16 +45,16 @@ pub fn pipeline<'a, T: Send + 'static>(
     }
 }
 
-impl<'a, In: Send + 'static, T: Send + 'static> PipelineBuilder<'a, In, T> {
+impl<'a, In: Send + 'static, T: Send + 'static, C: Runtime> PipelineBuilder<'a, In, T, C> {
     /// Appends a pump stage transforming `T -> U` (returning `None`
     /// filters the item out), costing `cost` of CPU per item.
-    pub fn stage<U, F>(self, cost: SimDuration, f: F) -> PipelineBuilder<'a, In, U>
+    pub fn stage<U, F>(self, cost: SimDuration, f: F) -> PipelineBuilder<'a, In, U, C>
     where
         U: Send + 'static,
         F: FnMut(T) -> Option<U> + Send + 'static,
     {
         let stage = self.stage + 1;
-        let out: BoundedQueue<U> = BoundedQueue::new(
+        let out: BoundedQueue<U, C> = BoundedQueue::new(
             self.ctx,
             &format!("{}.q{stage}", self.name),
             self.capacity,
@@ -82,7 +82,7 @@ impl<'a, In: Send + 'static, T: Send + 'static> PipelineBuilder<'a, In, T> {
 
     /// Finishes the pipeline: put into `source`, take from `sink`;
     /// closing the source drains and closes every stage in turn.
-    pub fn build(self) -> Pipeline<In, T> {
+    pub fn build(self) -> Pipeline<In, T, C> {
         Pipeline {
             source: self.source,
             sink: self.tail,
@@ -91,18 +91,18 @@ impl<'a, In: Send + 'static, T: Send + 'static> PipelineBuilder<'a, In, T> {
 }
 
 /// Handle pair for a fully built pipeline.
-pub struct Pipeline<In: Send + 'static, Out: Send + 'static> {
+pub struct Pipeline<In: Send + 'static, Out: Send + 'static, C: Runtime = ThreadCtx> {
     /// Feed items here.
-    pub source: BoundedQueue<In>,
+    pub source: BoundedQueue<In, C>,
     /// Collect results here; yields `None` after the source closes and
     /// the stages drain.
-    pub sink: BoundedQueue<Out>,
+    pub sink: BoundedQueue<Out, C>,
 }
 
 /// Builds a two-stage pipeline in one call (the common case).
 #[allow(clippy::too_many_arguments)] // stage cost/fn pairs read best flat
-pub fn two_stage<In, Mid, Out, F1, F2>(
-    ctx: &ThreadCtx,
+pub fn two_stage<C, In, Mid, Out, F1, F2>(
+    ctx: &C,
     name: &str,
     capacity: usize,
     priority: Priority,
@@ -110,15 +110,16 @@ pub fn two_stage<In, Mid, Out, F1, F2>(
     f1: F1,
     cost2: SimDuration,
     f2: F2,
-) -> Pipeline<In, Out>
+) -> Pipeline<In, Out, C>
 where
+    C: Runtime,
     In: Send + 'static,
     Mid: Send + 'static,
     Out: Send + 'static,
     F1: FnMut(In) -> Option<Mid> + Send + 'static,
     F2: FnMut(Mid) -> Option<Out> + Send + 'static,
 {
-    pipeline::<In>(ctx, name, capacity, priority)
+    pipeline::<In, C>(ctx, name, capacity, priority)
         .stage(cost1, f1)
         .stage(cost2, f2)
         .build()
@@ -133,7 +134,7 @@ mod tests {
     fn three_stage_pipeline_transforms_and_filters() {
         let mut sim = Sim::new(SimConfig::default());
         let h = sim.fork_root("driver", Priority::of(5), move |ctx| {
-            let p = pipeline::<u32>(ctx, "p", 8, Priority::of(4))
+            let p = pipeline::<u32, _>(ctx, "p", 8, Priority::of(4))
                 .stage(millis(1), |x: u32| x.is_multiple_of(2).then_some(x)) // Filter odds.
                 .stage(millis(1), |x: u32| Some(x * 10))
                 .stage(millis(1), |x: u32| Some(format!("v{x}")))
@@ -191,7 +192,7 @@ mod tests {
         // feeding 6 items takes at least three 20ms stage cycles.
         let mut sim = Sim::new(SimConfig::default());
         let h = sim.fork_root("driver", Priority::of(5), move |ctx| {
-            let p = pipeline::<u32>(ctx, "bp", 1, Priority::of(4))
+            let p = pipeline::<u32, _>(ctx, "bp", 1, Priority::of(4))
                 .stage(millis(20), Some)
                 .build();
             let source = p.source.clone();

@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use pcr::{Condition, Monitor, Priority, SimDuration, ThreadCtx, ThreadId};
+use pcr::{Guard, Priority, Runtime, SimDuration, ThreadCtx, ThreadId};
 
 struct QueueState<T> {
     items: VecDeque<T>,
@@ -16,17 +16,28 @@ struct QueueState<T> {
     closed: bool,
 }
 
+impl<T> QueueState<T> {
+    fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "queue capacity must be positive");
+        QueueState {
+            items: VecDeque::new(),
+            capacity,
+            closed: false,
+        }
+    }
+}
+
 /// A monitor-protected bounded buffer in the classic producer–consumer
 /// style, with `nonempty`/`nonfull` condition variables.
 ///
 /// Cloning the handle shares the queue.
-pub struct BoundedQueue<T: Send + 'static> {
-    monitor: Monitor<QueueState<T>>,
-    nonempty: Condition,
-    nonfull: Condition,
+pub struct BoundedQueue<T: Send + 'static, C: Runtime = ThreadCtx> {
+    monitor: C::Monitor<QueueState<T>>,
+    nonempty: C::Condition,
+    nonfull: C::Condition,
 }
 
-impl<T: Send + 'static> Clone for BoundedQueue<T> {
+impl<T: Send + 'static, C: Runtime> Clone for BoundedQueue<T, C> {
     fn clone(&self) -> Self {
         BoundedQueue {
             monitor: self.monitor.clone(),
@@ -37,7 +48,7 @@ impl<T: Send + 'static> Clone for BoundedQueue<T> {
 }
 
 impl<T: Send + 'static> BoundedQueue<T> {
-    /// Creates a queue before the run starts.
+    /// Creates a queue before the simulator's run starts.
     ///
     /// `cv_timeout` is the timeout interval for both CVs (Mesa CVs carry
     /// their timeout; `None` waits forever).
@@ -47,15 +58,7 @@ impl<T: Send + 'static> BoundedQueue<T> {
         capacity: usize,
         cv_timeout: Option<SimDuration>,
     ) -> Self {
-        assert!(capacity > 0, "queue capacity must be positive");
-        let monitor = sim.monitor(
-            name,
-            QueueState {
-                items: VecDeque::new(),
-                capacity,
-                closed: false,
-            },
-        );
+        let monitor = sim.monitor(name, QueueState::new(capacity));
         let nonempty = sim.condition(&monitor, &format!("{name}.nonempty"), cv_timeout);
         let nonfull = sim.condition(&monitor, &format!("{name}.nonfull"), cv_timeout);
         BoundedQueue {
@@ -64,23 +67,12 @@ impl<T: Send + 'static> BoundedQueue<T> {
             nonfull,
         }
     }
+}
 
+impl<T: Send + 'static, C: Runtime> BoundedQueue<T, C> {
     /// Creates a queue from inside a running thread.
-    pub fn new(
-        ctx: &ThreadCtx,
-        name: &str,
-        capacity: usize,
-        cv_timeout: Option<SimDuration>,
-    ) -> Self {
-        assert!(capacity > 0, "queue capacity must be positive");
-        let monitor = ctx.new_monitor(
-            name,
-            QueueState {
-                items: VecDeque::new(),
-                capacity,
-                closed: false,
-            },
-        );
+    pub fn new(ctx: &C, name: &str, capacity: usize, cv_timeout: Option<SimDuration>) -> Self {
+        let monitor = ctx.new_monitor(name, QueueState::new(capacity));
         let nonempty = ctx.new_condition(&monitor, &format!("{name}.nonempty"), cv_timeout);
         let nonfull = ctx.new_condition(&monitor, &format!("{name}.nonfull"), cv_timeout);
         BoundedQueue {
@@ -92,7 +84,7 @@ impl<T: Send + 'static> BoundedQueue<T> {
 
     /// Inserts `item`, blocking while the queue is full. Returns `false`
     /// (dropping the item) if the queue is closed.
-    pub fn put(&self, ctx: &ThreadCtx, item: T) -> bool {
+    pub fn put(&self, ctx: &C, item: T) -> bool {
         let mut g = ctx.enter(&self.monitor);
         g.wait_until(&self.nonfull, |q| q.closed || q.items.len() < q.capacity);
         if g.with(|q| q.closed) {
@@ -104,7 +96,7 @@ impl<T: Send + 'static> BoundedQueue<T> {
     }
 
     /// Inserts without blocking; returns the item back if full or closed.
-    pub fn try_put(&self, ctx: &ThreadCtx, item: T) -> Result<(), T> {
+    pub fn try_put(&self, ctx: &C, item: T) -> Result<(), T> {
         let mut g = ctx.enter(&self.monitor);
         let rejected = g.with_mut(|q| {
             if q.closed || q.items.len() >= q.capacity {
@@ -127,7 +119,7 @@ impl<T: Send + 'static> BoundedQueue<T> {
     /// under one monitor entry. Returns the rejected tail (everything
     /// if the queue is closed). Wakes every consumer when more than one
     /// item lands, so batch producers don't strand parallel consumers.
-    pub fn try_put_all(&self, ctx: &ThreadCtx, items: Vec<T>) -> Vec<T> {
+    pub fn try_put_all(&self, ctx: &C, items: Vec<T>) -> Vec<T> {
         if items.is_empty() {
             return items;
         }
@@ -156,7 +148,7 @@ impl<T: Send + 'static> BoundedQueue<T> {
     /// Removes up to `max` items, blocking while the queue is empty.
     /// Returns an empty vector once the queue is closed and drained —
     /// one monitor entry per batch instead of one per item.
-    pub fn take_up_to(&self, ctx: &ThreadCtx, max: usize) -> Vec<T> {
+    pub fn take_up_to(&self, ctx: &C, max: usize) -> Vec<T> {
         let mut g = ctx.enter(&self.monitor);
         g.wait_until(&self.nonempty, |q| q.closed || !q.items.is_empty());
         let items = g.with_mut(|q| {
@@ -173,7 +165,7 @@ impl<T: Send + 'static> BoundedQueue<T> {
 
     /// Removes the next item, blocking while the queue is empty. Returns
     /// `None` once the queue is closed and drained.
-    pub fn take(&self, ctx: &ThreadCtx) -> Option<T> {
+    pub fn take(&self, ctx: &C) -> Option<T> {
         let mut g = ctx.enter(&self.monitor);
         g.wait_until(&self.nonempty, |q| q.closed || !q.items.is_empty());
         let item = g.with_mut(|q| q.items.pop_front());
@@ -184,7 +176,7 @@ impl<T: Send + 'static> BoundedQueue<T> {
     }
 
     /// Removes the next item without blocking.
-    pub fn try_take(&self, ctx: &ThreadCtx) -> Option<T> {
+    pub fn try_take(&self, ctx: &C) -> Option<T> {
         let mut g = ctx.enter(&self.monitor);
         let item = g.with_mut(|q| q.items.pop_front());
         if item.is_some() {
@@ -194,7 +186,7 @@ impl<T: Send + 'static> BoundedQueue<T> {
     }
 
     /// Drains everything currently queued without blocking.
-    pub fn drain(&self, ctx: &ThreadCtx) -> Vec<T> {
+    pub fn drain(&self, ctx: &C) -> Vec<T> {
         let mut g = ctx.enter(&self.monitor);
         let items = g.with_mut(|q| q.items.drain(..).collect::<Vec<_>>());
         if !items.is_empty() {
@@ -204,19 +196,19 @@ impl<T: Send + 'static> BoundedQueue<T> {
     }
 
     /// Current length.
-    pub fn len(&self, ctx: &ThreadCtx) -> usize {
+    pub fn len(&self, ctx: &C) -> usize {
         let g = ctx.enter(&self.monitor);
         g.with(|q| q.items.len())
     }
 
     /// True if currently empty.
-    pub fn is_empty(&self, ctx: &ThreadCtx) -> bool {
+    pub fn is_empty(&self, ctx: &C) -> bool {
         self.len(ctx) == 0
     }
 
     /// Closes the queue: puts are rejected, takes drain then return
     /// `None`, and all waiters wake.
-    pub fn close(&self, ctx: &ThreadCtx) {
+    pub fn close(&self, ctx: &C) {
         let mut g = ctx.enter(&self.monitor);
         g.with_mut(|q| q.closed = true);
         g.broadcast(&self.nonempty);
@@ -224,7 +216,7 @@ impl<T: Send + 'static> BoundedQueue<T> {
     }
 
     /// True once [`BoundedQueue::close`] has been called.
-    pub fn is_closed(&self, ctx: &ThreadCtx) -> bool {
+    pub fn is_closed(&self, ctx: &C) -> bool {
         let g = ctx.enter(&self.monitor);
         g.with(|q| q.closed)
     }
@@ -235,16 +227,17 @@ impl<T: Send + 'static> BoundedQueue<T> {
 /// input closes and drains (closing its output behind it).
 ///
 /// Returns the pump thread's id.
-pub fn spawn_pump<T, U, F>(
-    ctx: &ThreadCtx,
+pub fn spawn_pump<C, T, U, F>(
+    ctx: &C,
     name: &str,
     priority: Priority,
-    input: BoundedQueue<T>,
-    output: BoundedQueue<U>,
+    input: BoundedQueue<T, C>,
+    output: BoundedQueue<U, C>,
     cost_per_item: SimDuration,
     mut transform: F,
 ) -> ThreadId
 where
+    C: Runtime,
     T: Send + 'static,
     U: Send + 'static,
     F: FnMut(T) -> Option<U> + Send + 'static,

@@ -8,7 +8,7 @@
 //! warning that "its ability to mask underlying design problems suggests
 //! that it be used with caution."
 
-use pcr::{ForkError, JoinError, JoinHandle, Priority, SimDuration, ThreadCtx};
+use pcr::{ForkError, JoinError, Priority, Runtime, SimDuration};
 
 /// Fork attempts [`fork_retry`] makes on behalf of the supervisors here
 /// before giving up (initial try + 3 backed-off retries).
@@ -46,17 +46,18 @@ pub struct RejuvenationReport {
 /// # Panics
 ///
 /// Panics if `attempts` is zero.
-pub fn fork_retry<F, B, T>(
-    ctx: &ThreadCtx,
+pub fn fork_retry<C, F, B, T>(
+    ctx: &C,
     name: &str,
     priority: Priority,
     attempts: u32,
     backoff: SimDuration,
     factory: F,
-) -> Result<JoinHandle<T>, ForkError>
+) -> Result<C::JoinHandle<T>, ForkError>
 where
+    C: Runtime,
     F: Fn(u32) -> B,
-    B: FnOnce(&ThreadCtx) -> T + Send + 'static,
+    B: FnOnce(&C) -> T + Send + 'static,
     T: Send + 'static,
 {
     assert!(attempts > 0, "fork_retry needs at least one attempt");
@@ -83,8 +84,8 @@ where
 ///
 /// The factory receives the attempt number (0-based) so the service can
 /// know it is a rejuvenated copy.
-pub fn supervise<F, B>(
-    ctx: &ThreadCtx,
+pub fn supervise<C, F, B>(
+    ctx: &C,
     name: &str,
     priority: Priority,
     max_restarts: u32,
@@ -92,8 +93,9 @@ pub fn supervise<F, B>(
     factory: F,
 ) -> RejuvenationReport
 where
+    C: Runtime,
     F: Fn(u32) -> B,
-    B: FnOnce(&ThreadCtx) + Send + 'static,
+    B: FnOnce(&C) + Send + 'static,
 {
     let mut starts = 0;
     loop {
@@ -148,8 +150,8 @@ where
 /// `dispatch` may panic. Returns (events dispatched, rejuvenations);
 /// the event count is a lower bound, because a dying incarnation's tally
 /// is lost with it (only the poison event itself is re-counted).
-pub fn rejuvenating_dispatcher<E, N, D>(
-    ctx: &ThreadCtx,
+pub fn rejuvenating_dispatcher<C, E, N, D>(
+    ctx: &C,
     name: &str,
     priority: Priority,
     max_restarts: u32,
@@ -157,9 +159,10 @@ pub fn rejuvenating_dispatcher<E, N, D>(
     dispatch: D,
 ) -> (u64, u32)
 where
+    C: Runtime,
     E: Send + 'static,
-    N: Fn(&ThreadCtx) -> Option<E> + Send + Sync + Clone + 'static,
-    D: Fn(&ThreadCtx, E) + Send + Sync + Clone + 'static,
+    N: Fn(&C) -> Option<E> + Send + Sync + Clone + 'static,
+    D: Fn(&C, E) + Send + Sync + Clone + 'static,
 {
     let mut restarts = 0;
     let mut total: u64 = 0;
@@ -175,7 +178,7 @@ where
             move |_| {
                 let ne = ne.clone();
                 let dp = dp.clone();
-                move |ctx: &ThreadCtx| {
+                move |ctx: &C| {
                     let mut n: u64 = 0;
                     while let Some(ev) = ne(ctx) {
                         dp(ctx, ev); // Unforked callback: fast but vulnerable.
@@ -208,7 +211,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcr::{millis, secs, Monitor, RunLimit, Sim, SimConfig};
+    use pcr::{millis, secs, Monitor, RunLimit, Sim, SimConfig, ThreadCtx};
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
 

@@ -7,21 +7,21 @@
 //! is `MBQueue` (Menu/Button Queue): mouse clicks and keystrokes enqueue
 //! procedures; the serializer thread calls them in the order received.
 
-use pcr::{Priority, SimDuration, ThreadCtx, ThreadId};
+use pcr::{Priority, Runtime, SimDuration, ThreadCtx, ThreadId};
 
 use crate::pump::BoundedQueue;
 
 /// A queued action: a closure plus the CPU it costs to run.
-type Action = (Box<dyn FnOnce(&ThreadCtx) + Send + 'static>, SimDuration);
+type Action<C> = (Box<dyn FnOnce(&C) + Send + 'static>, SimDuration);
 
 /// The `MBQueue` serializer: enqueue closures from any thread; a single
 /// worker runs them in arrival order.
-pub struct MbQueue {
-    queue: BoundedQueue<Action>,
+pub struct MbQueue<C: Runtime = ThreadCtx> {
+    queue: BoundedQueue<Action<C>, C>,
     tid: ThreadId,
 }
 
-impl Clone for MbQueue {
+impl<C: Runtime> Clone for MbQueue<C> {
     fn clone(&self) -> Self {
         MbQueue {
             queue: self.queue.clone(),
@@ -30,10 +30,10 @@ impl Clone for MbQueue {
     }
 }
 
-impl MbQueue {
+impl<C: Runtime> MbQueue<C> {
     /// Creates the serialization context and forks its processing thread.
-    pub fn new(ctx: &ThreadCtx, name: &str, priority: Priority, capacity: usize) -> Self {
-        let queue: BoundedQueue<Action> = BoundedQueue::new(ctx, name, capacity, None);
+    pub fn new(ctx: &C, name: &str, priority: Priority, capacity: usize) -> Self {
+        let queue: BoundedQueue<Action<C>, C> = BoundedQueue::new(ctx, name, capacity, None);
         let q = queue.clone();
         let tid = ctx
             .fork_detached_prio(name, priority, move |ctx| {
@@ -48,20 +48,20 @@ impl MbQueue {
 
     /// Enqueues an action costing `cost` of CPU when executed. Blocks if
     /// the queue is full (back-pressure).
-    pub fn enqueue<F>(&self, ctx: &ThreadCtx, cost: SimDuration, f: F)
+    pub fn enqueue<F>(&self, ctx: &C, cost: SimDuration, f: F)
     where
-        F: FnOnce(&ThreadCtx) + Send + 'static,
+        F: FnOnce(&C) + Send + 'static,
     {
         self.queue.put(ctx, (Box::new(f), cost));
     }
 
     /// Stops the worker after it drains what is queued.
-    pub fn stop(&self, ctx: &ThreadCtx) {
+    pub fn stop(&self, ctx: &C) {
         self.queue.close(ctx);
     }
 
     /// Pending actions.
-    pub fn backlog(&self, ctx: &ThreadCtx) -> usize {
+    pub fn backlog(&self, ctx: &C) -> usize {
         self.queue.len(ctx)
     }
 

@@ -15,7 +15,7 @@
 //! YIELD (broken), `YieldButNotToMe` (the fix), and a timeout sleep
 //! (works only if the timer granularity is small enough, §6.3).
 
-use pcr::{millis, Condition, Monitor, Priority, SimDuration, ThreadCtx, ThreadId};
+use pcr::{millis, Guard, Priority, Runtime, SimDuration, ThreadCtx, ThreadId};
 
 use crate::pump::BoundedQueue;
 
@@ -70,15 +70,15 @@ struct SlackShared {
 }
 
 /// A running slack process's shared stats handle.
-pub struct SlackHandle {
-    shared: Monitor<SlackShared>,
-    done: Condition,
+pub struct SlackHandle<C: Runtime = ThreadCtx> {
+    shared: C::Monitor<SlackShared>,
+    done: C::Condition,
     tid: ThreadId,
 }
 
-impl SlackHandle {
+impl<C: Runtime> SlackHandle<C> {
     /// Snapshot of the counters.
-    pub fn stats(&self, ctx: &ThreadCtx) -> SlackStats {
+    pub fn stats(&self, ctx: &C) -> SlackStats {
         let g = ctx.enter(&self.shared);
         g.with(|s| s.stats)
     }
@@ -90,7 +90,7 @@ impl SlackHandle {
 
     /// Waits until the slack thread has exited (input closed and drained),
     /// re-checking the flag in a loop per the WAIT convention (§5.3).
-    pub fn wait_done(&self, ctx: &ThreadCtx) {
+    pub fn wait_done(&self, ctx: &C) {
         let mut g = ctx.enter(&self.shared);
         g.wait_until(&self.done, |s| s.finished);
     }
@@ -105,20 +105,21 @@ impl SlackHandle {
 /// hands the batch to `emit` (charged `cost_per_batch`). Exits when the
 /// input closes.
 #[allow(clippy::too_many_arguments)] // the paper's knobs, spelled out
-pub fn spawn_slack<T, M, E>(
-    ctx: &ThreadCtx,
+pub fn spawn_slack<C, T, M, E>(
+    ctx: &C,
     name: &str,
     priority: Priority,
-    input: BoundedQueue<T>,
+    input: BoundedQueue<T, C>,
     policy: SlackPolicy,
     cost_per_batch: SimDuration,
     mut merge: M,
     mut emit: E,
-) -> SlackHandle
+) -> SlackHandle<C>
 where
+    C: Runtime,
     T: Send + 'static,
     M: FnMut(&mut Vec<T>, T) -> bool + Send + 'static,
-    E: FnMut(&ThreadCtx, Vec<T>) + Send + 'static,
+    E: FnMut(&C, Vec<T>) + Send + 'static,
 {
     let shared = ctx.new_monitor(
         &format!("{name}.stats"),
@@ -136,11 +137,12 @@ where
                 // Block for the first item of the next batch.
                 let Some(first) = input.take(ctx) else { break };
                 let mut batch: Vec<T> = Vec::new();
-                let mut taken: u64 = 1;
-                let mut absorbed: u64 = 0;
-                if merge(&mut batch, first) {
-                    absorbed += 1;
-                }
+                let (mut taken, mut absorbed) = (0u64, 0u64);
+                let mut take_in = |batch: &mut Vec<T>, item| {
+                    taken += 1;
+                    absorbed += u64::from(merge(batch, item));
+                };
+                take_in(&mut batch, first);
                 // Cede the processor so producers can queue more input.
                 match policy {
                     SlackPolicy::Immediate => {}
@@ -151,22 +153,14 @@ where
                 }
                 // Merge whatever accumulated.
                 while let Some(item) = input.try_take(ctx) {
-                    taken += 1;
-                    if merge(&mut batch, item) {
-                        absorbed += 1;
-                    }
+                    take_in(&mut batch, item);
                 }
                 // Size-triggered flushing keeps polling until the batch
                 // fills (or the input dries up and closes).
                 if let SlackPolicy::CountThreshold(limit) = policy {
                     while batch.len() < limit {
                         match input.try_take(ctx) {
-                            Some(item) => {
-                                taken += 1;
-                                if merge(&mut batch, item) {
-                                    absorbed += 1;
-                                }
-                            }
+                            Some(item) => take_in(&mut batch, item),
                             None => {
                                 if input.is_closed(ctx) {
                                     break;
@@ -215,7 +209,7 @@ pub fn merge_by_key<T, K: PartialEq, F: Fn(&T) -> K>(key: F) -> impl FnMut(&mut 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcr::{secs, RunLimit, Sim, SimConfig};
+    use pcr::{secs, Monitor, RunLimit, Sim, SimConfig};
 
     /// Producer at low priority, slack at high priority: the §5.2 shape.
     fn run_policy(policy: SlackPolicy) -> (SlackStats, u64) {

@@ -15,29 +15,56 @@
 //! under *encapsulated forks* in Table 4 while its dynamic behaviour is a
 //! sleeper.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
-use pcr::{Priority, SimDuration, ThreadCtx, ThreadId};
+use pcr::{Guard, Priority, Runtime, SimDuration, ThreadCtx, ThreadId};
 
 use crate::pump::BoundedQueue;
 
-/// Cancellation handle for a periodic sleeper.
-#[derive(Clone)]
-pub struct SleeperHandle {
-    cancelled: Arc<AtomicBool>,
+/// Cancellation handle for a sleeper: the cancel flag in a monitor, and
+/// the CV the sleeper naps on. The CV's timeout is the sleeper's period,
+/// and [`SleeperHandle::cancel`] NOTIFYs it, so a cancelled sleeper does
+/// not sleep its period out first.
+pub struct SleeperHandle<C: Runtime = ThreadCtx> {
+    cancelled: C::Monitor<bool>,
+    wake: C::Condition,
     tid: ThreadId,
 }
 
-impl SleeperHandle {
-    /// Asks the sleeper to exit at its next wakeup.
-    pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::Relaxed);
+impl<C: Runtime> SleeperHandle<C> {
+    /// Forks `body` as the sleeper `name`, handing it the flag's monitor
+    /// and the CV to nap on, whose timeout is `period`.
+    fn fork<F>(
+        ctx: &C,
+        name: &str,
+        priority: Priority,
+        period: Option<SimDuration>,
+        body: F,
+    ) -> Self
+    where
+        F: FnOnce(&C, &C::Monitor<bool>, &C::Condition) + Send + 'static,
+    {
+        let cancelled = ctx.new_monitor(&format!("{name}.cancelled"), false);
+        let wake = ctx.new_condition(&cancelled, &format!("{name}.wake"), period);
+        let (c, w) = (cancelled.clone(), wake.clone());
+        let tid = ctx
+            .fork_detached_prio(name, priority, move |ctx| body(ctx, &c, &w))
+            .expect("fork sleeper");
+        SleeperHandle {
+            cancelled,
+            wake,
+            tid,
+        }
+    }
+
+    /// Asks the sleeper to exit, waking it if it is napping.
+    pub fn cancel(&self, ctx: &C) {
+        let mut g = ctx.enter(&self.cancelled);
+        g.with_mut(|c| *c = true);
+        g.notify(&self.wake);
     }
 
     /// True once cancelled.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Relaxed)
+    pub fn is_cancelled(&self, ctx: &C) -> bool {
+        ctx.enter(&self.cancelled).with(|c| *c)
     }
 
     /// The sleeper thread's id.
@@ -55,30 +82,23 @@ pub struct Periodical;
 
 impl Periodical {
     /// Spawns the periodic sleeper.
-    pub fn spawn<F>(
-        ctx: &ThreadCtx,
+    pub fn spawn<C, F>(
+        ctx: &C,
         name: &str,
         priority: Priority,
         period: SimDuration,
         mut tick: F,
-    ) -> SleeperHandle
+    ) -> SleeperHandle<C>
     where
-        F: FnMut(&ThreadCtx) + Send + 'static,
+        C: Runtime,
+        F: FnMut(&C) + Send + 'static,
     {
-        let cancelled = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&cancelled);
-        let tid = ctx
-            .fork_detached_prio(name, priority, move |ctx| {
-                while !flag.load(Ordering::Relaxed) {
-                    ctx.sleep(period);
-                    if flag.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    tick(ctx);
-                }
-            })
-            .expect("fork periodical");
-        SleeperHandle { cancelled, tid }
+        SleeperHandle::fork(ctx, name, priority, Some(period), move |ctx, flag, wake| {
+            // A nap is one period on `wake`, cut short by cancel().
+            while !ctx.enter(flag).wait_until_before(wake, period, |c| *c) {
+                tick(ctx);
+            }
+        })
     }
 }
 
@@ -86,35 +106,33 @@ impl Periodical {
 /// enqueues work items; the sleeper thread services them, keeping the
 /// producers (garbage collector, filesystem) off the critical path.
 ///
-/// Returns the handle and the work queue to enqueue into.
-pub fn spawn_service_sleeper<T, F>(
-    ctx: &ThreadCtx,
+/// Returns the handle and the work queue to enqueue into. A cancelled
+/// service sleeper exits when it next takes an item.
+pub fn spawn_service_sleeper<C, T, F>(
+    ctx: &C,
     name: &str,
     priority: Priority,
     queue_capacity: usize,
     cost_per_item: SimDuration,
     mut service: F,
-) -> (SleeperHandle, BoundedQueue<T>)
+) -> (SleeperHandle<C>, BoundedQueue<T, C>)
 where
+    C: Runtime,
     T: Send + 'static,
-    F: FnMut(&ThreadCtx, T) + Send + 'static,
+    F: FnMut(&C, T) + Send + 'static,
 {
     let queue = BoundedQueue::new(ctx, &format!("{name}.work"), queue_capacity, None);
     let q = queue.clone();
-    let cancelled = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&cancelled);
-    let tid = ctx
-        .fork_detached_prio(name, priority, move |ctx| {
-            while let Some(item) = q.take(ctx) {
-                if flag.load(Ordering::Relaxed) {
-                    break;
-                }
-                ctx.work(cost_per_item);
-                service(ctx, item);
+    let handle = SleeperHandle::fork(ctx, name, priority, None, move |ctx, flag, _wake| {
+        while let Some(item) = q.take(ctx) {
+            if ctx.enter(flag).with(|c| *c) {
+                break;
             }
-        })
-        .expect("fork service sleeper");
-    (SleeperHandle { cancelled, tid }, queue)
+            ctx.work(cost_per_item);
+            service(ctx, item);
+        }
+    });
+    (handle, queue)
 }
 
 #[cfg(test)]
@@ -135,7 +153,7 @@ mod tests {
                     g.with_mut(|n| *n += 1);
                 });
             ctx.sleep_precise(secs(1));
-            handle.cancel();
+            handle.cancel(ctx);
             let g = ctx.enter(&c);
             g.with(|n| *n)
         });
@@ -182,8 +200,8 @@ mod tests {
                 g.with_mut(|n| *n += 1);
             });
             ctx.sleep_precise(millis(220));
-            handle.cancel();
-            assert!(handle.is_cancelled());
+            handle.cancel(ctx);
+            assert!(handle.is_cancelled(ctx));
             let at_cancel = {
                 let g = ctx.enter(&c);
                 g.with(|n| *n)

@@ -172,16 +172,6 @@ pub struct PctConfig {
     pub horizon: u64,
 }
 
-impl PctConfig {
-    /// A light default: 3 change points over the first 4096 dispatches.
-    pub fn light() -> Self {
-        PctConfig {
-            changes: 3,
-            horizon: 4096,
-        }
-    }
-}
-
 /// Fault-injection configuration. The default injects nothing.
 ///
 /// Attach with [`crate::SimConfig::with_chaos`]; all decisions are

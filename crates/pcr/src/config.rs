@@ -191,12 +191,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the thread-switch cost.
-    pub fn with_switch_cost(mut self, c: SimDuration) -> Self {
-        self.switch_cost = c;
-        self
-    }
-
     /// Enables fault injection.
     pub fn with_chaos(mut self, chaos: ChaosConfig) -> Self {
         self.chaos = chaos;

@@ -312,11 +312,6 @@ impl HazardMonitor {
         self.counts
     }
 
-    /// Consumes the monitor, returning the detected hazards.
-    pub fn into_hazards(self) -> Vec<Hazard> {
-        self.hazards
-    }
-
     fn report(&mut self, t: SimTime, kind: HazardKind) {
         self.counts.bump(&kind);
         self.hazards.push(Hazard { t, kind });

@@ -26,6 +26,11 @@
 //! * fork-failure policies (§5.4) and the per-monitor metalock with
 //!   optional cycle donation (§6.2).
 //!
+//! The primitive surface itself is also a trait, [`Runtime`], which
+//! [`ThreadCtx`] implements by delegation: code written against
+//! `C: Runtime` (the whole `paradigms` crate) runs here or on the
+//! `mesa` crate's real threads, chosen by the context's type alone.
+//!
 //! ## How the simulation works
 //!
 //! Each simulated thread runs on a real OS thread, but the scheduler
@@ -78,6 +83,7 @@ mod monitor;
 pub mod mp;
 mod rendezvous;
 mod rng;
+mod runtime;
 mod sched;
 mod thread;
 mod time;
@@ -89,7 +95,7 @@ pub mod wheel;
 pub use chaos::{ChaosConfig, FaultDecision, FaultSchedule, FaultSiteKind, PctConfig, StallSpec};
 pub use condition::Condition;
 pub use config::{ForkPolicy, NotifyMode, SimConfig, SystemDaemonConfig};
-pub use ctx::{ForkOpts, ThreadCtx};
+pub use ctx::{panic_message, ForkOpts, ThreadCtx};
 pub use error::{BlockedThread, DeadlockReport, ForkError, JoinError, RunReport, StopReason};
 pub use event::{
     CondId, Event, EventKind, EventMask, MultiSink, NullSink, TraceSink, VecSink, WaitOutcome,
@@ -99,6 +105,7 @@ pub use hazard::{Hazard, HazardConfig, HazardCounts, HazardKind, HazardMonitor};
 pub use monitor::{Monitor, MonitorGuard, MonitorId};
 pub use mp::MpSim;
 pub use rng::SplitMix64;
+pub use runtime::{Guard, Runtime};
 pub use sched::policy;
 pub use sched::policy::PolicyKind;
 pub use sched::{AllocCounters, RunLimit, SchedLatency, Sim, SimStats};

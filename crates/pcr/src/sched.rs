@@ -93,11 +93,6 @@ impl SchedLatency {
         self.buckets[p][Self::bucket_of(d)] += 1;
     }
 
-    /// Total dispatches across every priority level.
-    pub fn total_samples(&self) -> u64 {
-        self.samples.iter().sum()
-    }
-
     /// Mean wait at priority index `p`, if any sample exists.
     pub fn mean_wait(&self, p: usize) -> Option<SimDuration> {
         self.total_wait[p]
@@ -650,11 +645,6 @@ impl Sim {
         sim
     }
 
-    /// Creates a runtime with default (paper) configuration.
-    pub fn with_defaults() -> Sim {
-        Sim::new(SimConfig::default())
-    }
-
     /// The active configuration.
     pub fn config(&self) -> &SimConfig {
         &self.cfg
@@ -706,12 +696,6 @@ impl Sim {
     /// enabled one.
     pub fn hazards(&self) -> Option<&HazardMonitor> {
         self.hazards.as_ref()
-    }
-
-    /// Removes and returns the hazard monitor (detection stops).
-    pub fn take_hazards(&mut self) -> Option<HazardMonitor> {
-        self.hazard_mask = EventMask::EMPTY;
-        self.hazards.take()
     }
 
     /// Post-run summary of every thread ever created. Allocates one
@@ -995,15 +979,6 @@ impl Sim {
         F: FnOnce(&ThreadCtx) -> T + Send + 'static,
     {
         self.fork_root_with(name, Some(priority), false, f)
-    }
-
-    /// Forks a detached root thread.
-    pub fn fork_root_detached<F>(&mut self, name: &str, priority: Priority, f: F) -> ThreadId
-    where
-        F: FnOnce(&ThreadCtx) + Send + 'static,
-    {
-        let h = self.fork_root_with(name, Some(priority), true, f);
-        h.tid()
     }
 
     fn fork_root_with<T, F>(

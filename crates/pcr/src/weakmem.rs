@@ -125,11 +125,6 @@ impl WeakMem {
             }
         }
     }
-
-    /// Number of stores still buffered (all threads). Useful in tests.
-    pub fn buffered(&self) -> usize {
-        self.inner.lock().buffers.values().map(Vec::len).sum()
-    }
 }
 
 #[cfg(test)]

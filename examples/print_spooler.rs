@@ -1,102 +1,92 @@
-//! A print spooler on **real threads**, built from the `mesa` crate's
-//! paradigm library — the adoptable face of the paper's catalogue.
+//! A print spooler on **real threads**: the `paradigms` crate handed a
+//! `mesa::RealCtx` instead of a simulated thread — the adoptable face
+//! of the paper's catalogue.
 //!
-//! * defer work: `WorkerPool` renders documents in the background while
-//!   the "UI" returns instantly;
+//! * defer work: every document renders in its own forked thread while
+//!   the "UI" returns instantly (§4.1);
 //! * serializer: an `MbQueue` feeds the (single) printer in submission
-//!   order;
-//! * slack process: a `SlackProcess` coalesces duplicate status updates
-//!   before they hit the (expensive) status display;
-//! * task rejuvenation: a poisoned render job panics and the pool keeps
-//!   serving;
-//! * one-shot: a `DelayedFork` times out an abandoned print dialog.
+//!   order (§4.6);
+//! * slack process: `spawn_slack` coalesces duplicate status updates
+//!   before they hit the (expensive) status display (§4.2);
+//! * a poisoned render job panics and dies alone — nothing it was
+//!   forked from notices;
+//! * one-shot: `delayed_fork` times out an abandoned print dialog (§4.3).
 //!
 //! Run with: `cargo run --example print_spooler`
 
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
-
-use threadstudy::mesa::mbqueue::MbQueue;
-use threadstudy::mesa::pool::WorkerPool;
-use threadstudy::mesa::pump::BoundedQueue;
-use threadstudy::mesa::slack::{merge_by_key, SlackProcess};
-use threadstudy::mesa::sleeper::DelayedFork;
+use threadstudy::mesa::RealCtx;
+use threadstudy::paradigms::defer::defer;
+use threadstudy::paradigms::oneshot::delayed_fork;
+use threadstudy::paradigms::pump::BoundedQueue;
+use threadstudy::paradigms::serializer::MbQueue;
+use threadstudy::paradigms::slack::{merge_by_key, spawn_slack, SlackPolicy};
+use threadstudy::pcr::{millis, Guard, Priority, Runtime, SimDuration};
 
 fn main() {
+    let ctx = &RealCtx::root();
+    let prio = Priority::DEFAULT; // Recorded, not enforced, on real threads.
+
     // The printer: one device, one serializer thread (§4.6).
-    let printer = Arc::new(MbQueue::new("printer"));
+    let printer = MbQueue::new(ctx, "printer", prio, 16);
 
     // Status updates flow through a slack process that merges repeated
     // updates for the same job before the costly display redraw (§4.2).
-    let status_q: BoundedQueue<(u32, &'static str)> = BoundedQueue::new("status", 128);
-    let status_display = SlackProcess::spawn(
+    let status_q: BoundedQueue<(u32, &'static str), RealCtx> =
+        BoundedQueue::new(ctx, "status", 128, None);
+    let status_display = spawn_slack(
+        ctx,
         "status-display",
+        prio,
         status_q.clone(),
-        Duration::from_millis(5),
+        SlackPolicy::SleepTimeout(millis(5)),
+        SimDuration::ZERO,
         merge_by_key(|s: &(u32, &'static str)| s.0),
-        |batch| {
+        |_ctx: &RealCtx, batch| {
             for (job, state) in batch {
                 println!("  [status] job {job}: {state}");
             }
         },
     );
 
-    // The render farm: defer work to a bounded pool (§4.1, with the §5
-    // lesson about per-fork stack costs).
-    let pool = WorkerPool::new("render", 3);
-    let printed = Arc::new(AtomicU32::new(0));
-
+    // The render farm: defer each document to its own thread (§4.1).
+    let printed = ctx.new_monitor("printed", 0u32);
     for job in 0..8u32 {
-        let printer = Arc::clone(&printer);
-        let status_q = status_q.clone();
-        let printed = Arc::clone(&printed);
-        pool.defer(move || {
-            status_q.put((job, "rendering"));
+        let (printer, status_q, printed) = (printer.clone(), status_q.clone(), printed.clone());
+        defer(ctx, &format!("render-{job}"), move |ctx: &RealCtx| {
+            status_q.put(ctx, (job, "rendering"));
             if job == 3 {
-                // A poisoned document: the pool worker must survive it
-                // (task rejuvenation applied to the pool, §4.5).
+                // A poisoned document: only this thread dies.
                 panic!("corrupt PostScript in job 3");
             }
-            std::thread::sleep(Duration::from_millis(10));
-            status_q.put((job, "queued for printer"));
+            ctx.sleep(millis(10));
+            status_q.put(ctx, (job, "queued for printer"));
             let status_q2 = status_q.clone();
-            printer.enqueue(move || {
-                std::thread::sleep(Duration::from_millis(5));
-                status_q2.put((job, "printed"));
-                printed.fetch_add(1, Ordering::Relaxed);
+            printer.enqueue(ctx, millis(5), move |ctx: &RealCtx| {
+                status_q2.put(ctx, (job, "printed"));
+                ctx.enter(&printed).with_mut(|n| *n += 1);
             });
-        });
+        })
+        .expect("fork render job");
     }
 
     // An abandoned print dialog times out via a one-shot (§4.3).
-    let dialog = DelayedFork::schedule("dialog-timeout", Duration::from_millis(60), || {
+    let dialog = delayed_fork(ctx, "dialog-timeout", prio, millis(60), |_: &RealCtx| {
         println!("  [dialog] print dialog timed out and closed itself");
     });
 
-    // Let everything drain.
-    while pool.executed() < 8 {
-        std::thread::sleep(Duration::from_millis(5));
+    // Let everything drain: all but the poisoned job get printed.
+    while ctx.enter(&printed).with(|n| *n) < 7 || !dialog.fired(ctx) {
+        ctx.sleep(millis(5));
     }
-    let pool_panics = pool.panicked();
-    pool.shutdown();
-    // MbQueue::shutdown needs sole ownership.
-    std::thread::sleep(Duration::from_millis(100));
-    Arc::try_unwrap(printer)
-        .ok()
-        .expect("printer idle")
-        .shutdown();
-    status_q.close();
-    let counters = status_display.join();
-    assert!(dialog.join());
+    printer.stop(ctx);
+    status_q.close(ctx);
+    status_display.wait_done(ctx);
+    let stats = status_display.stats(ctx);
 
-    println!("\njobs printed      : {}", printed.load(Ordering::Relaxed));
-    println!("render panics     : {pool_panics} (absorbed; the pool kept serving)");
+    println!("\njobs printed      : {}", ctx.enter(&printed).with(|n| *n));
     println!(
         "status updates    : {} merged into {} display redraws",
-        counters.items_in(),
-        counters.batches_out()
+        stats.items_in, stats.batches_out
     );
-    assert_eq!(printed.load(Ordering::Relaxed), 7); // All but the poisoned job.
-    assert_eq!(pool_panics, 1);
+    assert!(stats.batches_out <= stats.items_in);
 }

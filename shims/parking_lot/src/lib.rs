@@ -2,17 +2,16 @@
 //!
 //! The build environment has no registry access, so the workspace ships
 //! this shim exposing the subset of the `parking_lot` 0.12 API the repo
-//! uses — `Mutex`/`MutexGuard` with panic-free (non-poisoning) locking,
-//! `Condvar::{wait, wait_for}`, and `Mutex::try_lock_for` — implemented
-//! on `std::sync`. Poisoned std locks are recovered transparently, so
-//! like real parking_lot a panicking holder does not wedge the lock.
+//! uses — `Mutex`/`MutexGuard` with panic-free (non-poisoning) locking
+//! and `Condvar::{wait, wait_for}` — implemented on `std::sync`.
+//! Poisoned std locks are recovered transparently, so like real
+//! parking_lot a panicking holder does not wedge the lock.
 
 #![warn(missing_docs)]
 
-use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::{self, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A mutual-exclusion lock with parking_lot's no-poison `lock()` API.
 #[derive(Default)]
@@ -27,13 +26,6 @@ impl<T> Mutex<T> {
             inner: sync::Mutex::new(value),
         }
     }
-
-    /// Consumes the mutex, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -41,47 +33,6 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard {
             inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
-        }
-    }
-
-    /// Attempts the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
-            Err(sync::TryLockError::Poisoned(e)) => Some(MutexGuard {
-                inner: Some(e.into_inner()),
-            }),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Attempts the lock, giving up after `timeout`. std has no timed
-    /// mutex acquire, so this polls `try_lock` at sub-millisecond
-    /// intervals — fine for the millisecond-scale timeouts used here.
-    pub fn try_lock_for(&self, timeout: Duration) -> Option<MutexGuard<'_, T>> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(g) = self.try_lock() {
-                return Some(g);
-            }
-            if Instant::now() >= deadline {
-                return None;
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.try_lock() {
-            Some(g) => f.debug_struct("Mutex").field("data", &&*g).finish(),
-            None => f.debug_struct("Mutex").field("data", &"<locked>").finish(),
         }
     }
 }
@@ -104,12 +55,6 @@ impl<T: ?Sized> Deref for MutexGuard<'_, T> {
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         self.inner.as_mut().expect("guard present")
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
     }
 }
 
@@ -191,20 +136,6 @@ mod tests {
         });
         assert!(t.join().is_err());
         assert_eq!(*m.lock(), 7);
-    }
-
-    #[test]
-    fn try_lock_for_times_out_and_succeeds() {
-        let m = Arc::new(Mutex::new(()));
-        let mc = Arc::clone(&m);
-        let hold = thread::spawn(move || {
-            let _g = mc.lock();
-            thread::sleep(Duration::from_millis(50));
-        });
-        thread::sleep(Duration::from_millis(10));
-        assert!(m.try_lock_for(Duration::from_millis(5)).is_none());
-        hold.join().unwrap();
-        assert!(m.try_lock_for(Duration::from_millis(100)).is_some());
     }
 
     #[test]

@@ -81,16 +81,15 @@ fn a_small_interactive_system_from_paradigm_parts() {
             }
             ctx.sleep_precise(millis(10));
         }
-        assert!(watchdog.cancel());
-        ticker.cancel();
+        assert!(watchdog.cancel(ctx));
+        ticker.cancel(ctx);
         let g = ctx.enter(&applied2);
         g.with(|v| v.clone())
     });
     let r = sim.run(RunLimit::For(secs(20)));
     assert!(!r.deadlocked());
-    // The pump and the cancelled watchdog linger (blocked take, 30s
-    // sleep), so the run ends at the time limit; the main thread's
-    // result must nonetheless be complete.
+    // The pump lingers (blocked take), so the run ends at the time
+    // limit; the main thread's result must nonetheless be complete.
     let applied = h.into_result().expect("main thread finished").unwrap();
     assert_eq!(applied.len(), 8);
     for (i, s) in applied.iter().enumerate() {
@@ -104,52 +103,62 @@ fn a_small_interactive_system_from_paradigm_parts() {
 fn the_same_catalogue_works_on_real_threads() {
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
-    use std::time::Duration;
-    use threadstudy::mesa::{mbqueue, pool, pump, rejuvenate, sleeper};
+    use threadstudy::mesa::RealCtx;
+    use threadstudy::paradigms::defer::defer;
+    use threadstudy::pcr::{Guard, Runtime, SimDuration};
 
-    // Pool (defer work) feeding a serializer through a bounded queue,
-    // with a periodical and a supervised service.
-    let q: pump::BoundedQueue<u32> = pump::BoundedQueue::new("q", 16);
-    let mb = Arc::new(mbqueue::MbQueue::new("applier"));
-    let total = Arc::new(AtomicU32::new(0));
+    // Deferred work feeding a serializer through a bounded queue, with
+    // a periodical and a supervised service: the imports at the top of
+    // this file, handed a `RealCtx` instead of a simulated thread.
+    let ctx = &RealCtx::root();
+    let q: BoundedQueue<u32, RealCtx> = BoundedQueue::new(ctx, "q", 16, None);
+    let mb = MbQueue::new(ctx, "applier", Priority::of(4), 16);
+    let total = ctx.new_monitor("total", (0u32, 0u32)); // (sum, applied)
 
-    let workers = pool::WorkerPool::new("pool", 2);
     for i in 0..10 {
         let q = q.clone();
-        workers.defer(move || {
-            q.put(i);
-        });
+        defer(ctx, &format!("job{i}"), move |ctx: &RealCtx| {
+            q.put(ctx, i);
+        })
+        .unwrap();
     }
-    let (mb2, total2, q2) = (Arc::clone(&mb), Arc::clone(&total), q.clone());
-    let feeder = std::thread::spawn(move || {
-        for _ in 0..10 {
-            let v = q2.take().unwrap();
-            let t = Arc::clone(&total2);
-            mb2.enqueue(move || {
-                t.fetch_add(v, Ordering::Relaxed);
-            });
-        }
-    });
+    let (mb2, total2, q2) = (mb.clone(), total.clone(), q.clone());
+    let feeder = ctx
+        .fork("feeder", move |ctx: &RealCtx| {
+            for _ in 0..10 {
+                let v = q2.take(ctx).unwrap();
+                let t = total2.clone();
+                mb2.enqueue(ctx, SimDuration::ZERO, move |ctx: &RealCtx| {
+                    ctx.enter(&t)
+                        .with_mut(|(sum, n)| (*sum, *n) = (*sum + v, *n + 1));
+                });
+            }
+        })
+        .unwrap();
     let ticks = Arc::new(AtomicU32::new(0));
     let t2 = Arc::clone(&ticks);
-    let p = sleeper::Periodical::spawn("tick", Duration::from_millis(3), move || {
-        t2.fetch_add(1, Ordering::Relaxed);
+    let p = Periodical::spawn(
+        ctx,
+        "tick",
+        Priority::of(4),
+        millis(1),
+        move |_: &RealCtx| {
+            t2.fetch_add(1, Ordering::Relaxed);
+        },
+    );
+    let report = supervise(ctx, "svc", Priority::of(3), 2, millis(1), |attempt| {
+        move |_: &RealCtx| assert!(attempt > 0, "flaky")
     });
-    let report = rejuvenate::supervise("svc", 2, Duration::from_millis(1), |attempt| {
-        move || {
-            if attempt == 0 {
-                panic!("flaky");
-            }
-        }
-    });
-    feeder.join().unwrap();
-    workers.shutdown();
-    std::thread::sleep(Duration::from_millis(30));
-    p.cancel();
-    Arc::try_unwrap(mb).ok().expect("sole owner").shutdown();
-    assert_eq!(total.load(Ordering::Relaxed), 45);
+    ctx.join(feeder).unwrap();
+    mb.stop(ctx);
+    // The serializer drains asynchronously after stop(), and the ticker
+    // runs on its own clock: wait for the counts, not for a duration.
+    while ctx.enter(&total).with(|(_, n)| *n) < 10 || ticks.load(Ordering::Relaxed) < 2 {
+        ctx.sleep(millis(1));
+    }
+    p.cancel(ctx);
+    assert_eq!(ctx.enter(&total).with(|(sum, _)| *sum), 45);
     assert_eq!(report.starts, 2);
-    assert!(ticks.load(Ordering::Relaxed) >= 2);
 }
 
 #[test]

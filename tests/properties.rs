@@ -241,33 +241,36 @@ fn mp_determinism() {
     });
 }
 
-/// The real-thread bounded queue loses and duplicates nothing under
-/// genuinely concurrent producers.
+/// The same bounded queue on the real-thread backend loses and
+/// duplicates nothing under genuinely concurrent producers.
 #[test]
 fn mesa_queue_no_loss_no_dup() {
+    use threadstudy::mesa::RealCtx;
+    use threadstudy::pcr::Runtime;
     for_cases(8, |rng| {
         let producers = pick(rng, 1, 4) as usize;
         let per_producer = pick(rng, 0, 32) as usize;
         let capacity = pick(rng, 1, 8) as usize;
-        use threadstudy::mesa::pump::BoundedQueue;
-        let q: BoundedQueue<(usize, usize)> = BoundedQueue::new("q", capacity);
+        let ctx = RealCtx::root();
+        let q: BoundedQueue<(usize, usize), RealCtx> = BoundedQueue::new(&ctx, "q", capacity, None);
         let handles: Vec<_> = (0..producers)
             .map(|p| {
                 let q = q.clone();
-                std::thread::spawn(move || {
+                ctx.fork(&format!("p{p}"), move |ctx: &RealCtx| {
                     for i in 0..per_producer {
-                        q.put((p, i));
+                        q.put(ctx, (p, i));
                     }
                 })
+                .unwrap()
             })
             .collect();
         let total = producers * per_producer;
         let mut got = Vec::with_capacity(total);
         for _ in 0..total {
-            got.push(q.take().expect("open queue"));
+            got.push(q.take(&ctx).expect("open queue"));
         }
         for h in handles {
-            h.join().unwrap();
+            ctx.join(h).unwrap();
         }
         assert_eq!(got.len(), total);
         for p in 0..producers {
