@@ -11,6 +11,12 @@
 //! below typical rates on any development machine: the assertion is a
 //! smoke check that only trips on a catastrophic regression (an
 //! accidentally quadratic scan, a deadlock), never on CI noise.
+//!
+//! The exception is the handoff: one `yield_now` round trip (body →
+//! scheduler → body) must stay under a microsecond. A coroutine switch
+//! costs ~0.15 µs with the scheduler's work included; the OS-thread baton
+//! it replaced cost ~5.6 µs, so the floor trips on a kernel that went
+//! back to parking threads, not on a busy runner.
 
 use std::time::Instant;
 
@@ -55,6 +61,29 @@ fn events_per_sec(name: &str, reps: u32, mut world: impl FnMut() -> u64) -> f64 
         best = best.max(rate);
     }
     println!("{name:40} {best:>12.0} events/sec  (best of {reps})");
+    best
+}
+
+/// Best-of-`reps` wall nanoseconds per `yield_now` for a lone thread: the
+/// handoff out to the scheduler and back, with nothing else to run.
+fn yield_round_trip_ns(reps: u32) -> f64 {
+    const YIELDS: u32 = 200_000;
+    let mut best = f64::INFINITY;
+    for _ in 0..=reps {
+        let mut sim = Sim::new(SimConfig::default());
+        let _ = sim.fork_root("yielder", Priority::of(4), |ctx| {
+            for _ in 0..YIELDS {
+                ctx.yield_now();
+            }
+        });
+        let start = Instant::now();
+        sim.run(RunLimit::ToCompletion);
+        best = best.min(start.elapsed().as_nanos() as f64 / f64::from(YIELDS));
+    }
+    println!(
+        "{:40} {best:>12.0} ns/round trip  (best of {reps})",
+        "hotpath_yield_handoff"
+    );
     best
 }
 
@@ -108,10 +137,10 @@ fn fork_join_storm() -> u64 {
     sim.run(RunLimit::For(secs(5)));
     let alloc = sim.alloc_counters();
     // The arena/pool acceptance checks: after thousands of forks, the
-    // carrier pool and queue-node arena must be recycling, not growing.
+    // stack pool and queue-node arena must be recycling, not growing.
     assert!(
         alloc.os_thread_reuses > alloc.os_thread_spawns,
-        "fork storm should reuse pooled carriers ({alloc:?})"
+        "fork storm should reuse pooled stacks ({alloc:?})"
     );
     assert!(
         alloc.queue_node_reuses > alloc.queue_node_allocs,
@@ -121,6 +150,7 @@ fn fork_join_storm() -> u64 {
 }
 
 fn main() {
+    let handoff_ns = yield_round_trip_ns(3);
     let pingpong = events_per_sec("hotpath_notify_wait_pingpong_5s", 3, notify_wait_pingpong);
     let storm = events_per_sec("hotpath_fork_join_storm_5s", 3, fork_join_storm);
 
@@ -148,6 +178,11 @@ fn main() {
 
     const FLOOR_EVENTS_PER_SEC: f64 = 1_000.0;
     const FLOOR_TIMER_OPS_PER_SEC: f64 = 50_000.0;
+    const CEILING_HANDOFF_NS: f64 = 1_000.0;
+    assert!(
+        handoff_ns < CEILING_HANDOFF_NS,
+        "a yield_now round trip took {handoff_ns:.0} ns, over the {CEILING_HANDOFF_NS} ns ceiling"
+    );
     assert!(
         pingpong > FLOOR_EVENTS_PER_SEC,
         "notify/wait ping-pong fell below {FLOOR_EVENTS_PER_SEC} events/sec ({pingpong:.0})"
@@ -161,6 +196,6 @@ fn main() {
         "timer wheel churn fell below {FLOOR_TIMER_OPS_PER_SEC} arm+fire/sec ({wheel_rate:.0})"
     );
     println!(
-        "hot-path floors ok (> {FLOOR_EVENTS_PER_SEC} events/sec, wheel > {FLOOR_TIMER_OPS_PER_SEC} arm+fire/sec)"
+        "hot-path floors ok (> {FLOOR_EVENTS_PER_SEC} events/sec, wheel > {FLOOR_TIMER_OPS_PER_SEC} arm+fire/sec, handoff < {CEILING_HANDOFF_NS} ns)"
     );
 }

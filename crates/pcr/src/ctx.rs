@@ -12,10 +12,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::condition::Condition;
+use crate::coroutine::{Baton, Coroutine, Stack};
 use crate::error::{ForkError, JoinError};
 use crate::event::WaitOutcome;
 use crate::monitor::{Monitor, MonitorGuard, MonitorId};
-use crate::rendezvous::{BodyFn, ForkSpec, Reply, Request, ShutdownSignal, ThreadChannels};
+use crate::rendezvous::{BodyFn, ForkSpec, Reply, Request, ShutdownSignal};
 use crate::rng::SplitMix64;
 use crate::thread::{JoinHandle, Priority, ResultSlot, ThreadId};
 use crate::time::{SimDuration, SimTime};
@@ -45,21 +46,46 @@ impl ForkOpts {
 
 /// A simulated thread's handle to the runtime.
 ///
-/// Not `Clone` and not shareable across threads: it embodies the calling
-/// thread's identity. Simulated code must not perform *real* blocking
-/// (OS sleeps, real locks held across calls); the simulation models time
-/// itself.
+/// Not `Clone`, not `Send` and not `Sync`: it embodies the calling
+/// thread's identity, and lives on that thread's coroutine stack.
+/// Simulated code must not perform *real* blocking (OS sleeps, real locks
+/// held across calls); the simulation models time itself.
 pub struct ThreadCtx {
-    pub(crate) tid: ThreadId,
-    pub(crate) name: String,
-    pub(crate) channels: ThreadChannels,
-    pub(crate) clock: Arc<AtomicU64>,
-    pub(crate) shutting_down: Cell<bool>,
-    pub(crate) priority: Cell<Priority>,
-    pub(crate) seed: u64,
+    tid: ThreadId,
+    name: String,
+    baton: Baton,
+    clock: Arc<AtomicU64>,
+    shutting_down: Cell<bool>,
+    priority: Cell<Priority>,
+    seed: u64,
 }
 
 impl ThreadCtx {
+    /// The coroutine of a new simulated thread: `body`, on `stack`, with
+    /// a context of its own. Nothing runs until the first resume.
+    pub(crate) fn coroutine(
+        stack: Stack,
+        tid: ThreadId,
+        name: String,
+        priority: Priority,
+        clock: Arc<AtomicU64>,
+        seed: u64,
+        body: BodyFn,
+    ) -> Coroutine {
+        Coroutine::new(stack, move |baton| {
+            let ctx = ThreadCtx {
+                tid,
+                name,
+                baton,
+                clock,
+                shutting_down: Cell::new(false),
+                priority: Cell::new(priority),
+                seed,
+            };
+            body(&ctx)
+        })
+    }
+
     /// This thread's identity.
     pub fn tid(&self) -> ThreadId {
         self.tid
@@ -94,19 +120,14 @@ impl ThreadCtx {
         if self.shutting_down.get() {
             std::panic::panic_any(ShutdownSignal);
         }
-        if self.channels.req_tx.send((self.tid, req)).is_err() {
-            self.enter_shutdown();
+        match self.baton.call(req) {
+            Reply::Shutdown => {
+                self.shutting_down.set(true);
+                std::panic::panic_any(ShutdownSignal)
+            }
+            Reply::Fault(msg) => panic!("{msg}"),
+            r => r,
         }
-        match self.channels.reply_rx.recv() {
-            Ok(Reply::Shutdown) | Err(_) => self.enter_shutdown(),
-            Ok(Reply::Fault(msg)) => panic!("{msg}"),
-            Ok(r) => r,
-        }
-    }
-
-    fn enter_shutdown(&self) -> ! {
-        self.shutting_down.set(true);
-        std::panic::panic_any(ShutdownSignal)
     }
 
     // ---- thread lifecycle ----------------------------------------------
@@ -284,25 +305,17 @@ impl ThreadCtx {
         if self.shutting_down.get() {
             return;
         }
-        if self
-            .channels
-            .req_tx
-            .send((self.tid, Request::MonitorExit(mid)))
-            .is_err()
-        {
+        if let Reply::Shutdown = self.baton.call(Request::MonitorExit(mid)) {
             self.shutting_down.set(true);
-            return;
-        }
-        match self.channels.reply_rx.recv() {
-            Ok(Reply::Shutdown) | Err(_) => {
-                self.shutting_down.set(true);
-                // Unwind unless we are already unwinding (a panic inside a
-                // panic would abort the process).
-                if !std::thread::panicking() {
-                    std::panic::panic_any(ShutdownSignal);
-                }
+            // Unwind unless we are already unwinding (a panic out of a
+            // destructor during a panic would abort the process).
+            // `panicking()` is per OS thread, so it also reads true when
+            // it is another coroutine, or the host tearing the world down,
+            // that is mid-unwind. Erring that way is benign: this body
+            // carries on and unwinds at its next runtime call instead.
+            if !std::thread::panicking() {
+                std::panic::panic_any(ShutdownSignal);
             }
-            _ => {}
         }
     }
 
@@ -389,10 +402,7 @@ impl ThreadCtx {
         if self.shutting_down.get() {
             return;
         }
-        let _ = self
-            .channels
-            .req_tx
-            .send((self.tid, Request::Exit { panicked }));
+        self.baton.post(Request::Exit { panicked });
     }
 }
 

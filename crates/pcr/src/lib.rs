@@ -33,10 +33,13 @@
 //!
 //! ## How the simulation works
 //!
-//! Each simulated thread runs on a real OS thread, but the scheduler
-//! unparks exactly one at a time; user code between two runtime calls
-//! executes in zero virtual time, and virtual CPU is consumed explicitly
-//! with [`ThreadCtx::work`]. All scheduling state lives in [`Sim`], so a
+//! Each simulated thread is a stackful coroutine on the OS thread that
+//! built the [`Sim`] — as PCR's threads were multiplexed in one address
+//! space — and the scheduler resumes exactly one at a time; user code
+//! between two runtime calls executes in zero virtual time, and virtual
+//! CPU is consumed explicitly with [`ThreadCtx::work`]. A simulation
+//! owns no OS thread, and stays on the one that built it: [`Sim`] and
+//! [`MpSim`] are `!Send`. All scheduling state lives in [`Sim`], so a
 //! given configuration and seed replays identically — which is what makes
 //! the paper's tables reproducible as deterministic experiments.
 //!
@@ -67,13 +70,17 @@
 //! assert!(!report.deadlocked());
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod arena;
 mod chaos;
 mod condition;
 mod config;
+// The stack switch under every simulated thread: the only module this
+// lint is lifted for (CI audits that line).
+#[allow(unsafe_code)]
+mod coroutine;
 mod ctx;
 mod error;
 mod event;
@@ -118,20 +125,22 @@ use std::sync::Once;
 
 static PANIC_SILENCER: Once = Once::new();
 
-/// Installs a process-wide panic hook that suppresses the runtime's
-/// internal teardown unwinds (every simulated thread is unwound with a
-/// private payload when a [`Sim`] is dropped) while chaining every other
-/// panic to the previously installed hook.
+/// Installs a process-wide panic hook that keeps panics raised inside a
+/// simulated thread's body off the host's stderr, while chaining every
+/// other panic to the previously installed hook. Such panics are the
+/// simulation's data — a body's own failure, a faulted request, the
+/// private payload that unwinds live bodies when a [`Sim`] is dropped —
+/// and are reported where simulations report: [`JoinError`],
+/// [`SimStats::panics`], [`EventKind::Exit`].
 ///
 /// Called automatically by [`Sim::new`]; safe to call repeatedly.
 pub(crate) fn install_panic_silencer() {
     PANIC_SILENCER.call_once(|| {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            if info.payload().is::<rendezvous::ShutdownSignal>() {
-                return;
+            if !coroutine::body_on_cpu() {
+                previous(info);
             }
-            previous(info);
         }));
     });
 }

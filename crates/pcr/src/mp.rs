@@ -32,16 +32,16 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::AtomicU64;
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 
 use crate::condition::Condition;
 use crate::config::{NotifyMode, SimConfig};
+use crate::coroutine::{Coroutine, StackPool};
 use crate::ctx::{wrap_body, ThreadCtx};
 use crate::error::{RunReport, StopReason};
 use crate::event::{CondId, Event, EventKind, TraceSink, WaitOutcome, YieldKind};
 use crate::monitor::{Monitor, MonitorId};
-use crate::rendezvous::{reply_channel, ForkSpec, Reply, Request, ThreadChannels};
+use crate::rendezvous::{ForkSpec, Reply, Request};
 use crate::sched::SimStats;
 use crate::thread::{JoinHandle, Priority, ResultSlot, ThreadId};
 use crate::time::{SimDuration, SimTime};
@@ -65,8 +65,7 @@ struct Tcb {
     state: TState,
     pending_reply: Option<Reply>,
     debt: SimDuration,
-    reply_tx: mpsc::Sender<Reply>,
-    os_join: Option<std::thread::JoinHandle<()>>,
+    coroutine: Option<Coroutine>,
     joiner: Option<ThreadId>,
     exited: bool,
     panicked: bool,
@@ -111,6 +110,14 @@ struct CvState {
 /// assert!(report.now.as_micros() < 120_000);
 /// drop(hs);
 /// ```
+///
+/// Like [`crate::Sim`], an `MpSim` is `!Send`: its virtual CPUs are all
+/// served by the one OS thread that built it.
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<pcr::MpSim>();
+/// ```
 pub struct MpSim {
     cfg: SimConfig,
     cpus: usize,
@@ -123,8 +130,7 @@ pub struct MpSim {
     timers: TimerWheel,
     monitors: Vec<MonState>,
     conds: Vec<CvState>,
-    req_tx: mpsc::Sender<(ThreadId, Request)>,
-    req_rx: mpsc::Receiver<(ThreadId, Request)>,
+    pool: StackPool,
     sink: Option<Box<dyn TraceSink>>,
     stats: SimStats,
     live: usize,
@@ -139,7 +145,6 @@ impl MpSim {
     pub fn new(cfg: SimConfig, cpus: usize) -> MpSim {
         assert!(cpus >= 1, "need at least one CPU");
         crate::install_panic_silencer();
-        let (req_tx, req_rx) = mpsc::channel();
         MpSim {
             cpus,
             clock: SimTime::ZERO,
@@ -151,8 +156,7 @@ impl MpSim {
             timers: TimerWheel::new(),
             monitors: Vec::new(),
             conds: Vec::new(),
-            req_tx,
-            req_rx,
+            pool: StackPool::default(),
             sink: None,
             stats: SimStats::default(),
             live: 0,
@@ -241,37 +245,22 @@ impl MpSim {
                 .map(|p| self.threads[p.0 as usize].priority)
                 .unwrap_or(Priority::DEFAULT)
         });
-        let (reply_tx, reply_rx) = reply_channel();
-        let ctx = ThreadCtx {
+        let coroutine = ThreadCtx::coroutine(
+            self.pool.take(),
             tid,
-            name: spec.name.clone(),
-            channels: ThreadChannels {
-                req_tx: self.req_tx.clone(),
-                reply_rx,
-            },
-            clock: Arc::clone(&self.clock_mirror),
-            shutting_down: std::cell::Cell::new(false),
-            priority: std::cell::Cell::new(priority),
-            seed: self.cfg.seed,
-        };
-        let body = spec.body;
-        let os_join = std::thread::Builder::new()
-            .name(format!("mp-{}", spec.name))
-            .stack_size(128 * 1024)
-            .spawn(move || {
-                if let Ok(Reply::Ok) = ctx.channels.reply_rx.recv() {
-                    body(&ctx)
-                }
-            })
-            .expect("spawn OS thread");
+            spec.name.clone(),
+            priority,
+            Arc::clone(&self.clock_mirror),
+            self.cfg.seed,
+            spec.body,
+        );
         self.threads.push(Tcb {
             name: spec.name,
             priority,
             state: TState::Ready,
             pending_reply: Some(Reply::Ok),
             debt: SimDuration::ZERO,
-            reply_tx,
-            os_join: Some(os_join),
+            coroutine: Some(coroutine),
             joiner: None,
             exited: false,
             panicked: false,
@@ -489,9 +478,12 @@ impl MpSim {
                     let Some(reply) = t.pending_reply.take() else {
                         unreachable!("running thread with no debt and no reply");
                     };
-                    t.reply_tx.send(reply).expect("thread alive");
-                    let (rtid, req) = self.req_rx.recv().expect("request");
-                    debug_assert_eq!(rtid, tid);
+                    let req = t
+                        .coroutine
+                        .as_mut()
+                        .expect("running thread has no coroutine")
+                        .resume(reply)
+                        .expect("simulated thread ended without posting Exit");
                     self.handle_request(tid, cpu, req);
                     progressed = true;
                     if self.running[cpu] != Some(tid)
@@ -719,8 +711,8 @@ impl MpSim {
                 t.state = TState::Exited;
                 t.pending_reply = None;
                 self.live -= 1;
-                if let Some(h) = self.threads[tid.0 as usize].os_join.take() {
-                    let _ = h.join();
+                if let Some(co) = self.threads[tid.0 as usize].coroutine.take() {
+                    self.pool.give(co.into_stack());
                 }
                 if let Some(j) = self.threads[tid.0 as usize].joiner.take() {
                     self.emit(EventKind::Join {
@@ -878,14 +870,9 @@ impl MpSim {
     }
 
     fn shutdown(&mut self) {
-        for t in &self.threads {
-            if !t.exited {
-                let _ = t.reply_tx.send(Reply::Shutdown);
-            }
-        }
         for t in &mut self.threads {
-            if let Some(h) = t.os_join.take() {
-                let _ = h.join();
+            if let Some(mut co) = t.coroutine.take() {
+                co.shutdown();
             }
         }
     }

@@ -1,14 +1,14 @@
 //! The baton protocol between simulated threads and the scheduler.
 //!
-//! Each simulated thread runs on its own OS thread, but exactly one is
-//! ever unparked: the scheduler resumes a thread by sending it a
-//! [`Reply`], then blocks until that thread sends its next [`Request`].
+//! Each simulated thread is a stackful coroutine on the OS thread that
+//! built the simulation ([`crate::coroutine`]), so exactly one runs at a
+//! time by construction: the scheduler resumes a thread by handing it a
+//! [`Reply`], and gets control back when that thread hands over its next
+//! [`Request`]. A handoff is a register swap either way.
 //! User code between two requests executes in zero virtual time; virtual
 //! time advances only through explicit costs processed by the scheduler.
 //! All scheduling state therefore lives on the scheduler's side and the
 //! simulation is deterministic.
-
-use std::sync::mpsc;
 
 use crate::event::{CondId, WaitOutcome};
 use crate::monitor::MonitorId;
@@ -83,7 +83,8 @@ pub(crate) enum Request {
         monitor: MonitorId,
         timeout: Option<SimDuration>,
     },
-    /// Thread terminated (normally or by panic). No reply follows.
+    /// Thread terminated (normally or by panic). Posted, not called: the
+    /// body's final switch delivers it and no reply follows.
     Exit { panicked: bool },
 }
 
@@ -114,14 +115,3 @@ pub(crate) enum Reply {
 
 /// Panic payload used to unwind a simulated thread at shutdown.
 pub(crate) struct ShutdownSignal;
-
-/// The channel endpoints a simulated thread holds.
-pub(crate) struct ThreadChannels {
-    pub req_tx: mpsc::Sender<(ThreadId, Request)>,
-    pub reply_rx: mpsc::Receiver<Reply>,
-}
-
-/// Creates the per-thread reply channel.
-pub(crate) fn reply_channel() -> (mpsc::Sender<Reply>, mpsc::Receiver<Reply>) {
-    mpsc::channel()
-}

@@ -3,25 +3,25 @@
 //!
 //! [`Sim`] owns every piece of scheduling state and advances the virtual
 //! clock. Simulated threads interact with it through the rendezvous
-//! protocol in [`crate::rendezvous`]; exactly one simulated thread is ever
-//! unparked, so the whole simulation is single-threaded in effect and
-//! deterministic for a given configuration and seed.
+//! protocol in [`crate::rendezvous`]; they are coroutines on the OS thread
+//! that calls [`Sim::run`], so the whole simulation is single-threaded in
+//! fact and deterministic for a given configuration and seed.
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 
 use crate::arena::{NodeArena, QList};
 use crate::chaos::{FaultDecision, FaultSchedule, FaultSiteKind};
 use crate::condition::Condition;
 use crate::config::{ForkPolicy, NotifyMode, SimConfig};
+use crate::coroutine::{Coroutine, StackPool};
 use crate::ctx::{wrap_body, ThreadCtx};
 use crate::error::{BlockedThread, DeadlockReport, RunReport, StopReason};
 use crate::event::{CondId, Event, EventKind, EventMask, TraceSink, WaitOutcome, YieldKind};
 use crate::hazard::HazardMonitor;
 use crate::monitor::{Monitor, MonitorId};
-use crate::rendezvous::{reply_channel, BodyFn, ForkSpec, Reply, Request, ThreadChannels};
+use crate::rendezvous::{ForkSpec, Reply, Request};
 use crate::rng::SplitMix64;
 use crate::thread::{JoinHandle, Priority, ResultSlot, ThreadId, ThreadInfo, ThreadView};
 use crate::time::{micros, millis, SimDuration, SimTime};
@@ -266,10 +266,8 @@ struct Tcb {
     pending_reply: Option<Reply>,
     debt: SimDuration,
     after_debt: AfterDebt,
-    reply_tx: mpsc::Sender<Reply>,
-    /// Index of the pooled OS carrier thread running this simulated
-    /// thread's body, released back to the pool on exit.
-    worker: Option<u32>,
+    /// The thread's body; its stack goes back to the pool on exit.
+    coroutine: Option<Coroutine>,
     detached: bool,
     joiner: Option<ThreadId>,
     exited: bool,
@@ -377,9 +375,10 @@ pub struct AllocCounters {
     pub queue_node_allocs: u64,
     /// Queue pushes served from the arena's free list.
     pub queue_node_reuses: u64,
-    /// OS carrier threads spawned for simulated forks.
+    /// Coroutine stacks newly mapped for simulated forks. (The name
+    /// dates from the OS-thread kernel and is what the benchmark reads.)
     pub os_thread_spawns: u64,
-    /// Simulated forks served by an idle pooled carrier.
+    /// Simulated forks served a stack from the sim's free list.
     pub os_thread_reuses: u64,
 }
 
@@ -397,114 +396,22 @@ impl AllocCounters {
     }
 }
 
-/// One simulated thread's body plus its rendezvous endpoints, handed to
-/// a pooled carrier thread. The carrier waits for the first dispatch
-/// (`Reply::Ok`) before running the body, exactly as a dedicated spawn
-/// did; anything else means the sim is tearing down before the thread
-/// ever ran.
-struct Assignment {
-    body: BodyFn,
-    ctx: ThreadCtx,
-}
-
-struct PoolWorker {
-    /// `None` once shutdown has disconnected the carrier's queue.
-    assign_tx: Option<mpsc::Sender<Assignment>>,
-    join: Option<std::thread::JoinHandle<()>>,
-}
-
-/// The carrier-thread pool. A carrier loops over assignments; the body
-/// wrapper ([`crate::ctx::wrap_body`]) catches every unwind — including
-/// the shutdown signal — so a finished or torn-down body always returns
-/// control to the loop. Exited threads release their carrier index
-/// without joining: a successor assignment just queues on the carrier's
-/// channel until it loops back.
-struct WorkerPool {
-    workers: Vec<PoolWorker>,
-    /// LIFO free list of carrier indices, so the hottest carrier (most
-    /// recently exited, stack still warm) is reused first.
-    free: Vec<u32>,
-    spawns: u64,
-    reuses: u64,
-}
-
-impl WorkerPool {
-    fn new() -> WorkerPool {
-        WorkerPool {
-            workers: Vec::new(),
-            free: Vec::new(),
-            spawns: 0,
-            reuses: 0,
-        }
-    }
-
-    /// Hands `assignment` to an idle carrier, spawning one only when the
-    /// pool has no free carrier. Returns the carrier index.
-    fn assign(&mut self, assignment: Assignment) -> u32 {
-        if let Some(idx) = self.free.pop() {
-            self.reuses += 1;
-            self.workers[idx as usize]
-                .assign_tx
-                .as_ref()
-                .expect("assign after pool shutdown")
-                .send(assignment)
-                .expect("pooled carrier thread died");
-            return idx;
-        }
-        let idx = self.workers.len() as u32;
-        let (assign_tx, assign_rx) = mpsc::channel::<Assignment>();
-        let join = std::thread::Builder::new()
-            .name(format!("sim-worker-{idx}"))
-            .stack_size(128 * 1024)
-            .spawn(move || {
-                while let Ok(a) = assign_rx.recv() {
-                    if let Ok(Reply::Ok) = a.ctx.channels.reply_rx.recv() {
-                        (a.body)(&a.ctx);
-                    }
-                }
-            })
-            .expect("failed to spawn carrier thread for simulated thread");
-        self.spawns += 1;
-        self.workers.push(PoolWorker {
-            assign_tx: Some(assign_tx),
-            join: Some(join),
-        });
-        self.workers[idx as usize]
-            .assign_tx
-            .as_ref()
-            .expect("just installed")
-            .send(assignment)
-            .expect("pooled carrier thread died");
-        idx
-    }
-
-    /// Returns a carrier to the free list. The carrier may still be
-    /// unwinding out of its previous body; that's fine, its next
-    /// assignment waits on the channel.
-    fn release(&mut self, idx: u32) {
-        self.free.push(idx);
-    }
-
-    /// Disconnects every carrier's queue and joins them. Callers must
-    /// already have unblocked any carrier still inside a body (the sim
-    /// sends `Reply::Shutdown` to all live threads first).
-    fn shutdown(&mut self) {
-        for w in &mut self.workers {
-            w.assign_tx = None;
-        }
-        for w in &mut self.workers {
-            if let Some(h) = w.join.take() {
-                let _ = h.join();
-            }
-        }
-    }
-}
-
 /// The simulated runtime.
 ///
 /// Build one with [`Sim::new`], create monitors/conditions/root threads,
 /// then call [`Sim::run`]. Dropping the `Sim` tears every simulated
-/// thread down cleanly.
+/// thread down cleanly: each suspended body is unwound, in thread-id
+/// order, on the dropping thread (its destructors run), and bodies that
+/// never started are dropped unrun.
+///
+/// A `Sim` is `!Send`. Its threads are coroutines whose suspended stacks
+/// may hold `!Send` values, so a world lives and dies on the OS thread
+/// that built it:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<pcr::Sim>();
+/// ```
 pub struct Sim {
     cfg: SimConfig,
     clock: SimTime,
@@ -526,14 +433,12 @@ pub struct Sim {
     shield: Option<Shield>,
     donation: Option<DonationPlan>,
     timers: TimerWheel,
-    /// Pool of reusable OS carrier threads: a simulated fork grabs a
-    /// free carrier instead of spawning, so steady-state fork/exit does
-    /// no OS thread creation or join.
-    pool: WorkerPool,
+    /// Free list of coroutine stacks: a simulated fork takes a vacated
+    /// stack instead of mapping one, so steady-state fork/exit makes no
+    /// system call.
+    pool: StackPool,
     monitors: Vec<MonitorState>,
     conds: Vec<CvState>,
-    req_tx: mpsc::Sender<(ThreadId, Request)>,
-    req_rx: mpsc::Receiver<(ThreadId, Request)>,
     sink: Option<Box<dyn TraceSink>>,
     /// Cached [`TraceSink::subscriptions`] of `sink` (EMPTY when none):
     /// [`Sim::emit`] consults the masks before constructing an event, so
@@ -572,7 +477,6 @@ impl Sim {
     /// systems using for it).
     pub fn new(cfg: SimConfig) -> Sim {
         crate::install_panic_silencer();
-        let (req_tx, req_rx) = mpsc::channel();
         let seed = cfg.seed;
         let daemon = cfg.system_daemon;
         let kind = cfg.policy;
@@ -584,7 +488,7 @@ impl Sim {
             threads: Vec::new(),
             policy: policy::make(kind, seed),
             queue_arena: NodeArena::new(),
-            pool: WorkerPool::new(),
+            pool: StackPool::default(),
             running: None,
             last_dispatched: None,
             shield: None,
@@ -592,8 +496,6 @@ impl Sim {
             timers: TimerWheel::new(),
             monitors: Vec::new(),
             conds: Vec::new(),
-            req_tx,
-            req_rx,
             sink: None,
             sink_mask: EventMask::EMPTY,
             hazard_mask: EventMask::EMPTY,
@@ -661,7 +563,7 @@ impl Sim {
     }
 
     /// Allocation/reuse counters for the sim's pooled resources (timer
-    /// slab, queue-node arena, carrier-thread pool). Snapshot before and
+    /// slab, queue-node arena, coroutine-stack pool). Snapshot before and
     /// after a window and subtract with [`AllocCounters::since`] to
     /// verify the hot path runs allocation-free at steady state.
     pub fn alloc_counters(&self) -> AllocCounters {
@@ -672,8 +574,8 @@ impl Sim {
             timer_node_reuses,
             queue_node_allocs,
             queue_node_reuses,
-            os_thread_spawns: self.pool.spawns,
-            os_thread_reuses: self.pool.reuses,
+            os_thread_spawns: self.pool.mapped,
+            os_thread_reuses: self.pool.reused,
         }
     }
 
@@ -1018,23 +920,15 @@ impl Sim {
         let generation = parent
             .map(|p| self.threads[p.0 as usize].generation + 1)
             .unwrap_or(0);
-        let (reply_tx, reply_rx) = reply_channel();
-        let ctx = ThreadCtx {
+        let coroutine = ThreadCtx::coroutine(
+            self.pool.take(),
             tid,
-            name: spec.name.clone(),
-            channels: ThreadChannels {
-                req_tx: self.req_tx.clone(),
-                reply_rx,
-            },
-            clock: Arc::clone(&self.clock_mirror),
-            shutting_down: std::cell::Cell::new(false),
-            priority: std::cell::Cell::new(priority),
-            seed: self.cfg.seed,
-        };
-        let worker = self.pool.assign(Assignment {
-            body: spec.body,
-            ctx,
-        });
+            spec.name.clone(),
+            priority,
+            Arc::clone(&self.clock_mirror),
+            self.cfg.seed,
+            spec.body,
+        );
         self.threads.push(Tcb {
             name: spec.name,
             priority,
@@ -1042,8 +936,7 @@ impl Sim {
             pending_reply: Some(Reply::Ok),
             debt: SimDuration::ZERO,
             after_debt: AfterDebt::Reply,
-            reply_tx,
-            worker: Some(worker),
+            coroutine: Some(coroutine),
             detached: spec.detached,
             joiner: None,
             exited: false,
@@ -1789,15 +1682,12 @@ impl Sim {
             let Some(reply) = self.threads[tid.0 as usize].pending_reply.take() else {
                 unreachable!("running thread {tid:?} has no debt and no pending reply");
             };
-            self.threads[tid.0 as usize]
-                .reply_tx
-                .send(reply)
-                .expect("simulated thread vanished while running");
-            let (rtid, req) = self
-                .req_rx
-                .recv()
-                .expect("simulated thread disconnected while running");
-            debug_assert_eq!(rtid, tid, "request from a thread that is not running");
+            let req = self.threads[tid.0 as usize]
+                .coroutine
+                .as_mut()
+                .expect("running thread has no coroutine")
+                .resume(reply)
+                .expect("simulated thread ended without posting Exit");
             self.handle_request(tid, req);
             if self.threads[tid.0 as usize].state != TState::Running {
                 break;
@@ -2243,11 +2133,10 @@ impl Sim {
         t.pending_reply = None;
         t.debt = SimDuration::ZERO;
         self.live_threads -= 1;
-        // Release the carrier thread back to the pool without joining:
-        // it returns to its assignment loop right after sending Exit,
-        // and a successor assignment queues safely in the meantime.
-        if let Some(w) = self.threads[tid.0 as usize].worker.take() {
-            self.pool.release(w);
+        // Exit arrives with the body's final switch, so the stack is
+        // already vacant: the next fork may have it.
+        if let Some(co) = self.threads[tid.0 as usize].coroutine.take() {
+            self.pool.give(co.into_stack());
         }
         debug_assert!(
             self.monitors.iter().all(|m| m.owner != Some(tid)),
@@ -2320,14 +2209,13 @@ impl Sim {
     }
 
     fn shutdown(&mut self) {
-        // Unblock every still-live body (the shutdown reply unwinds it),
-        // then disconnect and join the carrier pool.
-        for t in &self.threads {
-            if !t.exited {
-                let _ = t.reply_tx.send(Reply::Shutdown);
+        // Unwind every still-live body so its destructors run; bodies
+        // that never started are dropped unrun.
+        for t in &mut self.threads {
+            if let Some(mut co) = t.coroutine.take() {
+                co.shutdown();
             }
         }
-        self.pool.shutdown();
     }
 }
 

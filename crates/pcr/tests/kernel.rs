@@ -1,0 +1,190 @@
+//! The coroutine kernel at scale and at its edges, through the public
+//! API only: worlds far larger than an OS-thread kernel could hold, the
+//! multiprocessor scheduler on the same coroutine type, and the rule
+//! that a body's panic is the simulation's data, not the host's.
+
+use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use pcr::{
+    millis, secs, JoinError, MpSim, Priority, RunLimit, Sim, SimConfig, StopReason, WaitOutcome,
+};
+
+/// Counts its own drops: a local of a body that must be destroyed
+/// exactly once however the body ends.
+struct CountsDrop(Arc<AtomicUsize>);
+
+impl Drop for CountsDrop {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+#[test]
+fn ten_thousand_simultaneously_live_threads_run_to_completion() {
+    // Two VMAs a stack: 10 000 stacks stay well under the default
+    // vm.max_map_count of 65 530.
+    const THREADS: usize = 10_000;
+    let mut sim = Sim::new(SimConfig::default().with_max_threads(THREADS + 1));
+    let tally = sim.monitor("tally", 0usize);
+    let root = sim.fork_root("root", Priority::of(5), move |ctx| {
+        let children: Vec<_> = (0..THREADS)
+            .map(|i| {
+                let tally = tally.clone();
+                ctx.fork_prio(&format!("t{i}"), Priority::of(3), move |ctx| {
+                    // Asleep until long after the last fork, so every
+                    // child is alive, on its own stack, at once.
+                    ctx.sleep_precise(secs(3600));
+                    ctx.enter(&tally).with_mut(|n| *n += 1);
+                    i
+                })
+                .unwrap()
+            })
+            .collect();
+        let sum: usize = children.into_iter().map(|h| ctx.join(h).unwrap()).sum();
+        (sum, ctx.enter(&tally).with(|n| *n))
+    });
+    let report = sim.run(RunLimit::ToCompletion);
+    assert_eq!(report.reason, StopReason::AllExited);
+    assert_eq!(sim.stats().max_live_threads, THREADS + 1);
+    assert_eq!(
+        root.into_result().unwrap().unwrap(),
+        (THREADS * (THREADS - 1) / 2, THREADS)
+    );
+    let alloc = sim.alloc_counters();
+    assert_eq!(alloc.os_thread_spawns, THREADS as u64 + 1, "{alloc:?}");
+}
+
+#[test]
+fn mp_mesh_survives_panicking_and_shut_down_bodies() {
+    // Eight stations on four CPUs pass tokens round a ring of mailboxes.
+    // Two stations panic mid-run while inside their mailbox's monitor,
+    // two wait for ever on a condition nobody notifies and are unwound
+    // when the world is dropped; the rest run to completion.
+    const STATIONS: usize = 8;
+    const ROUNDS: usize = 20;
+    let drops = Arc::new(AtomicUsize::new(0));
+    let mut sim = MpSim::new(SimConfig::default(), 4);
+    let boxes: Vec<_> = (0..STATIONS)
+        .map(|i| sim.monitor(&format!("box{i}"), 0usize))
+        .collect();
+    let arrived: Vec<_> = (0..STATIONS)
+        .map(|i| sim.condition(&boxes[i], "arrived", Some(millis(5))))
+        .collect();
+    let never = sim.condition(&boxes[0], "never", None);
+
+    let mut workers = Vec::new();
+    for i in 0..STATIONS {
+        let (mine, next) = (boxes[i].clone(), boxes[(i + 1) % STATIONS].clone());
+        let (mine_cv, next_cv) = (arrived[i].clone(), arrived[(i + 1) % STATIONS].clone());
+        let local = CountsDrop(Arc::clone(&drops));
+        workers.push(
+            sim.fork_root(&format!("station{i}"), Priority::DEFAULT, move |ctx| {
+                let _local = local;
+                for round in 0..ROUNDS {
+                    ctx.work(millis(1));
+                    {
+                        let mut g = ctx.enter(&next);
+                        g.with_mut(|n| *n += 1);
+                        g.notify(&next_cv);
+                    }
+                    let mut g = ctx.enter(&mine);
+                    if g.with(|n| *n == 0) {
+                        let _: WaitOutcome = g.wait(&mine_cv);
+                    }
+                    g.with_mut(|n| *n = n.saturating_sub(1));
+                    if i % 4 == 1 && round == 7 {
+                        panic!("station {i} derailed");
+                    }
+                }
+                i
+            }),
+        );
+    }
+    let mut stuck = Vec::new();
+    for i in 0..2 {
+        let (m, cv) = (boxes[0].clone(), never.clone());
+        let local = CountsDrop(Arc::clone(&drops));
+        stuck.push(
+            sim.fork_root(&format!("stuck{i}"), Priority::of(2), move |ctx| {
+                let _local = local;
+                let mut g = ctx.enter(&m);
+                loop {
+                    g.wait(&cv);
+                }
+            }),
+        );
+    }
+
+    let report = sim.run(RunLimit::ToCompletion);
+    assert!(report.deadlocked(), "the two stuck threads remain");
+    assert_eq!(sim.stats().panics, 2);
+    assert_eq!(sim.stats().exits, STATIONS as u64);
+    for (i, h) in workers.into_iter().enumerate() {
+        let result = h.into_result().expect("every station exited");
+        if i % 4 == 1 {
+            assert_eq!(
+                result,
+                Err(JoinError::Panicked(format!("station {i} derailed")))
+            );
+        } else {
+            assert_eq!(result, Ok(i));
+        }
+    }
+    assert_eq!(
+        drops.load(Ordering::Relaxed),
+        STATIONS,
+        "stuck ones still hold theirs"
+    );
+    drop(sim);
+    assert_eq!(drops.load(Ordering::Relaxed), STATIONS + 2);
+    for h in stuck {
+        assert!(h.into_result().is_none(), "unwound, never exited");
+    }
+}
+
+/// Re-runs this test binary on `child_world_with_one_panic_each_side`
+/// alone, uncaptured, and reads what reached its stderr.
+#[test]
+fn a_panicking_body_leaves_stderr_empty_and_join_carries_the_message() {
+    let out = Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", "child_world_with_one_panic_each_side"])
+        .args(["--ignored", "--nocapture", "--test-threads=1"])
+        .env_remove("RUST_BACKTRACE")
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "child failed: {stderr}");
+    // The hook is a filter, not a gag: the host's own panic still prints,
+    // and it is the only one that does.
+    assert!(
+        stderr.contains("host-side failure"),
+        "host panic swallowed: {stderr}"
+    );
+    assert_eq!(stderr.matches("panicked at").count(), 1, "{stderr}");
+    assert!(!stderr.contains("simulated failure"), "{stderr}");
+}
+
+#[test]
+#[ignore = "the child half of a_panicking_body_leaves_stderr_empty_and_join_carries_the_message"]
+fn child_world_with_one_panic_each_side() {
+    let mut sim = Sim::new(SimConfig::default());
+    let body = sim.fork_root("body", Priority::DEFAULT, |ctx| {
+        ctx.work(millis(1));
+        panic!("simulated failure in a body");
+    });
+    // One more, left suspended and unwound with the private payload at drop.
+    let _ = sim.fork_root("sleeper", Priority::DEFAULT, |ctx| loop {
+        ctx.sleep(secs(1));
+    });
+    sim.run(RunLimit::For(secs(2)));
+    assert_eq!(sim.stats().panics, 1);
+    assert_eq!(
+        body.into_result().unwrap(),
+        Err(JoinError::Panicked("simulated failure in a body".into()))
+    );
+    drop(sim);
+    let host = std::panic::catch_unwind(|| panic!("host-side failure"));
+    assert!(host.is_err());
+}

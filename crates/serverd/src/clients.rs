@@ -1,7 +1,8 @@
 //! The simulated client fleet, as data.
 //!
-//! One `pcr` thread cannot be spawned per session (each simulated
-//! thread is a real OS thread), so the fleet lives in a single
+//! One `pcr` thread is not spawned per session (a simulated thread
+//! costs a stack mapping; a million of them do not fit), so the fleet
+//! lives in a single
 //! [`ClientPopulation`] driven by the client event-loop thread: a
 //! [`pcr::Wheel`] holds every future client event (session arrivals,
 //! next-request ticks, retry timers, per-request deadlines), and the

@@ -4,7 +4,7 @@
 //! Cedar and GVX (the two systems in the study) run ~35 eternal threads
 //! for *one* user. This crate scales the same input-to-echo pipeline to
 //! an open-loop stream of 10k–1M simulated client sessions — and since
-//! each simulated `pcr` thread is a real OS thread, the sessions are
+//! each simulated `pcr` thread owns a stack, the sessions are
 //! *data* driven by a small fixed set of pipeline threads, not threads
 //! themselves (the event-driven discipline of PAPERS.md's CCP
 //! interpreters).
