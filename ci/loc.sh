@@ -2,7 +2,9 @@
 # Rust lines per crate and for the workspace: the number ROADMAP aim 2
 # says to track. Counts every line of every tracked-or-not *.rs file
 # under the source roots (comments and blanks included — the same count
-# `wc -l` gives, so any two commits compare without a tool).
+# `wc -l` gives, so any two commits compare without a tool). Fails when
+# the total exceeds the committed ci/loc-ceiling.txt: growing the
+# workspace means bumping that one number in the same diff.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,3 +18,9 @@ for dir in crates/* shims/* src tests examples; do
     total=$((total + n))
 done
 printf '%8d  total\n' "$total"
+
+ceiling=$(cat ci/loc-ceiling.txt)
+if [ "$total" -gt "$ceiling" ]; then
+    echo "FAIL: $total Rust lines exceed ci/loc-ceiling.txt ($ceiling)" >&2
+    exit 1
+fi

@@ -104,17 +104,16 @@ commands:
   bench    [--reps N] [--json PATH] [--baseline PATH]
                              wall-clock perf harness: times every matrix
                              cell (median of N reps, default 3), reports
-                             simulated events/sec and the work-stealing
-                             executor's scaling curve (1, 2, and max
-                             workers), and writes BENCH_threadstudy.json;
+                             simulated events/sec and the executor's
+                             scaling curve (1, 2, and max workers), and
+                             writes BENCH_threadstudy.json;
                              with --baseline, fails if aggregate
                              events/sec regressed more than 30% vs that
                              file
   serve    [--sessions N] [--scenario reference|burst|outage]
-           [--chaos outage] [--reps N] [--pipeline-workers N]
-           [--no-retry-budget] [--json PATH] [--baseline PATH]
-           [--chrome PATH] [--slo-p50-ms N] [--slo-p99-ms N]
-           [--slo-p999-ms N]
+           [--reps N] [--pipeline-workers N] [--no-retry-budget]
+           [--json PATH] [--baseline PATH] [--chrome PATH]
+           [--slo-p50-ms N] [--slo-p99-ms N] [--slo-p999-ms N]
                              the overload-resilient serve world
                              (docs/SERVING.md): an open-loop fleet of N
                              client sessions (default 25000) against the
@@ -127,11 +126,11 @@ commands:
                              --reps N runs N replicas on the host
                              executor and exits 1 unless their reports
                              are byte-identical; --baseline regression-
-                             checks a stored report (exit 5 on drift);
-                             --chaos outage is shorthand for --scenario
-                             outage (mid-run X-server blackouts);
-                             --chrome additionally records one traced
-                             run for ui.perfetto.dev
+                             checks a stored report (exit 5 on drift;
+                             exit 6 if the file lacks a gated field);
+                             --scenario outage injects mid-run X-server
+                             blackouts; --chrome additionally records
+                             one traced run for ui.perfetto.dev
   all      [--window SECS] [--json PATH]   everything
   help                       this text
 
@@ -141,9 +140,8 @@ global options:
                  digits, max 16, 0x prefix and _ separators allowed
   --workers N    worker threads for the matrix/fuzz executor (default:
                  all hardware threads); results are identical at every
-                 worker count, only wall-clock time changes
-  --serial       equivalent to --workers 1: run the matrix one cell at
-                 a time on the calling thread
+                 worker count, only wall-clock time changes; 1 runs
+                 one cell at a time on the calling thread
   --policy P     scheduling policy for the simulated worlds: rr (the
                  paper's 7-priority round-robin, default), cfs, lottery,
                  or mlfq; honored by bench, chaos, fuzz, and trace
@@ -418,11 +416,7 @@ fn main() {
         Ok(n) if n >= 1 => Ok(n),
         _ => Err("expected a positive integer".to_string()),
     });
-    let workers = if has("--serial") {
-        1
-    } else {
-        workers_flag.unwrap_or_else(bench::tables::workers_available)
-    };
+    let workers = workers_flag.unwrap_or_else(bench::tables::workers_available);
     let run_matrix = |window, seed| bench::tables::run_all_with_workers(window, seed, workers);
     // `--policy` (rr | cfs | lottery | mlfq); default is the paper's
     // round-robin, so outputs without the flag stay byte-identical.
@@ -572,12 +566,10 @@ fn main() {
                         std::process::exit(exit::USAGE);
                     });
             }
-            if let Some(c) = flag_value("--chaos") {
-                if c != "outage" {
-                    eprintln!("bad --chaos {c:?}: serve only injects the outage fault mix");
-                    std::process::exit(exit::USAGE);
-                }
-                opts.scenario = workloads::serve::ServeScenario::Outage;
+            if has("--chaos") {
+                // Would otherwise run the reference scenario unremarked.
+                eprintln!("bad --chaos: serve's fault mix is --scenario outage");
+                std::process::exit(exit::USAGE);
             }
             opts.pipeline_workers = count("--pipeline-workers").map(|n| n as usize);
             opts.reps = count32("--reps").unwrap_or(1);

@@ -1,23 +1,17 @@
-//! A hand-rolled work-stealing executor for embarrassingly parallel,
-//! deterministic work units.
+//! A minimal parallel-for for embarrassingly parallel, deterministic
+//! work units.
 //!
 //! Both the benchmark matrix (`repro bench`) and the resilience fuzz
 //! grid (`repro fuzz`) decompose into independent `(cell × seed × rep)`
 //! tasks whose *results* are byte-deterministic — only wall-clock time
-//! depends on who runs what. That makes scheduling trivial to get right
-//! and worth getting fast: [`run_indexed`] pre-distributes task indices
-//! round-robin across per-worker deques, owners pop from the front,
-//! idle workers steal from the back of a victim's deque (the classic
-//! Chase–Lev discipline, implemented with a plain mutex per deque since
-//! task bodies dwarf queue traffic by many orders of magnitude), and
-//! results land in indexed slots so output order never depends on the
-//! schedule.
-//!
-//! No tasks are spawned from within tasks, so termination is simple:
-//! a worker exits once every deque is empty.
+//! depends on who runs what. The tasks are known up front and coarse, so
+//! [`run_indexed`] hands them out through one shared cursor: each worker
+//! claims the next unclaimed index until none are left, which balances
+//! uneven tasks without any per-worker queue. Results land in indexed
+//! slots so output order never depends on the schedule.
 
 use std::io::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// What one [`run_indexed`] call observed about its own scheduling.
@@ -25,9 +19,6 @@ use std::sync::Mutex;
 pub struct ExecReport {
     /// Worker threads actually used (after clamping to the task count).
     pub workers: usize,
-    /// Tasks executed by a worker other than the one they were
-    /// pre-distributed to.
-    pub steals: u64,
 }
 
 /// Runs tasks `0..n`, each computed by `f`, on `workers` threads, and
@@ -44,75 +35,32 @@ where
 {
     let workers = workers.max(1).min(n.max(1));
     if workers <= 1 {
-        let results = (0..n).map(&f).collect();
-        return (
-            results,
-            ExecReport {
-                workers: 1,
-                steals: 0,
-            },
-        );
+        return ((0..n).map(&f).collect(), ExecReport { workers: 1 });
     }
-    // Round-robin pre-distribution: task i belongs to deque i % workers.
-    let mut deques: Vec<Mutex<std::collections::VecDeque<usize>>> = (0..workers)
-        .map(|_| Mutex::new(std::collections::VecDeque::new()))
-        .collect();
-    for i in 0..n {
-        deques[i % workers]
-            .get_mut()
-            .expect("fresh deque")
-            .push_back(i);
-    }
-    let deques = &deques;
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let slots = &slots;
-    let steals = AtomicU64::new(0);
-    let steals = &steals;
-    let f = &f;
+    let cursor = AtomicUsize::new(0);
     std::thread::scope(|s| {
-        for w in 0..workers {
-            s.spawn(move || loop {
-                // Own work first, oldest first.
-                let mut task = deques[w].lock().expect("deque poisoned").pop_front();
-                let mut stolen = false;
-                if task.is_none() {
-                    // Steal from the back of the first non-empty victim.
-                    for v in 1..workers {
-                        let victim = (w + v) % workers;
-                        task = deques[victim].lock().expect("deque poisoned").pop_back();
-                        if task.is_some() {
-                            stolen = true;
-                            break;
-                        }
-                    }
-                }
-                let Some(i) = task else {
-                    // Every deque empty: no task can reappear, so done.
+        for _ in 0..workers {
+            s.spawn(|| loop {
+                // Relaxed: the cursor only hands out indices; results are
+                // published by the slot mutexes and the scope's join.
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
                     break;
-                };
-                if stolen {
-                    steals.fetch_add(1, Ordering::Relaxed);
                 }
                 *slots[i].lock().expect("slot poisoned") = Some(f(i));
             });
         }
     });
     let results = slots
-        .iter()
+        .into_iter()
         .map(|m| {
-            m.lock()
+            m.into_inner()
                 .expect("slot poisoned")
-                .take()
                 .expect("every task index was claimed and completed")
         })
         .collect();
-    (
-        results,
-        ExecReport {
-            workers,
-            steals: steals.load(Ordering::Relaxed),
-        },
-    )
+    (results, ExecReport { workers })
 }
 
 /// A line-buffered progress reporter shared by concurrent workers.
@@ -160,7 +108,6 @@ mod tests {
         let (out, report) = run_indexed(4, 0, |i| i);
         assert!(out.is_empty());
         assert_eq!(report.workers, 1);
-        assert_eq!(report.steals, 0);
     }
 
     #[test]
@@ -173,12 +120,11 @@ mod tests {
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
         assert_eq!(*calls.lock().unwrap(), vec![0, 1, 2, 3, 4]);
         assert_eq!(report.workers, 1);
-        assert_eq!(report.steals, 0);
     }
 
     #[test]
     fn uneven_tasks_all_complete() {
-        // Tasks with wildly uneven cost: stealing must still cover all.
+        // Tasks with wildly uneven cost: the cursor must still cover all.
         let (out, _) = run_indexed(4, 33, |i| {
             if i == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(20));

@@ -3,8 +3,8 @@
 //! Where the rest of this crate measures *virtual-time* rates (the
 //! paper's tables), this module measures how fast the simulator itself
 //! chews through its benchmark matrix on the host: wall time per cell,
-//! simulated events per second, and the scaling curve of the
-//! work-stealing executor across worker counts. The numbers land in
+//! simulated events per second, and the scaling curve of the executor
+//! across worker counts. The numbers land in
 //! `BENCH_threadstudy.json` at the repo root, which CI uses as a
 //! regression baseline.
 
@@ -32,13 +32,8 @@ pub struct CellPerf {
     pub events_per_sec: f64,
     /// Allocation/reuse deltas over the measurement window (from the
     /// first rep; deterministic). Near-zero `*_allocs` demonstrate the
-    /// arena/pool hot paths stop allocating after warm-up.
+    /// pooled hot paths stop allocating after warm-up.
     pub alloc: pcr::AllocCounters,
-    /// §6.1 per-monitor contention profile from the first rep
-    /// (deterministic, so every rep sees the same one).
-    pub contention: Vec<trace::MonitorProfileRow>,
-    /// §6.2 wakeup-to-run latency histogram from the first rep.
-    pub sched_latency: pcr::SchedLatency,
 }
 
 /// One point of the executor scaling curve: the whole matrix, `reps`
@@ -49,14 +44,12 @@ pub struct ScalingPoint {
     pub workers: usize,
     /// Mean wall seconds per matrix pass at this worker count.
     pub wall_secs: f64,
-    /// Tasks executed by a worker other than their home deque's owner.
-    pub steals: u64,
     /// `serial wall / this wall`.
     pub speedup: f64,
 }
 
 /// A full perf-harness run: every cell timed `reps` times serially, plus
-/// the matrix timed through the work-stealing executor at each point of
+/// the matrix timed through the parallel executor at each point of
 /// the worker-count scaling curve.
 #[derive(Clone, Debug)]
 pub struct PerfReport {
@@ -137,8 +130,6 @@ pub fn measure(
     let mut serial_walls: Vec<f64> = Vec::new();
     let mut volumes: Vec<u64> = vec![0; cells.len()];
     let mut allocs: Vec<pcr::AllocCounters> = vec![Default::default(); cells.len()];
-    let mut profiles: Vec<(Vec<trace::MonitorProfileRow>, pcr::SchedLatency)> =
-        vec![Default::default(); cells.len()];
 
     for rep in 0..reps {
         let t0 = Instant::now();
@@ -162,7 +153,6 @@ pub fn measure(
             if rep == 0 {
                 volumes[i] = r.event_volume;
                 allocs[i] = r.alloc;
-                profiles[i] = (r.contention, r.sched_latency);
             } else {
                 assert_eq!(
                     volumes[i],
@@ -178,7 +168,6 @@ pub fn measure(
     let mut scaling = vec![ScalingPoint {
         workers: 1,
         wall_secs: serial_wall_secs,
-        steals: 0,
         speedup: 1.0,
     }];
     for w in scaling_worker_counts(max_workers) {
@@ -203,7 +192,6 @@ pub fn measure(
         scaling.push(ScalingPoint {
             workers: exec.workers,
             wall_secs,
-            steals: exec.steals,
             speedup: if wall_secs > 0.0 {
                 serial_wall_secs / wall_secs
             } else {
@@ -217,7 +205,6 @@ pub fn measure(
         .enumerate()
         .map(|(i, &(system, benchmark))| {
             let wall = median(&mut cell_walls[i]);
-            let (contention, sched_latency) = std::mem::take(&mut profiles[i]);
             CellPerf {
                 system,
                 benchmark,
@@ -229,8 +216,6 @@ pub fn measure(
                     0.0
                 },
                 alloc: allocs[i],
-                contention,
-                sched_latency,
             }
         })
         .collect();
@@ -266,8 +251,6 @@ fn alloc_json(a: &pcr::AllocCounters) -> Json {
     Json::obj([
         ("timer_node_allocs", Json::from(a.timer_node_allocs)),
         ("timer_node_reuses", Json::from(a.timer_node_reuses)),
-        ("queue_node_allocs", Json::from(a.queue_node_allocs)),
-        ("queue_node_reuses", Json::from(a.queue_node_reuses)),
         ("os_thread_spawns", Json::from(a.os_thread_spawns)),
         ("os_thread_reuses", Json::from(a.os_thread_reuses)),
     ])
@@ -284,22 +267,17 @@ impl PerfReport {
                 ("wall_secs", Json::from(c.wall_secs)),
                 ("events_per_sec", Json::from(c.events_per_sec)),
                 ("alloc", alloc_json(&c.alloc)),
-                (
-                    "profile",
-                    crate::tables::profile_json(&c.contention, &c.sched_latency),
-                ),
             ])
         });
         let scaling = self.scaling.iter().map(|p| {
             Json::obj([
                 ("workers", Json::from(p.workers as u64)),
                 ("wall_secs", Json::from(p.wall_secs)),
-                ("steals", Json::from(p.steals)),
                 ("speedup", Json::from(p.speedup)),
             ])
         });
         Json::obj([
-            ("schema", Json::from("threadstudy-bench-v2")),
+            ("schema", Json::from("threadstudy-bench-v3")),
             ("window_us", Json::from(self.window.as_micros())),
             ("seed", Json::from(format!("{:#x}", self.seed))),
             ("policy", Json::from(self.policy.as_str())),
@@ -352,8 +330,8 @@ impl PerfReport {
         for p in &self.scaling {
             let _ = writeln!(
                 out,
-                "  {:>3} worker(s): {:>8.3}s   speedup {:>5.2}x   steals {}",
-                p.workers, p.wall_secs, p.speedup, p.steals
+                "  {:>3} worker(s): {:>8.3}s   speedup {:>5.2}x",
+                p.workers, p.wall_secs, p.speedup
             );
         }
         let _ = writeln!(
@@ -413,13 +391,11 @@ mod tests {
                 ScalingPoint {
                     workers: 1,
                     wall_secs: 2.0,
-                    steals: 0,
                     speedup: 1.0,
                 },
                 ScalingPoint {
                     workers: 2,
                     wall_secs: 1.0,
-                    steals: 3,
                     speedup: 2.0,
                 },
             ],
@@ -432,11 +408,15 @@ mod tests {
         for text in [report.to_json().pretty(), report.to_json().to_string()] {
             assert_eq!(baseline_events_per_sec(&text), Some(500.0));
         }
+        // A v2 file (per-cell profiles, steals) carries the same scalar.
+        let v2 = r#"{"schema":"threadstudy-bench-v2","aggregate_events_per_sec":79213.5,
+            "scaling":[{"workers":1,"steals":0}],"cells":[{"profile":{}}]}"#;
+        assert_eq!(baseline_events_per_sec(v2), Some(79213.5));
         assert_eq!(baseline_events_per_sec("no such key"), None);
     }
 
     #[test]
-    fn v2_report_carries_scaling_and_mode() {
+    fn report_carries_schema_scaling_and_mode() {
         let report = PerfReport {
             window: pcr::millis(10),
             seed: 1,
@@ -448,7 +428,6 @@ mod tests {
             scaling: vec![ScalingPoint {
                 workers: 1,
                 wall_secs: 1.0,
-                steals: 0,
                 speedup: 1.0,
             }],
             serial_wall_secs: 1.0,
@@ -460,7 +439,7 @@ mod tests {
         let j = report.to_json();
         assert_eq!(
             j.get("schema").and_then(Json::as_str),
-            Some("threadstudy-bench-v2")
+            Some("threadstudy-bench-v3")
         );
         assert_eq!(j.get("mode").and_then(Json::as_str), Some("parallel"));
         assert!(j.get("scaling").is_some());

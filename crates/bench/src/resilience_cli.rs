@@ -104,7 +104,7 @@ pub fn fuzz_cmd(opts: &FuzzOpts) -> i32 {
     let started = std::time::Instant::now();
     let mode = if opts.guided { "guided" } else { "grid" };
     let workers = opts.workers.max(1);
-    // Grid sweeps route every batch of trials through the work-stealing
+    // Grid sweeps route every batch of trials through the host
     // executor; trial results are processed in grid order inside
     // `fuzz_with`, so the signature set is worker-count-independent.
     let mut grid_runner = |batch: &[(TrialSpec, ChaosConfig)]| -> Vec<Observation> {

@@ -35,8 +35,8 @@ pub fn run_all_serial(window: SimDuration, seed: u64) -> Vec<BenchResult> {
     run_all_with_workers(window, seed, 1)
 }
 
-/// Runs the matrix on `workers` threads through the work-stealing
-/// executor. Each cell is an independent deterministic simulation, so
+/// Runs the matrix on `workers` threads through the host executor.
+/// Each cell is an independent deterministic simulation, so
 /// every worker count produces identical results for a given
 /// `(window, seed)` — the choice only affects wall-clock time.
 pub fn run_all_with_workers(window: SimDuration, seed: u64, workers: usize) -> Vec<BenchResult> {

@@ -5,7 +5,7 @@
 //! per-priority wakeup-to-run latency histograms and per-monitor
 //! contention profiles across policies. Each `(cell, policy)` run is an
 //! independent deterministic simulation, so the whole grid parallelizes
-//! through the work-stealing executor and every worker count produces
+//! through the host executor and every worker count produces
 //! identical results.
 //!
 //! A cell that deadlocks under some policy is recorded as a failure

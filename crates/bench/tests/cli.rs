@@ -385,6 +385,49 @@ fn serve_baseline_catches_a_planted_regression() {
 }
 
 #[test]
+fn serve_baseline_without_a_gated_field_is_a_parse_error() {
+    let path = std::env::temp_dir().join(format!("serve-cut-{}.json", std::process::id()));
+    let out = repro()
+        .args(["serve", "--sessions", "800", "--seed", "A5", "--json"])
+        .arg(&path)
+        .output()
+        .expect("spawn repro");
+    assert!(out.status.success(), "{:?}", out.status);
+    // Cut the goodput field out: the gate must refuse the file, not
+    // compare against a goodput of zero that no run can regress from.
+    let text = std::fs::read_to_string(&path).expect("baseline");
+    let at = text.find("\"goodput_per_sec\":").expect("goodput field");
+    let end = at + text[at..].find(',').expect("field separator") + 1;
+    std::fs::write(&path, format!("{}{}", &text[..at], &text[end..])).unwrap();
+    let out = repro()
+        .args(["serve", "--sessions", "800", "--seed", "A5", "--baseline"])
+        .arg(&path)
+        .output()
+        .expect("spawn repro");
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(6), "{stderr}");
+    assert!(stderr.contains("goodput_per_sec"), "{stderr}");
+}
+
+#[test]
+fn removed_duplicate_flags_are_not_in_help_and_serve_rejects_chaos() {
+    let out = repro().arg("help").output().expect("spawn repro");
+    let help = String::from_utf8_lossy(&out.stdout);
+    assert!(!help.contains("--serial"), "{help}");
+    assert!(!help.contains("--chaos outage"), "{help}");
+    assert!(help.contains("[--chaos]"), "trace keeps its boolean");
+    // The old spelling must not fall through to the reference scenario.
+    let out = repro()
+        .args(["serve", "--sessions", "800", "--chaos", "outage"])
+        .output()
+        .expect("spawn repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--scenario outage"), "{stderr}");
+}
+
+#[test]
 fn fuzz_shrink_replay_round_trip() {
     let dir = std::env::temp_dir().join(format!("repro-fuzz-{}", std::process::id()));
     // Budget 2 on the Cedar/Keyboard cell covers the tolerated preset

@@ -73,7 +73,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-mod arena;
 mod chaos;
 mod condition;
 mod config;

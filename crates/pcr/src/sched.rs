@@ -11,7 +11,6 @@ use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::arena::{NodeArena, QList};
 use crate::chaos::{FaultDecision, FaultSchedule, FaultSiteKind};
 use crate::condition::Condition;
 use crate::config::{ForkPolicy, NotifyMode, SimConfig};
@@ -285,15 +284,8 @@ struct Tcb {
     /// from scheduling (running or blocked); applied the next time it
     /// would become ready.
     stall_pending: Option<SimDuration>,
-    /// True while the thread has a live entry in a ready queue. Dequeues
-    /// clear this flag instead of scanning the queue; entries whose flag
-    /// (or generation) no longer matches are tombstones, dropped when
-    /// they surface at the front.
+    /// True while the policy holds a ready entry for the thread.
     in_ready: bool,
-    /// Generation of the thread's live ready entry, bumped on every
-    /// enqueue so a tombstone left by an O(1) removal can never alias a
-    /// later enqueue of the same thread.
-    ready_gen: u32,
     /// When the thread last became ready, for the wakeup-to-run latency
     /// profile ([`SchedLatency`]).
     ready_since: SimTime,
@@ -332,14 +324,9 @@ struct CvState {
     name: String,
     monitor: MonitorId,
     timeout: Option<SimDuration>,
-    /// Waiters in arrival order (nodes in [`Sim::queue_arena`]), each
-    /// tagged with the `wait_seq` it enqueued under. A timeout or
-    /// spurious wake cancels its entry lazily (the seq no longer
-    /// matches) instead of an O(n) `retain`; `live` tracks how many
-    /// entries are still current.
-    queue: QList,
-    /// Number of live entries in `queue`.
-    live: u32,
+    /// Waiters in arrival order. A timeout or spurious wake removes its
+    /// entry, so everything queued is still waiting.
+    queue: VecDeque<ThreadId>,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -371,10 +358,6 @@ pub struct AllocCounters {
     pub timer_node_allocs: u64,
     /// Timer arms served from the wheel's free list.
     pub timer_node_reuses: u64,
-    /// Ready/CV queue nodes newly allocated.
-    pub queue_node_allocs: u64,
-    /// Queue pushes served from the arena's free list.
-    pub queue_node_reuses: u64,
     /// Coroutine stacks newly mapped for simulated forks. (The name
     /// dates from the OS-thread kernel and is what the benchmark reads.)
     pub os_thread_spawns: u64,
@@ -388,8 +371,6 @@ impl AllocCounters {
         AllocCounters {
             timer_node_allocs: self.timer_node_allocs - earlier.timer_node_allocs,
             timer_node_reuses: self.timer_node_reuses - earlier.timer_node_reuses,
-            queue_node_allocs: self.queue_node_allocs - earlier.queue_node_allocs,
-            queue_node_reuses: self.queue_node_reuses - earlier.queue_node_reuses,
             os_thread_spawns: self.os_thread_spawns - earlier.os_thread_spawns,
             os_thread_reuses: self.os_thread_reuses - earlier.os_thread_reuses,
         }
@@ -423,11 +404,6 @@ pub struct Sim {
     /// default [`policy::RoundRobin`] is the paper's scheduler,
     /// byte-identical to the pre-trait dispatcher.
     policy: Box<dyn Scheduler>,
-    /// Shared node slab for the ready queues and CV wait queues: one
-    /// free list bounds total queue memory at its joint high-water mark
-    /// and keeps enqueue/dequeue allocation-free at steady state. Lent
-    /// to the policy through [`PolicyCtx`] on every policy call.
-    queue_arena: NodeArena,
     running: Option<ThreadId>,
     last_dispatched: Option<ThreadId>,
     shield: Option<Shield>,
@@ -487,7 +463,6 @@ impl Sim {
             rng: SplitMix64::new(seed),
             threads: Vec::new(),
             policy: policy::make(kind, seed),
-            queue_arena: NodeArena::new(),
             pool: StackPool::default(),
             running: None,
             last_dispatched: None,
@@ -563,17 +538,14 @@ impl Sim {
     }
 
     /// Allocation/reuse counters for the sim's pooled resources (timer
-    /// slab, queue-node arena, coroutine-stack pool). Snapshot before and
+    /// slab, coroutine-stack pool). Snapshot before and
     /// after a window and subtract with [`AllocCounters::since`] to
     /// verify the hot path runs allocation-free at steady state.
     pub fn alloc_counters(&self) -> AllocCounters {
         let (timer_node_allocs, timer_node_reuses) = self.timers.alloc_stats();
-        let (queue_node_allocs, queue_node_reuses) = self.queue_arena.alloc_stats();
         AllocCounters {
             timer_node_allocs,
             timer_node_reuses,
-            queue_node_allocs,
-            queue_node_reuses,
             os_thread_spawns: self.pool.mapped,
             os_thread_reuses: self.pool.reused,
         }
@@ -862,8 +834,7 @@ impl Sim {
             name: name.to_string(),
             monitor: m.id(),
             timeout,
-            queue: QList::new(),
-            live: 0,
+            queue: VecDeque::new(),
         });
         Condition {
             id,
@@ -950,7 +921,6 @@ impl Sim {
             reacquire_cv: None,
             stall_pending: None,
             in_ready: false,
-            ready_gen: 0,
             ready_since: SimTime::ZERO,
             blocked_since: SimTime::ZERO,
         });
@@ -1006,27 +976,17 @@ impl Sim {
     // ---- ready-queue helpers ----------------------------------------------
 
     /// Splits the borrow of `self` into the installed policy and the
-    /// [`PolicyCtx`] lending it the arena and thread table — disjoint
-    /// fields, so the policy can mutate its structure while reading
-    /// thread state.
+    /// [`PolicyCtx`] lending it the thread table — disjoint fields, so
+    /// the policy can mutate its structure while reading thread state.
     fn policy_split(&mut self) -> (&mut dyn Scheduler, PolicyCtx<'_>) {
         let Sim {
-            policy,
-            queue_arena,
-            threads,
-            ..
+            policy, threads, ..
         } = self;
-        (
-            policy.as_mut(),
-            PolicyCtx {
-                arena: queue_arena,
-                threads,
-            },
-        )
+        (policy.as_mut(), PolicyCtx { threads })
     }
 
     /// Hands a runnable `tid` to the policy, maintaining the simulator's
-    /// own bookkeeping (live flag, tombstone generation, latency stamp).
+    /// own bookkeeping (ready flag, latency stamp).
     /// `wakeup` is true when the thread was blocked rather than
     /// preempted or yielding.
     fn ready_enqueue(&mut self, tid: ThreadId, front: bool, wakeup: bool) {
@@ -1034,7 +994,6 @@ impl Sim {
         let t = &mut self.threads[tid.0 as usize];
         debug_assert!(!t.in_ready, "thread {tid:?} enqueued while already ready");
         t.in_ready = true;
-        t.ready_gen = t.ready_gen.wrapping_add(1);
         t.ready_since = now;
         let (policy, mut ctx) = self.policy_split();
         policy.on_ready(&mut ctx, tid, front, wakeup);
@@ -1234,10 +1193,7 @@ impl Sim {
                     if live {
                         self.threads[idx].wait_seq += 1;
                         let mid = self.conds[cv.0 as usize].monitor;
-                        // The queue entry is lazily cancelled: the seq
-                        // bump above orphans it, so only the live count
-                        // needs maintaining.
-                        self.cv_mark_dequeued(cv);
+                        self.conds[cv.0 as usize].queue.retain(|&w| w != tid);
                         self.stats.cv_timeouts += 1;
                         let t = &mut self.threads[idx];
                         t.acquire_on_dispatch = Some(mid);
@@ -1255,7 +1211,7 @@ impl Sim {
                     if live {
                         self.threads[idx].wait_seq += 1;
                         let mid = self.conds[cv.0 as usize].monitor;
-                        self.cv_mark_dequeued(cv);
+                        self.conds[cv.0 as usize].queue.retain(|&w| w != tid);
                         self.stats.chaos_spurious_wakeups += 1;
                         self.emit(EventKind::SpuriousWakeup { tid, cv });
                         let t = &mut self.threads[idx];
@@ -1317,37 +1273,6 @@ impl Sim {
                 }
             }
         }
-    }
-
-    // ---- condition-variable queue helpers -----------------------------------
-
-    /// Accounts for one entry of `cv`'s queue going dead (woken, timed
-    /// out, or spuriously awakened); the deque entry itself is dropped
-    /// lazily when it surfaces.
-    fn cv_mark_dequeued(&mut self, cv: CondId) {
-        let i = cv.0 as usize;
-        self.conds[i].live -= 1;
-        if self.conds[i].live == 0 {
-            self.queue_arena.clear(&mut self.conds[i].queue);
-        }
-    }
-
-    /// Pops the frontmost live waiter of `cv`, skipping entries whose
-    /// wait was already ended by a timeout or spurious wake.
-    fn pop_cv_waiter(&mut self, cv: CondId) -> Option<ThreadId> {
-        if self.conds[cv.0 as usize].live == 0 {
-            return None;
-        }
-        while let Some((w, seq)) = self
-            .queue_arena
-            .pop_front(&mut self.conds[cv.0 as usize].queue)
-        {
-            if self.threads[w.0 as usize].wait_seq == seq {
-                self.cv_mark_dequeued(cv);
-                return Some(w);
-            }
-        }
-        unreachable!("cv {cv:?} live count out of sync with its queue");
     }
 
     // ---- monitor helpers ----------------------------------------------------
@@ -1828,8 +1753,7 @@ impl Sim {
                     name,
                     monitor,
                     timeout,
-                    queue: QList::new(),
-                    live: 0,
+                    queue: VecDeque::new(),
                 });
                 self.threads[tid.0 as usize].pending_reply = Some(Reply::CondId(id));
             }
@@ -2023,9 +1947,7 @@ impl Sim {
                 TimerKind::ChaosSpuriousWake { tid, cv, seq },
             );
         }
-        self.queue_arena
-            .push_back(&mut self.conds[cv.0 as usize].queue, tid, seq);
-        self.conds[cv.0 as usize].live += 1;
+        self.conds[cv.0 as usize].queue.push_back(tid);
         self.emit(EventKind::MlExit { tid, monitor: mid });
         self.release_monitor(mid);
     }
@@ -2041,7 +1963,7 @@ impl Sim {
         }
         // Chaos (§5.3): silently discard a NOTIFY that has a waiter. The
         // waiter keeps waiting; only its timeout (if any) can rescue it.
-        if !broadcast && self.conds[cv.0 as usize].live > 0 {
+        if !broadcast && !self.conds[cv.0 as usize].queue.is_empty() {
             let dropped = self
                 .chaos_decision(FaultSiteKind::DropNotify, |s, _| {
                     let p = s.cfg.chaos.drop_notify_prob;
@@ -2058,7 +1980,7 @@ impl Sim {
         }
         let mut woken = 0u32;
         let mut first_woken = None;
-        while let Some(w) = self.pop_cv_waiter(cv) {
+        while let Some(w) = self.conds[cv.0 as usize].queue.pop_front() {
             woken += 1;
             first_woken.get_or_insert(w);
             self.wake_waiter(w, mid, cv);
@@ -2070,7 +1992,7 @@ impl Sim {
         // waiter wakens". Correct Mesa code re-checks its predicate and
         // survives; code that doesn't is what this fault flushes out.
         let mut extra = None;
-        if !broadcast && first_woken.is_some() && self.conds[cv.0 as usize].live > 0 {
+        if !broadcast && first_woken.is_some() && !self.conds[cv.0 as usize].queue.is_empty() {
             let duplicated = self
                 .chaos_decision(FaultSiteKind::DuplicateNotify, |s, _| {
                     let p = s.cfg.chaos.duplicate_notify_prob;
@@ -2078,7 +2000,8 @@ impl Sim {
                 })
                 .is_some();
             if duplicated {
-                let w = self.pop_cv_waiter(cv).expect("live waiter present");
+                let w = self.conds[cv.0 as usize].queue.pop_front();
+                let w = w.expect("a second waiter is queued");
                 self.wake_waiter(w, mid, cv);
                 self.stats.chaos_duplicated_notifies += 1;
                 extra = Some(w);

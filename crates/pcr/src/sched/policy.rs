@@ -28,22 +28,19 @@
 //!   drawing from either would shift every later decision and break
 //!   replay of recorded fault schedules. [`Lottery`] derives its own
 //!   `SplitMix64` from `seed ^ LOTTERY_SEED_SALT`.
-//! * **`in_ready` bookkeeping.** The simulator sets
-//!   `in_ready`/`ready_gen` on a thread before calling
-//!   [`Scheduler::on_ready`]; the policy must clear `in_ready` whenever
-//!   it hands a thread back from [`Scheduler::next`] or drops it in
-//!   [`Scheduler::remove`]. Policies that keep entries in the shared
-//!   queue-node arena use the generation to tombstone stale entries in
-//!   O(1) exactly as the pre-trait scheduler did.
+//! * **`in_ready` bookkeeping.** The simulator sets `in_ready` on a
+//!   thread before calling [`Scheduler::on_ready`]; the policy must clear
+//!   it whenever it hands a thread back from [`Scheduler::next`] or drops
+//!   it in [`Scheduler::remove`]. Removal is real: once either returns,
+//!   the policy holds no entry for the thread.
 //! * **No hidden ready threads.** After `on_ready(tid, ..)` and until
 //!   `next`/`remove` returns it, `tid` must be reachable via `next`,
 //!   counted by `ready_count_excluding`, and enumerated by
 //!   `nth_ready_excluding` in a deterministic order.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
 use super::Tcb;
-use crate::arena::{NodeArena, QList};
 use crate::rng::SplitMix64;
 use crate::thread::{Priority, ThreadId};
 use crate::time::SimDuration;
@@ -114,12 +111,10 @@ impl std::str::FromStr for PolicyKind {
     }
 }
 
-/// The simulator state a policy may touch: the shared queue-node arena
-/// (ready-queue entries live next to CV-wait entries in one slab) and
-/// the thread table. Constructed by the simulator around each policy
-/// call; not constructible from outside the crate.
+/// The simulator state a policy may touch: the thread table.
+/// Constructed by the simulator around each policy call; not
+/// constructible from outside the crate.
 pub struct PolicyCtx<'a> {
-    pub(super) arena: &'a mut NodeArena,
     pub(super) threads: &'a mut Vec<Tcb>,
 }
 
@@ -129,23 +124,12 @@ impl PolicyCtx<'_> {
         self.threads[tid.0 as usize].priority.index()
     }
 
-    /// The current ready-entry generation of `tid`.
-    fn ready_gen(&self, tid: ThreadId) -> u64 {
-        self.threads[tid.0 as usize].ready_gen as u64
-    }
-
-    /// True iff an arena entry `(tid, gen)` is live (not a tombstone).
-    fn is_live(&self, tid: ThreadId, gen: u64) -> bool {
-        let t = &self.threads[tid.0 as usize];
-        t.in_ready && t.ready_gen as u64 == gen
-    }
-
-    /// Clears the live flag when the policy dequeues or removes `tid`.
+    /// Clears the ready flag when the policy dequeues or removes `tid`.
     fn clear_in_ready(&mut self, tid: ThreadId) {
         self.threads[tid.0 as usize].in_ready = false;
     }
 
-    /// True iff `tid` currently has a live ready entry.
+    /// True iff `tid` currently has a ready entry.
     fn in_ready(&self, tid: ThreadId) -> bool {
         self.threads[tid.0 as usize].in_ready
     }
@@ -262,62 +246,114 @@ fn ensure<T: Clone>(v: &mut Vec<T>, tid: ThreadId, fill: T) {
     }
 }
 
+// ---- strict levels, FIFO within a level ----------------------------------
+
+/// One FIFO per level plus a mask of the nonempty ones: the ready
+/// structure of both [`RoundRobin`] (level = base priority) and [`Mlfq`]
+/// (level = feedback level). The highest nonempty level is one
+/// leading-zeros instruction away; removal from the middle is a scan of
+/// that level's queue.
+#[derive(Default)]
+struct LevelQueues {
+    queues: [VecDeque<ThreadId>; Priority::LEVELS],
+    /// Bit `i` set iff `queues[i]` is nonempty.
+    mask: u32,
+}
+
+impl LevelQueues {
+    fn push(&mut self, lvl: usize, tid: ThreadId, front: bool) {
+        if front {
+            self.queues[lvl].push_front(tid);
+        } else {
+            self.queues[lvl].push_back(tid);
+        }
+        self.mask |= 1 << lvl;
+    }
+
+    /// Takes the entry at `pos` of level `lvl` out of the ready set.
+    fn take(&mut self, ctx: &mut PolicyCtx<'_>, lvl: usize, pos: usize) -> Option<ThreadId> {
+        let tid = self.queues[lvl].remove(pos)?;
+        if self.queues[lvl].is_empty() {
+            self.mask &= !(1 << lvl);
+        }
+        ctx.clear_in_ready(tid);
+        Some(tid)
+    }
+
+    /// Dequeues the head of the highest level, or with `excluded` (the
+    /// paper's `YieldButNotToMe`) the first entry in (level desc, FIFO)
+    /// order that is not it.
+    fn pop(&mut self, ctx: &mut PolicyCtx<'_>, excluded: Option<ThreadId>) -> Option<ThreadId> {
+        let mut mask = self.mask;
+        while mask != 0 {
+            let lvl = (31 - mask.leading_zeros()) as usize;
+            mask &= !(1 << lvl);
+            let pos = self.queues[lvl].iter().position(|&t| Some(t) != excluded);
+            if let Some(pos) = pos {
+                return self.take(ctx, lvl, pos);
+            }
+        }
+        None
+    }
+
+    /// Removes `tid`, which the caller knows to be queued at `lvl`.
+    fn remove(&mut self, ctx: &mut PolicyCtx<'_>, lvl: usize, tid: ThreadId) {
+        let pos = self.queues[lvl].iter().position(|&t| t == tid);
+        self.take(
+            ctx,
+            lvl,
+            pos.expect("a ready thread is queued at its level"),
+        );
+    }
+
+    /// Is any thread other than `excluded` queued above level `lvl`?
+    /// `excluded` occupies at most one level; it is discounted when it
+    /// is that level's only entry.
+    fn any_above(&self, lvl: usize, excluded: Option<ThreadId>) -> bool {
+        let mut above = self.mask & !((1u32 << (lvl + 1)) - 1);
+        while above != 0 {
+            let l = (31 - above.leading_zeros()) as usize;
+            above &= !(1 << l);
+            if self.queues[l].len() > 1 || self.queues[l].front().copied() != excluded {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Is anything queued at `lvl` or above?
+    fn any_at_or_above(&self, lvl: usize) -> bool {
+        self.mask >> lvl != 0
+    }
+
+    /// How many threads are ready, not counting `excluded`.
+    fn count_excluding(&self, ctx: &PolicyCtx<'_>, excluded: ThreadId) -> usize {
+        let all: usize = self.queues.iter().map(VecDeque::len).sum();
+        all - ctx.in_ready(excluded) as usize
+    }
+
+    /// The `n`-th ready thread in (level asc, FIFO) order, skipping
+    /// `excluded` — the enumeration the daemon's RNG pick indexes into.
+    fn nth_excluding(&self, n: usize, excluded: ThreadId) -> Option<ThreadId> {
+        let ready = self.queues.iter().flatten();
+        ready.copied().filter(|&t| t != excluded).nth(n)
+    }
+}
+
 // ---- round-robin (the paper's scheduler) --------------------------------
 
 /// The paper's dispatcher: 7 strict priorities, FIFO round-robin within
-/// a level, fixed quantum. Per-level intrusive deques live in the shared
-/// queue-node arena; a bitmask finds the highest nonempty level with one
-/// leading-zeros instruction, and mid-queue removals are O(1)
-/// generation-checked tombstones. Behavior (and arena allocation
-/// pattern) is byte-identical to the pre-trait scheduler.
+/// a level, fixed quantum.
+#[derive(Default)]
 pub struct RoundRobin {
-    /// Per-priority ready queues; entries are `(tid, ready_gen)`.
-    queues: [QList; Priority::LEVELS],
-    /// Live-entry count per priority level (tombstones excluded).
-    live: [u32; Priority::LEVELS],
-    /// Bit `i` set iff `live[i] > 0`.
-    mask: u32,
+    /// One FIFO per base priority.
+    ready: LevelQueues,
 }
 
 impl RoundRobin {
     /// An empty ready structure.
     pub fn new() -> Self {
-        RoundRobin {
-            queues: Default::default(),
-            live: [0; Priority::LEVELS],
-            mask: 0,
-        }
-    }
-
-    /// Marks a dequeued level slot dead and updates count and mask. The
-    /// caller has already taken the entry out of (or tombstoned it in)
-    /// the deque.
-    fn mark_dequeued(&mut self, ctx: &mut PolicyCtx<'_>, tid: ThreadId, lvl: usize) {
-        ctx.clear_in_ready(tid);
-        self.live[lvl] -= 1;
-        if self.live[lvl] == 0 {
-            self.mask &= !(1 << lvl);
-            // Whatever remains in the list is tombstones.
-            ctx.arena.clear(&mut self.queues[lvl]);
-        }
-    }
-
-    /// Pops the frontmost *live* entry at `lvl`, dropping tombstones on
-    /// the way. Returns `None` only if the level has no live entry.
-    fn pop_at(&mut self, ctx: &mut PolicyCtx<'_>, lvl: usize) -> Option<ThreadId> {
-        while let Some((tid, gen)) = ctx.arena.pop_front(&mut self.queues[lvl]) {
-            if ctx.is_live(tid, gen) {
-                self.mark_dequeued(ctx, tid, lvl);
-                return Some(tid);
-            }
-        }
-        None
-    }
-}
-
-impl Default for RoundRobin {
-    fn default() -> Self {
-        RoundRobin::new()
+        RoundRobin::default()
     }
 }
 
@@ -327,54 +363,16 @@ impl Scheduler for RoundRobin {
     }
 
     fn on_ready(&mut self, ctx: &mut PolicyCtx<'_>, tid: ThreadId, front: bool, _wakeup: bool) {
-        let gen = ctx.ready_gen(tid);
-        let lvl = ctx.prio_index(tid);
-        if front {
-            ctx.arena.push_front(&mut self.queues[lvl], tid, gen);
-        } else {
-            ctx.arena.push_back(&mut self.queues[lvl], tid, gen);
-        }
-        self.live[lvl] += 1;
-        self.mask |= 1 << lvl;
+        self.ready.push(ctx.prio_index(tid), tid, front);
     }
 
     fn next(&mut self, ctx: &mut PolicyCtx<'_>, excluded: Option<ThreadId>) -> Option<ThreadId> {
-        let Some(ex) = excluded else {
-            // Hot path: one leading-zeros instruction finds the highest
-            // nonempty priority; the pop drops tombstones lazily.
-            if self.mask == 0 {
-                return None;
-            }
-            let lvl = (31 - self.mask.leading_zeros()) as usize;
-            return self.pop_at(ctx, lvl);
-        };
-        // Exclusion path (YieldButNotToMe): scan for the first live
-        // non-excluded entry, then unlink it in O(1). Skip levels whose
-        // only live entry is the excluded thread itself.
-        let mut mask = self.mask;
-        while mask != 0 {
-            let lvl = (31 - mask.leading_zeros()) as usize;
-            mask &= !(1 << lvl);
-            if ctx.in_ready(ex) && ctx.prio_index(ex) == lvl && self.live[lvl] == 1 {
-                continue;
-            }
-            let hit = ctx
-                .arena
-                .iter(&self.queues[lvl])
-                .find(|&(_, tid, gen)| tid != ex && ctx.is_live(tid, gen));
-            if let Some((node, tid, _)) = hit {
-                ctx.arena.unlink(&mut self.queues[lvl], node);
-                self.mark_dequeued(ctx, tid, lvl);
-                return Some(tid);
-            }
-        }
-        None
+        self.ready.pop(ctx, excluded)
     }
 
     fn remove(&mut self, ctx: &mut PolicyCtx<'_>, tid: ThreadId) {
-        // O(1): the queue entry stays behind as a tombstone.
         let lvl = ctx.prio_index(tid);
-        self.mark_dequeued(ctx, tid, lvl);
+        self.ready.remove(ctx, lvl, tid);
     }
 
     fn preempts(
@@ -383,58 +381,24 @@ impl Scheduler for RoundRobin {
         running: ThreadId,
         excluded: Option<ThreadId>,
     ) -> bool {
-        let prio = ctx.prio_index(running);
-        let above = self.mask & !((1u32 << (prio + 1)) - 1);
-        let Some(ex) = excluded else {
-            return above != 0;
-        };
-        if above == 0 {
-            return false;
-        }
-        // The excluded thread occupies at most one level; discount it
-        // when it is that level's only live entry.
-        if ctx.in_ready(ex) {
-            let lvl = ctx.prio_index(ex);
-            if lvl > prio && self.live[lvl] == 1 {
-                return above & !(1 << lvl) != 0;
-            }
-        }
-        true
+        self.ready.any_above(ctx.prio_index(running), excluded)
     }
 
     fn has_competitor(&mut self, ctx: &mut PolicyCtx<'_>, running: ThreadId) -> bool {
-        self.mask >> ctx.prio_index(running) != 0
+        self.ready.any_at_or_above(ctx.prio_index(running))
     }
 
     fn ready_count_excluding(&self, ctx: &PolicyCtx<'_>, excluded: ThreadId) -> usize {
-        let mut n: usize = self.live.iter().map(|&c| c as usize).sum();
-        if ctx.in_ready(excluded) {
-            n -= 1;
-        }
-        n
+        self.ready.count_excluding(ctx, excluded)
     }
 
     fn nth_ready_excluding(
         &self,
-        ctx: &PolicyCtx<'_>,
+        _ctx: &PolicyCtx<'_>,
         n: usize,
         excluded: ThreadId,
     ) -> Option<ThreadId> {
-        // Live entries in (level, FIFO) order — the same order the
-        // pre-tombstone queues had, so the daemon's RNG pick lands on
-        // the same thread.
-        let mut seen = 0usize;
-        for lvl in 0..Priority::LEVELS {
-            for (_, t, gen) in ctx.arena.iter(&self.queues[lvl]) {
-                if t != excluded && ctx.is_live(t, gen) {
-                    if seen == n {
-                        return Some(t);
-                    }
-                    seen += 1;
-                }
-            }
-        }
-        None
+        self.ready.nth_excluding(n, excluded)
     }
 }
 
@@ -701,16 +665,12 @@ impl Scheduler for Lottery {
 /// whenever it wakes from blocking — so interactive threads hover near
 /// the top while compute-bound spinners sink. Higher levels run with
 /// shorter timeslices (`default / (1 + level)`), the classic MLFQ
-/// interactivity trade. Queue mechanics (intrusive per-level deques,
-/// tombstone removal) match [`RoundRobin`], indexed by the *effective*
-/// level instead of the base priority.
+/// interactivity trade. The ready structure is [`RoundRobin`]'s, indexed
+/// by the *effective* level instead of the base priority.
+#[derive(Default)]
 pub struct Mlfq {
-    /// Per-level ready queues; entries are `(tid, ready_gen)`.
-    queues: [QList; Priority::LEVELS],
-    /// Live-entry count per level.
-    live: [u32; Priority::LEVELS],
-    /// Bit `i` set iff `live[i] > 0`.
-    mask: u32,
+    /// One FIFO per feedback level.
+    ready: LevelQueues,
     /// Effective feedback level per thread (`NO_LEVEL` until first seen).
     level: Vec<u8>,
 }
@@ -721,12 +681,7 @@ const NO_LEVEL: u8 = u8::MAX;
 impl Mlfq {
     /// An empty feedback queue.
     pub fn new() -> Self {
-        Mlfq {
-            queues: Default::default(),
-            live: [0; Priority::LEVELS],
-            mask: 0,
-            level: Vec::new(),
-        }
+        Mlfq::default()
     }
 
     /// The thread's effective level, initialized to its base priority's
@@ -738,31 +693,6 @@ impl Mlfq {
             self.level[idx] = ctx.prio_index(tid) as u8;
         }
         self.level[idx] as usize
-    }
-
-    fn mark_dequeued(&mut self, ctx: &mut PolicyCtx<'_>, tid: ThreadId, lvl: usize) {
-        ctx.clear_in_ready(tid);
-        self.live[lvl] -= 1;
-        if self.live[lvl] == 0 {
-            self.mask &= !(1 << lvl);
-            ctx.arena.clear(&mut self.queues[lvl]);
-        }
-    }
-
-    fn pop_at(&mut self, ctx: &mut PolicyCtx<'_>, lvl: usize) -> Option<ThreadId> {
-        while let Some((tid, gen)) = ctx.arena.pop_front(&mut self.queues[lvl]) {
-            if ctx.is_live(tid, gen) {
-                self.mark_dequeued(ctx, tid, lvl);
-                return Some(tid);
-            }
-        }
-        None
-    }
-}
-
-impl Default for Mlfq {
-    fn default() -> Self {
-        Mlfq::new()
     }
 }
 
@@ -782,48 +712,16 @@ impl Scheduler for Mlfq {
         } else {
             self.level_of(ctx, tid)
         };
-        let gen = ctx.ready_gen(tid);
-        if front {
-            ctx.arena.push_front(&mut self.queues[lvl], tid, gen);
-        } else {
-            ctx.arena.push_back(&mut self.queues[lvl], tid, gen);
-        }
-        self.live[lvl] += 1;
-        self.mask |= 1 << lvl;
+        self.ready.push(lvl, tid, front);
     }
 
     fn next(&mut self, ctx: &mut PolicyCtx<'_>, excluded: Option<ThreadId>) -> Option<ThreadId> {
-        let Some(ex) = excluded else {
-            if self.mask == 0 {
-                return None;
-            }
-            let lvl = (31 - self.mask.leading_zeros()) as usize;
-            return self.pop_at(ctx, lvl);
-        };
-        let ex_lvl = self.level_of(ctx, ex);
-        let mut mask = self.mask;
-        while mask != 0 {
-            let lvl = (31 - mask.leading_zeros()) as usize;
-            mask &= !(1 << lvl);
-            if ctx.in_ready(ex) && ex_lvl == lvl && self.live[lvl] == 1 {
-                continue;
-            }
-            let hit = ctx
-                .arena
-                .iter(&self.queues[lvl])
-                .find(|&(_, tid, gen)| tid != ex && ctx.is_live(tid, gen));
-            if let Some((node, tid, _)) = hit {
-                ctx.arena.unlink(&mut self.queues[lvl], node);
-                self.mark_dequeued(ctx, tid, lvl);
-                return Some(tid);
-            }
-        }
-        None
+        self.ready.pop(ctx, excluded)
     }
 
     fn remove(&mut self, ctx: &mut PolicyCtx<'_>, tid: ThreadId) {
         let lvl = self.level_of(ctx, tid);
-        self.mark_dequeued(ctx, tid, lvl);
+        self.ready.remove(ctx, lvl, tid);
     }
 
     fn preempts(
@@ -833,24 +731,12 @@ impl Scheduler for Mlfq {
         excluded: Option<ThreadId>,
     ) -> bool {
         let lvl = self.level_of(ctx, running);
-        let above = self.mask & !((1u32 << (lvl + 1)) - 1);
-        let Some(ex) = excluded else {
-            return above != 0;
-        };
-        if above == 0 {
-            return false;
-        }
-        if ctx.in_ready(ex) {
-            let ex_lvl = self.level_of(ctx, ex);
-            if ex_lvl > lvl && self.live[ex_lvl] == 1 {
-                return above & !(1 << ex_lvl) != 0;
-            }
-        }
-        true
+        self.ready.any_above(lvl, excluded)
     }
 
     fn has_competitor(&mut self, ctx: &mut PolicyCtx<'_>, running: ThreadId) -> bool {
-        self.mask >> self.level_of(ctx, running) != 0
+        let lvl = self.level_of(ctx, running);
+        self.ready.any_at_or_above(lvl)
     }
 
     fn timeslice(&self, tid: ThreadId, _priority: Priority, default: SimDuration) -> SimDuration {
@@ -879,31 +765,16 @@ impl Scheduler for Mlfq {
     }
 
     fn ready_count_excluding(&self, ctx: &PolicyCtx<'_>, excluded: ThreadId) -> usize {
-        let mut n: usize = self.live.iter().map(|&c| c as usize).sum();
-        if ctx.in_ready(excluded) {
-            n -= 1;
-        }
-        n
+        self.ready.count_excluding(ctx, excluded)
     }
 
     fn nth_ready_excluding(
         &self,
-        ctx: &PolicyCtx<'_>,
+        _ctx: &PolicyCtx<'_>,
         n: usize,
         excluded: ThreadId,
     ) -> Option<ThreadId> {
-        let mut seen = 0usize;
-        for lvl in 0..Priority::LEVELS {
-            for (_, t, gen) in ctx.arena.iter(&self.queues[lvl]) {
-                if t != excluded && ctx.is_live(t, gen) {
-                    if seen == n {
-                        return Some(t);
-                    }
-                    seen += 1;
-                }
-            }
-        }
-        None
+        self.ready.nth_excluding(n, excluded)
     }
 }
 

@@ -235,15 +235,27 @@ impl ServeReport {
     }
 
     /// Parses a stored `threadstudy-serve-v1` file back (for
-    /// `--baseline`).
+    /// `--baseline`). The fields [`Self::compare_baseline`] gates on —
+    /// `latency_us.{p50,p99,p999}`, `goodput_per_sec`, `amplification` —
+    /// must be present and numeric: a damaged baseline is an error, not
+    /// a zero every run beats.
     pub fn from_json(j: &Json) -> Result<ServeReport, String> {
         let schema = j.get("schema").and_then(|s| s.as_str()).unwrap_or("");
         if schema != "threadstudy-serve-v1" {
             return Err(format!("unsupported serve schema {schema:?}"));
         }
         let u = |key: &str| -> u64 { j.get(key).and_then(|v| v.as_u64()).unwrap_or(0) };
-        let f = |key: &str| -> f64 { j.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0) };
         let lat = j.get("latency_us");
+        let gate_u = |key: &str| -> Result<u64, String> {
+            lat.and_then(|l| l.get(key))
+                .and_then(|v| v.as_u64())
+                .ok_or_else(|| format!("latency_us.{key} is missing or not a number"))
+        };
+        let gate_f = |key: &str| -> Result<f64, String> {
+            j.get(key)
+                .and_then(|v| v.as_f64())
+                .ok_or_else(|| format!("{key} is missing or not a number"))
+        };
         let lu = |key: &str| -> u64 {
             lat.and_then(|l| l.get(key))
                 .and_then(|v| v.as_u64())
@@ -307,9 +319,9 @@ impl ServeReport {
                 .unwrap_or("")
                 .to_string(),
             end_us: u("end_us"),
-            p50_us: lu("p50"),
-            p99_us: lu("p99"),
-            p999_us: lu("p999"),
+            p50_us: gate_u("p50")?,
+            p99_us: gate_u("p99")?,
+            p999_us: gate_u("p999")?,
             max_us: lu("max"),
             mean_us: lu("mean"),
             histogram: j
@@ -325,8 +337,8 @@ impl ServeReport {
                 })
                 .unwrap_or_default(),
             counters,
-            goodput_per_sec: f("goodput_per_sec"),
-            amplification: f("amplification"),
+            goodput_per_sec: gate_f("goodput_per_sec")?,
+            amplification: gate_f("amplification")?,
             budget_suppressed: u("budget_suppressed"),
             codel_drops: u("codel_drops"),
             breaker_trips: u("breaker_trips"),

@@ -22,7 +22,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod contention;
 pub mod diff;
 pub mod export;
 mod genealogy;
@@ -33,7 +32,6 @@ mod rates;
 mod tables;
 mod timeline;
 
-pub use contention::{ContentionCollector, MonitorContention};
 pub use diff::{chaos_event_for_fault, diff_runs, parse_jsonl, DiffReport, CHAOS_KINDS};
 pub use export::chrome::{chrome_trace, write_chrome, TraceLabels};
 pub use export::{write_jsonl, EventRecord, OwnedEventRecord};

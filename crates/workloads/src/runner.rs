@@ -46,7 +46,7 @@ pub struct BenchResult {
     /// (§6.1), hottest monitor first.
     pub contention: Vec<MonitorProfileRow>,
     /// Allocation/reuse deltas for the sim's pooled resources (timer
-    /// slab, queue-node arena, coroutine-stack pool) over the measurement
+    /// slab, coroutine-stack pool) over the measurement
     /// window. At steady state the `*_allocs` components should be near
     /// zero: the warm-up populates the pools and the window reuses them.
     pub alloc: AllocCounters,
