@@ -8,6 +8,9 @@
 //! signature, 8 serve SLO breach. When several conditions accumulate,
 //! the largest code wins.
 
+use std::fs::File;
+use std::io::{BufWriter, Write as _};
+
 use bench::exit;
 use pcr::secs;
 
@@ -272,15 +275,28 @@ fn trace_cmd(
         }
         (c, _) => c,
     };
+    // An unwritable path is the user's to fix, not a panic.
+    let export = |path: &str, write: &dyn Fn(&mut BufWriter<File>) -> std::io::Result<()>| {
+        let written = File::create(path).and_then(|f| {
+            let mut w = BufWriter::new(f);
+            write(&mut w)?;
+            w.flush()
+        });
+        match &written {
+            Ok(()) => eprintln!("wrote {path}"),
+            Err(e) => eprintln!("cannot write {path}: {e}"),
+        }
+        written.is_ok()
+    };
     if let Some(path) = chrome_path {
-        let f = std::fs::File::create(path).expect("create chrome trace");
-        trace::write_chrome(&events, &labels, std::io::BufWriter::new(f)).expect("write chrome");
-        eprintln!("wrote {path}");
+        if !export(path, &|w| trace::write_chrome(&events, &labels, w)) {
+            return exit::IO;
+        }
     }
     if let Some(path) = jsonl_path {
-        let f = std::fs::File::create(path).expect("create jsonl trace");
-        trace::write_jsonl(&events, std::io::BufWriter::new(f)).expect("write jsonl");
-        eprintln!("wrote {path}");
+        if !export(path, &|w| trace::write_jsonl(&events, w).map(drop)) {
+            return exit::IO;
+        }
     }
     println!(
         "trace: Cedar/Keyboard, {} of virtual time, {} events{}",
@@ -294,7 +310,7 @@ fn trace_cmd(
 /// `repro diff`: align two JSONL traces and report the deltas; with
 /// `--schedule`, also name the fault sites a stored schedule injects.
 fn diff_cmd(path_a: &str, path_b: &str, threshold_pct: f64, schedule: Option<&str>) -> i32 {
-    let load = |path: &str| -> Vec<trace::OwnedEventRecord> {
+    let load = |path: &str| -> Vec<trace::EventRecord> {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("cannot read {path}: {e}");
             std::process::exit(exit::IO);

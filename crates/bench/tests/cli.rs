@@ -185,6 +185,39 @@ fn diff_of_identical_runs_is_clean_and_chaos_names_a_fault_site() {
 }
 
 #[test]
+fn diff_of_a_file_of_brackets_is_a_parse_error_not_a_stack_overflow() {
+    let path = std::env::temp_dir().join(format!("brackets-{}.jsonl", std::process::id()));
+    std::fs::write(&path, "[".repeat(200_000)).unwrap();
+    let out = repro()
+        .arg("diff")
+        .args([&path, &path])
+        .output()
+        .expect("spawn repro");
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(6), "stderr:\n{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("nesting deeper than 128"), "{stderr}");
+}
+
+#[test]
+fn trace_to_an_unwritable_path_is_an_io_error_not_a_panic() {
+    for flag in ["--chrome", "--jsonl"] {
+        let out = repro()
+            .args(["trace", "--window", "1", flag, "/nonexistent/x.json"])
+            .output()
+            .expect("spawn repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(6), "{flag} stderr:\n{stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+        assert!(
+            stderr.starts_with("cannot write /nonexistent/x.json: "),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
 fn help_documents_the_exit_codes() {
     let out = repro().arg("help").output().expect("spawn repro");
     let stdout = String::from_utf8_lossy(&out.stdout);

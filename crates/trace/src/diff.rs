@@ -8,7 +8,7 @@
 //! the fault kinds appear in the per-kind deltas, and the first
 //! divergence pinpoints the earliest injected event.
 
-use crate::export::OwnedEventRecord;
+use crate::export::EventRecord;
 use std::collections::BTreeMap;
 
 /// Event kinds that only fault injection produces; the diff names these
@@ -39,15 +39,14 @@ pub fn chaos_event_for_fault(tag: &str) -> Option<&'static str> {
     }
 }
 
-/// Parses a JSONL trace (one [`OwnedEventRecord`] per line, as written
-/// by [`crate::write_jsonl`]). Blank lines are skipped.
-pub fn parse_jsonl(text: &str) -> Result<Vec<OwnedEventRecord>, String> {
+/// Parses a JSONL trace (one [`EventRecord`] per line, as written
+/// by [`crate::write_jsonl`]). Blank lines are skipped; an error names
+/// the 1-based line it is on.
+pub fn parse_jsonl(text: &str) -> Result<Vec<EventRecord>, String> {
     text.lines()
         .enumerate()
         .filter(|(_, l)| !l.trim().is_empty())
-        .map(|(i, l)| {
-            OwnedEventRecord::from_jsonl_line(l).map_err(|e| format!("line {}: {e}", i + 1))
-        })
+        .map(|(i, l)| EventRecord::from_jsonl_line(l).map_err(|e| format!("line {}: {e}", i + 1)))
         .collect()
 }
 
@@ -86,9 +85,9 @@ pub struct Divergence {
     /// Index into both event sequences.
     pub index: usize,
     /// The record run A has there (`None` if A ended).
-    pub a: Option<OwnedEventRecord>,
+    pub a: Option<EventRecord>,
     /// The record run B has there (`None` if B ended).
-    pub b: Option<OwnedEventRecord>,
+    pub b: Option<EventRecord>,
 }
 
 /// Everything [`diff_runs`] measures.
@@ -104,7 +103,7 @@ pub struct DiffReport {
     pub kind_deltas: Vec<KindDelta>,
     /// Injected-fault kinds present in exactly one run, with their first
     /// occurrence — the "fault sites" a chaos-vs-clean diff must name.
-    pub fault_sites: Vec<(String, OwnedEventRecord)>,
+    pub fault_sites: Vec<(String, EventRecord)>,
     /// Mean wakeup-to-run latency (µs) per run, from switch records.
     pub mean_latency_us: (f64, f64),
     /// Contended monitor-enter counts per run.
@@ -136,7 +135,7 @@ impl DiffReport {
             return out;
         }
         if let Some(d) = &self.first_divergence {
-            let fmt = |r: &Option<OwnedEventRecord>| match r {
+            let fmt = |r: &Option<EventRecord>| match r {
                 Some(r) => {
                     let mut s = format!("t={}us kind={}", r.t_us, r.kind);
                     if let Some(d) = &r.detail {
@@ -184,15 +183,15 @@ impl DiffReport {
     }
 }
 
-fn counts(events: &[OwnedEventRecord]) -> BTreeMap<String, u64> {
+fn counts(events: &[EventRecord]) -> BTreeMap<&str, u64> {
     let mut m = BTreeMap::new();
     for e in events {
-        *m.entry(e.kind.clone()).or_insert(0) += 1;
+        *m.entry(&*e.kind).or_insert(0) += 1;
     }
     m
 }
 
-fn ready_us(r: &OwnedEventRecord) -> Option<u64> {
+fn ready_us(r: &EventRecord) -> Option<u64> {
     let detail = r.detail.as_deref()?;
     let at = detail.find("ready_us=")?;
     let rest = &detail[at + "ready_us=".len()..];
@@ -202,7 +201,7 @@ fn ready_us(r: &OwnedEventRecord) -> Option<u64> {
     rest[..end].parse().ok()
 }
 
-fn mean_latency(events: &[OwnedEventRecord]) -> f64 {
+fn mean_latency(events: &[EventRecord]) -> f64 {
     let waits: Vec<u64> = events
         .iter()
         .filter(|e| e.kind == "switch")
@@ -215,7 +214,7 @@ fn mean_latency(events: &[OwnedEventRecord]) -> f64 {
     }
 }
 
-fn contended(events: &[OwnedEventRecord]) -> u64 {
+fn contended(events: &[EventRecord]) -> u64 {
     events
         .iter()
         .filter(|e| e.kind == "ml_enter" && e.detail.as_deref() == Some("contended"))
@@ -246,16 +245,16 @@ fn contended(events: &[OwnedEventRecord]) -> u64 {
 /// assert!(!report.is_clean());
 /// assert_eq!(report.fault_sites[0].0, "spurious_wakeup");
 /// ```
-pub fn diff_runs(a: &[OwnedEventRecord], b: &[OwnedEventRecord], threshold_pct: f64) -> DiffReport {
+pub fn diff_runs(a: &[EventRecord], b: &[EventRecord], threshold_pct: f64) -> DiffReport {
     let ca = counts(a);
     let cb = counts(b);
-    let mut kinds: Vec<&String> = ca.keys().chain(cb.keys()).collect();
-    kinds.sort();
+    let mut kinds: Vec<&str> = ca.keys().chain(cb.keys()).copied().collect();
+    kinds.sort_unstable();
     kinds.dedup();
     let mut kind_deltas: Vec<KindDelta> = kinds
         .into_iter()
         .map(|k| KindDelta {
-            kind: k.clone(),
+            kind: k.to_string(),
             a: ca.get(k).copied().unwrap_or(0),
             b: cb.get(k).copied().unwrap_or(0),
         })
@@ -268,7 +267,7 @@ pub fn diff_runs(a: &[OwnedEventRecord], b: &[OwnedEventRecord], threshold_pct: 
             .then_with(|| x.kind.cmp(&y.kind))
     });
 
-    let fault_sites: Vec<(String, OwnedEventRecord)> = CHAOS_KINDS
+    let fault_sites: Vec<(String, EventRecord)> = CHAOS_KINDS
         .iter()
         .filter(|&&k| (ca.contains_key(k)) != (cb.contains_key(k)))
         .filter_map(|&k| {
@@ -303,10 +302,10 @@ pub fn diff_runs(a: &[OwnedEventRecord], b: &[OwnedEventRecord], threshold_pct: 
 mod tests {
     use super::*;
 
-    fn rec(t: u64, kind: &str) -> OwnedEventRecord {
-        OwnedEventRecord {
+    fn rec(t: u64, kind: &str) -> EventRecord {
+        EventRecord {
             t_us: t,
-            kind: kind.to_string(),
+            kind: kind.to_string().into(),
             tid: Some(1),
             other: None,
             monitor: None,
@@ -375,6 +374,35 @@ mod tests {
     fn parse_jsonl_reports_the_bad_line() {
         let err = parse_jsonl("{\"t_us\":1,\"kind\":\"fork\"}\nnot json").unwrap_err();
         assert!(err.starts_with("line 2:"), "{err}");
+    }
+
+    #[test]
+    #[rustfmt::skip] // A table of literal lines.
+    fn parse_jsonl_reads_a_line_as_a_field_lookup_would() {
+        let first = |text: &str| parse_jsonl(text).unwrap().remove(0);
+        // Unknown keys are ignored and the first of a repeated key wins.
+        let r = first(r#"{"t_us":1,"x":{"y":[1]},"kind":"fork","tid":2,"tid":"x","kind":7}"#);
+        assert_eq!((r.t_us, &*r.kind, r.tid), (1, "fork", Some(2)));
+        // A kind this build does not emit is kept; a non-string detail is not.
+        let r = first(r#"{"t_us":1,"kind":"from_the_future","detail":7,"detail":"late"}"#);
+        assert_eq!((&*r.kind, r.detail), ("from_the_future", None));
+        // Blank lines are skipped, and still counted.
+        assert_eq!(parse_jsonl("\n  \n{\"t_us\":1,\"kind\":\"fork\"}\n\n").unwrap().len(), 1);
+        for (text, message) in [
+            (r#"{"t_us":1,"kind":"fork","tid":"x"}"#, "line 1: bad tid field"),
+            (r#"{"t_us":1,"kind":"fork","tid":4294967296}"#, "line 1: bad tid field"),
+            (r#"{"t_us":1,"kind":"fork","cv":null}"#, "line 1: bad cv field"),
+            (r#"{"kind":"fork","tid":"x"}"#, "line 1: record missing t_us"),
+            (r#"{"t_us":-1,"kind":"fork"}"#, "line 1: record missing t_us"),
+            (r#"{"t_us":1,"tid":"x"}"#, "line 1: record missing kind"),
+            (r#"{"t_us":1,"kind":null}"#, "line 1: record missing kind"),
+            ("[1]", "line 1: record missing t_us"),
+            ("\n\n{\"t_us\":1,\"kind\":\"fork\"} x", "line 3: trailing data at byte 25"),
+            (r#"{"t_us":1,"kind":"fork",}"#, "line 1: expected '\"' at byte 24"),
+            (r#"{"t_us":1 "kind":"fork"}"#, "line 1: expected ',' or '}' at byte 10"),
+        ] {
+            assert_eq!(parse_jsonl(text).unwrap_err(), message, "{text}");
+        }
     }
 
     #[test]

@@ -4,22 +4,37 @@
 //! provides the modern equivalent: JSON Lines export of the event
 //! stream as flattened records, so external tooling (plots, diffing
 //! runs) can consume the reproduction's output.
+//!
+//! Both directions skip the [`Json`](crate::Json) tree. [`write_jsonl`]
+//! formats each [`Event`] straight into one reused line buffer: the
+//! fixed keys as literals, the numbers through a digit buffer, the
+//! `detail` text written in place through the escaper. An
+//! [`EventRecord`] exists only on the reading side, where
+//! [`EventRecord::from_jsonl_line`] scans a line's known keys into it and
+//! interns `kind` against [`KIND_TAGS`], the tags the writer emits. Built
+//! as a tree first, an event cost 802 ns to write and 617 ns to read
+//! back, more than the 520 ns it costs to simulate; direct, 72 and
+//! 240 ns (docs/OBSERVABILITY.md has the table).
 
+use std::borrow::Cow;
+use std::fmt::Write as _;
 use std::io::Write;
 
-use pcr::{Event, EventKind};
+use pcr::{Event, EventKind, ThreadId};
 
-use crate::json::Json;
+use crate::json::{write_uint, Escaper, Parser};
 
 pub mod chrome;
 
-/// A flattened, serializable view of one runtime event.
-#[derive(Debug, Clone)]
+/// One line of a JSONL trace, read back: a flattened runtime event.
+#[derive(Debug, Clone, PartialEq)]
 pub struct EventRecord {
     /// Microseconds since simulation start.
     pub t_us: u64,
-    /// Event kind tag (e.g. "switch", "ml_enter").
-    pub kind: &'static str,
+    /// Event kind tag (e.g. "switch", "ml_enter"): one of [`KIND_TAGS`],
+    /// borrowed, or owned when the file names a kind this build does not
+    /// emit.
+    pub kind: Cow<'static, str>,
     /// Primary thread involved.
     pub tid: Option<u32>,
     /// Secondary thread (fork child, switch target, notify wakee...).
@@ -32,266 +47,223 @@ pub struct EventRecord {
     pub detail: Option<String>,
 }
 
-/// An [`EventRecord`] read back from JSONL, with the `kind` tag owned
-/// (the static tag table only covers events this build knows about).
-#[derive(Debug, Clone, PartialEq)]
-pub struct OwnedEventRecord {
-    /// Microseconds since simulation start.
-    pub t_us: u64,
-    /// Event kind tag (e.g. "switch", "ml_enter").
-    pub kind: String,
-    /// Primary thread involved.
-    pub tid: Option<u32>,
-    /// Secondary thread (fork child, switch target, notify wakee...).
-    pub other: Option<u32>,
-    /// Monitor id, when relevant.
-    pub monitor: Option<u32>,
-    /// Condition id, when relevant.
-    pub cv: Option<u32>,
-    /// Extra detail (priority, contended flag, outcome...).
-    pub detail: Option<String>,
-}
+/// Defines the writer's tag for each [`EventKind`] variant and, from the
+/// same list, the table the reader interns against.
+macro_rules! kind_tags {
+    ($($variant:ident => $tag:literal,)*) => {
+        /// Every `kind` tag [`write_jsonl`] emits, one per [`EventKind`] variant.
+        pub const KIND_TAGS: [&str; 27] = [$($tag),*];
 
-impl OwnedEventRecord {
-    /// Reads one record back from its [`EventRecord::to_json`] form.
-    pub fn from_json(v: &Json) -> Result<OwnedEventRecord, String> {
-        let t_us = v
-            .get("t_us")
-            .and_then(Json::as_u64)
-            .ok_or("record missing t_us")?;
-        let kind = v
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or("record missing kind")?
-            .to_string();
-        let field_u32 = |key: &str| -> Result<Option<u32>, String> {
-            match v.get(key) {
-                None => Ok(None),
-                Some(n) => n
-                    .as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .map(Some)
-                    .ok_or_else(|| format!("bad {key} field")),
+        fn tag(kind: &EventKind) -> &'static str {
+            match kind {
+                $(EventKind::$variant { .. } => $tag,)*
             }
-        };
-        Ok(OwnedEventRecord {
-            t_us,
-            kind,
-            tid: field_u32("tid")?,
-            other: field_u32("other")?,
-            monitor: field_u32("monitor")?,
-            cv: field_u32("cv")?,
-            detail: v.get("detail").and_then(Json::as_str).map(str::to_string),
-        })
-    }
-
-    /// One line of JSONL, parsed.
-    pub fn from_jsonl_line(line: &str) -> Result<OwnedEventRecord, String> {
-        OwnedEventRecord::from_json(&Json::parse(line)?)
-    }
+        }
+    };
 }
+
+kind_tags! {
+    Fork => "fork",
+    Exit => "exit",
+    Join => "join",
+    Detach => "detach",
+    Switch => "switch",
+    QuantumExpired => "quantum_expired",
+    MlEnter => "ml_enter",
+    MlAcquired => "ml_acquired",
+    MlExit => "ml_exit",
+    CvWait => "cv_wait",
+    CvWake => "cv_wake",
+    Notify => "notify",
+    Broadcast => "broadcast",
+    SpuriousLockConflict => "spurious_lock_conflict",
+    Yield => "yield",
+    SetPriority => "set_priority",
+    Sleep => "sleep",
+    DaemonDonation => "daemon_donation",
+    ForkBlocked => "fork_blocked",
+    ForkFailed => "fork_failed",
+    MetalockStall => "metalock_stall",
+    SpuriousWakeup => "spurious_wakeup",
+    NotifyDropped => "notify_dropped",
+    NotifyDuplicated => "notify_duplicated",
+    ChaosStall => "chaos_stall",
+    ChaosForkFail => "chaos_fork_fail",
+    JoinBlocked => "join_blocked",
+}
+
+/// The optional id fields, in the order a line carries them.
+const ID_KEYS: [&str; 4] = ["tid", "other", "monitor", "cv"];
 
 impl EventRecord {
-    /// The record as a JSON object; `None` fields are omitted, matching
-    /// the previous serde `skip_serializing_if` layout.
-    pub fn to_json(&self) -> Json {
-        let mut obj = Json::obj([
-            ("t_us", Json::from(self.t_us)),
-            ("kind", Json::from(self.kind)),
-        ]);
-        if let Some(tid) = self.tid {
-            obj.push("tid", Json::from(tid));
+    /// Reads one line of JSONL. Unknown keys are ignored and the first
+    /// of a repeated key wins, as when looking fields up in a parsed
+    /// object; `detail` reads as `None` unless it is a string.
+    pub fn from_jsonl_line(line: &str) -> Result<EventRecord, String> {
+        let mut p = Parser::new(line);
+        p.skip_ws();
+        if p.peek() != Some(b'{') {
+            // Not an object: a syntax error, or a value with no fields.
+            p.value()?;
+            p.finish()?;
+            return Err("record missing t_us".to_string());
         }
-        if let Some(other) = self.other {
-            obj.push("other", Json::from(other));
-        }
-        if let Some(monitor) = self.monitor {
-            obj.push("monitor", Json::from(monitor));
-        }
-        if let Some(cv) = self.cv {
-            obj.push("cv", Json::from(cv));
-        }
-        if let Some(detail) = &self.detail {
-            obj.push("detail", Json::from(detail.clone()));
-        }
-        obj
+        // Outer `None`: key not seen yet. Inner `None`: seen, wrong type.
+        let (mut t_us, mut kind, mut detail, mut ids) = (None, None, None, [None; 4]);
+        p.fields(|p, key| {
+            match (&*key, p.peek()) {
+                // The two strings are read without passing through a value.
+                ("kind", Some(b'"')) if kind.is_none() => {
+                    let tag = p.string()?;
+                    kind = Some(Some(match KIND_TAGS.iter().find(|t| **t == tag) {
+                        Some(known) => Cow::Borrowed(*known),
+                        None => Cow::Owned(tag.into_owned()),
+                    }));
+                }
+                ("detail", Some(b'"')) if detail.is_none() => {
+                    detail = Some(Some(p.string()?.into_owned()));
+                }
+                (name, _) => {
+                    let v = p.value()?;
+                    match name {
+                        "t_us" => t_us = t_us.or(Some(v.as_u64())),
+                        "kind" => kind = kind.take().or(Some(None)),
+                        "detail" => detail = detail.take().or(Some(None)),
+                        _ => {
+                            if let Some(slot) = ID_KEYS.iter().position(|k| *k == name) {
+                                let id = v.as_u64().and_then(|n| u32::try_from(n).ok());
+                                ids[slot] = ids[slot].or(Some(id));
+                            }
+                        }
+                    }
+                }
+            }
+            Ok(())
+        })?;
+        p.finish()?;
+        let id = |slot: usize| match ids[slot] {
+            Some(None) => Err(format!("bad {} field", ID_KEYS[slot])),
+            seen => Ok(seen.flatten()),
+        };
+        Ok(EventRecord {
+            t_us: t_us.flatten().ok_or("record missing t_us")?,
+            kind: kind.flatten().ok_or("record missing kind")?,
+            tid: id(0)?,
+            other: id(1)?,
+            monitor: id(2)?,
+            cv: id(3)?,
+            detail: detail.flatten(),
+        })
     }
 }
 
-impl From<&Event> for EventRecord {
-    fn from(ev: &Event) -> Self {
-        let mut r = EventRecord {
-            t_us: ev.t.as_micros(),
-            kind: "other",
-            tid: None,
-            other: None,
-            monitor: None,
-            cv: None,
-            detail: None,
-        };
-        match ev.kind {
-            EventKind::Fork {
-                parent,
-                child,
-                priority,
-                generation,
-            } => {
-                r.kind = "fork";
-                r.tid = parent.map(|t| t.as_u32());
-                r.other = Some(child.as_u32());
-                r.detail = Some(format!("prio={priority} gen={generation}"));
-            }
-            EventKind::Exit { tid, panicked } => {
-                r.kind = "exit";
-                r.tid = Some(tid.as_u32());
-                r.detail = panicked.then(|| "panicked".to_string());
-            }
-            EventKind::Join { joiner, target } => {
-                r.kind = "join";
-                r.tid = Some(joiner.as_u32());
-                r.other = Some(target.as_u32());
-            }
-            EventKind::Detach { tid, target } => {
-                r.kind = "detach";
-                r.tid = Some(tid.as_u32());
-                r.other = Some(target.as_u32());
-            }
-            EventKind::Switch {
-                from,
-                to,
-                to_priority,
-                ready_for,
-            } => {
-                r.kind = "switch";
-                r.tid = from.map(|t| t.as_u32());
-                r.other = Some(to.as_u32());
-                r.detail = Some(format!(
-                    "prio={to_priority} ready_us={}",
-                    ready_for.as_micros()
-                ));
-            }
-            EventKind::QuantumExpired { tid } => {
-                r.kind = "quantum_expired";
-                r.tid = Some(tid.as_u32());
-            }
-            EventKind::MlEnter {
-                tid,
-                monitor,
-                contended,
-            } => {
-                r.kind = "ml_enter";
-                r.tid = Some(tid.as_u32());
-                r.monitor = Some(monitor.as_u32());
-                r.detail = contended.then(|| "contended".to_string());
-            }
-            EventKind::MlAcquired { tid, monitor } => {
-                r.kind = "ml_acquired";
-                r.tid = Some(tid.as_u32());
-                r.monitor = Some(monitor.as_u32());
-            }
-            EventKind::MlExit { tid, monitor } => {
-                r.kind = "ml_exit";
-                r.tid = Some(tid.as_u32());
-                r.monitor = Some(monitor.as_u32());
-            }
-            EventKind::CvWait { tid, cv } => {
-                r.kind = "cv_wait";
-                r.tid = Some(tid.as_u32());
-                r.cv = Some(cv.as_u32());
-            }
-            EventKind::CvWake { tid, cv, outcome } => {
-                r.kind = "cv_wake";
-                r.tid = Some(tid.as_u32());
-                r.cv = Some(cv.as_u32());
-                r.detail = Some(format!("{outcome:?}"));
-            }
-            EventKind::Notify { tid, cv, woken } => {
-                r.kind = "notify";
-                r.tid = Some(tid.as_u32());
-                r.cv = Some(cv.as_u32());
-                r.other = woken.map(|t| t.as_u32());
-            }
-            EventKind::Broadcast { tid, cv, woken } => {
-                r.kind = "broadcast";
-                r.tid = Some(tid.as_u32());
-                r.cv = Some(cv.as_u32());
-                r.detail = Some(format!("woken={woken}"));
-            }
-            EventKind::SpuriousLockConflict { tid, monitor } => {
-                r.kind = "spurious_lock_conflict";
-                r.tid = Some(tid.as_u32());
-                r.monitor = Some(monitor.as_u32());
-            }
-            EventKind::Yield { tid, kind } => {
-                r.kind = "yield";
-                r.tid = Some(tid.as_u32());
-                r.detail = Some(format!("{kind:?}"));
-            }
-            EventKind::SetPriority { tid, priority } => {
-                r.kind = "set_priority";
-                r.tid = Some(tid.as_u32());
-                r.detail = Some(format!("prio={priority}"));
-            }
-            EventKind::Sleep { tid, until } => {
-                r.kind = "sleep";
-                r.tid = Some(tid.as_u32());
-                r.detail = Some(format!("until={}", until.as_micros()));
-            }
-            EventKind::DaemonDonation { target } => {
-                r.kind = "daemon_donation";
-                r.other = Some(target.as_u32());
-            }
-            EventKind::ForkBlocked { tid } => {
-                r.kind = "fork_blocked";
-                r.tid = Some(tid.as_u32());
-            }
-            EventKind::ForkFailed { tid } => {
-                r.kind = "fork_failed";
-                r.tid = Some(tid.as_u32());
-            }
-            EventKind::MetalockStall {
-                tid,
-                monitor,
-                holder,
-            } => {
-                r.kind = "metalock_stall";
-                r.tid = Some(tid.as_u32());
-                r.monitor = Some(monitor.as_u32());
-                r.other = Some(holder.as_u32());
-            }
-            EventKind::SpuriousWakeup { tid, cv } => {
-                r.kind = "spurious_wakeup";
-                r.tid = Some(tid.as_u32());
-                r.cv = Some(cv.as_u32());
-            }
-            EventKind::NotifyDropped { tid, cv } => {
-                r.kind = "notify_dropped";
-                r.tid = Some(tid.as_u32());
-                r.cv = Some(cv.as_u32());
-            }
-            EventKind::NotifyDuplicated { tid, cv, extra } => {
-                r.kind = "notify_duplicated";
-                r.tid = Some(tid.as_u32());
-                r.cv = Some(cv.as_u32());
-                r.other = Some(extra.as_u32());
-            }
-            EventKind::ChaosStall { tid, until } => {
-                r.kind = "chaos_stall";
-                r.tid = Some(tid.as_u32());
-                r.detail = Some(format!("until={}", until.as_micros()));
-            }
-            EventKind::ChaosForkFail { tid } => {
-                r.kind = "chaos_fork_fail";
-                r.tid = Some(tid.as_u32());
-            }
-            EventKind::JoinBlocked { joiner, target } => {
-                r.kind = "join_blocked";
-                r.tid = Some(joiner.as_u32());
-                r.other = Some(target.as_u32());
-            }
+/// The ids an event carries, in [`ID_KEYS`] order: the thread it is about,
+/// the other thread (fork child, switch target, wakee...), monitor, cv.
+fn ids(kind: &EventKind) -> [Option<u32>; 4] {
+    use EventKind::*;
+    let t = |t: ThreadId| Some(t.as_u32());
+    match *kind {
+        Fork {
+            parent, child: to, ..
         }
-        r
+        | Switch {
+            from: parent, to, ..
+        } => [parent.and_then(t), t(to), None, None],
+        Exit { tid, .. }
+        | QuantumExpired { tid }
+        | Yield { tid, .. }
+        | SetPriority { tid, .. }
+        | Sleep { tid, .. }
+        | ForkBlocked { tid }
+        | ForkFailed { tid }
+        | ChaosStall { tid, .. }
+        | ChaosForkFail { tid } => [t(tid), None, None, None],
+        Join {
+            joiner: tid,
+            target,
+        }
+        | Detach { tid, target }
+        | JoinBlocked {
+            joiner: tid,
+            target,
+        } => [t(tid), t(target), None, None],
+        MlEnter { tid, monitor, .. }
+        | MlAcquired { tid, monitor }
+        | MlExit { tid, monitor }
+        | SpuriousLockConflict { tid, monitor } => [t(tid), None, Some(monitor.as_u32()), None],
+        CvWait { tid, cv }
+        | CvWake { tid, cv, .. }
+        | Broadcast { tid, cv, .. }
+        | SpuriousWakeup { tid, cv }
+        | NotifyDropped { tid, cv } => [t(tid), None, None, Some(cv.as_u32())],
+        Notify { tid, cv, woken } => [t(tid), woken.and_then(t), None, Some(cv.as_u32())],
+        NotifyDuplicated { tid, cv, extra } => [t(tid), t(extra), None, Some(cv.as_u32())],
+        DaemonDonation { target } => [None, t(target), None, None],
+        MetalockStall {
+            tid,
+            monitor,
+            holder,
+        } => [t(tid), t(holder), Some(monitor.as_u32()), None],
     }
+}
+
+/// Starts a line: `t_us`, `kind` and the ids; `None` fields are omitted.
+fn open_line(line: &mut String, t_us: u64, kind: &str, ids: [Option<u32>; 4]) {
+    // Writing to a `String` cannot fail.
+    line.push_str("{\"t_us\":");
+    let _ = write_uint(line, t_us);
+    line.push_str(",\"kind\":\"");
+    line.push_str(kind); // A tag from `tag`: nothing to escape.
+    line.push('"');
+    for (key, id) in ID_KEYS.iter().zip(ids) {
+        if let Some(id) = id {
+            line.push_str(",\"");
+            line.push_str(key);
+            line.push_str("\":");
+            let _ = write_uint(line, u64::from(id));
+        }
+    }
+}
+
+/// Appends the `detail` field, formatted in place through the escaper.
+fn push_detail(line: &mut String, detail: std::fmt::Arguments<'_>) {
+    line.push_str(",\"detail\":\"");
+    let _ = Escaper(line).write_fmt(detail);
+    line.push('"');
+}
+
+/// Formats one event as its JSONL object (no newline) onto `line`.
+fn push_event(line: &mut String, ev: &Event) {
+    use EventKind::*;
+    open_line(line, ev.t.as_micros(), tag(&ev.kind), ids(&ev.kind));
+    match ev.kind {
+        Fork {
+            priority,
+            generation,
+            ..
+        } => push_detail(line, format_args!("prio={priority} gen={generation}")),
+        Switch {
+            to_priority,
+            ready_for,
+            ..
+        } => push_detail(
+            line,
+            format_args!("prio={to_priority} ready_us={}", ready_for.as_micros()),
+        ),
+        Exit { panicked: true, .. } => push_detail(line, format_args!("panicked")),
+        MlEnter {
+            contended: true, ..
+        } => push_detail(line, format_args!("contended")),
+        CvWake { outcome, .. } => push_detail(line, format_args!("{outcome:?}")),
+        Broadcast { woken, .. } => push_detail(line, format_args!("woken={woken}")),
+        Yield { kind, .. } => push_detail(line, format_args!("{kind:?}")),
+        SetPriority { priority, .. } => push_detail(line, format_args!("prio={priority}")),
+        Sleep { until, .. } | ChaosStall { until, .. } => {
+            push_detail(line, format_args!("until={}", until.as_micros()))
+        }
+        _ => {}
+    }
+    line.push('}');
 }
 
 /// Writes events as JSON Lines (one JSON object per line).
@@ -299,10 +271,13 @@ pub fn write_jsonl<'a, W: Write>(
     events: impl IntoIterator<Item = &'a Event>,
     mut w: W,
 ) -> std::io::Result<usize> {
+    let mut line = String::new();
     let mut n = 0;
     for ev in events {
-        let line = EventRecord::from(ev).to_json();
-        writeln!(w, "{line}")?;
+        line.clear();
+        push_event(&mut line, ev);
+        line.push('\n');
+        w.write_all(line.as_bytes())?;
         n += 1;
     }
     Ok(n)
@@ -311,7 +286,7 @@ pub fn write_jsonl<'a, W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcr::{Priority, ThreadId};
+    use pcr::Priority;
 
     fn ev(kind: EventKind) -> Event {
         Event {
@@ -360,6 +335,79 @@ mod tests {
         assert!(text.contains("ButNotToMe"));
     }
 
+    /// One sample per `EventKind` variant, plus every shape a variant's
+    /// line can take (absent parent, each outcome, each yield kind), with
+    /// the exact line it must write after `{"t_us":123,`.
+    #[rustfmt::skip]
+    fn samples() -> Vec<(EventKind, &'static str)> {
+        use pcr::{CondId, MonitorId, SimTime, WaitOutcome, YieldKind};
+        use EventKind::*;
+        let [t0, tid, t3] = [0, 2, 3].map(ThreadId::from_u32);
+        let (monitor, cv) = (MonitorId::from_u32(5), CondId::from_u32(9));
+        let (priority, until) = (Priority::of(7), SimTime::from_micros(456));
+        let ready_for = pcr::micros(8);
+        vec![
+            (Fork { parent: Some(t0), child: t3, priority, generation: 1 }, r#""kind":"fork","tid":0,"other":3,"detail":"prio=7 gen=1"}"#),
+            (Fork { parent: None, child: t3, priority, generation: 1 }, r#""kind":"fork","other":3,"detail":"prio=7 gen=1"}"#),
+            (Exit { tid, panicked: false }, r#""kind":"exit","tid":2}"#),
+            (Exit { tid, panicked: true }, r#""kind":"exit","tid":2,"detail":"panicked"}"#),
+            (Join { joiner: tid, target: t3 }, r#""kind":"join","tid":2,"other":3}"#),
+            (Detach { tid, target: t3 }, r#""kind":"detach","tid":2,"other":3}"#),
+            (Switch { from: Some(tid), to: t3, to_priority: priority, ready_for }, r#""kind":"switch","tid":2,"other":3,"detail":"prio=7 ready_us=8"}"#),
+            (Switch { from: None, to: t3, to_priority: priority, ready_for }, r#""kind":"switch","other":3,"detail":"prio=7 ready_us=8"}"#),
+            (QuantumExpired { tid }, r#""kind":"quantum_expired","tid":2}"#),
+            (MlEnter { tid, monitor, contended: false }, r#""kind":"ml_enter","tid":2,"monitor":5}"#),
+            (MlEnter { tid, monitor, contended: true }, r#""kind":"ml_enter","tid":2,"monitor":5,"detail":"contended"}"#),
+            (MlAcquired { tid, monitor }, r#""kind":"ml_acquired","tid":2,"monitor":5}"#),
+            (MlExit { tid, monitor }, r#""kind":"ml_exit","tid":2,"monitor":5}"#),
+            (CvWait { tid, cv }, r#""kind":"cv_wait","tid":2,"cv":9}"#),
+            (CvWake { tid, cv, outcome: WaitOutcome::Notified }, r#""kind":"cv_wake","tid":2,"cv":9,"detail":"Notified"}"#),
+            (CvWake { tid, cv, outcome: WaitOutcome::TimedOut }, r#""kind":"cv_wake","tid":2,"cv":9,"detail":"TimedOut"}"#),
+            (CvWake { tid, cv, outcome: WaitOutcome::Spurious }, r#""kind":"cv_wake","tid":2,"cv":9,"detail":"Spurious"}"#),
+            (Notify { tid, cv, woken: Some(t3) }, r#""kind":"notify","tid":2,"other":3,"cv":9}"#),
+            (Notify { tid, cv, woken: None }, r#""kind":"notify","tid":2,"cv":9}"#),
+            (Broadcast { tid, cv, woken: 4 }, r#""kind":"broadcast","tid":2,"cv":9,"detail":"woken=4"}"#),
+            (SpuriousLockConflict { tid, monitor }, r#""kind":"spurious_lock_conflict","tid":2,"monitor":5}"#),
+            (Yield { tid, kind: YieldKind::Normal }, r#""kind":"yield","tid":2,"detail":"Normal"}"#),
+            (Yield { tid, kind: YieldKind::ButNotToMe }, r#""kind":"yield","tid":2,"detail":"ButNotToMe"}"#),
+            (Yield { tid, kind: YieldKind::Directed(t3) }, r#""kind":"yield","tid":2,"detail":"Directed(T3)"}"#),
+            (SetPriority { tid, priority }, r#""kind":"set_priority","tid":2,"detail":"prio=7"}"#),
+            (Sleep { tid, until }, r#""kind":"sleep","tid":2,"detail":"until=456"}"#),
+            (DaemonDonation { target: t3 }, r#""kind":"daemon_donation","other":3}"#),
+            (ForkBlocked { tid }, r#""kind":"fork_blocked","tid":2}"#),
+            (ForkFailed { tid }, r#""kind":"fork_failed","tid":2}"#),
+            (MetalockStall { tid, monitor, holder: t3 }, r#""kind":"metalock_stall","tid":2,"other":3,"monitor":5}"#),
+            (SpuriousWakeup { tid, cv }, r#""kind":"spurious_wakeup","tid":2,"cv":9}"#),
+            (NotifyDropped { tid, cv }, r#""kind":"notify_dropped","tid":2,"cv":9}"#),
+            (NotifyDuplicated { tid, cv, extra: t3 }, r#""kind":"notify_duplicated","tid":2,"other":3,"cv":9}"#),
+            (ChaosStall { tid, until }, r#""kind":"chaos_stall","tid":2,"detail":"until=456"}"#),
+            (ChaosForkFail { tid }, r#""kind":"chaos_fork_fail","tid":2}"#),
+            (JoinBlocked { joiner: tid, target: t3 }, r#""kind":"join_blocked","tid":2,"other":3}"#),
+        ]
+    }
+
+    #[test]
+    fn each_kind_writes_its_literal_line() {
+        let samples = samples();
+        let events: Vec<Event> = samples.iter().map(|&(kind, _)| ev(kind)).collect();
+        let mut buf = Vec::new();
+        write_jsonl(&events, &mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let mut kinds = std::collections::BTreeSet::new();
+        for (line, (_, tail)) in text.lines().zip(&samples) {
+            assert_eq!(line, format!("{{\"t_us\":123,{tail}"));
+            // Every tag the writer emits is in the table the reader
+            // interns against.
+            let back = EventRecord::from_jsonl_line(line).unwrap();
+            assert!(matches!(back.kind, Cow::Borrowed(_)), "{line}");
+            kinds.insert(back.kind);
+        }
+        assert_eq!(text.lines().count(), samples.len());
+        let table: std::collections::BTreeSet<_> =
+            KIND_TAGS.iter().map(|t| Cow::Borrowed(*t)).collect();
+        assert_eq!(kinds, table, "one sample per EventKind variant");
+    }
+
     #[test]
     fn jsonl_round_trips_arbitrary_detail_payloads() {
         // Details with quotes, backslashes, newlines, and control bytes
@@ -368,20 +416,21 @@ mod tests {
         let nasty = "quote=\" backslash=\\ newline=\n tab=\t nul=\u{1} unicode=ü";
         let record = EventRecord {
             t_us: 42,
-            kind: "switch",
+            kind: Cow::Borrowed("switch"),
             tid: Some(1),
             other: Some(2),
             monitor: None,
             cv: None,
             detail: Some(nasty.to_string()),
         };
-        let line = record.to_json().to_string();
-        let back = OwnedEventRecord::from_jsonl_line(&line).unwrap();
-        assert_eq!(back.detail.as_deref(), Some(nasty));
-        assert_eq!(back.t_us, 42);
-        assert_eq!(back.kind, "switch");
-        assert_eq!((back.tid, back.other), (Some(1), Some(2)));
-        assert_eq!((back.monitor, back.cv), (None, None));
+        let mut line = String::new();
+        let ids = [record.tid, record.other, record.monitor, record.cv];
+        open_line(&mut line, record.t_us, &record.kind, ids);
+        push_detail(&mut line, format_args!("{nasty}"));
+        line.push('}');
+        let back = EventRecord::from_jsonl_line(&line).unwrap();
+        assert_eq!(back, record);
+        assert!(matches!(back.kind, Cow::Borrowed(_)), "known kinds intern");
     }
 
     #[test]

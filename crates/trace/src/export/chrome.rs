@@ -22,11 +22,12 @@
 //! traces (an acceptance criterion the CLI tests pin).
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::io::Write;
 
-use pcr::{Event, EventKind, Sim, SimTime};
+use pcr::{Event, EventKind, Priority, Sim, SimTime};
 
-use crate::json::Json;
+use crate::json::{write_uint, Escaper, Json};
 
 /// Display names for the ids appearing in a trace.
 #[derive(Clone, Debug, Default)]
@@ -49,25 +50,28 @@ impl TraceLabels {
         }
     }
 
-    fn thread(&self, id: u32) -> String {
-        match self.threads.get(id as usize) {
-            Some(n) if !n.is_empty() => format!("{n} (t{id})"),
-            _ => format!("t{id}"),
-        }
+    // The three below write into a line buffer, which cannot fail.
+
+    /// `name (t<id>)`, or `t<id>` for an unnamed thread.
+    fn thread(&self, w: &mut Escaper<'_, String>, id: u32) {
+        let _ = match self.threads.get(id as usize) {
+            Some(n) if !n.is_empty() => write!(w, "{n} (t{id})"),
+            _ => write!(w, "t{id}"),
+        };
     }
 
-    fn monitor(&self, id: u32) -> String {
-        match self.monitors.get(id as usize) {
-            Some(n) if !n.is_empty() => n.clone(),
-            _ => format!("ML{id}"),
-        }
+    fn monitor(&self, w: &mut Escaper<'_, String>, id: u32) {
+        let _ = match self.monitors.get(id as usize) {
+            Some(n) if !n.is_empty() => w.write_str(n),
+            _ => write!(w, "ML{id}"),
+        };
     }
 
-    fn condition(&self, id: u32) -> String {
-        match self.conditions.get(id as usize) {
-            Some(n) if !n.is_empty() => n.clone(),
-            _ => format!("CV{id}"),
-        }
+    fn condition(&self, w: &mut Escaper<'_, String>, id: u32) {
+        let _ = match self.conditions.get(id as usize) {
+            Some(n) if !n.is_empty() => w.write_str(n),
+            _ => write!(w, "CV{id}"),
+        };
     }
 }
 
@@ -75,99 +79,357 @@ const PID_THREADS: u32 = 1;
 const PID_MONITORS: u32 = 2;
 const PID_WAITS: u32 = 3;
 
+/// One trace event before it is text: the sort key and what kind of
+/// event it is. Names are resolved from [`TraceLabels`] when it is
+/// written, after the sort.
 struct SortableEvent {
     pid: u32,
     tid: u32,
     ts: u64,
     dur: u64,
+    body: Body,
+}
+
+enum Body {
+    /// A run slice on a thread track.
+    Run { priority: Priority, ready_us: u64 },
+    /// A monitor hold, named after the holding thread.
+    Hold { holder: u32 },
+    /// `lock:<monitor>` on a waits track.
+    LockWait { monitor: u32 },
+    /// `wait:<cv>` on a waits track.
+    CvWait { cv: u32 },
+    /// An instant marker on a thread track.
+    Instant(&'static str),
+    /// One end of a flow arrow: the start, or the finish.
+    Flow {
+        id: u64,
+        name: &'static str,
+        finish: bool,
+    },
+    /// A process's name.
+    ProcessName(&'static str),
+    /// A track's name: the thread's or the monitor's, by `pid`.
+    TrackName,
+}
+
+impl SortableEvent {
+    fn span(pid: u32, tid: u32, ts: u64, end: u64, body: Body) -> SortableEvent {
+        let dur = end.saturating_sub(ts);
+        SortableEvent {
+            pid,
+            tid,
+            ts,
+            dur,
+            body,
+        }
+    }
+
+    /// An instant or a flow end: a point on a thread track.
+    fn point(tid: u32, ts: u64, body: Body) -> SortableEvent {
+        SortableEvent::span(PID_THREADS, tid, ts, ts, body)
+    }
+
+    fn metadata(pid: u32, tid: u32, body: Body) -> SortableEvent {
+        // `dur` sorts it before any real event on the track.
+        SortableEvent {
+            pid,
+            tid,
+            ts: 0,
+            dur: u64::MAX,
+            body,
+        }
+    }
+
     /// 0 = metadata, 1 = everything else: metadata sorts first per track.
-    class: u8,
-    json: Json,
+    fn class(&self) -> u8 {
+        !matches!(self.body, Body::ProcessName(_) | Body::TrackName) as u8
+    }
+
+    /// Appends the event as one compact JSON object. Literal names need
+    /// no escaping; label text goes through the escaper.
+    fn push_json(&self, line: &mut String, labels: &TraceLabels) {
+        let SortableEvent {
+            pid, tid, ts, dur, ..
+        } = *self;
+        let track = |line: &mut String| {
+            push_num(line, ",\"pid\":", pid);
+            push_num(line, ",\"tid\":", tid);
+        };
+        // Closes the name and places the span; `args` follows.
+        let span = |line: &mut String| {
+            push_num(line, "\",\"ph\":\"X\",\"ts\":", ts);
+            push_num(line, ",\"dur\":", dur);
+            track(line);
+        };
+        line.push_str("{\"name\":\"");
+        match self.body {
+            Body::Run { priority, ready_us } => {
+                line.push_str("run");
+                span(line);
+                push_num(line, ",\"args\":{\"detail\":\"prio=", priority.get());
+                push_num(line, " ready_us=", ready_us);
+                line.push_str("\"}}");
+            }
+            Body::Hold { holder } => {
+                line.push_str("held by ");
+                labels.thread(&mut Escaper(line), holder);
+                span(line);
+                push_num(line, ",\"args\":{\"tid\":", holder);
+                line.push_str("}}");
+            }
+            Body::LockWait { monitor } => {
+                line.push_str("lock:");
+                labels.monitor(&mut Escaper(line), monitor);
+                span(line);
+                push_num(line, ",\"args\":{\"monitor\":", monitor);
+                line.push_str("}}");
+            }
+            Body::CvWait { cv } => {
+                line.push_str("wait:");
+                labels.condition(&mut Escaper(line), cv);
+                span(line);
+                push_num(line, ",\"args\":{\"cv\":", cv);
+                line.push_str("}}");
+            }
+            Body::Instant(name) => {
+                line.push_str(name);
+                push_num(line, "\",\"ph\":\"i\",\"ts\":", ts);
+                track(line);
+                line.push_str(",\"s\":\"t\"}");
+            }
+            Body::Flow { id, name, finish } => {
+                line.push_str(name);
+                line.push_str("\",\"cat\":\"flow\",\"ph\":");
+                line.push_str(if finish { "\"f\"" } else { "\"s\"" });
+                push_num(line, ",\"id\":", id);
+                push_num(line, ",\"ts\":", ts);
+                track(line);
+                // Bind to the enclosing slice even when ts equals its start.
+                line.push_str(if finish { ",\"bp\":\"e\"}" } else { "}" });
+            }
+            Body::ProcessName(process) => {
+                push_num(line, "process_name\",\"ph\":\"M\",\"pid\":", pid);
+                line.push_str(",\"args\":{\"name\":\"");
+                line.push_str(process);
+                line.push_str("\"}}");
+            }
+            Body::TrackName => {
+                push_num(line, "thread_name\",\"ph\":\"M\",\"pid\":", pid);
+                push_num(line, ",\"tid\":", tid);
+                line.push_str(",\"args\":{\"name\":\"");
+                if pid == PID_MONITORS {
+                    labels.monitor(&mut Escaper(line), tid);
+                } else {
+                    labels.thread(&mut Escaper(line), tid);
+                }
+                line.push_str("\"}}");
+            }
+        }
+    }
 }
 
-fn span(pid: u32, tid: u32, ts: u64, end: u64, name: &str, args: Json) -> SortableEvent {
-    let dur = end.saturating_sub(ts);
-    SortableEvent {
-        pid,
-        tid,
-        ts,
-        dur,
-        class: 1,
-        json: Json::obj([
-            ("name", Json::from(name)),
-            ("ph", Json::from("X")),
-            ("ts", Json::from(ts)),
-            ("dur", Json::from(dur)),
-            ("pid", Json::from(pid)),
-            ("tid", Json::from(tid)),
-            ("args", args),
-        ]),
-    }
+/// Appends `key` (literal JSON text) and then `n` in decimal.
+fn push_num(line: &mut String, key: &str, n: impl Into<u64>) {
+    line.push_str(key);
+    // Writing to a `String` cannot fail.
+    let _ = write_uint(line, n.into());
 }
 
-fn instant(pid: u32, tid: u32, ts: u64, name: &str) -> SortableEvent {
-    SortableEvent {
-        pid,
-        tid,
-        ts,
-        dur: 0,
-        class: 1,
-        json: Json::obj([
-            ("name", Json::from(name)),
-            ("ph", Json::from("i")),
-            ("ts", Json::from(ts)),
-            ("pid", Json::from(pid)),
-            ("tid", Json::from(tid)),
-            ("s", Json::from("t")),
-        ]),
+/// The trace events of a stream, in output order.
+fn trace_events(events: &[Event]) -> Vec<SortableEvent> {
+    let end_us = events
+        .last()
+        .map(|e| e.t)
+        .unwrap_or(SimTime::ZERO)
+        .as_micros();
+    let mut out: Vec<SortableEvent> = Vec::new();
+
+    // -- Pass 1: run slices per thread (needed for flow-arrow targets).
+    let mut running: Option<(u32, u64, Body)> = None;
+    for ev in events {
+        if let EventKind::Switch {
+            to,
+            to_priority: priority,
+            ready_for,
+            ..
+        } = ev.kind
+        {
+            let t = ev.t.as_micros();
+            if let Some((tid, start, body)) = running.take() {
+                out.push(SortableEvent::span(PID_THREADS, tid, start, t, body));
+            }
+            let ready_us = ready_for.as_micros();
+            running = Some((to.as_u32(), t, Body::Run { priority, ready_us }));
+        }
     }
+    if let Some((tid, start, body)) = running.take() {
+        out.push(SortableEvent::span(PID_THREADS, tid, start, end_us, body));
+    }
+    // Slice starts per thread, in time order, for flow-target lookup.
+    let mut starts: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
+    for slice in &out {
+        starts.entry(slice.tid).or_default().push(slice.ts);
+    }
+    let first_run_at = |tid: u32, at: u64| -> Option<u64> {
+        let v = starts.get(&tid)?;
+        let i = v.partition_point(|&s| s < at);
+        v.get(i).copied()
+    };
+
+    // -- Pass 2: everything else.
+    let mut flow_id: u64 = 0;
+    let mut flow = |out: &mut Vec<SortableEvent>, name, from: (u32, u64), to: (u32, u64)| {
+        flow_id += 1;
+        for (finish, (tid, ts)) in [(false, from), (true, to)] {
+            let body = Body::Flow {
+                id: flow_id,
+                name,
+                finish,
+            };
+            out.push(SortableEvent::point(tid, ts, body));
+        }
+    };
+    // Open monitor holds: monitor → (holder, start).
+    let mut holds: BTreeMap<u32, (u32, u64)> = BTreeMap::new();
+    let mut lock_waits: BTreeMap<(u32, u32), u64> = BTreeMap::new(); // (tid, monitor) → start
+    let mut cv_waits: BTreeMap<u32, (u32, u64)> = BTreeMap::new(); // tid → (cv, start)
+    let close_hold =
+        |holds: &mut BTreeMap<u32, (u32, u64)>, out: &mut Vec<SortableEvent>, m: u32, t: u64| {
+            if let Some((holder, start)) = holds.remove(&m) {
+                let body = Body::Hold { holder };
+                out.push(SortableEvent::span(PID_MONITORS, m, start, t, body));
+            }
+        };
+    for ev in events {
+        let t = ev.t.as_micros();
+        let instant = match ev.kind {
+            EventKind::Fork { parent, child, .. } => {
+                if let (Some(p), Some(target)) = (parent, first_run_at(child.as_u32(), t)) {
+                    flow(&mut out, "fork", (p.as_u32(), t), (child.as_u32(), target));
+                }
+                continue;
+            }
+            EventKind::Notify {
+                tid,
+                woken: Some(w),
+                ..
+            } => {
+                if let Some(target) = first_run_at(w.as_u32(), t) {
+                    flow(&mut out, "notify", (tid.as_u32(), t), (w.as_u32(), target));
+                }
+                continue;
+            }
+            EventKind::MlEnter {
+                tid,
+                monitor,
+                contended,
+            } => {
+                let (tid, m) = (tid.as_u32(), monitor.as_u32());
+                if contended {
+                    lock_waits.insert((tid, m), t);
+                } else {
+                    holds.insert(m, (tid, t));
+                }
+                continue;
+            }
+            EventKind::MlAcquired { tid, monitor } => {
+                let (tid, m) = (tid.as_u32(), monitor.as_u32());
+                if let Some(start) = lock_waits.remove(&(tid, m)) {
+                    let body = Body::LockWait { monitor: m };
+                    out.push(SortableEvent::span(PID_WAITS, tid, start, t, body));
+                }
+                // The previous hold (if any) ended at the owner's release.
+                close_hold(&mut holds, &mut out, m, t);
+                holds.insert(m, (tid, t));
+                continue;
+            }
+            EventKind::MlExit { tid: _, monitor } => {
+                close_hold(&mut holds, &mut out, monitor.as_u32(), t);
+                continue;
+            }
+            EventKind::CvWait { tid, cv } => {
+                let tid = tid.as_u32();
+                cv_waits.insert(tid, (cv.as_u32(), t));
+                // WAIT releases the cv's monitor: close the hold owned by
+                // this thread (the stream does not carry the cv→monitor
+                // mapping, so find it by owner), if it owns exactly one.
+                let mut owned = holds.iter().filter(|(_, &(h, _))| h == tid);
+                if let (Some((&m, _)), None) = (owned.next(), owned.next()) {
+                    close_hold(&mut holds, &mut out, m, t);
+                }
+                continue;
+            }
+            EventKind::CvWake { tid, .. } => {
+                let tid = tid.as_u32();
+                if let Some((cv, start)) = cv_waits.remove(&tid) {
+                    let body = Body::CvWait { cv };
+                    out.push(SortableEvent::span(PID_WAITS, tid, start, t, body));
+                }
+                continue;
+            }
+            EventKind::SpuriousLockConflict { tid, .. } => (tid, "spurious-lock-conflict"),
+            EventKind::MetalockStall { tid, .. } => (tid, "metalock-stall"),
+            EventKind::SpuriousWakeup { tid, .. } => (tid, "chaos:spurious-wakeup"),
+            EventKind::NotifyDropped { tid, .. } => (tid, "chaos:notify-dropped"),
+            EventKind::NotifyDuplicated { tid, .. } => (tid, "chaos:notify-duplicated"),
+            EventKind::ChaosStall { tid, .. } => (tid, "chaos:stall"),
+            EventKind::ChaosForkFail { tid } => (tid, "chaos:fork-fail"),
+            _ => continue,
+        };
+        let (tid, name) = instant;
+        out.push(SortableEvent::point(tid.as_u32(), t, Body::Instant(name)));
+    }
+    // Close anything still open at the end of the trace.
+    for (&(tid, monitor), &start) in &lock_waits {
+        let body = Body::LockWait { monitor };
+        out.push(SortableEvent::span(PID_WAITS, tid, start, end_us, body));
+    }
+    for (&tid, &(cv, start)) in &cv_waits {
+        let body = Body::CvWait { cv };
+        out.push(SortableEvent::span(PID_WAITS, tid, start, end_us, body));
+    }
+    let open_holds: Vec<u32> = holds.keys().copied().collect();
+    for m in open_holds {
+        close_hold(&mut holds, &mut out, m, end_us);
+    }
+
+    // -- Metadata: track names.
+    let tracks = |out: &[SortableEvent], pids: &[u32]| {
+        let mut ids: Vec<u32> = out
+            .iter()
+            .filter(|e| pids.contains(&e.pid))
+            .map(|e| e.tid)
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    };
+    let thread_tracks = tracks(&out, &[PID_THREADS, PID_WAITS]);
+    let monitor_tracks = tracks(&out, &[PID_MONITORS]);
+    for (pid, name) in [
+        (PID_THREADS, "threads"),
+        (PID_MONITORS, "monitors"),
+        (PID_WAITS, "waits"),
+    ] {
+        out.push(SortableEvent::metadata(pid, 0, Body::ProcessName(name)));
+    }
+    for tid in thread_tracks {
+        out.push(SortableEvent::metadata(PID_THREADS, tid, Body::TrackName));
+        out.push(SortableEvent::metadata(PID_WAITS, tid, Body::TrackName));
+    }
+    for m in monitor_tracks {
+        out.push(SortableEvent::metadata(PID_MONITORS, m, Body::TrackName));
+    }
+
+    // Deterministic order; longer spans first at equal ts so nested
+    // spans arrive parent-before-child.
+    out.sort_by_key(|e| (e.pid, e.tid, e.class(), e.ts, std::cmp::Reverse(e.dur)));
+    out
 }
 
-fn flow(ph: &str, id: u64, name: &str, pid: u32, tid: u32, ts: u64) -> SortableEvent {
-    let mut json = Json::obj([
-        ("name", Json::from(name)),
-        ("cat", Json::from("flow")),
-        ("ph", Json::from(ph)),
-        ("id", Json::from(id)),
-        ("ts", Json::from(ts)),
-        ("pid", Json::from(pid)),
-        ("tid", Json::from(tid)),
-    ]);
-    if ph == "f" {
-        // Bind to the enclosing slice even when ts equals its start.
-        json.push("bp", Json::from("e"));
-    }
-    SortableEvent {
-        pid,
-        tid,
-        ts,
-        dur: 0,
-        class: 1,
-        json,
-    }
-}
-
-fn metadata(pid: u32, tid: Option<u32>, key: &str, name: &str) -> SortableEvent {
-    let mut json = Json::obj([
-        ("name", Json::from(key)),
-        ("ph", Json::from("M")),
-        ("pid", Json::from(pid)),
-    ]);
-    if let Some(t) = tid {
-        json.push("tid", Json::from(t));
-    }
-    json.push("args", Json::obj([("name", Json::from(name))]));
-    SortableEvent {
-        pid,
-        tid: tid.unwrap_or(0),
-        ts: 0,
-        dur: u64::MAX, // Sorts before any real event on the track.
-        class: 0,
-        json,
-    }
-}
-
-/// Builds the Chrome trace-event document for an event stream.
+/// Builds the Chrome trace-event document for an event stream: what
+/// [`write_chrome`] writes, parsed, so there is one encoder of the format.
 ///
 /// The result is the object form (`{"traceEvents": [...]}`), directly
 /// loadable in `ui.perfetto.dev`. Pass [`TraceLabels::from_sim`] to get
@@ -193,311 +455,29 @@ fn metadata(pid: u32, tid: Option<u32>, key: &str, name: &str) -> SortableEvent 
 /// }));
 /// ```
 pub fn chrome_trace(events: &[Event], labels: &TraceLabels) -> Json {
-    let end = events.last().map(|e| e.t).unwrap_or(SimTime::ZERO);
-    let end_us = end.as_micros();
-    let mut out: Vec<SortableEvent> = Vec::new();
-
-    // -- Pass 1: run slices per thread (needed for flow-arrow targets).
-    let mut slices: Vec<(u32, u64, u64, String)> = Vec::new(); // (tid, start, end, detail)
-    let mut running: Option<(u32, u64, String)> = None;
-    for ev in events {
-        if let EventKind::Switch {
-            to,
-            to_priority,
-            ready_for,
-            ..
-        } = ev.kind
-        {
-            let t = ev.t.as_micros();
-            if let Some((tid, start, detail)) = running.take() {
-                slices.push((tid, start, t, detail));
-            }
-            running = Some((
-                to.as_u32(),
-                t,
-                format!("prio={to_priority} ready_us={}", ready_for.as_micros()),
-            ));
-        }
-    }
-    if let Some((tid, start, detail)) = running.take() {
-        slices.push((tid, start, end_us, detail));
-    }
-    // Slice starts per thread, in time order, for flow-target lookup.
-    let mut starts: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
-    for &(tid, start, _, _) in &slices {
-        starts.entry(tid).or_default().push(start);
-    }
-    let first_run_at = |tid: u32, at: u64| -> Option<u64> {
-        let v = starts.get(&tid)?;
-        let i = v.partition_point(|&s| s < at);
-        v.get(i).copied()
-    };
-    for (tid, start, stop, detail) in &slices {
-        out.push(span(
-            PID_THREADS,
-            *tid,
-            *start,
-            *stop,
-            "run",
-            Json::obj([("detail", Json::from(detail.clone()))]),
-        ));
-    }
-
-    // -- Pass 2: everything else.
-    let mut flow_id: u64 = 0;
-    // Open monitor holds: monitor → (holder, start).
-    let mut holds: BTreeMap<u32, (u32, u64)> = BTreeMap::new();
-    // Open waits on the waits track: (tid, name) kept in stacks per tid.
-    let mut lock_waits: BTreeMap<(u32, u32), u64> = BTreeMap::new(); // (tid, monitor) → start
-    let mut cv_waits: BTreeMap<u32, (u32, u64)> = BTreeMap::new(); // tid → (cv, start)
-                                                                   // cv → monitor is not in the event stream; learn holds only.
-    let close_hold =
-        |holds: &mut BTreeMap<u32, (u32, u64)>, out: &mut Vec<SortableEvent>, m: u32, t: u64| {
-            if let Some((holder, start)) = holds.remove(&m) {
-                out.push(span(
-                    PID_MONITORS,
-                    m,
-                    start,
-                    t,
-                    &format!("held by {}", labels.thread(holder)),
-                    Json::obj([("tid", Json::from(holder))]),
-                ));
-            }
-        };
-    for ev in events {
-        let t = ev.t.as_micros();
-        match ev.kind {
-            EventKind::Fork { parent, child, .. } => {
-                if let (Some(p), Some(target)) = (parent, first_run_at(child.as_u32(), t)) {
-                    flow_id += 1;
-                    out.push(flow("s", flow_id, "fork", PID_THREADS, p.as_u32(), t));
-                    out.push(flow(
-                        "f",
-                        flow_id,
-                        "fork",
-                        PID_THREADS,
-                        child.as_u32(),
-                        target,
-                    ));
-                }
-            }
-            EventKind::Notify {
-                tid,
-                woken: Some(w),
-                ..
-            } => {
-                if let Some(target) = first_run_at(w.as_u32(), t) {
-                    flow_id += 1;
-                    out.push(flow("s", flow_id, "notify", PID_THREADS, tid.as_u32(), t));
-                    out.push(flow(
-                        "f",
-                        flow_id,
-                        "notify",
-                        PID_THREADS,
-                        w.as_u32(),
-                        target,
-                    ));
-                }
-            }
-            EventKind::MlEnter {
-                tid,
-                monitor,
-                contended,
-            } => {
-                let (tid, m) = (tid.as_u32(), monitor.as_u32());
-                if contended {
-                    lock_waits.insert((tid, m), t);
-                } else {
-                    holds.insert(m, (tid, t));
-                }
-            }
-            EventKind::MlAcquired { tid, monitor } => {
-                let (tid, m) = (tid.as_u32(), monitor.as_u32());
-                if let Some(start) = lock_waits.remove(&(tid, m)) {
-                    out.push(span(
-                        PID_WAITS,
-                        tid,
-                        start,
-                        t,
-                        &format!("lock:{}", labels.monitor(m)),
-                        Json::obj([("monitor", Json::from(m))]),
-                    ));
-                }
-                // The previous hold (if any) ended at the owner's release.
-                close_hold(&mut holds, &mut out, m, t);
-                holds.insert(m, (tid, t));
-            }
-            EventKind::MlExit { tid: _, monitor } => {
-                close_hold(&mut holds, &mut out, monitor.as_u32(), t);
-            }
-            EventKind::CvWait { tid, cv } => {
-                let tid = tid.as_u32();
-                cv_waits.insert(tid, (cv.as_u32(), t));
-                // WAIT releases the cv's monitor: close the hold owned by
-                // this thread (the stream does not carry the cv→monitor
-                // mapping, so find it by owner).
-                let owned: Vec<u32> = holds
-                    .iter()
-                    .filter(|(_, &(h, _))| h == tid)
-                    .map(|(&m, _)| m)
-                    .collect();
-                if let [m] = owned[..] {
-                    close_hold(&mut holds, &mut out, m, t);
-                }
-            }
-            EventKind::CvWake { tid, .. } => {
-                let tid = tid.as_u32();
-                if let Some((cv, start)) = cv_waits.remove(&tid) {
-                    out.push(span(
-                        PID_WAITS,
-                        tid,
-                        start,
-                        t,
-                        &format!("wait:{}", labels.condition(cv)),
-                        Json::obj([("cv", Json::from(cv))]),
-                    ));
-                }
-            }
-            EventKind::SpuriousLockConflict { tid, .. } => {
-                out.push(instant(
-                    PID_THREADS,
-                    tid.as_u32(),
-                    t,
-                    "spurious-lock-conflict",
-                ));
-            }
-            EventKind::MetalockStall { tid, .. } => {
-                out.push(instant(PID_THREADS, tid.as_u32(), t, "metalock-stall"));
-            }
-            EventKind::SpuriousWakeup { tid, .. } => {
-                out.push(instant(
-                    PID_THREADS,
-                    tid.as_u32(),
-                    t,
-                    "chaos:spurious-wakeup",
-                ));
-            }
-            EventKind::NotifyDropped { tid, .. } => {
-                out.push(instant(
-                    PID_THREADS,
-                    tid.as_u32(),
-                    t,
-                    "chaos:notify-dropped",
-                ));
-            }
-            EventKind::NotifyDuplicated { tid, .. } => {
-                out.push(instant(
-                    PID_THREADS,
-                    tid.as_u32(),
-                    t,
-                    "chaos:notify-duplicated",
-                ));
-            }
-            EventKind::ChaosStall { tid, .. } => {
-                out.push(instant(PID_THREADS, tid.as_u32(), t, "chaos:stall"));
-            }
-            EventKind::ChaosForkFail { tid } => {
-                out.push(instant(PID_THREADS, tid.as_u32(), t, "chaos:fork-fail"));
-            }
-            _ => {}
-        }
-    }
-    // Close anything still open at the end of the trace.
-    for (&(tid, m), &start) in &lock_waits {
-        out.push(span(
-            PID_WAITS,
-            tid,
-            start,
-            end_us,
-            &format!("lock:{}", labels.monitor(m)),
-            Json::obj([("monitor", Json::from(m))]),
-        ));
-    }
-    for (&tid, &(cv, start)) in &cv_waits {
-        out.push(span(
-            PID_WAITS,
-            tid,
-            start,
-            end_us,
-            &format!("wait:{}", labels.condition(cv)),
-            Json::obj([("cv", Json::from(cv))]),
-        ));
-    }
-    let open_holds: Vec<u32> = holds.keys().copied().collect();
-    for m in open_holds {
-        close_hold(&mut holds, &mut out, m, end_us);
-    }
-
-    // -- Metadata: track names.
-    out.push(metadata(PID_THREADS, None, "process_name", "threads"));
-    out.push(metadata(PID_MONITORS, None, "process_name", "monitors"));
-    out.push(metadata(PID_WAITS, None, "process_name", "waits"));
-    let mut thread_tracks: Vec<u32> = out
-        .iter()
-        .filter(|e| e.class == 1 && (e.pid == PID_THREADS || e.pid == PID_WAITS))
-        .map(|e| e.tid)
-        .collect();
-    thread_tracks.sort_unstable();
-    thread_tracks.dedup();
-    for tid in thread_tracks {
-        let name = labels.thread(tid);
-        out.push(metadata(PID_THREADS, Some(tid), "thread_name", &name));
-        out.push(metadata(PID_WAITS, Some(tid), "thread_name", &name));
-    }
-    let mut monitor_tracks: Vec<u32> = out
-        .iter()
-        .filter(|e| e.class == 1 && e.pid == PID_MONITORS)
-        .map(|e| e.tid)
-        .collect();
-    monitor_tracks.sort_unstable();
-    monitor_tracks.dedup();
-    for m in monitor_tracks {
-        out.push(metadata(
-            PID_MONITORS,
-            Some(m),
-            "thread_name",
-            &labels.monitor(m),
-        ));
-    }
-
-    // Deterministic order; longer spans first at equal ts so nested
-    // spans arrive parent-before-child.
-    out.sort_by(|a, b| {
-        (a.pid, a.tid, a.class, a.ts, std::cmp::Reverse(a.dur)).cmp(&(
-            b.pid,
-            b.tid,
-            b.class,
-            b.ts,
-            std::cmp::Reverse(b.dur),
-        ))
-    });
-    Json::obj([
-        ("displayTimeUnit", Json::from("ms")),
-        (
-            "traceEvents",
-            Json::Arr(out.into_iter().map(|e| e.json).collect()),
-        ),
-    ])
+    let mut text = Vec::new();
+    write_chrome(events, labels, &mut text).expect("writing to memory");
+    let text = String::from_utf8(text).expect("the writer emits UTF-8");
+    Json::parse(&text).expect("the writer emits JSON")
 }
 
-/// Writes [`chrome_trace`] output as compact JSON, one trace event per
-/// line (still a single valid JSON document).
+/// Writes the Chrome trace-event document as compact JSON, one trace
+/// event per line (still a single valid JSON document).
 pub fn write_chrome<W: Write>(
     events: &[Event],
     labels: &TraceLabels,
     mut w: W,
 ) -> std::io::Result<()> {
-    let doc = chrome_trace(events, labels);
-    let (unit, items) = match (doc.get("displayTimeUnit"), doc.get("traceEvents")) {
-        (Some(u), Some(Json::Arr(items))) => (u.clone(), items),
-        _ => unreachable!("chrome_trace always returns the object form"),
-    };
-    writeln!(w, "{{\"displayTimeUnit\":{unit},\"traceEvents\":[")?;
+    let items = trace_events(events);
+    w.write_all(b"{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")?;
+    let mut line = String::new();
     for (i, item) in items.iter().enumerate() {
-        let sep = if i + 1 == items.len() { "" } else { "," };
-        writeln!(w, "{item}{sep}")?;
+        line.clear();
+        item.push_json(&mut line, labels);
+        line.push_str(if i + 1 == items.len() { "\n" } else { ",\n" });
+        w.write_all(line.as_bytes())?;
     }
-    writeln!(w, "]}}")
+    w.write_all(b"]}\n")
 }
 
 #[cfg(test)]

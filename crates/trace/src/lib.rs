@@ -34,7 +34,7 @@ mod timeline;
 
 pub use diff::{chaos_event_for_fault, diff_runs, parse_jsonl, DiffReport, CHAOS_KINDS};
 pub use export::chrome::{chrome_trace, write_chrome, TraceLabels};
-pub use export::{write_jsonl, EventRecord, OwnedEventRecord};
+pub use export::{write_jsonl, EventRecord};
 pub use genealogy::{GenealogyCollector, LifetimeClass};
 pub use intervals::{IntervalCollector, IntervalHistogram};
 pub use json::Json;
