@@ -4,19 +4,21 @@
 //! paths — the ready-queue bitmask, the CV queues, and the masked
 //! `emit` — reported as simulated events per wall-clock second (the same
 //! metric `repro bench` tracks), plus raw arm/fire churn over the timer
-//! wheel against the retired `BinaryHeap` baseline. Plain `main()`
-//! harness, like the other benches in this directory.
+//! wheel. Plain `main()` harness, like the other benches in this
+//! directory.
 //!
 //! Each target also asserts a *floor* chosen three orders of magnitude
 //! below typical rates on any development machine: the assertion is a
 //! smoke check that only trips on a catastrophic regression (an
 //! accidentally quadratic scan, a deadlock), never on CI noise.
 //!
-//! The exception is the handoff: one `yield_now` round trip (body →
-//! scheduler → body) must stay under a microsecond. A coroutine switch
-//! costs ~0.15 µs with the scheduler's work included; the OS-thread baton
-//! it replaced cost ~5.6 µs, so the floor trips on a kernel that went
-//! back to parking threads, not on a busy runner.
+//! The exceptions are the two ways through the kernel. One `yield_now`
+//! (body → scheduler → body) must stay under a microsecond: a coroutine
+//! switch costs ~0.15 µs with the scheduler's work included, the OS-thread
+//! baton it replaced ~5.6 µs, so the ceiling trips on a kernel that went
+//! back to parking threads, not on a busy runner. One uncontended monitor
+//! enter + exit, which never leaves the CPU, must stay under 150 ns: the
+//! pair costs ~80 ns served on the caller's stack, ~260 as two round trips.
 //!
 //! The exporters have ceilings of the same kind, on a recorded
 //! Cedar/Keyboard stream: `write_jsonl` under 400 ns per event and
@@ -26,32 +28,30 @@
 
 use std::time::Instant;
 
-use pcr::{millis, secs, Priority, RunLimit, Sim, SimConfig};
+use pcr::{micros, millis, secs, Monitor, Priority, RunLimit, Sim, SimConfig, SimTime, ThreadCtx};
 
-/// Arm/fire churn over a timer queue harness: keep 256 jittered
-/// deadlines pending, then repeatedly fire the earliest and arm a
-/// replacement — the steady-state pattern the sim's CV timeouts and
-/// timeslices produce. Shared by the wheel and heap via an identical
-/// inherent-method surface.
-macro_rules! timer_churn_ops_per_sec {
-    ($name:expr, $bench:expr, $ops:expr) => {{
-        let mut b = $bench;
-        let mut rng = pcr::SplitMix64::new(0x7133_D00D);
-        let mut now = 0u64;
-        for _ in 0..256 {
-            b.arm(now + 1 + rng.next_below(100_000));
-        }
-        let t0 = Instant::now();
-        for _ in 0..$ops {
-            let due = b.next_deadline_us().expect("queue stays populated");
-            assert!(b.fire(due), "armed timer must fire at its deadline");
-            now = due;
-            b.arm(now + 1 + rng.next_below(100_000));
-        }
-        let rate = $ops as f64 / t0.elapsed().as_secs_f64();
-        println!("{:40} {rate:>12.0} arm+fire/sec", $name);
-        (b, rate)
-    }};
+/// Arm/fire churn over the timer wheel: keep 256 jittered deadlines
+/// pending, then repeatedly fire the earliest and arm a replacement — the
+/// steady-state pattern the sim's CV timeouts and timeslices produce.
+fn timer_churn_ops_per_sec(ops: u64) -> (pcr::Wheel<()>, f64) {
+    let mut wheel = pcr::Wheel::new();
+    let mut rng = pcr::SplitMix64::new(0x7133_D00D);
+    let mut arm = |wheel: &mut pcr::Wheel<()>, now: SimTime| {
+        wheel.schedule(now + micros(1 + rng.next_below(100_000)), ());
+    };
+    for _ in 0..256 {
+        arm(&mut wheel, SimTime::ZERO);
+    }
+    let t0 = Instant::now();
+    for _ in 0..ops {
+        let due = wheel.next_deadline().expect("queue stays populated");
+        let fired = wheel.pop_due(due);
+        assert!(fired.is_some(), "armed timer must fire at its deadline");
+        arm(&mut wheel, due);
+    }
+    let rate = ops as f64 / t0.elapsed().as_secs_f64();
+    println!("hotpath_timer_wheel_churn {rate:>27.0} arm+fire/sec");
+    (wheel, rate)
 }
 
 /// Runs `world` once as warmup and `reps` more times, printing and
@@ -70,26 +70,25 @@ fn events_per_sec(name: &str, reps: u32, mut world: impl FnMut() -> u64) -> f64 
     best
 }
 
-/// Best-of-`reps` wall nanoseconds per `yield_now` for a lone thread: the
-/// handoff out to the scheduler and back, with nothing else to run.
-fn yield_round_trip_ns(reps: u32) -> f64 {
-    const YIELDS: u32 = 200_000;
+/// Best-of-`reps` wall nanoseconds per `op` for a lone thread with
+/// nothing else to run: `yield_now` is the handoff out to the scheduler
+/// and back, an enter + exit pair the kernel call that stays on the CPU.
+fn lone_thread_ns(name: &str, reps: u32, op: fn(&ThreadCtx, &Monitor<()>)) -> f64 {
+    const OPS: u32 = 200_000;
     let mut best = f64::INFINITY;
     for _ in 0..=reps {
         let mut sim = Sim::new(SimConfig::default());
-        let _ = sim.fork_root("yielder", Priority::of(4), |ctx| {
-            for _ in 0..YIELDS {
-                ctx.yield_now();
+        let m = sim.monitor("m", ());
+        let _ = sim.fork_root("probe", Priority::of(4), move |ctx| {
+            for _ in 0..OPS {
+                op(ctx, &m);
             }
         });
         let start = Instant::now();
         sim.run(RunLimit::ToCompletion);
-        best = best.min(start.elapsed().as_nanos() as f64 / f64::from(YIELDS));
+        best = best.min(start.elapsed().as_nanos() as f64 / f64::from(OPS));
     }
-    println!(
-        "{:40} {best:>12.0} ns/round trip  (best of {reps})",
-        "hotpath_yield_handoff"
-    );
+    println!("{name:40} {best:>12.0} ns/op  (best of {reps})");
     best
 }
 
@@ -183,27 +182,14 @@ fn fork_join_storm() -> u64 {
 }
 
 fn main() {
-    let handoff_ns = yield_round_trip_ns(3);
+    let handoff_ns = lone_thread_ns("hotpath_yield_handoff", 3, |ctx, _| ctx.yield_now());
+    let pair_ns = lone_thread_ns("hotpath_monitor_pair", 3, |ctx, m| drop(ctx.enter(m)));
     let pingpong = events_per_sec("hotpath_notify_wait_pingpong_5s", 3, notify_wait_pingpong);
     let storm = events_per_sec("hotpath_fork_join_storm_5s", 3, fork_join_storm);
     let [jsonl_ns, chrome_ns] = export_ns_per_event(3);
 
     const TIMER_OPS: u64 = 200_000;
-    let (wheel, wheel_rate) = timer_churn_ops_per_sec!(
-        "hotpath_timer_wheel_churn",
-        pcr::microbench::WheelBench::new(),
-        TIMER_OPS
-    );
-    let (_, heap_rate) = timer_churn_ops_per_sec!(
-        "hotpath_timer_heap_churn",
-        pcr::microbench::HeapBench::new(),
-        TIMER_OPS
-    );
-    println!(
-        "{:40} {:>12.2}x vs heap baseline",
-        "hotpath_timer_wheel_ratio",
-        wheel_rate / heap_rate
-    );
+    let (wheel, wheel_rate) = timer_churn_ops_per_sec(TIMER_OPS);
     let (allocs, reuses) = wheel.alloc_stats();
     assert!(
         reuses > allocs,
@@ -213,33 +199,32 @@ fn main() {
     const FLOOR_EVENTS_PER_SEC: f64 = 1_000.0;
     const FLOOR_TIMER_OPS_PER_SEC: f64 = 50_000.0;
     const CEILING_HANDOFF_NS: f64 = 1_000.0;
-    assert!(
-        handoff_ns < CEILING_HANDOFF_NS,
-        "a yield_now round trip took {handoff_ns:.0} ns, over the {CEILING_HANDOFF_NS} ns ceiling"
-    );
+    const CEILING_PAIR_NS: f64 = 150.0;
     const CEILING_JSONL_NS: f64 = 400.0;
     const CEILING_CHROME_NS: f64 = 800.0;
-    assert!(
-        jsonl_ns < CEILING_JSONL_NS,
-        "write_jsonl took {jsonl_ns:.0} ns per event, over the {CEILING_JSONL_NS} ns ceiling"
-    );
-    assert!(
-        chrome_ns < CEILING_CHROME_NS,
-        "write_chrome took {chrome_ns:.0} ns per event, over the {CEILING_CHROME_NS} ns ceiling"
-    );
-    assert!(
-        pingpong > FLOOR_EVENTS_PER_SEC,
-        "notify/wait ping-pong fell below {FLOOR_EVENTS_PER_SEC} events/sec ({pingpong:.0})"
-    );
-    assert!(
-        storm > FLOOR_EVENTS_PER_SEC,
-        "fork/join storm fell below {FLOOR_EVENTS_PER_SEC} events/sec ({storm:.0})"
-    );
-    assert!(
-        wheel_rate > FLOOR_TIMER_OPS_PER_SEC,
-        "timer wheel churn fell below {FLOOR_TIMER_OPS_PER_SEC} arm+fire/sec ({wheel_rate:.0})"
-    );
+    for (what, ns, ceiling) in [
+        ("a yield_now round trip", handoff_ns, CEILING_HANDOFF_NS),
+        ("an uncontended enter + exit", pair_ns, CEILING_PAIR_NS),
+        ("write_jsonl, per event,", jsonl_ns, CEILING_JSONL_NS),
+        ("write_chrome, per event,", chrome_ns, CEILING_CHROME_NS),
+    ] {
+        assert!(
+            ns < ceiling,
+            "{what} took {ns:.0} ns, over the {ceiling} ns ceiling"
+        );
+    }
+    for (what, rate, floor) in [
+        (
+            "notify/wait ping-pong events",
+            pingpong,
+            FLOOR_EVENTS_PER_SEC,
+        ),
+        ("fork/join storm events", storm, FLOOR_EVENTS_PER_SEC),
+        ("timer wheel arm+fire", wheel_rate, FLOOR_TIMER_OPS_PER_SEC),
+    ] {
+        assert!(rate > floor, "{what}/sec fell below {floor} ({rate:.0})");
+    }
     println!(
-        "hot-path floors ok (> {FLOOR_EVENTS_PER_SEC} events/sec, wheel > {FLOOR_TIMER_OPS_PER_SEC} arm+fire/sec, handoff < {CEILING_HANDOFF_NS} ns, write_jsonl < {CEILING_JSONL_NS} ns, write_chrome < {CEILING_CHROME_NS} ns)"
+        "hot-path floors ok (> {FLOOR_EVENTS_PER_SEC} events/sec, wheel > {FLOOR_TIMER_OPS_PER_SEC} arm+fire/sec, handoff < {CEILING_HANDOFF_NS} ns, enter + exit < {CEILING_PAIR_NS} ns, write_jsonl < {CEILING_JSONL_NS} ns, write_chrome < {CEILING_CHROME_NS} ns)"
     );
 }

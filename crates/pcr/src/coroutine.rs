@@ -4,11 +4,12 @@
 //! A simulated thread is a [`Coroutine`]: a body running on its own
 //! `mmap`ed stack, on the OS thread of whoever built the simulation. The
 //! scheduler [`Coroutine::resume`]s it with a [`Reply`]; the body runs
-//! until its [`Baton::call`] hands back the next [`Request`]. Either
-//! direction is one [`switch`]: push the six callee-saved registers,
-//! swap stack pointers, pop, `ret`. No OS thread, channel or lock is
-//! involved, which is what PCR was: Mesa threads multiplexed in one
-//! address space, a switch a register save.
+//! until it [`Baton::park`]s (under [`crate::MpSim`], until its
+//! [`Baton::call`] hands back the next [`Request`]). Either direction is
+//! one [`switch`]: push the six callee-saved registers, swap stack
+//! pointers, pop them, pop the return address and jump to it. No OS
+//! thread, channel or lock is involved, which is what PCR was: Mesa
+//! threads multiplexed in one address space, a switch a register save.
 //!
 //! Everything architecture-specific is the naked [`switch`] and the
 //! eight-word initial frame [`Coroutine::new`] lays out for it (~25
@@ -161,7 +162,10 @@ impl StackPool {
 /// `*save_sp`), then loads the context whose stack pointer is `to_sp` and
 /// returns into it. `arg` rides along in `rdi`: a context entered for
 /// the first time is [`entry`], which finds it as its argument; one
-/// re-entered inside its own earlier `switch` call ignores it.
+/// re-entered inside its own earlier `switch` call ignores it. The
+/// return is `pop rax` / `jmp rax`, not `ret`: after a stack swap the
+/// return-stack predictor holds the other stack's caller, so a `ret`
+/// always mispredicts, and `rax` is dead in a function returning nothing.
 ///
 /// # Safety
 ///
@@ -188,7 +192,8 @@ unsafe extern "C" fn switch(save_sp: *mut *mut u8, to_sp: *mut u8, arg: *const L
         "pop rbx",
         "pop rbp",
         "mov rdi, rdx",
-        "ret",
+        "pop rax",
+        "jmp rax",
     )
 }
 
@@ -196,9 +201,9 @@ unsafe extern "C" fn switch(save_sp: *mut *mut u8, to_sp: *mut u8, arg: *const L
 enum State {
     /// Built, never resumed: the stack holds only the initial frame.
     Fresh,
-    /// Between a `resume` and the body's next `call` (or its end).
+    /// Between a `resume` and the body's next `park` (or its end).
     Running,
-    /// Inside `Baton::call`, waiting for the next `resume`.
+    /// Inside `Baton::park`, waiting for the next `resume`.
     Suspended,
     /// The body has returned or unwound; the stack holds nothing.
     Finished,
@@ -245,13 +250,14 @@ impl Coroutine {
     pub(crate) fn new(stack: Stack, body: impl FnOnce(Baton) + 'static) -> Coroutine {
         // The frame `switch` pops, from the top of the stack down: a null
         // return address for `entry` (never used; it ends backtraces),
-        // `entry` itself for `switch`'s `ret`, six zeroed registers.
+        // `entry` itself for `switch`'s final pop and jump, six zeroed
+        // registers.
         let frame: [usize; 8] = [0, 0, 0, 0, 0, 0, entry as *const () as usize, 0];
         // SAFETY: `top` is one past the end of the stack's own mapping, so
         // the 64 bytes below it are inside it and usize-aligned, and no
-        // frame lives on a `Stack` we own. The
-        // `ret` slot lands at `top - 16`, so `entry` starts with its
-        // return slot at 8 mod 16: the alignment a `call` would give it.
+        // frame lives on a `Stack` we own. The slot holding `entry` lands
+        // at `top - 16`, so `entry` starts with its return slot at 8 mod
+        // 16: the alignment a `call` would give it.
         let sp = unsafe {
             let sp = stack.top().sub(size_of_val(&frame));
             sp.cast::<[usize; 8]>().write(frame);
@@ -271,10 +277,9 @@ impl Coroutine {
         }
     }
 
-    /// Runs the body until its next [`Baton::call`], which receives
-    /// `reply` (the first resume's reply is only the go signal), and
-    /// returns that call's request — or, when the body ended instead,
-    /// whatever it last [`Baton::post`]ed.
+    /// Runs the body until it next [`Baton::park`]s, which receives
+    /// `reply` (the first resume's reply is only the go signal), or ends,
+    /// and returns what the body [`Baton::post`]ed meanwhile, if anything.
     ///
     /// # Panics
     ///
@@ -384,13 +389,19 @@ impl Baton {
     /// Hands `req` to the resumer and suspends until the next
     /// [`Coroutine::resume`], whose reply it returns.
     pub(crate) fn call(&self, req: Request) -> Reply {
+        self.post(req);
+        self.park()
+    }
+
+    /// Suspends until the next [`Coroutine::resume`], whose reply it
+    /// returns.
+    pub(crate) fn park(&self) -> Reply {
         let link = &*self.link;
         assert_eq!(
             link.state.get(),
             State::Running,
             "baton used from outside its running body"
         );
-        link.request.set(Some(req));
         link.state.set(State::Suspended);
         // SAFETY: the state was Running, and a `Baton` is `!Send` and is
         // lent only to the body it was made for, so this code is running
@@ -402,7 +413,7 @@ impl Baton {
     }
 
     /// Leaves `req` for the resumer without suspending: it is what the
-    /// `resume` in progress returns if the body ends before calling again.
+    /// `resume` in progress returns when the body next parks, or ends.
     pub(crate) fn post(&self, req: Request) {
         self.link.request.set(Some(req));
     }
@@ -534,7 +545,7 @@ mod tests {
         let mut suspended = Coroutine::new(Stack::map(), move |baton| {
             let _on_stack = local;
             r.set(r.get() + 1);
-            // The unwind is caught here as `wrap_body` would catch it.
+            // The unwind is caught here as `fork_spec`'s wrapper would catch it.
             let _ = catch_unwind(AssertUnwindSafe(|| loop {
                 call_or_unwind(&baton, work(1));
             }));

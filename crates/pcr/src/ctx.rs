@@ -5,10 +5,18 @@
 //! monitors, condition variables — goes through it. Between two calls the
 //! thread's Rust code executes in zero virtual time; virtual CPU is
 //! consumed explicitly with [`ThreadCtx::work`].
+//!
+//! Under [`crate::Sim`] a call is a function call: the context shares the
+//! simulation's [`Kernel`], which serves the request on the calling
+//! body's own stack and hands the reply straight back. The body switches
+//! stacks only when the call cost it the CPU (it blocked, was preempted,
+//! ran out its quantum or the run's window, or was stalled), as PCR
+//! entered its scheduler only to change threads: it parks on its baton
+//! and the next dispatch resumes it with the reply.
 
-use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::{Cell, RefCell};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use crate::condition::Condition;
@@ -18,6 +26,7 @@ use crate::event::WaitOutcome;
 use crate::monitor::{Monitor, MonitorGuard, MonitorId};
 use crate::rendezvous::{BodyFn, ForkSpec, Reply, Request, ShutdownSignal};
 use crate::rng::SplitMix64;
+use crate::sched::Kernel;
 use crate::thread::{JoinHandle, Priority, ResultSlot, ThreadId};
 use crate::time::{SimDuration, SimTime};
 
@@ -44,6 +53,22 @@ impl ForkOpts {
     }
 }
 
+/// How a context reaches its scheduler.
+pub(crate) enum Port {
+    /// [`crate::Sim`]: the kernel serves each request on the caller's stack.
+    Kernel(Rc<RefCell<Kernel>>),
+    /// [`crate::MpSim`]: each request is a baton round trip to the
+    /// scheduler's stack; the cell is its clock.
+    Wire(Rc<Cell<SimTime>>),
+}
+
+thread_local! {
+    /// Set while kernel or sink code runs on a body's stack. A panic there
+    /// leaves it set until [`fork_spec`]'s wrapper sees it: that panic is
+    /// the host's, not the simulated thread's.
+    pub(crate) static IN_KERNEL: Cell<bool> = const { Cell::new(false) };
+}
+
 /// A simulated thread's handle to the runtime.
 ///
 /// Not `Clone`, not `Send` and not `Sync`: it embodies the calling
@@ -54,7 +79,7 @@ pub struct ThreadCtx {
     tid: ThreadId,
     name: String,
     baton: Baton,
-    clock: Arc<AtomicU64>,
+    port: Port,
     shutting_down: Cell<bool>,
     priority: Cell<Priority>,
     seed: u64,
@@ -68,7 +93,7 @@ impl ThreadCtx {
         tid: ThreadId,
         name: String,
         priority: Priority,
-        clock: Arc<AtomicU64>,
+        port: Port,
         seed: u64,
         body: BodyFn,
     ) -> Coroutine {
@@ -77,7 +102,7 @@ impl ThreadCtx {
                 tid,
                 name,
                 baton,
-                clock,
+                port,
                 shutting_down: Cell::new(false),
                 priority: Cell::new(priority),
                 seed,
@@ -103,7 +128,10 @@ impl ThreadCtx {
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        SimTime::from_micros(self.clock.load(Ordering::Relaxed))
+        match &self.port {
+            Port::Kernel(kernel) => kernel.borrow().clock,
+            Port::Wire(clock) => clock.get(),
+        }
     }
 
     /// A deterministic per-thread random generator, derived from the
@@ -116,11 +144,26 @@ impl ThreadCtx {
 
     // ---- core rendezvous ------------------------------------------------
 
+    /// Carries `req` to the scheduler and comes back with its reply,
+    /// having switched stacks only if the thread left the CPU meanwhile.
+    fn request(&self, req: Request) -> Reply {
+        match &self.port {
+            Port::Kernel(kernel) => {
+                let caught = IN_KERNEL.replace(true);
+                assert!(!caught, "a thread body caught a panic of the kernel's");
+                let served = kernel.borrow_mut().serve(self.tid, req);
+                IN_KERNEL.set(false);
+                served.unwrap_or_else(|| self.baton.park())
+            }
+            Port::Wire(_) => self.baton.call(req),
+        }
+    }
+
     fn call(&self, req: Request) -> Reply {
         if self.shutting_down.get() {
             std::panic::panic_any(ShutdownSignal);
         }
-        match self.baton.call(req) {
+        match self.request(req) {
             Reply::Shutdown => {
                 self.shutting_down.set(true);
                 std::panic::panic_any(ShutdownSignal)
@@ -193,14 +236,8 @@ impl ThreadCtx {
         T: Send + 'static,
         F: FnOnce(&ThreadCtx) -> T + Send + 'static,
     {
-        let slot: ResultSlot<T> = Arc::new(Mutex::new(None));
-        let body = wrap_body(f, Arc::clone(&slot));
-        match self.call(Request::Fork(ForkSpec {
-            name: name.to_string(),
-            priority: opts.priority,
-            detached: opts.detached,
-            body,
-        })) {
+        let (spec, slot) = fork_spec(name, opts.priority, opts.detached, f);
+        match self.call(Request::Fork(spec)) {
             Reply::Forked(tid) => Ok(JoinHandle { tid, slot }),
             Reply::ForkFailed => Err(ForkError::ResourcesExhausted),
             r => unreachable!("fork: unexpected reply {r:?}"),
@@ -302,10 +339,12 @@ impl ThreadCtx {
     }
 
     pub(crate) fn monitor_exit(&self, mid: MonitorId) {
-        if self.shutting_down.get() {
+        // After a kernel panic the kernel's state is not to be trusted,
+        // and this is a guard dropped by that panic's unwind.
+        if self.shutting_down.get() || IN_KERNEL.get() {
             return;
         }
-        if let Reply::Shutdown = self.baton.call(Request::MonitorExit(mid)) {
+        if let Reply::Shutdown = self.request(Request::MonitorExit(mid)) {
             self.shutting_down.set(true);
             // Unwind unless we are already unwinding (a panic out of a
             // destructor during a panic would abort the process).
@@ -406,18 +445,29 @@ impl ThreadCtx {
     }
 }
 
-/// Wraps a user body for result capture and panic handling.
-pub(crate) fn wrap_body<T: Send + 'static>(
+/// What the scheduler needs to create a thread running `f`, wrapped for
+/// result capture and panic handling, and the slot its result lands in.
+pub(crate) fn fork_spec<T: Send + 'static>(
+    name: &str,
+    priority: Option<Priority>,
+    detached: bool,
     f: impl FnOnce(&ThreadCtx) -> T + Send + 'static,
-    slot: ResultSlot<T>,
-) -> BodyFn {
-    Box::new(move |ctx: &ThreadCtx| {
+) -> (ForkSpec, ResultSlot<T>) {
+    let result: ResultSlot<T> = Arc::new(Mutex::new(None));
+    let slot = Arc::clone(&result);
+    let body: BodyFn = Box::new(move |ctx: &ThreadCtx| {
         match catch_unwind(AssertUnwindSafe(|| f(ctx))) {
             Ok(v) => {
                 *slot.lock().expect("result slot poisoned") = Some(Ok(v));
                 ctx.send_exit(false);
             }
             Err(payload) => {
+                if IN_KERNEL.replace(false) {
+                    // Raised by the kernel or a sink while serving this
+                    // thread: not its own failure. `Sim::run` re-raises
+                    // it on the host.
+                    resume_unwind(payload);
+                }
                 if payload.is::<ShutdownSignal>() {
                     // Teardown unwind: vanish quietly.
                     return;
@@ -427,7 +477,14 @@ pub(crate) fn wrap_body<T: Send + 'static>(
                 ctx.send_exit(true);
             }
         }
-    })
+    });
+    let spec = ForkSpec {
+        name: name.to_string(),
+        priority,
+        detached,
+        body,
+    };
+    (spec, result)
 }
 
 /// Extracts a readable message from a panic payload.

@@ -37,11 +37,13 @@
 //! built the [`Sim`] — as PCR's threads were multiplexed in one address
 //! space — and the scheduler resumes exactly one at a time; user code
 //! between two runtime calls executes in zero virtual time, and virtual
-//! CPU is consumed explicitly with [`ThreadCtx::work`]. A simulation
-//! owns no OS thread, and stays on the one that built it: [`Sim`] and
-//! [`MpSim`] are `!Send`. All scheduling state lives in [`Sim`], so a
-//! given configuration and seed replays identically — which is what makes
-//! the paper's tables reproducible as deterministic experiments.
+//! CPU is consumed explicitly with [`ThreadCtx::work`]. A runtime call
+//! runs the kernel on the caller's own stack, and a thread switches
+//! stacks only when it leaves the CPU. A simulation owns no OS thread,
+//! and stays on the one that built it: [`Sim`] and [`MpSim`] are `!Send`.
+//! All scheduling state lives in the [`Sim`]'s kernel, so a given
+//! configuration and seed replays identically — which is what makes the
+//! paper's tables reproducible as deterministic experiments.
 //!
 //! ## Example
 //!
@@ -84,7 +86,6 @@ mod ctx;
 mod error;
 mod event;
 mod hazard;
-pub mod microbench;
 mod monitor;
 pub mod mp;
 mod rendezvous;
@@ -115,10 +116,10 @@ pub use runtime::{Guard, Runtime};
 pub use sched::policy;
 pub use sched::policy::PolicyKind;
 pub use sched::{AllocCounters, RunLimit, SchedLatency, Sim, SimStats};
-pub use thread::{JoinHandle, Priority, ThreadId, ThreadInfo, ThreadView};
+pub use thread::{JoinHandle, Priority, ThreadId, ThreadInfo, ThreadSummary, ThreadView};
 pub use time::{micros, millis, secs, SimDuration, SimTime};
 pub use waitgraph::{BlockKind, Inversion, RunnableThread, WaitForGraph, WaitingThread};
-pub use wheel::{HeapWheel, Wheel, WheelToken};
+pub use wheel::{Wheel, WheelToken};
 
 use std::sync::Once;
 
@@ -126,10 +127,11 @@ static PANIC_SILENCER: Once = Once::new();
 
 /// Installs a process-wide panic hook that keeps panics raised inside a
 /// simulated thread's body off the host's stderr, while chaining every
-/// other panic to the previously installed hook. Such panics are the
-/// simulation's data — a body's own failure, a faulted request, the
-/// private payload that unwinds live bodies when a [`Sim`] is dropped —
-/// and are reported where simulations report: [`JoinError`],
+/// other panic to the previously installed hook — a panic of the kernel's
+/// or a sink's while serving a call on a body's stack included. A body's
+/// panics are the simulation's data — its own failure, a faulted request,
+/// the private payload that unwinds live bodies when a [`Sim`] is
+/// dropped — and are reported where simulations report: [`JoinError`],
 /// [`SimStats::panics`], [`EventKind::Exit`].
 ///
 /// Called automatically by [`Sim::new`]; safe to call repeatedly.
@@ -137,7 +139,7 @@ pub(crate) fn install_panic_silencer() {
     PANIC_SILENCER.call_once(|| {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            if !coroutine::body_on_cpu() {
+            if !coroutine::body_on_cpu() || ctx::IN_KERNEL.get() {
                 previous(info);
             }
         }));

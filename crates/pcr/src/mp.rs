@@ -30,20 +30,20 @@
 //! deterministic. The linearization order of same-instant operations is
 //! CPU-index order.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use crate::condition::Condition;
 use crate::config::{NotifyMode, SimConfig};
 use crate::coroutine::{Coroutine, StackPool};
-use crate::ctx::{wrap_body, ThreadCtx};
+use crate::ctx::{fork_spec, Port, ThreadCtx};
 use crate::error::{RunReport, StopReason};
 use crate::event::{CondId, Event, EventKind, TraceSink, WaitOutcome, YieldKind};
 use crate::monitor::{Monitor, MonitorId};
 use crate::rendezvous::{ForkSpec, Reply, Request};
 use crate::sched::SimStats;
-use crate::thread::{JoinHandle, Priority, ResultSlot, ThreadId};
+use crate::thread::{JoinHandle, Priority, ThreadId};
 use crate::time::{SimDuration, SimTime};
 use crate::timer::{TimerKind, TimerWheel};
 use crate::RunLimit;
@@ -76,8 +76,10 @@ struct Tcb {
     ready_since: SimTime,
 }
 
+#[derive(Default)]
 struct MonState {
     name: String,
+    entered: bool,
     owner: Option<ThreadId>,
     queue: VecDeque<ThreadId>,
     deferred: Vec<(ThreadId, WaitOutcome, CondId)>,
@@ -87,6 +89,7 @@ struct CvState {
     name: String,
     monitor: MonitorId,
     timeout: Option<SimDuration>,
+    waited: bool,
     queue: VecDeque<ThreadId>,
 }
 
@@ -122,7 +125,8 @@ pub struct MpSim {
     cfg: SimConfig,
     cpus: usize,
     clock: SimTime,
-    clock_mirror: Arc<AtomicU64>,
+    /// `clock`, where each thread's context reads it.
+    clock_mirror: Rc<Cell<SimTime>>,
     threads: Vec<Tcb>,
     ready: [VecDeque<ThreadId>; Priority::LEVELS],
     running: Vec<Option<ThreadId>>,
@@ -148,7 +152,7 @@ impl MpSim {
         MpSim {
             cpus,
             clock: SimTime::ZERO,
-            clock_mirror: Arc::new(AtomicU64::new(0)),
+            clock_mirror: Rc::default(),
             threads: Vec::new(),
             ready: Default::default(),
             running: vec![None; cpus],
@@ -189,9 +193,7 @@ impl MpSim {
         let id = MonitorId(self.monitors.len() as u32);
         self.monitors.push(MonState {
             name: name.to_string(),
-            owner: None,
-            queue: VecDeque::new(),
-            deferred: Vec::new(),
+            ..MonState::default()
         });
         Monitor::new(id, name, data)
     }
@@ -208,6 +210,7 @@ impl MpSim {
             name: name.to_string(),
             monitor: m.id(),
             timeout,
+            waited: false,
             queue: VecDeque::new(),
         });
         Condition {
@@ -224,17 +227,8 @@ impl MpSim {
         T: Send + 'static,
         F: FnOnce(&ThreadCtx) -> T + Send + 'static,
     {
-        let slot: ResultSlot<T> = Arc::new(Mutex::new(None));
-        let body = wrap_body(f, Arc::clone(&slot));
-        let tid = self.create_thread(
-            ForkSpec {
-                name: name.to_string(),
-                priority: Some(priority),
-                detached: false,
-                body,
-            },
-            None,
-        );
+        let (spec, slot) = fork_spec(name, Some(priority), false, f);
+        let tid = self.create_thread(spec, None);
         JoinHandle { tid, slot }
     }
 
@@ -250,7 +244,7 @@ impl MpSim {
             tid,
             spec.name.clone(),
             priority,
-            Arc::clone(&self.clock_mirror),
+            Port::Wire(Rc::clone(&self.clock_mirror)),
             self.cfg.seed,
             spec.body,
         );
@@ -295,8 +289,7 @@ impl MpSim {
     fn set_clock(&mut self, t: SimTime) {
         debug_assert!(t >= self.clock);
         self.clock = t;
-        self.clock_mirror
-            .store(t.as_micros(), std::sync::atomic::Ordering::Relaxed);
+        self.clock_mirror.set(t);
     }
 
     fn push_ready(&mut self, tid: ThreadId) {
@@ -388,13 +381,7 @@ impl MpSim {
         let outcome = self.threads[tid.0 as usize].reacquire_outcome;
         if self.monitors[mid.0 as usize].owner.is_none() {
             self.monitors[mid.0 as usize].owner = Some(tid);
-            self.stats.ml_enters += 1;
-            self.stats.distinct_monitors.insert(mid.0);
-            self.emit(EventKind::MlEnter {
-                tid,
-                monitor: mid,
-                contended: false,
-            });
+            self.note_enter(tid, mid, false);
             let reply = self.grant_reply(tid);
             self.threads[tid.0 as usize].pending_reply = Some(reply);
             true
@@ -403,18 +390,22 @@ impl MpSim {
                 self.stats.spurious_conflicts += 1;
                 self.emit(EventKind::SpuriousLockConflict { tid, monitor: mid });
             }
-            self.stats.ml_enters += 1;
-            self.stats.ml_contended += 1;
-            self.stats.distinct_monitors.insert(mid.0);
-            self.emit(EventKind::MlEnter {
-                tid,
-                monitor: mid,
-                contended: true,
-            });
+            self.note_enter(tid, mid, true);
             self.monitors[mid.0 as usize].queue.push_back(tid);
             self.threads[tid.0 as usize].state = TState::MutexWait(mid);
             false
         }
+    }
+
+    /// Counts and announces one monitor entry.
+    fn note_enter(&mut self, tid: ThreadId, mid: MonitorId, contended: bool) {
+        let entered = &mut self.monitors[mid.0 as usize].entered;
+        self.stats.count_enter(entered, contended);
+        self.emit(EventKind::MlEnter {
+            tid,
+            monitor: mid,
+            contended,
+        });
     }
 
     fn grant_reply(&mut self, tid: ThreadId) -> Reply {
@@ -561,13 +552,7 @@ impl MpSim {
             Request::MonitorEnter(mid) => match self.monitors[mid.0 as usize].owner {
                 None => {
                     self.monitors[mid.0 as usize].owner = Some(tid);
-                    self.stats.ml_enters += 1;
-                    self.stats.distinct_monitors.insert(mid.0);
-                    self.emit(EventKind::MlEnter {
-                        tid,
-                        monitor: mid,
-                        contended: false,
-                    });
+                    self.note_enter(tid, mid, false);
                     let t = &mut self.threads[tid.0 as usize];
                     t.pending_reply = Some(Reply::Ok);
                     t.debt = self.cfg.primitive_cost;
@@ -578,14 +563,7 @@ impl MpSim {
                     ));
                 }
                 Some(_) => {
-                    self.stats.ml_enters += 1;
-                    self.stats.ml_contended += 1;
-                    self.stats.distinct_monitors.insert(mid.0);
-                    self.emit(EventKind::MlEnter {
-                        tid,
-                        monitor: mid,
-                        contended: true,
-                    });
+                    self.note_enter(tid, mid, true);
                     self.monitors[mid.0 as usize].queue.push_back(tid);
                     self.threads[tid.0 as usize].state = TState::MutexWait(mid);
                 }
@@ -610,7 +588,8 @@ impl MpSim {
                     return;
                 }
                 self.stats.cv_waits += 1;
-                self.stats.distinct_conditions.insert(cv.0);
+                let first = !std::mem::replace(&mut self.conds[cv.0 as usize].waited, true);
+                self.stats.distinct_conditions += usize::from(first);
                 self.emit(EventKind::CvWait { tid, cv });
                 let t = &mut self.threads[tid.0 as usize];
                 t.wait_seq += 1;
@@ -626,7 +605,7 @@ impl MpSim {
                 self.release_monitor(mid);
             }
             Request::Notify { cv } | Request::Broadcast { cv } => {
-                let broadcast = matches!(req_kind(&req), ReqKind::Broadcast);
+                let broadcast = matches!(req, Request::Broadcast { .. });
                 let mid = self.conds[cv.0 as usize].monitor;
                 if self.monitors[mid.0 as usize].owner != Some(tid) {
                     self.threads[tid.0 as usize].pending_reply = Some(Reply::Fault(
@@ -679,9 +658,7 @@ impl MpSim {
                 let id = MonitorId(self.monitors.len() as u32);
                 self.monitors.push(MonState {
                     name,
-                    owner: None,
-                    queue: VecDeque::new(),
-                    deferred: Vec::new(),
+                    ..MonState::default()
                 });
                 self.threads[tid.0 as usize].pending_reply = Some(Reply::MonitorId(id));
             }
@@ -695,6 +672,7 @@ impl MpSim {
                     name,
                     monitor,
                     timeout,
+                    waited: false,
                     queue: VecDeque::new(),
                 });
                 self.threads[tid.0 as usize].pending_reply = Some(Reply::CondId(id));
@@ -881,18 +859,6 @@ impl MpSim {
 impl Drop for MpSim {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-enum ReqKind {
-    Notify,
-    Broadcast,
-}
-
-fn req_kind(req: &Request) -> ReqKind {
-    match req {
-        Request::Broadcast { .. } => ReqKind::Broadcast,
-        _ => ReqKind::Notify,
     }
 }
 

@@ -1,14 +1,16 @@
-//! The baton protocol between simulated threads and the scheduler.
+//! The requests a simulated thread makes of its scheduler, and the replies.
 //!
 //! Each simulated thread is a stackful coroutine on the OS thread that
 //! built the simulation ([`crate::coroutine`]), so exactly one runs at a
-//! time by construction: the scheduler resumes a thread by handing it a
-//! [`Reply`], and gets control back when that thread hands over its next
-//! [`Request`]. A handoff is a register swap either way.
+//! time by construction. Under [`crate::Sim`] a [`Request`] is an argument,
+//! not a message: the kernel serves it on the requesting body's own stack
+//! and returns the [`Reply`], and only a thread that has left the CPU
+//! parks, to be resumed with its reply by a later dispatch. Under
+//! [`crate::MpSim`] the two enums are still a wire protocol: every request
+//! is a baton round trip to the scheduler's stack.
 //! User code between two requests executes in zero virtual time; virtual
-//! time advances only through explicit costs processed by the scheduler.
-//! All scheduling state therefore lives on the scheduler's side and the
-//! simulation is deterministic.
+//! time advances only through explicit costs the scheduler processes, so
+//! the simulation is deterministic.
 
 use crate::event::{CondId, WaitOutcome};
 use crate::monitor::MonitorId;
@@ -83,8 +85,9 @@ pub(crate) enum Request {
         monitor: MonitorId,
         timeout: Option<SimDuration>,
     },
-    /// Thread terminated (normally or by panic). Posted, not called: the
-    /// body's final switch delivers it and no reply follows.
+    /// Thread terminated (normally or by panic). Always posted: the body's
+    /// final switch delivers it to the scheduler's side, which recycles
+    /// the stack, and no reply follows.
     Exit { panicked: bool },
 }
 

@@ -1,28 +1,30 @@
 //! The scheduler: strict priorities, round-robin timeslicing, preemption,
 //! yields and slice donation, monitors, and condition variables.
 //!
-//! [`Sim`] owns every piece of scheduling state and advances the virtual
-//! clock. Simulated threads interact with it through the rendezvous
-//! protocol in [`crate::rendezvous`]; they are coroutines on the OS thread
-//! that calls [`Sim::run`], so the whole simulation is single-threaded in
-//! fact and deterministic for a given configuration and seed.
+//! All scheduling state, the virtual clock included, lives in one
+//! [`Kernel`] behind an `Rc<RefCell<_>>` that [`Sim`] shares with the
+//! [`ThreadCtx`] of each simulated thread. Threads are coroutines on the
+//! OS thread that calls [`Sim::run`], and a thread's kernel calls
+//! ([`Kernel::serve`]) run on its own stack: it switches to the
+//! scheduler's only to leave the CPU. So the simulation is single-threaded
+//! in fact and deterministic for a given configuration and seed.
 
-use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::cell::{OnceCell, Ref, RefCell, RefMut};
+use std::collections::VecDeque;
+use std::rc::{Rc, Weak};
 
 use crate::chaos::{FaultDecision, FaultSchedule, FaultSiteKind};
 use crate::condition::Condition;
 use crate::config::{ForkPolicy, NotifyMode, SimConfig};
 use crate::coroutine::{Coroutine, StackPool};
-use crate::ctx::{wrap_body, ThreadCtx};
+use crate::ctx::{fork_spec, Port, ThreadCtx};
 use crate::error::{BlockedThread, DeadlockReport, RunReport, StopReason};
 use crate::event::{CondId, Event, EventKind, EventMask, TraceSink, WaitOutcome, YieldKind};
 use crate::hazard::HazardMonitor;
 use crate::monitor::{Monitor, MonitorId};
 use crate::rendezvous::{ForkSpec, Reply, Request};
 use crate::rng::SplitMix64;
-use crate::thread::{JoinHandle, Priority, ResultSlot, ThreadId, ThreadInfo, ThreadView};
+use crate::thread::{JoinHandle, Priority, ThreadId, ThreadInfo, ThreadView};
 use crate::time::{micros, millis, SimDuration, SimTime};
 use crate::timer::{TimerKind, TimerWheel};
 
@@ -174,9 +176,9 @@ pub struct SimStats {
     /// benchmarks).
     pub max_live_threads: usize,
     /// Distinct monitors entered (Table 3: # MLs).
-    pub distinct_monitors: HashSet<u32>,
+    pub distinct_monitors: usize,
     /// Distinct CVs waited on (Table 3: # CVs).
-    pub distinct_conditions: HashSet<u32>,
+    pub distinct_conditions: usize,
     /// Virtual CPU consumed at each priority level (§3's per-priority
     /// execution-time profile).
     pub cpu_by_priority: [SimDuration; Priority::LEVELS],
@@ -187,6 +189,14 @@ pub struct SimStats {
 }
 
 impl SimStats {
+    /// Counts one monitor entry. `entered` is that monitor's
+    /// "entered before" flag, which feeds the distinct-ML count.
+    pub(crate) fn count_enter(&mut self, entered: &mut bool, contended: bool) {
+        self.ml_enters += 1;
+        self.ml_contended += u64::from(contended);
+        self.distinct_monitors += usize::from(!std::mem::replace(entered, true));
+    }
+
     /// Fraction of CV waits that timed out.
     pub fn timeout_fraction(&self) -> f64 {
         if self.cv_waits == 0 {
@@ -295,8 +305,11 @@ struct Tcb {
     blocked_since: SimTime,
 }
 
+#[derive(Default)]
 struct MonitorState {
     name: String,
+    /// Entered at least once: counted in `SimStats::distinct_monitors`.
+    entered: bool,
     owner: Option<ThreadId>,
     queue: VecDeque<ThreadId>,
     /// Deferred-reschedule notifications awaiting the notifier's exit.
@@ -307,23 +320,12 @@ struct MonitorState {
     meta_waiters: VecDeque<ThreadId>,
 }
 
-impl MonitorState {
-    fn new(name: String) -> Self {
-        MonitorState {
-            name,
-            owner: None,
-            queue: VecDeque::new(),
-            deferred: Vec::new(),
-            meta: None,
-            meta_waiters: VecDeque::new(),
-        }
-    }
-}
-
 struct CvState {
     name: String,
     monitor: MonitorId,
     timeout: Option<SimDuration>,
+    /// Waited on at least once: counted in `SimStats::distinct_conditions`.
+    waited: bool,
     /// Waiters in arrival order. A timeout or spurious wake removes its
     /// entry, so everything queued is still waiting.
     queue: VecDeque<ThreadId>,
@@ -363,6 +365,9 @@ pub struct AllocCounters {
     pub os_thread_spawns: u64,
     /// Simulated forks served a stack from the sim's free list.
     pub os_thread_reuses: u64,
+    /// Times the scheduler resumed a thread's body: one per dispatch that
+    /// reaches the body, none for a kernel call that keeps the CPU.
+    pub stack_switches: u64,
 }
 
 impl AllocCounters {
@@ -373,6 +378,7 @@ impl AllocCounters {
             timer_node_reuses: self.timer_node_reuses - earlier.timer_node_reuses,
             os_thread_spawns: self.os_thread_spawns - earlier.os_thread_spawns,
             os_thread_reuses: self.os_thread_reuses - earlier.os_thread_reuses,
+            stack_switches: self.stack_switches - earlier.stack_switches,
         }
     }
 }
@@ -394,9 +400,27 @@ impl AllocCounters {
 /// assert_send::<pcr::Sim>();
 /// ```
 pub struct Sim {
+    kernel: Rc<RefCell<Kernel>>,
+    /// What [`Sim::stats`] and [`Sim::threads_iter`] lend: copies taken on
+    /// first use and dropped by every `&mut self` call (`kernel_mut`).
+    stats_view: OnceCell<SimStats>,
+    threads_view: OnceCell<Vec<ThreadInfo>>,
+}
+
+/// All of a simulation's scheduling state. [`Sim`] holds it for the host
+/// and every [`ThreadCtx`] for its thread, so a kernel call runs on the
+/// caller's stack. Nobody keeps it borrowed across a stack switch.
+pub(crate) struct Kernel {
+    /// The cell this kernel lives in, for the contexts of threads it forks.
+    me: Weak<RefCell<Kernel>>,
     cfg: SimConfig,
-    clock: SimTime,
-    clock_mirror: Arc<AtomicU64>,
+    pub(crate) clock: SimTime,
+    /// Where the [`Sim::run`] in progress stops.
+    end: SimTime,
+    /// What is left of the running thread's timeslice.
+    quantum_left: SimDuration,
+    /// Times a body was resumed ([`AllocCounters::stack_switches`]).
+    stack_switches: u64,
     rng: SplitMix64,
     threads: Vec<Tcb>,
     /// The installed scheduling policy: owns the ready structure and
@@ -417,8 +441,8 @@ pub struct Sim {
     conds: Vec<CvState>,
     sink: Option<Box<dyn TraceSink>>,
     /// Cached [`TraceSink::subscriptions`] of `sink` (EMPTY when none):
-    /// [`Sim::emit`] consults the masks before constructing an event, so
-    /// an un-instrumented run pays only for its counters.
+    /// [`Kernel::emit`] consults the masks before constructing an event,
+    /// so an un-instrumented run pays only for its counters.
     sink_mask: EventMask,
     /// Cached subscription mask of `hazards` (EMPTY when none).
     hazard_mask: EventMask,
@@ -456,10 +480,13 @@ impl Sim {
         let seed = cfg.seed;
         let daemon = cfg.system_daemon;
         let kind = cfg.policy;
-        let mut sim = Sim {
+        let mut k = Kernel {
+            me: Weak::new(),
             cfg,
             clock: SimTime::ZERO,
-            clock_mirror: Arc::new(AtomicU64::new(0)),
+            end: SimTime::ZERO,
+            quantum_left: SimDuration::ZERO,
+            stack_switches: 0,
             rng: SplitMix64::new(seed),
             threads: Vec::new(),
             policy: policy::make(kind, seed),
@@ -484,28 +511,35 @@ impl Sim {
             pct_sites: VecDeque::new(),
             hazards: None,
         };
-        sim.chaos_script = sim.cfg.chaos.script.as_ref().map(|s| s.cursors());
-        if sim.chaos_script.is_none() {
-            if let Some(pct) = sim.cfg.chaos.pct {
+        k.chaos_script = k.cfg.chaos.script.as_ref().map(|s| s.cursors());
+        if k.chaos_script.is_none() {
+            if let Some(pct) = k.cfg.chaos.pct {
                 // PCT's change points: drawn up front from the chaos
                 // stream so later faults never shift them, sorted so a
                 // single cursor suffices at dispatch time.
                 let mut sites: Vec<u64> = (0..pct.changes)
-                    .map(|_| sim.chaos_rng.next_below(pct.horizon))
+                    .map(|_| k.chaos_rng.next_below(pct.horizon))
                     .collect();
                 sites.sort_unstable();
                 sites.dedup();
-                sim.pct_sites = sites.into_iter().collect();
+                k.pct_sites = sites.into_iter().collect();
             }
         }
-        if let Some(hc) = sim.cfg.hazard_detection.clone() {
-            sim.hazards = Some(HazardMonitor::new(hc));
-            sim.hazard_mask = HazardMonitor::subscriptions();
+        if let Some(hc) = k.cfg.hazard_detection.clone() {
+            k.hazards = Some(HazardMonitor::new(hc));
+            k.hazard_mask = HazardMonitor::subscriptions();
         }
-        for (i, spec) in sim.cfg.chaos.stalls.iter().enumerate() {
-            sim.timers
+        for (i, spec) in k.cfg.chaos.stalls.iter().enumerate() {
+            k.timers
                 .schedule(spec.at, TimerKind::ChaosStallStart { spec: i as u32 });
         }
+        let kernel = Rc::new(RefCell::new(k));
+        kernel.borrow_mut().me = Rc::downgrade(&kernel);
+        let mut sim = Sim {
+            kernel,
+            stats_view: OnceCell::new(),
+            threads_view: OnceCell::new(),
+        };
         if let Some(d) = daemon {
             let (period, slice) = (d.period, d.slice);
             let h = sim.fork_root_with(
@@ -522,32 +556,43 @@ impl Sim {
         sim
     }
 
+    /// The kernel, for a call that may change it: the views go stale.
+    fn kernel_mut(&mut self) -> RefMut<'_, Kernel> {
+        self.stats_view.take();
+        self.threads_view.take();
+        self.kernel.borrow_mut()
+    }
+
     /// The active configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
+    pub fn config(&self) -> Ref<'_, SimConfig> {
+        Ref::map(self.kernel.borrow(), |k| &k.cfg)
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.clock
+        self.kernel.borrow().clock
     }
 
     /// Runtime counters accumulated so far.
     pub fn stats(&self) -> &SimStats {
-        &self.stats
+        self.stats_view
+            .get_or_init(|| self.kernel.borrow().stats.clone())
     }
 
     /// Allocation/reuse counters for the sim's pooled resources (timer
-    /// slab, coroutine-stack pool). Snapshot before and
-    /// after a window and subtract with [`AllocCounters::since`] to
-    /// verify the hot path runs allocation-free at steady state.
+    /// slab, coroutine-stack pool) and its stack switches. Snapshot
+    /// before and after a window and subtract with
+    /// [`AllocCounters::since`] to verify the hot path runs
+    /// allocation-free, and switch-free, at steady state.
     pub fn alloc_counters(&self) -> AllocCounters {
-        let (timer_node_allocs, timer_node_reuses) = self.timers.alloc_stats();
+        let k = self.kernel.borrow();
+        let (timer_node_allocs, timer_node_reuses) = k.timers.alloc_stats();
         AllocCounters {
             timer_node_allocs,
             timer_node_reuses,
-            os_thread_spawns: self.pool.mapped,
-            os_thread_reuses: self.pool.reused,
+            os_thread_spawns: k.pool.mapped,
+            os_thread_reuses: k.pool.reused,
+            stack_switches: k.stack_switches,
         }
     }
 
@@ -555,65 +600,72 @@ impl Sim {
     /// [`TraceSink::subscriptions`] mask is read once here: only events
     /// of subscribed kinds are constructed and dispatched to it.
     pub fn set_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.sink_mask = sink.subscriptions();
-        self.sink = Some(sink);
+        let mut k = self.kernel_mut();
+        k.sink_mask = sink.subscriptions();
+        k.sink = Some(sink);
     }
 
     /// Removes and returns the trace sink.
     pub fn take_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.sink_mask = EventMask::EMPTY;
-        self.sink.take()
+        let mut k = self.kernel_mut();
+        k.sink_mask = EventMask::EMPTY;
+        k.sink.take()
     }
 
     /// The online hazard monitor, when
     /// [`SimConfig::with_hazard_detection`](crate::SimConfig::with_hazard_detection)
     /// enabled one.
-    pub fn hazards(&self) -> Option<&HazardMonitor> {
-        self.hazards.as_ref()
+    pub fn hazards(&self) -> Option<Ref<'_, HazardMonitor>> {
+        Ref::filter_map(self.kernel.borrow(), |k| k.hazards.as_ref()).ok()
     }
 
     /// Post-run summary of every thread ever created. Allocates one
-    /// `Vec` plus a name per thread; prefer [`Sim::threads_iter`] when a
-    /// borrowed view is enough.
+    /// `Vec` plus a name per thread.
     pub fn threads(&self) -> Vec<ThreadInfo> {
-        self.threads_iter().map(|v| v.to_info()).collect()
-    }
-
-    /// Iterates borrowed summaries of every thread ever created, in
-    /// creation order, without allocating.
-    pub fn threads_iter(&self) -> impl Iterator<Item = ThreadView<'_>> + '_ {
-        self.threads.iter().enumerate().map(|(i, t)| ThreadView {
+        let k = self.kernel.borrow();
+        let info = |(i, t): (usize, &Tcb)| ThreadInfo {
             tid: ThreadId(i as u32),
-            name: &t.name,
+            name: t.name.clone(),
             priority: t.priority,
             cpu: t.cpu,
             exited: t.exited,
             panicked: t.panicked,
             parent: t.parent,
             generation: t.generation,
-        })
+        };
+        k.threads.iter().enumerate().map(info).collect()
+    }
+
+    /// Iterates borrowed summaries of every thread ever created, in
+    /// creation order. The first call after a `&mut self` one takes a
+    /// [`Sim::threads`] snapshot; later calls reuse it.
+    pub fn threads_iter(&self) -> impl Iterator<Item = ThreadView<'_>> + '_ {
+        let threads = self.threads_view.get_or_init(|| self.threads());
+        threads.iter().map(ThreadInfo::view)
     }
 
     /// Number of threads ever created (exited ones included).
     pub fn thread_count(&self) -> usize {
-        self.threads.len()
+        self.kernel.borrow().threads.len()
     }
 
     /// Number of threads currently alive.
     pub fn live_threads(&self) -> usize {
-        self.live_threads
+        self.kernel.borrow().live_threads
     }
 
     /// The name of every monitor, indexed by [`MonitorId::as_u32`].
     /// Exporters use this to label lock tracks and contention rows.
     pub fn monitor_names(&self) -> Vec<String> {
-        self.monitors.iter().map(|m| m.name.clone()).collect()
+        let k = self.kernel.borrow();
+        k.monitors.iter().map(|m| m.name.clone()).collect()
     }
 
     /// For every condition variable, indexed by [`CondId::as_u32`]: its
     /// name and the monitor it belongs to.
     pub fn condition_info(&self) -> Vec<(String, MonitorId)> {
-        self.conds
+        let k = self.kernel.borrow();
+        k.conds
             .iter()
             .map(|c| (c.name.clone(), c.monitor))
             .collect()
@@ -627,9 +679,10 @@ impl Sim {
     /// [`ChaosConfig::scripted`](crate::ChaosConfig::scripted) replays
     /// exactly these faults, with no RNG involved.
     pub fn fault_schedule(&self) -> FaultSchedule {
+        let k = self.kernel.borrow();
         FaultSchedule {
-            decisions: self.chaos_trace.clone(),
-            stalls: self.cfg.chaos.stalls.clone(),
+            decisions: k.chaos_trace.clone(),
+            stalls: k.cfg.chaos.stalls.clone(),
         }
     }
 
@@ -637,6 +690,296 @@ impl Sim {
     /// waiters are included (for rendering); chaos-stalled and sleeping
     /// threads are not — they have timers pending.
     pub fn blocked_threads(&self) -> Vec<crate::WaitingThread> {
+        self.kernel.borrow().blocked_threads()
+    }
+
+    /// Snapshots the wait-for graph of the current instant: blocked
+    /// threads, their edges, and any chaos-stalled roots. See
+    /// [`crate::WaitForGraph`] for wedge and cycle queries.
+    pub fn wait_for_graph(&self) -> crate::WaitForGraph {
+        let k = self.kernel.borrow();
+        let live = || k.threads.iter().enumerate().filter(|(_, t)| !t.exited);
+        let stalled = live()
+            .filter(|(_, t)| t.state == TState::Stalled)
+            .map(|(i, t)| (ThreadId(i as u32), t.name.clone()))
+            .collect();
+        let runnable = live()
+            .filter(|(_, t)| matches!(t.state, TState::Ready | TState::Stalled))
+            .map(|(i, t)| crate::RunnableThread {
+                tid: ThreadId(i as u32),
+                name: t.name.clone(),
+                priority: t.priority,
+                stalled: t.state == TState::Stalled,
+            })
+            .collect();
+        crate::WaitForGraph {
+            now: k.clock,
+            threads: k.blocked_threads(),
+            stalled,
+            runnable,
+        }
+    }
+
+    /// Fails every FORK currently blocked waiting for a thread slot
+    /// (§5.4 recovery: drain the queue instead of letting callers hang).
+    /// Each blocked forker resumes with
+    /// [`ForkError::ResourcesExhausted`](crate::ForkError::ResourcesExhausted).
+    /// Returns how many forks were failed.
+    pub fn fail_pending_forks(&mut self) -> usize {
+        let k = &mut *self.kernel_mut();
+        let pending: Vec<ThreadId> = k
+            .pending_forks
+            .drain(..)
+            .map(|(forker, _spec)| forker)
+            .collect();
+        let n = pending.len();
+        for forker in pending {
+            k.stats.fork_failures += 1;
+            k.emit(EventKind::ForkFailed { tid: forker });
+            k.reply(forker, Reply::ForkFailed, k.cfg.primitive_cost);
+            k.push_ready_back(forker);
+        }
+        n
+    }
+
+    /// Clears any chaos stall on `tid` — in force or pending — and puts
+    /// a stalled thread back in the ready queue (§5.2 recovery: restart
+    /// the unresponsive component). The orphaned `ChaosStallEnd` timer
+    /// no-ops when it fires. Returns true if anything changed.
+    pub fn rejuvenate(&mut self, tid: ThreadId) -> bool {
+        self.kernel_mut().rejuvenate(tid)
+    }
+
+    /// Re-levels a live thread from outside (§6.2 recovery: boost a
+    /// preempted lock holder so its high-priority waiter can make
+    /// progress). A ready thread is re-queued at its new level; a
+    /// blocked, stalled, or running thread just carries the new priority
+    /// from its next scheduling point. Returns false if the thread has
+    /// exited.
+    pub fn set_thread_priority(&mut self, tid: ThreadId, priority: Priority) -> bool {
+        let k = &mut *self.kernel_mut();
+        if k.threads.get(tid.0 as usize).is_none_or(|t| t.exited) {
+            return false;
+        }
+        let was_ready = k.remove_from_ready(tid);
+        k.threads[tid.0 as usize].priority = priority;
+        k.policy.on_priority_changed(tid, priority);
+        if was_ready {
+            k.ready_enqueue(tid, false, false);
+        }
+        k.emit(EventKind::SetPriority { tid, priority });
+        true
+    }
+
+    /// Toggles metalock cycle donation at runtime (§6.2 recovery: the
+    /// remedy PCR shipped). Enabling it immediately donates the
+    /// remaining window of every preempted metalock holder that has
+    /// waiters stalled behind it — a stalled holder is rejuvenated
+    /// first. Returns how many stuck metalocks were cleared.
+    pub fn set_metalock_donation(&mut self, enabled: bool) -> usize {
+        let k = &mut *self.kernel_mut();
+        k.cfg.metalock_donation = enabled;
+        if !enabled {
+            return 0;
+        }
+        let mut cleared = 0;
+        for i in 0..k.monitors.len() {
+            let m = &k.monitors[i];
+            let Some(holder) = m.meta.filter(|_| !m.meta_waiters.is_empty()) else {
+                continue;
+            };
+            match k.threads[holder.0 as usize].state {
+                TState::Stalled => {
+                    k.rejuvenate(holder);
+                }
+                TState::Ready => {}
+                _ => continue,
+            }
+            k.donate_metalock(MonitorId(i as u32), holder);
+            cleared += 1;
+        }
+        cleared
+    }
+
+    // ---- pre-run construction -------------------------------------------
+
+    /// Creates a monitor before the run starts.
+    pub fn monitor<T: Send + 'static>(&mut self, name: &str, data: T) -> Monitor<T> {
+        let mut k = self.kernel_mut();
+        let id = MonitorId(k.monitors.len() as u32);
+        k.monitors.push(MonitorState {
+            name: name.to_string(),
+            ..MonitorState::default()
+        });
+        Monitor::new(id, name, data)
+    }
+
+    /// Creates a condition variable on `m` before the run starts.
+    pub fn condition<T: Send + 'static>(
+        &mut self,
+        m: &Monitor<T>,
+        name: &str,
+        timeout: Option<SimDuration>,
+    ) -> Condition {
+        let mut k = self.kernel_mut();
+        let id = CondId(k.conds.len() as u32);
+        k.conds.push(CvState {
+            name: name.to_string(),
+            monitor: m.id(),
+            timeout,
+            waited: false,
+            queue: VecDeque::new(),
+        });
+        Condition {
+            id,
+            monitor: m.id(),
+            name: name.to_string(),
+            timeout,
+        }
+    }
+
+    /// Forks a root thread (generation 0) at the given priority
+    /// (`None` = default priority 4).
+    pub fn fork_root<T, F>(&mut self, name: &str, priority: Priority, f: F) -> JoinHandle<T>
+    where
+        T: Send + 'static,
+        F: FnOnce(&ThreadCtx) -> T + Send + 'static,
+    {
+        self.fork_root_with(name, Some(priority), false, f)
+    }
+
+    fn fork_root_with<T, F>(
+        &mut self,
+        name: &str,
+        priority: Option<Priority>,
+        detached: bool,
+        f: F,
+    ) -> JoinHandle<T>
+    where
+        T: Send + 'static,
+        F: FnOnce(&ThreadCtx) -> T + Send + 'static,
+    {
+        let (spec, slot) = fork_spec(name, priority, detached, f);
+        let tid = self.kernel_mut().create_thread(spec, None);
+        JoinHandle { tid, slot }
+    }
+
+    // ---- the run loop -------------------------------------------------------
+
+    /// Advances the simulation until the limit is reached, every thread
+    /// has exited, or the remaining threads are deadlocked.
+    pub fn run(&mut self, limit: RunLimit) -> RunReport {
+        let mut k = self.kernel_mut();
+        let start = k.clock;
+        let end = match limit {
+            RunLimit::For(d) => k.clock.saturating_add(d),
+            RunLimit::Until(t) => t,
+            RunLimit::ToCompletion => SimTime::MAX,
+        };
+        k.end = end;
+        let reason = loop {
+            k.fire_due_timers();
+            if k.live_threads == 0 {
+                break StopReason::AllExited;
+            }
+            if k.clock >= end {
+                break StopReason::TimeLimit;
+            }
+            match k.pick_next() {
+                Some((tid, slice, shield)) => {
+                    drop(k);
+                    self.dispatch(tid, slice, shield);
+                    k = self.kernel.borrow_mut();
+                }
+                None => match k.timers.next_deadline() {
+                    Some(t) if t <= end => k.set_clock(t),
+                    Some(_) => {
+                        k.set_clock(end);
+                        break StopReason::TimeLimit;
+                    }
+                    None => break StopReason::Deadlock(k.deadlock_report()),
+                },
+            }
+        };
+        if reason == StopReason::TimeLimit && k.clock < end && end != SimTime::MAX {
+            k.set_clock(end);
+        }
+        RunReport {
+            reason,
+            now: k.clock,
+            elapsed: k.clock.saturating_since(start),
+            hazards: k.hazards.as_ref().map(|h| h.counts()).unwrap_or_default(),
+        }
+    }
+
+    /// Gives `tid` the CPU until it leaves it. Its kernel calls run on its
+    /// own stack ([`Kernel::serve`]), so the one `resume` here comes back
+    /// only when the body has parked, off the CPU, or posted its `Exit`.
+    fn dispatch(
+        &self,
+        tid: ThreadId,
+        quantum_override: Option<SimDuration>,
+        shield: Option<Shield>,
+    ) {
+        let mut k = self.kernel.borrow_mut();
+        if let Some(reply) = k.begin_dispatch(tid, quantum_override, shield) {
+            k.stack_switches += 1;
+            let slot = &mut k.threads[tid.0 as usize].coroutine;
+            let mut body = slot.take().expect("running thread has no coroutine");
+            drop(k);
+            debug_assert!(self.kernel.try_borrow_mut().is_ok());
+            let posted = body.resume(reply);
+            k = self.kernel.borrow_mut();
+            k.threads[tid.0 as usize].coroutine = Some(body);
+            if let Some(exit) = posted {
+                k.handle_request(tid, exit);
+            }
+        }
+        k.leave_cpu(tid);
+    }
+}
+
+impl Drop for Sim {
+    fn drop(&mut self) {
+        // Unwind every still-live body so its destructors run; bodies
+        // that never started are dropped unrun. The kernel is not
+        // borrowed meanwhile: a destructor may ask it the time.
+        let take = |t: &mut Tcb| t.coroutine.take();
+        let bodies: Vec<Coroutine> = (self.kernel.borrow_mut().threads.iter_mut())
+            .filter_map(take)
+            .collect();
+        for mut body in bodies {
+            debug_assert!(self.kernel.try_borrow_mut().is_ok());
+            body.shutdown();
+        }
+    }
+}
+
+impl std::fmt::Debug for Sim {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let k = self.kernel.borrow();
+        f.debug_struct("Sim")
+            .field("now", &k.clock)
+            .field("live_threads", &k.live_threads)
+            .field("monitors", &k.monitors.len())
+            .field("conditions", &k.conds.len())
+            .finish()
+    }
+}
+
+impl Kernel {
+    /// One kernel call from the running thread `tid`, made on its own
+    /// stack: the reply if it still holds the CPU, `None` once it has
+    /// left it — then it parks and [`Sim::dispatch`] carries on.
+    pub(crate) fn serve(&mut self, tid: ThreadId, req: Request) -> Option<Reply> {
+        self.handle_request(tid, req);
+        if self.threads[tid.0 as usize].state != TState::Running {
+            return None;
+        }
+        self.advance(tid)
+    }
+
+    fn blocked_threads(&self) -> Vec<crate::WaitingThread> {
         let mut out = Vec::new();
         for (i, t) in self.threads.iter().enumerate() {
             if t.exited {
@@ -686,197 +1029,13 @@ impl Sim {
         out
     }
 
-    /// Snapshots the wait-for graph of the current instant: blocked
-    /// threads, their edges, and any chaos-stalled roots. See
-    /// [`crate::WaitForGraph`] for wedge and cycle queries.
-    pub fn wait_for_graph(&self) -> crate::WaitForGraph {
-        let stalled = self
-            .threads
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| !t.exited && t.state == TState::Stalled)
-            .map(|(i, t)| (ThreadId(i as u32), t.name.clone()))
-            .collect();
-        let runnable = self
-            .threads
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| !t.exited && matches!(t.state, TState::Ready | TState::Stalled))
-            .map(|(i, t)| crate::RunnableThread {
-                tid: ThreadId(i as u32),
-                name: t.name.clone(),
-                priority: t.priority,
-                stalled: t.state == TState::Stalled,
-            })
-            .collect();
-        crate::WaitForGraph {
-            now: self.clock,
-            threads: self.blocked_threads(),
-            stalled,
-            runnable,
-        }
-    }
-
-    /// Fails every FORK currently blocked waiting for a thread slot
-    /// (§5.4 recovery: drain the queue instead of letting callers hang).
-    /// Each blocked forker resumes with
-    /// [`ForkError::ResourcesExhausted`](crate::ForkError::ResourcesExhausted).
-    /// Returns how many forks were failed.
-    pub fn fail_pending_forks(&mut self) -> usize {
-        let pending: Vec<ThreadId> = self
-            .pending_forks
-            .drain(..)
-            .map(|(forker, _spec)| forker)
-            .collect();
-        let n = pending.len();
-        for forker in pending {
-            self.stats.fork_failures += 1;
-            self.emit(EventKind::ForkFailed { tid: forker });
-            let f = &mut self.threads[forker.0 as usize];
-            f.pending_reply = Some(Reply::ForkFailed);
-            f.debt = self.cfg.primitive_cost;
-            f.after_debt = AfterDebt::Reply;
-            self.push_ready_back(forker);
-        }
-        n
-    }
-
-    /// Clears any chaos stall on `tid` — in force or pending — and puts
-    /// a stalled thread back in the ready queue (§5.2 recovery: restart
-    /// the unresponsive component). The orphaned `ChaosStallEnd` timer
-    /// no-ops when it fires. Returns true if anything changed.
-    pub fn rejuvenate(&mut self, tid: ThreadId) -> bool {
+    fn rejuvenate(&mut self, tid: ThreadId) -> bool {
         let had_pending = self.threads[tid.0 as usize].stall_pending.take().is_some();
         let was_stalled = self.threads[tid.0 as usize].state == TState::Stalled;
         if was_stalled {
             self.push_ready_back(tid);
         }
         had_pending || was_stalled
-    }
-
-    /// Re-levels a live thread from outside (§6.2 recovery: boost a
-    /// preempted lock holder so its high-priority waiter can make
-    /// progress). A ready thread is re-queued at its new level; a
-    /// blocked, stalled, or running thread just carries the new priority
-    /// from its next scheduling point. Returns false if the thread has
-    /// exited.
-    pub fn set_thread_priority(&mut self, tid: ThreadId, priority: Priority) -> bool {
-        let Some(t) = self.threads.get(tid.0 as usize) else {
-            return false;
-        };
-        if t.exited {
-            return false;
-        }
-        if self.threads[tid.0 as usize].in_ready {
-            self.remove_from_ready(tid);
-            self.threads[tid.0 as usize].priority = priority;
-            self.policy.on_priority_changed(tid, priority);
-            self.ready_enqueue(tid, false, false);
-        } else {
-            self.threads[tid.0 as usize].priority = priority;
-            self.policy.on_priority_changed(tid, priority);
-        }
-        self.emit(EventKind::SetPriority { tid, priority });
-        true
-    }
-
-    /// Toggles metalock cycle donation at runtime (§6.2 recovery: the
-    /// remedy PCR shipped). Enabling it immediately donates the
-    /// remaining window of every preempted metalock holder that has
-    /// waiters stalled behind it — a stalled holder is rejuvenated
-    /// first. Returns how many stuck metalocks were cleared.
-    pub fn set_metalock_donation(&mut self, enabled: bool) -> usize {
-        self.cfg.metalock_donation = enabled;
-        if !enabled {
-            return 0;
-        }
-        let mut cleared = 0;
-        for i in 0..self.monitors.len() {
-            let (holder, has_waiters) = {
-                let m = &self.monitors[i];
-                (m.meta, !m.meta_waiters.is_empty())
-            };
-            let Some(holder) = holder else { continue };
-            if !has_waiters {
-                continue;
-            }
-            match self.threads[holder.0 as usize].state {
-                TState::Stalled => {
-                    self.rejuvenate(holder);
-                }
-                TState::Ready => {}
-                _ => continue,
-            }
-            self.donate_metalock(MonitorId(i as u32), holder);
-            cleared += 1;
-        }
-        cleared
-    }
-
-    // ---- pre-run construction -------------------------------------------
-
-    /// Creates a monitor before the run starts.
-    pub fn monitor<T: Send + 'static>(&mut self, name: &str, data: T) -> Monitor<T> {
-        let id = MonitorId(self.monitors.len() as u32);
-        self.monitors.push(MonitorState::new(name.to_string()));
-        Monitor::new(id, name, data)
-    }
-
-    /// Creates a condition variable on `m` before the run starts.
-    pub fn condition<T: Send + 'static>(
-        &mut self,
-        m: &Monitor<T>,
-        name: &str,
-        timeout: Option<SimDuration>,
-    ) -> Condition {
-        let id = CondId(self.conds.len() as u32);
-        self.conds.push(CvState {
-            name: name.to_string(),
-            monitor: m.id(),
-            timeout,
-            queue: VecDeque::new(),
-        });
-        Condition {
-            id,
-            monitor: m.id(),
-            name: name.to_string(),
-            timeout,
-        }
-    }
-
-    /// Forks a root thread (generation 0) at the given priority
-    /// (`None` = default priority 4).
-    pub fn fork_root<T, F>(&mut self, name: &str, priority: Priority, f: F) -> JoinHandle<T>
-    where
-        T: Send + 'static,
-        F: FnOnce(&ThreadCtx) -> T + Send + 'static,
-    {
-        self.fork_root_with(name, Some(priority), false, f)
-    }
-
-    fn fork_root_with<T, F>(
-        &mut self,
-        name: &str,
-        priority: Option<Priority>,
-        detached: bool,
-        f: F,
-    ) -> JoinHandle<T>
-    where
-        T: Send + 'static,
-        F: FnOnce(&ThreadCtx) -> T + Send + 'static,
-    {
-        let slot: ResultSlot<T> = Arc::new(Mutex::new(None));
-        let body = wrap_body(f, Arc::clone(&slot));
-        let tid = self.create_thread(
-            ForkSpec {
-                name: name.to_string(),
-                priority,
-                detached,
-                body,
-            },
-            None,
-        );
-        JoinHandle { tid, slot }
     }
 
     // ---- thread creation --------------------------------------------------
@@ -896,7 +1055,7 @@ impl Sim {
             tid,
             spec.name.clone(),
             priority,
-            Arc::clone(&self.clock_mirror),
+            Port::Kernel(self.me.upgrade().expect("a kernel lives in its cell")),
             self.cfg.seed,
             spec.body,
         );
@@ -970,7 +1129,6 @@ impl Sim {
     fn set_clock(&mut self, t: SimTime) {
         debug_assert!(t >= self.clock, "clock must be monotonic");
         self.clock = t;
-        self.clock_mirror.store(t.as_micros(), Ordering::Relaxed);
     }
 
     // ---- ready-queue helpers ----------------------------------------------
@@ -979,7 +1137,7 @@ impl Sim {
     /// [`PolicyCtx`] lending it the thread table — disjoint fields, so
     /// the policy can mutate its structure while reading thread state.
     fn policy_split(&mut self) -> (&mut dyn Scheduler, PolicyCtx<'_>) {
-        let Sim {
+        let Kernel {
             policy, threads, ..
         } = self;
         (policy.as_mut(), PolicyCtx { threads })
@@ -1000,23 +1158,17 @@ impl Sim {
     }
 
     fn push_ready_back(&mut self, tid: ThreadId) {
-        if self.apply_pending_stall(tid) {
-            return;
-        }
-        let t = &mut self.threads[tid.0 as usize];
-        let wakeup = t.state != TState::Running;
-        t.state = TState::Ready;
-        self.ready_enqueue(tid, false, wakeup);
+        self.push_ready(tid, false);
     }
 
-    fn push_ready_front(&mut self, tid: ThreadId) {
+    fn push_ready(&mut self, tid: ThreadId, front: bool) {
         if self.apply_pending_stall(tid) {
             return;
         }
         let t = &mut self.threads[tid.0 as usize];
         let wakeup = t.state != TState::Running;
         t.state = TState::Ready;
-        self.ready_enqueue(tid, true, wakeup);
+        self.ready_enqueue(tid, front, wakeup);
     }
 
     // ---- chaos injection --------------------------------------------------
@@ -1186,7 +1338,10 @@ impl Sim {
                         self.push_ready_back(tid);
                     }
                 }
-                TimerKind::CvTimeout { tid, cv, seq } => {
+                TimerKind::CvTimeout { tid, cv, seq }
+                | TimerKind::ChaosSpuriousWake { tid, cv, seq } => {
+                    // Lazily cancelled: only a thread still in the wait
+                    // numbered `seq` times out, or wakes spuriously.
                     let idx = tid.0 as usize;
                     let live = self.threads[idx].wait_seq == seq
                         && self.threads[idx].state == TState::CvWait(cv);
@@ -1194,29 +1349,17 @@ impl Sim {
                         self.threads[idx].wait_seq += 1;
                         let mid = self.conds[cv.0 as usize].monitor;
                         self.conds[cv.0 as usize].queue.retain(|&w| w != tid);
-                        self.stats.cv_timeouts += 1;
+                        let outcome = if matches!(kind, TimerKind::CvTimeout { .. }) {
+                            self.stats.cv_timeouts += 1;
+                            WaitOutcome::TimedOut
+                        } else {
+                            self.stats.chaos_spurious_wakeups += 1;
+                            self.emit(EventKind::SpuriousWakeup { tid, cv });
+                            WaitOutcome::Spurious
+                        };
                         let t = &mut self.threads[idx];
                         t.acquire_on_dispatch = Some(mid);
-                        t.reacquire_outcome = Some(WaitOutcome::TimedOut);
-                        t.reacquire_cv = Some(cv);
-                        self.push_ready_back(tid);
-                    }
-                }
-                TimerKind::ChaosSpuriousWake { tid, cv, seq } => {
-                    // Same lazy-cancellation guard as CvTimeout: only a
-                    // still-waiting thread can wake spuriously.
-                    let idx = tid.0 as usize;
-                    let live = self.threads[idx].wait_seq == seq
-                        && self.threads[idx].state == TState::CvWait(cv);
-                    if live {
-                        self.threads[idx].wait_seq += 1;
-                        let mid = self.conds[cv.0 as usize].monitor;
-                        self.conds[cv.0 as usize].queue.retain(|&w| w != tid);
-                        self.stats.chaos_spurious_wakeups += 1;
-                        self.emit(EventKind::SpuriousWakeup { tid, cv });
-                        let t = &mut self.threads[idx];
-                        t.acquire_on_dispatch = Some(mid);
-                        t.reacquire_outcome = Some(WaitOutcome::Spurious);
+                        t.reacquire_outcome = Some(outcome);
                         t.reacquire_cv = Some(cv);
                         self.push_ready_back(tid);
                     }
@@ -1325,6 +1468,17 @@ impl Sim {
         }
     }
 
+    /// Counts and announces one monitor entry.
+    fn note_enter(&mut self, tid: ThreadId, mid: MonitorId, contended: bool) {
+        let entered = &mut self.monitors[mid.0 as usize].entered;
+        self.stats.count_enter(entered, contended);
+        self.emit(EventKind::MlEnter {
+            tid,
+            monitor: mid,
+            contended,
+        });
+    }
+
     /// Handles a thread's dispatch-time monitor (re)acquire. Returns true
     /// if the thread may keep running, false if it blocked.
     fn dispatch_acquire(&mut self, tid: ThreadId, mid: MonitorId) -> bool {
@@ -1333,18 +1487,9 @@ impl Sim {
         match owner {
             None => {
                 self.monitors[mid.0 as usize].owner = Some(tid);
-                self.stats.ml_enters += 1;
-                self.stats.distinct_monitors.insert(mid.0);
-                self.emit(EventKind::MlEnter {
-                    tid,
-                    monitor: mid,
-                    contended: false,
-                });
+                self.note_enter(tid, mid, false);
                 let reply = self.grant_reply(tid);
-                let t = &mut self.threads[tid.0 as usize];
-                t.pending_reply = Some(reply);
-                t.debt = self.cfg.primitive_cost;
-                t.after_debt = AfterDebt::Reply;
+                self.reply(tid, reply, self.cfg.primitive_cost);
                 true
             }
             Some(_) => {
@@ -1353,14 +1498,7 @@ impl Sim {
                     self.stats.spurious_conflicts += 1;
                     self.emit(EventKind::SpuriousLockConflict { tid, monitor: mid });
                 }
-                self.stats.ml_enters += 1;
-                self.stats.ml_contended += 1;
-                self.stats.distinct_monitors.insert(mid.0);
-                self.emit(EventKind::MlEnter {
-                    tid,
-                    monitor: mid,
-                    contended: true,
-                });
+                self.note_enter(tid, mid, true);
                 self.monitors[mid.0 as usize].queue.push_back(tid);
                 self.threads[tid.0 as usize].state = TState::MutexWait(mid);
                 self.threads[tid.0 as usize].blocked_since = self.clock;
@@ -1436,59 +1574,16 @@ impl Sim {
         self.set_clock(self.clock + d);
     }
 
-    fn fault(&mut self, tid: ThreadId, msg: String) {
+    /// What `tid` gets back once it has worked off `cost`.
+    fn reply(&mut self, tid: ThreadId, reply: Reply, cost: SimDuration) {
         let t = &mut self.threads[tid.0 as usize];
-        t.pending_reply = Some(Reply::Fault(msg));
-        t.debt = SimDuration::ZERO;
+        t.pending_reply = Some(reply);
+        t.debt = cost;
         t.after_debt = AfterDebt::Reply;
     }
 
-    // ---- the run loop -------------------------------------------------------
-
-    /// Advances the simulation until the limit is reached, every thread
-    /// has exited, or the remaining threads are deadlocked.
-    pub fn run(&mut self, limit: RunLimit) -> RunReport {
-        let start = self.clock;
-        let end = match limit {
-            RunLimit::For(d) => self.clock.saturating_add(d),
-            RunLimit::Until(t) => t,
-            RunLimit::ToCompletion => SimTime::MAX,
-        };
-        let reason = loop {
-            self.fire_due_timers();
-            if self.live_threads == 0 {
-                break StopReason::AllExited;
-            }
-            if self.clock >= end {
-                break StopReason::TimeLimit;
-            }
-            match self.pick_next() {
-                Some((tid, slice, shield)) => {
-                    self.dispatch(tid, slice, shield, end);
-                }
-                None => match self.timers.next_deadline() {
-                    Some(t) if t <= end => self.set_clock(t),
-                    Some(_) => {
-                        self.set_clock(end);
-                        break StopReason::TimeLimit;
-                    }
-                    None => break StopReason::Deadlock(self.deadlock_report()),
-                },
-            }
-        };
-        if reason == StopReason::TimeLimit && self.clock < end && end != SimTime::MAX {
-            self.set_clock(end);
-        }
-        RunReport {
-            reason,
-            now: self.clock,
-            elapsed: self.clock.saturating_since(start),
-            hazards: self
-                .hazards
-                .as_ref()
-                .map(|h| h.counts())
-                .unwrap_or_default(),
-        }
+    fn fault(&mut self, tid: ThreadId, msg: String) {
+        self.reply(tid, Reply::Fault(msg), SimDuration::ZERO);
     }
 
     fn pick_next(&mut self) -> Option<(ThreadId, Option<SimDuration>, Option<Shield>)> {
@@ -1511,13 +1606,16 @@ impl Sim {
         self.pop_ready_excluding(None).map(|t| (t, None, None))
     }
 
-    fn dispatch(
+    /// Puts `tid` on the CPU: the switch bookkeeping, its timeslice, the
+    /// monitor a CV wake or metalock retry acquires on dispatch. The
+    /// reply its body resumes with, or `None` if it left the CPU again
+    /// before reaching it.
+    fn begin_dispatch(
         &mut self,
         tid: ThreadId,
         quantum_override: Option<SimDuration>,
         shield: Option<Shield>,
-        end: SimTime,
-    ) {
+    ) -> Option<Reply> {
         self.chaos_priority_change(tid);
         if self.last_dispatched != Some(tid) {
             self.stats.switches += 1;
@@ -1539,91 +1637,76 @@ impl Sim {
         self.running = Some(tid);
         self.threads[tid.0 as usize].state = TState::Running;
         self.shield = shield;
-        let mut quantum_left = quantum_override.unwrap_or_else(|| self.policy_timeslice(tid));
+        self.quantum_left = quantum_override.unwrap_or_else(|| self.policy_timeslice(tid));
 
         // A CV wake or metalock retry acquires its monitor now; blocking
         // here is the "useless trip through the scheduler" of §6.1.
         if let Some(mid) = self.threads[tid.0 as usize].acquire_on_dispatch.take() {
             if !self.dispatch_acquire(tid, mid) {
-                self.policy.on_block(tid);
-                self.running = None;
-                self.shield = None;
-                return;
+                return None;
             }
         }
+        self.advance(tid)
+    }
 
+    /// Runs the running thread `tid` forward to its next reply: fires due
+    /// timers, then pays off its debt slice by slice, stopping for a
+    /// preemption, the end of its quantum or of the run window. `None`
+    /// means it has left the CPU (requeued, blocked or stalled) and
+    /// [`Kernel::leave_cpu`] is due.
+    fn advance(&mut self, tid: ThreadId) -> Option<Reply> {
         loop {
             self.fire_due_timers();
             if self.threads[tid.0 as usize].state != TState::Running {
                 // A chaos stall caught the running thread mid-dispatch
                 // (no other timer touches a Running thread); it must not
                 // be re-enqueued until its stall ends.
-                break;
+                return None;
             }
-            if self.clock >= end {
-                self.push_ready_front(tid);
-                break;
-            }
-            if self.preempt_needed() {
-                self.push_ready_front(tid);
-                break;
+            if self.clock >= self.end || self.preempt_needed() {
+                self.push_ready(tid, true);
+                return None;
             }
             let debt = self.threads[tid.0 as usize].debt;
             if !debt.is_zero() {
-                let mut slice = debt.min(quantum_left).min(end.since(self.clock));
+                let window = self.end.since(self.clock);
+                let mut slice = debt.min(self.quantum_left).min(window);
                 if let Some(nt) = self.timers.next_deadline() {
                     slice = slice.min(nt.saturating_since(self.clock));
                 }
                 if slice.is_zero() {
                     // Quantum exhausted (timers due are handled at loop top).
                     self.quantum_expired(tid);
-                    if self.shield.is_some() {
-                        self.shield = None;
+                    if self.shield.take().is_some() || self.quantum_competitor_exists(tid) {
                         self.push_ready_back(tid);
-                        break;
+                        return None;
                     }
-                    if self.quantum_competitor_exists(tid) {
-                        self.push_ready_back(tid);
-                        break;
-                    }
-                    quantum_left = self.policy_timeslice(tid);
+                    self.quantum_left = self.policy_timeslice(tid);
                     continue;
                 }
                 self.charge_thread(tid, slice);
                 self.threads[tid.0 as usize].debt -= slice;
-                quantum_left -= slice;
+                self.quantum_left -= slice;
                 continue;
             }
-            match self.threads[tid.0 as usize].after_debt {
-                AfterDebt::BlockOnMutex(mid) => {
-                    self.finish_block_on_mutex(tid, mid);
-                    // finish_block_on_mutex may have granted immediately
-                    // (thread is Ready) or blocked it; either way this
-                    // dispatch ends.
-                    break;
-                }
-                AfterDebt::Reply => {}
+            if let AfterDebt::BlockOnMutex(mid) = self.threads[tid.0 as usize].after_debt {
+                // Granted at once (the thread is Ready) or blocked:
+                // either way it is off the CPU.
+                self.finish_block_on_mutex(tid, mid);
+                return None;
             }
-            let Some(reply) = self.threads[tid.0 as usize].pending_reply.take() else {
-                unreachable!("running thread {tid:?} has no debt and no pending reply");
-            };
-            let req = self.threads[tid.0 as usize]
-                .coroutine
-                .as_mut()
-                .expect("running thread has no coroutine")
-                .resume(reply)
-                .expect("simulated thread ended without posting Exit");
-            self.handle_request(tid, req);
-            if self.threads[tid.0 as usize].state != TState::Running {
-                break;
-            }
+            let reply = self.threads[tid.0 as usize].pending_reply.take();
+            return Some(reply.expect("a running thread has debt or a pending reply"));
         }
+    }
+
+    /// The bookkeeping owed once the dispatched thread is off the CPU.
+    fn leave_cpu(&mut self, tid: ThreadId) {
         if !matches!(
             self.threads[tid.0 as usize].state,
             TState::Running | TState::Ready | TState::Exited
         ) {
-            // The dispatched thread left the CPU blocked (monitor, CV,
-            // sleep, join, fork-wait, or a chaos stall).
+            // Blocked: monitor, CV, sleep, join, fork-wait, or a chaos stall.
             self.policy.on_block(tid);
         }
         self.running = None;
@@ -1649,12 +1732,7 @@ impl Sim {
                 self.emit(EventKind::Detach { tid, target });
                 self.reply_ok(tid);
             }
-            Request::Work(d) => {
-                let t = &mut self.threads[tid.0 as usize];
-                t.debt = d;
-                t.after_debt = AfterDebt::Reply;
-                t.pending_reply = Some(Reply::Ok);
-            }
+            Request::Work(d) => self.reply(tid, Reply::Ok, d),
             Request::Sleep { d, precise } => {
                 let mut until = self.clock + d;
                 if !precise {
@@ -1670,31 +1748,16 @@ impl Sim {
                 t.pending_reply = Some(Reply::Ok);
             }
             Request::Yield => {
-                self.stats.yields += 1;
-                self.emit(EventKind::Yield {
-                    tid,
-                    kind: YieldKind::Normal,
-                });
-                self.threads[tid.0 as usize].pending_reply = Some(Reply::Ok);
+                self.note_yield(tid, YieldKind::Normal);
                 self.push_ready_back(tid);
             }
             Request::YieldButNotToMe => {
-                self.stats.yields += 1;
-                self.emit(EventKind::Yield {
-                    tid,
-                    kind: YieldKind::ButNotToMe,
-                });
+                self.note_yield(tid, YieldKind::ButNotToMe);
                 self.donation = Some(DonationPlan::NotToMe { excluded: tid });
-                self.threads[tid.0 as usize].pending_reply = Some(Reply::Ok);
                 self.push_ready_back(tid);
             }
             Request::DirectedYield { target, slice } => {
-                self.stats.yields += 1;
-                self.emit(EventKind::Yield {
-                    tid,
-                    kind: YieldKind::Directed(target),
-                });
-                self.threads[tid.0 as usize].pending_reply = Some(Reply::Ok);
+                self.note_yield(tid, YieldKind::Directed(target));
                 if self.threads[target.0 as usize].state == TState::Ready {
                     self.donation = Some(DonationPlan::Directed { target, slice });
                     self.push_ready_back(tid);
@@ -1740,7 +1803,10 @@ impl Sim {
             Request::Broadcast { cv } => self.handle_notify(tid, cv, true),
             Request::NewMonitor { name } => {
                 let id = MonitorId(self.monitors.len() as u32);
-                self.monitors.push(MonitorState::new(name));
+                self.monitors.push(MonitorState {
+                    name,
+                    ..MonitorState::default()
+                });
                 self.threads[tid.0 as usize].pending_reply = Some(Reply::MonitorId(id));
             }
             Request::NewCondition {
@@ -1753,6 +1819,7 @@ impl Sim {
                     name,
                     monitor,
                     timeout,
+                    waited: false,
                     queue: VecDeque::new(),
                 });
                 self.threads[tid.0 as usize].pending_reply = Some(Reply::CondId(id));
@@ -1761,11 +1828,15 @@ impl Sim {
         }
     }
 
+    /// Counts and announces a yield, which costs nothing and replies `Ok`.
+    fn note_yield(&mut self, tid: ThreadId, kind: YieldKind) {
+        self.stats.yields += 1;
+        self.emit(EventKind::Yield { tid, kind });
+        self.threads[tid.0 as usize].pending_reply = Some(Reply::Ok);
+    }
+
     fn reply_ok(&mut self, tid: ThreadId) {
-        let t = &mut self.threads[tid.0 as usize];
-        t.pending_reply = Some(Reply::Ok);
-        t.debt = self.cfg.primitive_cost;
-        t.after_debt = AfterDebt::Reply;
+        self.reply(tid, Reply::Ok, self.cfg.primitive_cost);
     }
 
     fn handle_fork(&mut self, tid: ThreadId, spec: ForkSpec) {
@@ -1775,10 +1846,7 @@ impl Sim {
             self.stats.chaos_fork_failures += 1;
             self.stats.fork_failures += 1;
             self.emit(EventKind::ChaosForkFail { tid });
-            let t = &mut self.threads[tid.0 as usize];
-            t.pending_reply = Some(Reply::ForkFailed);
-            t.debt = self.cfg.primitive_cost;
-            t.after_debt = AfterDebt::Reply;
+            self.reply(tid, Reply::ForkFailed, self.cfg.primitive_cost);
             return;
         }
         if self.live_threads >= self.cfg.max_threads {
@@ -1799,10 +1867,7 @@ impl Sim {
             return;
         }
         let child = self.create_thread(spec, Some(tid));
-        let t = &mut self.threads[tid.0 as usize];
-        t.pending_reply = Some(Reply::Forked(child));
-        t.debt = self.cfg.fork_cost;
-        t.after_debt = AfterDebt::Reply;
+        self.reply(tid, Reply::Forked(child), self.cfg.fork_cost);
     }
 
     fn handle_join(&mut self, tid: ThreadId, target: ThreadId) {
@@ -1853,13 +1918,7 @@ impl Sim {
         match self.monitors[mid.0 as usize].owner {
             None => {
                 self.monitors[mid.0 as usize].owner = Some(tid);
-                self.stats.ml_enters += 1;
-                self.stats.distinct_monitors.insert(mid.0);
-                self.emit(EventKind::MlEnter {
-                    tid,
-                    monitor: mid,
-                    contended: false,
-                });
+                self.note_enter(tid, mid, false);
                 self.reply_ok(tid);
             }
             Some(owner) if owner == tid => {
@@ -1872,14 +1931,7 @@ impl Sim {
                 );
             }
             Some(_) => {
-                self.stats.ml_enters += 1;
-                self.stats.ml_contended += 1;
-                self.stats.distinct_monitors.insert(mid.0);
-                self.emit(EventKind::MlEnter {
-                    tid,
-                    monitor: mid,
-                    contended: true,
-                });
+                self.note_enter(tid, mid, true);
                 // Enqueueing runs inside the metalock window; if we get
                 // preempted during it, others stall (or donate cycles).
                 self.monitors[mid.0 as usize].meta = Some(tid);
@@ -1916,7 +1968,8 @@ impl Sim {
             return;
         }
         self.stats.cv_waits += 1;
-        self.stats.distinct_conditions.insert(cv.0);
+        let first = !std::mem::replace(&mut self.conds[cv.0 as usize].waited, true);
+        self.stats.distinct_conditions += usize::from(first);
         self.emit(EventKind::CvWait { tid, cv });
         let now = self.clock;
         let t = &mut self.threads[tid.0 as usize];
@@ -2077,10 +2130,7 @@ impl Sim {
         if self.live_threads < self.cfg.max_threads {
             if let Some((forker, spec)) = self.pending_forks.pop_front() {
                 let child = self.create_thread(spec, Some(forker));
-                let f = &mut self.threads[forker.0 as usize];
-                f.pending_reply = Some(Reply::Forked(child));
-                f.debt = self.cfg.fork_cost;
-                f.after_debt = AfterDebt::Reply;
+                self.reply(forker, Reply::Forked(child), self.cfg.fork_cost);
                 self.push_ready_back(forker);
             }
         }
@@ -2129,32 +2179,5 @@ impl Sim {
             });
         }
         DeadlockReport { blocked }
-    }
-
-    fn shutdown(&mut self) {
-        // Unwind every still-live body so its destructors run; bodies
-        // that never started are dropped unrun.
-        for t in &mut self.threads {
-            if let Some(mut co) = t.coroutine.take() {
-                co.shutdown();
-            }
-        }
-    }
-}
-
-impl Drop for Sim {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-impl std::fmt::Debug for Sim {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Sim")
-            .field("now", &self.clock)
-            .field("live_threads", &self.live_threads)
-            .field("monitors", &self.monitors.len())
-            .field("conditions", &self.conds.len())
-            .finish()
     }
 }

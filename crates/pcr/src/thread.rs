@@ -147,55 +147,13 @@ impl<T> fmt::Debug for JoinHandle<T> {
     }
 }
 
-/// Borrowed per-thread summary, from [`crate::Sim::threads_iter`].
-///
-/// The non-allocating counterpart of [`ThreadInfo`]: the name is a
-/// borrow of the scheduler's own string, so iterating every thread of a
-/// large world costs no heap traffic. Call [`ThreadView::to_info`] when
-/// an owned snapshot is needed.
+/// Summary of one simulated thread, its name held as `N`.
 #[derive(Clone, Copy, Debug)]
-pub struct ThreadView<'a> {
+pub struct ThreadSummary<N> {
     /// Thread identity.
     pub tid: ThreadId,
     /// Name given at fork time.
-    pub name: &'a str,
-    /// Final priority.
-    pub priority: Priority,
-    /// Total virtual CPU time consumed.
-    pub cpu: SimDuration,
-    /// Whether the thread has exited.
-    pub exited: bool,
-    /// Whether it exited by panic.
-    pub panicked: bool,
-    /// Forking parent, if any.
-    pub parent: Option<ThreadId>,
-    /// Fork generation: roots are 0, their forks 1, and so on.
-    pub generation: u32,
-}
-
-impl ThreadView<'_> {
-    /// An owned [`ThreadInfo`] snapshot of this view.
-    pub fn to_info(&self) -> ThreadInfo {
-        ThreadInfo {
-            tid: self.tid,
-            name: self.name.to_string(),
-            priority: self.priority,
-            cpu: self.cpu,
-            exited: self.exited,
-            panicked: self.panicked,
-            parent: self.parent,
-            generation: self.generation,
-        }
-    }
-}
-
-/// Post-run summary of one simulated thread, from [`crate::Sim::threads`].
-#[derive(Clone, Debug)]
-pub struct ThreadInfo {
-    /// Thread identity.
-    pub tid: ThreadId,
-    /// Name given at fork time.
-    pub name: String,
+    pub name: N,
     /// Final priority.
     pub priority: Priority,
     /// Total virtual CPU time consumed.
@@ -210,6 +168,30 @@ pub struct ThreadInfo {
     /// observes that no benchmark produced generations greater than 2
     /// counted from a worker or long-lived thread.
     pub generation: u32,
+}
+
+/// Post-run summary of one simulated thread, from [`crate::Sim::threads`].
+pub type ThreadInfo = ThreadSummary<String>;
+
+/// Borrowed, `Copy` counterpart of [`ThreadInfo`], from
+/// [`crate::Sim::threads_iter`]: the name is a borrow of the snapshot the
+/// iterator walks.
+pub type ThreadView<'a> = ThreadSummary<&'a str>;
+
+impl ThreadInfo {
+    /// A borrowed [`ThreadView`] of this summary.
+    pub fn view(&self) -> ThreadView<'_> {
+        ThreadView {
+            tid: self.tid,
+            name: &self.name,
+            priority: self.priority,
+            cpu: self.cpu,
+            exited: self.exited,
+            panicked: self.panicked,
+            parent: self.parent,
+            generation: self.generation,
+        }
+    }
 }
 
 #[cfg(test)]

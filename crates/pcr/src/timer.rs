@@ -34,9 +34,6 @@ pub(crate) enum TimerKind {
 /// Pending runtime timers, ordered by `(deadline, insertion seq)`.
 pub(crate) type TimerWheel = crate::wheel::Wheel<TimerKind>;
 
-/// The `BinaryHeap` baseline the wheel replaced; microbench baseline.
-pub(crate) type HeapTimers = crate::wheel::HeapWheel<TimerKind>;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -38,9 +38,6 @@
 //! under the current anchor, unlinks the node, and repairs the cached
 //! minimum — no tombstones, so `len` counts only live timers.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use crate::time::SimTime;
 
 const LEVEL_BITS: u32 = 6;
@@ -55,9 +52,9 @@ struct Node<K> {
     next: u32,
 }
 
-/// Names one scheduled entry, for [`Wheel::cancel`] /
-/// [`HeapWheel::cancel`]. Sequence numbers are never reused, so a stale
-/// token (already fired or already cancelled) safely cancels nothing.
+/// Names one scheduled entry, for [`Wheel::cancel`]. Sequence numbers
+/// are never reused, so a stale token (already fired or already
+/// cancelled) safely cancels nothing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WheelToken {
     at: SimTime,
@@ -400,106 +397,61 @@ impl<K: Copy> Wheel<K> {
     }
 }
 
-// ---- the sorted-heap implementation the wheel replaced, kept as the
-// ---- property-test oracle and the microbench baseline ----------------
-
-#[derive(PartialEq, Eq)]
-struct Entry<K> {
-    at: SimTime,
-    seq: u64,
-    kind: K,
-}
-
-impl<K: Eq> Ord for Entry<K> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-impl<K: Eq> PartialOrd for Entry<K> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// The `BinaryHeap` timer queue the wheel replaced. Kept as the sorted
-/// oracle for the wheel's property tests and as the baseline the
-/// `hotpath` microbench compares arm/fire cost against. Cancellation is
-/// O(n) rebuild — fine for an oracle, the reason the wheel exists.
-pub struct HeapWheel<K: Copy + Eq> {
-    heap: BinaryHeap<Reverse<Entry<K>>>,
-    next_seq: u64,
-}
-
-impl<K: Copy + Eq> Default for HeapWheel<K> {
-    fn default() -> Self {
-        HeapWheel {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
-    }
-}
-
-impl<K: Copy + Eq> HeapWheel<K> {
-    /// An empty heap.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules `kind` to fire at `at`.
-    pub fn schedule(&mut self, at: SimTime, kind: K) -> WheelToken {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse(Entry { at, seq, kind }));
-        WheelToken { at, seq }
-    }
-
-    /// Cancels the entry named by `token`; `false` if already gone.
-    pub fn cancel(&mut self, token: WheelToken) -> bool {
-        let before = self.heap.len();
-        let entries = std::mem::take(&mut self.heap);
-        self.heap = entries
-            .into_iter()
-            .filter(|Reverse(e)| !(e.at == token.at && e.seq == token.seq))
-            .collect();
-        self.heap.len() != before
-    }
-
-    /// The earliest pending deadline.
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.at)
-    }
-
-    /// Pops the next timer due at or before `now`.
-    pub fn pop_due(&mut self, now: SimTime) -> Option<K> {
-        self.pop_due_at(now).map(|(_, kind)| kind)
-    }
-
-    /// Like [`HeapWheel::pop_due`], also returning the deadline.
-    pub fn pop_due_at(&mut self, now: SimTime) -> Option<(SimTime, K)> {
-        if self.next_deadline()? <= now {
-            self.heap.pop().map(|Reverse(e)| (e.at, e.kind))
-        } else {
-            None
-        }
-    }
-
-    /// Number of pending timers.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no timers are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
     use super::*;
     use crate::rng::SplitMix64;
     use crate::time::{micros, millis};
+
+    /// The `BinaryHeap` timer queue the wheel replaced, kept as the sorted
+    /// oracle for the property tests: entries are `(deadline, seq, kind)`,
+    /// and `seq` is unique, so they pop in `(deadline, seq)` order.
+    /// Cancellation is an O(n) rebuild — fine for an oracle, the reason
+    /// the wheel exists.
+    #[derive(Default)]
+    struct HeapWheel {
+        heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+        next_seq: u64,
+    }
+
+    impl HeapWheel {
+        fn schedule(&mut self, at: SimTime, kind: u32) -> WheelToken {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.heap.push(Reverse((at, seq, kind)));
+            WheelToken { at, seq }
+        }
+
+        fn cancel(&mut self, token: WheelToken) -> bool {
+            let before = self.heap.len();
+            self.heap
+                .retain(|Reverse((at, seq, _))| (*at, *seq) != (token.at, token.seq));
+            self.heap.len() != before
+        }
+
+        fn next_deadline(&self) -> Option<SimTime> {
+            self.heap.peek().map(|Reverse((at, ..))| *at)
+        }
+
+        fn pop_due(&mut self, now: SimTime) -> Option<u32> {
+            self.pop_due_at(now).map(|(_, kind)| kind)
+        }
+
+        fn pop_due_at(&mut self, now: SimTime) -> Option<(SimTime, u32)> {
+            if self.next_deadline()? <= now {
+                self.heap.pop().map(|Reverse((at, _, kind))| (at, kind))
+            } else {
+                None
+            }
+        }
+
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+    }
 
     #[test]
     fn fires_in_deadline_order() {
@@ -601,7 +553,7 @@ mod tests {
         for seed in [0x5EED_u64, 0xCEDA_2026, 0xDEAD_BEEF] {
             let mut rng = SplitMix64::new(seed);
             let mut wheel = Wheel::new();
-            let mut heap = HeapWheel::new();
+            let mut heap = HeapWheel::default();
             let mut now = SimTime::ZERO;
             for step in 0..4000 {
                 if rng.next_below(3) != 0 {
@@ -647,7 +599,7 @@ mod tests {
         for seed in [0xCA11_u64, 0xBEE5_2026, 0x5EED_CAFE] {
             let mut rng = SplitMix64::new(seed);
             let mut wheel = Wheel::new();
-            let mut heap = HeapWheel::new();
+            let mut heap = HeapWheel::default();
             let mut now = SimTime::ZERO;
             // Live tokens; stale ones (popped by the fire branch) stay
             // behind on purpose so double-cancels get exercised too.

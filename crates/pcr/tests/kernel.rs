@@ -1,14 +1,17 @@
 //! The coroutine kernel at scale and at its edges, through the public
 //! API only: worlds far larger than an OS-thread kernel could hold, the
-//! multiprocessor scheduler on the same coroutine type, and the rule
-//! that a body's panic is the simulation's data, not the host's.
+//! multiprocessor scheduler on the same coroutine type, the rule that a
+//! thread switches stacks only to leave the CPU, and the rule that a
+//! body's panic is the simulation's data while the kernel's is the host's.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use pcr::{
-    millis, secs, JoinError, MpSim, Priority, RunLimit, Sim, SimConfig, StopReason, WaitOutcome,
+    micros, millis, secs, Condition, Event, JoinError, Monitor, MpSim, PolicyKind, Priority,
+    RunLimit, Sim, SimConfig, StopReason, ThreadCtx, TraceSink, WaitOutcome,
 };
 
 /// Counts its own drops: a local of a body that must be destroyed
@@ -54,6 +57,102 @@ fn ten_thousand_simultaneously_live_threads_run_to_completion() {
     );
     let alloc = sim.alloc_counters();
     assert_eq!(alloc.os_thread_spawns, THREADS as u64 + 1, "{alloc:?}");
+}
+
+/// The stack switches a world costs from start to finish, which must be
+/// the same under all four policies.
+fn stack_switches(build: impl Fn(&mut Sim)) -> u64 {
+    let counts = PolicyKind::ALL.map(|policy| {
+        let mut sim = Sim::new(SimConfig::default().with_policy(policy));
+        build(&mut sim);
+        let report = sim.run(RunLimit::ToCompletion);
+        assert_eq!(report.reason, StopReason::AllExited, "{policy}");
+        sim.alloc_counters().stack_switches
+    });
+    assert_eq!(counts, [counts[0]; 4], "the policies disagree");
+    counts[0]
+}
+
+#[test]
+fn a_thread_switches_stacks_only_to_leave_the_cpu() {
+    type Body = fn(&ThreadCtx, &Monitor<()>, &Condition);
+    let solo = |body: Body| {
+        stack_switches(move |sim| {
+            let m = sim.monitor("m", ());
+            let cv = sim.condition(&m, "cv", Some(millis(10)));
+            let _ = sim.fork_root("solo", Priority::DEFAULT, move |ctx| body(ctx, &m, &cv));
+        })
+    };
+    // One thread's first dispatch, and then nothing for 10 000 uncontended
+    // enter + work + exit triples, the quantum expiries with nobody else
+    // ready included.
+    let triples: Body = |ctx, m, _| {
+        for _ in 0..10_000 {
+            let _g = ctx.enter(m);
+            ctx.work(micros(10));
+        }
+    };
+    assert_eq!(solo(triples), 1);
+    // One more for a sleep, and for a CV wait (ended here by its timeout),
+    assert_eq!(solo(|ctx, _, _| ctx.sleep_precise(millis(1))), 2);
+    let cv_wait: Body = |ctx, m, cv| {
+        let _ = ctx.enter(m).wait(cv);
+    };
+    assert_eq!(solo(cv_wait), 2);
+    // for a contended enter (two first dispatches and a sleep each to
+    // stage it: the holder is asleep inside when the waiter arrives),
+    let contended = |sim: &mut Sim| {
+        let m = sim.monitor("m", ());
+        let inner = m.clone();
+        let _ = sim.fork_root("holder", Priority::DEFAULT, move |ctx| {
+            let _g = ctx.enter(&inner);
+            ctx.sleep_precise(millis(1)); // threadlint: allow(blocking-call-in-monitor)
+        });
+        let _ = sim.fork_root("waiter", Priority::DEFAULT, move |ctx| {
+            ctx.sleep_precise(micros(500));
+            drop(ctx.enter(&m));
+        });
+    };
+    assert_eq!(stack_switches(contended), 2 + 2 + 1);
+    // and for a quantum expiry with a competitor ready.
+    let quantum = |sim: &mut Sim| {
+        let _ = sim.fork_root("hog", Priority::DEFAULT, |ctx| {
+            let _ = ctx.fork_detached("peer", |ctx| ctx.work(millis(10)));
+            ctx.work(millis(75));
+        });
+    };
+    assert_eq!(stack_switches(quantum), 2 + 1);
+}
+
+/// A sink whose tenth `record` panics: by then the world below is
+/// emitting from kernel calls made on a body's stack.
+struct PanicsOnTenth(u32);
+
+impl TraceSink for PanicsOnTenth {
+    fn record(&mut self, _: &Event) {
+        self.0 += 1;
+        assert!(self.0 < 10, "the sink gave up");
+    }
+
+    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+        self
+    }
+}
+
+#[test]
+fn a_panic_of_the_kernels_on_a_body_stack_surfaces_from_run() {
+    let mut sim = Sim::new(SimConfig::default());
+    sim.set_sink(Box::new(PanicsOnTenth(0)));
+    let m = sim.monitor("m", ());
+    let body = sim.fork_root("body", Priority::DEFAULT, move |ctx| loop {
+        drop(ctx.enter(&m));
+    });
+    let run = catch_unwind(AssertUnwindSafe(|| sim.run(RunLimit::For(secs(1)))));
+    let payload = run.expect_err("the sink's panic reaches the host");
+    assert_eq!(pcr::panic_message(payload.as_ref()), "the sink gave up");
+    // It is not the simulated thread's own: nothing exited, nothing to join.
+    assert_eq!((sim.stats().panics, sim.stats().exits), (0, 0));
+    assert!(body.into_result().is_none());
 }
 
 #[test]

@@ -14,8 +14,6 @@
 //! * a **wait** runs from a contended `MlEnter` to the `MlAcquired`
 //!   grant.
 
-use std::collections::BTreeMap;
-
 use pcr::{Event, EventKind, SimDuration, SimTime, TraceSink};
 
 /// Aggregated lock statistics for one monitor.
@@ -83,15 +81,45 @@ pub struct MonitorProfileRow {
 /// unless a thread nests monitors *and* waits on the inner one.
 #[derive(Debug, Default)]
 pub struct ContentionProfiler {
-    per_monitor: BTreeMap<u32, MonitorProfile>,
+    /// Indexed by raw monitor id; `None` until the monitor's first event.
+    per_monitor: Vec<Option<MonitorProfile>>,
     /// Monitor names, indexed by raw id.
     names: Vec<String>,
     /// Condition-variable → monitor mapping, indexed by raw cv id.
     cv_monitor: Vec<u32>,
-    /// Open holds: `(tid, monitor) → start`.
-    open_holds: BTreeMap<(u32, u32), SimTime>,
-    /// Open queued waits: `(tid, monitor) → start`.
-    open_waits: BTreeMap<(u32, u32), SimTime>,
+    /// Each thread's open holds, indexed by raw thread id. A thread
+    /// nests a few monitors at most, so a scan beats a map.
+    open_holds: Vec<Open>,
+    /// Each thread's open queued waits, likewise.
+    open_waits: Vec<Open>,
+}
+
+/// One thread's open intervals: `(monitor, start)` each.
+type Open = Vec<(u32, SimTime)>;
+
+/// Opens (or restarts) `monitor`'s interval for `tid`.
+fn put(open: &mut Vec<Open>, tid: u32, monitor: u32, t: SimTime) {
+    let list = slot(open, tid);
+    match list.iter_mut().find(|(m, _)| *m == monitor) {
+        Some(interval) => interval.1 = t,
+        None => list.push((monitor, t)),
+    }
+}
+
+/// Closes `monitor`'s interval for `tid`, returning its start.
+fn take(open: &mut Vec<Open>, tid: u32, monitor: u32) -> Option<SimTime> {
+    let list = slot(open, tid);
+    let i = list.iter().position(|(m, _)| *m == monitor)?;
+    Some(list.swap_remove(i).1)
+}
+
+/// `v[i]`, growing `v` with defaults to reach it.
+fn slot<T: Default>(v: &mut Vec<T>, i: u32) -> &mut T {
+    let i = i as usize;
+    if i >= v.len() {
+        v.resize_with(i + 1, T::default);
+    }
+    &mut v[i]
 }
 
 impl ContentionProfiler {
@@ -110,7 +138,8 @@ impl ContentionProfiler {
 
     /// The profile of one monitor by raw id.
     pub fn for_monitor(&self, monitor: u32) -> MonitorProfile {
-        self.per_monitor.get(&monitor).copied().unwrap_or_default()
+        let known = self.per_monitor.get(monitor as usize).copied().flatten();
+        known.unwrap_or_default()
     }
 
     /// Finished rows, hottest first (most contended entries, then most
@@ -119,7 +148,9 @@ impl ContentionProfiler {
         let mut rows: Vec<MonitorProfileRow> = self
             .per_monitor
             .iter()
-            .map(|(&monitor, &profile)| MonitorProfileRow {
+            .enumerate()
+            .filter_map(|(i, p)| Some((i as u32, (*p)?)))
+            .map(|(monitor, profile)| MonitorProfileRow {
                 monitor,
                 name: self
                     .names
@@ -141,22 +172,22 @@ impl ContentionProfiler {
 
     /// Total entries across all monitors.
     pub fn total_enters(&self) -> u64 {
-        self.per_monitor.values().map(|p| p.enters).sum()
+        self.per_monitor.iter().flatten().map(|p| p.enters).sum()
     }
 
     /// Total contended entries across all monitors.
     pub fn total_contended(&self) -> u64 {
-        self.per_monitor.values().map(|p| p.contended).sum()
+        self.per_monitor.iter().flatten().map(|p| p.contended).sum()
     }
 
-    fn open_hold(&mut self, tid: u32, monitor: u32, t: SimTime) {
-        self.open_holds.insert((tid, monitor), t);
+    fn profile(&mut self, monitor: u32) -> &mut MonitorProfile {
+        slot(&mut self.per_monitor, monitor).get_or_insert_default()
     }
 
     fn close_hold(&mut self, tid: u32, monitor: u32, t: SimTime) {
-        if let Some(start) = self.open_holds.remove(&(tid, monitor)) {
+        if let Some(start) = take(&mut self.open_holds, tid, monitor) {
             let held = t.saturating_since(start);
-            let p = self.per_monitor.entry(monitor).or_default();
+            let p = self.profile(monitor);
             p.total_hold += held;
             if held > p.max_hold {
                 p.max_hold = held;
@@ -173,20 +204,21 @@ impl ContentionProfiler {
                 contended,
             } => {
                 let (tid, monitor) = (tid.as_u32(), monitor.as_u32());
-                let p = self.per_monitor.entry(monitor).or_default();
+                let p = self.profile(monitor);
                 p.enters += 1;
-                if contended {
-                    p.contended += 1;
-                    self.open_waits.insert((tid, monitor), t);
+                p.contended += u64::from(contended);
+                let open = if contended {
+                    &mut self.open_waits
                 } else {
-                    self.open_hold(tid, monitor, t);
-                }
+                    &mut self.open_holds
+                };
+                put(open, tid, monitor, t);
             }
             EventKind::MlAcquired { tid, monitor } => {
                 let (tid, monitor) = (tid.as_u32(), monitor.as_u32());
-                if let Some(start) = self.open_waits.remove(&(tid, monitor)) {
+                if let Some(start) = take(&mut self.open_waits, tid, monitor) {
                     let waited = t.saturating_since(start);
-                    let p = self.per_monitor.entry(monitor).or_default();
+                    let p = self.profile(monitor);
                     p.total_wait += waited;
                     if waited > p.max_wait {
                         p.max_wait = waited;
@@ -194,7 +226,7 @@ impl ContentionProfiler {
                 }
                 // A CV reacquire grant has no contended MlEnter; either
                 // way the hold starts at the grant.
-                self.open_hold(tid, monitor, t);
+                put(&mut self.open_holds, tid, monitor, t);
             }
             EventKind::MlExit { tid, monitor } => {
                 self.close_hold(tid.as_u32(), monitor.as_u32(), t);
@@ -206,8 +238,7 @@ impl ContentionProfiler {
                     self.close_hold(tid, monitor, t);
                 } else {
                     // No topology: close the thread's only open hold.
-                    let mut open = self.open_holds.range((tid, 0)..=(tid, u32::MAX));
-                    if let (Some((&(_, monitor), _)), None) = (open.next(), open.next()) {
+                    if let [(monitor, _)] = slot(&mut self.open_holds, tid)[..] {
                         self.close_hold(tid, monitor, t);
                     }
                 }

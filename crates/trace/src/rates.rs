@@ -68,8 +68,8 @@ impl BenchmarkRates {
             timeout_pct: stats.timeout_fraction() * 100.0,
             ml_enters_per_sec: stats.ml_enters as f64 / secs,
             contention_pct: stats.contention_fraction() * 100.0,
-            distinct_cvs: stats.distinct_conditions.len(),
-            distinct_mls: stats.distinct_monitors.len(),
+            distinct_cvs: stats.distinct_conditions,
+            distinct_mls: stats.distinct_monitors,
             max_live_threads: stats.max_live_threads,
         }
     }
@@ -101,8 +101,8 @@ impl BenchmarkRates {
             } else {
                 100.0 * cont as f64 / enters as f64
             },
-            distinct_cvs: end.distinct_conditions.len(),
-            distinct_mls: end.distinct_monitors.len(),
+            distinct_cvs: end.distinct_conditions,
+            distinct_mls: end.distinct_monitors,
             max_live_threads: end.max_live_threads,
         }
     }

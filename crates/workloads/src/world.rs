@@ -216,7 +216,7 @@ mod tests {
         sim.run(RunLimit::ToCompletion);
         // 12 touches over a span of 5 distinct monitors.
         assert_eq!(sim.stats().ml_enters, 12);
-        assert_eq!(sim.stats().distinct_monitors.len(), 5);
+        assert_eq!(sim.stats().distinct_monitors, 5);
     }
 
     #[test]
