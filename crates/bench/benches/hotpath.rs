@@ -25,6 +25,13 @@
 //! `write_chrome` under 800 ns per input event. Writing lines directly
 //! costs about 70 and 190 ns; building a `Json` tree per event first cost
 //! 802 and 1 813 ns, so a slide back to tree-building trips them.
+//!
+//! And a world's lifecycle has one: building the Cedar/Keyboard world
+//! (~40 threads, some 3 000 library monitors) and dropping it unrun must
+//! stay under 0.65 ms. It costs 0.4-0.5 ms with stacks taken from and
+//! left in the OS thread's pool and each monitor name stored once;
+//! mapping and unmapping every stack and storing each name twice cost
+//! 0.84 ms.
 
 use std::time::Instant;
 
@@ -123,6 +130,23 @@ fn export_ns_per_event(reps: u32) -> [f64; 2] {
     })
 }
 
+/// Best-of-`reps` wall milliseconds to build the Cedar/Keyboard world and
+/// drop it, after one cycle that fills the stack pool.
+fn world_cycle_ms(reps: u32) -> f64 {
+    let (sys, bench) = (workloads::System::Cedar, workloads::Benchmark::Keyboard);
+    let mut best = f64::INFINITY;
+    for _ in 0..=reps {
+        let start = Instant::now();
+        drop(workloads::runner::build(sys, bench, 0xBEEF));
+        best = best.min(start.elapsed().as_secs_f64() * 1e3);
+    }
+    println!(
+        "{:40} {best:>12.3} ms  (best of {reps})",
+        "hotpath_world_cycle"
+    );
+    best
+}
+
 /// Two threads exchanging NOTIFY/WAIT as fast as virtual time allows:
 /// the CV-queue and ready-queue hot path with zero fork traffic.
 fn notify_wait_pingpong() -> u64 {
@@ -187,6 +211,7 @@ fn main() {
     let pingpong = events_per_sec("hotpath_notify_wait_pingpong_5s", 3, notify_wait_pingpong);
     let storm = events_per_sec("hotpath_fork_join_storm_5s", 3, fork_join_storm);
     let [jsonl_ns, chrome_ns] = export_ns_per_event(3);
+    let cycle_ms = world_cycle_ms(20);
 
     const TIMER_OPS: u64 = 200_000;
     let (wheel, wheel_rate) = timer_churn_ops_per_sec(TIMER_OPS);
@@ -202,11 +227,14 @@ fn main() {
     const CEILING_PAIR_NS: f64 = 150.0;
     const CEILING_JSONL_NS: f64 = 400.0;
     const CEILING_CHROME_NS: f64 = 800.0;
+    const CEILING_WORLD_CYCLE_MS: f64 = 0.65;
+    let (cycle_ns, cycle_ceiling_ns) = (cycle_ms * 1e6, CEILING_WORLD_CYCLE_MS * 1e6);
     for (what, ns, ceiling) in [
         ("a yield_now round trip", handoff_ns, CEILING_HANDOFF_NS),
         ("an uncontended enter + exit", pair_ns, CEILING_PAIR_NS),
         ("write_jsonl, per event,", jsonl_ns, CEILING_JSONL_NS),
         ("write_chrome, per event,", chrome_ns, CEILING_CHROME_NS),
+        ("a world's build + drop", cycle_ns, cycle_ceiling_ns),
     ] {
         assert!(
             ns < ceiling,
@@ -225,6 +253,6 @@ fn main() {
         assert!(rate > floor, "{what}/sec fell below {floor} ({rate:.0})");
     }
     println!(
-        "hot-path floors ok (> {FLOOR_EVENTS_PER_SEC} events/sec, wheel > {FLOOR_TIMER_OPS_PER_SEC} arm+fire/sec, handoff < {CEILING_HANDOFF_NS} ns, enter + exit < {CEILING_PAIR_NS} ns, write_jsonl < {CEILING_JSONL_NS} ns, write_chrome < {CEILING_CHROME_NS} ns)"
+        "hot-path floors ok (> {FLOOR_EVENTS_PER_SEC} events/sec, wheel > {FLOOR_TIMER_OPS_PER_SEC} arm+fire/sec, handoff < {CEILING_HANDOFF_NS} ns, enter + exit < {CEILING_PAIR_NS} ns, write_jsonl < {CEILING_JSONL_NS} ns, write_chrome < {CEILING_CHROME_NS} ns, world cycle < {CEILING_WORLD_CYCLE_MS} ms)"
     );
 }

@@ -196,15 +196,7 @@ fn contention(seed: u64) -> i32 {
         (workloads::System::Cedar, workloads::Benchmark::Keyboard),
     ] {
         let mut sim = workloads::runner::build(sys, bench, seed);
-        let mut profiler = ContentionProfiler::new();
-        profiler.set_topology(
-            sim.monitor_names(),
-            sim.condition_info()
-                .iter()
-                .map(|(_, m)| m.as_u32())
-                .collect(),
-        );
-        sim.set_sink(Box::new(profiler));
+        sim.set_sink(Box::new(ContentionProfiler::for_sim(&sim)));
         let report = sim.run(pcr::RunLimit::For(secs(30)));
         code = exit::worst(
             code,

@@ -174,7 +174,7 @@ pub fn profile_json(rows: &[trace::MonitorProfileRow], lat: &pcr::SchedLatency) 
     let contention = rows.iter().map(|row| {
         let p = &row.profile;
         Json::obj([
-            ("monitor", Json::from(row.name.as_str())),
+            ("monitor", Json::from(&*row.name)),
             ("enters", Json::from(p.enters)),
             ("contended", Json::from(p.contended)),
             ("total_hold_us", Json::from(p.total_hold.as_micros())),

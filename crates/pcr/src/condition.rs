@@ -6,10 +6,12 @@
 //! interval is a property of the CV, set at creation, and deadlines are
 //! quantized to the runtime's timer granularity (50 ms in PCR).
 
-use std::fmt;
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 use crate::event::CondId;
 use crate::monitor::MonitorId;
+use crate::thread::ThreadId;
 use crate::time::SimDuration;
 
 /// A condition variable handle.
@@ -18,11 +20,10 @@ use crate::time::SimDuration;
 /// waiter wakens* semantics and is only a performance hint: waiters must
 /// re-check their predicate, so BROADCAST can always be substituted
 /// without affecting correctness (§2).
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct Condition {
     pub(crate) id: CondId,
     pub(crate) monitor: MonitorId,
-    pub(crate) name: String,
     pub(crate) timeout: Option<SimDuration>,
 }
 
@@ -37,24 +38,33 @@ impl Condition {
         self.monitor
     }
 
-    /// The CV's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The timeout interval associated with this CV, if any.
     pub fn timeout(&self) -> Option<SimDuration> {
         self.timeout
     }
 }
 
-impl fmt::Debug for Condition {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Condition")
-            .field("id", &self.id)
-            .field("name", &self.name)
-            .field("monitor", &self.monitor)
-            .field("timeout", &self.timeout)
-            .finish()
+/// A scheduler's record of one CV. The name lives here and nowhere else
+/// ([`crate::Sim::condition_info`] shares it out).
+pub(crate) struct CvState {
+    pub(crate) name: Arc<str>,
+    pub(crate) monitor: MonitorId,
+    pub(crate) timeout: Option<SimDuration>,
+    /// Waited on at least once: counted in `SimStats::distinct_conditions`.
+    pub(crate) waited: bool,
+    /// Waiters in arrival order. A timeout or spurious wake removes its
+    /// entry, so everything queued is still waiting.
+    pub(crate) queue: VecDeque<ThreadId>,
+}
+
+impl CvState {
+    pub(crate) fn new(name: Arc<str>, monitor: MonitorId, timeout: Option<SimDuration>) -> Self {
+        CvState {
+            name,
+            monitor,
+            timeout,
+            waited: false,
+            queue: VecDeque::new(),
+        }
     }
 }

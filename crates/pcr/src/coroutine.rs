@@ -15,6 +15,13 @@
 //! eight-word initial frame [`Coroutine::new`] lays out for it (~25
 //! lines); everything OS-specific is the three `mmap` calls in [`Stack`].
 //!
+//! Stacks outlive worlds. A vacated [`Stack`] — its thread exited, or its
+//! world was dropped and the body shut down — goes to a pool that belongs
+//! to the OS thread ([`StackPool`]), and the next fork on that OS thread,
+//! in whichever world, runs on it. So a world built where another was
+//! dropped maps nothing, faults in nothing and unmaps nothing: past the
+//! first, a world costs what it simulates.
+//!
 //! # Soundness
 //!
 //! * **No unwind crosses `switch`.** [`entry`] catches whatever the body
@@ -23,16 +30,20 @@
 //!   [`Coroutine::into_stack`] demands a finished coroutine, and dropping
 //!   a suspended one leaks its stack instead of unmapping it.
 //!   [`Coroutine::shutdown`] is how live frames end: the body is unwound
-//!   from its suspension point, destructors run.
+//!   from its suspension point, destructors run. Only a `Stack` somebody
+//!   owns by value reaches the pool, and that is a vacant one.
 //! * **A finished coroutine is never resumed**, and a [`Baton`] switches
 //!   only while its own body is the one running: both are asserted.
-//! * **A coroutine stays on the OS thread that built it.** The link is
-//!   an `Rc`, so `Coroutine`, `Baton`, and every type holding one
-//!   (`ThreadCtx`, `Sim`, `MpSim`) are `!Send`: a suspended stack may
-//!   hold `!Send` locals, and the hook state below is thread-local.
+//! * **A coroutine stays on the OS thread that built it**, and so does
+//!   its stack after it. The link is an `Rc`, so `Coroutine`, `Baton`,
+//!   and every type holding one (`ThreadCtx`, `Sim`, `MpSim`) are `!Send`:
+//!   a suspended stack may hold `!Send` locals, and the hook state and
+//!   the stack pool below are thread-local. A `Stack` is `!Send` itself,
+//!   so no safe code can carry one to another thread's pool, and the
+//!   pool needs no lock.
 
 use std::any::Any;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::ffi::{c_int, c_void};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::ptr;
@@ -109,6 +120,7 @@ impl Stack {
         // has been stored in it.
         let rc = unsafe { mprotect(base, PAGE_BYTES, PROT_NONE) };
         assert_eq!(rc, 0, "mprotect of a coroutine stack's guard page failed");
+        MAPPED.set(MAPPED.get() + 1);
         Stack { base: base.cast() }
     }
 
@@ -127,34 +139,87 @@ impl Drop for Stack {
     }
 }
 
-/// A LIFO free list of stacks, so steady-state fork/exit maps nothing and
-/// the most recently vacated (cache-warm, already committed) stack is the
-/// next one used.
+/// The most vacant stacks an OS thread keeps mapped. Some six worlds of
+/// the paper's size (≤ 41 threads); a larger world's excess is unmapped
+/// as it is vacated.
+const POOL_STACKS: usize = 256;
+
+thread_local! {
+    /// This OS thread's vacant stacks, most recently vacated last.
+    /// Unmapped when the OS thread exits.
+    static VACANT: RefCell<Vec<Stack>> = const { RefCell::new(Vec::new()) };
+    /// Stacks this OS thread has mapped so far.
+    static MAPPED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// A world's handle on the stack pool of its OS thread: a LIFO of vacant
+/// stacks, so steady-state fork/exit maps nothing, the most recently
+/// vacated (cache-warm, already committed) stack is the next one used,
+/// and a world built after another was dropped runs on its stacks.
+///
+/// A vacant stack belongs to the OS thread, not to the world that
+/// vacated it: the pool is one `thread_local!` list, at most
+/// [`POOL_STACKS`] deep (what would overflow it is unmapped instead, and
+/// the whole list when the OS thread exits), and a world holds only the
+/// counters below. Thread-local is sound, and lock-free, because a
+/// `Stack` cannot change OS thread: it is `!Send` (a raw pointer), so is
+/// everything that owns one, and a thread-local is reachable from no
+/// other thread. Reuse is sound because no frame lives on a `Stack`
+/// that anything owns by value (see the module docs), the pool included.
 #[derive(Default)]
 pub(crate) struct StackPool {
-    free: Vec<Stack>,
-    /// Stacks newly mapped.
+    /// Stacks this world has vacated and not yet taken back.
+    vacated: u64,
+    /// Stacks taken that this world had not itself vacated: newly mapped,
+    /// or left in the pool by an earlier world.
     pub(crate) mapped: u64,
-    /// Stacks served from the free list.
+    /// Stacks taken back after a thread of this world vacated one.
     pub(crate) reused: u64,
 }
 
 impl StackPool {
     pub(crate) fn take(&mut self) -> Stack {
-        match self.free.pop() {
-            Some(stack) => {
-                self.reused += 1;
-                stack
-            }
-            None => {
-                self.mapped += 1;
-                Stack::map()
-            }
+        if self.vacated > 0 {
+            self.vacated -= 1;
+            self.reused += 1;
+        } else {
+            self.mapped += 1;
         }
+        // No pool while the OS thread's locals are being destroyed.
+        let pooled = VACANT.try_with(|v| v.borrow_mut().pop());
+        pooled.ok().flatten().unwrap_or_else(Stack::map)
     }
 
     pub(crate) fn give(&mut self, stack: Stack) {
-        self.free.push(stack);
+        self.vacated += 1;
+        let _ = VACANT.try_with(|v| {
+            let mut v = v.borrow_mut();
+            if v.len() < POOL_STACKS {
+                v.push(stack);
+            }
+        });
+        // Over the bound, or no pool any more: `stack` dropped, unmapped.
+    }
+}
+
+/// What tests read of the calling OS thread's stack pool.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug)]
+pub struct StackPoolStats {
+    /// Stacks this OS thread has mapped since it started.
+    pub mapped: u64,
+    /// Vacant stacks it holds now.
+    pub vacant: usize,
+    /// The most it holds.
+    pub bound: usize,
+}
+
+#[doc(hidden)]
+pub fn stack_pool_stats() -> StackPoolStats {
+    StackPoolStats {
+        mapped: MAPPED.get(),
+        vacant: VACANT.with_borrow(Vec::len),
+        bound: POOL_STACKS,
     }
 }
 

@@ -159,6 +159,11 @@ impl ThreadCtx {
         }
     }
 
+    // Inlined so that `req` is built in place as `request`'s argument. A
+    // copy made here reads it back in 16-byte loads that straddle the
+    // narrower stores just made: a store-forwarding stall on every call
+    // (an enter + exit pair 68 -> 78 ns when `Request` shrank to 48 bytes).
+    #[inline(always)]
     fn call(&self, req: Request) -> Reply {
         if self.shutting_down.get() {
             std::panic::panic_any(ShutdownSignal);
@@ -407,10 +412,8 @@ impl ThreadCtx {
 
     /// Creates a monitor at run time.
     pub fn new_monitor<T: Send + 'static>(&self, name: &str, data: T) -> Monitor<T> {
-        match self.call(Request::NewMonitor {
-            name: name.to_string(),
-        }) {
-            Reply::MonitorId(id) => Monitor::new(id, name, data),
+        match self.call(Request::NewMonitor { name: name.into() }) {
+            Reply::MonitorId(id) => Monitor::new(id, data),
             r => unreachable!("new_monitor: unexpected reply {r:?}"),
         }
     }
@@ -423,14 +426,13 @@ impl ThreadCtx {
         timeout: Option<SimDuration>,
     ) -> Condition {
         match self.call(Request::NewCondition {
-            name: name.to_string(),
+            name: name.into(),
             monitor: m.id,
             timeout,
         }) {
             Reply::CondId(id) => Condition {
                 id,
                 monitor: m.id,
-                name: name.to_string(),
                 timeout,
             },
             r => unreachable!("new_condition: unexpected reply {r:?}"),

@@ -19,7 +19,7 @@
 //! happened to become true during an injected spurious wakeup is
 //! indistinguishable from one that never re-checked.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use crate::event::{Event, EventKind, EventMask, TraceSink, WaitOutcome};
@@ -260,15 +260,31 @@ pub struct HazardMonitor {
     cfg: HazardConfig,
     hazards: Vec<Hazard>,
     counts: HazardCounts,
-    threads: HashMap<ThreadId, Shadow>,
-    /// cv id → (notifier, time) of the most recent waiter-less NOTIFY.
-    naked_notifies: HashMap<u32, (ThreadId, SimTime)>,
+    /// Indexed by raw thread id; `None` before a thread's first event
+    /// and after its exit.
+    threads: Vec<Option<Shadow>>,
+    /// The ids that have a shadow, ascending. The starvation scan walks
+    /// these, so a switch costs the threads alive now and not every
+    /// thread there ever was.
+    live: Vec<ThreadId>,
+    /// Indexed by raw cv id: (notifier, time) of the most recent NOTIFY,
+    /// if it found no waiter.
+    naked_notifies: Vec<Option<(ThreadId, SimTime)>>,
     /// Consecutive YIELD events with no intervening progress.
     yield_streak: u32,
     yield_streak_start: Option<SimTime>,
     livelock_reported: bool,
     /// Timestamps of recent spurious lock conflicts (§6.1).
     conflict_times: VecDeque<SimTime>,
+}
+
+/// `v[i]`, growing `v` with `None`s to reach it.
+fn slot<T>(v: &mut Vec<Option<T>>, i: u32) -> &mut Option<T> {
+    let i = i as usize;
+    if i >= v.len() {
+        v.resize_with(i + 1, || None);
+    }
+    &mut v[i]
 }
 
 impl HazardMonitor {
@@ -318,9 +334,21 @@ impl HazardMonitor {
     }
 
     fn shadow(&mut self, tid: ThreadId) -> &mut Shadow {
-        self.threads
-            .entry(tid)
-            .or_insert_with(|| Shadow::new(Priority::DEFAULT))
+        if !matches!(self.threads.get(tid.as_u32() as usize), Some(Some(_))) {
+            self.adopt(tid, Shadow::new(Priority::DEFAULT));
+        }
+        self.threads[tid.as_u32() as usize]
+            .as_mut()
+            .expect("adopted above")
+    }
+
+    /// Starts (or restarts) shadowing `tid` as `s`.
+    fn adopt(&mut self, tid: ThreadId, s: Shadow) {
+        if slot(&mut self.threads, tid.as_u32()).replace(s).is_none() {
+            // Ids are handed out in order, so this is nearly always a push.
+            let at = self.live.partition_point(|&t| t < tid);
+            self.live.insert(at, tid);
+        }
     }
 
     /// Any event that demonstrates forward progress ends a yield streak.
@@ -338,11 +366,18 @@ impl HazardMonitor {
             } => {
                 let mut s = Shadow::new(priority);
                 s.runnable_since = Some(t);
-                self.threads.insert(child, s);
+                self.adopt(child, s);
                 self.progress();
             }
             EventKind::Exit { tid, .. } => {
-                self.threads.remove(&tid);
+                let shadow = self.threads.get_mut(tid.as_u32() as usize);
+                if shadow.and_then(Option::take).is_some() {
+                    let at = self
+                        .live
+                        .binary_search(&tid)
+                        .expect("shadowed ids are live");
+                    self.live.remove(at);
+                }
                 self.progress();
             }
             EventKind::Join { .. } | EventKind::Detach { .. } => self.progress(),
@@ -364,7 +399,7 @@ impl HazardMonitor {
                     s.starvation_reported = false;
                 }
                 if let Some(from) = from {
-                    if let Some(s) = self.threads.get_mut(&from) {
+                    if let Some(Some(s)) = self.threads.get_mut(from.as_u32() as usize) {
                         if !s.blocked && s.runnable_since.is_none() {
                             s.runnable_since = Some(t);
                         }
@@ -374,8 +409,8 @@ impl HazardMonitor {
             }
             EventKind::CvWait { tid, cv } => {
                 let window = self.cfg.naked_window;
-                let watch = match self.naked_notifies.get(&cv.as_u32()) {
-                    Some(&(notifier, tn)) if t.saturating_since(tn) <= window => {
+                let watch = match self.naked_notifies.get(cv.as_u32() as usize) {
+                    Some(&Some((notifier, tn))) if t.saturating_since(tn) <= window => {
                         Some((cv.as_u32(), notifier))
                     }
                     _ => None,
@@ -407,14 +442,7 @@ impl HazardMonitor {
                 self.progress();
             }
             EventKind::Notify { tid, cv, woken } => {
-                match woken {
-                    None => {
-                        self.naked_notifies.insert(cv.as_u32(), (tid, t));
-                    }
-                    Some(_) => {
-                        self.naked_notifies.remove(&cv.as_u32());
-                    }
-                }
+                *slot(&mut self.naked_notifies, cv.as_u32()) = woken.is_none().then_some((tid, t));
                 self.progress();
             }
             EventKind::Broadcast { .. } => self.progress(),
@@ -490,7 +518,11 @@ impl HazardMonitor {
     fn scan_starvation(&mut self, t: SimTime, running: ThreadId, running_priority: Priority) {
         let threshold = self.cfg.starvation_threshold;
         let mut found = Vec::new();
-        for (&tid, s) in &mut self.threads {
+        // In thread-id order, which is the order of the reports.
+        for &tid in &self.live {
+            let s = self.threads[tid.as_u32() as usize]
+                .as_mut()
+                .expect("live ids are shadowed");
             if tid == running || s.blocked || s.starvation_reported {
                 continue;
             }
@@ -509,11 +541,6 @@ impl HazardMonitor {
                 });
             }
         }
-        // Deterministic report order even though HashMap iteration is not.
-        found.sort_by_key(|k| match k {
-            HazardKind::Starvation { victim, .. } => victim.as_u32(),
-            _ => u32::MAX,
-        });
         for kind in found {
             self.report(t, kind);
         }
@@ -674,6 +701,49 @@ mod tests {
             },
         ));
         assert_eq!(m.counts().total(), 0);
+    }
+
+    #[test]
+    fn starved_threads_are_reported_in_id_order_and_only_live_ones_are_scanned() {
+        let mut m = HazardMonitor::new(HazardConfig::default());
+        let fork = |child: u32, priority: u8| EventKind::Fork {
+            parent: None,
+            child: tid(child),
+            priority: Priority::of(priority),
+            generation: 0,
+        };
+        // A thousand threads come and go; two high-priority ones stay, the
+        // later id first seen before the earlier; then the low one runs.
+        for i in 10..1_010 {
+            m.record(&ev(0, fork(i, 4)));
+            m.record(&ev(
+                0,
+                EventKind::Exit {
+                    tid: tid(i),
+                    panicked: false,
+                },
+            ));
+        }
+        m.record(&ev(0, fork(7, 6)));
+        m.record(&ev(0, fork(3, 6)));
+        m.record(&ev(0, fork(2_000, 2)));
+        assert_eq!(m.live, [tid(3), tid(7), tid(2_000)]);
+        m.record(&ev(
+            700_000,
+            EventKind::Switch {
+                from: None,
+                to: tid(2_000),
+                to_priority: Priority::of(2),
+                ready_for: SimDuration::ZERO,
+            },
+        ));
+        let victims: Vec<_> = (m.hazards().iter())
+            .map(|h| match h.kind {
+                HazardKind::Starvation { victim, .. } => victim,
+                ref other => panic!("unexpected hazard {other:?}"),
+            })
+            .collect();
+        assert_eq!(victims, [tid(3), tid(7)]);
     }
 
     #[test]

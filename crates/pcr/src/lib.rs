@@ -102,6 +102,8 @@ pub mod wheel;
 pub use chaos::{ChaosConfig, FaultDecision, FaultSchedule, FaultSiteKind, PctConfig, StallSpec};
 pub use condition::Condition;
 pub use config::{ForkPolicy, NotifyMode, SimConfig, SystemDaemonConfig};
+#[doc(hidden)]
+pub use coroutine::{stack_pool_stats, StackPoolStats};
 pub use ctx::{panic_message, ForkOpts, ThreadCtx};
 pub use error::{BlockedThread, DeadlockReport, ForkError, JoinError, RunReport, StopReason};
 pub use event::{

@@ -39,13 +39,6 @@ impl fmt::Debug for MonitorId {
     }
 }
 
-pub(crate) struct MonitorShared<T> {
-    pub(crate) name: String,
-    // The simulator guarantees a single owner, but the data still sits
-    // behind a real mutex so that even API misuse cannot cause a data race.
-    pub(crate) data: Mutex<T>,
-}
-
 /// A monitor protecting a value of type `T`.
 ///
 /// Cloning the monitor clones the *handle*; all clones refer to the same
@@ -77,26 +70,25 @@ pub(crate) struct MonitorShared<T> {
 /// ```
 pub struct Monitor<T: Send + 'static> {
     pub(crate) id: MonitorId,
-    pub(crate) shared: Arc<MonitorShared<T>>,
+    // The simulator guarantees a single owner, but the data still sits
+    // behind a real mutex so that even API misuse cannot cause a data race.
+    data: Arc<Mutex<T>>,
 }
 
 impl<T: Send + 'static> Clone for Monitor<T> {
     fn clone(&self) -> Self {
         Monitor {
             id: self.id,
-            shared: Arc::clone(&self.shared),
+            data: Arc::clone(&self.data),
         }
     }
 }
 
 impl<T: Send + 'static> Monitor<T> {
-    pub(crate) fn new(id: MonitorId, name: &str, data: T) -> Self {
+    pub(crate) fn new(id: MonitorId, data: T) -> Self {
         Monitor {
             id,
-            shared: Arc::new(MonitorShared {
-                name: name.to_string(),
-                data: Mutex::new(data),
-            }),
+            data: Arc::new(Mutex::new(data)),
         }
     }
 
@@ -104,19 +96,11 @@ impl<T: Send + 'static> Monitor<T> {
     pub fn id(&self) -> MonitorId {
         self.id
     }
-
-    /// The monitor's name.
-    pub fn name(&self) -> &str {
-        &self.shared.name
-    }
 }
 
 impl<T: Send + 'static> fmt::Debug for Monitor<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Monitor")
-            .field("id", &self.id)
-            .field("name", &self.shared.name)
-            .finish()
+        f.debug_struct("Monitor").field("id", &self.id).finish()
     }
 }
 
@@ -136,12 +120,12 @@ pub struct MonitorGuard<'a, T: Send + 'static> {
 impl<'a, T: Send + 'static> MonitorGuard<'a, T> {
     /// Reads the protected data.
     pub fn with<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        f(&self.monitor.shared.data.lock())
+        f(&self.monitor.data.lock())
     }
 
     /// Mutates the protected data.
     pub fn with_mut<R>(&mut self, f: impl FnOnce(&mut T) -> R) -> R {
-        f(&mut self.monitor.shared.data.lock())
+        f(&mut self.monitor.data.lock())
     }
 
     /// WAITs on `cv`, atomically releasing the monitor and re-entering it

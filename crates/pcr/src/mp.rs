@@ -33,8 +33,9 @@
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::rc::Rc;
+use std::sync::Arc;
 
-use crate::condition::Condition;
+use crate::condition::{Condition, CvState};
 use crate::config::{NotifyMode, SimConfig};
 use crate::coroutine::{Coroutine, StackPool};
 use crate::ctx::{fork_spec, Port, ThreadCtx};
@@ -78,19 +79,11 @@ struct Tcb {
 
 #[derive(Default)]
 struct MonState {
-    name: String,
+    name: Arc<str>,
     entered: bool,
     owner: Option<ThreadId>,
     queue: VecDeque<ThreadId>,
     deferred: Vec<(ThreadId, WaitOutcome, CondId)>,
-}
-
-struct CvState {
-    name: String,
-    monitor: MonitorId,
-    timeout: Option<SimDuration>,
-    waited: bool,
-    queue: VecDeque<ThreadId>,
 }
 
 /// The multiprocessor simulator.
@@ -190,12 +183,7 @@ impl MpSim {
 
     /// Creates a monitor before the run.
     pub fn monitor<T: Send + 'static>(&mut self, name: &str, data: T) -> Monitor<T> {
-        let id = MonitorId(self.monitors.len() as u32);
-        self.monitors.push(MonState {
-            name: name.to_string(),
-            ..MonState::default()
-        });
-        Monitor::new(id, name, data)
+        Monitor::new(self.new_monitor(name.into()), data)
     }
 
     /// Creates a condition variable before the run.
@@ -205,20 +193,24 @@ impl MpSim {
         name: &str,
         timeout: Option<SimDuration>,
     ) -> Condition {
-        let id = CondId(self.conds.len() as u32);
-        self.conds.push(CvState {
-            name: name.to_string(),
-            monitor: m.id(),
-            timeout,
-            waited: false,
-            queue: VecDeque::new(),
-        });
         Condition {
-            id,
+            id: self.new_condition(CvState::new(name.into(), m.id(), timeout)),
             monitor: m.id(),
-            name: name.to_string(),
             timeout,
         }
+    }
+
+    fn new_monitor(&mut self, name: Arc<str>) -> MonitorId {
+        self.monitors.push(MonState {
+            name,
+            ..MonState::default()
+        });
+        MonitorId(self.monitors.len() as u32 - 1)
+    }
+
+    fn new_condition(&mut self, cv: CvState) -> CondId {
+        self.conds.push(cv);
+        CondId(self.conds.len() as u32 - 1)
     }
 
     /// Forks a root thread.
@@ -655,11 +647,7 @@ impl MpSim {
                 t.debt = self.cfg.primitive_cost;
             }
             Request::NewMonitor { name } => {
-                let id = MonitorId(self.monitors.len() as u32);
-                self.monitors.push(MonState {
-                    name,
-                    ..MonState::default()
-                });
+                let id = self.new_monitor(name);
                 self.threads[tid.0 as usize].pending_reply = Some(Reply::MonitorId(id));
             }
             Request::NewCondition {
@@ -667,14 +655,7 @@ impl MpSim {
                 monitor,
                 timeout,
             } => {
-                let id = CondId(self.conds.len() as u32);
-                self.conds.push(CvState {
-                    name,
-                    monitor,
-                    timeout,
-                    waited: false,
-                    queue: VecDeque::new(),
-                });
+                let id = self.new_condition(CvState::new(name, monitor, timeout));
                 self.threads[tid.0 as usize].pending_reply = Some(Reply::CondId(id));
             }
             Request::Exit { panicked } => {
@@ -846,19 +827,18 @@ impl MpSim {
         }
         crate::DeadlockReport { blocked }
     }
-
-    fn shutdown(&mut self) {
-        for t in &mut self.threads {
-            if let Some(mut co) = t.coroutine.take() {
-                co.shutdown();
-            }
-        }
-    }
 }
 
 impl Drop for MpSim {
     fn drop(&mut self) {
-        self.shutdown();
+        // Unwind every still-live body, then leave its stack, vacant now,
+        // for the next world.
+        for t in &mut self.threads {
+            if let Some(mut co) = t.coroutine.take() {
+                co.shutdown();
+                self.pool.give(co.into_stack());
+            }
+        }
     }
 }
 

@@ -12,6 +12,8 @@
 //! time advances only through explicit costs the scheduler processes, so
 //! the simulation is deterministic.
 
+use std::sync::Arc;
+
 use crate::event::{CondId, WaitOutcome};
 use crate::monitor::MonitorId;
 use crate::thread::{Priority, ThreadId};
@@ -78,10 +80,10 @@ pub(crate) enum Request {
     /// Wake all waiters.
     Broadcast { cv: CondId },
     /// Allocate a monitor id.
-    NewMonitor { name: String },
+    NewMonitor { name: Arc<str> },
     /// Allocate a condition-variable id.
     NewCondition {
-        name: String,
+        name: Arc<str>,
         monitor: MonitorId,
         timeout: Option<SimDuration>,
     },

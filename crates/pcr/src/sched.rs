@@ -12,9 +12,10 @@
 use std::cell::{OnceCell, Ref, RefCell, RefMut};
 use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
+use std::sync::Arc;
 
 use crate::chaos::{FaultDecision, FaultSchedule, FaultSiteKind};
-use crate::condition::Condition;
+use crate::condition::{Condition, CvState};
 use crate::config::{ForkPolicy, NotifyMode, SimConfig};
 use crate::coroutine::{Coroutine, StackPool};
 use crate::ctx::{fork_spec, Port, ThreadCtx};
@@ -307,7 +308,7 @@ struct Tcb {
 
 #[derive(Default)]
 struct MonitorState {
-    name: String,
+    name: Arc<str>,
     /// Entered at least once: counted in `SimStats::distinct_monitors`.
     entered: bool,
     owner: Option<ThreadId>,
@@ -318,17 +319,6 @@ struct MonitorState {
     meta: Option<ThreadId>,
     /// Threads stalled behind `meta` (metalock donation disabled).
     meta_waiters: VecDeque<ThreadId>,
-}
-
-struct CvState {
-    name: String,
-    monitor: MonitorId,
-    timeout: Option<SimDuration>,
-    /// Waited on at least once: counted in `SimStats::distinct_conditions`.
-    waited: bool,
-    /// Waiters in arrival order. A timeout or spurious wake removes its
-    /// entry, so everything queued is still waiting.
-    queue: VecDeque<ThreadId>,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -360,10 +350,14 @@ pub struct AllocCounters {
     pub timer_node_allocs: u64,
     /// Timer arms served from the wheel's free list.
     pub timer_node_reuses: u64,
-    /// Coroutine stacks newly mapped for simulated forks. (The name
-    /// dates from the OS-thread kernel and is what the benchmark reads.)
+    /// Simulated forks given a stack this world had not itself vacated:
+    /// one newly mapped, or one an earlier world left in the OS thread's
+    /// stack pool — this world cannot tell which, so a world's counts do
+    /// not depend on what ran before it. (The name dates from the
+    /// OS-thread kernel and is what the benchmark reads.)
     pub os_thread_spawns: u64,
-    /// Simulated forks served a stack from the sim's free list.
+    /// Simulated forks given back a stack that an exited thread of this
+    /// world had vacated.
     pub os_thread_reuses: u64,
     /// Times the scheduler resumed a thread's body: one per dispatch that
     /// reaches the body, none for a kernel call that keeps the CPU.
@@ -433,9 +427,10 @@ pub(crate) struct Kernel {
     shield: Option<Shield>,
     donation: Option<DonationPlan>,
     timers: TimerWheel,
-    /// Free list of coroutine stacks: a simulated fork takes a vacated
-    /// stack instead of mapping one, so steady-state fork/exit makes no
-    /// system call.
+    /// This world's account with its OS thread's pool of vacant stacks:
+    /// a simulated fork takes a vacated stack instead of mapping one, so
+    /// steady-state fork/exit makes no system call, and nor does building
+    /// a world where another was dropped.
     pool: StackPool,
     monitors: Vec<MonitorState>,
     conds: Vec<CvState>,
@@ -461,6 +456,10 @@ pub(crate) struct Kernel {
     /// Scripted replay cursors, per kind sorted by site, when
     /// [`ChaosConfig::script`] is set. Consulted instead of the RNG.
     chaos_script: Option<[VecDeque<(u64, u64)>; 6]>,
+    /// Per stall spec, its `while_holding` name resolved: how many
+    /// monitors have been looked at, and which of them carry the name
+    /// ([`Kernel::holds_gate`]).
+    gates: Vec<(usize, Vec<MonitorId>)>,
     /// Pre-drawn PCT priority-change sites (dispatch ordinals, sorted
     /// ascending, deduplicated), drawn once at construction when
     /// [`ChaosConfig::pct`] is set and no script is in force.
@@ -480,6 +479,7 @@ impl Sim {
         let seed = cfg.seed;
         let daemon = cfg.system_daemon;
         let kind = cfg.policy;
+        let gates = vec![Default::default(); cfg.chaos.stalls.len()];
         let mut k = Kernel {
             me: Weak::new(),
             cfg,
@@ -508,6 +508,7 @@ impl Sim {
             chaos_sites: [0; 6],
             chaos_trace: Vec::new(),
             chaos_script: None,
+            gates,
             pct_sites: VecDeque::new(),
             hazards: None,
         };
@@ -655,19 +656,20 @@ impl Sim {
     }
 
     /// The name of every monitor, indexed by [`MonitorId::as_u32`].
-    /// Exporters use this to label lock tracks and contention rows.
-    pub fn monitor_names(&self) -> Vec<String> {
+    /// Exporters use this to label lock tracks and contention rows. The
+    /// names are the kernel's own, shared: none is copied.
+    pub fn monitor_names(&self) -> Vec<Arc<str>> {
         let k = self.kernel.borrow();
-        k.monitors.iter().map(|m| m.name.clone()).collect()
+        k.monitors.iter().map(|m| Arc::clone(&m.name)).collect()
     }
 
     /// For every condition variable, indexed by [`CondId::as_u32`]: its
-    /// name and the monitor it belongs to.
-    pub fn condition_info(&self) -> Vec<(String, MonitorId)> {
+    /// name (shared, like a monitor's) and the monitor it belongs to.
+    pub fn condition_info(&self) -> Vec<(Arc<str>, MonitorId)> {
         let k = self.kernel.borrow();
         k.conds
             .iter()
-            .map(|c| (c.name.clone(), c.monitor))
+            .map(|c| (Arc::clone(&c.name), c.monitor))
             .collect()
     }
 
@@ -805,13 +807,7 @@ impl Sim {
 
     /// Creates a monitor before the run starts.
     pub fn monitor<T: Send + 'static>(&mut self, name: &str, data: T) -> Monitor<T> {
-        let mut k = self.kernel_mut();
-        let id = MonitorId(k.monitors.len() as u32);
-        k.monitors.push(MonitorState {
-            name: name.to_string(),
-            ..MonitorState::default()
-        });
-        Monitor::new(id, name, data)
+        Monitor::new(self.kernel_mut().new_monitor(name.into()), data)
     }
 
     /// Creates a condition variable on `m` before the run starts.
@@ -821,19 +817,10 @@ impl Sim {
         name: &str,
         timeout: Option<SimDuration>,
     ) -> Condition {
-        let mut k = self.kernel_mut();
-        let id = CondId(k.conds.len() as u32);
-        k.conds.push(CvState {
-            name: name.to_string(),
-            monitor: m.id(),
-            timeout,
-            waited: false,
-            queue: VecDeque::new(),
-        });
+        let cv = CvState::new(name.into(), m.id(), timeout);
         Condition {
-            id,
+            id: self.kernel_mut().new_condition(cv),
             monitor: m.id(),
-            name: name.to_string(),
             timeout,
         }
     }
@@ -951,6 +938,8 @@ impl Drop for Sim {
         for mut body in bodies {
             debug_assert!(self.kernel.try_borrow_mut().is_ok());
             body.shutdown();
+            // The stack is vacant now: the next world may have it.
+            self.kernel.borrow_mut().pool.give(body.into_stack());
         }
     }
 }
@@ -989,7 +978,7 @@ impl Kernel {
             let (kind, resource, blocked_on) = match t.state {
                 TState::MutexWait(m) => (
                     crate::BlockKind::Monitor,
-                    self.monitors[m.0 as usize].name.clone(),
+                    self.monitors[m.0 as usize].name.to_string(),
                     self.monitors[m.0 as usize].owner,
                 ),
                 TState::MetaWait(m) => (
@@ -1001,7 +990,7 @@ impl Kernel {
                     crate::BlockKind::Condition {
                         has_timeout: self.conds[cv.0 as usize].timeout.is_some(),
                     },
-                    self.conds[cv.0 as usize].name.clone(),
+                    self.conds[cv.0 as usize].name.to_string(),
                     None,
                 ),
                 TState::JoinWait(target) => (
@@ -1366,23 +1355,12 @@ impl Kernel {
                 }
                 TimerKind::ChaosStallStart { spec } => {
                     let s = &self.cfg.chaos.stalls[spec as usize];
-                    let name = s.thread.clone();
                     let duration = s.duration;
-                    let gate = s.while_holding.clone();
-                    let target = self
-                        .threads
-                        .iter()
-                        .position(|t| !t.exited && t.name == name)
+                    let gated = s.while_holding.is_some();
+                    let target = (self.threads.iter())
+                        .position(|t| !t.exited && t.name == s.thread)
                         .map(|i| ThreadId(i as u32));
-                    let armed = match (target, &gate) {
-                        (Some(tid), Some(mon)) => self
-                            .monitors
-                            .iter()
-                            .any(|m| m.owner == Some(tid) && &m.name == mon)
-                            .then_some(tid),
-                        (t, None) => t,
-                        (None, Some(_)) => None,
-                    };
+                    let armed = target.filter(|&tid| self.holds_gate(spec as usize, tid));
                     if let Some(tid) = armed {
                         match self.threads[tid.0 as usize].state {
                             TState::Ready => {
@@ -1401,7 +1379,7 @@ impl Kernel {
                                 self.threads[tid.0 as usize].stall_pending = Some(duration);
                             }
                         }
-                    } else if gate.is_some() {
+                    } else if gated {
                         // Gated on monitor ownership and the target is not
                         // (yet) inside: poll again in a millisecond until
                         // it is caught holding the lock.
@@ -1418,7 +1396,39 @@ impl Kernel {
         }
     }
 
+    /// True if `tid` is inside a monitor named by stall `spec`'s
+    /// `while_holding` gate, or the stall has no gate. The name is
+    /// resolved to ids once; a later poll looks only at monitors created
+    /// since, so it costs an owner compare per monitor of that name.
+    fn holds_gate(&mut self, spec: usize, tid: ThreadId) -> bool {
+        let Some(name) = &self.cfg.chaos.stalls[spec].while_holding else {
+            return true;
+        };
+        let (seen, ids) = &mut self.gates[spec];
+        for (i, m) in self.monitors.iter().enumerate().skip(*seen) {
+            if *m.name == **name {
+                ids.push(MonitorId(i as u32));
+            }
+        }
+        *seen = self.monitors.len();
+        let owns = |id: &MonitorId| self.monitors[id.0 as usize].owner == Some(tid);
+        ids.iter().any(owns)
+    }
+
     // ---- monitor helpers ----------------------------------------------------
+
+    fn new_monitor(&mut self, name: Arc<str>) -> MonitorId {
+        self.monitors.push(MonitorState {
+            name,
+            ..MonitorState::default()
+        });
+        MonitorId(self.monitors.len() as u32 - 1)
+    }
+
+    fn new_condition(&mut self, cv: CvState) -> CondId {
+        self.conds.push(cv);
+        CondId(self.conds.len() as u32 - 1)
+    }
 
     /// Consumes a thread's pending CV-wake bookkeeping, emitting the
     /// `CvWake` event, and returns the reply it should receive once it
@@ -1802,11 +1812,7 @@ impl Kernel {
             Request::Notify { cv } => self.handle_notify(tid, cv, false),
             Request::Broadcast { cv } => self.handle_notify(tid, cv, true),
             Request::NewMonitor { name } => {
-                let id = MonitorId(self.monitors.len() as u32);
-                self.monitors.push(MonitorState {
-                    name,
-                    ..MonitorState::default()
-                });
+                let id = self.new_monitor(name);
                 self.threads[tid.0 as usize].pending_reply = Some(Reply::MonitorId(id));
             }
             Request::NewCondition {
@@ -1814,14 +1820,7 @@ impl Kernel {
                 monitor,
                 timeout,
             } => {
-                let id = CondId(self.conds.len() as u32);
-                self.conds.push(CvState {
-                    name,
-                    monitor,
-                    timeout,
-                    waited: false,
-                    queue: VecDeque::new(),
-                });
+                let id = self.new_condition(CvState::new(name, monitor, timeout));
                 self.threads[tid.0 as usize].pending_reply = Some(Reply::CondId(id));
             }
             Request::Exit { panicked } => self.handle_exit(tid, panicked),

@@ -1,17 +1,20 @@
 //! The coroutine kernel at scale and at its edges, through the public
 //! API only: worlds far larger than an OS-thread kernel could hold, the
 //! multiprocessor scheduler on the same coroutine type, the rule that a
-//! thread switches stacks only to leave the CPU, and the rule that a
-//! body's panic is the simulation's data while the kernel's is the host's.
+//! thread switches stacks only to leave the CPU, the rule that a
+//! body's panic is the simulation's data while the kernel's is the host's,
+//! and the stack pool each OS thread keeps across the worlds built on it.
 
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier, Mutex};
 
 use pcr::{
-    micros, millis, secs, Condition, Event, JoinError, Monitor, MpSim, PolicyKind, Priority,
-    RunLimit, Sim, SimConfig, StopReason, ThreadCtx, TraceSink, WaitOutcome,
+    micros, millis, secs, stack_pool_stats, ChaosConfig, Condition, Event, JoinError, Monitor,
+    MpSim, PolicyKind, Priority, RunLimit, Sim, SimConfig, SimTime, StopReason, ThreadCtx,
+    TraceSink, WaitOutcome,
 };
 
 /// Counts its own drops: a local of a body that must be destroyed
@@ -57,6 +60,175 @@ fn ten_thousand_simultaneously_live_threads_run_to_completion() {
     );
     let alloc = sim.alloc_counters();
     assert_eq!(alloc.os_thread_spawns, THREADS as u64 + 1, "{alloc:?}");
+    // Every stack has been vacated by now. The pool kept its bound of
+    // them and gave the other mappings back.
+    drop(sim);
+    let pool = stack_pool_stats();
+    assert!(pool.mapped > THREADS as u64, "{pool:?}");
+    assert_eq!(pool.vacant, pool.bound, "{pool:?}");
+    assert!(pool.bound < THREADS / 10, "{pool:?}");
+}
+
+const WORLD_THREADS: usize = 40;
+
+/// A world the size of the paper's: forty eternal threads over seven
+/// priorities, each entering a shared monitor, working and sleeping.
+/// Each body leaves the address of a local of its first frame in `seen`,
+/// which names the stack it ran on.
+fn forty_thread_world(seen: &Arc<Mutex<BTreeSet<usize>>>) -> Sim {
+    let mut sim = Sim::new(SimConfig::default());
+    let tally = sim.monitor("tally", 0u64);
+    for i in 0..WORLD_THREADS {
+        let (tally, seen) = (tally.clone(), Arc::clone(seen));
+        let priority = Priority::of(1 + (i % 7) as u8);
+        let _ = sim.fork_root(&format!("eternal{i}"), priority, move |ctx| {
+            let marker = std::hint::black_box(0u8);
+            seen.lock().unwrap().insert(&raw const marker as usize);
+            loop {
+                ctx.enter(&tally).with_mut(|n| *n += 1);
+                ctx.work(micros(50));
+                ctx.sleep(millis(5 + i as u64));
+            }
+        });
+    }
+    sim
+}
+
+/// Builds one forty-thread world, runs it 100 ms and drops it with every
+/// body suspended.
+fn world_cycle(seen: &Arc<Mutex<BTreeSet<usize>>>) {
+    let mut sim = forty_thread_world(seen);
+    let report = sim.run(RunLimit::For(millis(100)));
+    assert_eq!(report.reason, StopReason::TimeLimit);
+    assert!(sim.stats().switches > WORLD_THREADS as u64);
+    // What a world counts does not depend on what ran before it.
+    let alloc = sim.alloc_counters();
+    assert_eq!(
+        (alloc.os_thread_spawns, alloc.os_thread_reuses),
+        (WORLD_THREADS as u64, 0)
+    );
+}
+
+#[test]
+fn fifty_worlds_in_sequence_map_stacks_only_for_the_first() {
+    let seen = Arc::default();
+    let before = stack_pool_stats().mapped;
+    world_cycle(&seen);
+    let after_first = stack_pool_stats();
+    assert!(after_first.mapped - before <= WORLD_THREADS as u64);
+    assert!(after_first.vacant >= WORLD_THREADS, "{after_first:?}");
+    for _ in 1..50 {
+        world_cycle(&seen);
+    }
+    assert_eq!(stack_pool_stats().mapped, after_first.mapped);
+    assert_eq!(seen.lock().unwrap().len(), WORLD_THREADS, "the same stacks");
+}
+
+#[test]
+fn a_dropped_worlds_stacks_serve_the_next_whatever_state_its_bodies_were_in() {
+    let drops = Arc::new(AtomicUsize::new(0));
+    let mut sim = Sim::new(SimConfig::default());
+    let add = |sim: &mut Sim, name: &str, body: fn(&ThreadCtx)| {
+        let local = CountsDrop(Arc::clone(&drops));
+        sim.fork_root(name, Priority::DEFAULT, move |ctx| {
+            let _local = local;
+            body(ctx);
+        })
+    };
+    // Twenty bodies suspended at the drop, ten that panicked in the run,
+    // and twenty forked after it that never start — ten of those on the
+    // stacks the panicked ones vacated, so forty stacks in all.
+    for i in 0..20 {
+        let _ = add(&mut sim, &format!("suspended{i}"), |ctx| loop {
+            ctx.sleep(millis(7));
+        });
+    }
+    for i in 0..10 {
+        let _ = add(&mut sim, &format!("panics{i}"), |ctx| {
+            ctx.work(millis(1));
+            panic!("a body's own failure");
+        });
+    }
+    sim.run(RunLimit::For(millis(100)));
+    assert_eq!(
+        (sim.stats().panics, drops.load(Ordering::Relaxed)),
+        (10, 10)
+    );
+    for i in 0..20 {
+        let _ = add(&mut sim, &format!("unstarted{i}"), |_| unreachable!());
+    }
+    let alloc = sim.alloc_counters();
+    assert_eq!((alloc.os_thread_spawns, alloc.os_thread_reuses), (40, 10));
+    drop(sim);
+    assert_eq!(drops.load(Ordering::Relaxed), 50, "every body's locals");
+
+    let pool = stack_pool_stats();
+    assert!(pool.vacant >= WORLD_THREADS, "{pool:?}");
+    world_cycle(&Arc::default());
+    let after = stack_pool_stats();
+    assert_eq!((after.mapped, after.vacant), (pool.mapped, pool.vacant));
+}
+
+#[test]
+fn two_os_threads_building_worlds_at_once_never_see_each_others_stacks() {
+    const CYCLES: usize = 5;
+    // Both threads are inside the same step of the same cycle at once,
+    // and neither exits (unmapping its pool) before the other is done.
+    let step = Barrier::new(2);
+    let stacks_of_one_os_thread = || {
+        let seen = Arc::default();
+        for _ in 0..CYCLES {
+            step.wait();
+            let mut sim = forty_thread_world(&seen);
+            step.wait();
+            sim.run(RunLimit::For(millis(100)));
+            step.wait();
+            drop(sim);
+        }
+        step.wait();
+        let seen = std::mem::take(&mut *seen.lock().unwrap());
+        (seen, stack_pool_stats().mapped)
+    };
+    let ((a, a_mapped), (b, b_mapped)) = std::thread::scope(|s| {
+        let a = s.spawn(stacks_of_one_os_thread);
+        let b = s.spawn(stacks_of_one_os_thread);
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    // Each OS thread mapped forty stacks for its first world and ran its
+    // other four on them; no stack address shows up on both.
+    assert_eq!((a_mapped, b_mapped), (40, 40));
+    assert_eq!((a.len(), b.len()), (WORLD_THREADS, WORLD_THREADS));
+    assert!(a.is_disjoint(&b));
+}
+
+#[test]
+fn a_gated_stall_catches_a_monitor_created_after_its_first_poll() {
+    // The stall polls from 1 ms, when no monitor is called "late" and its
+    // target holds one of another name. The target creates "late" at
+    // 5 ms and is then inside it half the time.
+    let at = SimTime::from_micros(1_000);
+    let chaos = ChaosConfig::none().stall_while_holding("holder", "late", at, secs(30));
+    let mut sim = Sim::new(SimConfig::default().with_chaos(chaos));
+    let early = sim.monitor("early", ());
+    let _ = sim.fork_root("holder", Priority::DEFAULT, move |ctx| {
+        {
+            let _g = ctx.enter(&early);
+            ctx.work(millis(5));
+        }
+        let late = ctx.new_monitor("late", ());
+        loop {
+            let g = ctx.enter(&late);
+            ctx.work(millis(2));
+            drop(g);
+            ctx.sleep_precise(millis(2));
+        }
+    });
+    sim.run(RunLimit::For(millis(50)));
+    assert_eq!(sim.stats().chaos_stalls, 1, "the gated stall never fired");
+    let graph = sim.wait_for_graph();
+    assert_eq!(graph.stalled.len(), 1, "{}", graph.render());
+    assert_eq!(graph.stalled[0].1, "holder");
+    assert!(sim.now() < SimTime::from_micros(60_000));
 }
 
 /// The stack switches a world costs from start to finish, which must be

@@ -34,6 +34,8 @@
 //! guided fuzzer exists to beat the grid on it, and the CI smoke job
 //! fails if it ever stops doing so.
 
+use std::sync::Arc;
+
 use pcr::{
     millis, ChaosConfig, FaultDecision, FaultSchedule, FaultSiteKind, Priority, SimTime,
     SplitMix64, StallSpec,
@@ -79,8 +81,19 @@ fn draw_mutation(rng: &mut SplitMix64) -> &'static str {
 struct CorpusEntry {
     case: StoredCase,
     live_threads: Vec<String>,
-    monitors: Vec<String>,
+    /// The gates a mutation may name ([`gate_names`]).
+    monitors: Vec<Arc<str>>,
     energy: u32,
+}
+
+/// The `while_holding` gates a world offers: its monitor names
+/// ([`crate::Observation::monitors`]), sorted and de-duplicated, so a
+/// draw picks uniformly among distinct names whatever order the world
+/// registered them in. Done once per corpus entry, not per trial.
+fn gate_names(mut monitors: Vec<Arc<str>>) -> Vec<Arc<str>> {
+    monitors.sort();
+    monitors.dedup();
+    monitors
 }
 
 /// One new signature first reached by a mutation (rather than the grid).
@@ -146,13 +159,12 @@ fn mutate(
             // wedge party sets the intensity rungs never produce.
             let gated = !parent.monitors.is_empty() && rng.next_below(2) == 0;
             if gated {
-                let m =
-                    parent.monitors[rng.next_below(parent.monitors.len() as u64) as usize].clone();
+                let m = &parent.monitors[rng.next_below(parent.monitors.len() as u64) as usize];
                 case.schedule.stalls.push(StallSpec {
                     thread,
                     at: SimTime::from_micros(rng.next_below((window_us / 2).max(1))),
                     duration: case.window,
-                    while_holding: Some(m),
+                    while_holding: Some(m.to_string()),
                 });
             } else {
                 case.schedule.stalls.push(StallSpec {
@@ -220,13 +232,13 @@ fn mutate(
             let thread = parent.live_threads
                 [rng.next_below(parent.live_threads.len() as u64) as usize]
                 .clone();
-            let m = parent.monitors[rng.next_below(parent.monitors.len() as u64) as usize].clone();
+            let m = &parent.monitors[rng.next_below(parent.monitors.len() as u64) as usize];
             case.schedule = FaultSchedule::default();
             case.schedule.stalls.push(StallSpec {
                 thread,
                 at: SimTime::from_micros(250_000),
                 duration: case.window,
-                while_holding: Some(m),
+                while_holding: Some(m.to_string()),
             });
         }
         _ => return None,
@@ -373,7 +385,7 @@ pub fn guided_fuzz(cfg: &FuzzConfig, mut progress: impl FnMut(&str)) -> GuidedOu
                         corpus.push(CorpusEntry {
                             case: stored,
                             live_threads: obs.live_threads,
-                            monitors: obs.monitors,
+                            monitors: gate_names(obs.monitors),
                             energy: ENERGY_START,
                         });
                     }
@@ -451,6 +463,47 @@ mod tests {
     }
 
     #[test]
+    fn gates_are_the_sorted_distinct_monitor_names_of_the_world() {
+        use crate::observe::TrialSpec;
+        use pcr::RunLimit;
+        use workloads::serve::ServeScenario;
+        let spec = |world| TrialSpec {
+            world,
+            system: System::Cedar,
+            benchmark: Benchmark::Keyboard,
+            seed: 0x6A7E,
+            window: secs(1),
+            slice: millis(250),
+            wedge_threshold: millis(500),
+            max_threads: None,
+            policy: pcr::PolicyKind::RoundRobin,
+        };
+        let scenario = ServeScenario::Burst;
+        let clean = ChaosConfig::none;
+        for (spec, mut same_world) in [
+            (
+                spec(TrialWorld::Cell),
+                workloads::runner::build(System::Cedar, Benchmark::Keyboard, 0x6A7E),
+            ),
+            (
+                spec(TrialWorld::Serve { scenario }),
+                workloads::serve::build_fuzz_world(scenario, 0x6A7E, clean(), None),
+            ),
+        ] {
+            same_world.run(RunLimit::For(spec.window));
+            let mut want = same_world.monitor_names();
+            let registered = want.len();
+            want.sort();
+            want.dedup();
+            let obs = observe(&spec, clean());
+            assert!(obs.failure.is_none(), "{:?}", obs.failure);
+            assert_eq!(obs.monitors.len(), registered, "in id order, repeats kept");
+            assert_eq!(gate_names(obs.monitors), want);
+            assert!(want.len() > 5, "{:?}: {want:?}", spec.world);
+        }
+    }
+
+    #[test]
     fn schedule_mutations_are_deterministic_and_stay_valid() {
         let parent = CorpusEntry {
             case: StoredCase {
@@ -480,7 +533,7 @@ mod tests {
                 },
             },
             live_threads: vec!["GVX.Painter".to_string()],
-            monitors: vec!["display".to_string()],
+            monitors: vec!["display".into()],
             energy: ENERGY_START,
         };
         for mutation in MUTATIONS.iter().filter(|m| **m != "intensity-hop") {

@@ -146,9 +146,12 @@ pub struct Observation {
     /// Names of the threads still live when the trial ended — the
     /// stall-splice targets for the guided fuzzer's mutation engine.
     pub live_threads: Vec<String>,
-    /// Names of the world's monitors — the `while_holding` gates for
-    /// the guided fuzzer's §6.2-style mid-critical-section splices.
-    pub monitors: Vec<String>,
+    /// Names of the world's monitors, in id order and shared with the
+    /// world that registered them (a library name can repeat) — the
+    /// `while_holding` gates for the guided fuzzer's §6.2-style
+    /// mid-critical-section splices. Whoever wants them sorted or unique
+    /// does that itself: most trials' lists are never read.
+    pub monitors: Vec<std::sync::Arc<str>>,
 }
 
 impl Observation {
@@ -367,16 +370,13 @@ pub fn observe(spec: &TrialSpec, chaos: ChaosConfig) -> Observation {
         .collect();
     live_threads.sort();
     live_threads.dedup();
-    let mut monitors = sim.monitor_names();
-    monitors.sort();
-    monitors.dedup();
     Observation {
         failure,
         schedule: sim.fault_schedule(),
         hazards,
         elapsed,
         live_threads,
-        monitors,
+        monitors: sim.monitor_names(),
     }
 }
 

@@ -24,6 +24,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::Write;
+use std::sync::Arc;
 
 use pcr::{Event, EventKind, Priority, Sim, SimTime};
 
@@ -35,9 +36,9 @@ pub struct TraceLabels {
     /// Thread names, indexed by raw thread id.
     pub threads: Vec<String>,
     /// Monitor names, indexed by raw monitor id.
-    pub monitors: Vec<String>,
+    pub monitors: Vec<Arc<str>>,
     /// Condition-variable names, indexed by raw cv id.
-    pub conditions: Vec<String>,
+    pub conditions: Vec<Arc<str>>,
 }
 
 impl TraceLabels {

@@ -69,15 +69,10 @@ impl Collector {
     /// topology, so the contention profile closes holds released by CV
     /// waits against the right monitor and renders real names.
     pub fn for_sim(sim: &pcr::Sim) -> Self {
-        let mut c = Self::default();
-        c.contention.set_topology(
-            sim.monitor_names(),
-            sim.condition_info()
-                .iter()
-                .map(|(_, m)| m.as_u32())
-                .collect(),
-        );
-        c
+        Collector {
+            contention: ContentionProfiler::for_sim(sim),
+            ..Self::default()
+        }
     }
 }
 

@@ -14,6 +14,8 @@
 //! * a **wait** runs from a contended `MlEnter` to the `MlAcquired`
 //!   grant.
 
+use std::sync::Arc;
+
 use pcr::{Event, EventKind, SimDuration, SimTime, TraceSink};
 
 /// Aggregated lock statistics for one monitor.
@@ -65,26 +67,27 @@ impl MonitorProfile {
 pub struct MonitorProfileRow {
     /// Raw monitor id.
     pub monitor: u32,
-    /// The monitor's name (`m<id>` if unknown).
-    pub name: String,
+    /// The monitor's name (`m<id>` if unknown), shared with the
+    /// simulator that registered it.
+    pub name: Arc<str>,
     /// Its counters.
     pub profile: MonitorProfile,
 }
 
 /// A [`TraceSink`] that attributes hold and wait time to monitors.
 ///
-/// Construct with [`ContentionProfiler::new`] and, when available, give
-/// it the simulator's topology ([`ContentionProfiler::set_topology`]) so
-/// `CvWait` events — which release the condition's monitor without an
-/// `MlExit` — close the right hold. Without the mapping the profiler
-/// falls back to closing the thread's only open hold, which is exact
+/// Construct with [`ContentionProfiler::for_sim`] when the simulator is
+/// at hand, so `CvWait` events — which release the condition's monitor
+/// without an `MlExit` — close the right hold. Without that mapping
+/// ([`ContentionProfiler::new`], over a bare stream) the profiler falls
+/// back to closing the thread's only open hold, which is exact
 /// unless a thread nests monitors *and* waits on the inner one.
 #[derive(Debug, Default)]
 pub struct ContentionProfiler {
     /// Indexed by raw monitor id; `None` until the monitor's first event.
     per_monitor: Vec<Option<MonitorProfile>>,
     /// Monitor names, indexed by raw id.
-    names: Vec<String>,
+    names: Vec<Arc<str>>,
     /// Condition-variable → monitor mapping, indexed by raw cv id.
     cv_monitor: Vec<u32>,
     /// Each thread's open holds, indexed by raw thread id. A thread
@@ -128,12 +131,15 @@ impl ContentionProfiler {
         Self::default()
     }
 
-    /// Installs monitor names and the cv → monitor mapping, both indexed
-    /// by raw id (from [`pcr::Sim::monitor_names`] and
-    /// [`pcr::Sim::condition_info`]).
-    pub fn set_topology(&mut self, monitor_names: Vec<String>, cv_monitor: Vec<u32>) {
-        self.names = monitor_names;
-        self.cv_monitor = cv_monitor;
+    /// An empty profiler primed with `sim`'s monitor names (shared, not
+    /// copied) and its cv → monitor mapping, both indexed by raw id.
+    pub fn for_sim(sim: &pcr::Sim) -> Self {
+        let cvs = sim.condition_info();
+        ContentionProfiler {
+            names: sim.monitor_names(),
+            cv_monitor: cvs.iter().map(|(_, m)| m.as_u32()).collect(),
+            ..Self::default()
+        }
     }
 
     /// The profile of one monitor by raw id.
@@ -156,7 +162,7 @@ impl ContentionProfiler {
                     .names
                     .get(monitor as usize)
                     .cloned()
-                    .unwrap_or_else(|| format!("m{monitor}")),
+                    .unwrap_or_else(|| format!("m{monitor}").into()),
                 profile,
             })
             .collect();
@@ -290,15 +296,7 @@ mod tests {
         let hot = sim.monitor("hot", 0u32);
         let cold = sim.monitor("cold", 0u32);
         let (hot_id, cold_id) = (hot.id().as_u32(), cold.id().as_u32());
-        let mut prof = ContentionProfiler::new();
-        prof.set_topology(
-            sim.monitor_names(),
-            sim.condition_info()
-                .iter()
-                .map(|(_, m)| m.as_u32())
-                .collect(),
-        );
-        sim.set_sink(Box::new(prof));
+        sim.set_sink(Box::new(ContentionProfiler::for_sim(&sim)));
         for i in 0..2 {
             let hot = hot.clone();
             let cold = cold.clone();
@@ -336,7 +334,7 @@ mod tests {
         assert!(cold.total_hold < millis(1), "cold held too long");
         // Rows come hottest-first with real names.
         let rows = prof.rows();
-        assert_eq!(rows[0].name, "hot");
+        assert_eq!(&*rows[0].name, "hot");
         assert!(rows[0].profile.contention_fraction() > 0.0);
     }
 
@@ -346,15 +344,7 @@ mod tests {
         let m = sim.monitor("m", 0u32);
         let cv = sim.condition(&m, "cv", Some(millis(10)));
         let mid = m.id().as_u32();
-        let mut prof = ContentionProfiler::new();
-        prof.set_topology(
-            sim.monitor_names(),
-            sim.condition_info()
-                .iter()
-                .map(|(_, mon)| mon.as_u32())
-                .collect(),
-        );
-        sim.set_sink(Box::new(prof));
+        sim.set_sink(Box::new(ContentionProfiler::for_sim(&sim)));
         let _ = sim.fork_root("waiter", Priority::DEFAULT, move |ctx| {
             let mut g = ctx.enter(&m);
             let _ = g.wait(&cv); // Times out after 10 ms.

@@ -220,7 +220,7 @@ pub fn contention_table(rows: &[crate::MonitorProfileRow]) -> Table {
             d.map_or_else(|| "-".to_string(), |d| d.as_micros().to_string())
         };
         t.row(vec![
-            r.name.clone(),
+            r.name.to_string(),
             p.enters.to_string(),
             p.contended.to_string(),
             pct(p.contention_fraction() * 100.0),
@@ -407,7 +407,7 @@ mod tests {
         use crate::{MonitorProfile, MonitorProfileRow};
         let rows = vec![MonitorProfileRow {
             monitor: 0,
-            name: "heap".to_string(),
+            name: "heap".into(),
             profile: MonitorProfile {
                 enters: 10,
                 contended: 4,

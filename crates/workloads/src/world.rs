@@ -15,6 +15,7 @@
 //!   NOTIFYs sleepers and drives the timeout fraction down;
 //! * [`InputEvent`] — the keyboard/mouse/scroll event vocabulary.
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use pcr::{micros, Condition, Monitor, Priority, Sim, SimDuration, ThreadCtx};
@@ -39,8 +40,14 @@ pub struct LibraryPool {
 impl LibraryPool {
     /// Creates `size` module monitors before the run.
     pub fn new(sim: &mut Sim, size: usize) -> Self {
+        // One buffer for every name: the simulator keeps its own copy.
+        let mut name = String::new();
         let monitors = (0..size)
-            .map(|i| sim.monitor(&format!("module-{i}"), 0u64))
+            .map(|i| {
+                name.clear();
+                let _ = write!(name, "module-{i}");
+                sim.monitor(&name, 0u64)
+            })
             .collect();
         LibraryPool {
             monitors: Arc::new(monitors),
@@ -144,9 +151,14 @@ impl SleeperBus {
         assert_eq!(specs.len(), lib_starts.len());
         assert_eq!(specs.len(), lib_spans.len());
         let mut slots = Vec::new();
+        let mut name = String::new();
         for (i, spec) in specs.iter().enumerate() {
-            let m = sim.monitor(&format!("{}.state", spec.name), SleeperSlot::default());
-            let cv = sim.condition(&m, &format!("{}.tick", spec.name), Some(spec.period));
+            name.clear();
+            let _ = write!(name, "{}.state", spec.name);
+            let m = sim.monitor(&name, SleeperSlot::default());
+            name.clear();
+            let _ = write!(name, "{}.tick", spec.name);
+            let cv = sim.condition(&m, &name, Some(spec.period));
             slots.push((m.clone(), cv.clone()));
             let mut cursor = lib.cursor(lib_starts[i], lib_spans[i]);
             let (wake_work, touches) = (spec.wake_work, spec.touches);

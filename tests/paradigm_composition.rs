@@ -88,8 +88,11 @@ fn a_small_interactive_system_from_paradigm_parts() {
     });
     let r = sim.run(RunLimit::For(secs(20)));
     assert!(!r.deadlocked());
-    // The pump lingers (blocked take), so the run ends at the time
-    // limit; the main thread's result must nonetheless be complete.
+    // The pump stays blocked in its take with nobody left to feed it,
+    // which alone would end the run as a deadlock. It ends at the time
+    // limit because the cancelled watchdog's 30 s `CvTimeout`, cancelled
+    // lazily, is still in the wheel: with a timer pending the scheduler
+    // idles on to the limit. The main thread's result must be complete.
     let applied = h.into_result().expect("main thread finished").unwrap();
     assert_eq!(applied.len(), 8);
     for (i, s) in applied.iter().enumerate() {
