@@ -9,7 +9,7 @@
 //! interval, exactly-one-waiter NOTIFY as a hint, WAIT only in a loop.
 //!
 //! Scope restrictions relative to the simulated uniprocessor,
-//! documented rather than silently diverging (compare `pcr::MpSim`):
+//! documented rather than silently diverging (compare `pcr::mp`'s table):
 //!
 //! * priorities are recorded ([`RealCtx::priority`]) but not enforced —
 //!   the OS schedules;

@@ -4,12 +4,12 @@
 //! A simulated thread is a [`Coroutine`]: a body running on its own
 //! `mmap`ed stack, on the OS thread of whoever built the simulation. The
 //! scheduler [`Coroutine::resume`]s it with a [`Reply`]; the body runs
-//! until it [`Baton::park`]s (under [`crate::MpSim`], until its
-//! [`Baton::call`] hands back the next [`Request`]). Either direction is
-//! one [`switch`]: push the six callee-saved registers, swap stack
-//! pointers, pop them, pop the return address and jump to it. No OS
-//! thread, channel or lock is involved, which is what PCR was: Mesa
-//! threads multiplexed in one address space, a switch a register save.
+//! until it [`Baton::park`]s, or ends having [`Baton::post`]ed its last
+//! [`Request`]. Either direction is one [`switch`]: push the six
+//! callee-saved registers, swap stack pointers, pop them, pop the return
+//! address and jump to it. No OS thread, channel or lock is involved,
+//! which is what PCR was: Mesa threads multiplexed in one address space,
+//! a switch a register save.
 //!
 //! Everything architecture-specific is the naked [`switch`] and the
 //! eight-word initial frame [`Coroutine::new`] lays out for it (~25
@@ -36,7 +36,7 @@
 //!   only while its own body is the one running: both are asserted.
 //! * **A coroutine stays on the OS thread that built it**, and so does
 //!   its stack after it. The link is an `Rc`, so `Coroutine`, `Baton`,
-//!   and every type holding one (`ThreadCtx`, `Sim`, `MpSim`) are `!Send`:
+//!   and every type holding one (`ThreadCtx`, `Sim`) are `!Send`:
 //!   a suspended stack may hold `!Send` locals, and the hook state and
 //!   the stack pool below are thread-local. A `Stack` is `!Send` itself,
 //!   so no safe code can carry one to another thread's pool, and the
@@ -409,7 +409,7 @@ impl Drop for Coroutine {
         if !matches!(self.link.state.get(), State::Fresh | State::Finished) {
             // Live frames, and whatever borrows from them, are still on
             // the stack, and this is no place to unwind them: leak it.
-            // `Sim` and `MpSim` never get here; they `shutdown` first.
+            // `Sim` never gets here; it `shutdown`s first.
             std::mem::forget(self.stack.take());
         }
     }
@@ -451,13 +451,6 @@ pub(crate) struct Baton {
 }
 
 impl Baton {
-    /// Hands `req` to the resumer and suspends until the next
-    /// [`Coroutine::resume`], whose reply it returns.
-    pub(crate) fn call(&self, req: Request) -> Reply {
-        self.post(req);
-        self.park()
-    }
-
     /// Suspends until the next [`Coroutine::resume`], whose reply it
     /// returns.
     pub(crate) fn park(&self) -> Reply {
@@ -494,6 +487,12 @@ mod tests {
         Request::Work(micros(n))
     }
 
+    /// A round trip to the resumer: `req` out, the next reply back.
+    fn call(baton: &Baton, req: Request) -> Reply {
+        baton.post(req);
+        baton.park()
+    }
+
     fn worked(req: Option<Request>) -> u64 {
         match req {
             Some(Request::Work(d)) => d.as_micros(),
@@ -507,7 +506,7 @@ mod tests {
         let mut co = Coroutine::new(pool.take(), |baton| {
             let mut n = 1;
             for _ in 0..5 {
-                match baton.call(work(n)) {
+                match call(&baton, work(n)) {
                     Reply::Forked(t) => n = u64::from(t.as_u32()) + 1,
                     other => panic!("expected Forked, got {other:?}"),
                 }
@@ -566,7 +565,7 @@ mod tests {
     fn a_panic_is_caught_at_entry_and_the_stack_is_reusable() {
         let mut pool = StackPool::default();
         let mut co = Coroutine::new(pool.take(), |baton| {
-            baton.call(work(1));
+            call(&baton, work(1));
             panic!("boom on a coroutine stack");
         });
         assert_eq!(worked(co.resume(Reply::Ok)), 1);
@@ -579,7 +578,7 @@ mod tests {
         assert!(co.is_finished());
         pool.give(co.into_stack());
         let mut again = Coroutine::new(pool.take(), |baton| {
-            baton.call(work(2));
+            call(&baton, work(2));
         });
         assert_eq!(worked(again.resume(Reply::Ok)), 2);
         assert!(again.resume(Reply::Ok).is_none());
@@ -595,7 +594,7 @@ mod tests {
 
     /// The `ThreadCtx` contract in miniature: `Reply::Shutdown` unwinds.
     fn call_or_unwind(baton: &Baton, req: Request) -> Reply {
-        match baton.call(req) {
+        match call(baton, req) {
             Reply::Shutdown => resume_unwind(Box::new(())),
             r => r,
         }
@@ -646,7 +645,7 @@ mod tests {
             let mut inner = Coroutine::new(Stack::map(), |_| assert!(body_on_cpu()));
             assert!(inner.resume(Reply::Ok).is_none());
             assert!(body_on_cpu(), "still inside the outer body");
-            baton.call(work(1));
+            call(&baton, work(1));
         });
         assert_eq!(worked(outer.resume(Reply::Ok)), 1);
         assert!(!body_on_cpu());

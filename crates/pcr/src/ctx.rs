@@ -6,13 +6,15 @@
 //! thread's Rust code executes in zero virtual time; virtual CPU is
 //! consumed explicitly with [`ThreadCtx::work`].
 //!
-//! Under [`crate::Sim`] a call is a function call: the context shares the
-//! simulation's [`Kernel`], which serves the request on the calling
-//! body's own stack and hands the reply straight back. The body switches
-//! stacks only when the call cost it the CPU (it blocked, was preempted,
-//! ran out its quantum or the run's window, or was stalled), as PCR
-//! entered its scheduler only to change threads: it parks on its baton
-//! and the next dispatch resumes it with the reply.
+//! A call is a function call: the context shares the simulation's
+//! [`Kernel`], which serves the request on the calling body's own stack
+//! and hands the reply straight back. The body switches stacks only when
+//! the call cost it the CPU (it blocked, was preempted, ran out its
+//! quantum or the run's window, or was stalled), as PCR entered its
+//! scheduler only to change threads: it parks on its baton and the next
+//! dispatch resumes it with the reply. (With more than one virtual CPU
+//! every call parks, so that the run loop of [`crate::mp`] can order the
+//! CPUs' same-instant calls.)
 
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -53,15 +55,6 @@ impl ForkOpts {
     }
 }
 
-/// How a context reaches its scheduler.
-pub(crate) enum Port {
-    /// [`crate::Sim`]: the kernel serves each request on the caller's stack.
-    Kernel(Rc<RefCell<Kernel>>),
-    /// [`crate::MpSim`]: each request is a baton round trip to the
-    /// scheduler's stack; the cell is its clock.
-    Wire(Rc<Cell<SimTime>>),
-}
-
 thread_local! {
     /// Set while kernel or sink code runs on a body's stack. A panic there
     /// leaves it set until [`fork_spec`]'s wrapper sees it: that panic is
@@ -79,7 +72,8 @@ pub struct ThreadCtx {
     tid: ThreadId,
     name: String,
     baton: Baton,
-    port: Port,
+    /// The simulation's kernel, which serves each request on this stack.
+    kernel: Rc<RefCell<Kernel>>,
     shutting_down: Cell<bool>,
     priority: Cell<Priority>,
     seed: u64,
@@ -93,7 +87,7 @@ impl ThreadCtx {
         tid: ThreadId,
         name: String,
         priority: Priority,
-        port: Port,
+        kernel: Rc<RefCell<Kernel>>,
         seed: u64,
         body: BodyFn,
     ) -> Coroutine {
@@ -102,7 +96,7 @@ impl ThreadCtx {
                 tid,
                 name,
                 baton,
-                port,
+                kernel,
                 shutting_down: Cell::new(false),
                 priority: Cell::new(priority),
                 seed,
@@ -128,10 +122,7 @@ impl ThreadCtx {
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        match &self.port {
-            Port::Kernel(kernel) => kernel.borrow().clock,
-            Port::Wire(clock) => clock.get(),
-        }
+        self.kernel.borrow().clock
     }
 
     /// A deterministic per-thread random generator, derived from the
@@ -147,16 +138,11 @@ impl ThreadCtx {
     /// Carries `req` to the scheduler and comes back with its reply,
     /// having switched stacks only if the thread left the CPU meanwhile.
     fn request(&self, req: Request) -> Reply {
-        match &self.port {
-            Port::Kernel(kernel) => {
-                let caught = IN_KERNEL.replace(true);
-                assert!(!caught, "a thread body caught a panic of the kernel's");
-                let served = kernel.borrow_mut().serve(self.tid, req);
-                IN_KERNEL.set(false);
-                served.unwrap_or_else(|| self.baton.park())
-            }
-            Port::Wire(_) => self.baton.call(req),
-        }
+        let caught = IN_KERNEL.replace(true);
+        assert!(!caught, "a thread body caught a panic of the kernel's");
+        let served = self.kernel.borrow_mut().serve(self.tid, req);
+        IN_KERNEL.set(false);
+        served.unwrap_or_else(|| self.baton.park())
     }
 
     // Inlined so that `req` is built in place as `request`'s argument. A

@@ -3,8 +3,8 @@
 use core::fmt;
 
 use crate::hazard::HazardCounts;
-use crate::thread::ThreadId;
 use crate::time::{SimDuration, SimTime};
+use crate::waitgraph::WaitingThread;
 
 /// Why a [`crate::Sim::run`] call stopped.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -45,25 +45,12 @@ impl RunReport {
     }
 }
 
-/// A description of one blocked thread in a deadlock.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BlockedThread {
-    /// The blocked thread.
-    pub tid: ThreadId,
-    /// Its name.
-    pub name: String,
-    /// Human-readable description of what it is waiting for.
-    pub waiting_for: String,
-    /// The thread it is transitively waiting on, when one is identifiable
-    /// (a monitor owner or a join target).
-    pub blocked_on: Option<ThreadId>,
-}
-
-/// A wait-for description of a deadlocked system.
+/// A wait-for description of a deadlocked system: the blocked threads of
+/// [`crate::Sim::wait_for_graph`] at the instant nothing could run again.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct DeadlockReport {
     /// Every thread that is alive but can never run again.
-    pub blocked: Vec<BlockedThread>,
+    pub blocked: Vec<WaitingThread>,
 }
 
 impl fmt::Display for DeadlockReport {
@@ -74,7 +61,8 @@ impl fmt::Display for DeadlockReport {
             self.blocked.len()
         )?;
         for b in &self.blocked {
-            write!(f, "  {:?} \"{}\": {}", b.tid, b.name, b.waiting_for)?;
+            let (kind, on) = (b.kind.tag(), &b.resource);
+            write!(f, "  {:?} \"{}\": {kind} {on}", b.tid, b.name)?;
             if let Some(on) = b.blocked_on {
                 write!(f, " (held by {on:?})")?;
             }

@@ -40,7 +40,7 @@
 //! CPU is consumed explicitly with [`ThreadCtx::work`]. A runtime call
 //! runs the kernel on the caller's own stack, and a thread switches
 //! stacks only when it leaves the CPU. A simulation owns no OS thread,
-//! and stays on the one that built it: [`Sim`] and [`MpSim`] are `!Send`.
+//! and stays on the one that built it: a [`Sim`] is `!Send`.
 //! All scheduling state lives in the [`Sim`]'s kernel, so a given
 //! configuration and seed replays identically — which is what makes the
 //! paper's tables reproducible as deterministic experiments.
@@ -105,14 +105,13 @@ pub use config::{ForkPolicy, NotifyMode, SimConfig, SystemDaemonConfig};
 #[doc(hidden)]
 pub use coroutine::{stack_pool_stats, StackPoolStats};
 pub use ctx::{panic_message, ForkOpts, ThreadCtx};
-pub use error::{BlockedThread, DeadlockReport, ForkError, JoinError, RunReport, StopReason};
+pub use error::{DeadlockReport, ForkError, JoinError, RunReport, StopReason};
 pub use event::{
     CondId, Event, EventKind, EventMask, MultiSink, NullSink, TraceSink, VecSink, WaitOutcome,
     YieldKind,
 };
 pub use hazard::{Hazard, HazardConfig, HazardCounts, HazardKind, HazardMonitor};
 pub use monitor::{Monitor, MonitorGuard, MonitorId};
-pub use mp::MpSim;
 pub use rng::SplitMix64;
 pub use runtime::{Guard, Runtime};
 pub use sched::policy;

@@ -2,12 +2,12 @@
 //!
 //! Each simulated thread is a stackful coroutine on the OS thread that
 //! built the simulation ([`crate::coroutine`]), so exactly one runs at a
-//! time by construction. Under [`crate::Sim`] a [`Request`] is an argument,
-//! not a message: the kernel serves it on the requesting body's own stack
-//! and returns the [`Reply`], and only a thread that has left the CPU
-//! parks, to be resumed with its reply by a later dispatch. Under
-//! [`crate::MpSim`] the two enums are still a wire protocol: every request
-//! is a baton round trip to the scheduler's stack.
+//! time by construction. A [`Request`] is an argument, not a message: the
+//! kernel serves it on the requesting body's own stack and returns the
+//! [`Reply`], and only a thread that has left the CPU parks, to be resumed
+//! with its reply by a later dispatch. (With more than one virtual CPU a
+//! thread parks after every request and the run loop hands out the
+//! replies in CPU-index order; the request is served the same way.)
 //! User code between two requests executes in zero virtual time; virtual
 //! time advances only through explicit costs the scheduler processes, so
 //! the simulation is deterministic.

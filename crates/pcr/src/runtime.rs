@@ -68,7 +68,7 @@ pub trait Guard<T> {
 /// execution substrate:
 ///
 /// * [`ThreadCtx`] — this crate's deterministic virtual-time simulator
-///   (uniprocessor [`crate::Sim`] and multiprocessor [`crate::MpSim`]);
+///   ([`crate::Sim`], on one virtual CPU or several);
 /// * `mesa::RealCtx` — real `std::thread`s with `Mutex`/`Condvar`.
 ///
 /// The backend is chosen by the *type* of the context a thread body is

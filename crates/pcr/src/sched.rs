@@ -8,6 +8,10 @@
 //! ([`Kernel::serve`]) run on its own stack: it switches to the
 //! scheduler's only to leave the CPU. So the simulation is single-threaded
 //! in fact and deterministic for a given configuration and seed.
+//!
+//! The kernel is the same at any CPU count ([`Sim::with_cpus`]): a second
+//! virtual processor changes how the clock advances (the run loop in
+//! [`crate::mp`]) and takes the three `cpus == 1` branches its table lists.
 
 use std::cell::{OnceCell, Ref, RefCell, RefMut};
 use std::collections::VecDeque;
@@ -18,8 +22,8 @@ use crate::chaos::{FaultDecision, FaultSchedule, FaultSiteKind};
 use crate::condition::{Condition, CvState};
 use crate::config::{ForkPolicy, NotifyMode, SimConfig};
 use crate::coroutine::{Coroutine, StackPool};
-use crate::ctx::{fork_spec, Port, ThreadCtx};
-use crate::error::{BlockedThread, DeadlockReport, RunReport, StopReason};
+use crate::ctx::{fork_spec, ThreadCtx};
+use crate::error::{DeadlockReport, RunReport, StopReason};
 use crate::event::{CondId, Event, EventKind, EventMask, TraceSink, WaitOutcome, YieldKind};
 use crate::hazard::HazardMonitor;
 use crate::monitor::{Monitor, MonitorId};
@@ -190,14 +194,6 @@ pub struct SimStats {
 }
 
 impl SimStats {
-    /// Counts one monitor entry. `entered` is that monitor's
-    /// "entered before" flag, which feeds the distinct-ML count.
-    pub(crate) fn count_enter(&mut self, entered: &mut bool, contended: bool) {
-        self.ml_enters += 1;
-        self.ml_contended += u64::from(contended);
-        self.distinct_monitors += usize::from(!std::mem::replace(entered, true));
-    }
-
     /// Fraction of CV waits that timed out.
     pub fn timeout_fraction(&self) -> f64 {
         if self.cv_waits == 0 {
@@ -248,7 +244,7 @@ pub enum RunLimit {
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum TState {
+pub(crate) enum TState {
     Ready,
     Running,
     MutexWait(MonitorId),
@@ -269,28 +265,27 @@ enum AfterDebt {
     BlockOnMutex(MonitorId),
 }
 
-struct Tcb {
+pub(crate) struct Tcb {
     name: String,
-    priority: Priority,
-    state: TState,
-    pending_reply: Option<Reply>,
-    debt: SimDuration,
+    pub(crate) priority: Priority,
+    pub(crate) state: TState,
+    pub(crate) pending_reply: Option<Reply>,
+    pub(crate) debt: SimDuration,
     after_debt: AfterDebt,
     /// The thread's body; its stack goes back to the pool on exit.
     coroutine: Option<Coroutine>,
     detached: bool,
     joiner: Option<ThreadId>,
-    exited: bool,
     panicked: bool,
     parent: Option<ThreadId>,
     generation: u32,
     cpu: SimDuration,
     wait_seq: u64,
-    /// Monitor to (re)acquire when next dispatched, with the CV-wait
-    /// outcome to report (None for a metalock-stall retry).
+    /// Monitor to (re)acquire when next dispatched.
     acquire_on_dispatch: Option<MonitorId>,
-    reacquire_outcome: Option<WaitOutcome>,
-    reacquire_cv: Option<CondId>,
+    /// The CV wait that reacquiring its monitor ends, and the outcome to
+    /// report then (None for a plain enter or a metalock-stall retry).
+    reacquire: Option<(WaitOutcome, CondId)>,
     /// A chaos stall that fired while the thread could not be removed
     /// from scheduling (running or blocked); applied the next time it
     /// would become ready.
@@ -333,11 +328,24 @@ enum DonationPlan {
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Shield {
+pub(crate) enum Shield {
     /// No preemption at all during the donated slice.
     Full,
     /// The donor may not preempt the favored thread.
     FromDonor(ThreadId),
+}
+
+/// One virtual processor's dispatch state.
+#[derive(Clone, Default)]
+pub(crate) struct Cpu {
+    pub(crate) running: Option<ThreadId>,
+    /// The thread it last dispatched: a switch is one only when it changes.
+    last_dispatched: Option<ThreadId>,
+    /// What is left of the running thread's timeslice.
+    pub(crate) quantum_left: SimDuration,
+    /// Who may not preempt the running thread. Set on a uniprocessor only:
+    /// elsewhere a directed yield is a YIELD.
+    shield: Option<Shield>,
 }
 
 /// Allocation and reuse counters for the sim's pooled resources, for
@@ -379,8 +387,9 @@ impl AllocCounters {
 
 /// The simulated runtime.
 ///
-/// Build one with [`Sim::new`], create monitors/conditions/root threads,
-/// then call [`Sim::run`]. Dropping the `Sim` tears every simulated
+/// Build one with [`Sim::new`] (the paper's uniprocessor) or
+/// [`Sim::with_cpus`], create monitors/conditions/root threads, then call
+/// [`Sim::run`]. Dropping the `Sim` tears every simulated
 /// thread down cleanly: each suspended body is unwound, in thread-id
 /// order, on the dropping thread (its destructors run), and bodies that
 /// never started are dropped unrun.
@@ -394,7 +403,7 @@ impl AllocCounters {
 /// assert_send::<pcr::Sim>();
 /// ```
 pub struct Sim {
-    kernel: Rc<RefCell<Kernel>>,
+    pub(crate) kernel: Rc<RefCell<Kernel>>,
     /// What [`Sim::stats`] and [`Sim::threads_iter`] lend: copies taken on
     /// first use and dropped by every `&mut self` call (`kernel_mut`).
     stats_view: OnceCell<SimStats>,
@@ -411,22 +420,21 @@ pub(crate) struct Kernel {
     pub(crate) clock: SimTime,
     /// Where the [`Sim::run`] in progress stops.
     end: SimTime,
-    /// What is left of the running thread's timeslice.
-    quantum_left: SimDuration,
+    /// The virtual processors, one or more. Nothing but the run loop asks
+    /// which CPU a thread is on.
+    pub(crate) cpus: Vec<Cpu>,
     /// Times a body was resumed ([`AllocCounters::stack_switches`]).
     stack_switches: u64,
     rng: SplitMix64,
-    threads: Vec<Tcb>,
+    pub(crate) threads: Vec<Tcb>,
     /// The installed scheduling policy: owns the ready structure and
     /// makes every dispatch decision ([`policy::Scheduler`]). The
     /// default [`policy::RoundRobin`] is the paper's scheduler,
     /// byte-identical to the pre-trait dispatcher.
     policy: Box<dyn Scheduler>,
-    running: Option<ThreadId>,
-    last_dispatched: Option<ThreadId>,
-    shield: Option<Shield>,
+    /// What a directed yield asked of the next pick (uniprocessor only).
     donation: Option<DonationPlan>,
-    timers: TimerWheel,
+    pub(crate) timers: TimerWheel,
     /// This world's account with its OS thread's pool of vacant stacks:
     /// a simulated fork takes a vacated stack instead of mapping one, so
     /// steady-state fork/exit makes no system call, and nor does building
@@ -443,7 +451,7 @@ pub(crate) struct Kernel {
     hazard_mask: EventMask,
     stats: SimStats,
     pending_forks: VecDeque<(ThreadId, ForkSpec)>,
-    live_threads: usize,
+    pub(crate) live_threads: usize,
     /// Dedicated RNG stream for fault injection (seed ⊕ salt), so chaos
     /// draws never perturb `rng`.
     chaos_rng: SplitMix64,
@@ -470,11 +478,34 @@ pub(crate) struct Kernel {
 }
 
 impl Sim {
-    /// Creates a runtime with the given configuration. If the
-    /// configuration enables the SystemDaemon, the daemon thread is
-    /// forked immediately at priority 6 (the level the paper reports both
-    /// systems using for it).
+    /// Creates a runtime with the given configuration on one processor,
+    /// as the paper measured. If the configuration enables the
+    /// SystemDaemon, the daemon thread is forked immediately at priority 6
+    /// (the level the paper reports both systems using for it).
     pub fn new(cfg: SimConfig) -> Sim {
+        Sim::with_cpus(cfg, 1)
+    }
+
+    /// Creates a runtime scheduling onto `cpus` virtual processors: the
+    /// same kernel under the clock-advance rule of [`crate::mp`], which
+    /// lists the three things a second processor changes.
+    ///
+    /// ```
+    /// use pcr::{millis, Priority, RunLimit, Sim, SimConfig};
+    ///
+    /// let mut sim = Sim::with_cpus(SimConfig::default(), 4);
+    /// for i in 0..4 {
+    ///     let _ = sim.fork_root(&format!("w{i}"), Priority::DEFAULT, |ctx| ctx.work(millis(100)));
+    /// }
+    /// // 400ms of work over 4 virtual CPUs: 100ms of virtual time.
+    /// assert_eq!(sim.run(RunLimit::ToCompletion).now.as_micros(), 100_000);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cpus` is zero.
+    pub fn with_cpus(cfg: SimConfig, cpus: usize) -> Sim {
+        assert!(cpus >= 1, "need at least one CPU");
         crate::install_panic_silencer();
         let seed = cfg.seed;
         let daemon = cfg.system_daemon;
@@ -485,15 +516,12 @@ impl Sim {
             cfg,
             clock: SimTime::ZERO,
             end: SimTime::ZERO,
-            quantum_left: SimDuration::ZERO,
+            cpus: vec![Cpu::default(); cpus],
             stack_switches: 0,
             rng: SplitMix64::new(seed),
             threads: Vec::new(),
             policy: policy::make(kind, seed),
             pool: StackPool::default(),
-            running: None,
-            last_dispatched: None,
-            shield: None,
             donation: None,
             timers: TimerWheel::new(),
             monitors: Vec::new(),
@@ -629,7 +657,7 @@ impl Sim {
             name: t.name.clone(),
             priority: t.priority,
             cpu: t.cpu,
-            exited: t.exited,
+            exited: t.state == TState::Exited,
             panicked: t.panicked,
             parent: t.parent,
             generation: t.generation,
@@ -700,12 +728,12 @@ impl Sim {
     /// [`crate::WaitForGraph`] for wedge and cycle queries.
     pub fn wait_for_graph(&self) -> crate::WaitForGraph {
         let k = self.kernel.borrow();
-        let live = || k.threads.iter().enumerate().filter(|(_, t)| !t.exited);
-        let stalled = live()
+        let threads = || k.threads.iter().enumerate();
+        let stalled = threads()
             .filter(|(_, t)| t.state == TState::Stalled)
             .map(|(i, t)| (ThreadId(i as u32), t.name.clone()))
             .collect();
-        let runnable = live()
+        let runnable = threads()
             .filter(|(_, t)| matches!(t.state, TState::Ready | TState::Stalled))
             .map(|(i, t)| crate::RunnableThread {
                 tid: ThreadId(i as u32),
@@ -729,13 +757,8 @@ impl Sim {
     /// Returns how many forks were failed.
     pub fn fail_pending_forks(&mut self) -> usize {
         let k = &mut *self.kernel_mut();
-        let pending: Vec<ThreadId> = k
-            .pending_forks
-            .drain(..)
-            .map(|(forker, _spec)| forker)
-            .collect();
-        let n = pending.len();
-        for forker in pending {
+        let n = k.pending_forks.len();
+        while let Some((forker, _spec)) = k.pending_forks.pop_front() {
             k.stats.fork_failures += 1;
             k.emit(EventKind::ForkFailed { tid: forker });
             k.reply(forker, Reply::ForkFailed, k.cfg.primitive_cost);
@@ -760,7 +783,8 @@ impl Sim {
     /// exited.
     pub fn set_thread_priority(&mut self, tid: ThreadId, priority: Priority) -> bool {
         let k = &mut *self.kernel_mut();
-        if k.threads.get(tid.0 as usize).is_none_or(|t| t.exited) {
+        let exited = |t: &Tcb| t.state == TState::Exited;
+        if k.threads.get(tid.0 as usize).is_none_or(exited) {
             return false;
         }
         let was_ready = k.remove_from_ready(tid);
@@ -864,30 +888,15 @@ impl Sim {
             RunLimit::ToCompletion => SimTime::MAX,
         };
         k.end = end;
-        let reason = loop {
-            k.fire_due_timers();
-            if k.live_threads == 0 {
-                break StopReason::AllExited;
-            }
-            if k.clock >= end {
-                break StopReason::TimeLimit;
-            }
-            match k.pick_next() {
-                Some((tid, slice, shield)) => {
-                    drop(k);
-                    self.dispatch(tid, slice, shield);
-                    k = self.kernel.borrow_mut();
-                }
-                None => match k.timers.next_deadline() {
-                    Some(t) if t <= end => k.set_clock(t),
-                    Some(_) => {
-                        k.set_clock(end);
-                        break StopReason::TimeLimit;
-                    }
-                    None => break StopReason::Deadlock(k.deadlock_report()),
-                },
-            }
+        let uniprocessor = k.uniprocessor();
+        drop(k);
+        // How the clock advances follows from what the world is.
+        let reason = if uniprocessor {
+            self.run_cpu(end)
+        } else {
+            self.run_cpus(end)
         };
+        let mut k = self.kernel.borrow_mut();
         if reason == StopReason::TimeLimit && k.clock < end && end != SimTime::MAX {
             k.set_clock(end);
         }
@@ -899,30 +908,72 @@ impl Sim {
         }
     }
 
+    /// The uniprocessor's run loop: the one running thread carries the
+    /// clock ([`Kernel::advance`]), and an idle CPU jumps to the next timer.
+    fn run_cpu(&self, end: SimTime) -> StopReason {
+        let mut k = self.kernel.borrow_mut();
+        loop {
+            k.fire_due_timers();
+            if k.live_threads == 0 {
+                return StopReason::AllExited;
+            }
+            if k.clock >= end {
+                return StopReason::TimeLimit;
+            }
+            match k.pick_next() {
+                Some((tid, slice, shield)) => k = self.dispatch(k, tid, slice, shield),
+                None => match k.timers.next_deadline() {
+                    Some(t) if t <= end => k.set_clock(t),
+                    Some(_) => return StopReason::TimeLimit,
+                    None => return StopReason::Deadlock(k.deadlock_report()),
+                },
+            }
+        }
+    }
+
     /// Gives `tid` the CPU until it leaves it. Its kernel calls run on its
     /// own stack ([`Kernel::serve`]), so the one `resume` here comes back
     /// only when the body has parked, off the CPU, or posted its `Exit`.
-    fn dispatch(
-        &self,
+    fn dispatch<'a>(
+        &'a self,
+        mut k: RefMut<'a, Kernel>,
         tid: ThreadId,
         quantum_override: Option<SimDuration>,
         shield: Option<Shield>,
-    ) {
-        let mut k = self.kernel.borrow_mut();
-        if let Some(reply) = k.begin_dispatch(tid, quantum_override, shield) {
-            k.stack_switches += 1;
-            let slot = &mut k.threads[tid.0 as usize].coroutine;
-            let mut body = slot.take().expect("running thread has no coroutine");
-            drop(k);
-            debug_assert!(self.kernel.try_borrow_mut().is_ok());
-            let posted = body.resume(reply);
-            k = self.kernel.borrow_mut();
-            k.threads[tid.0 as usize].coroutine = Some(body);
-            if let Some(exit) = posted {
-                k.handle_request(tid, exit);
+    ) -> RefMut<'a, Kernel> {
+        if k.begin_dispatch(0, tid, quantum_override, shield) {
+            if let Some(reply) = k.advance(tid) {
+                k = self.resume(k, tid, reply);
             }
         }
-        k.leave_cpu(tid);
+        k.leave_cpu(0, tid);
+        k
+    }
+
+    /// Runs `tid`'s body from `reply` until it parks or ends, the kernel
+    /// not borrowed meanwhile, and serves the `Exit` it posted if it ended.
+    // Inlined for the reason `ThreadCtx::call` is: as an argument `reply`
+    // is copied on its way to the body, in wide loads that straddle the
+    // stores that just built it (a `yield_now` round trip 94 -> 105 ns).
+    #[inline(always)]
+    pub(crate) fn resume<'a>(
+        &'a self,
+        mut k: RefMut<'a, Kernel>,
+        tid: ThreadId,
+        reply: Reply,
+    ) -> RefMut<'a, Kernel> {
+        k.stack_switches += 1;
+        let slot = &mut k.threads[tid.0 as usize].coroutine;
+        let mut body = slot.take().expect("running thread has no coroutine");
+        drop(k);
+        debug_assert!(self.kernel.try_borrow_mut().is_ok());
+        let posted = body.resume(reply);
+        let mut k = self.kernel.borrow_mut();
+        k.threads[tid.0 as usize].coroutine = Some(body);
+        if let Some(exit) = posted {
+            k.handle_request(tid, exit);
+        }
+        k
     }
 }
 
@@ -960,20 +1011,34 @@ impl Kernel {
     /// One kernel call from the running thread `tid`, made on its own
     /// stack: the reply if it still holds the CPU, `None` once it has
     /// left it — then it parks and [`Sim::dispatch`] carries on.
+    ///
+    /// With a second CPU it always parks, still holding its own: same-instant
+    /// calls are served in CPU-index order, by the run loop ([`crate::mp`]).
     pub(crate) fn serve(&mut self, tid: ThreadId, req: Request) -> Option<Reply> {
         self.handle_request(tid, req);
-        if self.threads[tid.0 as usize].state != TState::Running {
+        if self.threads[tid.0 as usize].state != TState::Running || !self.uniprocessor() {
             return None;
         }
         self.advance(tid)
     }
 
+    /// One CPU, as the paper measured: directed yields, the metalock
+    /// window and the switch cost exist ([`crate::mp`] says why only here).
+    fn uniprocessor(&self) -> bool {
+        self.cpus.len() == 1
+    }
+
+    /// A chaos-stalled or sleeping thread always has a timer pending, so a
+    /// deadlock is never declared while one exists.
+    pub(crate) fn deadlock_report(&self) -> DeadlockReport {
+        DeadlockReport {
+            blocked: self.blocked_threads(),
+        }
+    }
+
     fn blocked_threads(&self) -> Vec<crate::WaitingThread> {
         let mut out = Vec::new();
         for (i, t) in self.threads.iter().enumerate() {
-            if t.exited {
-                continue;
-            }
             let tid = ThreadId(i as u32);
             let (kind, resource, blocked_on) = match t.state {
                 TState::MutexWait(m) => (
@@ -1044,7 +1109,7 @@ impl Kernel {
             tid,
             spec.name.clone(),
             priority,
-            Port::Kernel(self.me.upgrade().expect("a kernel lives in its cell")),
+            self.me.upgrade().expect("a kernel lives in its cell"),
             self.cfg.seed,
             spec.body,
         );
@@ -1058,15 +1123,13 @@ impl Kernel {
             coroutine: Some(coroutine),
             detached: spec.detached,
             joiner: None,
-            exited: false,
             panicked: false,
             parent,
             generation,
             cpu: SimDuration::ZERO,
             wait_seq: 0,
             acquire_on_dispatch: None,
-            reacquire_outcome: None,
-            reacquire_cv: None,
+            reacquire: None,
             stall_pending: None,
             in_ready: false,
             ready_since: SimTime::ZERO,
@@ -1115,7 +1178,7 @@ impl Kernel {
         }
     }
 
-    fn set_clock(&mut self, t: SimTime) {
+    pub(crate) fn set_clock(&mut self, t: SimTime) {
         debug_assert!(t >= self.clock, "clock must be monotonic");
         self.clock = t;
     }
@@ -1150,7 +1213,7 @@ impl Kernel {
         self.push_ready(tid, false);
     }
 
-    fn push_ready(&mut self, tid: ThreadId, front: bool) {
+    pub(crate) fn push_ready(&mut self, tid: ThreadId, front: bool) {
         if self.apply_pending_stall(tid) {
             return;
         }
@@ -1276,7 +1339,7 @@ impl Kernel {
 
     /// Asks the policy for the next thread to run, skipping `excluded`
     /// (the paper's `YieldButNotToMe`).
-    fn pop_ready_excluding(&mut self, excluded: Option<ThreadId>) -> Option<ThreadId> {
+    pub(crate) fn pop_ready_excluding(&mut self, excluded: Option<ThreadId>) -> Option<ThreadId> {
         let (policy, mut ctx) = self.policy_split();
         policy.next(&mut ctx, excluded)
     }
@@ -1304,11 +1367,12 @@ impl Kernel {
         self.policy.timeslice(tid, prio, self.cfg.quantum)
     }
 
-    fn preempt_needed(&mut self) -> bool {
-        let Some(run) = self.running else {
+    /// Does the policy want the thread on `cpu` off it for a ready one?
+    pub(crate) fn preempt_needed(&mut self, cpu: usize) -> bool {
+        let Some(run) = self.cpus[cpu].running else {
             return false;
         };
-        let shield = self.shield;
+        let shield = self.cpus[cpu].shield;
         let (policy, mut ctx) = self.policy_split();
         match shield {
             Some(Shield::Full) => false,
@@ -1319,7 +1383,7 @@ impl Kernel {
 
     // ---- timers -----------------------------------------------------------
 
-    fn fire_due_timers(&mut self) {
+    pub(crate) fn fire_due_timers(&mut self) {
         while let Some(kind) = self.timers.pop_due(self.clock) {
             match kind {
                 TimerKind::Wake(tid) => {
@@ -1348,8 +1412,7 @@ impl Kernel {
                         };
                         let t = &mut self.threads[idx];
                         t.acquire_on_dispatch = Some(mid);
-                        t.reacquire_outcome = Some(outcome);
-                        t.reacquire_cv = Some(cv);
+                        t.reacquire = Some((outcome, cv));
                         self.push_ready_back(tid);
                     }
                 }
@@ -1358,7 +1421,7 @@ impl Kernel {
                     let duration = s.duration;
                     let gated = s.while_holding.is_some();
                     let target = (self.threads.iter())
-                        .position(|t| !t.exited && t.name == s.thread)
+                        .position(|t| t.state != TState::Exited && t.name == s.thread)
                         .map(|i| ThreadId(i as u32));
                     let armed = target.filter(|&tid| self.holds_gate(spec as usize, tid));
                     if let Some(tid) = armed {
@@ -1369,8 +1432,8 @@ impl Kernel {
                             }
                             TState::Running => {
                                 // Caught inside its critical section: the
-                                // dispatch loop notices the state change
-                                // and parks it immediately.
+                                // run loop notices the state change and
+                                // takes it off its CPU at once.
                                 self.stall_thread(tid, duration);
                             }
                             _ => {
@@ -1434,10 +1497,8 @@ impl Kernel {
     /// `CvWake` event, and returns the reply it should receive once it
     /// holds its monitor again.
     fn grant_reply(&mut self, tid: ThreadId) -> Reply {
-        let t = &mut self.threads[tid.0 as usize];
-        match t.reacquire_outcome.take() {
-            Some(outcome) => {
-                let cv = t.reacquire_cv.take().expect("reacquire without cv");
+        match self.threads[tid.0 as usize].reacquire.take() {
+            Some((outcome, cv)) => {
                 self.emit(EventKind::CvWake { tid, cv, outcome });
                 Reply::Wait(outcome)
             }
@@ -1458,8 +1519,7 @@ impl Kernel {
             debug_assert!(matches!(w.state, TState::CvWait(_)));
             w.state = TState::MutexWait(mid);
             w.blocked_since = now;
-            w.reacquire_outcome = Some(outcome);
-            w.reacquire_cv = Some(cv);
+            w.reacquire = Some((outcome, cv));
             self.monitors[mid.0 as usize].queue.push_back(wtid);
         }
         deferred.clear();
@@ -1481,7 +1541,9 @@ impl Kernel {
     /// Counts and announces one monitor entry.
     fn note_enter(&mut self, tid: ThreadId, mid: MonitorId, contended: bool) {
         let entered = &mut self.monitors[mid.0 as usize].entered;
-        self.stats.count_enter(entered, contended);
+        self.stats.ml_enters += 1;
+        self.stats.ml_contended += u64::from(contended);
+        self.stats.distinct_monitors += usize::from(!std::mem::replace(entered, true));
         self.emit(EventKind::MlEnter {
             tid,
             monitor: mid,
@@ -1492,9 +1554,7 @@ impl Kernel {
     /// Handles a thread's dispatch-time monitor (re)acquire. Returns true
     /// if the thread may keep running, false if it blocked.
     fn dispatch_acquire(&mut self, tid: ThreadId, mid: MonitorId) -> bool {
-        let owner = self.monitors[mid.0 as usize].owner;
-        let outcome = self.threads[tid.0 as usize].reacquire_outcome;
-        match owner {
+        match self.monitors[mid.0 as usize].owner {
             None => {
                 self.monitors[mid.0 as usize].owner = Some(tid);
                 self.note_enter(tid, mid, false);
@@ -1504,7 +1564,8 @@ impl Kernel {
             }
             Some(_) => {
                 // The §6.1 wasted trip: dispatched just to block again.
-                if outcome == Some(WaitOutcome::Notified) {
+                let waking = self.threads[tid.0 as usize].reacquire;
+                if matches!(waking, Some((WaitOutcome::Notified, _))) {
                     self.stats.spurious_conflicts += 1;
                     self.emit(EventKind::SpuriousLockConflict { tid, monitor: mid });
                 }
@@ -1522,6 +1583,7 @@ impl Kernel {
     fn donate_metalock(&mut self, mid: MonitorId, holder: ThreadId) {
         let debt = self.threads[holder.0 as usize].debt;
         self.charge_thread(holder, debt);
+        self.set_clock(self.clock + debt);
         self.threads[holder.0 as usize].debt = SimDuration::ZERO;
         debug_assert_eq!(
             self.threads[holder.0 as usize].after_debt,
@@ -1571,7 +1633,9 @@ impl Kernel {
         }
     }
 
-    fn charge_thread(&mut self, tid: ThreadId, d: SimDuration) {
+    /// Books `d` of virtual CPU to `tid`. Moving the clock is the run
+    /// loop's business: with several CPUs they consume the same `d` at once.
+    pub(crate) fn charge_thread(&mut self, tid: ThreadId, d: SimDuration) {
         if d.is_zero() {
             return;
         }
@@ -1581,7 +1645,6 @@ impl Kernel {
         self.stats.cpu_by_priority[prio.index()] += d;
         self.stats.total_cpu += d;
         self.policy.on_cpu(tid, prio, d);
-        self.set_clock(self.clock + d);
     }
 
     /// What `tid` gets back once it has worked off `cost`.
@@ -1616,18 +1679,19 @@ impl Kernel {
         self.pop_ready_excluding(None).map(|t| (t, None, None))
     }
 
-    /// Puts `tid` on the CPU: the switch bookkeeping, its timeslice, the
-    /// monitor a CV wake or metalock retry acquires on dispatch. The
-    /// reply its body resumes with, or `None` if it left the CPU again
-    /// before reaching it.
-    fn begin_dispatch(
+    /// Puts `tid` on `cpu`: the switch bookkeeping, its timeslice, the
+    /// monitor a CV wake or metalock retry acquires on dispatch. False if
+    /// that acquire blocked it and it is off the CPU again.
+    pub(crate) fn begin_dispatch(
         &mut self,
+        cpu: usize,
         tid: ThreadId,
         quantum_override: Option<SimDuration>,
         shield: Option<Shield>,
-    ) -> Option<Reply> {
+    ) -> bool {
         self.chaos_priority_change(tid);
-        if self.last_dispatched != Some(tid) {
+        let from = self.cpus[cpu].last_dispatched;
+        if from != Some(tid) {
             self.stats.switches += 1;
             let prio = self.threads[tid.0 as usize].priority;
             let ready_for = self
@@ -1635,28 +1699,30 @@ impl Kernel {
                 .saturating_since(self.threads[tid.0 as usize].ready_since);
             self.stats.sched_latency.record(prio, ready_for);
             self.emit(EventKind::Switch {
-                from: self.last_dispatched,
+                from,
                 to: tid,
                 to_priority: prio,
                 ready_for,
             });
-            // Scheduler overhead: advances the clock, charged to no thread.
-            self.set_clock(self.clock + self.cfg.switch_cost);
-            self.last_dispatched = Some(tid);
+            if self.uniprocessor() {
+                // Scheduler overhead: advances the clock, charged to no
+                // thread. A clock several CPUs share has no such gap.
+                self.set_clock(self.clock + self.cfg.switch_cost);
+            }
         }
-        self.running = Some(tid);
         self.threads[tid.0 as usize].state = TState::Running;
-        self.shield = shield;
-        self.quantum_left = quantum_override.unwrap_or_else(|| self.policy_timeslice(tid));
+        let quantum_left = quantum_override.unwrap_or_else(|| self.policy_timeslice(tid));
+        self.cpus[cpu] = Cpu {
+            running: Some(tid),
+            last_dispatched: Some(tid),
+            quantum_left,
+            shield,
+        };
 
         // A CV wake or metalock retry acquires its monitor now; blocking
         // here is the "useless trip through the scheduler" of §6.1.
-        if let Some(mid) = self.threads[tid.0 as usize].acquire_on_dispatch.take() {
-            if !self.dispatch_acquire(tid, mid) {
-                return None;
-            }
-        }
-        self.advance(tid)
+        let acquire = self.threads[tid.0 as usize].acquire_on_dispatch.take();
+        acquire.is_none_or(|mid| self.dispatch_acquire(tid, mid))
     }
 
     /// Runs the running thread `tid` forward to its next reply: fires due
@@ -1673,30 +1739,28 @@ impl Kernel {
                 // be re-enqueued until its stall ends.
                 return None;
             }
-            if self.clock >= self.end || self.preempt_needed() {
+            if self.clock >= self.end || self.preempt_needed(0) {
                 self.push_ready(tid, true);
                 return None;
             }
             let debt = self.threads[tid.0 as usize].debt;
             if !debt.is_zero() {
                 let window = self.end.since(self.clock);
-                let mut slice = debt.min(self.quantum_left).min(window);
+                let mut slice = debt.min(self.cpus[0].quantum_left).min(window);
                 if let Some(nt) = self.timers.next_deadline() {
                     slice = slice.min(nt.saturating_since(self.clock));
                 }
                 if slice.is_zero() {
                     // Quantum exhausted (timers due are handled at loop top).
-                    self.quantum_expired(tid);
-                    if self.shield.take().is_some() || self.quantum_competitor_exists(tid) {
-                        self.push_ready_back(tid);
+                    if self.quantum_expired(0, tid) {
                         return None;
                     }
-                    self.quantum_left = self.policy_timeslice(tid);
                     continue;
                 }
                 self.charge_thread(tid, slice);
+                self.set_clock(self.clock + slice);
                 self.threads[tid.0 as usize].debt -= slice;
-                self.quantum_left -= slice;
+                self.cpus[0].quantum_left -= slice;
                 continue;
             }
             if let AfterDebt::BlockOnMutex(mid) = self.threads[tid.0 as usize].after_debt {
@@ -1710,8 +1774,8 @@ impl Kernel {
         }
     }
 
-    /// The bookkeeping owed once the dispatched thread is off the CPU.
-    fn leave_cpu(&mut self, tid: ThreadId) {
+    /// The bookkeeping owed once the dispatched thread is off `cpu`.
+    pub(crate) fn leave_cpu(&mut self, cpu: usize, tid: ThreadId) {
         if !matches!(
             self.threads[tid.0 as usize].state,
             TState::Running | TState::Ready | TState::Exited
@@ -1719,16 +1783,25 @@ impl Kernel {
             // Blocked: monitor, CV, sleep, join, fork-wait, or a chaos stall.
             self.policy.on_block(tid);
         }
-        self.running = None;
-        self.shield = None;
+        self.cpus[cpu].running = None;
+        self.cpus[cpu].shield = None;
     }
 
-    fn quantum_expired(&mut self, tid: ThreadId) {
+    /// `tid` has run out its timeslice on `cpu`: true if it was requeued
+    /// behind a competitor (and [`Kernel::leave_cpu`] is due), false if it
+    /// runs on with a fresh slice.
+    pub(crate) fn quantum_expired(&mut self, cpu: usize, tid: ThreadId) -> bool {
         // Demotion (MLFQ) happens before the requeue decision so the
         // expired thread re-enters at its new level.
         self.policy.on_quantum_expired(tid);
         self.stats.quantum_expiries += 1;
         self.emit(EventKind::QuantumExpired { tid });
+        if self.cpus[cpu].shield.take().is_some() || self.quantum_competitor_exists(tid) {
+            self.push_ready_back(tid);
+            return true;
+        }
+        self.cpus[cpu].quantum_left = self.policy_timeslice(tid);
+        false
     }
 
     // ---- request handling ----------------------------------------------------
@@ -1757,16 +1830,12 @@ impl Kernel {
                 t.blocked_since = now;
                 t.pending_reply = Some(Reply::Ok);
             }
-            Request::Yield => {
-                self.note_yield(tid, YieldKind::Normal);
-                self.push_ready_back(tid);
-            }
-            Request::YieldButNotToMe => {
+            Request::YieldButNotToMe if self.uniprocessor() => {
                 self.note_yield(tid, YieldKind::ButNotToMe);
                 self.donation = Some(DonationPlan::NotToMe { excluded: tid });
                 self.push_ready_back(tid);
             }
-            Request::DirectedYield { target, slice } => {
+            Request::DirectedYield { target, slice } if self.uniprocessor() => {
                 self.note_yield(tid, YieldKind::Directed(target));
                 if self.threads[target.0 as usize].state == TState::Ready {
                     self.donation = Some(DonationPlan::Directed { target, slice });
@@ -1774,7 +1843,7 @@ impl Kernel {
                 }
                 // Target not ready: the yield is a no-op and we keep running.
             }
-            Request::DonateRandom { slice } => {
+            Request::DonateRandom { slice } if self.uniprocessor() => {
                 self.threads[tid.0 as usize].pending_reply = Some(Reply::Ok);
                 // The candidate count comes from the policy (every ready
                 // thread except the donor); the index pick stays on the
@@ -1797,6 +1866,15 @@ impl Kernel {
                     self.donation = Some(DonationPlan::Directed { target, slice });
                     self.push_ready_back(tid);
                 }
+            }
+            // The directed forms steer one CPU's next pick. With a second
+            // CPU the favoured thread simply runs there: plain YIELD.
+            Request::Yield
+            | Request::YieldButNotToMe
+            | Request::DirectedYield { .. }
+            | Request::DonateRandom { .. } => {
+                self.note_yield(tid, YieldKind::Normal);
+                self.push_ready_back(tid);
             }
             Request::SetPriority(p) => {
                 self.threads[tid.0 as usize].priority = p;
@@ -1870,7 +1948,7 @@ impl Kernel {
     }
 
     fn handle_join(&mut self, tid: ThreadId, target: ThreadId) {
-        if self.threads[target.0 as usize].exited {
+        if self.threads[target.0 as usize].state == TState::Exited {
             self.emit(EventKind::Join {
                 joiner: tid,
                 target,
@@ -1931,6 +2009,11 @@ impl Kernel {
             }
             Some(_) => {
                 self.note_enter(tid, mid, true);
+                if !self.uniprocessor() {
+                    // No window to be preempted in: ENTER is atomic, and
+                    // the owner seen above still holds the monitor.
+                    return self.finish_block_on_mutex(tid, mid);
+                }
                 // Enqueueing runs inside the metalock window; if we get
                 // preempted during it, others stall (or donate cycles).
                 self.monitors[mid.0 as usize].meta = Some(tid);
@@ -2083,8 +2166,7 @@ impl Kernel {
         match self.cfg.notify_mode {
             NotifyMode::Immediate => {
                 wt.acquire_on_dispatch = Some(mid);
-                wt.reacquire_outcome = Some(WaitOutcome::Notified);
-                wt.reacquire_cv = Some(cv);
+                wt.reacquire = Some((WaitOutcome::Notified, cv));
                 self.push_ready_back(w);
             }
             NotifyMode::DeferredReschedule => {
@@ -2102,7 +2184,6 @@ impl Kernel {
             self.stats.panics += 1;
         }
         let t = &mut self.threads[tid.0 as usize];
-        t.exited = true;
         t.panicked = panicked;
         t.state = TState::Exited;
         t.pending_reply = None;
@@ -2133,50 +2214,5 @@ impl Kernel {
                 self.push_ready_back(forker);
             }
         }
-    }
-
-    // ---- deadlock reporting -----------------------------------------------
-
-    fn deadlock_report(&self) -> DeadlockReport {
-        let mut blocked = Vec::new();
-        for (i, t) in self.threads.iter().enumerate() {
-            if t.exited {
-                continue;
-            }
-            let tid = ThreadId(i as u32);
-            let (waiting_for, blocked_on) = match t.state {
-                TState::MutexWait(m) => (
-                    format!("monitor {:?} ({})", m, self.monitors[m.0 as usize].name),
-                    self.monitors[m.0 as usize].owner,
-                ),
-                TState::MetaWait(m) => (
-                    format!("metalock of {:?}", m),
-                    self.monitors[m.0 as usize].meta,
-                ),
-                TState::CvWait(cv) => {
-                    let mid = self.conds[cv.0 as usize].monitor;
-                    (
-                        format!("condition {cv:?} (no timeout) of monitor {mid:?}"),
-                        None,
-                    )
-                }
-                TState::JoinWait(target) => (format!("join of {target:?}"), Some(target)),
-                TState::ForkWait => ("fork resources".to_string(), None),
-                // A chaos-stalled thread always has a ChaosStallEnd timer
-                // pending, so a deadlock is never declared while one exists.
-                TState::Stalled
-                | TState::Sleeping
-                | TState::Ready
-                | TState::Running
-                | TState::Exited => continue,
-            };
-            blocked.push(BlockedThread {
-                tid,
-                name: t.name.clone(),
-                waiting_for,
-                blocked_on,
-            });
-        }
-        DeadlockReport { blocked }
     }
 }

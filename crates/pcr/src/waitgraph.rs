@@ -47,7 +47,7 @@ impl BlockKind {
 
 /// One blocked thread: a node of the wait-for graph, with its outgoing
 /// edge (`blocked_on`) when the obstacle is another thread.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WaitingThread {
     /// The blocked thread.
     pub tid: ThreadId,

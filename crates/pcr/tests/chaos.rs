@@ -16,14 +16,14 @@ fn run_capturing(cfg: SimConfig, setup: impl FnOnce(&mut Sim)) -> (Vec<Event>, p
     sim.set_sink(Box::new(VecSink::default()));
     setup(&mut sim);
     let report = sim.run(RunLimit::For(secs(10)));
-    let events = sim
-        .take_sink()
-        .unwrap()
-        .into_any()
-        .downcast::<VecSink>()
-        .unwrap()
-        .events;
+    let events = take_events(&mut sim);
     (events, report)
+}
+
+/// Takes back the [`VecSink`] installed on `sim`, for its events.
+fn take_events(sim: &mut Sim) -> Vec<Event> {
+    let sink = sim.take_sink().expect("a sink is installed").into_any();
+    sink.downcast::<VecSink>().expect("a VecSink").events
 }
 
 fn has_kind(events: &[Event], pred: impl Fn(&EventKind) -> bool) -> bool {
@@ -114,13 +114,7 @@ fn dropped_notify_forces_timeout_rescue() {
         "outcomes: {outcomes:?}"
     );
     assert!(sim.stats().chaos_dropped_notifies >= 1);
-    let events = sim
-        .take_sink()
-        .unwrap()
-        .into_any()
-        .downcast::<VecSink>()
-        .unwrap()
-        .events;
+    let events = take_events(&mut sim);
     assert!(has_kind(&events, |k| matches!(
         k,
         EventKind::NotifyDropped { .. }
@@ -161,13 +155,7 @@ fn duplicated_notify_wakes_a_second_waiter() {
     let report = sim.run(RunLimit::For(secs(5)));
     assert!(!report.deadlocked());
     assert!(sim.stats().chaos_duplicated_notifies >= 1);
-    let events = sim
-        .take_sink()
-        .unwrap()
-        .into_any()
-        .downcast::<VecSink>()
-        .unwrap()
-        .events;
+    let events = take_events(&mut sim);
     assert!(has_kind(&events, |k| matches!(
         k,
         EventKind::NotifyDuplicated { .. }
@@ -203,13 +191,7 @@ fn stall_freezes_the_named_thread() {
         stalled + 40 <= clean,
         "stall removed too few ticks: clean={clean} stalled={stalled}"
     );
-    let events = sim
-        .take_sink()
-        .unwrap()
-        .into_any()
-        .downcast::<VecSink>()
-        .unwrap()
-        .events;
+    let events = take_events(&mut sim);
     assert!(has_kind(&events, |k| matches!(
         k,
         EventKind::ChaosStall { .. }
@@ -275,13 +257,7 @@ fn spurious_wakeup_surfaces_as_spurious_outcome() {
         "no Spurious outcome seen"
     );
     assert!(sim.stats().chaos_spurious_wakeups >= 1);
-    let events = sim
-        .take_sink()
-        .unwrap()
-        .into_any()
-        .downcast::<VecSink>()
-        .unwrap()
-        .events;
+    let events = take_events(&mut sim);
     assert!(has_kind(&events, |k| matches!(
         k,
         EventKind::SpuriousWakeup { .. }
@@ -355,28 +331,31 @@ fn clean_predicate_loop_never_flags_recheck() {
 fn detects_naked_notify() {
     // NOTIFY fires before the waiter reaches WAIT (outside any shared
     // predicate discipline); the waiter then waits and times out — the
-    // §5.3 naked-notify signature.
-    let mut sim = Sim::new(detect_cfg());
-    let m = sim.monitor("m", 0u32);
-    let cv = sim.condition(&m, "cv", Some(millis(5)));
-    let (m2, cv2) = (m.clone(), cv.clone());
-    let _ = sim.fork_root("notifier", Priority::of(5), move |ctx| {
-        let g = ctx.enter(&m2);
-        g.notify(&cv2); // Nobody is waiting yet: the wakeup evaporates.
-        drop(g);
-        ctx.sleep(millis(100)); // Free the CPU so the latecomer waits
-                                // inside the naked window.
-    });
-    let _ = sim.fork_root("latecomer", Priority::of(4), move |ctx| {
-        let mut g = ctx.enter(&m);
-        let _ = g.wait(&cv);
-    });
-    let report = sim.run(RunLimit::For(secs(1)));
-    assert!(
-        report.hazards.naked_notifies >= 1,
-        "hazards: {:?}",
-        report.hazards
-    );
+    // §5.3 naked-notify signature. On two CPUs the latecomer is already
+    // at the monitor's door when the NOTIFY evaporates.
+    for cpus in [1, 2] {
+        let mut sim = Sim::with_cpus(detect_cfg(), cpus);
+        let m = sim.monitor("m", 0u32);
+        let cv = sim.condition(&m, "cv", Some(millis(5)));
+        let (m2, cv2) = (m.clone(), cv.clone());
+        let _ = sim.fork_root("notifier", Priority::of(5), move |ctx| {
+            let g = ctx.enter(&m2);
+            g.notify(&cv2); // Nobody is waiting yet: the wakeup evaporates.
+            drop(g);
+            ctx.sleep(millis(100)); // Free the CPU so the latecomer waits
+                                    // inside the naked window.
+        });
+        let _ = sim.fork_root("latecomer", Priority::of(4), move |ctx| {
+            let mut g = ctx.enter(&m);
+            let _ = g.wait(&cv);
+        });
+        let report = sim.run(RunLimit::For(secs(1)));
+        assert!(
+            report.hazards.naked_notifies >= 1,
+            "{cpus} cpus: hazards: {:?}",
+            report.hazards
+        );
+    }
 }
 
 #[test]
@@ -591,13 +570,7 @@ fn same_seed_same_chaos_replays_identically() {
         sim.set_sink(Box::new(VecSink::default()));
         chaotic_world(&mut sim);
         let report = sim.run(RunLimit::For(secs(2)));
-        let events = sim
-            .take_sink()
-            .unwrap()
-            .into_any()
-            .downcast::<VecSink>()
-            .unwrap()
-            .events;
+        let events = take_events(&mut sim);
         (events, report.hazards, sim.stats().clone())
     };
     let (ev_a, hz_a, st_a) = run();
@@ -686,29 +659,27 @@ fn clean_world_is_hazard_free_with_detection_on() {
 // PCT priority perturbation
 // ---------------------------------------------------------------------
 
-/// Runs the chaotic world under `chaos` and returns the captured events,
-/// the recorded fault schedule, and the final stats.
-fn run_pct(chaos: ChaosConfig, seed: u64) -> (Vec<Event>, pcr::FaultSchedule, pcr::SimStats) {
+/// Runs the chaotic world under `chaos` on `cpus` processors and returns
+/// the captured events, the recorded fault schedule, and the final stats.
+fn run_pct(
+    chaos: ChaosConfig,
+    seed: u64,
+    cpus: usize,
+) -> (Vec<Event>, pcr::FaultSchedule, pcr::SimStats) {
     let cfg = SimConfig::default().with_seed(seed).with_chaos(chaos);
-    let mut sim = Sim::new(cfg);
+    let mut sim = Sim::with_cpus(cfg, cpus);
     sim.set_sink(Box::new(VecSink::default()));
     chaotic_world(&mut sim);
     sim.run(RunLimit::For(secs(2)));
     let schedule = sim.fault_schedule();
     let stats = sim.stats().clone();
-    let events = sim
-        .take_sink()
-        .unwrap()
-        .into_any()
-        .downcast::<VecSink>()
-        .unwrap()
-        .events;
+    let events = take_events(&mut sim);
     (events, schedule, stats)
 }
 
 #[test]
 fn pct_perturbs_priorities_and_records_decisions() {
-    let (events, schedule, stats) = run_pct(ChaosConfig::none().pct(8, 512), 0xBEEF);
+    let (events, schedule, stats) = run_pct(ChaosConfig::none().pct(8, 512), 0xBEEF, 1);
     assert!(
         stats.chaos_priority_changes > 0,
         "no PCT change landed inside the run: {stats:?}"
@@ -734,10 +705,10 @@ fn pct_perturbs_priorities_and_records_decisions() {
 #[test]
 fn pct_composes_with_chaos_and_replays_byte_identically() {
     let chaos = full_chaos().pct(6, 1024);
-    let (ev_a, sched, st_a) = run_pct(chaos, 0xD15EA5E);
+    let (ev_a, sched, st_a) = run_pct(chaos, 0xD15EA5E, 1);
     assert!(st_a.chaos_priority_changes > 0, "stats: {st_a:?}");
     // Scripted replay: no probabilities, no RNG — identical trace.
-    let (ev_b, sched_b, st_b) = run_pct(ChaosConfig::none().scripted(sched.clone()), 0xD15EA5E);
+    let (ev_b, sched_b, st_b) = run_pct(ChaosConfig::none().scripted(sched.clone()), 0xD15EA5E, 1);
     assert_eq!(ev_a, ev_b, "scripted PCT replay diverged");
     assert_eq!(sched, sched_b, "replayed schedule is not a fixed point");
     assert_eq!(st_a.chaos_priority_changes, st_b.chaos_priority_changes);
@@ -745,9 +716,31 @@ fn pct_composes_with_chaos_and_replays_byte_identically() {
 
 #[test]
 fn pct_with_zero_changes_matches_a_clean_run() {
-    let (ev_none, _, _) = run_pct(ChaosConfig::none(), 7);
-    let (ev_zero, sched, stats) = run_pct(ChaosConfig::none().pct(0, 1024), 7);
+    let (ev_none, _, _) = run_pct(ChaosConfig::none(), 7, 1);
+    let (ev_zero, sched, stats) = run_pct(ChaosConfig::none().pct(0, 1024), 7, 1);
     assert_eq!(ev_none, ev_zero, "an empty PCT config must be inert");
     assert!(sched.is_empty());
     assert_eq!(stats.chaos_priority_changes, 0);
+}
+
+#[test]
+fn two_cpus_inject_every_fault_and_replay_it_from_the_script() {
+    // Two waiters on the CV at a NOTIFY are rare here: duplicate each.
+    let chaos = full_chaos().duplicate_notifies(1.0).pct(6, 1024);
+    let (ev_a, sched, st) = run_pct(chaos, 0xD15EA5E, 2);
+    let injected = [
+        st.chaos_fork_failures,
+        st.chaos_spurious_wakeups,
+        st.chaos_dropped_notifies,
+        st.chaos_duplicated_notifies,
+        st.chaos_stalls,
+        st.chaos_priority_changes,
+    ];
+    assert!(injected.iter().all(|&n| n > 0), "a fault never bit: {st:?}");
+    let jittered = |d: &pcr::FaultDecision| d.kind == pcr::FaultSiteKind::TimerJitter;
+    assert!(sched.decisions.iter().any(jittered), "no timer jitter");
+    let script = ChaosConfig::none().scripted(sched.clone());
+    let (ev_b, sched_b, _) = run_pct(script, 0xD15EA5E, 2);
+    assert_eq!(ev_a, ev_b, "scripted replay diverged on two CPUs");
+    assert_eq!(sched, sched_b, "replayed schedule is not a fixed point");
 }

@@ -13,8 +13,8 @@ use std::sync::{Arc, Barrier, Mutex};
 
 use pcr::{
     micros, millis, secs, stack_pool_stats, ChaosConfig, Condition, Event, JoinError, Monitor,
-    MpSim, PolicyKind, Priority, RunLimit, Sim, SimConfig, SimTime, StopReason, ThreadCtx,
-    TraceSink, WaitOutcome,
+    PolicyKind, Priority, RunLimit, Sim, SimConfig, SimTime, StopReason, ThreadCtx, TraceSink,
+    WaitOutcome,
 };
 
 /// Counts its own drops: a local of a body that must be destroyed
@@ -336,7 +336,7 @@ fn mp_mesh_survives_panicking_and_shut_down_bodies() {
     const STATIONS: usize = 8;
     const ROUNDS: usize = 20;
     let drops = Arc::new(AtomicUsize::new(0));
-    let mut sim = MpSim::new(SimConfig::default(), 4);
+    let mut sim = Sim::with_cpus(SimConfig::default(), 4);
     let boxes: Vec<_> = (0..STATIONS)
         .map(|i| sim.monitor(&format!("box{i}"), 0usize))
         .collect();

@@ -1,14 +1,15 @@
-//! Integration tests for the multiprocessor scheduler: timers, CVs,
-//! fault paths, fairness, and interactions that the in-module unit
-//! tests don't cover.
+//! Integration tests for the simulator on more than one CPU: timers,
+//! CVs, fault paths, fairness, and interactions that the in-module unit
+//! tests don't cover. (`chaos.rs` and `policy.rs` run their worlds on two
+//! CPUs as well as one.)
 
 use pcr::{
-    micros, millis, secs, JoinError, MpSim, NotifyMode, Priority, RunLimit, SimConfig, SimTime,
-    StopReason, WaitOutcome,
+    micros, millis, secs, ChaosConfig, JoinError, NotifyMode, Priority, RunLimit, Sim, SimConfig,
+    SimTime, StopReason, WaitOutcome,
 };
 
-fn mp(cpus: usize) -> MpSim {
-    MpSim::new(SimConfig::default(), cpus)
+fn mp(cpus: usize) -> Sim {
+    Sim::with_cpus(SimConfig::default(), cpus)
 }
 
 #[test]
@@ -175,7 +176,7 @@ fn immediate_notify_between_same_priorities_only_conflicts_on_mp() {
     // no conflicts; on 2 CPUs the wakee starts concurrently and hits the
     // held monitor — exactly Birrell's distinction.
     let run = |cpus: usize| {
-        let mut s = MpSim::new(
+        let mut s = Sim::with_cpus(
             SimConfig::default().with_notify_mode(NotifyMode::Immediate),
             cpus,
         );
@@ -223,7 +224,42 @@ fn mp_stats_accumulate_cpu_by_priority() {
 }
 
 #[test]
+fn a_lone_thread_is_switched_to_once() {
+    // 1 s of work is 20 quanta: 19 expiries, each finding no competitor,
+    // so the hog keeps its CPU and nothing is switched to after the start.
+    let mut s = mp(2);
+    let _ = s.fork_root("hog", Priority::DEFAULT, |ctx| ctx.work(secs(1)));
+    let r = s.run(RunLimit::ToCompletion);
+    assert_eq!(
+        (r.reason, r.now),
+        (StopReason::AllExited, SimTime::from_micros(1_000_000))
+    );
+    assert_eq!((s.stats().switches, s.stats().quantum_expiries), (1, 19));
+}
+
+#[test]
+fn a_stall_takes_a_running_thread_off_its_cpu() {
+    // Caught mid-`work` at 10 ms for 50 ms: the 100 ms of work end at
+    // 150 ms, and the CPU it vacated runs the lower-priority filler.
+    let stall = ChaosConfig::none().stall("hog", SimTime::from_micros(10_000), millis(50));
+    let mut s = Sim::with_cpus(SimConfig::default().with_chaos(stall), 2);
+    let hog = s.fork_root("hog", Priority::of(5), |ctx| {
+        ctx.work(millis(100));
+        ctx.now()
+    });
+    let _ = s.fork_root("busy", Priority::of(5), |ctx| ctx.work(millis(100)));
+    let filler = s.fork_root("filler", Priority::of(2), |ctx| {
+        ctx.work(millis(20));
+        ctx.now()
+    });
+    s.run(RunLimit::ToCompletion);
+    assert_eq!(s.stats().chaos_stalls, 1);
+    let at = |h: pcr::JoinHandle<SimTime>| h.into_result().unwrap().unwrap().as_micros();
+    assert_eq!((at(hog), at(filler)), (150_000, 30_000));
+}
+
+#[test]
 #[should_panic(expected = "at least one CPU")]
 fn zero_cpus_rejected() {
-    let _ = MpSim::new(SimConfig::default(), 0);
+    let _ = Sim::with_cpus(SimConfig::default(), 0);
 }

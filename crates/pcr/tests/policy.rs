@@ -11,19 +11,20 @@ use std::sync::Arc;
 
 use pcr::{millis, secs, PolicyKind, Priority, RunLimit, Sim, SimConfig, SimDuration, SimStats};
 
-/// Runs one eternal spinner per entry of `priorities` under `policy`
-/// for `window` of virtual time and returns each spinner's completed
-/// loop count (5ms of work per loop) plus the final scheduler stats.
+/// Runs one eternal spinner per entry of `priorities` under `policy` on
+/// `cpus` processors for `window` of virtual time and returns each
+/// spinner's completed loop count (5ms of work per loop) plus the final
+/// scheduler stats.
 fn spinner_counts(
     policy: PolicyKind,
+    cpus: usize,
     priorities: &[Priority],
     window: SimDuration,
 ) -> (Vec<u64>, SimStats) {
-    let mut sim = Sim::new(
-        SimConfig::default()
-            .with_seed(0x90_11C7)
-            .with_policy(policy),
-    );
+    let cfg = SimConfig::default()
+        .with_seed(0x90_11C7)
+        .with_policy(policy);
+    let mut sim = Sim::with_cpus(cfg, cpus);
     let counters: Vec<Arc<AtomicU64>> = priorities
         .iter()
         .map(|_| Arc::new(AtomicU64::new(0)))
@@ -44,6 +45,7 @@ fn spinner_counts(
 fn cfs_shares_cpu_evenly_at_equal_priority() {
     let (counts, _) = spinner_counts(
         PolicyKind::Cfs,
+        1,
         &[Priority::DEFAULT, Priority::DEFAULT, Priority::DEFAULT],
         secs(10),
     );
@@ -64,6 +66,7 @@ fn lottery_cpu_tracks_ticket_weights() {
     // absorb binomial noise across ~600 quantum-length draws.
     let (counts, _) = spinner_counts(
         PolicyKind::Lottery,
+        1,
         &[Priority::of(2), Priority::of(5)],
         secs(30),
     );
@@ -117,15 +120,29 @@ fn mlfq_demotes_the_spinner_instead_of_starving_the_pump() {
 
 #[test]
 fn every_policy_replays_identically_for_a_fixed_seed() {
-    for policy in PolicyKind::ALL {
-        let prios = [Priority::of(2), Priority::DEFAULT, Priority::of(6)];
-        let (counts_a, stats_a) = spinner_counts(policy, &prios, secs(5));
-        let (counts_b, stats_b) = spinner_counts(policy, &prios, secs(5));
-        assert_eq!(counts_a, counts_b, "{policy}: progress diverged on replay");
-        assert_eq!(
-            format!("{stats_a:?}"),
-            format!("{stats_b:?}"),
-            "{policy}: stats diverged on replay"
-        );
+    let prios = [Priority::of(2), Priority::DEFAULT, Priority::of(6)];
+    for cpus in [1, 2] {
+        for policy in PolicyKind::ALL {
+            let (counts_a, stats_a) = spinner_counts(policy, cpus, &prios, secs(5));
+            let (counts_b, stats_b) = spinner_counts(policy, cpus, &prios, secs(5));
+            assert_eq!(counts_a, counts_b, "{policy}: progress diverged on replay");
+            assert_eq!(
+                format!("{stats_a:?}"),
+                format!("{stats_b:?}"),
+                "{policy} on {cpus}: stats diverged on replay"
+            );
+        }
     }
+}
+
+#[test]
+fn the_policy_dispatches_on_two_cpus_too() {
+    // Three spinners on two CPUs: strict priority starves the lowest for
+    // good, a lottery gives every ticket holder a turn.
+    let prios = [Priority::of(2), Priority::DEFAULT, Priority::of(6)];
+    let (rr, _) = spinner_counts(PolicyKind::RoundRobin, 2, &prios, secs(5));
+    let (lottery, _) = spinner_counts(PolicyKind::Lottery, 2, &prios, secs(5));
+    // (The work that ends with the window is not counted: no reply yet.)
+    assert_eq!(rr, [0, 999, 999]);
+    assert!(lottery[0] > 0 && lottery != rr, "{lottery:?}");
 }

@@ -11,7 +11,7 @@
 //! The default grid covers the paper's full benchmark matrix — all
 //! twelve `(system, benchmark)` cells of Table 1 — plus the worlds
 //! outside the matrix: the multiprocessor transfer mesh on
-//! [`pcr::MpSim`] (§5.3), the §5.5 weak-memory publication race, and
+//! [`pcr::Sim::with_cpus`] (§5.3), the §5.5 weak-memory publication race, and
 //! two hot cells of the overload-resilient serve world
 //! (`serve:burst`, `serve:outage`).
 //!

@@ -10,9 +10,9 @@
 //!
 //! * **Cell** — a `(system, benchmark)` cell of the paper's matrix,
 //!   built by [`workloads`];
-//! * **MultiCore** — a seed-dependent transfer mesh on [`pcr::MpSim`],
-//!   where tellers lock account pairs in seed-derived orders (AB-BA
-//!   deadlocks for the unlucky orders, §5.3);
+//! * **MultiCore** — a seed-dependent transfer mesh on
+//!   [`pcr::Sim::with_cpus`], where tellers lock account pairs in
+//!   seed-derived orders (AB-BA deadlocks for the unlucky orders, §5.3);
 //! * **WeakMemory** — the §5.5 publication race on [`pcr::weakmem`]: a
 //!   publisher stores data then flag with no fence, and the reader
 //!   panics when the flag outruns the data.
@@ -23,8 +23,8 @@
 //! reproduces the recorded run byte-for-byte).
 
 use pcr::{
-    micros, millis, weakmem::WeakMem, ChaosConfig, FaultSchedule, HazardCounts, MpSim, Priority,
-    RunLimit, Sim, SimConfig, SimDuration, SplitMix64, StopReason, WaitForGraph,
+    micros, millis, weakmem::WeakMem, ChaosConfig, FaultSchedule, HazardCounts, Priority, RunLimit,
+    Sim, SimConfig, SimDuration, SplitMix64, StopReason, WaitForGraph,
 };
 use threadstudy_core::System;
 use workloads::{build_chaos_with, Benchmark};
@@ -37,7 +37,7 @@ use crate::signature::{Failure, FailureClass};
 pub enum TrialWorld {
     /// A `(system, benchmark)` cell of the paper's matrix.
     Cell,
-    /// The multiprocessor transfer mesh on [`pcr::MpSim`].
+    /// The transfer mesh on a multiprocessor [`pcr::Sim`].
     MultiCore {
         /// Simulated CPUs.
         cpus: u32,
@@ -125,9 +125,8 @@ pub struct TrialSpec {
     /// Optional thread-table cap (the §5.4 fork-outage lever).
     pub max_threads: Option<usize>,
     /// Which scheduling policy dispatches the trial's world. Applies to
-    /// [`TrialWorld::Cell`] and [`TrialWorld::WeakMemory`] (which run on
-    /// [`pcr::Sim`]); the multiprocessor world has its own per-CPU
-    /// dispatcher and ignores it.
+    /// [`TrialWorld::Cell`] and [`TrialWorld::WeakMemory`]; the
+    /// multiprocessor mesh always runs under the paper's.
     pub policy: pcr::PolicyKind,
 }
 
@@ -161,16 +160,27 @@ impl Observation {
     }
 }
 
-fn wedge_failure(graph: &WaitForGraph, wedged: &[&pcr::WaitingThread]) -> Failure {
+/// A failure of `class` whose parties are `blocked`, threads of `graph`.
+fn blocked_failure<'a>(
+    class: FailureClass,
+    graph: &WaitForGraph,
+    blocked: impl IntoIterator<Item = &'a pcr::WaitingThread>,
+) -> Failure {
+    let party =
+        |w: &pcr::WaitingThread| (format!("{}({})", w.name, w.kind.tag()), w.resource.clone());
+    let (parties, resources) = blocked.into_iter().map(party).unzip();
     Failure {
-        class: FailureClass::Wedge,
-        parties: wedged
-            .iter()
-            .map(|w| format!("{}({})", w.name, w.kind.tag()))
-            .collect(),
-        resources: wedged.iter().map(|w| w.resource.clone()).collect(),
+        class,
+        parties,
+        resources,
         detail: graph.render(),
     }
+}
+
+/// Global deadlock: every blocked thread is a party (the clock has
+/// stopped, so the wedge-age filter is moot).
+fn deadlock_failure(graph: &WaitForGraph) -> Failure {
+    blocked_failure(FailureClass::Deadlock, graph, &graph.threads)
 }
 
 /// Builds the §5.5 publication-race world: the publisher fills the data
@@ -218,10 +228,13 @@ fn build_weakmem_world(spec: &TrialSpec, chaos: ChaosConfig, max_delay_us: u64) 
 /// Runs the multiprocessor transfer mesh: four tellers move value
 /// between three accounts, each locking its account pair in a
 /// seed-derived order. Opposing orders race into AB-BA deadlock; the
-/// deadlock report's population becomes the failure's parties.
+/// wait-for graph's population becomes the failure's parties. The whole
+/// window is one run, under no chaos, and the observation names no live
+/// thread or monitor for the guided engine to aim at: the mesh's stored
+/// signatures and their counts are pinned to exactly this.
 fn observe_multicore(spec: &TrialSpec, cpus: u32) -> Observation {
     let cfg = SimConfig::default().with_seed(spec.seed);
-    let mut mp = MpSim::new(cfg, cpus.max(1) as usize);
+    let mut mp = Sim::with_cpus(cfg, cpus.max(1) as usize);
     let accounts: Vec<_> = (0..3)
         .map(|i| mp.monitor(&format!("account{i}"), 100i64))
         .collect();
@@ -247,33 +260,7 @@ fn observe_multicore(spec: &TrialSpec, cpus: u32) -> Observation {
     }
     let report = mp.run(RunLimit::For(spec.window));
     let failure = match &report.reason {
-        StopReason::Deadlock(rep) => {
-            let parties = rep
-                .blocked
-                .iter()
-                .map(|b| {
-                    let kind = b.waiting_for.split_whitespace().next().unwrap_or("blocked");
-                    format!("{}({kind})", b.name)
-                })
-                .collect();
-            let detail = rep
-                .blocked
-                .iter()
-                .map(|b| format!("  {} waiting for {}\n", b.name, b.waiting_for))
-                .collect();
-            let resources = rep
-                .blocked
-                .iter()
-                .filter_map(|b| b.waiting_for.split_whitespace().nth(1))
-                .map(String::from)
-                .collect();
-            Some(Failure {
-                class: FailureClass::Deadlock,
-                parties,
-                resources,
-                detail,
-            })
-        }
+        StopReason::Deadlock(_) => Some(deadlock_failure(&mp.wait_for_graph())),
         _ if mp.stats().panics > 0 => Some(Failure {
             class: FailureClass::Panic,
             parties: vec!["mp-world(panic)".to_string()],
@@ -339,24 +326,12 @@ pub fn observe(spec: &TrialSpec, chaos: ChaosConfig) -> Observation {
         }
         let graph = sim.wait_for_graph();
         if let StopReason::Deadlock(_) = report.reason {
-            // Global deadlock: every blocked thread is a party (the
-            // clock has stopped, so the wedge-age filter is moot).
-            let parties = graph
-                .threads
-                .iter()
-                .map(|w| format!("{}({})", w.name, w.kind.tag()))
-                .collect();
-            failure = Some(Failure {
-                class: FailureClass::Deadlock,
-                parties,
-                resources: graph.threads.iter().map(|w| w.resource.clone()).collect(),
-                detail: graph.render(),
-            });
+            failure = Some(deadlock_failure(&graph));
             break;
         }
         let wedged = graph.wedged(spec.wedge_threshold);
         if !wedged.is_empty() {
-            failure = Some(wedge_failure(&graph, &wedged));
+            failure = Some(blocked_failure(FailureClass::Wedge, &graph, wedged));
             break;
         }
         if matches!(report.reason, StopReason::AllExited) {

@@ -16,9 +16,9 @@
 //!   dedicated reading thread);
 //! * [`server`] — the simulated X server with per-batch costs that make
 //!   batching economics real;
-//! * [`exploiters`] — §4.7's concurrency exploiters measured on the
-//!   multiprocessor scheduler ([`pcr::MpSim`]): speedup curves with and
-//!   without a serializing shared monitor.
+//! * [`exploiters`] — §4.7's concurrency exploiters measured on several
+//!   virtual processors ([`pcr::Sim::with_cpus`]): speedup curves with
+//!   and without a serializing shared monitor.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

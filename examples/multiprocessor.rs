@@ -2,17 +2,17 @@
 //!
 //! The paper's systems ran on a uniprocessor during the measurements, so
 //! the `parallel_map` paradigm could only add structure, not speed. The
-//! `MpSim` extension runs the *same* paradigm code on N virtual
-//! processors — and prints the speedup curve, plus the Amdahl cap a
-//! shared monitor imposes.
+//! same simulator, built with `Sim::with_cpus`, runs the *same* paradigm
+//! code on N virtual processors — and prints the speedup curve, plus the
+//! Amdahl cap a shared monitor imposes.
 //!
 //! Run with: `cargo run --release --example multiprocessor`
 
 use threadstudy::paradigms::exploit::parallel_map;
-use threadstudy::pcr::{millis, MpSim, Priority, RunLimit, SimConfig};
+use threadstudy::pcr::{millis, Priority, RunLimit, Sim, SimConfig};
 
 fn render_pages(cpus: usize) -> (u64, f64) {
-    let mut sim = MpSim::new(SimConfig::default(), cpus);
+    let mut sim = Sim::with_cpus(SimConfig::default(), cpus);
     let h = sim.fork_root("driver", Priority::of(5), |ctx| {
         let t0 = ctx.now();
         // Rasterize 12 page bands, 30ms each, in parallel.
@@ -42,7 +42,7 @@ fn main() {
         );
     }
     println!(
-        "\nThe same parallel_map call, unchanged, on the uniprocessor Sim would\n\
-         take the full 360ms — §4.7's 'concurrency exploiters' finally exploit."
+        "\nThe same parallel_map call, unchanged, on the paper's uniprocessor\n\
+         takes the full 360ms — §4.7's 'concurrency exploiters' finally exploit."
     );
 }

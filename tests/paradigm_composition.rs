@@ -196,12 +196,11 @@ fn full_cedar_world_survives_immediate_notify_mode() {
 #[test]
 fn concurrency_exploiters_gain_on_the_mp_scheduler() {
     // §4.7: the very paradigm the uniprocessor could not reward. The
-    // unchanged paradigms::exploit helpers, run on MpSim, now show real
+    // unchanged paradigms::exploit helpers, run on four CPUs, now show real
     // virtual-time speedup.
     use threadstudy::paradigms::exploit::parallel_map;
-    use threadstudy::pcr::MpSim;
     let run = |cpus: usize| {
-        let mut sim = MpSim::new(SimConfig::default(), cpus);
+        let mut sim = Sim::with_cpus(SimConfig::default(), cpus);
         let h = sim.fork_root("driver", Priority::of(5), |ctx| {
             let t0 = ctx.now();
             let out = parallel_map(ctx, "sq", (0..8).collect(), millis(20), |_ctx, x: u32| {

@@ -203,39 +203,64 @@ fn rng_bounds_and_determinism() {
     });
 }
 
-/// The multiprocessor scheduler delivers exactly the same results and
-/// (for a fixed seed) identical statistics on every rerun, for any CPU
-/// count.
+/// At any CPU count a run delivers exactly the same results and (for a
+/// fixed seed) identical statistics on every rerun, monitors exclude, and
+/// virtual CPU is conserved: what the threads were charged is the work
+/// they asked for plus the primitives' costs, and no more of it than the
+/// CPUs had time for.
 #[test]
 fn mp_determinism() {
     for_cases(8, |rng| {
-        let cpus = pick(rng, 1, 5) as usize;
+        let cpus = pick(rng, 1, 5);
         let seed = rng.next_u64();
         let run = || {
-            let mut sim = threadstudy::pcr::MpSim::new(SimConfig::default().with_seed(seed), cpus);
-            let m = sim.monitor("m", 0u64);
-            for t in 0..4 {
-                let m = m.clone();
-                let _ = sim.fork_root(
-                    &format!("t{t}"),
-                    Priority::of(2 + (t % 3) as u8),
-                    move |ctx| {
+            let cfg = SimConfig::default().with_seed(seed);
+            let (primitive, window) = (cfg.primitive_cost, cfg.metalock_cost);
+            let mut sim = Sim::with_cpus(cfg, cpus as usize);
+            let m = sim.monitor("m", (0u64, false));
+            let workers: Vec<_> = (0..4)
+                .map(|t| {
+                    let m = m.clone();
+                    let prio = Priority::of(2 + (t % 3) as u8);
+                    sim.fork_root(&format!("t{t}"), prio, move |ctx| {
                         let mut rng = ctx.rng();
+                        let mut asked = 0;
                         for _ in 0..10 {
-                            ctx.work(micros(rng.next_below(1500)));
+                            let outside = rng.next_below(1500);
+                            ctx.work(micros(outside));
                             let mut g = ctx.enter(&m);
-                            g.with_mut(|v| *v += 1);
+                            let was_inside = g.with_mut(|s| std::mem::replace(&mut s.1, true));
+                            assert!(!was_inside, "two threads inside the monitor");
+                            ctx.work(micros(40));
+                            g.with_mut(|s| *s = (s.0 + 1, false));
+                            asked += outside + 40;
                         }
-                    },
-                );
-            }
+                        asked
+                    })
+                })
+                .collect();
             let r = sim.run(RunLimit::For(secs(30)));
             assert!(!r.deadlocked());
-            (
-                sim.now().as_micros(),
-                sim.stats().switches,
-                sim.stats().ml_contended,
-            )
+            let asked = workers
+                .into_iter()
+                .map(|h| h.into_result().unwrap().unwrap());
+            let stats = sim.stats();
+            // An uncontended ENTER and every EXIT cost one primitive; a
+            // contended ENTER costs its metalock window, which only the
+            // uniprocessor has.
+            let (enters, contended) = (stats.ml_enters, stats.ml_contended);
+            let window = if cpus == 1 { window.as_micros() } else { 0 };
+            let primitives = (2 * enters - contended) * primitive.as_micros() + contended * window;
+            let total = stats.total_cpu.as_micros();
+            assert_eq!(total, asked.sum::<u64>() + primitives, "{cpus} cpus");
+            let by_priority = stats.cpu_by_priority.iter().map(|d| d.as_micros());
+            assert_eq!(by_priority.sum::<u64>(), total);
+            assert!(
+                total <= r.elapsed.as_micros() * cpus,
+                "{cpus} cpus in {}",
+                r.elapsed
+            );
+            (sim.now().as_micros(), stats.switches, contended)
         };
         assert_eq!(run(), run());
     });

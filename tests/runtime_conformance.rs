@@ -1,6 +1,7 @@
 //! `pcr::Runtime` conformance: the §2 rules and the paradigms built on
 //! them, each written once against `C: Runtime` and instantiated on
-//! both backends — `ThreadCtx` inside a `Sim`, and `mesa::RealCtx`.
+//! both backends — `ThreadCtx` inside a `Sim`, on one virtual CPU and on
+//! two, and `mesa::RealCtx`.
 //!
 //! Nothing here asserts on how long anything took. The checks count and
 //! order (items in = items out, FIFO per producer, one wakeup per
@@ -31,9 +32,10 @@ use threadstudy::pcr::{
 
 const P: Priority = Priority::DEFAULT;
 
-/// Runs `check` as the main thread of a fresh simulator.
-fn in_sim(cfg: SimConfig, check: impl FnOnce(&ThreadCtx) + Send + 'static) {
-    let mut sim = Sim::new(cfg);
+/// Runs `check` as the main thread of a fresh simulator with `cpus`
+/// virtual processors.
+fn in_sim(cfg: SimConfig, cpus: usize, check: impl FnOnce(&ThreadCtx) + Send + 'static) {
+    let mut sim = Sim::with_cpus(cfg, cpus);
     let main = sim.fork_root("main", P, check);
     let report = sim.run(RunLimit::For(secs(600)));
     assert!(!report.deadlocked(), "{:?}", report.reason);
@@ -231,12 +233,21 @@ fn fork_exhaustion_is_an_error<C: Runtime>(ctx: &C, limit: usize) {
     assert_eq!(ctx.join(again), Ok(1));
 }
 
-#[test]
-fn fork_exhaustion_is_an_error_on_the_simulator() {
+fn fork_exhaustion_in_sim(cpus: usize) {
     let cfg = SimConfig::default()
         .with_max_threads(8)
         .with_fork_policy(ForkPolicy::Error);
-    in_sim(cfg, |ctx| fork_exhaustion_is_an_error(ctx, 8));
+    in_sim(cfg, cpus, |ctx| fork_exhaustion_is_an_error(ctx, 8));
+}
+
+#[test]
+fn fork_exhaustion_is_an_error_on_the_simulator() {
+    fork_exhaustion_in_sim(1);
+}
+
+#[test]
+fn fork_exhaustion_is_an_error_on_two_cpus() {
+    fork_exhaustion_in_sim(2);
 }
 
 #[test]
@@ -678,7 +689,13 @@ macro_rules! on_both_backends {
         mod on_the_simulator {
             $(#[test]
             fn $check() {
-                super::in_sim(super::SimConfig::default(), super::$check::<super::ThreadCtx>);
+                super::in_sim(super::SimConfig::default(), 1, super::$check::<super::ThreadCtx>);
+            })*
+        }
+        mod on_two_cpus {
+            $(#[test]
+            fn $check() {
+                super::in_sim(super::SimConfig::default(), 2, super::$check::<super::ThreadCtx>);
             })*
         }
         mod on_real_threads {
