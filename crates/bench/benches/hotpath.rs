@@ -20,6 +20,12 @@
 //! enter + exit, which never leaves the CPU, must stay under 150 ns: the
 //! pair costs ~80 ns served on the caller's stack, ~260 as two round trips.
 //!
+//! A timed WAIT that a NOTIFY ends has one too: a NOTIFY + WAIT round on
+//! a CV with a 50 ms timeout must stay under 600 ns. It costs ~150 ns with
+//! the ended wait's timeout cancelled on the spot; left in the wheel until
+//! its deadline, the dead timeouts of one tick share a slot that every pop
+//! rescans, and the round cost ~2 000 ns.
+//!
 //! The exporters have ceilings of the same kind, on a recorded
 //! Cedar/Keyboard stream: `write_jsonl` under 400 ns per event and
 //! `write_chrome` under 800 ns per input event. Writing lines directly
@@ -99,6 +105,24 @@ fn lone_thread_ns(name: &str, reps: u32, op: fn(&ThreadCtx, &Monitor<()>)) -> f6
     best
 }
 
+/// Best-of-`reps` wall nanoseconds per NOTIFY + WAIT round of
+/// [`pingpong_world`] over 400 virtual ms, some 9 800 rounds: every wait
+/// arms a timeout and every one is ended by the other thread's NOTIFY.
+fn notify_wait_ns(reps: u32) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..=reps {
+        let mut sim = pingpong_world();
+        let start = Instant::now();
+        sim.run(RunLimit::For(millis(400)));
+        best = best.min(start.elapsed().as_nanos() as f64 / sim.stats().cv_waits as f64);
+    }
+    println!(
+        "{:40} {best:>12.0} ns/round  (best of {reps})",
+        "hotpath_notify_wait"
+    );
+    best
+}
+
 /// Best-of-`reps` wall nanoseconds per input event for `write_jsonl` and
 /// `write_chrome` over one recorded Cedar/Keyboard stream (10 virtual
 /// seconds), each writing to memory.
@@ -147,29 +171,29 @@ fn world_cycle_ms(reps: u32) -> f64 {
     best
 }
 
-/// Two threads exchanging NOTIFY/WAIT as fast as virtual time allows:
-/// the CV-queue and ready-queue hot path with zero fork traffic.
-fn notify_wait_pingpong() -> u64 {
+/// Two threads exchanging NOTIFY/WAIT on a CV with a 50 ms timeout as fast
+/// as virtual time allows: the CV-queue and ready-queue hot path with zero
+/// fork traffic.
+fn pingpong_world() -> Sim {
     let mut sim = Sim::new(SimConfig::default());
     let m = sim.monitor("m", 0u32);
     let cv = sim.condition(&m, "cv", Some(millis(50)));
-    let (m2, cv2) = (m.clone(), cv.clone());
-    let _ = sim.fork_root("a", Priority::of(4), move |ctx| {
-        let mut g = ctx.enter(&m2);
-        loop {
-            g.with_mut(|v| *v = v.wrapping_add(1));
-            g.notify(&cv2);
-            let _ = g.wait(&cv2);
-        }
-    });
-    let _ = sim.fork_root("b", Priority::of(4), move |ctx| {
-        let mut g = ctx.enter(&m);
-        loop {
-            g.with_mut(|v| *v = v.wrapping_add(1));
-            g.notify(&cv);
-            let _ = g.wait(&cv);
-        }
-    });
+    for name in ["a", "b"] {
+        let (m, cv) = (m.clone(), cv.clone());
+        let _ = sim.fork_root(name, Priority::of(4), move |ctx| {
+            let mut g = ctx.enter(&m);
+            loop {
+                g.with_mut(|v| *v = v.wrapping_add(1));
+                g.notify(&cv);
+                let _ = g.wait(&cv);
+            }
+        });
+    }
+    sim
+}
+
+fn notify_wait_pingpong() -> u64 {
+    let mut sim = pingpong_world();
     sim.run(RunLimit::For(secs(5)));
     sim.stats().event_volume()
 }
@@ -208,6 +232,7 @@ fn fork_join_storm() -> u64 {
 fn main() {
     let handoff_ns = lone_thread_ns("hotpath_yield_handoff", 3, |ctx, _| ctx.yield_now());
     let pair_ns = lone_thread_ns("hotpath_monitor_pair", 3, |ctx, m| drop(ctx.enter(m)));
+    let round_ns = notify_wait_ns(5);
     let pingpong = events_per_sec("hotpath_notify_wait_pingpong_5s", 3, notify_wait_pingpong);
     let storm = events_per_sec("hotpath_fork_join_storm_5s", 3, fork_join_storm);
     let [jsonl_ns, chrome_ns] = export_ns_per_event(3);
@@ -225,6 +250,7 @@ fn main() {
     const FLOOR_TIMER_OPS_PER_SEC: f64 = 50_000.0;
     const CEILING_HANDOFF_NS: f64 = 1_000.0;
     const CEILING_PAIR_NS: f64 = 150.0;
+    const CEILING_NOTIFY_WAIT_NS: f64 = 600.0;
     const CEILING_JSONL_NS: f64 = 400.0;
     const CEILING_CHROME_NS: f64 = 800.0;
     const CEILING_WORLD_CYCLE_MS: f64 = 0.65;
@@ -232,6 +258,7 @@ fn main() {
     for (what, ns, ceiling) in [
         ("a yield_now round trip", handoff_ns, CEILING_HANDOFF_NS),
         ("an uncontended enter + exit", pair_ns, CEILING_PAIR_NS),
+        ("a NOTIFY + WAIT round", round_ns, CEILING_NOTIFY_WAIT_NS),
         ("write_jsonl, per event,", jsonl_ns, CEILING_JSONL_NS),
         ("write_chrome, per event,", chrome_ns, CEILING_CHROME_NS),
         ("a world's build + drop", cycle_ns, cycle_ceiling_ns),
@@ -253,6 +280,6 @@ fn main() {
         assert!(rate > floor, "{what}/sec fell below {floor} ({rate:.0})");
     }
     println!(
-        "hot-path floors ok (> {FLOOR_EVENTS_PER_SEC} events/sec, wheel > {FLOOR_TIMER_OPS_PER_SEC} arm+fire/sec, handoff < {CEILING_HANDOFF_NS} ns, enter + exit < {CEILING_PAIR_NS} ns, write_jsonl < {CEILING_JSONL_NS} ns, write_chrome < {CEILING_CHROME_NS} ns, world cycle < {CEILING_WORLD_CYCLE_MS} ms)"
+        "hot-path floors ok (> {FLOOR_EVENTS_PER_SEC} events/sec, wheel > {FLOOR_TIMER_OPS_PER_SEC} arm+fire/sec, handoff < {CEILING_HANDOFF_NS} ns, enter + exit < {CEILING_PAIR_NS} ns, NOTIFY + WAIT < {CEILING_NOTIFY_WAIT_NS} ns, write_jsonl < {CEILING_JSONL_NS} ns, write_chrome < {CEILING_CHROME_NS} ns, world cycle < {CEILING_WORLD_CYCLE_MS} ms)"
     );
 }

@@ -60,10 +60,11 @@ impl Sim {
                 return StopReason::AllExited;
             }
             let idle = k.cpus.iter().all(|c| c.running.is_none());
-            if idle && k.timers.next_deadline().is_none() {
+            let next = k.next_stop(idle);
+            if idle && next.is_none() {
                 return StopReason::Deadlock(k.deadlock_report());
             }
-            k.advance_cpus(end);
+            k.advance_cpus(end, next);
         }
     }
 
@@ -140,12 +141,12 @@ impl Kernel {
     }
 
     /// Advances virtual time across all busy CPUs by the largest step that
-    /// reaches no timer, no end of a debt and no end of a quantum; with
-    /// every CPU idle, that is the jump to the next timer or to `end`.
+    /// passes no timer (`next`: [`Kernel::next_stop`]), no end of a debt and
+    /// no end of a quantum; with every CPU idle, the jump to `next` or `end`.
     /// A step of zero is a quantum that expires now.
-    fn advance_cpus(&mut self, end: SimTime) {
+    fn advance_cpus(&mut self, end: SimTime, next: Option<SimTime>) {
         let mut dt = end.saturating_since(self.clock);
-        if let Some(t) = self.timers.next_deadline() {
+        if let Some(t) = next {
             dt = dt.min(t.saturating_since(self.clock));
         }
         for cpu in 0..self.cpus.len() {

@@ -32,6 +32,7 @@ use crate::rng::SplitMix64;
 use crate::thread::{JoinHandle, Priority, ThreadId, ThreadInfo, ThreadView};
 use crate::time::{micros, millis, SimDuration, SimTime};
 use crate::timer::{TimerKind, TimerWheel};
+use crate::wheel::WheelToken;
 
 pub mod policy;
 
@@ -280,7 +281,9 @@ pub(crate) struct Tcb {
     parent: Option<ThreadId>,
     generation: u32,
     cpu: SimDuration,
-    wait_seq: u64,
+    /// The CV wait in progress's timeout, and the spurious wakeup chaos
+    /// armed for it, until [`Kernel::end_wait`] takes them off the wheel.
+    wait_timers: [Option<WheelToken>; 2],
     /// Monitor to (re)acquire when next dispatched.
     acquire_on_dispatch: Option<MonitorId>,
     /// The CV wait that reacquiring its monitor ends, and the outcome to
@@ -435,6 +438,13 @@ pub(crate) struct Kernel {
     /// What a directed yield asked of the next pick (uniprocessor only).
     donation: Option<DonationPlan>,
     pub(crate) timers: TimerWheel,
+    /// The latest deadline of any wait timer cancelled so far: the
+    /// compatibility rule of cancelling eagerly. A cancelled timeout used to
+    /// stay in the wheel until its deadline, so an otherwise quiescent world
+    /// idled on to it before it stopped (`TimeLimit`, or `Deadlock` *at* that
+    /// deadline), and the fuzz signatures and goldens record those stops. Only
+    /// an idle world reads it ([`Kernel::next_stop`]); re-triaging deletes it.
+    cancelled_until: SimTime,
     /// This world's account with its OS thread's pool of vacant stacks:
     /// a simulated fork takes a vacated stack instead of mapping one, so
     /// steady-state fork/exit makes no system call, and nor does building
@@ -524,6 +534,7 @@ impl Sim {
             pool: StackPool::default(),
             donation: None,
             timers: TimerWheel::new(),
+            cancelled_until: SimTime::ZERO,
             monitors: Vec::new(),
             conds: Vec::new(),
             sink: None,
@@ -922,7 +933,7 @@ impl Sim {
             }
             match k.pick_next() {
                 Some((tid, slice, shield)) => k = self.dispatch(k, tid, slice, shield),
-                None => match k.timers.next_deadline() {
+                None => match k.next_stop(true) {
                     Some(t) if t <= end => k.set_clock(t),
                     Some(_) => return StopReason::TimeLimit,
                     None => return StopReason::Deadlock(k.deadlock_report()),
@@ -1127,7 +1138,7 @@ impl Kernel {
             parent,
             generation,
             cpu: SimDuration::ZERO,
-            wait_seq: 0,
+            wait_timers: [None; 2],
             acquire_on_dispatch: None,
             reacquire: None,
             stall_pending: None,
@@ -1383,7 +1394,37 @@ impl Kernel {
 
     // ---- timers -----------------------------------------------------------
 
+    /// Fires what is due. Inlined: that nothing is costs the caller a field read.
+    #[inline]
     pub(crate) fn fire_due_timers(&mut self) {
+        if self.timers.next_deadline().is_some_and(|t| t <= self.clock) {
+            self.fire_timers();
+        }
+    }
+
+    /// Where the clock next stops for a timer: the next one due, and with
+    /// nothing to run (`idle`) also the latest deadline cancelled, while it
+    /// is ahead of the clock (`cancelled_until` says why).
+    pub(crate) fn next_stop(&self, idle: bool) -> Option<SimTime> {
+        let cancelled = Some(self.cancelled_until).filter(|&t| idle && t > self.clock);
+        let next = self.timers.next_deadline();
+        [next, cancelled].into_iter().flatten().min()
+    }
+
+    /// The one way out of a CV wait, whoever ends it — NOTIFY, BROADCAST,
+    /// its timeout, a spurious wakeup: its timers come off the wheel (one
+    /// that is firing is off already), which so holds live timers only.
+    fn end_wait(&mut self, tid: ThreadId) {
+        let timers = std::mem::take(&mut self.threads[tid.0 as usize].wait_timers);
+        for token in timers.into_iter().flatten() {
+            if self.timers.cancel(token) {
+                self.cancelled_until = self.cancelled_until.max(token.deadline());
+            }
+        }
+    }
+
+    #[inline(never)]
+    fn fire_timers(&mut self) {
         while let Some(kind) = self.timers.pop_due(self.clock) {
             match kind {
                 TimerKind::Wake(tid) => {
@@ -1391,30 +1432,25 @@ impl Kernel {
                         self.push_ready_back(tid);
                     }
                 }
-                TimerKind::CvTimeout { tid, cv, seq }
-                | TimerKind::ChaosSpuriousWake { tid, cv, seq } => {
-                    // Lazily cancelled: only a thread still in the wait
-                    // numbered `seq` times out, or wakes spuriously.
+                TimerKind::CvTimeout { tid, cv } | TimerKind::ChaosSpuriousWake { tid, cv } => {
                     let idx = tid.0 as usize;
-                    let live = self.threads[idx].wait_seq == seq
-                        && self.threads[idx].state == TState::CvWait(cv);
-                    if live {
-                        self.threads[idx].wait_seq += 1;
-                        let mid = self.conds[cv.0 as usize].monitor;
-                        self.conds[cv.0 as usize].queue.retain(|&w| w != tid);
-                        let outcome = if matches!(kind, TimerKind::CvTimeout { .. }) {
-                            self.stats.cv_timeouts += 1;
-                            WaitOutcome::TimedOut
-                        } else {
-                            self.stats.chaos_spurious_wakeups += 1;
-                            self.emit(EventKind::SpuriousWakeup { tid, cv });
-                            WaitOutcome::Spurious
-                        };
-                        let t = &mut self.threads[idx];
-                        t.acquire_on_dispatch = Some(mid);
-                        t.reacquire = Some((outcome, cv));
-                        self.push_ready_back(tid);
-                    }
+                    let waiting = self.threads[idx].state == TState::CvWait(cv);
+                    assert!(waiting, "a wait's timer outlived the wait");
+                    self.end_wait(tid);
+                    let mid = self.conds[cv.0 as usize].monitor;
+                    self.conds[cv.0 as usize].queue.retain(|&w| w != tid);
+                    let outcome = if matches!(kind, TimerKind::CvTimeout { .. }) {
+                        self.stats.cv_timeouts += 1;
+                        WaitOutcome::TimedOut
+                    } else {
+                        self.stats.chaos_spurious_wakeups += 1;
+                        self.emit(EventKind::SpuriousWakeup { tid, cv });
+                        WaitOutcome::Spurious
+                    };
+                    let t = &mut self.threads[idx];
+                    t.acquire_on_dispatch = Some(mid);
+                    t.reacquire = Some((outcome, cv));
+                    self.push_ready_back(tid);
                 }
                 TimerKind::ChaosStallStart { spec } => {
                     let s = &self.cfg.chaos.stalls[spec as usize];
@@ -2053,35 +2089,31 @@ impl Kernel {
         let first = !std::mem::replace(&mut self.conds[cv.0 as usize].waited, true);
         self.stats.distinct_conditions += usize::from(first);
         self.emit(EventKind::CvWait { tid, cv });
-        let now = self.clock;
-        let t = &mut self.threads[tid.0 as usize];
-        t.wait_seq += 1;
-        let seq = t.wait_seq;
-        t.state = TState::CvWait(cv);
-        t.blocked_since = now;
-        if let Some(timeout) = self.conds[cv.0 as usize].timeout {
-            let deadline = (self.clock + timeout).round_up_to(self.cfg.granularity())
+        let timeout = self.conds[cv.0 as usize].timeout.map(|timeout| {
+            let at = (self.clock + timeout).round_up_to(self.cfg.granularity())
                 + self.chaos_timer_jitter();
-            self.timers
-                .schedule(deadline, TimerKind::CvTimeout { tid, cv, seq });
-        }
+            self.timers.schedule(at, TimerKind::CvTimeout { tid, cv })
+        });
         let spurious = self.chaos_decision(FaultSiteKind::SpuriousWakeup, |s, _| {
             let sp = s.cfg.chaos.spurious_wakeup_prob;
             if sp > 0.0 && s.chaos_rng.next_f64() < sp {
-                // A spurious wakeup 1..=spurious_delay µs into the wait;
-                // lazily cancelled if the wait ends first.
+                // A spurious wakeup 1..=spurious_delay µs into the wait,
+                // unless the wait ends first.
                 let max = s.cfg.chaos.spurious_delay.as_micros();
                 Some(s.chaos_rng.next_below(max) + 1)
             } else {
                 None
             }
         });
-        if let Some(delay_us) = spurious {
-            self.timers.schedule(
-                self.clock + micros(delay_us),
-                TimerKind::ChaosSpuriousWake { tid, cv, seq },
-            );
-        }
+        let spurious = spurious.map(|delay_us| {
+            let kind = TimerKind::ChaosSpuriousWake { tid, cv };
+            self.timers.schedule(self.clock + micros(delay_us), kind)
+        });
+        let now = self.clock;
+        let t = &mut self.threads[tid.0 as usize];
+        t.state = TState::CvWait(cv);
+        t.blocked_since = now;
+        t.wait_timers = [timeout, spurious];
         self.conds[cv.0 as usize].queue.push_back(tid);
         self.emit(EventKind::MlExit { tid, monitor: mid });
         self.release_monitor(mid);
@@ -2161,8 +2193,8 @@ impl Kernel {
 
     /// Wakes one CV waiter according to the configured NOTIFY mode.
     fn wake_waiter(&mut self, w: ThreadId, mid: MonitorId, cv: CondId) {
+        self.end_wait(w);
         let wt = &mut self.threads[w.0 as usize];
-        wt.wait_seq += 1; // Lazily cancels the timeout timer.
         match self.cfg.notify_mode {
             NotifyMode::Immediate => {
                 wt.acquire_on_dispatch = Some(mid);

@@ -6,7 +6,10 @@
 //! the caller; the wheel behaves as an exact priority queue ordered by
 //! (deadline, insertion sequence) so same-deadline timers fire FIFO —
 //! byte-for-byte the order the previous `BinaryHeap` implementation
-//! produced, which is what keeps traces replay-identical. The wheel
+//! produced, which is what keeps traces replay-identical. It holds live
+//! timers only: a CV wait keeps the tokens of its timers, and whatever
+//! ends the wait cancels what is left of them, so a quantised deadline is
+//! shared by the waits still on, not by every wait of the tick. The wheel
 //! mechanics (layout, cascading, cancellation) live in [`crate::wheel`]
 //! so workloads can reuse them for their own deadline bookkeeping.
 
@@ -18,13 +21,11 @@ use crate::thread::ThreadId;
 pub(crate) enum TimerKind {
     /// Wake a sleeping thread.
     Wake(ThreadId),
-    /// Time out a CV wait. `seq` must match the thread's current wait
-    /// sequence number or the timer is stale and ignored (lazy
-    /// cancellation).
-    CvTimeout { tid: ThreadId, cv: CondId, seq: u64 },
-    /// Chaos: wake a CV waiter spuriously. Lazily cancelled by `seq`
-    /// exactly like `CvTimeout`.
-    ChaosSpuriousWake { tid: ThreadId, cv: CondId, seq: u64 },
+    /// Time out `tid`'s wait on `cv`. Whatever ends the wait first cancels
+    /// it (the waiter's `Tcb` keeps the token): in the wheel, it is live.
+    CvTimeout { tid: ThreadId, cv: CondId },
+    /// Chaos: wake a CV waiter spuriously. Cancelled like `CvTimeout`.
+    ChaosSpuriousWake { tid: ThreadId, cv: CondId },
     /// Chaos: begin the stall described by `ChaosConfig.stalls[spec]`.
     ChaosStallStart { spec: u32 },
     /// Chaos: the stalled thread becomes schedulable again.
@@ -39,8 +40,8 @@ mod tests {
     use super::*;
     use crate::time::{millis, SimTime};
 
-    /// The runtime aliases stay drop-in: schedule discards its token at
-    /// every scheduler call site, pop order is (deadline, seq).
+    /// The runtime aliases stay drop-in: a token cancels its entry and
+    /// may be discarded (a sleep's is), pop order is (deadline, seq).
     #[test]
     fn runtime_alias_round_trip() {
         let mut w = TimerWheel::new();

@@ -78,6 +78,9 @@ pub struct Wheel<K: Copy> {
     /// `slots[level][idx]` heads a singly-linked list of nodes. List
     /// order is arbitrary: level-0 lists share one exact deadline, and
     /// the pop scans for the minimum `seq`, so FIFO falls out exactly.
+    /// The scan is as long as the *live* timers of one deadline — CV
+    /// timeouts are quantised to a tick, so they share one — and the
+    /// scheduler keeps it short by cancelling a timeout when its wait ends.
     slots: [[u32; SLOTS]; LEVELS],
     /// Bit `i` of `occupied[level]` set iff `slots[level][i]` is nonempty.
     occupied: [u64; LEVELS],
@@ -355,8 +358,8 @@ impl<K: Copy> Wheel<K> {
         let idx = Self::slot_of(e.as_micros(), 0);
         debug_assert!(self.occupied[0] & (1 << idx) != 0, "minimum slot empty");
         // The level-0 slot holds only entries at exactly `e`; unlink the
-        // one with the smallest seq (lists are unordered but tiny: only
-        // same-microsecond timers share a slot).
+        // one with the smallest seq (lists are unordered, and as long as the
+        // live timers of one tick: see `slots`).
         let mut best = NIL;
         let mut best_prev = NIL;
         let mut prev = NIL;

@@ -744,3 +744,33 @@ fn two_cpus_inject_every_fault_and_replay_it_from_the_script() {
     assert_eq!(ev_a, ev_b, "scripted replay diverged on two CPUs");
     assert_eq!(sched, sched_b, "replayed schedule is not a fixed point");
 }
+
+#[test]
+fn waits_ended_by_every_route_replay_from_the_script_on_one_and_two_cpus() {
+    // A wait's timers are cancelled by whatever ends it. With NOTIFYs
+    // dropped and spurious wakeups armed, a wait here ends by a NOTIFY with
+    // one or both timers pending, by its timeout with the spurious wakeup
+    // pending, or by the spurious wakeup with the timeout pending.
+    let chaos = ChaosConfig::none().spurious_wakeups(0.3).drop_notifies(0.3);
+    for cpus in [1, 2] {
+        let (ev_a, sched, st) = run_pct(chaos.clone(), 0xD15EA5E, cpus);
+        let ended_by = |route: WaitOutcome| {
+            let woke = |e: &&Event| matches!(e.kind, EventKind::CvWake { outcome, .. } if outcome == route);
+            ev_a.iter().filter(woke).count() as u64
+        };
+        let (notified, timed_out, spurious) = (
+            ended_by(WaitOutcome::Notified),
+            ended_by(WaitOutcome::TimedOut),
+            ended_by(WaitOutcome::Spurious),
+        );
+        assert!(notified > 0 && timed_out > 0 && spurious > 0, "{st:?}");
+        assert!(st.chaos_dropped_notifies > 0, "{st:?}");
+        // Each wait ended once, bar those still on at the end of the run.
+        let ended = notified + timed_out + spurious;
+        assert!(ended <= st.cv_waits && st.cv_waits <= ended + 4, "{st:?}");
+        let script = ChaosConfig::none().scripted(sched.clone());
+        let (ev_b, sched_b, _) = run_pct(script, 0xD15EA5E, cpus);
+        assert_eq!(ev_a, ev_b, "scripted replay diverged on {cpus} CPUs");
+        assert_eq!(sched, sched_b, "not a fixed point on {cpus} CPUs");
+    }
+}

@@ -296,6 +296,80 @@ fn a_thread_switches_stacks_only_to_leave_the_cpu() {
     assert_eq!(stack_switches(quantum), 2 + 1);
 }
 
+/// A waiter on a CV with a 30 s timeout is NOTIFYed at ~1 ms, and then
+/// both threads wait for good on a CV with none.
+fn notified_then_quiescent(cpus: usize) -> Sim {
+    let mut sim = Sim::with_cpus(SimConfig::default(), cpus);
+    let m = sim.monitor("m", ());
+    let timed = sim.condition(&m, "timed", Some(secs(30)));
+    let never = sim.condition(&m, "never", None);
+    let (m2, timed2, never2) = (m.clone(), timed.clone(), never.clone());
+    let _ = sim.fork_root("waiter", Priority::DEFAULT, move |ctx| {
+        let mut g = ctx.enter(&m2);
+        assert_eq!(g.wait(&timed2), WaitOutcome::Notified);
+        let _ = g.wait(&never2);
+    });
+    let _ = sim.fork_root("notifier", Priority::DEFAULT, move |ctx| {
+        ctx.sleep_precise(millis(1));
+        let mut g = ctx.enter(&m);
+        g.notify(&timed);
+        let _ = g.wait(&never);
+    });
+    sim
+}
+
+#[test]
+fn a_quiescent_world_idles_on_to_the_deadline_of_a_wait_that_was_notified() {
+    // The timeout of the ended wait, on the 50 ms tick. It wakes nobody,
+    // but a world with nothing else to do is not over until it has passed.
+    let deadline = SimTime::ZERO + secs(30) + millis(50);
+    for cpus in [1, 2] {
+        let report = notified_then_quiescent(cpus).run(RunLimit::For(secs(20)));
+        assert_eq!(report.reason, StopReason::TimeLimit, "{cpus} cpus");
+        assert_eq!(report.now, SimTime::ZERO + secs(20), "{cpus} cpus");
+
+        let mut sim = notified_then_quiescent(cpus);
+        let report = sim.run(RunLimit::ToCompletion);
+        assert!(report.deadlocked(), "{cpus} cpus: {:?}", report.reason);
+        assert_eq!(report.now, deadline, "{cpus} cpus");
+        assert_eq!(sim.stats().cv_timeouts, 0, "{cpus} cpus");
+    }
+}
+
+#[test]
+fn the_wheel_is_as_small_as_the_live_waits() {
+    // The ping-pong microworld of `benchmark/src/layers.rs`: every wait
+    // arms a 50 ms timeout and nearly every one is ended by the NOTIFY of
+    // the other thread, microseconds later.
+    const ROUNDS: u64 = 4_000;
+    let mut sim = Sim::new(SimConfig::default());
+    let m = sim.monitor("m", ());
+    let cv = sim.condition(&m, "cv", Some(millis(50)));
+    for name in ["ping", "pong"] {
+        let (m, cv) = (m.clone(), cv.clone());
+        let _ = sim.fork_root(name, Priority::DEFAULT, move |ctx| {
+            let mut g = ctx.enter(&m);
+            for _ in 0..ROUNDS {
+                g.notify(&cv);
+                let _ = g.wait(&cv);
+            }
+            g.notify(&cv);
+        });
+    }
+    let report = sim.run(RunLimit::ToCompletion);
+    assert_eq!(report.reason, StopReason::AllExited);
+    let alloc = sim.alloc_counters();
+    // One timer armed per wait, as ever,
+    assert_eq!(sim.stats().cv_waits, 2 * ROUNDS);
+    assert_eq!(
+        alloc.timer_node_allocs + alloc.timer_node_reuses,
+        2 * ROUNDS,
+        "{alloc:?}"
+    );
+    // and at most one live per thread: an ended wait's left with it.
+    assert!(alloc.timer_node_allocs <= 2, "{alloc:?}");
+}
+
 /// A sink whose tenth `record` panics: by then the world below is
 /// emitting from kernel calls made on a body's stack.
 struct PanicsOnTenth(u32);

@@ -389,6 +389,24 @@ mod tests {
     }
 
     #[test]
+    fn the_timer_slab_is_as_small_as_the_live_threads() {
+        // Some forty threads, each with one sleep or one CV timeout
+        // pending and no more: a NOTIFYed wait's timeout leaves the wheel
+        // with the wait, so the slab's high-water mark is the threads and
+        // not the waits of the last timeout interval.
+        let mut sim = build(System::Cedar, Benchmark::Keyboard, 0xCEDA_2026);
+        sim.run(RunLimit::For(secs(2 + 8)));
+        let alloc = sim.alloc_counters();
+        assert!(alloc.timer_node_allocs < 50, "{alloc:?}");
+        // As many timers armed as ever: the benchmark's `timer_ops`.
+        assert_eq!(
+            alloc.timer_node_allocs + alloc.timer_node_reuses,
+            2_046,
+            "{alloc:?}"
+        );
+    }
+
+    #[test]
     fn clean_runs_report_no_hazards() {
         let r = probe(System::Gvx, Benchmark::Idle);
         assert_eq!(r.hazards, pcr::HazardCounts::default());

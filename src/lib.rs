@@ -19,7 +19,9 @@
 //! * [`workloads`] — synthetic Cedar and GVX worlds and the paper's
 //!   twelve benchmarks;
 //! * [`xpipe`] — the X-server pipeline case studies (§5.2, §5.6, §6.1,
-//!   §6.3).
+//!   §6.3);
+//! * [`serverd`] — the overload-resilient serve world, the largest here
+//!   ([`serverd::ServeSpec`]: a fleet of sessions against that pipeline).
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for
 //! paper-vs-measured results of every table and figure.
@@ -63,6 +65,7 @@
 pub use mesa;
 pub use paradigms;
 pub use pcr;
+pub use serverd;
 pub use threadstudy_core as core;
 pub use trace;
 pub use workloads;

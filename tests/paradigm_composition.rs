@@ -90,9 +90,10 @@ fn a_small_interactive_system_from_paradigm_parts() {
     assert!(!r.deadlocked());
     // The pump stays blocked in its take with nobody left to feed it,
     // which alone would end the run as a deadlock. It ends at the time
-    // limit because the cancelled watchdog's 30 s `CvTimeout`, cancelled
-    // lazily, is still in the wheel: with a timer pending the scheduler
-    // idles on to the limit. The main thread's result must be complete.
+    // limit because the kernel remembers the deadline of the cancelled
+    // watchdog's 30 s `CvTimeout` (the latest it has cancelled) and an
+    // idle world idles on to that, so to the limit, before it is over.
+    // The main thread's result must be complete.
     let applied = h.into_result().expect("main thread finished").unwrap();
     assert_eq!(applied.len(), 8);
     for (i, s) in applied.iter().enumerate() {
