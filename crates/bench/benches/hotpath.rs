@@ -30,7 +30,11 @@
 //! Cedar/Keyboard stream: `write_jsonl` under 400 ns per event and
 //! `write_chrome` under 800 ns per input event. Writing lines directly
 //! costs about 70 and 190 ns; building a `Json` tree per event first cost
-//! 802 and 1 813 ns, so a slide back to tree-building trips them.
+//! 802 and 1 813 ns, so a slide back to tree-building trips them. Reading
+//! them back has two more: `parse_jsonl` under 450 ns per line (~140 with
+//! numbers taken as they are scanned, 617 when it built a tree per line)
+//! and `Json::parse` of the Chrome document over 80 MB/s (~250 with each
+//! object sized by its sibling; a `Vec` regrown per object read ~200).
 //!
 //! And a world's lifecycle has one: building the Cedar/Keyboard world
 //! (~40 threads, some 3 000 library monitors) and dropping it unrun must
@@ -123,10 +127,12 @@ fn notify_wait_ns(reps: u32) -> f64 {
     best
 }
 
-/// Best-of-`reps` wall nanoseconds per input event for `write_jsonl` and
-/// `write_chrome` over one recorded Cedar/Keyboard stream (10 virtual
-/// seconds), each writing to memory.
-fn export_ns_per_event(reps: u32) -> [f64; 2] {
+/// Best-of-`reps` figures for the text path over one recorded
+/// Cedar/Keyboard stream (10 virtual seconds), all in memory: wall
+/// nanoseconds per input event for `write_jsonl` and `write_chrome`, then
+/// for reading them back, nanoseconds per line for `parse_jsonl` and
+/// megabytes per second for `Json::parse` of the Chrome document.
+fn text_path(reps: u32) -> [f64; 4] {
     let (sys, bench) = (workloads::System::Cedar, workloads::Benchmark::Keyboard);
     let mut sim = workloads::runner::build(sys, bench, 0xBEEF);
     sim.set_sink(Box::new(pcr::VecSink::default()));
@@ -136,22 +142,44 @@ fn export_ns_per_event(reps: u32) -> [f64; 2] {
     let events = sink.expect("the VecSink just installed").events;
     let jsonl: &dyn Fn(&mut Vec<u8>) = &|out| drop(trace::write_jsonl(&events, out));
     let chrome: &dyn Fn(&mut Vec<u8>) = &|out| drop(trace::write_chrome(&events, &labels, out));
-    [
+    let [(jsonl_ns, jsonl), (chrome_ns, chrome)] = [
         ("hotpath_write_jsonl", jsonl),
         ("hotpath_write_chrome", chrome),
     ]
     .map(|(name, write)| {
         let mut best = f64::INFINITY;
+        let mut text = Vec::new();
         for _ in 0..=reps {
             let mut out = Vec::new();
             let start = Instant::now();
             write(&mut out);
             best = best.min(start.elapsed().as_nanos() as f64 / events.len() as f64);
             assert!(!out.is_empty());
+            text = out;
         }
         println!("{name:40} {best:>12.0} ns/event  (best of {reps})");
-        best
-    })
+        (best, String::from_utf8(text).expect("JSON is UTF-8"))
+    });
+    let (mut parse_ns, mut parse_mb_s) = (f64::INFINITY, 0.0f64);
+    for _ in 0..=reps {
+        let start = Instant::now();
+        let lines = trace::parse_jsonl(&jsonl).expect("what write_jsonl wrote");
+        parse_ns = parse_ns.min(start.elapsed().as_nanos() as f64 / lines.len() as f64);
+        assert_eq!(lines.len(), events.len());
+        let start = Instant::now();
+        let doc = trace::Json::parse(&chrome).expect("what write_chrome wrote");
+        parse_mb_s = parse_mb_s.max(chrome.len() as f64 / 1e6 / start.elapsed().as_secs_f64());
+        assert!(doc.get("traceEvents").is_some());
+    }
+    println!(
+        "{:40} {parse_ns:>12.0} ns/line  (best of {reps})",
+        "hotpath_parse_jsonl"
+    );
+    println!(
+        "{:40} {parse_mb_s:>12.0} MB/s  (best of {reps})",
+        "hotpath_json_parse_chrome"
+    );
+    [jsonl_ns, chrome_ns, parse_ns, parse_mb_s]
 }
 
 /// Best-of-`reps` wall milliseconds to build the Cedar/Keyboard world and
@@ -235,7 +263,7 @@ fn main() {
     let round_ns = notify_wait_ns(5);
     let pingpong = events_per_sec("hotpath_notify_wait_pingpong_5s", 3, notify_wait_pingpong);
     let storm = events_per_sec("hotpath_fork_join_storm_5s", 3, fork_join_storm);
-    let [jsonl_ns, chrome_ns] = export_ns_per_event(3);
+    let [jsonl_ns, chrome_ns, parse_ns, parse_mb_s] = text_path(3);
     let cycle_ms = world_cycle_ms(20);
 
     const TIMER_OPS: u64 = 200_000;
@@ -253,6 +281,8 @@ fn main() {
     const CEILING_NOTIFY_WAIT_NS: f64 = 600.0;
     const CEILING_JSONL_NS: f64 = 400.0;
     const CEILING_CHROME_NS: f64 = 800.0;
+    const CEILING_JSONL_PARSE_NS: f64 = 450.0;
+    const FLOOR_JSON_PARSE_MB_S: f64 = 80.0;
     const CEILING_WORLD_CYCLE_MS: f64 = 0.65;
     let (cycle_ns, cycle_ceiling_ns) = (cycle_ms * 1e6, CEILING_WORLD_CYCLE_MS * 1e6);
     for (what, ns, ceiling) in [
@@ -261,6 +291,7 @@ fn main() {
         ("a NOTIFY + WAIT round", round_ns, CEILING_NOTIFY_WAIT_NS),
         ("write_jsonl, per event,", jsonl_ns, CEILING_JSONL_NS),
         ("write_chrome, per event,", chrome_ns, CEILING_CHROME_NS),
+        ("parse_jsonl, per line,", parse_ns, CEILING_JSONL_PARSE_NS),
         ("a world's build + drop", cycle_ns, cycle_ceiling_ns),
     ] {
         assert!(
@@ -279,7 +310,11 @@ fn main() {
     ] {
         assert!(rate > floor, "{what}/sec fell below {floor} ({rate:.0})");
     }
+    assert!(
+        parse_mb_s > FLOOR_JSON_PARSE_MB_S,
+        "Json::parse read {parse_mb_s:.0} MB/s, under the {FLOOR_JSON_PARSE_MB_S} MB/s floor"
+    );
     println!(
-        "hot-path floors ok (> {FLOOR_EVENTS_PER_SEC} events/sec, wheel > {FLOOR_TIMER_OPS_PER_SEC} arm+fire/sec, handoff < {CEILING_HANDOFF_NS} ns, enter + exit < {CEILING_PAIR_NS} ns, NOTIFY + WAIT < {CEILING_NOTIFY_WAIT_NS} ns, write_jsonl < {CEILING_JSONL_NS} ns, write_chrome < {CEILING_CHROME_NS} ns, world cycle < {CEILING_WORLD_CYCLE_MS} ms)"
+        "hot-path floors ok (> {FLOOR_EVENTS_PER_SEC} events/sec, wheel > {FLOOR_TIMER_OPS_PER_SEC} arm+fire/sec, handoff < {CEILING_HANDOFF_NS} ns, enter + exit < {CEILING_PAIR_NS} ns, NOTIFY + WAIT < {CEILING_NOTIFY_WAIT_NS} ns, write_jsonl < {CEILING_JSONL_NS} ns, write_chrome < {CEILING_CHROME_NS} ns, parse_jsonl < {CEILING_JSONL_PARSE_NS} ns, Json::parse > {FLOOR_JSON_PARSE_MB_S} MB/s, world cycle < {CEILING_WORLD_CYCLE_MS} ms)"
     );
 }

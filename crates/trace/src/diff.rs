@@ -183,14 +183,6 @@ impl DiffReport {
     }
 }
 
-fn counts(events: &[EventRecord]) -> BTreeMap<&str, u64> {
-    let mut m = BTreeMap::new();
-    for e in events {
-        *m.entry(&*e.kind).or_insert(0) += 1;
-    }
-    m
-}
-
 fn ready_us(r: &EventRecord) -> Option<u64> {
     let detail = r.detail.as_deref()?;
     let at = detail.find("ready_us=")?;
@@ -201,24 +193,32 @@ fn ready_us(r: &EventRecord) -> Option<u64> {
     rest[..end].parse().ok()
 }
 
-fn mean_latency(events: &[EventRecord]) -> f64 {
-    let waits: Vec<u64> = events
-        .iter()
-        .filter(|e| e.kind == "switch")
-        .filter_map(ready_us)
-        .collect();
-    if waits.is_empty() {
-        0.0
-    } else {
-        waits.iter().sum::<u64>() as f64 / waits.len() as f64
+/// One walk over a run: occurrences of each kind, the mean `ready_us`
+/// (µs) of its switch records, and how many `ml_enter`s were contended.
+fn summarize(events: &[EventRecord]) -> (BTreeMap<&str, u64>, f64, u64) {
+    // A run has a few dozen kinds at most: they are tallied in a list
+    // searched newest first, and by address before by text, since the
+    // tags this build writes are interned. The map is built once.
+    let mut tally: Vec<(&str, u64)> = Vec::new();
+    let (mut waits, mut waited_us, mut contended) = (0u64, 0u64, 0u64);
+    for e in events {
+        let kind: &str = &e.kind;
+        let found = tally.iter().rposition(|(k, _)| std::ptr::eq(*k, kind));
+        match found.or_else(|| tally.iter().rposition(|(k, _)| *k == kind)) {
+            Some(i) => tally[i].1 += 1,
+            None => tally.push((kind, 1)),
+        }
+        if kind == "switch" {
+            if let Some(us) = ready_us(e) {
+                waits += 1;
+                waited_us += us;
+            }
+        } else if kind == "ml_enter" && e.detail.as_deref() == Some("contended") {
+            contended += 1;
+        }
     }
-}
-
-fn contended(events: &[EventRecord]) -> u64 {
-    events
-        .iter()
-        .filter(|e| e.kind == "ml_enter" && e.detail.as_deref() == Some("contended"))
-        .count() as u64
+    let mean_us = waited_us as f64 / waits.max(1) as f64;
+    (tally.into_iter().collect(), mean_us, contended)
 }
 
 /// Aligns two runs by event sequence and reports every difference:
@@ -246,8 +246,7 @@ fn contended(events: &[EventRecord]) -> u64 {
 /// assert_eq!(report.fault_sites[0].0, "spurious_wakeup");
 /// ```
 pub fn diff_runs(a: &[EventRecord], b: &[EventRecord], threshold_pct: f64) -> DiffReport {
-    let ca = counts(a);
-    let cb = counts(b);
+    let ((ca, mean_a, contended_a), (cb, mean_b, contended_b)) = (summarize(a), summarize(b));
     let mut kinds: Vec<&str> = ca.keys().chain(cb.keys()).copied().collect();
     kinds.sort_unstable();
     kinds.dedup();
@@ -291,8 +290,8 @@ pub fn diff_runs(a: &[EventRecord], b: &[EventRecord], threshold_pct: f64) -> Di
         b_events: b.len(),
         kind_deltas,
         fault_sites,
-        mean_latency_us: (mean_latency(a), mean_latency(b)),
-        contended_enters: (contended(a), contended(b)),
+        mean_latency_us: (mean_a, mean_b),
+        contended_enters: (contended_a, contended_b),
         first_divergence,
         threshold_pct,
     }
@@ -301,6 +300,7 @@ pub fn diff_runs(a: &[EventRecord], b: &[EventRecord], threshold_pct: f64) -> Di
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::borrow::Cow;
 
     fn rec(t: u64, kind: &str) -> EventRecord {
         EventRecord {
@@ -368,6 +368,66 @@ mod tests {
         let r = diff_runs(&a, &b, 1.0);
         assert_eq!(r.mean_latency_us, (10.0, 30.0));
         assert_eq!(r.contended_enters, (1, 0));
+    }
+
+    #[test]
+    fn one_walk_summarises_a_run_as_four_did() {
+        // Interned tags (as `parse_jsonl` yields them), the same tags
+        // owned, and a kind from the future, interleaved.
+        let mut rng = pcr::SplitMix64::new(0xD1FF);
+        let mut run = |n: u64| -> Vec<EventRecord> {
+            (0..n)
+                .map(|t| {
+                    let tag = ["switch", "ml_enter", "notify_dropped", "exit"]
+                        [rng.next_below(4) as usize];
+                    let mut r = rec(t, tag);
+                    r.kind = match rng.next_below(3) {
+                        0 => Cow::Borrowed(tag),
+                        1 => Cow::Owned(tag.to_string()),
+                        _ => Cow::Owned("from_the_future".to_string()),
+                    };
+                    r.detail = match rng.next_below(4) {
+                        0 => Some(format!("prio=4 ready_us={}", rng.next_below(500))),
+                        1 => Some("contended".to_string()),
+                        2 => Some("prio=4".to_string()),
+                        _ => None,
+                    };
+                    r
+                })
+                .collect()
+        };
+        let (a, b) = (run(400), run(300));
+        let report = diff_runs(&a, &b, 0.0);
+
+        let counts = |events: &[EventRecord]| {
+            let mut m = BTreeMap::new();
+            for e in events {
+                *m.entry(e.kind.to_string()).or_insert(0u64) += 1;
+            }
+            m
+        };
+        let mean_latency = |events: &[EventRecord]| {
+            let is_switch = |e: &&EventRecord| e.kind == "switch";
+            let waits: Vec<u64> = events
+                .iter()
+                .filter(is_switch)
+                .filter_map(ready_us)
+                .collect();
+            waits.iter().sum::<u64>() as f64 / waits.len() as f64
+        };
+        let contended = |events: &[EventRecord]| {
+            let hit =
+                |e: &&EventRecord| e.kind == "ml_enter" && e.detail.as_deref() == Some("contended");
+            events.iter().filter(hit).count() as u64
+        };
+        let (ca, cb) = (counts(&a), counts(&b));
+        assert_eq!(ca.len(), 5, "every kind occurs");
+        assert_eq!(report.kind_deltas.len(), 5);
+        for d in &report.kind_deltas {
+            assert_eq!((d.a, d.b), (ca[&d.kind], cb[&d.kind]), "{}", d.kind);
+        }
+        assert_eq!(report.mean_latency_us, (mean_latency(&a), mean_latency(&b)));
+        assert_eq!(report.contended_enters, (contended(&a), contended(&b)));
     }
 
     #[test]

@@ -10,11 +10,14 @@
 //! fixed keys as literals, the numbers through a digit buffer, the
 //! `detail` text written in place through the escaper. An
 //! [`EventRecord`] exists only on the reading side, where
-//! [`EventRecord::from_jsonl_line`] scans a line's known keys into it and
-//! interns `kind` against [`KIND_TAGS`], the tags the writer emits. Built
+//! [`EventRecord::from_jsonl_line`] scans a line's known keys into it:
+//! each key is resolved once to a slot, `t_us` and the ids are read as
+//! integers while they are scanned, `kind` and `detail` as strings, and
+//! nothing passes through a value unless it has the wrong type. `kind`
+//! is interned against [`KIND_TAGS`], the tags the writer emits. Built
 //! as a tree first, an event cost 802 ns to write and 617 ns to read
 //! back, more than the 520 ns it costs to simulate; direct, 72 and
-//! 240 ns (docs/OBSERVABILITY.md has the table).
+//! 140 ns (docs/OBSERVABILITY.md has the table).
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -92,8 +95,13 @@ kind_tags! {
     JoinBlocked => "join_blocked",
 }
 
-/// The optional id fields, in the order a line carries them.
-const ID_KEYS: [&str; 4] = ["tid", "other", "monitor", "cv"];
+/// Every key of a line; the reader's slot numbers. `t_us` and the two
+/// strings, then the optional ids in the order a line carries them.
+const KEYS: [&str; 7] = ["t_us", "kind", "detail", "tid", "other", "monitor", "cv"];
+const T_US: usize = 0;
+const KIND: usize = 1;
+const DETAIL: usize = 2;
+const FIRST_ID: usize = 3;
 
 impl EventRecord {
     /// Reads one line of JSONL. Unknown keys are ignored and the first
@@ -108,56 +116,65 @@ impl EventRecord {
             p.finish()?;
             return Err("record missing t_us".to_string());
         }
-        // Outer `None`: key not seen yet. Inner `None`: seen, wrong type.
         let (mut t_us, mut kind, mut detail, mut ids) = (None, None, None, [None; 4]);
+        // One bit per slot of `KEYS`: the key was seen (the first of a
+        // repeated key wins); the id it carried was not a `u32`. A `t_us`
+        // or `kind` of the wrong type just stays `None`.
+        let (mut seen, mut bad_id) = (0u8, 0u8);
         p.fields(|p, key| {
-            match (&*key, p.peek()) {
-                // The two strings are read without passing through a value.
-                ("kind", Some(b'"')) if kind.is_none() => {
+            let slot = KEYS.iter().position(|k| *k == key);
+            let slot = slot.filter(|slot| seen & 1 << slot == 0);
+            let Some(slot) = slot else {
+                return p.value().map(drop);
+            };
+            seen |= 1 << slot;
+            match (slot, p.peek()) {
+                // Strings and numbers are read without passing through a value.
+                (KIND, Some(b'"')) => {
                     let tag = p.string()?;
-                    kind = Some(Some(match KIND_TAGS.iter().find(|t| **t == tag) {
+                    kind = Some(match KIND_TAGS.iter().find(|t| **t == tag) {
                         Some(known) => Cow::Borrowed(*known),
                         None => Cow::Owned(tag.into_owned()),
-                    }));
+                    });
                 }
-                ("detail", Some(b'"')) if detail.is_none() => {
-                    detail = Some(Some(p.string()?.into_owned()));
-                }
-                (name, _) => {
-                    let v = p.value()?;
-                    match name {
-                        "t_us" => t_us = t_us.or(Some(v.as_u64())),
-                        "kind" => kind = kind.take().or(Some(None)),
-                        "detail" => detail = detail.take().or(Some(None)),
-                        _ => {
-                            if let Some(slot) = ID_KEYS.iter().position(|k| *k == name) {
-                                let id = v.as_u64().and_then(|n| u32::try_from(n).ok());
-                                ids[slot] = ids[slot].or(Some(id));
-                            }
-                        }
+                (DETAIL, Some(b'"')) => detail = Some(p.string()?.into_owned()),
+                (KIND | DETAIL, _) => drop(p.value()?),
+                _ => {
+                    let n = match p.uint() {
+                        Some(n) => Some(n),
+                        None => p.value()?.as_u64(),
+                    };
+                    if slot == T_US {
+                        t_us = n;
+                    } else {
+                        ids[slot - FIRST_ID] = n.and_then(|n| u32::try_from(n).ok());
+                        bad_id |= u8::from(ids[slot - FIRST_ID].is_none()) << slot;
                     }
                 }
             }
             Ok(())
         })?;
         p.finish()?;
-        let id = |slot: usize| match ids[slot] {
-            Some(None) => Err(format!("bad {} field", ID_KEYS[slot])),
-            seen => Ok(seen.flatten()),
-        };
+        let t_us = t_us.ok_or("record missing t_us")?;
+        let kind = kind.ok_or("record missing kind")?;
+        if bad_id != 0 {
+            let slot = bad_id.trailing_zeros() as usize;
+            return Err(format!("bad {} field", KEYS[slot]));
+        }
+        let [tid, other, monitor, cv] = ids;
         Ok(EventRecord {
-            t_us: t_us.flatten().ok_or("record missing t_us")?,
-            kind: kind.flatten().ok_or("record missing kind")?,
-            tid: id(0)?,
-            other: id(1)?,
-            monitor: id(2)?,
-            cv: id(3)?,
-            detail: detail.flatten(),
+            t_us,
+            kind,
+            tid,
+            other,
+            monitor,
+            cv,
+            detail,
         })
     }
 }
 
-/// The ids an event carries, in [`ID_KEYS`] order: the thread it is about,
+/// The ids an event carries, in [`KEYS`] order: the thread it is about,
 /// the other thread (fork child, switch target, wakee...), monitor, cv.
 fn ids(kind: &EventKind) -> [Option<u32>; 4] {
     use EventKind::*;
@@ -215,7 +232,7 @@ fn open_line(line: &mut String, t_us: u64, kind: &str, ids: [Option<u32>; 4]) {
     line.push_str(",\"kind\":\"");
     line.push_str(kind); // A tag from `tag`: nothing to escape.
     line.push('"');
-    for (key, id) in ID_KEYS.iter().zip(ids) {
+    for (key, id) in KEYS[FIRST_ID..].iter().zip(ids) {
         if let Some(id) = id {
             line.push_str(",\"");
             line.push_str(key);
@@ -394,18 +411,52 @@ mod tests {
         write_jsonl(&events, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         let mut kinds = std::collections::BTreeSet::new();
-        for (line, (_, tail)) in text.lines().zip(&samples) {
+        for (line, (kind, tail)) in text.lines().zip(&samples) {
             assert_eq!(line, format!("{{\"t_us\":123,{tail}"));
             // Every tag the writer emits is in the table the reader
-            // interns against.
+            // interns against, and every number reads back.
             let back = EventRecord::from_jsonl_line(line).unwrap();
             assert!(matches!(back.kind, Cow::Borrowed(_)), "{line}");
+            assert_eq!((back.t_us, &*back.kind), (123, tag(kind)), "{line}");
+            let back_ids = [back.tid, back.other, back.monitor, back.cv];
+            assert_eq!(back_ids, ids(kind), "{line}");
             kinds.insert(back.kind);
         }
         assert_eq!(text.lines().count(), samples.len());
         let table: std::collections::BTreeSet<_> =
             KIND_TAGS.iter().map(|t| Cow::Borrowed(*t)).collect();
         assert_eq!(kinds, table, "one sample per EventKind variant");
+    }
+
+    #[test]
+    fn the_first_of_a_repeated_key_wins_key_by_key() {
+        let line = concat!(
+            r#"{"cv":4,"detail":"first","t_us":1,"monitor":3,"kind":"fork","other":2,"tid":1,"#,
+            r#""tid":"x","kind":7,"t_us":-1,"cv":null,"detail":8,"other":4294967296,"monitor":1.5}"#
+        );
+        let first = EventRecord {
+            t_us: 1,
+            kind: Cow::Borrowed("fork"),
+            tid: Some(1),
+            other: Some(2),
+            monitor: Some(3),
+            cv: Some(4),
+            detail: Some("first".to_string()),
+        };
+        assert_eq!(EventRecord::from_jsonl_line(line), Ok(first));
+        // And the other way round, a wrong-typed first is not repaired by
+        // a good second: `t_us` is reported before `kind`, then the ids.
+        let line = concat!(
+            r#"{"cv":"x","t_us":-1,"kind":7,"tid":null,"#,
+            r#""tid":1,"kind":"fork","t_us":1,"cv":4}"#
+        );
+        let from = |line: &str| EventRecord::from_jsonl_line(line).unwrap_err();
+        assert_eq!(from(line), "record missing t_us");
+        assert_eq!(from(&line.replacen("-1", "1", 1)), "record missing kind");
+        assert_eq!(
+            from(&line.replacen("-1", "1", 1).replacen('7', "\"x\"", 1)),
+            "bad tid field"
+        );
     }
 
     #[test]

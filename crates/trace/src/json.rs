@@ -18,6 +18,14 @@
 //! Strings are escaped a run at a time (the longest stretch with nothing
 //! to escape is copied whole, as the parser reads them) and integers go
 //! through a stack digit buffer, not `fmt::Formatter`.
+//!
+//! The reader keeps the usual token on a short path, the rest out of
+//! line: a string with no escapes is borrowed from the input, a number of
+//! up to 18 digits is accumulated as it is scanned ([`Parser::uint`],
+//! which `parse_jsonl` calls for its ids, so no value is built per
+//! number), and an object starts with room for as many fields as its
+//! sibling had (`SHAPE_CAP`). What is left of a tree read is its
+//! allocations: a `String` per key, a `Vec` per container.
 
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
@@ -79,7 +87,11 @@ impl Json {
     /// Numbers parse as [`Json::Int`] when they fit an `i64`, as
     /// [`Json::UInt`] for larger non-negative integers, and as
     /// [`Json::Float`] otherwise — the same split the writers use, so
-    /// `parse(x.to_string()) == x` for every tree this module emits.
+    /// `parse(x.to_string()) == x` for every tree this module emits. A
+    /// number with no finite `f64` (`1e400`) is an error: it would be
+    /// written back as `null`. Known and harmless leniencies, pinned by a
+    /// test: leading zeros (`01`), a bare point (`1.`, `-.5`), and raw
+    /// control characters, a newline included, inside a string.
     ///
     /// ```
     /// use trace::Json;
@@ -240,11 +252,21 @@ pub(crate) fn write_uint<W: fmt::Write>(w: &mut W, mut n: u64) -> fmt::Result {
     w.write_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"))
 }
 
-/// Writes `s` as a JSON string: quoted and escaped.
+/// Writes `s` as a JSON string: quoted and escaped. Every key and nearly
+/// every value has nothing to escape, which one scan finds.
 fn write_str<W: fmt::Write>(w: &mut W, s: &str) -> fmt::Result {
     w.write_char('"')?;
-    Escaper(&mut *w).write_str(s)?;
+    if s.bytes().all(is_plain) {
+        w.write_str(s)?;
+    } else {
+        Escaper(&mut *w).write_str(s)?;
+    }
     w.write_char('"')
+}
+
+/// True for a byte that stands for itself inside a JSON string.
+fn is_plain(b: u8) -> bool {
+    b >= 0x20 && b != b'"' && b != b'\\'
 }
 
 /// A writer that escapes what passes through it for the inside of a JSON
@@ -258,7 +280,7 @@ impl<W: fmt::Write> fmt::Write for Escaper<'_, W> {
     fn write_str(&mut self, s: &str) -> fmt::Result {
         let mut from = 0;
         for (i, b) in s.bytes().enumerate() {
-            if b >= 0x20 && b != b'"' && b != b'\\' {
+            if is_plain(b) {
                 continue;
             }
             self.0.write_str(&s[from..i])?;
@@ -351,6 +373,13 @@ impl fmt::Display for Json {
 /// overflow: the reader recurses once per level.
 const MAX_DEPTH: usize = 128;
 
+/// Sibling objects (the events of a Chrome trace, the rows of a report,
+/// the cases of a corpus) have one shape, so the reader gives each object
+/// the capacity the last one at its depth filled: one exact allocation,
+/// not `Vec`'s 0, 4, 8. The hint saturates, so a hostile file cannot make
+/// an object reserve more than this many fields it does not have.
+const SHAPE_CAP: usize = 64;
+
 /// The recursive-descent reader behind [`Json::parse`]. `parse_jsonl`
 /// drives it directly, a field at a time, so both read one grammar and
 /// report one set of errors.
@@ -359,6 +388,9 @@ pub(crate) struct Parser<'a> {
     bytes: &'a [u8],
     at: usize,
     depth: usize,
+    /// Field count, up to [`SHAPE_CAP`], of the last object read at each
+    /// of the first eight depths.
+    shape: [u8; 8],
 }
 
 impl<'a> Parser<'a> {
@@ -368,16 +400,18 @@ impl<'a> Parser<'a> {
             bytes: text.as_bytes(),
             at: 0,
             depth: 0,
+            shape: [0; 8],
         }
     }
 
+    #[inline]
     pub(crate) fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.at) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.at += 1;
-            } else {
+            // A token, as nearly every call finds, leaves on one compare.
+            if b > b' ' || !matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 break;
             }
+            self.at += 1;
         }
     }
 
@@ -390,10 +424,12 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
+    #[inline]
     pub(crate) fn peek(&self) -> Option<u8> {
         self.bytes.get(self.at).copied()
     }
 
+    #[inline]
     fn eat(&mut self, b: u8) -> Result<(), String> {
         if self.peek() == Some(b) {
             self.at += 1;
@@ -427,12 +463,17 @@ impl<'a> Parser<'a> {
                 Ok(Json::Arr(items))
             }
             Some(b'{') => {
-                let mut fields = Vec::new();
+                let depth = self.depth;
+                let hint = self.shape.get(depth).copied().unwrap_or(0);
+                let mut fields = Vec::with_capacity(hint.into());
                 self.fields(|p, key| {
                     let v = p.value()?;
                     fields.push((key.into_owned(), v));
                     Ok(())
                 })?;
+                if let Some(hint) = self.shape.get_mut(depth) {
+                    *hint = fields.len().min(SHAPE_CAP) as u8;
+                }
                 Ok(Json::Obj(fields))
             }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
@@ -448,6 +489,7 @@ impl<'a> Parser<'a> {
     /// Reads `open item , item close` with the parser handed to `each` at
     /// every item: the grammar arrays and objects share, and the one place
     /// that recurses, so the one place the nesting cap is checked.
+    #[inline]
     fn items(
         &mut self,
         [open, close]: [u8; 2],
@@ -485,6 +527,7 @@ impl<'a> Parser<'a> {
 
     /// Reads an object, handing each key to `each` with the parser at the
     /// field's value; `each` must consume exactly that value.
+    #[inline]
     pub(crate) fn fields(
         &mut self,
         mut each: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), String>,
@@ -500,6 +543,7 @@ impl<'a> Parser<'a> {
 
     /// The escape-free run starting at `self.at`, up to the next `"` or
     /// `\` (both ASCII, so the cut is on a character boundary).
+    #[inline]
     fn run(&mut self) -> Result<&'a str, String> {
         let start = self.at;
         while let Some(&b) = self.bytes.get(self.at) {
@@ -515,6 +559,7 @@ impl<'a> Parser<'a> {
 
     /// Reads a string: borrowed from the input when it has no escapes
     /// (every key and almost every value our writers produce).
+    #[inline]
     pub(crate) fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.eat(b'"')?;
         let plain = self.run()?;
@@ -522,12 +567,17 @@ impl<'a> Parser<'a> {
             self.at += 1;
             return Ok(Cow::Borrowed(plain));
         }
-        let mut out = plain.to_string();
+        self.string_escaped(plain.to_string()).map(Cow::Owned)
+    }
+
+    /// The rest of a string whose first run, `out`, did not end at a `"`.
+    #[cold]
+    fn string_escaped(&mut self, mut out: String) -> Result<String, String> {
         loop {
             match self.peek() {
                 Some(b'"') => {
                     self.at += 1;
-                    return Ok(Cow::Owned(out));
+                    return Ok(out);
                 }
                 Some(b'\\') => {
                     self.at += 1;
@@ -576,6 +626,7 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Exactly four hex digits (`from_str_radix` would take a sign too).
     fn hex4(&mut self) -> Result<u32, String> {
         let end = self.at + 4;
         let s = self
@@ -583,13 +634,49 @@ impl<'a> Parser<'a> {
             .get(self.at..end)
             .and_then(|b| std::str::from_utf8(b).ok())
             .ok_or_else(|| format!("truncated \\u escape at byte {}", self.at))?;
-        let v = u32::from_str_radix(s, 16)
-            .map_err(|_| format!("bad \\u escape at byte {}", self.at))?;
+        let v = s
+            .chars()
+            .try_fold(0, |v, c| Some(v << 4 | c.to_digit(16)?))
+            .ok_or_else(|| format!("bad \\u escape at byte {}", self.at))?;
         self.at = end;
         Ok(v)
     }
 
+    /// A whole number read as it is scanned: at most 18 digits (under
+    /// 10^18, so an `i64` too) that no `.`, exponent or sign follows.
+    /// Anything else is `None` with the parser unmoved.
+    #[inline]
+    pub(crate) fn uint(&mut self) -> Option<u64> {
+        let (mut n, mut at) = (0u64, self.at);
+        while let Some(d) = self.bytes.get(at).map(|b| b.wrapping_sub(b'0')) {
+            if d > 9 {
+                break;
+            }
+            if at - self.at == 18 {
+                return None;
+            }
+            n = n * 10 + u64::from(d);
+            at += 1;
+        }
+        let more = matches!(self.bytes.get(at), Some(b'.' | b'e' | b'E' | b'+' | b'-'));
+        if at == self.at || more {
+            return None;
+        }
+        self.at = at;
+        Some(n)
+    }
+
+    #[inline]
     fn number(&mut self) -> Result<Json, String> {
+        match self.uint() {
+            Some(n) => Ok(Json::Int(n as i64)),
+            None => self.number_slow(),
+        }
+    }
+
+    /// Every number [`Parser::uint`] leaves: signed, fractional, or wide.
+    #[cold]
+    fn number_slow(&mut self) -> Result<Json, String> {
         let start = self.at;
         if self.peek() == Some(b'-') {
             self.at += 1;
@@ -614,9 +701,12 @@ impl<'a> Parser<'a> {
                 return Ok(Json::UInt(n));
             }
         }
-        text.parse::<f64>()
-            .map(Json::Float)
-            .map_err(|_| format!("bad number '{text}' at byte {start}"))
+        match text.parse::<f64>() {
+            // A non-finite float would be written back as `null`.
+            Ok(x) if x.is_finite() => Ok(Json::Float(x)),
+            Ok(_) => Err(format!("number out of range at byte {start}")),
+            Err(_) => Err(format!("bad number '{text}' at byte {start}")),
+        }
     }
 }
 
@@ -773,6 +863,103 @@ mod tests {
             assert_eq!(Json::parse(&text).unwrap().to_string(), text);
             assert_eq!(Json::parse(&tree.pretty()).unwrap().to_string(), text);
         }
+    }
+
+    #[test]
+    #[rustfmt::skip] // A table of literal inputs.
+    fn numbers_read_as_the_documented_variant() {
+        for (text, want) in [
+            ("0", Json::Int(0)),
+            ("-0", Json::Int(0)),
+            ("007", Json::Int(7)),
+            ("999999999999999999", Json::Int(999_999_999_999_999_999)), // 18 digits: read as scanned.
+            ("1000000000000000000", Json::Int(1_000_000_000_000_000_000)), // 19: the fallback.
+            ("9223372036854775807", Json::Int(i64::MAX)),
+            ("9223372036854775808", Json::UInt(1 << 63)),
+            ("18446744073709551615", Json::UInt(u64::MAX)),
+            ("18446744073709551616", Json::Float(18_446_744_073_709_551_616.0)),
+            ("12.5", Json::Float(12.5)),
+            ("1e5", Json::Float(1e5)),
+            ("1E+2", Json::Float(100.0)),
+            // The leniencies `Json::parse` documents.
+            ("01", Json::Int(1)),
+            ("1.", Json::Float(1.0)),
+            ("-.5", Json::Float(-0.5)),
+            ("\"a\nb\"", Json::from("a\nb")),
+        ] {
+            assert_eq!(Json::parse(text), Ok(want.clone()), "{text}");
+            // As an array element and a field, where the number's end is
+            // the next token rather than the end of the input.
+            let nested = Json::arr([want.clone(), Json::obj([("n", want)])]);
+            assert_eq!(Json::parse(&format!("[{text}, {{\"n\":{text}}}]")), Ok(nested), "{text}");
+        }
+        for (text, message) in [
+            ("12x", "trailing data at byte 2"),
+            ("-", "bad number '-' at byte 0"),
+            ("[1e400]", "number out of range at byte 1"),
+            ("-1e400", "number out of range at byte 0"),
+            (r#""\u+041""#, "bad \\u escape at byte 3"),
+            (r#""\u004"#, "truncated \\u escape at byte 3"),
+        ] {
+            assert_eq!(Json::parse(text), Err(message.to_string()), "{text}");
+        }
+    }
+
+    #[test]
+    fn digit_strings_read_as_str_parse_would() {
+        // The rule `Parser::uint` shortcuts, written out.
+        let reference = |text: &str| -> Result<Json, String> {
+            let digits = text.strip_prefix('-').unwrap_or(text);
+            if !digits.contains(['.', 'e', 'E', '+', '-']) {
+                if let Ok(n) = text.parse::<i64>() {
+                    return Ok(Json::Int(n));
+                }
+                if let Ok(n) = text.parse::<u64>() {
+                    return Ok(Json::UInt(n));
+                }
+            }
+            text.parse::<f64>()
+                .map(Json::Float)
+                .map_err(|_| format!("bad number '{text}' at byte 0"))
+        };
+        let mut rng = pcr::SplitMix64::new(0x00D1_6175);
+        for _ in 0..10_000 {
+            let mut text = String::new();
+            if rng.next_below(4) == 0 {
+                text.push('-');
+            }
+            for _ in 0..1 + rng.next_below(20) {
+                text.push(char::from(b'0' + rng.next_below(10) as u8));
+            }
+            text.push_str(["", "", ".5", "e3", "-"][rng.next_below(5) as usize]);
+            assert_eq!(Json::parse(&text), reference(&text), "{text}");
+        }
+    }
+
+    fn capacity(obj: &Json) -> (usize, usize) {
+        match obj {
+            Json::Obj(fields) => (fields.len(), fields.capacity()),
+            other => panic!("not an object: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_object_is_sized_by_its_sibling() {
+        let row = r#"{"a":1,"b":{"x":1,"y":2,"z":3},"c":3,"d":4,"e":5}"#;
+        let doc = Json::parse(&format!("[{row},{row},{row}]")).unwrap();
+        // (`tests/export_bytes.rs` holds a whole Chrome trace to this.)
+        for sibling in &doc.as_array().unwrap()[1..] {
+            assert_eq!(capacity(sibling), (5, 5));
+            assert_eq!(capacity(sibling.get("b").unwrap()), (3, 3));
+        }
+        // The hint saturates: a hostile file cannot make it reserve more.
+        let wide: Vec<String> = (0..300).map(|i| format!("\"k{i}\":{i}")).collect();
+        let doc = Json::parse(&format!("[{{{}}},{{\"a\":1}}]", wide.join(","))).unwrap();
+        let [wide, narrow] = doc.as_array().unwrap() else {
+            panic!("two objects")
+        };
+        assert_eq!(capacity(wide).0, 300);
+        assert_eq!(capacity(narrow), (1, SHAPE_CAP));
     }
 
     #[test]
