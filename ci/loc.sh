@@ -11,7 +11,7 @@ cd "$(dirname "$0")/.."
 count() { find "$@" -name '*.rs' -print0 2>/dev/null | xargs -0 cat 2>/dev/null | wc -l; }
 
 total=0
-for dir in crates/* shims/* src tests examples; do
+for dir in crates/* src tests examples; do
     [ -d "$dir" ] || continue
     n=$(count "$dir")
     printf '%8d  %s\n' "$n" "$dir"

@@ -10,7 +10,7 @@ cd "$(dirname "$0")/.."
 ALLOWED=crates/pcr/src/coroutine.rs
 fail=0
 
-strays=$(grep -rnw --include='*.rs' unsafe crates src shims tests examples | grep -v "^$ALLOWED:" || true)
+strays=$(grep -rnw --include='*.rs' unsafe crates src tests examples | grep -v "^$ALLOWED:" || true)
 if [ -n "$strays" ]; then
     echo "unsafe-audit: \`unsafe\` outside $ALLOWED:"
     echo "$strays"
@@ -24,7 +24,7 @@ done
 
 grep -qx '#!\[deny(unsafe_code)\]' crates/pcr/src/lib.rs || { echo "unsafe-audit: crates/pcr/src/lib.rs lost #![deny(unsafe_code)]"; fail=1; }
 # One match, in that file, is exactly that file's name.
-allows=$(grep -rl 'allow(unsafe_code)' --include='*.rs' crates src shims tests examples || true)
+allows=$(grep -rl 'allow(unsafe_code)' --include='*.rs' crates src tests examples || true)
 if [ "$allows" != crates/pcr/src/lib.rs ] || [ "$(grep -c 'allow(unsafe_code)' crates/pcr/src/lib.rs)" != 1 ]; then
     echo "unsafe-audit: expected exactly one allow(unsafe_code), on \`mod coroutine\` in crates/pcr/src/lib.rs; found in:"
     echo "${allows:-  (nowhere)}"

@@ -1,16 +1,15 @@
 //! Regression guard for the scheduler hot path.
 //!
-//! Two worlds that live almost entirely inside the scheduler's fast
-//! paths — the ready-queue bitmask, the CV queues, and the masked
-//! `emit` — reported as simulated events per wall-clock second (the same
-//! metric `repro bench` tracks), plus raw arm/fire churn over the timer
-//! wheel. Plain `main()` harness, like the other benches in this
-//! directory.
+//! A fork/join storm that lives almost entirely inside the scheduler's
+//! fast paths — the ready-queue bitmask and the masked `emit` — reported
+//! as simulated events per wall-clock second (the same metric `repro
+//! bench` tracks), plus raw arm/fire churn over the timer wheel. Plain
+//! `main()` harness; the workspace's only bench target.
 //!
-//! Each target also asserts a *floor* chosen three orders of magnitude
-//! below typical rates on any development machine: the assertion is a
-//! smoke check that only trips on a catastrophic regression (an
-//! accidentally quadratic scan, a deadlock), never on CI noise.
+//! Both assert a *floor* chosen three orders of magnitude below typical
+//! rates on any development machine: the assertion is a smoke check that
+//! only trips on a catastrophic regression (an accidentally quadratic
+//! scan, a deadlock), never on CI noise.
 //!
 //! The exceptions are the two ways through the kernel. One `yield_now`
 //! (body → scheduler → body) must stay under a microsecond: a coroutine
@@ -201,7 +200,7 @@ fn world_cycle_ms(reps: u32) -> f64 {
 
 /// Two threads exchanging NOTIFY/WAIT on a CV with a 50 ms timeout as fast
 /// as virtual time allows: the CV-queue and ready-queue hot path with zero
-/// fork traffic.
+/// fork traffic, timed per round by [`notify_wait_ns`].
 fn pingpong_world() -> Sim {
     let mut sim = Sim::new(SimConfig::default());
     let m = sim.monitor("m", 0u32);
@@ -218,12 +217,6 @@ fn pingpong_world() -> Sim {
         });
     }
     sim
-}
-
-fn notify_wait_pingpong() -> u64 {
-    let mut sim = pingpong_world();
-    sim.run(RunLimit::For(secs(5)));
-    sim.stats().event_volume()
 }
 
 /// A forker spinning up batches of short-lived children and joining
@@ -261,7 +254,6 @@ fn main() {
     let handoff_ns = lone_thread_ns("hotpath_yield_handoff", 3, |ctx, _| ctx.yield_now());
     let pair_ns = lone_thread_ns("hotpath_monitor_pair", 3, |ctx, m| drop(ctx.enter(m)));
     let round_ns = notify_wait_ns(5);
-    let pingpong = events_per_sec("hotpath_notify_wait_pingpong_5s", 3, notify_wait_pingpong);
     let storm = events_per_sec("hotpath_fork_join_storm_5s", 3, fork_join_storm);
     let [jsonl_ns, chrome_ns, parse_ns, parse_mb_s] = text_path(3);
     let cycle_ms = world_cycle_ms(20);
@@ -300,11 +292,6 @@ fn main() {
         );
     }
     for (what, rate, floor) in [
-        (
-            "notify/wait ping-pong events",
-            pingpong,
-            FLOOR_EVENTS_PER_SEC,
-        ),
         ("fork/join storm events", storm, FLOOR_EVENTS_PER_SEC),
         ("timer wheel arm+fire", wheel_rate, FLOOR_TIMER_OPS_PER_SEC),
     ] {

@@ -106,10 +106,9 @@ commands:
                              deadlock-free
   bench    [--reps N] [--json PATH] [--baseline PATH]
                              wall-clock perf harness: times every matrix
-                             cell (median of N reps, default 3), reports
-                             simulated events/sec and the executor's
-                             scaling curve (1, 2, and max workers), and
-                             writes BENCH_threadstudy.json;
+                             cell, one at a time (median of N reps,
+                             default 3), reports simulated events/sec,
+                             and writes BENCH_threadstudy.json;
                              with --baseline, fails if aggregate
                              events/sec regressed more than 30% vs that
                              file
@@ -524,20 +523,17 @@ fn main() {
                 write_baseline: has("--write-baseline"),
                 confirm: flag_value("--confirm"),
             };
-            if bench::lint::run(&opts) {
-                code = exit::HAZARD;
-            }
+            code = bench::lint::run(&opts);
         }
         "bench" => {
             let reps = count32("--reps").unwrap_or(3);
             let baseline_path = flag_value("--baseline");
-            let report = bench::perf::measure(window, seed, reps, workers, policy);
+            let report = bench::perf::measure(window, seed, reps, policy);
             print!("{}", report.text());
             let path = json_path
                 .clone()
                 .unwrap_or_else(|| "BENCH_threadstudy.json".to_string());
-            std::fs::write(&path, report.to_json().pretty()).expect("write bench json");
-            eprintln!("wrote {path}");
+            code = exit::write(&path, report.to_json().pretty());
             if let Some(bpath) = baseline_path {
                 let base = std::fs::read_to_string(&bpath)
                     .ok()
@@ -554,12 +550,12 @@ fn main() {
                             eprintln!(
                                 "FAIL bench: aggregate events/sec regressed more than 30% vs {bpath}"
                             );
-                            code = exit::REGRESSION;
+                            code = exit::worst(code, exit::REGRESSION);
                         }
                     }
                     None => {
                         eprintln!("FAIL bench: no aggregate_events_per_sec in baseline {bpath}");
-                        code = exit::REGRESSION;
+                        code = exit::worst(code, exit::REGRESSION);
                     }
                 }
             }
@@ -613,8 +609,7 @@ fn main() {
                 }
             }
             if let Some(path) = &json_path {
-                std::fs::write(path, report.to_json().pretty() + "\n").expect("write json");
-                eprintln!("wrote {path}");
+                code = exit::write(path, report.to_json().pretty() + "\n");
             }
             let failures = report.failures();
             for f in &failures {
@@ -632,7 +627,7 @@ fn main() {
                     report.policies.len()
                 );
             } else {
-                code = exit::DEADLOCK;
+                code = exit::worst(code, exit::DEADLOCK);
             }
         }
         "markdown" => {
@@ -654,8 +649,7 @@ fn main() {
             code = any_hazardous(&results);
             if let Some(path) = &json_path {
                 let v = bench::tables::json_summary(&results);
-                std::fs::write(path, v.pretty()).expect("write json");
-                eprintln!("wrote {path}");
+                code = exit::worst(code, exit::write(path, v.pretty()));
             }
             if what != "figures" {
                 println!("{}", bench::tables::table1(&results).to_text());

@@ -32,6 +32,22 @@ pub fn worst(acc: i32, code: i32) -> i32 {
     acc.max(code)
 }
 
+/// Writes a whole output file, reporting `wrote PATH` or `cannot write
+/// PATH: why` on stderr: [`OK`] or [`IO`], never a panic.
+pub fn write(path: impl AsRef<std::path::Path>, text: impl AsRef<[u8]>) -> i32 {
+    let path = path.as_ref();
+    match std::fs::write(path, text) {
+        Ok(()) => {
+            eprintln!("wrote {}", path.display());
+            OK
+        }
+        Err(e) => {
+            eprintln!("cannot write {}: {e}", path.display());
+            IO
+        }
+    }
+}
+
 /// One line per code, for `repro help`.
 pub const TABLE: &str = "\
 exit codes:

@@ -28,6 +28,8 @@ use std::path::Path;
 
 use threadlint::{analyze_workspace, workspace_root, Analysis, Finding, Lint};
 
+use crate::exit;
+
 /// Options for [`run`]; all independent, all off by default.
 #[derive(Default)]
 pub struct LintOpts {
@@ -44,10 +46,10 @@ pub struct LintOpts {
 }
 
 /// Runs the analyzer, prints the census and findings, handles the
-/// optional artifacts, and returns `true` on failure (any unallowed
-/// finding, a census mismatch, a baseline delta, or an unreadable
-/// corpus).
-pub fn run(opts: &LintOpts) -> bool {
+/// optional artifacts, and returns the exit code: [`exit::HAZARD`] on any
+/// unallowed finding, a census mismatch, a baseline delta, or an
+/// unreadable corpus, [`exit::IO`] if an artifact cannot be written.
+pub fn run(opts: &LintOpts) -> i32 {
     let root = workspace_root();
     let analysis = match analyze_workspace(&root) {
         Ok(a) => a,
@@ -56,10 +58,11 @@ pub fn run(opts: &LintOpts) -> bool {
                 "FAIL lint: cannot scan workspace at {}: {e}",
                 root.display()
             );
-            return true;
+            return exit::HAZARD;
         }
     };
     let mut failed = false;
+    let mut written = exit::OK;
 
     println!("{}", threadlint::census_table(&analysis).to_text());
     if analysis.findings.is_empty() {
@@ -126,17 +129,21 @@ pub fn run(opts: &LintOpts) -> bool {
                 ("unmapped", trace::Json::from(unmapped.clone())),
             ]),
         );
-        std::fs::write(path, doc.pretty()).expect("write lint json");
-        eprintln!("wrote {path}");
+        written = exit::worst(written, exit::write(path, doc.pretty()));
     }
 
     if let Some(path) = &opts.sarif {
-        std::fs::write(path, threadlint::to_sarif(&analysis).pretty()).expect("write sarif");
-        eprintln!("wrote {path}");
+        let sarif = threadlint::to_sarif(&analysis).pretty();
+        written = exit::worst(written, exit::write(path, sarif));
     }
 
     if let Some(path) = &opts.baseline {
-        failed |= baseline_ratchet(&analysis, Path::new(path), opts.write_baseline);
+        if opts.write_baseline {
+            let doc = trace::Json::obj([("findings", trace::Json::from(baseline_keys(&analysis)))]);
+            written = exit::worst(written, exit::write(path, doc.pretty()));
+        } else {
+            failed |= baseline_ratchet(&analysis, Path::new(path));
+        }
     }
 
     if let Some(dir) = &opts.confirm {
@@ -152,22 +159,23 @@ pub fn run(opts: &LintOpts) -> bool {
         allowed,
         unallowed.len()
     );
-    failed
+    exit::worst(if failed { exit::HAZARD } else { exit::OK }, written)
 }
 
-/// The two-sided baseline ratchet. Keys are `lint|file|message` with
-/// digit runs folded, so line drift does not churn the file but a new
-/// finding (or a fixed one) always shows up as a delta.
-fn baseline_ratchet(a: &Analysis, path: &Path, write: bool) -> bool {
+/// The baseline's keys: `lint|file|message` with digit runs folded, so
+/// line drift does not churn the file but a new finding (or a fixed one)
+/// always shows up as a delta.
+fn baseline_keys(a: &Analysis) -> Vec<String> {
     let mut keys: Vec<String> = a.findings.iter().map(threadlint::baseline_key).collect();
     keys.sort();
     keys.dedup();
-    if write {
-        let doc = trace::Json::obj([("findings", trace::Json::from(keys.clone()))]);
-        std::fs::write(path, doc.pretty()).expect("write baseline");
-        eprintln!("wrote {} ({} keys)", path.display(), keys.len());
-        return false;
-    }
+    keys
+}
+
+/// The two-sided baseline ratchet: `true` if a finding is missing from
+/// the file at `path` or the file holds one that no longer fires.
+fn baseline_ratchet(a: &Analysis, path: &Path) -> bool {
+    let keys = baseline_keys(a);
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {

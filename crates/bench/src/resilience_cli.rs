@@ -245,12 +245,7 @@ pub fn fuzz_cmd(opts: &FuzzOpts) -> i32 {
     }
     if let Some(stats_path) = &opts.stats {
         let doc = trace::Json::obj(stats_fields);
-        if let Err(e) = std::fs::write(stats_path, doc.pretty() + "\n") {
-            eprintln!("FAIL fuzz: cannot write {}: {e}", stats_path.display());
-            code = exit::worst(code, exit::IO);
-        } else {
-            eprintln!("wrote {}", stats_path.display());
-        }
+        code = exit::worst(code, exit::write(stats_path, doc.pretty() + "\n"));
     }
     if let Some(expect) = &opts.expect {
         let known = match std::fs::read_to_string(expect) {
@@ -304,8 +299,7 @@ pub fn shrink_cmd(path: &Path, max_replays: u32) -> i32 {
         }
     };
     let min_path = path.with_extension("min.json");
-    if let Err(e) = std::fs::write(&min_path, report.case.to_json().pretty() + "\n") {
-        eprintln!("FAIL shrink: cannot write {}: {e}", min_path.display());
+    if exit::write(&min_path, report.case.to_json().pretty() + "\n") != exit::OK {
         return exit::IO;
     }
     println!(
@@ -322,7 +316,6 @@ pub fn shrink_cmd(path: &Path, max_replays: u32) -> i32 {
         }
     );
     println!("signature: {}", report.case.signature);
-    println!("wrote {}", min_path.display());
     println!("repro: {}", report.case.repro_command(&min_path));
     exit::OK
 }
@@ -567,12 +560,7 @@ pub fn recover_cmd(window: pcr::SimDuration, seed: u64, json_path: Option<&str>)
     println!("{}", table.to_text());
     if let Some(path) = json_path {
         let doc = trace::Json::obj([("recover", trace::Json::arr(json_rows))]);
-        if let Err(e) = std::fs::write(path, doc.pretty()) {
-            eprintln!("FAIL recover: cannot write {path}: {e}");
-            code = exit::worst(code, exit::IO);
-        } else {
-            eprintln!("wrote {path}");
-        }
+        code = exit::worst(code, exit::write(path, doc.pretty()));
     }
     code
 }

@@ -113,12 +113,7 @@ pub fn serve_cmd(opts: &ServeOpts) -> i32 {
         code = exit::worst(code, write_chrome_trace(&spec, path));
     }
     if let Some(path) = &opts.json {
-        if let Err(e) = std::fs::write(path, json.clone() + "\n") {
-            eprintln!("FAIL {label}: cannot write {path}: {e}");
-            code = exit::worst(code, exit::IO);
-        } else {
-            eprintln!("wrote {path}");
-        }
+        code = exit::worst(code, exit::write(path, json.clone() + "\n"));
     }
     if let Some(path) = &opts.baseline {
         code = exit::worst(code, check_baseline(report, path));

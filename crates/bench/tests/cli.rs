@@ -200,21 +200,39 @@ fn diff_of_a_file_of_brackets_is_a_parse_error_not_a_stack_overflow() {
     assert!(stderr.contains("nesting deeper than 128"), "{stderr}");
 }
 
+/// Every subcommand that writes an output file, not only `trace`: an
+/// unwritable path is one line and exit 6, never a panic.
 #[test]
 fn trace_to_an_unwritable_path_is_an_io_error_not_a_panic() {
-    for flag in ["--chrome", "--jsonl"] {
-        let out = repro()
-            .args(["trace", "--window", "1", flag, "/nonexistent/x.json"])
-            .output()
-            .expect("spawn repro");
+    let fuzz_out = std::env::temp_dir().join(format!("unwritable-fuzz-{}", std::process::id()));
+    let fuzz_out = fuzz_out.to_str().expect("UTF-8 temp dir");
+    let x = "/nonexistent/x.json";
+    for args in [
+        &["trace", "--window", "1", "--chrome", x][..],
+        &["trace", "--window", "1", "--jsonl", x],
+        &["bench", "--reps", "1", "--window", "1", "--json", x],
+        &["tournament", "--reference", "--window", "1", "--json", x],
+        &["tables", "--window", "1", "--json", x],
+        &["figures", "--window", "1", "--json", x],
+        &["all", "--window", "1", "--json", x],
+        &["lint", "--json", x],
+        &["lint", "--sarif", x],
+        &["lint", "--baseline", x, "--write-baseline"],
+        &["serve", "--sessions", "200", "--json", x],
+        &["chaos", "--recover", "--window", "1", "--json", x],
+        &[
+            "fuzz", "--budget", "1", "--window", "1", "--out", fuzz_out, "--stats", x,
+        ],
+    ] {
+        let out = repro().args(args).output().expect("spawn repro");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(6), "{flag} stderr:\n{stderr}");
-        assert_eq!(stderr.lines().count(), 1, "{stderr}");
-        assert!(
-            stderr.starts_with("cannot write /nonexistent/x.json: "),
-            "{stderr}"
-        );
+        assert_eq!(out.status.code(), Some(6), "{args:?} stderr:\n{stderr}");
+        let cannot = stderr
+            .lines()
+            .filter(|l| l.starts_with("cannot write /nonexistent/"));
+        assert_eq!(cannot.count(), 1, "{args:?} stderr:\n{stderr}");
     }
+    std::fs::remove_dir_all(fuzz_out).ok();
 }
 
 #[test]

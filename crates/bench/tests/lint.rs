@@ -24,8 +24,8 @@ fn modeled_inventory_sites_all_map_to_fork_call_sites() {
 #[test]
 fn lint_run_reports_success() {
     // The full CLI path, minus the process boundary: census, lints,
-    // self-test, cross-check. `false` means "nothing failed".
-    assert!(!bench::lint::run(&Default::default()));
+    // self-test, cross-check.
+    assert_eq!(bench::lint::run(&Default::default()), bench::exit::OK);
 }
 
 #[test]
@@ -38,13 +38,18 @@ fn baseline_round_trips_and_ratchets_both_ways() {
         write_baseline: true,
         ..Default::default()
     };
-    assert!(!bench::lint::run(&write), "writing the baseline must pass");
+    assert_eq!(
+        bench::lint::run(&write),
+        bench::exit::OK,
+        "writing the baseline must pass"
+    );
     let check = bench::lint::LintOpts {
         baseline: Some(path.to_string_lossy().into_owned()),
         ..Default::default()
     };
-    assert!(
-        !bench::lint::run(&check),
+    assert_eq!(
+        bench::lint::run(&check),
+        bench::exit::OK,
         "a freshly written baseline must match exactly"
     );
     // A stale entry (finding that no longer fires) must fail the check:
@@ -56,8 +61,9 @@ fn baseline_round_trips_and_ratchets_both_ways() {
     );
     assert_ne!(doc, salted, "baseline artifact shape changed");
     std::fs::write(&path, salted).unwrap();
-    assert!(
+    assert_eq!(
         bench::lint::run(&check),
+        bench::exit::HAZARD,
         "a stale baseline entry must fail the ratchet"
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -72,8 +78,9 @@ fn committed_baseline_matches_current_findings() {
         baseline: Some(path.to_string_lossy().into_owned()),
         ..Default::default()
     };
-    assert!(
-        !bench::lint::run(&check),
+    assert_eq!(
+        bench::lint::run(&check),
+        bench::exit::OK,
         "ci/lint-baseline.json is out of date — regenerate with \
          `repro lint --baseline ci/lint-baseline.json --write-baseline`"
     );

@@ -8,10 +8,9 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
 use pcr::{Guard, MonitorId, SimDuration, WaitOutcome};
 
 pub(crate) fn to_std(d: SimDuration) -> Duration {
@@ -55,8 +54,11 @@ impl<T> Monitor<T> {
     }
 
     pub(crate) fn enter(&self) -> MonitorGuard<'_, T> {
+        // A body that panicked inside left the data to the next enterer,
+        // as Mesa's UNWIND did: poison is recovered, not propagated.
+        let guard = self.inner.mutex.lock();
         MonitorGuard {
-            guard: self.inner.mutex.lock(),
+            guard: Some(guard.unwrap_or_else(PoisonError::into_inner)),
             monitor: self,
         }
     }
@@ -116,10 +118,21 @@ impl std::fmt::Debug for Condition {
     }
 }
 
+/// Locks `cv`'s waiter queue.
+fn queue(cv: &Condition) -> MutexGuard<'_, VecDeque<Arc<Waiter>>> {
+    let queue = cv.inner.queue.lock();
+    queue.unwrap_or_else(PoisonError::into_inner)
+}
+
+/// `MonitorGuard::guard` is `None` only while WAIT holds the std guard.
+const HELD: &str = "the std guard is out only inside WAIT";
+
 /// Proof of being inside a monitor. Dropping exits (also on unwind, so a
 /// panicking thread releases its locks, as Mesa's UNWIND machinery did).
 pub struct MonitorGuard<'a, T> {
-    guard: MutexGuard<'a, T>,
+    // `Some` whenever user code can run: `Condvar::wait` takes the std
+    // guard by value, so WAIT moves it out and back.
+    guard: Option<MutexGuard<'a, T>>,
     monitor: &'a Monitor<T>,
 }
 
@@ -146,23 +159,26 @@ impl<T> MonitorGuard<'_, T> {
             cv: Condvar::new(),
             woken: AtomicBool::new(false),
         });
-        cv.inner.queue.lock().push_back(Arc::clone(&me));
+        queue(cv).push_back(Arc::clone(&me));
         loop {
-            let timed_out = match end {
-                None => {
-                    me.cv.wait(&mut self.guard);
-                    false
-                }
+            let g = self.guard.take().expect(HELD);
+            let (g, timed_out) = match end {
+                None => (me.cv.wait(g).unwrap_or_else(PoisonError::into_inner), false),
                 Some(end) => {
                     let left = end.saturating_duration_since(Instant::now());
-                    me.cv.wait_for(&mut self.guard, left).timed_out()
+                    let (g, r) = me
+                        .cv
+                        .wait_timeout(g, left)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    (g, r.timed_out())
                 }
             };
+            self.guard = Some(g);
             if me.woken.load(Ordering::Relaxed) {
                 return WaitOutcome::Notified;
             }
             if timed_out {
-                cv.inner.queue.lock().retain(|w| !Arc::ptr_eq(w, &me));
+                queue(cv).retain(|w| !Arc::ptr_eq(w, &me));
                 return WaitOutcome::TimedOut;
             }
         }
@@ -173,11 +189,11 @@ impl<T> Guard<T> for MonitorGuard<'_, T> {
     type Condition = Condition;
 
     fn with<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        f(&self.guard)
+        f(self.guard.as_deref().expect(HELD))
     }
 
     fn with_mut<R>(&mut self, f: impl FnOnce(&mut T) -> R) -> R {
-        f(&mut self.guard)
+        f(self.guard.as_deref_mut().expect(HELD))
     }
 
     fn wait(&mut self, cv: &Condition) -> WaitOutcome {
@@ -194,7 +210,7 @@ impl<T> Guard<T> for MonitorGuard<'_, T> {
     ) -> bool {
         let end = Instant::now() + to_std(deadline);
         loop {
-            if pred(&self.guard) {
+            if pred(self.guard.as_deref().expect(HELD)) {
                 return true;
             }
             let left = end.saturating_duration_since(Instant::now());
@@ -208,7 +224,7 @@ impl<T> Guard<T> for MonitorGuard<'_, T> {
 
     fn notify(&self, cv: &Condition) {
         self.check_owner("NOTIFY", cv);
-        if let Some(w) = cv.inner.queue.lock().pop_front() {
+        if let Some(w) = queue(cv).pop_front() {
             w.woken.store(true, Ordering::Relaxed);
             w.cv.notify_one();
         }
@@ -216,7 +232,7 @@ impl<T> Guard<T> for MonitorGuard<'_, T> {
 
     fn broadcast(&self, cv: &Condition) {
         self.check_owner("BROADCAST", cv);
-        for w in cv.inner.queue.lock().drain(..) {
+        for w in queue(cv).drain(..) {
             w.woken.store(true, Ordering::Relaxed);
             w.cv.notify_one();
         }
@@ -270,11 +286,11 @@ mod tests {
                 outcome
             })
             .unwrap();
-        while cv.inner.queue.lock().is_empty() {
+        while queue(&cv).is_empty() {
             ctx.yield_now();
         }
         for _ in 0..20 {
-            cv.inner.queue.lock()[0].cv.notify_all();
+            queue(&cv)[0].cv.notify_all();
             ctx.sleep(millis(1));
         }
         assert!(!returned.load(Ordering::SeqCst), "spurious wakeup escaped");
@@ -303,7 +319,7 @@ mod tests {
                     .unwrap()
                 })
                 .collect();
-            while cv.inner.queue.lock().len() < waiters.len() {
+            while queue(&cv).len() < waiters.len() {
                 ctx.yield_now();
             }
             let mut g = ctx.enter(&m);

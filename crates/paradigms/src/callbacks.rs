@@ -7,9 +7,8 @@
 //! within the module dependent on successful completion of the client
 //! callback."
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
-use parking_lot::Mutex as PlMutex;
 use pcr::{Priority, Runtime, SimDuration, ThreadCtx};
 
 /// How a registered callback is invoked.
@@ -32,7 +31,7 @@ struct Registered<E, C> {
 
 /// A registry of client callbacks with per-registration fork control.
 pub struct CallbackRegistry<E: Clone + Send + Sync + 'static, C: Runtime = ThreadCtx> {
-    entries: Arc<PlMutex<Vec<Registered<E, C>>>>,
+    entries: Arc<Mutex<Vec<Registered<E, C>>>>,
     fork_priority: Priority,
 }
 
@@ -49,7 +48,7 @@ impl<E: Clone + Send + Sync + 'static, C: Runtime> CallbackRegistry<E, C> {
     /// Creates a registry; forked callbacks run at `fork_priority`.
     pub fn new(fork_priority: Priority) -> Self {
         CallbackRegistry {
-            entries: Arc::new(PlMutex::new(Vec::new())),
+            entries: Arc::new(Mutex::new(Vec::new())),
             fork_priority,
         }
     }
@@ -68,16 +67,22 @@ impl<E: Clone + Send + Sync + 'static, C: Runtime> CallbackRegistry<E, C> {
     where
         F: Fn(&C, &E) + Send + Sync + 'static,
     {
-        self.entries.lock().push(Registered {
-            callback: Arc::new(f),
-            mode,
-            cost,
-        });
+        self.entries
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(Registered {
+                callback: Arc::new(f),
+                mode,
+                cost,
+            });
     }
 
     /// Number of registered callbacks.
     pub fn len(&self) -> usize {
-        self.entries.lock().len()
+        self.entries
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// True if no callbacks are registered.
@@ -92,6 +97,7 @@ impl<E: Clone + Send + Sync + 'static, C: Runtime> CallbackRegistry<E, C> {
         let snapshot: Vec<(Callback<E, C>, CallbackMode, SimDuration)> = self
             .entries
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|r| (Arc::clone(&r.callback), r.mode, r.cost))
             .collect();

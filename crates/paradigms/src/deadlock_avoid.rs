@@ -17,9 +17,8 @@
 //! alludes to become checkable.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
-use parking_lot::Mutex as PlMutex;
 use pcr::{ForkError, Guard, MonitorId, Runtime, ThreadCtx, ThreadId};
 
 /// Forks `f` so it can acquire locks in a legal order that the caller —
@@ -60,7 +59,7 @@ struct RegistryState {
 /// guard normally.
 #[derive(Clone, Default)]
 pub struct LockOrderRegistry {
-    state: Arc<PlMutex<RegistryState>>,
+    state: Arc<Mutex<RegistryState>>,
 }
 
 impl LockOrderRegistry {
@@ -78,7 +77,7 @@ impl LockOrderRegistry {
     ) -> TrackedGuard<'a, T, C> {
         let guard = ctx.enter(m);
         let mid = C::monitor_id(m);
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let held = st.held.entry(ctx.tid()).or_default().clone();
         for &h in &held {
             // h acquired-before m.id while h held: edge h -> m.
@@ -107,11 +106,15 @@ impl LockOrderRegistry {
 
     /// Violations observed so far.
     pub fn violations(&self) -> Vec<OrderViolation> {
-        self.state.lock().violations.clone()
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .violations
+            .clone()
     }
 
     fn note_exit(&self, tid: ThreadId, mid: MonitorId) {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(held) = st.held.get_mut(&tid) {
             if let Some(pos) = held.iter().rposition(|&m| m == mid) {
                 held.remove(pos);

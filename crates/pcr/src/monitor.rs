@@ -8,9 +8,7 @@
 //! of "executing inside the module".
 
 use std::fmt;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::condition::Condition;
 use crate::ctx::ThreadCtx;
@@ -72,6 +70,8 @@ pub struct Monitor<T: Send + 'static> {
     pub(crate) id: MonitorId,
     // The simulator guarantees a single owner, but the data still sits
     // behind a real mutex so that even API misuse cannot cause a data race.
+    // A body that panics inside leaves the data to the next enterer, as
+    // Mesa's UNWIND did: lock poison is recovered, not propagated.
     data: Arc<Mutex<T>>,
 }
 
@@ -120,12 +120,14 @@ pub struct MonitorGuard<'a, T: Send + 'static> {
 impl<'a, T: Send + 'static> MonitorGuard<'a, T> {
     /// Reads the protected data.
     pub fn with<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        f(&self.monitor.data.lock())
+        let data = self.monitor.data.lock();
+        f(&data.unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Mutates the protected data.
     pub fn with_mut<R>(&mut self, f: impl FnOnce(&mut T) -> R) -> R {
-        f(&mut self.monitor.data.lock())
+        let data = self.monitor.data.lock();
+        f(&mut data.unwrap_or_else(PoisonError::into_inner))
     }
 
     /// WAITs on `cv`, atomically releasing the monitor and re-entering it

@@ -83,7 +83,7 @@ impl Sim {
                     if t.state != TState::Running {
                         // Blocked, yielded or exited in the call just
                         // served, or a chaos stall caught it mid-`work`.
-                        k.leave_cpu(cpu, tid);
+                        k.leave_cpu(cpu);
                         progressed = true;
                         break;
                     }
@@ -132,10 +132,10 @@ impl Kernel {
             };
             if let Some(preempted) = self.cpus[cpu].running {
                 self.push_ready(preempted, true);
-                self.leave_cpu(cpu, preempted);
+                self.leave_cpu(cpu);
             }
             if !self.begin_dispatch(cpu, next, None, None) {
-                self.leave_cpu(cpu, next);
+                self.leave_cpu(cpu);
             }
         }
     }
@@ -157,7 +157,7 @@ impl Kernel {
             let debt = self.threads[tid.0 as usize].debt;
             debug_assert!(!debt.is_zero());
             if self.cpus[cpu].quantum_left.is_zero() && self.quantum_expired(cpu, tid) {
-                self.leave_cpu(cpu, tid);
+                self.leave_cpu(cpu);
                 // Its successor is dispatched before any time passes.
                 dt = SimDuration::ZERO;
                 continue;

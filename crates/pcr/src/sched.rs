@@ -957,7 +957,7 @@ impl Sim {
                 k = self.resume(k, tid, reply);
             }
         }
-        k.leave_cpu(0, tid);
+        k.leave_cpu(0);
         k
     }
 
@@ -1811,14 +1811,7 @@ impl Kernel {
     }
 
     /// The bookkeeping owed once the dispatched thread is off `cpu`.
-    pub(crate) fn leave_cpu(&mut self, cpu: usize, tid: ThreadId) {
-        if !matches!(
-            self.threads[tid.0 as usize].state,
-            TState::Running | TState::Ready | TState::Exited
-        ) {
-            // Blocked: monitor, CV, sleep, join, fork-wait, or a chaos stall.
-            self.policy.on_block(tid);
-        }
+    pub(crate) fn leave_cpu(&mut self, cpu: usize) {
         self.cpus[cpu].running = None;
         self.cpus[cpu].shield = None;
     }

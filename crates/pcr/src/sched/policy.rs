@@ -143,9 +143,6 @@ impl PolicyCtx<'_> {
 /// [`PolicyCtx`] whose contents are crate-private. The four shipped
 /// policies are constructed via [`make`] from a [`PolicyKind`].
 pub trait Scheduler: Send {
-    /// Which policy this is, for labels and config round-trips.
-    fn kind(&self) -> PolicyKind;
-
     /// `tid` became runnable. `front` requests LIFO placement among
     /// equals (used when a preempted thread should resume first);
     /// `wakeup` is true when the thread was blocked (not merely
@@ -192,14 +189,6 @@ pub trait Scheduler: Send {
     /// `tid` ran through a full quantum without blocking. MLFQ demotes
     /// here, before the simulator decides whether to requeue.
     fn on_quantum_expired(&mut self, tid: ThreadId) {
-        let _ = tid;
-    }
-
-    /// `tid` blocked (monitor, CV, sleep, join, …) and left the CPU
-    /// without returning to the ready structure. Informational; no
-    /// shipped policy keeps per-block state, but the hook completes the
-    /// lifecycle for policies that would.
-    fn on_block(&mut self, tid: ThreadId) {
         let _ = tid;
     }
 
@@ -358,10 +347,6 @@ impl RoundRobin {
 }
 
 impl Scheduler for RoundRobin {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::RoundRobin
-    }
-
     fn on_ready(&mut self, ctx: &mut PolicyCtx<'_>, tid: ThreadId, front: bool, _wakeup: bool) {
         self.ready.push(ctx.prio_index(tid), tid, front);
     }
@@ -466,10 +451,6 @@ impl Default for Cfs {
 }
 
 impl Scheduler for Cfs {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Cfs
-    }
-
     fn on_ready(&mut self, ctx: &mut PolicyCtx<'_>, tid: ThreadId, _front: bool, _wakeup: bool) {
         ensure(&mut self.vruntime, tid, 0);
         ensure(&mut self.key, tid, 0);
@@ -583,10 +564,6 @@ impl Lottery {
 }
 
 impl Scheduler for Lottery {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Lottery
-    }
-
     fn on_ready(&mut self, ctx: &mut PolicyCtx<'_>, tid: ThreadId, _front: bool, _wakeup: bool) {
         ensure(&mut self.pos, tid, NO_POS);
         self.pos[tid.0 as usize] = self.entries.len() as u32;
@@ -697,10 +674,6 @@ impl Mlfq {
 }
 
 impl Scheduler for Mlfq {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Mlfq
-    }
-
     fn on_ready(&mut self, ctx: &mut PolicyCtx<'_>, tid: ThreadId, front: bool, wakeup: bool) {
         let lvl = if wakeup {
             // Boost: a thread that blocked (slept, waited, joined) was
@@ -795,10 +768,6 @@ mod tests {
     #[test]
     fn default_policy_is_the_papers() {
         assert_eq!(PolicyKind::default(), PolicyKind::RoundRobin);
-        assert_eq!(
-            make(PolicyKind::default(), 7).kind(),
-            PolicyKind::RoundRobin
-        );
     }
 
     #[test]

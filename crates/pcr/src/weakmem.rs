@@ -17,9 +17,7 @@
 //! store barrier. A thread always sees its own stores (store forwarding).
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::ctx::ThreadCtx;
 use crate::rng::SplitMix64;
@@ -85,7 +83,7 @@ impl WeakMem {
     /// Stores `value` at `addr`. Other threads observe it only after its
     /// visibility delay elapses (or after the storing thread fences).
     pub fn store(&self, ctx: &ThreadCtx, addr: Addr, value: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let bound = inner.max_delay.as_micros().max(1) + 1;
         let jitter = inner.rng.next_below(bound);
         let visible_at = ctx.now() + SimDuration::from_micros(jitter);
@@ -105,7 +103,7 @@ impl WeakMem {
     /// visible value (0 if never written).
     pub fn load(&self, ctx: &ThreadCtx, addr: Addr) -> u64 {
         let now = ctx.now();
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.drain_visible(now);
         if let Some(buf) = inner.buffers.get(&ctx.tid()) {
             if let Some(s) = buf.iter().rev().find(|s| s.addr == addr) {
@@ -118,7 +116,7 @@ impl WeakMem {
     /// Store barrier: every store the calling thread has issued becomes
     /// globally visible now, in order.
     pub fn fence(&self, ctx: &ThreadCtx) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(buf) = inner.buffers.remove(&ctx.tid()) {
             for s in buf {
                 inner.mem.insert(s.addr, s.value);

@@ -207,8 +207,8 @@ pub struct CensusSite {
 /// One analyzed file: the cleaned text plus its structural scan.
 #[derive(Clone, Debug)]
 pub struct FileScan {
-    /// Crate the file belongs to (directory under `crates/`/`shims/`,
-    /// or the root package name).
+    /// Crate the file belongs to (directory under `crates/`, or the
+    /// root package name).
     pub krate: String,
     /// Workspace-relative path.
     pub path: String,
@@ -266,7 +266,7 @@ pub fn workspace_root() -> PathBuf {
 }
 
 /// Source directories scanned, relative to the workspace root.
-const SCAN_ROOTS: &[&str] = &["crates", "shims", "src", "tests", "examples"];
+const SCAN_ROOTS: &[&str] = &["crates", "src", "tests", "examples"];
 
 /// Analyzes every `.rs` file in the workspace rooted at `root`.
 pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
@@ -295,12 +295,11 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
 }
 
 /// Crate name for a workspace-relative path: `crates/pcr/src/x.rs` →
-/// `pcr`; `shims/parking_lot/…` → `parking_lot`; root files →
-/// `threadstudy`.
+/// `pcr`; root files → `threadstudy`.
 fn crate_of(rel: &str) -> String {
     let mut parts = rel.split('/');
     match parts.next() {
-        Some("crates") | Some("shims") => parts.next().unwrap_or("unknown").to_string(),
+        Some("crates") => parts.next().unwrap_or("unknown").to_string(),
         _ => "threadstudy".to_string(),
     }
 }
@@ -399,7 +398,6 @@ mod tests {
     #[test]
     fn crate_names_from_paths() {
         assert_eq!(crate_of("crates/pcr/src/lib.rs"), "pcr");
-        assert_eq!(crate_of("shims/parking_lot/src/lib.rs"), "parking_lot");
         assert_eq!(crate_of("tests/properties.rs"), "threadstudy");
         assert_eq!(crate_of("src/lib.rs"), "threadstudy");
     }
