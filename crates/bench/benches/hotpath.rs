@@ -13,11 +13,15 @@
 //!
 //! The exceptions are the two ways through the kernel. One `yield_now`
 //! (body → scheduler → body) must stay under a microsecond: a coroutine
-//! switch costs ~0.15 µs with the scheduler's work included, the OS-thread
+//! switch costs ~90 ns with the scheduler's work included, the OS-thread
 //! baton it replaced ~5.6 µs, so the ceiling trips on a kernel that went
 //! back to parking threads, not on a busy runner. One uncontended monitor
 //! enter + exit, which never leaves the CPU, must stay under 150 ns: the
-//! pair costs ~80 ns served on the caller's stack, ~260 as two round trips.
+//! pair costs ~56 ns served on the caller's stack with each reply in a
+//! register, ~66 while the reply was 24 bytes and went through memory, and
+//! ~260 as two round trips. Those 10 ns are below what a ceiling can
+//! resolve on a shared runner; `pcr`'s compile-time size assertion on
+//! `Reply` holds them instead.
 //!
 //! A timed WAIT that a NOTIFY ends has one too: a NOTIFY + WAIT round on
 //! a CV with a 50 ms timeout must stay under 600 ns. It costs ~150 ns with

@@ -527,18 +527,20 @@ fn main() {
         }
         "bench" => {
             let reps = count32("--reps").unwrap_or(3);
-            let baseline_path = flag_value("--baseline");
+            // Read before the report is written: without `--json` it goes
+            // to the very file a baseline usually names.
+            let baseline = flag_value("--baseline").map(|bpath| {
+                let text = std::fs::read_to_string(&bpath).unwrap_or_default();
+                let base = bench::perf::baseline_events_per_sec(&text);
+                (bpath, base)
+            });
             let report = bench::perf::measure(window, seed, reps, policy);
             print!("{}", report.text());
             let path = json_path
                 .clone()
                 .unwrap_or_else(|| "BENCH_threadstudy.json".to_string());
             code = exit::write(&path, report.to_json().pretty());
-            if let Some(bpath) = baseline_path {
-                let base = std::fs::read_to_string(&bpath)
-                    .ok()
-                    .as_deref()
-                    .and_then(bench::perf::baseline_events_per_sec);
+            if let Some((bpath, base)) = baseline {
                 match base {
                     Some(base) => {
                         let cur = report.aggregate_events_per_sec;

@@ -435,6 +435,29 @@ fn serve_baseline_catches_a_planted_regression() {
     );
 }
 
+/// Without `--json` the bench report lands in `BENCH_threadstudy.json`, the
+/// file the baseline names here: the gate must read the baseline first,
+/// not compare the run with itself.
+#[test]
+fn bench_baseline_is_read_before_the_report_overwrites_it() {
+    let dir = std::env::temp_dir().join(format!("repro-bench-base-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let base = dir.join("BENCH_threadstudy.json");
+    std::fs::write(&base, "{\"aggregate_events_per_sec\":1e12}").expect("baseline");
+    let out = repro()
+        .args(["bench", "--reps", "1", "--window", "1"])
+        .args(["--baseline", "BENCH_threadstudy.json"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn repro");
+    let written = std::fs::read_to_string(&base).expect("the report");
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(5), "stderr:\n{stderr}");
+    assert!(stderr.contains("regressed more than 30%"), "{stderr}");
+    assert!(written.contains("threadstudy-bench-v4"), "{written:.200}");
+}
+
 #[test]
 fn serve_baseline_without_a_gated_field_is_a_parse_error() {
     let path = std::env::temp_dir().join(format!("serve-cut-{}.json", std::process::id()));

@@ -149,6 +149,9 @@ impl ThreadCtx {
     // copy made here reads it back in 16-byte loads that straddle the
     // narrower stores just made: a store-forwarding stall on every call
     // (an enter + exit pair 68 -> 78 ns when `Request` shrank to 48 bytes).
+    // The reply has the same hazard on the way back, which is why it must
+    // fit a register: while a fault carried its text, `Option<Reply>` was
+    // 24 bytes, stored by `Kernel::advance` in parts and reloaded whole here.
     #[inline(always)]
     fn call(&self, req: Request) -> Reply {
         if self.shutting_down.get() {
@@ -159,9 +162,17 @@ impl ThreadCtx {
                 self.shutting_down.set(true);
                 std::panic::panic_any(ShutdownSignal)
             }
-            Reply::Fault(msg) => panic!("{msg}"),
+            Reply::Fault => self.fault(),
             r => r,
         }
+    }
+
+    /// Panics with the message of the fault the kernel just replied.
+    #[cold]
+    #[inline(never)]
+    fn fault(&self) -> ! {
+        let msg = self.kernel.borrow_mut().take_fault(self.tid);
+        panic!("{msg}")
     }
 
     // ---- thread lifecycle ----------------------------------------------
@@ -335,7 +346,13 @@ impl ThreadCtx {
         if self.shutting_down.get() || IN_KERNEL.get() {
             return;
         }
-        if let Reply::Shutdown = self.request(Request::MonitorExit(mid)) {
+        let reply = self.request(Request::MonitorExit(mid));
+        if let Reply::Fault = reply {
+            // A non-owner's EXIT is ignored, as it always was; its message
+            // goes too, or this thread's next fault could report it.
+            drop(self.kernel.borrow_mut().take_fault(self.tid));
+        }
+        if let Reply::Shutdown = reply {
             self.shutting_down.set(true);
             // Unwind unless we are already unwinding (a panic out of a
             // destructor during a panic would abort the process).
@@ -483,5 +500,28 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{JoinError, Priority, RunLimit, Sim, SimConfig};
+
+    #[test]
+    fn a_non_owners_exit_leaves_no_message_for_the_next_fault() {
+        let mut sim = Sim::new(SimConfig::default());
+        let m = sim.monitor("m", ());
+        let h = sim.fork_root("t", Priority::DEFAULT, move |ctx| {
+            // Not held: ignored, as a guard's drop cannot report it.
+            ctx.monitor_exit(m.id);
+            let _g = ctx.enter(&m);
+            // threadlint: allow(lock-order-cycle)
+            let _again = ctx.enter(&m);
+        });
+        sim.run(RunLimit::ToCompletion);
+        let Err(JoinError::Panicked(msg)) = h.into_result().unwrap() else {
+            panic!("the recursive entry must panic");
+        };
+        assert!(msg.starts_with("recursive monitor entry"), "{msg}");
     }
 }

@@ -94,7 +94,14 @@ pub(crate) enum Request {
 }
 
 /// The scheduler's reply that resumes a parked thread.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A `Copy` value of 8 bytes, `Option` included, so that `Kernel::serve`
+/// hands it back in a register. Nearly every call is served in place, and a
+/// wider reply (24 bytes when a fault carried its text) went through memory
+/// in narrow stores read back by one wide load: a store-forwarding stall on
+/// every call. A fault's text therefore waits kernel-side, for the faulting
+/// thread to take it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Reply {
     /// Generic completion.
     Ok,
@@ -112,11 +119,18 @@ pub(crate) enum Reply {
     CondId(CondId),
     /// The request was illegal (recursive monitor entry, exiting an
     /// unowned monitor, CV op without the lock...). The thread panics
-    /// with this message; the simulation continues.
-    Fault(String),
+    /// with the message the kernel keeps for it; the simulation continues.
+    Fault,
     /// The simulation is tearing down: unwind out of the thread body.
     Shutdown,
 }
+
+// What keeps a reply in a register: no heap field, no drop glue.
+const _: () = assert!(size_of::<Option<Reply>>() <= 8);
+const _: fn() = || {
+    fn copy<T: Copy>() {}
+    copy::<Reply>();
+};
 
 /// Panic payload used to unwind a simulated thread at shutdown.
 pub(crate) struct ShutdownSignal;

@@ -304,7 +304,6 @@ pub(crate) struct Tcb {
     blocked_since: SimTime,
 }
 
-#[derive(Default)]
 struct MonitorState {
     name: Arc<str>,
     /// Entered at least once: counted in `SimStats::distinct_monitors`.
@@ -452,6 +451,9 @@ pub(crate) struct Kernel {
     pool: StackPool,
     monitors: Vec<MonitorState>,
     conds: Vec<CvState>,
+    /// The message of each [`Reply::Fault`] not yet taken by its thread
+    /// ([`Kernel::take_fault`]): kept here so that a reply stays a register.
+    faults: Vec<(ThreadId, String)>,
     sink: Option<Box<dyn TraceSink>>,
     /// Cached [`TraceSink::subscriptions`] of `sink` (EMPTY when none):
     /// [`Kernel::emit`] consults the masks before constructing an event,
@@ -537,6 +539,7 @@ impl Sim {
             cancelled_until: SimTime::ZERO,
             monitors: Vec::new(),
             conds: Vec::new(),
+            faults: Vec::new(),
             sink: None,
             sink_mask: EventMask::EMPTY,
             hazard_mask: EventMask::EMPTY,
@@ -963,9 +966,7 @@ impl Sim {
 
     /// Runs `tid`'s body from `reply` until it parks or ends, the kernel
     /// not borrowed meanwhile, and serves the `Exit` it posted if it ended.
-    // Inlined for the reason `ThreadCtx::call` is: as an argument `reply`
-    // is copied on its way to the body, in wide loads that straddle the
-    // stores that just built it (a `yield_now` round trip 94 -> 105 ns).
+    // Inlined: out of line, a `yield_now` round trip costs 97 -> 110-115 ns.
     #[inline(always)]
     pub(crate) fn resume<'a>(
         &'a self,
@@ -1517,9 +1518,16 @@ impl Kernel {
     // ---- monitor helpers ----------------------------------------------------
 
     fn new_monitor(&mut self, name: Arc<str>) -> MonitorId {
+        // Field by field: `..Default::default()` would build an empty
+        // name, an atomic clone and drop, just to overwrite it.
         self.monitors.push(MonitorState {
             name,
-            ..MonitorState::default()
+            entered: false,
+            owner: None,
+            queue: VecDeque::new(),
+            deferred: Vec::new(),
+            meta: None,
+            meta_waiters: VecDeque::new(),
         });
         MonitorId(self.monitors.len() as u32 - 1)
     }
@@ -1692,7 +1700,14 @@ impl Kernel {
     }
 
     fn fault(&mut self, tid: ThreadId, msg: String) {
-        self.reply(tid, Reply::Fault(msg), SimDuration::ZERO);
+        self.faults.push((tid, msg));
+        self.reply(tid, Reply::Fault, SimDuration::ZERO);
+    }
+
+    /// The message of the [`Reply::Fault`] that `tid` was just given.
+    pub(crate) fn take_fault(&mut self, tid: ThreadId) -> String {
+        let i = self.faults.iter().position(|&(t, _)| t == tid);
+        self.faults.swap_remove(i.expect("a fault has a message")).1
     }
 
     fn pick_next(&mut self) -> Option<(ThreadId, Option<SimDuration>, Option<Shield>)> {

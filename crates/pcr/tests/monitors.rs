@@ -38,22 +38,34 @@ fn monitor_protects_a_read_modify_write() {
 #[test]
 fn recursive_monitor_entry_panics_the_thread_not_the_sim() {
     let mut s = sim();
-    let m = s.monitor("m", ());
+    let m = s.monitor("m", 0u32);
+    let m2 = m.clone();
     let h = s.fork_root("recursive", Priority::DEFAULT, move |ctx| {
         let _g1 = ctx.enter(&m);
         // Mesa monitors are not re-entrant; this provokes the fault on
         // purpose. threadlint: allow(lock-order-cycle)
         let _g2 = ctx.enter(&m);
     });
-    let _ = s.fork_root("bystander", Priority::DEFAULT, |ctx| ctx.work(millis(1)));
+    // Runs on after the fault, through the monitor the faulting thread's
+    // unwind released.
+    let sibling = s.fork_root("sibling", Priority::DEFAULT, move |ctx| {
+        ctx.sleep_precise(millis(1));
+        let mut g = ctx.enter(&m2);
+        g.with_mut(|v| *v += 1);
+        ctx.work(millis(1));
+        g.with(|v| *v)
+    });
     let r = s.run(RunLimit::For(secs(2)));
     assert_eq!(r.reason, StopReason::AllExited, "sim must survive");
     match h.into_result().unwrap() {
-        Err(JoinError::Panicked(msg)) => {
-            assert!(msg.contains("recursive monitor entry"), "{msg}")
-        }
+        Err(JoinError::Panicked(msg)) => assert_eq!(
+            msg,
+            "recursive monitor entry on ML0 (m); Mesa monitors are not re-entrant"
+        ),
         other => panic!("expected panic, got {other:?}"),
     }
+    assert_eq!(sibling.into_result().unwrap(), Ok(1));
+    assert!(s.now() >= pcr::SimTime::ZERO + millis(2), "{}", s.now());
     assert_eq!(s.stats().panics, 1);
 }
 
