@@ -183,16 +183,17 @@ pub fn profile_json(rows: &[trace::MonitorProfileRow], lat: &pcr::SchedLatency) 
             ("max_wait_us", Json::from(p.max_wait.as_micros())),
         ])
     });
-    let latency = (0..7).filter(|&p| lat.samples[p] > 0).map(|p| {
+    let levels = lat.levels.iter().enumerate();
+    let latency = levels.filter(|(_, h)| h.count() > 0).map(|(p, h)| {
         Json::obj([
             ("priority", Json::from((p + 1) as u64)),
-            ("dispatches", Json::from(lat.samples[p])),
+            ("dispatches", Json::from(h.count())),
             (
                 "mean_wait_us",
                 Json::from(lat.mean_wait(p).map_or(0, |d| d.as_micros())),
             ),
-            ("max_wait_us", Json::from(lat.max_wait[p].as_micros())),
-            ("log2_us_histogram", Json::from(lat.buckets[p].to_vec())),
+            ("max_wait_us", Json::from(h.max_us())),
+            ("log2_us_histogram", Json::from(h.counts().to_vec())),
         ])
     });
     Json::obj([

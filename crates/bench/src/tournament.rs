@@ -248,13 +248,8 @@ impl TournamentReport {
         for e in &self.entries {
             match &e.outcome {
                 Ok(r) => {
-                    let worst_wait = r
-                        .sched_latency
-                        .max_wait
-                        .iter()
-                        .map(|d| d.as_micros())
-                        .max()
-                        .unwrap_or(0);
+                    let levels = r.sched_latency.levels.iter();
+                    let worst_wait = levels.map(|h| h.max_us()).max().unwrap_or(0);
                     t.row(vec![
                         e.cell_label(),
                         e.policy.to_string(),
@@ -305,7 +300,7 @@ impl TournamentReport {
             let active = cell_entries.iter().any(|e| {
                 e.outcome
                     .as_ref()
-                    .is_ok_and(|r| r.sched_latency.samples[prio] > 0)
+                    .is_ok_and(|r| r.sched_latency.levels[prio].count() > 0)
             });
             if !active {
                 continue;
@@ -314,10 +309,10 @@ impl TournamentReport {
             for policy in &self.policies {
                 let entry = cell_entries.iter().find(|e| e.policy == *policy);
                 match entry.map(|e| e.outcome.as_ref()) {
-                    Some(Ok(r)) if r.sched_latency.samples[prio] > 0 => {
+                    Some(Ok(r)) if r.sched_latency.levels[prio].count() > 0 => {
                         let mean = r.sched_latency.mean_wait(prio).map_or(0, |d| d.as_micros());
                         row.push(mean.to_string());
-                        row.push(r.sched_latency.max_wait[prio].as_micros().to_string());
+                        row.push(r.sched_latency.levels[prio].max_us().to_string());
                     }
                     _ => {
                         row.push("-".to_string());

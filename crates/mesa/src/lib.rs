@@ -9,7 +9,8 @@
 //! interval, exactly-one-waiter NOTIFY as a hint, WAIT only in a loop.
 //!
 //! Scope restrictions relative to the simulated uniprocessor,
-//! documented rather than silently diverging (compare `pcr::mp`'s table):
+//! documented rather than silently diverging (compare the multiprocessor
+//! table in `pcr`'s `sched/run.rs`):
 //!
 //! * priorities are recorded ([`RealCtx::priority`]) but not enforced —
 //!   the OS schedules;

@@ -6,8 +6,68 @@
 
 use crate::chaos::ChaosConfig;
 use crate::hazard::HazardConfig;
-use crate::sched::policy::PolicyKind;
 use crate::time::{micros, millis, SimDuration};
+
+/// Which scheduling policy a [`Sim`](crate::Sim) dispatches with.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum PolicyKind {
+    /// The paper's scheduler: 7 strict priorities, round-robin within a
+    /// level, fixed quantum. The default, byte-identical to the
+    /// pre-trait dispatcher.
+    #[default]
+    RoundRobin,
+    /// CFS-style fair scheduling: lowest virtual runtime first, with
+    /// priority acting as a weight on how fast virtual runtime advances.
+    Cfs,
+    /// Lottery scheduling: each dispatch draws a winner with
+    /// priority-proportional tickets from a dedicated seeded RNG stream.
+    Lottery,
+    /// Multi-level feedback queue: demotion on quantum expiry, boost to
+    /// the base priority on wakeup, shorter slices at higher levels.
+    Mlfq,
+}
+
+impl PolicyKind {
+    /// Every policy, in tournament display order.
+    pub const ALL: [PolicyKind; 4] = [
+        PolicyKind::RoundRobin,
+        PolicyKind::Cfs,
+        PolicyKind::Lottery,
+        PolicyKind::Mlfq,
+    ];
+
+    /// The CLI/JSON tag (`rr`, `cfs`, `lottery`, `mlfq`).
+    pub const fn as_str(self) -> &'static str {
+        match self {
+            PolicyKind::RoundRobin => "rr",
+            PolicyKind::Cfs => "cfs",
+            PolicyKind::Lottery => "lottery",
+            PolicyKind::Mlfq => "mlfq",
+        }
+    }
+}
+
+impl std::fmt::Display for PolicyKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl std::str::FromStr for PolicyKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s.to_ascii_lowercase().as_str() {
+            "rr" | "round-robin" | "roundrobin" => Ok(PolicyKind::RoundRobin),
+            "cfs" | "fair" => Ok(PolicyKind::Cfs),
+            "lottery" => Ok(PolicyKind::Lottery),
+            "mlfq" => Ok(PolicyKind::Mlfq),
+            other => Err(format!(
+                "unknown policy {other:?} (expected rr, cfs, lottery, or mlfq)"
+            )),
+        }
+    }
+}
 
 /// How NOTIFY schedules the awakened thread (§6.1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

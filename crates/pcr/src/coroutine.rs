@@ -49,7 +49,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::ptr;
 use std::rc::Rc;
 
-use crate::rendezvous::{Reply, Request};
+use crate::sched::{Reply, Request};
 
 #[cfg(not(all(target_arch = "x86_64", unix)))]
 compile_error!(

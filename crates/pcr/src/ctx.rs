@@ -13,7 +13,7 @@
 //! quantum or the run's window, or was stalled), as PCR entered its
 //! scheduler only to change threads: it parks on its baton and the next
 //! dispatch resumes it with the reply. (With more than one virtual CPU
-//! every call parks, so that the run loop of [`crate::mp`] can order the
+//! every call parks, so that the multiprocessor run loop can order the
 //! CPUs' same-instant calls.)
 
 use std::cell::{Cell, RefCell};
@@ -26,9 +26,8 @@ use crate::coroutine::{Baton, Coroutine, Stack};
 use crate::error::{ForkError, JoinError};
 use crate::event::WaitOutcome;
 use crate::monitor::{Monitor, MonitorGuard, MonitorId};
-use crate::rendezvous::{BodyFn, ForkSpec, Reply, Request, ShutdownSignal};
 use crate::rng::SplitMix64;
-use crate::sched::Kernel;
+use crate::sched::{BodyFn, ForkSpec, Kernel, Reply, Request, ShutdownSignal};
 use crate::thread::{JoinHandle, Priority, ResultSlot, ThreadId};
 use crate::time::{SimDuration, SimTime};
 
@@ -133,7 +132,7 @@ impl ThreadCtx {
         )
     }
 
-    // ---- core rendezvous ------------------------------------------------
+    // ---- the kernel call --------------------------------------------------
 
     /// Carries `req` to the scheduler and comes back with its reply,
     /// having switched stacks only if the thread left the CPU meanwhile.
@@ -238,7 +237,7 @@ impl ThreadCtx {
         T: Send + 'static,
         F: FnOnce(&ThreadCtx) -> T + Send + 'static,
     {
-        let (spec, slot) = fork_spec(name, opts.priority, opts.detached, f);
+        let (spec, slot) = fork_spec(name, opts.priority, f);
         match self.call(Request::Fork(spec)) {
             Reply::Forked(tid) => Ok(JoinHandle { tid, slot }),
             Reply::ForkFailed => Err(ForkError::ResourcesExhausted),
@@ -455,7 +454,6 @@ impl ThreadCtx {
 pub(crate) fn fork_spec<T: Send + 'static>(
     name: &str,
     priority: Option<Priority>,
-    detached: bool,
     f: impl FnOnce(&ThreadCtx) -> T + Send + 'static,
 ) -> (ForkSpec, ResultSlot<T>) {
     let result: ResultSlot<T> = Arc::new(Mutex::new(None));
@@ -486,7 +484,6 @@ pub(crate) fn fork_spec<T: Send + 'static>(
     let spec = ForkSpec {
         name: name.to_string(),
         priority,
-        detached,
         body,
     };
     (spec, result)

@@ -86,22 +86,20 @@ mod ctx;
 mod error;
 mod event;
 mod hazard;
+mod histogram;
 mod monitor;
-pub mod mp;
-mod rendezvous;
 mod rng;
 mod runtime;
 mod sched;
 mod thread;
 mod time;
-mod timer;
 mod waitgraph;
 pub mod weakmem;
 pub mod wheel;
 
 pub use chaos::{ChaosConfig, FaultDecision, FaultSchedule, FaultSiteKind, PctConfig, StallSpec};
 pub use condition::Condition;
-pub use config::{ForkPolicy, NotifyMode, SimConfig, SystemDaemonConfig};
+pub use config::{ForkPolicy, NotifyMode, PolicyKind, SimConfig, SystemDaemonConfig};
 #[doc(hidden)]
 pub use coroutine::{stack_pool_stats, StackPoolStats};
 pub use ctx::{panic_message, ForkOpts, ThreadCtx};
@@ -111,11 +109,11 @@ pub use event::{
     YieldKind,
 };
 pub use hazard::{Hazard, HazardConfig, HazardCounts, HazardKind, HazardMonitor};
+pub use histogram::Log2Histogram;
 pub use monitor::{Monitor, MonitorGuard, MonitorId};
 pub use rng::SplitMix64;
 pub use runtime::{Guard, Runtime};
 pub use sched::policy;
-pub use sched::policy::PolicyKind;
 pub use sched::{AllocCounters, RunLimit, SchedLatency, Sim, SimStats};
 pub use thread::{JoinHandle, Priority, ThreadId, ThreadInfo, ThreadSummary, ThreadView};
 pub use time::{micros, millis, secs, SimDuration, SimTime};

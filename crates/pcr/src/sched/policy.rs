@@ -2,7 +2,7 @@
 //!
 //! The dispatch decision of [`Sim`](crate::Sim) sits behind the
 //! [`Scheduler`] trait: the simulator owns thread state, timers, and the
-//! rendezvous protocol, and delegates *which runnable thread goes next*
+//! kernel-call protocol, and delegates *which runnable thread goes next*
 //! to the installed policy. The paper's scheduler — 7 strict priorities,
 //! round-robin within a level, 50 ms quantum — is the default
 //! ([`RoundRobin`]); three alternatives ship alongside it for the
@@ -41,6 +41,7 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use super::Tcb;
+pub use crate::config::PolicyKind;
 use crate::rng::SplitMix64;
 use crate::thread::{Priority, ThreadId};
 use crate::time::SimDuration;
@@ -49,67 +50,6 @@ use crate::time::SimDuration;
 /// private RNG stream, keeping it independent from both the main and the
 /// chaos streams.
 pub const LOTTERY_SEED_SALT: u64 = 0x107E_21C7_ED5A_17ED;
-
-/// Which scheduling policy a [`Sim`](crate::Sim) dispatches with.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum PolicyKind {
-    /// The paper's scheduler: 7 strict priorities, round-robin within a
-    /// level, fixed quantum. The default, byte-identical to the
-    /// pre-trait dispatcher.
-    #[default]
-    RoundRobin,
-    /// CFS-style fair scheduling: lowest virtual runtime first, with
-    /// priority acting as a weight on how fast virtual runtime advances.
-    Cfs,
-    /// Lottery scheduling: each dispatch draws a winner with
-    /// priority-proportional tickets from a dedicated seeded RNG stream.
-    Lottery,
-    /// Multi-level feedback queue: demotion on quantum expiry, boost to
-    /// the base priority on wakeup, shorter slices at higher levels.
-    Mlfq,
-}
-
-impl PolicyKind {
-    /// Every policy, in tournament display order.
-    pub const ALL: [PolicyKind; 4] = [
-        PolicyKind::RoundRobin,
-        PolicyKind::Cfs,
-        PolicyKind::Lottery,
-        PolicyKind::Mlfq,
-    ];
-
-    /// The CLI/JSON tag (`rr`, `cfs`, `lottery`, `mlfq`).
-    pub const fn as_str(self) -> &'static str {
-        match self {
-            PolicyKind::RoundRobin => "rr",
-            PolicyKind::Cfs => "cfs",
-            PolicyKind::Lottery => "lottery",
-            PolicyKind::Mlfq => "mlfq",
-        }
-    }
-}
-
-impl std::fmt::Display for PolicyKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for PolicyKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "rr" | "round-robin" | "roundrobin" => Ok(PolicyKind::RoundRobin),
-            "cfs" | "fair" => Ok(PolicyKind::Cfs),
-            "lottery" => Ok(PolicyKind::Lottery),
-            "mlfq" => Ok(PolicyKind::Mlfq),
-            other => Err(format!(
-                "unknown policy {other:?} (expected rr, cfs, lottery, or mlfq)"
-            )),
-        }
-    }
-}
 
 /// The simulator state a policy may touch: the thread table.
 /// Constructed by the simulator around each policy call; not
@@ -174,31 +114,24 @@ pub trait Scheduler: Send {
 
     /// The quantum to grant `tid` on dispatch. `default` is the
     /// configured quantum; the paper's policy returns it unchanged.
-    fn timeslice(&self, tid: ThreadId, priority: Priority, default: SimDuration) -> SimDuration {
-        let _ = (tid, priority);
+    fn timeslice(&self, _tid: ThreadId, _priority: Priority, default: SimDuration) -> SimDuration {
         default
     }
 
     /// `tid` consumed `d` of virtual CPU at `priority`. CFS advances its
     /// virtual runtime here; the accounting mirrors
     /// [`SimStats::cpu_by_priority`](crate::SimStats).
-    fn on_cpu(&mut self, tid: ThreadId, priority: Priority, d: SimDuration) {
-        let _ = (tid, priority, d);
-    }
+    fn on_cpu(&mut self, _tid: ThreadId, _priority: Priority, _d: SimDuration) {}
 
     /// `tid` ran through a full quantum without blocking. MLFQ demotes
     /// here, before the simulator decides whether to requeue.
-    fn on_quantum_expired(&mut self, tid: ThreadId) {
-        let _ = tid;
-    }
+    fn on_quantum_expired(&mut self, _tid: ThreadId) {}
 
     /// `tid`'s base priority changed while it was *not* in the ready
     /// structure (running or blocked); a ready thread is re-queued via
     /// [`Scheduler::remove`]/[`Scheduler::on_ready`] instead. MLFQ
     /// resets the thread's feedback level to the new base.
-    fn on_priority_changed(&mut self, tid: ThreadId, priority: Priority) {
-        let _ = (tid, priority);
-    }
+    fn on_priority_changed(&mut self, _tid: ThreadId, _priority: Priority) {}
 
     /// How many ready threads there are, not counting `excluded` — the
     /// candidate count for the SystemDaemon's donation pick.
@@ -406,6 +339,7 @@ const CFS_WAKEUP_GRANULARITY: u64 = 1000 * CFS_SCALE;
 /// [`SimStats::cpu_by_priority`](crate::SimStats) already keeps. A
 /// monotone watermark places wakers at the current fair position so
 /// sleepers cannot hoard credit.
+#[derive(Default)]
 pub struct Cfs {
     /// Ready threads ordered by `(virtual runtime, tid)`.
     queue: BTreeSet<(u64, u32)>,
@@ -428,12 +362,7 @@ pub fn weight(priority: Priority) -> u64 {
 impl Cfs {
     /// An empty fair-queueing structure.
     pub fn new() -> Self {
-        Cfs {
-            queue: BTreeSet::new(),
-            vruntime: Vec::new(),
-            key: Vec::new(),
-            min_vruntime: 0,
-        }
+        Cfs::default()
     }
 
     fn first_excluding(&self, excluded: Option<ThreadId>) -> Option<(u64, u32)> {
@@ -444,14 +373,8 @@ impl Cfs {
     }
 }
 
-impl Default for Cfs {
-    fn default() -> Self {
-        Cfs::new()
-    }
-}
-
 impl Scheduler for Cfs {
-    fn on_ready(&mut self, ctx: &mut PolicyCtx<'_>, tid: ThreadId, _front: bool, _wakeup: bool) {
+    fn on_ready(&mut self, _ctx: &mut PolicyCtx<'_>, tid: ThreadId, _front: bool, _wakeup: bool) {
         ensure(&mut self.vruntime, tid, 0);
         ensure(&mut self.key, tid, 0);
         let idx = tid.0 as usize;
@@ -461,7 +384,6 @@ impl Scheduler for Cfs {
         self.vruntime[idx] = vr;
         self.key[idx] = vr;
         self.queue.insert((vr, tid.0));
-        let _ = ctx;
     }
 
     fn next(&mut self, ctx: &mut PolicyCtx<'_>, excluded: Option<ThreadId>) -> Option<ThreadId> {
@@ -481,7 +403,7 @@ impl Scheduler for Cfs {
 
     fn preempts(
         &mut self,
-        ctx: &mut PolicyCtx<'_>,
+        _ctx: &mut PolicyCtx<'_>,
         running: ThreadId,
         excluded: Option<ThreadId>,
     ) -> bool {
@@ -489,7 +411,6 @@ impl Scheduler for Cfs {
         let Some((key, _)) = self.first_excluding(excluded) else {
             return false;
         };
-        let _ = ctx;
         key.saturating_add(CFS_WAKEUP_GRANULARITY) < self.vruntime[running.0 as usize]
     }
 
@@ -564,11 +485,10 @@ impl Lottery {
 }
 
 impl Scheduler for Lottery {
-    fn on_ready(&mut self, ctx: &mut PolicyCtx<'_>, tid: ThreadId, _front: bool, _wakeup: bool) {
+    fn on_ready(&mut self, _ctx: &mut PolicyCtx<'_>, tid: ThreadId, _front: bool, _wakeup: bool) {
         ensure(&mut self.pos, tid, NO_POS);
         self.pos[tid.0 as usize] = self.entries.len() as u32;
         self.entries.push(tid);
-        let _ = ctx;
     }
 
     fn next(&mut self, ctx: &mut PolicyCtx<'_>, excluded: Option<ThreadId>) -> Option<ThreadId> {
@@ -725,11 +645,11 @@ impl Scheduler for Mlfq {
     fn on_quantum_expired(&mut self, tid: ThreadId) {
         ensure(&mut self.level, tid, NO_LEVEL);
         let l = &mut self.level[tid.0 as usize];
-        if *l != NO_LEVEL {
-            *l = l.saturating_sub(1);
+        *l = if *l == NO_LEVEL {
+            0
         } else {
-            *l = 0;
-        }
+            l.saturating_sub(1)
+        };
     }
 
     fn on_priority_changed(&mut self, tid: ThreadId, priority: Priority) {

@@ -1,110 +1,10 @@
 //! Latency histograms and the shared pipeline metrics monitor.
 
-use pcr::{SimDuration, SimTime};
+use pcr::SimTime;
 
-const BUCKETS: usize = 40; // covers 1µs .. ~9 minutes in log2 steps
-
-/// A log2-bucketed microsecond latency histogram with deterministic
-/// quantile extraction (linear interpolation within the bucket).
-#[derive(Clone, Debug)]
-pub struct LatencyHistogram {
-    counts: [u64; BUCKETS],
-    count: u64,
-    sum_us: u64,
-    max_us: u64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram {
-            counts: [0; BUCKETS],
-            count: 0,
-            sum_us: 0,
-            max_us: 0,
-        }
-    }
-}
-
-impl LatencyHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn bucket_of(us: u64) -> usize {
-        // Bucket b holds [2^(b-1), 2^b); bucket 0 holds {0}.
-        ((64 - us.leading_zeros()) as usize).min(BUCKETS - 1)
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, d: SimDuration) {
-        let us = d.as_micros();
-        self.counts[Self::bucket_of(us)] += 1;
-        self.count += 1;
-        self.sum_us += us;
-        self.max_us = self.max_us.max(us);
-    }
-
-    /// Observations recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Largest observation, µs.
-    pub fn max_us(&self) -> u64 {
-        self.max_us
-    }
-
-    /// Mean, µs (0 when empty).
-    pub fn mean_us(&self) -> u64 {
-        self.sum_us.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// The `q`-quantile in µs (`q` ∈ (0, 1]); `None` when empty.
-    /// Deterministic: integer rank, linear interpolation across the
-    /// bucket's value range by intra-bucket position.
-    pub fn quantile_us(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (b, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if seen + c >= rank {
-                let lo = if b == 0 { 0 } else { 1u64 << (b - 1) };
-                let hi = if b == 0 { 0 } else { (1u64 << b) - 1 };
-                let pos = (rank - seen - 1) as f64 / c as f64;
-                let v = lo as f64 + (hi - lo) as f64 * pos;
-                return Some((v as u64).min(self.max_us));
-            }
-            seen += c;
-        }
-        Some(self.max_us)
-    }
-
-    /// Quantile as a duration.
-    pub fn quantile(&self, q: f64) -> Option<SimDuration> {
-        self.quantile_us(q).map(SimDuration::from_micros)
-    }
-
-    /// Resets to empty (control-window reuse).
-    pub fn reset(&mut self) {
-        *self = LatencyHistogram::new();
-    }
-
-    /// Nonzero `(bucket_lo_us, count)` rows for the JSON report.
-    pub fn rows(&self) -> Vec<(u64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(b, &c)| (if b == 0 { 0 } else { 1u64 << (b - 1) }, c))
-            .collect()
-    }
-}
+/// The input-to-echo latency histogram: the kernel's log₂-µs one, with
+/// 40 buckets (1 µs to ~9 minutes) and interpolated quantiles.
+pub type LatencyHistogram = pcr::Log2Histogram<40>;
 
 /// Pipeline-side counters and histograms, shared via one monitor.
 #[derive(Clone, Debug, Default)]
@@ -136,7 +36,7 @@ impl ServeMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcr::{micros, millis};
+    use pcr::{micros, millis, SimDuration};
 
     #[test]
     fn quantiles_are_ordered_and_bounded() {

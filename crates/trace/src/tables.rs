@@ -285,30 +285,20 @@ pub fn latency_table(lat: &pcr::SchedLatency) -> Table {
         Align::Right,
         Align::Left,
     ]);
-    let quantile = |buckets: &[u64], total: u64, q: f64| -> u64 {
-        let target = (total as f64 * q).ceil() as u64;
-        let mut seen = 0u64;
-        for (b, &c) in buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return pcr::SchedLatency::bucket_floor_us(b);
-            }
-        }
-        pcr::SchedLatency::bucket_floor_us(buckets.len() - 1)
-    };
-    for p in 0..pcr::Priority::LEVELS {
-        let n = lat.samples[p];
+    for (p, h) in lat.levels.iter().enumerate() {
+        let n = h.count();
         if n == 0 {
             continue;
         }
+        let quantile = |q| h.quantile_floor_us(q).unwrap_or(0).to_string();
         t.row(vec![
             (p + 1).to_string(),
             n.to_string(),
             lat.mean_wait(p).map_or(0, |d| d.as_micros()).to_string(),
-            quantile(&lat.buckets[p], n, 0.50).to_string(),
-            quantile(&lat.buckets[p], n, 0.99).to_string(),
-            lat.max_wait[p].as_micros().to_string(),
-            bucket_spark(&lat.buckets[p]),
+            quantile(0.50),
+            quantile(0.99),
+            h.max_us().to_string(),
+            bucket_spark(h.counts()),
         ]);
     }
     t
