@@ -19,9 +19,11 @@ const USAGE: &str = "\
 usage: repro <command> [options]
 
 commands:
-  tables   [--window SECS]   Tables 1-3 (runs all 12 benchmarks)
+  tables   [--window SECS] [--json PATH]
+                             Tables 1-3 (runs all 12 benchmarks)
   table4                     Table 4 (static census)
-  figures  [--window SECS]   interval/priority/generation figures
+  figures  [--window SECS] [--json PATH]
+                             interval/priority/generation figures
   experiments                the §5/§6 experiments (E5-E13, E17)
   slack|spurious|inversion|quantum|mistakes|forkfail|weakmem|xlib|exploiters|retrystorm
                              one experiment by name
@@ -86,7 +88,8 @@ commands:
                              --sarif writes a SARIF 2.1.0 log, --baseline
                              ratchets findings against a committed
                              inventory (two-sided: new findings AND stale
-                             entries fail; --write-baseline regenerates),
+                             entries fail; exit 6 if it cannot be read;
+                             --write-baseline regenerates),
                              --confirm replays the stored corpus in DIR
                              and classifies each finding as confirmed /
                              plausible / unreached
@@ -104,14 +107,15 @@ commands:
                              Cedar/Keyboard + GVX/Scroll; exits 3 unless
                              every policy completes every cell
                              deadlock-free
-  bench    [--reps N] [--json PATH] [--baseline PATH]
+  bench    [--window SECS] [--reps N] [--json PATH] [--baseline PATH]
                              wall-clock perf harness: times every matrix
                              cell, one at a time (median of N reps,
                              default 3), reports simulated events/sec,
                              and writes BENCH_threadstudy.json;
                              with --baseline, fails if aggregate
                              events/sec regressed more than 30% vs that
-                             file
+                             file (exit 5; exit 6 if the file cannot be
+                             read or lacks aggregate_events_per_sec)
   serve    [--sessions N] [--scenario reference|burst|outage]
            [--reps N] [--pipeline-workers N] [--no-retry-budget]
            [--json PATH] [--baseline PATH] [--chrome PATH]
@@ -129,7 +133,8 @@ commands:
                              executor and exits 1 unless their reports
                              are byte-identical; --baseline regression-
                              checks a stored report (exit 5 on drift;
-                             exit 6 if the file lacks a gated field);
+                             exit 6 if the file is unreadable or a
+                             field is missing or of the wrong type);
                              --scenario outage injects mid-run X-server
                              blackouts; --chrome additionally records
                              one traced run for ui.perfetto.dev
@@ -258,14 +263,7 @@ fn trace_cmd(
     let events = trace::take_collector::<pcr::VecSink>(&mut sim)
         .expect("vec sink")
         .events;
-    let chrome_default;
-    let chrome_path = match (chrome_path, jsonl_path) {
-        (None, None) => {
-            chrome_default = "trace-chrome.json".to_string();
-            Some(chrome_default.as_str())
-        }
-        (c, _) => c,
-    };
+    let chrome_path = chrome_path.or(jsonl_path.is_none().then_some("trace-chrome.json"));
     // An unwritable path is the user's to fix, not a panic.
     let export = |path: &str, write: &dyn Fn(&mut BufWriter<File>) -> std::io::Result<()>| {
         let written = File::create(path).and_then(|f| {
@@ -402,12 +400,16 @@ fn chaos(window: pcr::SimDuration, seed: u64, policy: pcr::PolicyKind) -> i32 {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // A leading `--flag` means "all the default work, with options".
-    let what = match args.first().map(String::as_str) {
-        None => "all",
-        Some("-h") | Some("--help") => "help",
-        Some(first) if first.starts_with("--") => "all",
-        Some(first) => first,
+    let (what, rest) = match args.first().map(String::as_str) {
+        None => ("all", &args[..]),
+        Some("-h") | Some("--help") => ("help", &args[1..]),
+        Some(first) if first.starts_with("--") => ("all", &args[..]),
+        Some(first) => (first, &args[1..]),
     };
+    let experiment = bench::experiments::report_by_name(what);
+    if let Some(block) = usage_block(what).or(experiment.map(|_| "")) {
+        reject_unknown_flags(what, block, rest);
+    }
     let has = |name: &str| args.iter().any(|a| a == name);
     let flag_value = |name: &str| flag(&args, name, |s| Ok(s.to_string()));
     let count = |name: &str| flag(&args, name, positive_u64);
@@ -438,9 +440,6 @@ fn main() {
             for section in bench::experiments::all_reports() {
                 println!("{section}");
             }
-        }
-        exp if bench::experiments::report_by_name(exp).is_some() => {
-            println!("{}", bench::experiments::report_by_name(exp).unwrap());
         }
         "help" => println!("{USAGE}\n\n{}", exit::TABLE),
         "history" => code = history(seed_flag.unwrap_or(0xE7E27)),
@@ -528,11 +527,16 @@ fn main() {
         "bench" => {
             let reps = count32("--reps").unwrap_or(3);
             // Read before the report is written: without `--json` it goes
-            // to the very file a baseline usually names.
+            // to the very file a baseline usually names. An unreadable one
+            // fails before the run, not after it.
             let baseline = flag_value("--baseline").map(|bpath| {
-                let text = std::fs::read_to_string(&bpath).unwrap_or_default();
-                let base = bench::perf::baseline_events_per_sec(&text);
-                (bpath, base)
+                match trace::Json::load(&bpath, bench::perf::baseline_events_per_sec) {
+                    Ok(base) => (bpath, base),
+                    Err(e) => {
+                        eprintln!("FAIL bench --baseline: {e}");
+                        std::process::exit(exit::IO);
+                    }
+                }
             });
             let report = bench::perf::measure(window, seed, reps, policy);
             print!("{}", report.text());
@@ -541,24 +545,16 @@ fn main() {
                 .unwrap_or_else(|| "BENCH_threadstudy.json".to_string());
             code = exit::write(&path, report.to_json().pretty());
             if let Some((bpath, base)) = baseline {
-                match base {
-                    Some(base) => {
-                        let cur = report.aggregate_events_per_sec;
-                        println!(
-                            "baseline {base:.0} events/sec, current {cur:.0} ({:+.1}%)",
-                            100.0 * (cur / base - 1.0)
-                        );
-                        if cur < 0.70 * base {
-                            eprintln!(
-                                "FAIL bench: aggregate events/sec regressed more than 30% vs {bpath}"
-                            );
-                            code = exit::worst(code, exit::REGRESSION);
-                        }
-                    }
-                    None => {
-                        eprintln!("FAIL bench: no aggregate_events_per_sec in baseline {bpath}");
-                        code = exit::worst(code, exit::REGRESSION);
-                    }
+                let cur = report.aggregate_events_per_sec;
+                println!(
+                    "baseline {base:.0} events/sec, current {cur:.0} ({:+.1}%)",
+                    100.0 * (cur / base - 1.0)
+                );
+                if cur < 0.70 * base {
+                    eprintln!(
+                        "FAIL bench: aggregate events/sec regressed more than 30% vs {bpath}"
+                    );
+                    code = exit::worst(code, exit::REGRESSION);
                 }
             }
         }
@@ -571,11 +567,6 @@ fn main() {
                         eprintln!("bad --scenario {s:?}: expected reference, burst, or outage");
                         std::process::exit(exit::USAGE);
                     });
-            }
-            if has("--chaos") {
-                // Would otherwise run the reference scenario unremarked.
-                eprintln!("bad --chaos: serve's fault mix is --scenario outage");
-                std::process::exit(exit::USAGE);
             }
             opts.pipeline_workers = count("--pipeline-workers").map(|n| n as usize);
             opts.reps = count32("--reps").unwrap_or(1);
@@ -670,13 +661,52 @@ fn main() {
                 println!("{}", bench::tables::generation_figure(&results));
             }
         }
-        other => {
-            eprintln!("unknown command: {other}\n{USAGE}");
-            std::process::exit(exit::USAGE);
-        }
+        other => match experiment {
+            Some(report) => println!("{}", report()),
+            None => {
+                eprintln!("unknown command: {other}\n{USAGE}");
+                std::process::exit(exit::USAGE);
+            }
+        },
     }
     if code != exit::OK {
         std::process::exit(code);
+    }
+}
+
+/// The lines of `USAGE` that document `command`: its own line, which
+/// may name several commands (`a|b`), and the deeper-indented lines
+/// under it.
+fn usage_block(command: &str) -> Option<&'static str> {
+    let commands = USAGE.split_once("global options:")?.0;
+    let starts: Vec<usize> = (commands.match_indices("\n  ").map(|(at, _)| at + 1))
+        .filter(|&at| commands[at + 2..].starts_with(|c: char| c.is_ascii_lowercase()))
+        .chain([commands.len()])
+        .collect();
+    let names_it = |b: &str| {
+        b.split_whitespace()
+            .next()
+            .is_some_and(|n| n.split('|').any(|n| n == command))
+    };
+    (starts.windows(2).map(|w| &commands[w[0]..w[1]])).find(|b| names_it(b))
+}
+
+/// Exits 2 on a `--flag` in `args` that `command` does not take. USAGE
+/// is the grammar, so there is no second list to keep in step: a
+/// command takes the flags its own `block` of USAGE names and the
+/// global options, and an experiment takes only the globals.
+fn reject_unknown_flags(command: &str, block: &str, args: &[String]) {
+    let globals = USAGE.split_once("global options:").map_or("", |(_, g)| g);
+    let names = |text: &str, flag: &str| {
+        text.match_indices(flag).any(|(at, _)| {
+            !text[at + flag.len()..].starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
+        })
+    };
+    for flag in args.iter().filter(|a| a.starts_with("--")) {
+        if !names(block, flag) && !names(globals, flag) {
+            eprintln!("bad {flag}: repro {command} does not take it\n{block}(global options: see repro help)");
+            std::process::exit(exit::USAGE);
+        }
     }
 }
 

@@ -436,37 +436,34 @@ pub fn retrystorm_report() -> String {
     out
 }
 
-/// Looks up one experiment's report by its DESIGN.md name.
-pub fn report_by_name(name: &str) -> Option<String> {
-    Some(match name {
-        "slack" | "e5" => slack_report(),
-        "spurious" | "e6" => spurious_report(),
-        "inversion" | "e7" => inversion_report(),
-        "quantum" | "e8" => quantum_report(),
-        "mistakes" | "e9" => mistakes_report(),
-        "forkfail" | "e10" => forkfail_report(),
-        "weakmem" | "e11" => weakmem_report(),
-        "xlib" | "e12" => xlib_report(),
-        "exploiters" | "e13" => exploiters_report(),
-        "retrystorm" | "e17" => retrystorm_report(),
-        _ => return None,
-    })
+/// Runs one experiment and renders its report.
+type Report = fn() -> String;
+
+/// Every experiment as `(name, DESIGN.md number, report)`, in order.
+const EXPERIMENTS: [(&str, &str, Report); 10] = [
+    ("slack", "e5", slack_report),
+    ("spurious", "e6", spurious_report),
+    ("inversion", "e7", inversion_report),
+    ("quantum", "e8", quantum_report),
+    ("mistakes", "e9", mistakes_report),
+    ("forkfail", "e10", forkfail_report),
+    ("weakmem", "e11", weakmem_report),
+    ("xlib", "e12", xlib_report),
+    ("exploiters", "e13", exploiters_report),
+    ("retrystorm", "e17", retrystorm_report),
+];
+
+/// Looks up one experiment's report by its DESIGN.md name or number.
+pub fn report_by_name(name: &str) -> Option<Report> {
+    let found = EXPERIMENTS
+        .iter()
+        .find(|(n, e, _)| name == *n || name == *e);
+    found.map(|(_, _, report)| *report)
 }
 
-/// Every experiment, in DESIGN.md's order.
+/// Every experiment's report, in DESIGN.md's order.
 pub fn all_reports() -> Vec<String> {
-    vec![
-        slack_report(),
-        spurious_report(),
-        inversion_report(),
-        quantum_report(),
-        mistakes_report(),
-        forkfail_report(),
-        weakmem_report(),
-        xlib_report(),
-        exploiters_report(),
-        retrystorm_report(),
-    ]
+    EXPERIMENTS.iter().map(|(_, _, report)| report()).collect()
 }
 
 #[cfg(test)]

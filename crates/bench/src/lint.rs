@@ -48,7 +48,8 @@ pub struct LintOpts {
 /// Runs the analyzer, prints the census and findings, handles the
 /// optional artifacts, and returns the exit code: [`exit::HAZARD`] on any
 /// unallowed finding, a census mismatch, a baseline delta, or an
-/// unreadable corpus, [`exit::IO`] if an artifact cannot be written.
+/// unreadable corpus, [`exit::IO`] if an artifact cannot be written or
+/// the baseline cannot be read.
 pub fn run(opts: &LintOpts) -> i32 {
     let root = workspace_root();
     let analysis = match analyze_workspace(&root) {
@@ -142,7 +143,13 @@ pub fn run(opts: &LintOpts) -> i32 {
             let doc = trace::Json::obj([("findings", trace::Json::from(baseline_keys(&analysis)))]);
             written = exit::worst(written, exit::write(path, doc.pretty()));
         } else {
-            failed |= baseline_ratchet(&analysis, Path::new(path));
+            match trace::Json::load(path, baseline_findings) {
+                Ok(stored) => failed |= baseline_ratchet(&analysis, &stored, Path::new(path)),
+                Err(e) => {
+                    eprintln!("FAIL baseline: {e}");
+                    written = exit::worst(written, exit::IO);
+                }
+            }
         }
     }
 
@@ -172,35 +179,21 @@ fn baseline_keys(a: &Analysis) -> Vec<String> {
     keys
 }
 
+/// The finding keys of a baseline file written by `--write-baseline`: a
+/// document whose `findings` is an array of strings.
+pub fn baseline_findings(doc: &trace::Json) -> Result<BTreeSet<String>, String> {
+    let keys = doc.arr_at("findings", |k| k.str_at("").map(str::to_string))?;
+    Ok(keys.into_iter().collect())
+}
+
 /// The two-sided baseline ratchet: `true` if a finding is missing from
-/// the file at `path` or the file holds one that no longer fires.
-fn baseline_ratchet(a: &Analysis, path: &Path) -> bool {
+/// `stored`, the keys of the file at `path`, or `stored` holds one that
+/// no longer fires.
+fn baseline_ratchet(a: &Analysis, stored: &BTreeSet<String>, path: &Path) -> bool {
     let keys = baseline_keys(a);
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("FAIL baseline: cannot read {}: {e}", path.display());
-            return true;
-        }
-    };
-    let stored: BTreeSet<String> = match trace::Json::parse(&text) {
-        Ok(doc) => doc
-            .get("findings")
-            .and_then(trace::Json::as_array)
-            .map(|xs| {
-                xs.iter()
-                    .filter_map(|x| x.as_str().map(str::to_string))
-                    .collect()
-            })
-            .unwrap_or_default(),
-        Err(e) => {
-            eprintln!("FAIL baseline: {} is not valid JSON: {e}", path.display());
-            return true;
-        }
-    };
     let current: BTreeSet<String> = keys.into_iter().collect();
     let mut failed = false;
-    for k in current.difference(&stored) {
+    for k in current.difference(stored) {
         eprintln!(
             "FAIL baseline: new finding not in {}: {k} \
              (annotate or fix, then regenerate with --write-baseline)",

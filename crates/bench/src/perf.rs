@@ -224,15 +224,11 @@ impl PerfReport {
     }
 }
 
-/// Pulls `aggregate_events_per_sec` out of a previously written report
-/// (v2, v3 or v4: the key has not moved) by parsing it with
-/// [`Json::parse`]; returns `None` if the text is not JSON or the key is
-/// missing.
-pub fn baseline_events_per_sec(text: &str) -> Option<f64> {
-    Json::parse(text)
-        .ok()?
-        .get("aggregate_events_per_sec")
-        .and_then(Json::as_f64)
+/// `aggregate_events_per_sec`, the one number `repro bench --baseline`
+/// compares, from a previously written report (v2, v3 or v4: the key
+/// has not moved).
+pub fn baseline_events_per_sec(report: &Json) -> Result<f64, String> {
+    report.f64_at("aggregate_events_per_sec")
 }
 
 #[cfg(test)]
@@ -261,18 +257,20 @@ mod tests {
 
     #[test]
     fn baseline_extraction_roundtrips() {
+        let read = |text: &str| baseline_events_per_sec(&Json::parse(text).unwrap());
         let json = report(500.0).to_json();
         for text in [json.pretty(), json.to_string()] {
-            assert_eq!(baseline_events_per_sec(&text), Some(500.0));
+            assert_eq!(read(&text), Ok(500.0));
         }
         // A v2 file (per-cell profiles, steals) carries the same scalar,
         // and so does the committed baseline, whatever schema it has.
         let v2 = r#"{"schema":"threadstudy-bench-v2","aggregate_events_per_sec":79213.5,
             "cells":[{"profile":{}}]}"#;
-        assert_eq!(baseline_events_per_sec(v2), Some(79213.5));
+        assert_eq!(read(v2), Ok(79213.5));
         let committed = include_str!("../../../BENCH_threadstudy.json");
-        assert!(baseline_events_per_sec(committed).is_some_and(|v| v > 0.0));
-        assert_eq!(baseline_events_per_sec("no such key"), None);
+        assert!(read(committed).is_ok_and(|v| v > 0.0));
+        let err = read("{}").unwrap_err();
+        assert!(err.contains("aggregate_events_per_sec"), "{err}");
     }
 
     #[test]

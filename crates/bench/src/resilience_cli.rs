@@ -10,10 +10,10 @@ use std::path::{Path, PathBuf};
 
 use pcr::{secs, ChaosConfig, RunLimit};
 use resilience::{
-    fuzz_with, guided_fuzz, observe, recover_preset, replay, shrink, signatures_per_cpu_minute,
-    supervise, supervise_benchmark, unsupervised_wedges, FoundCase, FuzzCell, FuzzConfig,
-    MutationDiscovery, Observation, RecoveryKind, ShrinkConfig, StoredCase, SupervisorConfig,
-    TrialSpec, TrialWorld,
+    benchmark_from_name, fuzz_with, guided_fuzz, observe, recover_preset, replay, shrink,
+    signatures_per_cpu_minute, supervise, supervise_benchmark, system_from_name,
+    unsupervised_wedges, FoundCase, FuzzCell, FuzzConfig, MutationDiscovery, Observation,
+    RecoveryKind, ShrinkConfig, StoredCase, SupervisorConfig, TrialSpec, TrialWorld,
 };
 use threadstudy_core::System;
 use trace::Table;
@@ -33,16 +33,7 @@ fn case_cell_label(case: &StoredCase) -> String {
 /// "gvx/scroll").
 pub fn parse_workload(arg: &str) -> Result<(System, Benchmark), String> {
     let (sys, bench) = arg.split_once('/').ok_or("expected SYSTEM/BENCHMARK")?;
-    let system = match sys.to_ascii_lowercase().as_str() {
-        "cedar" => System::Cedar,
-        "gvx" => System::Gvx,
-        other => return Err(format!("unknown system {other:?} (cedar or gvx)")),
-    };
-    let benchmark = Benchmark::CEDAR
-        .iter()
-        .copied()
-        .find(|b| format!("{b:?}").eq_ignore_ascii_case(bench))
-        .ok_or_else(|| format!("unknown benchmark {bench:?}"))?;
+    let (system, benchmark) = (system_from_name(sys)?, benchmark_from_name(bench)?);
     if !Benchmark::suite(system).contains(&benchmark) {
         return Err(format!("{} does not run {benchmark:?}", system.name()));
     }
@@ -368,19 +359,13 @@ pub fn replay_cmd(path: &Path) -> i32 {
 /// sorted order — the corpus regression suite. The worst per-case exit
 /// code wins.
 pub fn replay_all_cmd(dir: &Path) -> i32 {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
+    let paths = match StoredCase::corpus(dir) {
+        Ok(paths) => paths,
         Err(e) => {
-            eprintln!("FAIL replay --all: cannot read {}: {e}", dir.display());
+            eprintln!("FAIL replay --all: {e}");
             return exit::IO;
         }
     };
-    let mut paths: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
-        .collect();
-    paths.sort();
     if paths.is_empty() {
         eprintln!("FAIL replay --all: no .json cases under {}", dir.display());
         return exit::IO;

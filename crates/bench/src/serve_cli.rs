@@ -131,17 +131,10 @@ pub fn serve_cmd(opts: &ServeOpts) -> i32 {
 }
 
 fn check_baseline(report: &ServeReport, path: &str) -> i32 {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("FAIL serve: cannot read baseline {path}: {e}");
-            return exit::IO;
-        }
-    };
-    let base = match trace::Json::parse(&text).and_then(|j| ServeReport::from_json(&j)) {
+    let base = match trace::Json::load(path, ServeReport::from_json) {
         Ok(b) => b,
         Err(e) => {
-            eprintln!("FAIL serve: cannot parse baseline {path}: {e}");
+            eprintln!("FAIL serve --baseline: {e}");
             return exit::IO;
         }
     };

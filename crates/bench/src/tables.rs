@@ -17,22 +17,11 @@ pub fn matrix() -> Vec<(System, Benchmark)> {
     cells
 }
 
-/// All twelve benchmark runs, in table order, on every available
-/// hardware thread. See [`run_all_with_workers`].
-pub fn run_all(window: SimDuration, seed: u64) -> Vec<BenchResult> {
-    run_all_with_workers(window, seed, workers_available())
-}
-
 /// Hardware threads available to the parallel driver.
 pub fn workers_available() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Runs the matrix one cell at a time on the calling thread.
-pub fn run_all_serial(window: SimDuration, seed: u64) -> Vec<BenchResult> {
-    run_all_with_workers(window, seed, 1)
 }
 
 /// Runs the matrix on `workers` threads through the host executor.

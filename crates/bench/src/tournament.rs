@@ -424,14 +424,9 @@ mod tests {
             }],
         };
         let j = report.to_json();
-        assert_eq!(
-            j.get("schema").and_then(Json::as_str),
-            Some("threadstudy-tournament-v1")
-        );
-        let cell = &j.get("cells").unwrap().as_array().unwrap()[0];
-        let pol = &cell.get("policies").unwrap().as_array().unwrap()[0];
-        assert_eq!(pol.get("ok").and_then(Json::as_bool), Some(false));
-        assert!(pol.get("error").is_some());
+        assert_eq!(j.str_at("schema"), Ok("threadstudy-tournament-v1"));
+        assert_eq!(j.at("cells.0.policies.0.ok"), Ok(&Json::Bool(false)));
+        assert!(j.str_at("cells.0.policies.0.error").is_ok());
         assert_eq!(report.failures().len(), 1);
     }
 }

@@ -1,19 +1,36 @@
 //! Black-box tests of the `repro` binary's argument handling.
 
+use std::path::Path;
 use std::process::Command;
 
-fn repro() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_repro"))
+use resilience::StoredCase;
+
+/// Runs `repro args` in the current directory: exit code, stdout, stderr.
+fn run(args: &[&str]) -> (Option<i32>, String, String) {
+    run_in(Path::new("."), args)
+}
+
+/// Runs `repro args` in `dir`.
+fn run_in(dir: &Path, args: &[&str]) -> (Option<i32>, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("spawn repro");
+    let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
+    (out.status.code(), text(&out.stdout), text(&out.stderr))
+}
+
+/// A path under the temp directory that no other test process uses.
+fn temp(name: &str) -> String {
+    let path = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+    path.to_str().expect("a UTF-8 temp dir").to_string()
 }
 
 #[test]
 fn unknown_command_prints_usage_and_exits_nonzero() {
-    let out = repro()
-        .arg("no-such-command")
-        .output()
-        .expect("spawn repro");
-    assert_eq!(out.status.code(), Some(2), "exit code: {:?}", out.status);
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let (code, _, stderr) = run(&["no-such-command"]);
+    assert_eq!(code, Some(2), "exit code: {:?}", code);
     assert!(
         stderr.contains("unknown command: no-such-command"),
         "{stderr}"
@@ -24,11 +41,10 @@ fn unknown_command_prints_usage_and_exits_nonzero() {
 #[test]
 fn help_prints_usage_and_succeeds() {
     for arg in ["help", "--help", "-h"] {
-        let out = repro().arg(arg).output().expect("spawn repro");
-        assert!(out.status.success(), "{arg}: {:?}", out.status);
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(stdout.contains("usage: repro"), "{arg}: {stdout}");
-        assert!(stdout.contains("lint"), "{arg}: {stdout}");
+        let (code, stdout, _) = run(&[arg]);
+        assert_eq!(code, Some(0), "{arg}: {:?}", code);
+        assert!(stdout.contains("usage: repro"), "{arg}: {}", stdout);
+        assert!(stdout.contains("lint"), "{arg}: {}", stdout);
     }
 }
 
@@ -36,30 +52,11 @@ fn help_prints_usage_and_succeeds() {
 fn help_lists_every_documented_subcommand() {
     // The README quickstart documents these; `repro help` must list
     // each one so the docs and the binary cannot drift apart.
-    let out = repro().arg("help").output().expect("spawn repro");
-    assert!(out.status.success(), "{:?}", out.status);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    for cmd in [
-        "tables",
-        "table4",
-        "figures",
-        "experiments",
-        "history",
-        "contention",
-        "trace",
-        "diff",
-        "chaos",
-        "fuzz",
-        "shrink",
-        "replay",
-        "lint",
-        "markdown",
-        "bench",
-        "serve",
-        "tournament",
-        "all",
-        "help",
-    ] {
+    let (code, stdout, _) = run(&["help"]);
+    assert_eq!(code, Some(0), "{:?}", code);
+    let documented = "tables table4 figures experiments history contention trace diff chaos \
+                      fuzz shrink replay lint markdown bench serve tournament all help";
+    for cmd in documented.split_whitespace() {
         assert!(
             stdout.lines().any(|l| {
                 l.trim_start().starts_with(cmd)
@@ -77,15 +74,12 @@ fn help_lists_every_documented_subcommand() {
 /// dur, and per-track monotonically non-decreasing timestamps.
 fn validate_chrome(text: &str) {
     let doc = trace::Json::parse(text).expect("chrome trace parses as JSON");
-    let events = doc
-        .get("traceEvents")
-        .and_then(trace::Json::as_array)
-        .expect("traceEvents array");
+    let events = doc.arr_at("traceEvents", Ok).unwrap();
     assert!(!events.is_empty(), "empty trace");
     let mut last_ts: std::collections::BTreeMap<(u64, u64), u64> =
         std::collections::BTreeMap::new();
     for e in events {
-        let ph = e.get("ph").and_then(trace::Json::as_str).expect("ph");
+        let ph = e.str_at("ph").unwrap();
         assert!(
             ["X", "i", "s", "f", "M"].contains(&ph),
             "unexpected phase {ph:?}"
@@ -93,14 +87,10 @@ fn validate_chrome(text: &str) {
         if ph == "M" {
             continue;
         }
-        let pid = e.get("pid").and_then(trace::Json::as_u64).expect("pid");
-        let tid = e.get("tid").and_then(trace::Json::as_u64).expect("tid");
-        let ts = e.get("ts").and_then(trace::Json::as_u64).expect("ts");
+        let (pid, tid, ts) = (e.u64_at("pid"), e.u64_at("tid"), e.u64_at("ts"));
+        let (pid, tid, ts) = (pid.unwrap(), tid.unwrap(), ts.unwrap());
         if ph == "X" {
-            assert!(
-                e.get("dur").and_then(trace::Json::as_u64).is_some(),
-                "X without dur"
-            );
+            e.u64_at("dur").expect("X without dur");
         }
         let prev = last_ts.entry((pid, tid)).or_insert(0);
         assert!(
@@ -113,20 +103,10 @@ fn validate_chrome(text: &str) {
 
 #[test]
 fn trace_chrome_is_valid_and_seed_deterministic() {
-    let dir = std::env::temp_dir();
-    let p1 = dir.join(format!("chrome-a-{}.json", std::process::id()));
-    let p2 = dir.join(format!("chrome-b-{}.json", std::process::id()));
+    let (p1, p2) = (temp("chrome-a.json"), temp("chrome-b.json"));
     for p in [&p1, &p2] {
-        let out = repro()
-            .args(["trace", "--window", "2", "--seed", "abc123", "--chrome"])
-            .arg(p)
-            .output()
-            .expect("spawn repro");
-        assert!(
-            out.status.success(),
-            "stderr:\n{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
+        let (code, _, stderr) = run(&["trace", "--window", "2", "--seed", "abc123", "--chrome", p]);
+        assert_eq!(code, Some(0), "stderr:\n{}", stderr);
     }
     let a = std::fs::read_to_string(&p1).expect("trace file");
     let b = std::fs::read_to_string(&p2).expect("trace file");
@@ -138,45 +118,24 @@ fn trace_chrome_is_valid_and_seed_deterministic() {
 
 #[test]
 fn diff_of_identical_runs_is_clean_and_chaos_names_a_fault_site() {
-    let dir = std::env::temp_dir();
-    let pid = std::process::id();
-    let clean1 = dir.join(format!("clean1-{pid}.jsonl"));
-    let clean2 = dir.join(format!("clean2-{pid}.jsonl"));
-    let chaos = dir.join(format!("chaos-{pid}.jsonl"));
-    for (path, extra) in [(&clean1, false), (&clean2, false), (&chaos, true)] {
-        let mut cmd = repro();
-        cmd.args(["trace", "--window", "2", "--seed", "77", "--jsonl"]);
-        cmd.arg(path);
-        if extra {
-            cmd.arg("--chaos");
-        }
-        let out = cmd.output().expect("spawn repro");
-        assert!(
-            out.status.success(),
-            "stderr:\n{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
+    let clean1 = temp("clean1.jsonl");
+    let clean2 = temp("clean2.jsonl");
+    let chaos = temp("chaos.jsonl");
+    for (path, extra) in [(&clean1, None), (&clean2, None), (&chaos, Some("--chaos"))] {
+        let args = ["trace", "--window", "2", "--seed", "77", "--jsonl", path];
+        let (code, _, stderr) = run(&[&args[..], extra.as_slice()].concat());
+        assert_eq!(code, Some(0), "stderr:\n{}", stderr);
     }
 
     // Identical-seed clean runs: zero deltas, exit 0.
-    let out = repro()
-        .arg("diff")
-        .args([&clean1, &clean2])
-        .output()
-        .expect("spawn repro");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "clean diff failed:\n{stdout}");
+    let (code, stdout, _) = run(&["diff", &clean1, &clean2]);
+    assert_eq!(code, Some(0), "clean diff failed:\n{stdout}");
     assert!(stdout.contains("no deltas"), "{stdout}");
 
     // Chaos vs clean: the dedicated diff-delta exit code, at least one
     // named fault site.
-    let out = repro()
-        .arg("diff")
-        .args([&clean1, &chaos])
-        .output()
-        .expect("spawn repro");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(4), "chaos diff exit:\n{stdout}");
+    let (code, stdout, _) = run(&["diff", &clean1, &chaos]);
+    assert_eq!(code, Some(4), "chaos diff exit:\n{stdout}");
     assert!(stdout.contains("injected fault site:"), "{stdout}");
 
     for p in [&clean1, &clean2, &chaos] {
@@ -186,16 +145,11 @@ fn diff_of_identical_runs_is_clean_and_chaos_names_a_fault_site() {
 
 #[test]
 fn diff_of_a_file_of_brackets_is_a_parse_error_not_a_stack_overflow() {
-    let path = std::env::temp_dir().join(format!("brackets-{}.jsonl", std::process::id()));
+    let path = temp("brackets.jsonl");
     std::fs::write(&path, "[".repeat(200_000)).unwrap();
-    let out = repro()
-        .arg("diff")
-        .args([&path, &path])
-        .output()
-        .expect("spawn repro");
+    let (code, _, stderr) = run(&["diff", &path, &path]);
     std::fs::remove_file(&path).ok();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(6), "stderr:\n{stderr}");
+    assert_eq!(code, Some(6), "stderr:\n{stderr}");
     assert_eq!(stderr.lines().count(), 1, "{stderr}");
     assert!(stderr.contains("nesting deeper than 128"), "{stderr}");
 }
@@ -204,8 +158,7 @@ fn diff_of_a_file_of_brackets_is_a_parse_error_not_a_stack_overflow() {
 /// unwritable path is one line and exit 6, never a panic.
 #[test]
 fn trace_to_an_unwritable_path_is_an_io_error_not_a_panic() {
-    let fuzz_out = std::env::temp_dir().join(format!("unwritable-fuzz-{}", std::process::id()));
-    let fuzz_out = fuzz_out.to_str().expect("UTF-8 temp dir");
+    let fuzz_out = &temp("unwritable-fuzz");
     let x = "/nonexistent/x.json";
     for args in [
         &["trace", "--window", "1", "--chrome", x][..],
@@ -224,9 +177,8 @@ fn trace_to_an_unwritable_path_is_an_io_error_not_a_panic() {
             "fuzz", "--budget", "1", "--window", "1", "--out", fuzz_out, "--stats", x,
         ],
     ] {
-        let out = repro().args(args).output().expect("spawn repro");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(6), "{args:?} stderr:\n{stderr}");
+        let (code, _, stderr) = run(args);
+        assert_eq!(code, Some(6), "{args:?} stderr:\n{stderr}");
         let cannot = stderr
             .lines()
             .filter(|l| l.starts_with("cannot write /nonexistent/"));
@@ -237,8 +189,7 @@ fn trace_to_an_unwritable_path_is_an_io_error_not_a_panic() {
 
 #[test]
 fn help_documents_the_exit_codes() {
-    let out = repro().arg("help").output().expect("spawn repro");
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stdout = run(&["help"]).1;
     assert!(stdout.contains("exit codes:"), "{stdout}");
     for needle in ["diff deltas", "deadlock or wedge", "--expect"] {
         assert!(stdout.contains(needle), "missing {needle:?}:\n{stdout}");
@@ -254,17 +205,8 @@ fn bad_seeds_are_rejected_with_an_explanation() {
         ("xyz1", "not a hex digit"),
         ("0x", "got none"),
     ] {
-        let out = repro()
-            .args(["table4", "--seed", seed])
-            .output()
-            .expect("spawn repro");
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "seed {seed:?}: {:?}",
-            out.status
-        );
-        let stderr = String::from_utf8_lossy(&out.stderr);
+        let (code, _, stderr) = run(&["table4", "--seed", seed]);
+        assert_eq!(code, Some(2), "seed {seed:?}: {:?}", code);
         assert!(
             stderr.contains(needle),
             "seed {seed:?}: expected {needle:?} in:\n{stderr}"
@@ -306,15 +248,12 @@ fn bad_counts_are_rejected_with_an_explanation() {
         (&["fuzz", "--budget"][..], "expected a value"),
         (&["bench", "--json"][..], "expected a value"),
         (&["tables", "--window"][..], "expected a value"),
+        // A flag the command's own USAGE block does not name.
+        (&["fuzz", "--gudied"][..], "repro fuzz does not take it"),
+        (&["e17", "--window", "1"][..], "repro e17 does not take it"),
     ] {
-        let out = repro().args(args).output().expect("spawn repro");
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "args {args:?}: {:?}",
-            out.status
-        );
-        let stderr = String::from_utf8_lossy(&out.stderr);
+        let (code, _, stderr) = run(args);
+        assert_eq!(code, Some(2), "args {args:?}: {:?}", code);
         assert!(
             stderr.contains(needle),
             "args {args:?}: expected {needle:?} in:\n{stderr}"
@@ -327,21 +266,25 @@ fn bad_counts_are_rejected_with_an_explanation() {
 
 #[test]
 fn serve_report_is_deterministic_across_runs_and_worker_counts() {
-    let dir = std::env::temp_dir();
-    let pid = std::process::id();
     let mut reports = Vec::new();
     for (tag, workers) in [("a", "1"), ("b", "4")] {
-        let path = dir.join(format!("serve-{tag}-{pid}.json"));
-        let out = repro()
-            .args(["serve", "--sessions", "1200", "--seed", "A5"])
-            .args(["--reps", "2", "--workers", workers, "--json"])
-            .arg(&path)
-            .output()
-            .expect("spawn repro");
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            out.status.success(),
+        let path = temp(&format!("serve-{tag}.json"));
+        let (code, stdout, stderr) = run(&[
+            "serve",
+            "--sessions",
+            "1200",
+            "--seed",
+            "A5",
+            "--reps",
+            "2",
+            "--workers",
+            workers,
+            "--json",
+            &path,
+        ]);
+        assert_eq!(
+            code,
+            Some(0),
             "workers {workers}:\nstdout:\n{stdout}\nstderr:\n{stderr}"
         );
         assert!(stdout.contains("slo: all gates met"), "{stdout}");
@@ -361,54 +304,32 @@ fn serve_report_is_deterministic_across_runs_and_worker_counts() {
 
 #[test]
 fn serve_slo_breach_exits_with_the_dedicated_code() {
-    let out = repro()
-        .args(["serve", "--sessions", "800", "--seed", "A5"])
-        .args(["--slo-p99-ms", "1"])
-        .output()
-        .expect("spawn repro");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(
-        out.status.code(),
-        Some(8),
-        "stdout:\n{stdout}\nstderr:\n{stderr}"
-    );
+    let (code, stdout, stderr) = run(&[
+        "serve",
+        "--sessions",
+        "800",
+        "--seed",
+        "A5",
+        "--slo-p99-ms",
+        "1",
+    ]);
+    assert_eq!(code, Some(8), "stdout:\n{stdout}\nstderr:\n{stderr}");
     assert!(stderr.contains("SLO breach"), "{stderr}");
 }
 
 #[test]
 fn serve_baseline_catches_a_planted_regression() {
-    let dir = std::env::temp_dir();
-    let pid = std::process::id();
-    let path = dir.join(format!("serve-base-{pid}.json"));
-    let out = repro()
-        .args(["serve", "--sessions", "800", "--seed", "A5", "--json"])
-        .arg(&path)
-        .output()
-        .expect("spawn repro");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let path = temp("serve-base.json");
+    let serve = |flag| run(&["serve", "--sessions", "800", "--seed", "A5", flag, &path]);
+    let (code, _, stderr) = serve("--json");
+    assert_eq!(code, Some(0), "{}", stderr);
     // Same cell vs its own report: clean.
-    let out = repro()
-        .args(["serve", "--sessions", "800", "--seed", "A5", "--baseline"])
-        .arg(&path)
-        .output()
-        .expect("spawn repro");
-    assert!(
-        out.status.success(),
-        "self-baseline:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let (code, _, stderr) = serve("--baseline");
+    assert_eq!(code, Some(0), "self-baseline:\n{}", stderr);
     // Plant a much better baseline: current goodput now looks regressed.
     let text = std::fs::read_to_string(&path).expect("baseline");
     let doc = trace::Json::parse(&text).expect("baseline json");
-    let goodput = doc
-        .get("goodput_per_sec")
-        .and_then(trace::Json::as_f64)
-        .expect("goodput");
+    let goodput = doc.f64_at("goodput_per_sec").unwrap();
     let planted = text.replacen(
         &format!("\"goodput_per_sec\":{goodput}"),
         &format!("\"goodput_per_sec\":{}", goodput * 10.0),
@@ -416,23 +337,10 @@ fn serve_baseline_catches_a_planted_regression() {
     );
     assert_ne!(planted, text, "failed to plant the regression");
     std::fs::write(&path, planted).unwrap();
-    let out = repro()
-        .args(["serve", "--sessions", "800", "--seed", "A5", "--baseline"])
-        .arg(&path)
-        .output()
-        .expect("spawn repro");
+    let (code, _, stderr) = serve("--baseline");
     std::fs::remove_file(&path).ok();
-    assert_eq!(
-        out.status.code(),
-        Some(5),
-        "planted baseline:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("goodput"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    assert_eq!(code, Some(5), "planted baseline:\n{}", stderr);
+    assert!(stderr.contains("goodput"), "{}", stderr);
 }
 
 /// Without `--json` the bench report lands in `BENCH_threadstudy.json`, the
@@ -440,99 +348,85 @@ fn serve_baseline_catches_a_planted_regression() {
 /// not compare the run with itself.
 #[test]
 fn bench_baseline_is_read_before_the_report_overwrites_it() {
-    let dir = std::env::temp_dir().join(format!("repro-bench-base-{}", std::process::id()));
+    let dir = Path::new(&temp("repro-bench-base")).to_path_buf();
     std::fs::create_dir_all(&dir).expect("temp dir");
     let base = dir.join("BENCH_threadstudy.json");
     std::fs::write(&base, "{\"aggregate_events_per_sec\":1e12}").expect("baseline");
-    let out = repro()
-        .args(["bench", "--reps", "1", "--window", "1"])
-        .args(["--baseline", "BENCH_threadstudy.json"])
-        .current_dir(&dir)
-        .output()
-        .expect("spawn repro");
+    let (code, _, stderr) = run_in(
+        &dir,
+        &[
+            "bench",
+            "--reps",
+            "1",
+            "--window",
+            "1",
+            "--baseline",
+            "BENCH_threadstudy.json",
+        ],
+    );
     let written = std::fs::read_to_string(&base).expect("the report");
     std::fs::remove_dir_all(&dir).ok();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(5), "stderr:\n{stderr}");
+    assert_eq!(code, Some(5), "stderr:\n{stderr}");
     assert!(stderr.contains("regressed more than 30%"), "{stderr}");
     assert!(written.contains("threadstudy-bench-v4"), "{written:.200}");
+    // A baseline that is not there is an unreadable input (6), not a
+    // regression (5), and is found before the run.
+    let (code, _, stderr) = run(&["bench", "--baseline", "MISSING"]);
+    assert_eq!(code, Some(6), "stderr:\n{}", stderr);
+    assert!(stderr.contains("cannot read MISSING"), "{}", stderr);
 }
 
 #[test]
 fn serve_baseline_without_a_gated_field_is_a_parse_error() {
-    let path = std::env::temp_dir().join(format!("serve-cut-{}.json", std::process::id()));
-    let out = repro()
-        .args(["serve", "--sessions", "800", "--seed", "A5", "--json"])
-        .arg(&path)
-        .output()
-        .expect("spawn repro");
-    assert!(out.status.success(), "{:?}", out.status);
+    let path = temp("serve-cut.json");
+    let serve = |flag| run(&["serve", "--sessions", "800", "--seed", "A5", flag, &path]);
+    let (code, _, _) = serve("--json");
+    assert_eq!(code, Some(0), "{:?}", code);
     // Cut the goodput field out: the gate must refuse the file, not
     // compare against a goodput of zero that no run can regress from.
     let text = std::fs::read_to_string(&path).expect("baseline");
     let at = text.find("\"goodput_per_sec\":").expect("goodput field");
     let end = at + text[at..].find(',').expect("field separator") + 1;
     std::fs::write(&path, format!("{}{}", &text[..at], &text[end..])).unwrap();
-    let out = repro()
-        .args(["serve", "--sessions", "800", "--seed", "A5", "--baseline"])
-        .arg(&path)
-        .output()
-        .expect("spawn repro");
+    let (code, _, stderr) = serve("--baseline");
     std::fs::remove_file(&path).ok();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(6), "{stderr}");
+    assert_eq!(code, Some(6), "{stderr}");
     assert!(stderr.contains("goodput_per_sec"), "{stderr}");
 }
 
 #[test]
 fn removed_duplicate_flags_are_not_in_help_and_serve_rejects_chaos() {
-    let out = repro().arg("help").output().expect("spawn repro");
-    let help = String::from_utf8_lossy(&out.stdout);
+    let help = run(&["help"]).1;
     assert!(!help.contains("--serial"), "{help}");
     assert!(!help.contains("--chaos outage"), "{help}");
     assert!(help.contains("[--chaos]"), "trace keeps its boolean");
     // The old spelling must not fall through to the reference scenario.
-    let out = repro()
-        .args(["serve", "--sessions", "800", "--chaos", "outage"])
-        .output()
-        .expect("spawn repro");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    let (code, _, stderr) = run(&["serve", "--sessions", "800", "--chaos", "outage"]);
+    assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("--scenario outage"), "{stderr}");
 }
 
 #[test]
 fn fuzz_shrink_replay_round_trip() {
-    let dir = std::env::temp_dir().join(format!("repro-fuzz-{}", std::process::id()));
+    let dir = &temp("repro-fuzz");
     // Budget 2 on the Cedar/Keyboard cell covers the tolerated preset
     // rung and the guaranteed fork-cap failure.
-    let out = repro()
-        .args(["fuzz", "--budget", "2", "--workload", "cedar/keyboard"])
-        .args(["--window", "4", "--out"])
-        .arg(&dir)
-        .output()
-        .expect("spawn repro");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "fuzz failed:\n{stdout}\n{stderr}");
+    let fuzz = [
+        "fuzz",
+        "--budget",
+        "2",
+        "--workload",
+        "cedar/keyboard",
+        "--window",
+        "4",
+    ];
+    let (code, stdout, stderr) = run(&[&fuzz[..], &["--out", dir]].concat());
+    assert_eq!(code, Some(0), "fuzz failed:\n{stdout}\n{stderr}");
     assert!(stdout.contains("1 unique signature(s)"), "{stdout}");
-    let case_file = std::fs::read_dir(&dir)
-        .expect("fuzz out dir")
-        .map(|e| e.expect("dir entry").path())
-        .find(|p| p.extension().is_some_and(|e| e == "json"))
-        .expect("a stored case");
-    let case_text = std::fs::read_to_string(&case_file).expect("case file");
-    let case = trace::Json::parse(&case_text).expect("case json");
-    let signature = case
-        .get("signature")
-        .and_then(trace::Json::as_str)
-        .expect("signature field")
-        .to_string();
-    let original_decisions = case
-        .get("decisions")
-        .and_then(trace::Json::as_array)
-        .expect("decisions")
-        .len();
+    let case_file = StoredCase::corpus(Path::new(dir)).expect("fuzz out dir")[0].clone();
+    let case = StoredCase::load(&case_file).expect("a stored case");
+    let signature = case.signature;
+    let original_decisions = case.schedule.decisions.len();
     assert!(
         original_decisions >= 1,
         "expected recorded decisions, got {original_decisions}"
@@ -540,77 +434,43 @@ fn fuzz_shrink_replay_round_trip() {
 
     // Shrink: must reduce to <= 25% of the original injection decisions
     // while keeping the signature.
-    let out = repro()
-        .arg("shrink")
-        .arg(&case_file)
-        .args(["--max-replays", "40"])
-        .output()
-        .expect("spawn repro");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "shrink failed:\n{stdout}");
-    assert!(stdout.contains("repro:"), "{stdout}");
+    let case_path = case_file.to_str().expect("a UTF-8 path");
+    let (code, stdout, _) = run(&["shrink", case_path, "--max-replays", "40"]);
+    assert_eq!(code, Some(0), "shrink failed:\n{}", stdout);
+    assert!(stdout.contains("repro:"), "{}", stdout);
     let min_file = case_file.with_extension("min.json");
-    let min_text = std::fs::read_to_string(&min_file).expect("minimized case");
-    let min_case = trace::Json::parse(&min_text).expect("minimized json");
-    assert_eq!(
-        min_case.get("signature").and_then(trace::Json::as_str),
-        Some(signature.as_str())
-    );
-    let min_decisions = min_case
-        .get("decisions")
-        .and_then(trace::Json::as_array)
-        .expect("decisions")
-        .len();
+    let min_case = StoredCase::load(&min_file).expect("minimized case");
+    assert_eq!(min_case.signature, signature);
+    let min_decisions = min_case.schedule.decisions.len();
     assert!(
         min_decisions == 0 || min_decisions * 4 <= original_decisions,
         "shrink left {min_decisions} of {original_decisions} decisions"
     );
 
     // Replay the minimized schedule: same signature, exit 0.
-    let out = repro()
-        .arg("replay")
-        .arg(&min_file)
-        .output()
-        .expect("spawn repro");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "replay failed:\n{stdout}");
-    assert!(stdout.contains("signature reproduced"), "{stdout}");
+    let (code, stdout, _) = run(&["replay", min_file.to_str().expect("a UTF-8 path")]);
+    assert_eq!(code, Some(0), "replay failed:\n{}", stdout);
+    assert!(stdout.contains("signature reproduced"), "{}", stdout);
 
     // The expected-signature gate: a matching file passes, a bogus one
     // exits with the new-failure code.
-    let expect_ok = dir.join("expected.txt");
+    let expect_ok = format!("{dir}/expected.txt");
     std::fs::write(&expect_ok, format!("# known failures\n{signature}\n")).unwrap();
-    let expect_stale = dir.join("stale.txt");
+    let expect_stale = format!("{dir}/stale.txt");
     std::fs::write(&expect_stale, "wedge:[somebody-else(monitor)]\n").unwrap();
     for (expect, want) in [(&expect_ok, Some(0)), (&expect_stale, Some(7))] {
-        let out = repro()
-            .args(["fuzz", "--budget", "2", "--workload", "cedar/keyboard"])
-            .args(["--window", "4", "--out"])
-            .arg(&dir)
-            .arg("--expect")
-            .arg(expect)
-            .output()
-            .expect("spawn repro");
-        assert_eq!(
-            out.status.code(),
-            want,
-            "expect file {expect:?}:\n{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
+        let (code, _, stderr) = run(&[&fuzz[..], &["--out", dir, "--expect", expect]].concat());
+        assert_eq!(code, want, "expect file {expect:?}:\n{}", stderr);
     }
-    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn chaos_recover_supervises_both_demo_cells() {
-    let out = repro()
-        .args(["chaos", "--recover", "--window", "6", "--seed", "c0ffee"])
-        .output()
-        .expect("spawn repro");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        out.status.success(),
+    let (code, stdout, stderr) = run(&["chaos", "--recover", "--window", "6", "--seed", "c0ffee"]);
+    assert_eq!(
+        code,
+        Some(0),
         "recover failed:\nstdout:\n{stdout}\nstderr:\n{stderr}"
     );
     assert!(stdout.contains("supervised recovery"), "{stdout}");
@@ -625,65 +485,44 @@ fn chaos_recover_supervises_both_demo_cells() {
 
 #[test]
 fn diff_schedule_names_the_stored_fault_sites() {
-    let dir = std::env::temp_dir().join(format!("repro-diff-sched-{}", std::process::id()));
-    let out = repro()
-        .args(["fuzz", "--budget", "2", "--workload", "gvx/scroll"])
-        .args(["--window", "6", "--out"])
-        .arg(&dir)
-        .output()
-        .expect("spawn repro");
-    assert!(
-        out.status.success(),
-        "fuzz failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let case_file = std::fs::read_dir(&dir)
-        .expect("fuzz out dir")
-        .map(|e| e.expect("dir entry").path())
-        .find(|p| p.extension().is_some_and(|e| e == "json"))
-        .expect("a stored case");
+    let dir = &temp("repro-diff-sched");
+    let (code, _, stderr) = run(&[
+        "fuzz",
+        "--budget",
+        "2",
+        "--workload",
+        "gvx/scroll",
+        "--window",
+        "6",
+        "--out",
+        dir,
+    ]);
+    assert_eq!(code, Some(0), "fuzz failed:\n{}", stderr);
+    let case_file = StoredCase::corpus(Path::new(dir)).expect("fuzz out dir")[0].clone();
 
     // Two identical clean traces: diff is clean, but --schedule still
     // names what the stored schedule would inject.
-    let pid = std::process::id();
-    let t1 = std::env::temp_dir().join(format!("sched-clean1-{pid}.jsonl"));
-    let t2 = std::env::temp_dir().join(format!("sched-clean2-{pid}.jsonl"));
+    let (t1, t2) = (temp("sched-clean1.jsonl"), temp("sched-clean2.jsonl"));
     for p in [&t1, &t2] {
-        let out = repro()
-            .args(["trace", "--window", "1", "--seed", "77", "--jsonl"])
-            .arg(p)
-            .output()
-            .expect("spawn repro");
-        assert!(out.status.success());
+        let (code, _, _) = run(&["trace", "--window", "1", "--seed", "77", "--jsonl", p]);
+        assert_eq!(code, Some(0));
     }
-    let out = repro()
-        .arg("diff")
-        .args([&t1, &t2])
-        .arg("--schedule")
-        .arg(&case_file)
-        .output()
-        .expect("spawn repro");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
+    let case_path = case_file.to_str().expect("a UTF-8 path");
+    let (code, stdout, _) = run(&["diff", &t1, &t2, "--schedule", case_path]);
+    assert_eq!(code, Some(0), "{stdout}");
     assert!(stdout.contains("injected fault site:"), "{stdout}");
     assert!(stdout.contains("gated on holding gvx-screen"), "{stdout}");
     for p in [&t1, &t2] {
         std::fs::remove_file(p).ok();
     }
-    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn lint_subcommand_is_clean_and_writes_json() {
-    let json = std::env::temp_dir().join(format!("threadlint-{}.json", std::process::id()));
-    let out = repro()
-        .args(["lint", "--json"])
-        .arg(&json)
-        .output()
-        .expect("spawn repro");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "stdout:\n{stdout}\nstderr:\n{stderr}");
+    let json = temp("threadlint.json");
+    let (code, stdout, stderr) = run(&["lint", "--json", &json]);
+    assert_eq!(code, Some(0), "stdout:\n{stdout}\nstderr:\n{stderr}");
     assert!(stdout.contains("self-census"), "{stdout}");
     assert!(stdout.contains("0 unallowed"), "{stdout}");
     let doc = std::fs::read_to_string(&json).expect("json artifact");

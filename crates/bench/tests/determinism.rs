@@ -5,7 +5,7 @@
 //! byte, or failure signature.
 
 use bench::executor::run_indexed;
-use bench::tables::{json_summary, run_all_serial, run_all_with_workers, table1, table2, table3};
+use bench::tables::{json_summary, run_all_with_workers, table1, table2, table3};
 use bench::tournament::{run_tournament, TournamentOpts};
 use pcr::{secs, ChaosConfig, PolicyKind};
 use resilience::{fuzz, fuzz_with, observe, FuzzConfig, FuzzOutcome, Observation, TrialSpec};
@@ -31,7 +31,7 @@ fn worker_counts_cannot_change_matrix_results() {
     let max = bench::tables::workers_available().max(3);
     let worker_counts = [2, max];
     for seed in [0xCEDA_2026u64, 0xBEEF, 0x5EED_0003] {
-        let serial = run_all_serial(secs(1), seed);
+        let serial = run_all_with_workers(secs(1), seed, 1);
         let serial_tables = table_text(&serial);
         let serial_json = json_summary(&serial).pretty();
         for &workers in &worker_counts {
@@ -158,20 +158,11 @@ fn tournament_reference_slice_is_complete_and_deadlock_free() {
             .collect::<Vec<_>>()
     );
     let json = report.to_json();
-    assert_eq!(
-        json.get("schema").and_then(trace::Json::as_str),
-        Some("threadstudy-tournament-v1")
-    );
-    let cells = json
-        .get("cells")
-        .and_then(trace::Json::as_array)
-        .expect("cells array");
+    assert_eq!(json.str_at("schema"), Ok("threadstudy-tournament-v1"));
+    let cells = json.arr_at("cells", |cell| cell.arr_at("policies", Ok));
+    let cells = cells.expect("a per-cell policy array");
     assert_eq!(cells.len(), 2);
-    for cell in cells {
-        let policies = cell
-            .get("policies")
-            .and_then(trace::Json::as_array)
-            .expect("per-cell policy array");
+    for policies in cells {
         assert_eq!(policies.len(), PolicyKind::ALL.len());
         for p in policies {
             assert_eq!(p.get("ok").and_then(trace::Json::as_bool), Some(true));

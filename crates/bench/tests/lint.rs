@@ -66,6 +66,10 @@ fn baseline_round_trips_and_ratchets_both_ways() {
         bench::exit::HAZARD,
         "a stale baseline entry must fail the ratchet"
     );
+    // JSON without a `findings` string array is a damaged baseline, not
+    // an empty one that makes every finding new.
+    std::fs::write(&path, "{\"finding\": []}").unwrap();
+    assert_eq!(bench::lint::run(&check), bench::exit::IO);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -91,12 +95,8 @@ fn sarif_export_is_wellformed_and_complete() {
     let analysis = analyze_workspace(&workspace_root()).expect("workspace scan");
     let doc = threadlint::to_sarif(&analysis).to_string();
     let parsed = trace::Json::parse(&doc).expect("sarif parses");
-    let runs = parsed.get("runs").and_then(trace::Json::as_array).unwrap();
-    assert_eq!(runs.len(), 1);
-    let results = runs[0]
-        .get("results")
-        .and_then(trace::Json::as_array)
-        .unwrap();
+    assert_eq!(parsed.arr_at("runs", Ok).map(|runs| runs.len()), Ok(1));
+    let results = parsed.arr_at("runs.0.results", Ok).unwrap();
     assert_eq!(
         results.len(),
         analysis.findings.len(),

@@ -1,0 +1,131 @@
+//! Garbage in, error out: every loader of a file `repro` reads back — the
+//! serve, bench and lint baselines and the stored fuzz case — starting
+//! from a valid document of its kind, fed each proper prefix of its text,
+//! each node it reads replaced by a value of the wrong type, and each
+//! field removed. A damaged file is an `Err` naming the damaged path,
+//! never a panic and never a default; only an optional field may go.
+
+use trace::Json;
+
+type Reader = fn(&Json) -> Result<(), String>;
+
+const CASE: &str = r#"{"v":2,"world":"cell","system":"GVX","benchmark":"Scroll",
+"seed":"beef","window_us":2000000,"slice_us":250000,"wedge_threshold_us":1500000,
+"max_threads":null,"policy":"mlfq","intensity":"stall-gated","signature":"wedge:[x(cv)]",
+"decisions":[{"kind":"spurious_wakeup","site":4,"param_us":120}],"stalls":[{"thread":"x",
+"at_us":2000,"duration_us":1000000,"while_holding":"gvx-screen"}]}"#;
+
+/// `(kind, valid document, reader, required paths)`. The bench and lint
+/// documents hold only the field their readers read.
+fn kinds() -> [(&'static str, Json, Reader, &'static str); 4] {
+    let serve = workloads::serve::run_report(serverd::ServeSpec::reference(60, 0xA5));
+    [
+        (
+            "serve",
+            serve.to_json(),
+            |j| serverd::ServeReport::from_json(j).map(drop),
+            "schema latency_us.p50 latency_us.p99 latency_us.p999 goodput_per_sec amplification",
+        ),
+        (
+            "bench",
+            Json::parse(r#"{"aggregate_events_per_sec":79213.5}"#).unwrap(),
+            |j| bench::perf::baseline_events_per_sec(j).map(drop),
+            "aggregate_events_per_sec",
+        ),
+        (
+            "lint",
+            Json::parse(r#"{"findings":["a|x.rs|one","b|y.rs|two"]}"#).unwrap(),
+            |j| bench::lint::baseline_findings(j).map(drop),
+            "findings",
+        ),
+        (
+            "case",
+            Json::parse(CASE).unwrap(),
+            |j| resilience::StoredCase::from_json(j).map(drop),
+            "v world system benchmark seed window_us slice_us wedge_threshold_us max_threads \
+             intensity signature decisions.0.kind decisions.0.site decisions.0.param_us \
+             stalls.0.thread stalls.0.at_us stalls.0.duration_us",
+        ),
+    ]
+}
+
+/// Every node's dotted path, each with whether its parent is an object.
+fn paths(node: &Json, prefix: &str, out: &mut Vec<(String, bool)>) {
+    let children: Vec<(String, &Json)> = match node {
+        Json::Obj(fields) => fields.iter().map(|(k, v)| (k.clone(), v)).collect(),
+        Json::Arr(items) => items
+            .iter()
+            .enumerate()
+            .map(|(i, v)| (i.to_string(), v))
+            .collect(),
+        _ => return,
+    };
+    for (key, child) in children {
+        let path = [prefix, &key].join(if prefix.is_empty() { "" } else { "." });
+        out.push((path.clone(), matches!(node, Json::Obj(_))));
+        paths(child, &path, out);
+    }
+}
+
+/// Replaces the node at `path` with `new`, or removes it when `new` is
+/// `None` (object fields only).
+fn edit(node: &mut Json, path: &str, new: Option<Json>) {
+    let (head, tail) = path
+        .split_once('.')
+        .map_or((path, None), |(h, t)| (h, Some(t)));
+    let slot = match node {
+        Json::Obj(fields) => {
+            let i = fields.iter().position(|(k, _)| k == head).unwrap();
+            if tail.is_none() && new.is_none() {
+                fields.remove(i);
+                return;
+            }
+            &mut fields[i].1
+        }
+        Json::Arr(items) => &mut items[head.parse::<usize>().unwrap()],
+        other => panic!("{path} under a scalar {other}"),
+    };
+    match tail {
+        Some(tail) => edit(slot, tail, new),
+        None => *slot = new.expect("only object fields are removed"),
+    }
+}
+
+#[test]
+fn every_damaged_document_is_an_error_naming_the_damage() {
+    for (kind, doc, read, required) in kinds() {
+        assert_eq!(read(&doc), Ok(()), "{kind}: the valid document");
+        let text = doc.pretty();
+        for end in (0..text.len()).filter(|&end| text.is_char_boundary(end)) {
+            let got = Json::parse(&text[..end]).and_then(|j| read(&j));
+            assert!(got.is_err(), "{kind}: the first {end} bytes read");
+        }
+        let mut all = Vec::new();
+        paths(&doc, "", &mut all);
+        for (path, in_object) in all {
+            let wrong = match doc.at(&path).unwrap() {
+                Json::Str(_) => Json::from(7u64),
+                Json::Null => Json::Bool(true),
+                _ => Json::from("x"),
+            };
+            let mut bad = doc.clone();
+            edit(&mut bad, &path, Some(wrong));
+            let err = read(&bad).expect_err(&format!("{kind}: {path} of the wrong type"));
+            assert!(
+                err.contains(&path),
+                "{kind}: {path} of the wrong type: {err}"
+            );
+            if in_object {
+                let mut cut = doc.clone();
+                edit(&mut cut, &path, None);
+                let needed = required
+                    .split_whitespace()
+                    .any(|r| r == path || r.starts_with(&format!("{path}.")));
+                match read(&cut) {
+                    Err(err) => assert!(needed && err.contains(&path), "{kind}: {path} cut: {err}"),
+                    Ok(()) => assert!(!needed, "{kind}: {path} is required, read without"),
+                }
+            }
+        }
+    }
+}

@@ -419,47 +419,6 @@ impl TraceSink for VecSink {
     }
 }
 
-/// A sink that fans events out to several sinks.
-#[derive(Default)]
-pub struct MultiSink {
-    sinks: Vec<Box<dyn TraceSink>>,
-}
-
-impl MultiSink {
-    /// Creates an empty fan-out sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a downstream sink.
-    pub fn push(&mut self, sink: Box<dyn TraceSink>) {
-        self.sinks.push(sink);
-    }
-
-    /// Returns the downstream sinks.
-    pub fn into_inner(self) -> Vec<Box<dyn TraceSink>> {
-        self.sinks
-    }
-}
-
-impl TraceSink for MultiSink {
-    fn record(&mut self, ev: &Event) {
-        for s in &mut self.sinks {
-            s.record(ev);
-        }
-    }
-
-    fn subscriptions(&self) -> EventMask {
-        self.sinks
-            .iter()
-            .fold(EventMask::EMPTY, |m, s| m.union(s.subscriptions()))
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -475,25 +434,6 @@ mod tests {
         }
         assert_eq!(sink.events.len(), 3);
         assert!(sink.events.windows(2).all(|w| w[0].t <= w[1].t));
-    }
-
-    #[test]
-    fn multi_sink_fans_out() {
-        let mut multi = MultiSink::new();
-        multi.push(Box::new(VecSink::default()));
-        multi.push(Box::new(VecSink::default()));
-        multi.record(&Event {
-            t: SimTime::ZERO,
-            kind: EventKind::Yield {
-                tid: ThreadId(1),
-                kind: YieldKind::Normal,
-            },
-        });
-        for sink in multi.into_inner() {
-            // Each downstream sink saw the event; we can't downcast through
-            // the trait object here, so just ensure the structure held.
-            drop(sink);
-        }
     }
 
     #[test]

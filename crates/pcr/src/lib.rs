@@ -105,8 +105,7 @@ pub use coroutine::{stack_pool_stats, StackPoolStats};
 pub use ctx::{panic_message, ForkOpts, ThreadCtx};
 pub use error::{DeadlockReport, ForkError, JoinError, RunReport, StopReason};
 pub use event::{
-    CondId, Event, EventKind, EventMask, MultiSink, NullSink, TraceSink, VecSink, WaitOutcome,
-    YieldKind,
+    CondId, Event, EventKind, EventMask, NullSink, TraceSink, VecSink, WaitOutcome, YieldKind,
 };
 pub use hazard::{Hazard, HazardConfig, HazardCounts, HazardKind, HazardMonitor};
 pub use histogram::Log2Histogram;

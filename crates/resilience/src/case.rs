@@ -20,7 +20,7 @@ use workloads::Benchmark;
 use crate::observe::{TrialSpec, TrialWorld};
 
 /// A replayable failing trial.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StoredCase {
     /// Which world family the trial ran (`system`/`benchmark` only
     /// select the cell when this is [`TrialWorld::Cell`]).
@@ -54,7 +54,9 @@ fn benchmark_name(b: Benchmark) -> String {
     format!("{b:?}")
 }
 
-fn benchmark_from_name(name: &str) -> Result<Benchmark, String> {
+/// A benchmark by its name in any case (`keyboard`, `Scroll`): how a
+/// case file and `--workload` name one.
+pub fn benchmark_from_name(name: &str) -> Result<Benchmark, String> {
     Benchmark::CEDAR
         .iter()
         .copied()
@@ -62,11 +64,12 @@ fn benchmark_from_name(name: &str) -> Result<Benchmark, String> {
         .ok_or_else(|| format!("unknown benchmark {name:?}"))
 }
 
-fn system_from_name(name: &str) -> Result<System, String> {
+/// A system by its name in any case (`cedar`, `GVX`).
+pub fn system_from_name(name: &str) -> Result<System, String> {
     match name.to_ascii_lowercase().as_str() {
         "cedar" => Ok(System::Cedar),
         "gvx" => Ok(System::Gvx),
-        _ => Err(format!("unknown system {name:?}")),
+        _ => Err(format!("unknown system {name:?} (cedar or gvx)")),
     }
 }
 
@@ -133,113 +136,53 @@ impl StoredCase {
         ])
     }
 
-    /// Parses a case back from JSON.
+    /// Parses a case back from JSON. Files written before the policy
+    /// tournament carry no `"policy"` (all ran round-robin), and v1 files
+    /// predate trial worlds (every one is a matrix cell).
     pub fn from_json(j: &Json) -> Result<StoredCase, String> {
-        let field = |k: &str| j.get(k).ok_or_else(|| format!("missing field {k:?}"));
-        let str_field = |k: &str| {
-            field(k)?
-                .as_str()
-                .map(str::to_string)
-                .ok_or_else(|| format!("field {k:?} is not a string"))
-        };
-        let u64_field = |k: &str| {
-            field(k)?
-                .as_u64()
-                .ok_or_else(|| format!("field {k:?} is not an unsigned integer"))
-        };
-        // v1 predates trial worlds: every old case is a matrix cell.
-        let world = match u64_field("v")? {
+        let world = match j.u64_at("v")? {
             1 => TrialWorld::Cell,
-            2 => TrialWorld::from_tag(&str_field("world")?)?,
+            2 => TrialWorld::from_tag(j.str_at("world")?)?,
             v => return Err(format!("unsupported case version {v}")),
         };
-        let seed_hex = str_field("seed")?;
-        let seed = u64::from_str_radix(&seed_hex, 16)
-            .map_err(|e| format!("bad seed {seed_hex:?}: {e}"))?;
-        // Cases written before the policy tournament have no "policy" key;
-        // they all ran under the paper's round-robin.
-        let policy = match j.get("policy") {
-            None | Some(Json::Null) => PolicyKind::RoundRobin,
-            Some(other) => other
-                .as_str()
-                .ok_or_else(|| "field \"policy\" is not a string".to_string())?
-                .parse()?,
-        };
-        let max_threads = match field("max_threads")? {
+        let seed_hex = j.str_at("seed")?;
+        let seed =
+            u64::from_str_radix(seed_hex, 16).map_err(|e| format!("bad seed {seed_hex:?}: {e}"))?;
+        let max_threads = match j.at("max_threads")? {
             Json::Null => None,
-            other => Some(
-                other
-                    .as_u64()
-                    .ok_or_else(|| "field \"max_threads\" is not an unsigned integer".to_string())?
-                    as usize,
-            ),
+            _ => Some(j.u64_at("max_threads")? as usize),
         };
-        let mut decisions = Vec::new();
-        for d in field("decisions")?
-            .as_array()
-            .ok_or_else(|| "field \"decisions\" is not an array".to_string())?
-        {
-            let tag = d
-                .get("kind")
-                .and_then(Json::as_str)
-                .ok_or_else(|| "decision missing \"kind\"".to_string())?;
-            let kind = FaultSiteKind::from_tag(tag)
-                .ok_or_else(|| format!("unknown fault kind {tag:?}"))?;
-            let site = d
-                .get("site")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| "decision missing \"site\"".to_string())?;
-            let param_us = d
-                .get("param_us")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| "decision missing \"param_us\"".to_string())?;
-            decisions.push(FaultDecision {
-                kind,
-                site,
-                param_us,
-            });
-        }
-        let mut stalls = Vec::new();
-        for s in field("stalls")?
-            .as_array()
-            .ok_or_else(|| "field \"stalls\" is not an array".to_string())?
-        {
-            let get_u64 = |k: &str| {
-                s.get(k)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("stall missing {k:?}"))
-            };
-            stalls.push(StallSpec {
-                thread: s
-                    .get("thread")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| "stall missing \"thread\"".to_string())?
-                    .to_string(),
-                at: SimTime::from_micros(get_u64("at_us")?),
-                duration: SimDuration::from_micros(get_u64("duration_us")?),
-                while_holding: match s.get("while_holding") {
-                    None | Some(Json::Null) => None,
-                    Some(other) => Some(
-                        other
-                            .as_str()
-                            .ok_or_else(|| "stall \"while_holding\" is not a string".to_string())?
-                            .to_string(),
-                    ),
-                },
-            });
-        }
+        let decisions = j.arr_at("decisions", |d| {
+            let tag = d.str_at("kind")?;
+            Ok(FaultDecision {
+                kind: FaultSiteKind::from_tag(tag)
+                    .ok_or_else(|| format!("unknown fault kind {tag:?}"))?,
+                site: d.u64_at("site")?,
+                param_us: d.u64_at("param_us")?,
+            })
+        })?;
+        let stalls = j.arr_at("stalls", |s| {
+            Ok(StallSpec {
+                thread: s.str_at("thread")?.to_string(),
+                at: SimTime::from_micros(s.u64_at("at_us")?),
+                duration: SimDuration::from_micros(s.u64_at("duration_us")?),
+                while_holding: s.opt_str_at("while_holding")?.map(str::to_string),
+            })
+        })?;
         Ok(StoredCase {
             world,
-            system: system_from_name(&str_field("system")?)?,
-            benchmark: benchmark_from_name(&str_field("benchmark")?)?,
+            system: system_from_name(j.str_at("system")?)?,
+            benchmark: benchmark_from_name(j.str_at("benchmark")?)?,
             seed,
-            window: SimDuration::from_micros(u64_field("window_us")?),
-            slice: SimDuration::from_micros(u64_field("slice_us")?),
-            wedge_threshold: SimDuration::from_micros(u64_field("wedge_threshold_us")?),
+            window: SimDuration::from_micros(j.u64_at("window_us")?),
+            slice: SimDuration::from_micros(j.u64_at("slice_us")?),
+            wedge_threshold: SimDuration::from_micros(j.u64_at("wedge_threshold_us")?),
             max_threads,
-            policy,
-            intensity: str_field("intensity")?,
-            signature: str_field("signature")?,
+            policy: j
+                .opt_str_at("policy")?
+                .map_or(Ok(PolicyKind::RoundRobin), str::parse)?,
+            intensity: j.str_at("intensity")?.to_string(),
+            signature: j.str_at("signature")?.to_string(),
             schedule: FaultSchedule { decisions, stalls },
         })
     }
@@ -296,10 +239,21 @@ impl StoredCase {
 
     /// Loads a case from a file written by [`StoredCase::save`].
     pub fn load(path: &Path) -> Result<StoredCase, String> {
-        let text =
-            fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let json = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        StoredCase::from_json(&json).map_err(|e| format!("{}: {e}", path.display()))
+        Json::load(path, StoredCase::from_json)
+    }
+
+    /// The case files of a corpus directory: every `*.json` under `dir`,
+    /// sorted, so a corpus replays in the same order everywhere.
+    pub fn corpus(dir: &Path) -> Result<Vec<PathBuf>, String> {
+        let entries =
+            fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
+        let mut paths: Vec<PathBuf> = entries
+            .filter_map(|e| e.ok())
+            .map(|e| e.path())
+            .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
+            .collect();
+        paths.sort();
+        Ok(paths)
     }
 
     /// The ready-to-paste command that replays this case.
@@ -352,22 +306,15 @@ mod tests {
         }
     }
 
+    /// Reads a case back from its text, as `repro replay` does.
+    fn reparse(text: &str) -> StoredCase {
+        StoredCase::from_json(&Json::parse(text).unwrap()).unwrap()
+    }
+
     #[test]
     fn json_round_trip_preserves_everything() {
         let case = sample();
-        let text = case.to_json().pretty();
-        let back = StoredCase::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.system, case.system);
-        assert_eq!(back.benchmark, case.benchmark);
-        assert_eq!(back.seed, case.seed);
-        assert_eq!(back.window, case.window);
-        assert_eq!(back.slice, case.slice);
-        assert_eq!(back.wedge_threshold, case.wedge_threshold);
-        assert_eq!(back.max_threads, case.max_threads);
-        assert_eq!(back.policy, case.policy);
-        assert_eq!(back.intensity, case.intensity);
-        assert_eq!(back.signature, case.signature);
-        assert_eq!(back.schedule, case.schedule);
+        assert_eq!(reparse(&case.to_json().pretty()), case);
     }
 
     #[test]
@@ -376,7 +323,7 @@ mod tests {
         case.policy = PolicyKind::Mlfq;
         let text = case.to_json().pretty();
         assert!(text.contains("\"policy\": \"mlfq\""), "{text}");
-        let back = StoredCase::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let back = reparse(&text);
         assert_eq!(back.policy, PolicyKind::Mlfq);
     }
 
@@ -387,7 +334,7 @@ mod tests {
             .to_json()
             .pretty()
             .replace("\"policy\": \"rr\",", "");
-        let back = StoredCase::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let back = reparse(&text);
         assert_eq!(back.policy, PolicyKind::RoundRobin);
     }
 
@@ -397,7 +344,7 @@ mod tests {
         case.max_threads = None;
         case.schedule.stalls[0].while_holding = None;
         let text = case.to_json().pretty();
-        let back = StoredCase::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let back = reparse(&text);
         assert_eq!(back.max_threads, None);
         assert_eq!(back.schedule.stalls[0].while_holding, None);
     }
@@ -450,9 +397,7 @@ mod tests {
             assert_eq!(TrialWorld::from_tag(&world.tag()).unwrap(), world);
             let mut case = sample();
             case.world = world;
-            let back =
-                StoredCase::from_json(&Json::parse(&case.to_json().pretty()).unwrap()).unwrap();
-            assert_eq!(back.world, world);
+            assert_eq!(reparse(&case.to_json().pretty()).world, world);
         }
         assert!(TrialWorld::from_tag("marsrover").is_err());
         assert!(TrialWorld::from_tag("serve:quiet").is_err());
@@ -482,7 +427,7 @@ mod tests {
         text = text.replace("\"v\": 2", "\"v\": 1");
         text = text.replace("\"world\": \"cell\",", "");
         text = text.replace("\"policy\": \"rr\",", "");
-        let back = StoredCase::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let back = reparse(&text);
         assert_eq!(back.world, TrialWorld::Cell);
         assert_eq!(back.seed, sample().seed);
     }

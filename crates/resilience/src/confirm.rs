@@ -9,7 +9,7 @@
 //! normalizes its literals (digit runs folded to `#`), so the join is
 //! a plain set intersection.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::case::StoredCase;
 use crate::observe::replay;
@@ -74,15 +74,10 @@ pub fn case_evidence(path: &Path) -> Result<Evidence, String> {
 /// evidence records. Unreadable cases are errors — a corrupt corpus
 /// must not silently weaken the precision report.
 pub fn corpus_evidence(dir: &Path) -> Result<Vec<Evidence>, String> {
-    let entries =
-        std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-    let mut paths: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
-        .collect();
-    paths.sort();
-    paths.iter().map(|p| case_evidence(p)).collect()
+    StoredCase::corpus(dir)?
+        .iter()
+        .map(|p| case_evidence(p))
+        .collect()
 }
 
 #[cfg(test)]

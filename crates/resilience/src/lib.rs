@@ -45,7 +45,7 @@ mod shrink;
 mod signature;
 mod supervisor;
 
-pub use case::StoredCase;
+pub use case::{benchmark_from_name, system_from_name, StoredCase};
 pub use confirm::{case_evidence, corpus_evidence, Evidence};
 pub use fuzz::{
     default_cells, fuzz, fuzz_with, intensity_ladder, BatchRunner, FoundCase, FuzzCell, FuzzConfig,

@@ -120,25 +120,26 @@ impl ClientCounters {
         }
     }
 
-    /// `(name, value)` rows, stable order, for reports.
-    pub fn fields(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("offered", self.offered),
-            ("attempts", self.attempts),
-            ("painted", self.painted),
-            ("timed_out", self.timed_out),
-            ("shed_deadline", self.shed_deadline),
-            ("failed", self.failed),
-            ("late_paint", self.late_paint),
-            ("rejected_admission", self.rejected_admission),
-            ("rejected_backpressure", self.rejected_backpressure),
-            ("shed_codel", self.shed_codel),
-            ("fast_fail", self.fast_fail),
-            ("xfail", self.xfail),
-            ("retries", self.retries),
-            ("retries_capped", self.retries_capped),
-            ("retries_past_deadline", self.retries_past_deadline),
-            ("retries_budget_dry", self.retries_budget_dry),
+    /// `(name, counter)` for every counter, in report order: the one
+    /// list of their names, which the report writes and reads back by.
+    pub fn fields_mut(&mut self) -> [(&'static str, &mut u64); 16] {
+        [
+            ("offered", &mut self.offered),
+            ("attempts", &mut self.attempts),
+            ("painted", &mut self.painted),
+            ("timed_out", &mut self.timed_out),
+            ("shed_deadline", &mut self.shed_deadline),
+            ("failed", &mut self.failed),
+            ("late_paint", &mut self.late_paint),
+            ("rejected_admission", &mut self.rejected_admission),
+            ("rejected_backpressure", &mut self.rejected_backpressure),
+            ("shed_codel", &mut self.shed_codel),
+            ("fast_fail", &mut self.fast_fail),
+            ("xfail", &mut self.xfail),
+            ("retries", &mut self.retries),
+            ("retries_capped", &mut self.retries_capped),
+            ("retries_past_deadline", &mut self.retries_past_deadline),
+            ("retries_budget_dry", &mut self.retries_budget_dry),
         ]
     }
 }

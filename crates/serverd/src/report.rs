@@ -163,13 +163,8 @@ impl ServeReport {
     /// Serializes as `threadstudy-serve-v1`. Deliberately excludes wall
     /// time: the file must be byte-identical for identical seeds.
     pub fn to_json(&self) -> Json {
-        let counters = Json::Obj(
-            self.counters
-                .fields()
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), Json::from(v)))
-                .collect(),
-        );
+        let mut counters = self.counters;
+        let counters = Json::obj(counters.fields_mut().map(|(k, v)| (k, Json::from(*v))));
         Json::obj([
             ("schema", Json::from("threadstudy-serve-v1")),
             ("sessions", Json::from(self.sessions)),
@@ -238,127 +233,72 @@ impl ServeReport {
     /// `--baseline`). The fields [`Self::compare_baseline`] gates on —
     /// `latency_us.{p50,p99,p999}`, `goodput_per_sec`, `amplification` —
     /// must be present and numeric: a damaged baseline is an error, not
-    /// a zero every run beats.
+    /// a zero every run beats. Every other field defaults when absent,
+    /// but a field of the wrong type is an error too.
     pub fn from_json(j: &Json) -> Result<ServeReport, String> {
-        let schema = j.get("schema").and_then(|s| s.as_str()).unwrap_or("");
+        let schema = j.str_at("schema")?;
         if schema != "threadstudy-serve-v1" {
             return Err(format!("unsupported serve schema {schema:?}"));
         }
-        let u = |key: &str| -> u64 { j.get(key).and_then(|v| v.as_u64()).unwrap_or(0) };
-        let lat = j.get("latency_us");
-        let gate_u = |key: &str| -> Result<u64, String> {
-            lat.and_then(|l| l.get(key))
-                .and_then(|v| v.as_u64())
-                .ok_or_else(|| format!("latency_us.{key} is missing or not a number"))
+        let pinned = SloTargets::default();
+        let seed = match j.opt_str_at("seed")? {
+            Some(hex) => u64::from_str_radix(hex, 16)
+                .map_err(|e| format!("seed: {hex:?} is not hex: {e}"))?,
+            None => 0,
         };
-        let gate_f = |key: &str| -> Result<f64, String> {
-            j.get(key)
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| format!("{key} is missing or not a number"))
-        };
-        let lu = |key: &str| -> u64 {
-            lat.and_then(|l| l.get(key))
-                .and_then(|v| v.as_u64())
-                .unwrap_or(0)
-        };
-        let slo = j.get("slo_us");
-        let su = |key: &str, default: SimDuration| -> SimDuration {
-            slo.and_then(|l| l.get(key))
-                .and_then(|v| v.as_u64())
-                .map(SimDuration::from_micros)
-                .unwrap_or(default)
-        };
-        let mut counters = ClientCounters::default();
-        if let Some(Json::Obj(fields)) = j.get("counters") {
-            for (k, v) in fields {
-                let val = v.as_u64().unwrap_or(0);
-                match k.as_str() {
-                    "offered" => counters.offered = val,
-                    "attempts" => counters.attempts = val,
-                    "painted" => counters.painted = val,
-                    "timed_out" => counters.timed_out = val,
-                    "shed_deadline" => counters.shed_deadline = val,
-                    "failed" => counters.failed = val,
-                    "late_paint" => counters.late_paint = val,
-                    "rejected_admission" => counters.rejected_admission = val,
-                    "rejected_backpressure" => counters.rejected_backpressure = val,
-                    "shed_codel" => counters.shed_codel = val,
-                    "fast_fail" => counters.fast_fail = val,
-                    "xfail" => counters.xfail = val,
-                    "retries" => counters.retries = val,
-                    "retries_capped" => counters.retries_capped = val,
-                    "retries_past_deadline" => counters.retries_past_deadline = val,
-                    "retries_budget_dry" => counters.retries_budget_dry = val,
-                    _ => {}
-                }
+        // Read once as a whole: sixteen lookups from the top cost more
+        // than the rest of the report.
+        let counters = j.opt_obj_at("counters", |c| {
+            let mut counters = ClientCounters::default();
+            for (name, slot) in counters.fields_mut() {
+                *slot = c.opt_u64_at(name)?.unwrap_or_default();
             }
-        }
-        let degrade = j.get("degrade");
-        let du = |key: &str| -> u64 {
-            degrade
-                .and_then(|d| d.get(key))
-                .and_then(|v| v.as_u64())
-                .unwrap_or(0)
-        };
+            Ok(counters)
+        })?;
         Ok(ServeReport {
-            sessions: u("sessions") as u32,
-            seed: j
-                .get("seed")
-                .and_then(|s| s.as_str())
-                .and_then(|s| u64::from_str_radix(s, 16).ok())
-                .unwrap_or(0),
-            window_us: u("window_us"),
-            policy: j
-                .get("policy")
-                .and_then(|s| s.as_str())
-                .unwrap_or("")
-                .to_string(),
-            scenario: j
-                .get("scenario")
-                .and_then(|s| s.as_str())
-                .unwrap_or("")
-                .to_string(),
-            end_us: u("end_us"),
-            p50_us: gate_u("p50")?,
-            p99_us: gate_u("p99")?,
-            p999_us: gate_u("p999")?,
-            max_us: lu("max"),
-            mean_us: lu("mean"),
+            sessions: j.opt_u32_at("sessions")?.unwrap_or_default(),
+            seed,
+            window_us: j.opt_u64_at("window_us")?.unwrap_or_default(),
+            policy: j.opt_str_at("policy")?.unwrap_or_default().to_string(),
+            scenario: j.opt_str_at("scenario")?.unwrap_or_default().to_string(),
+            end_us: j.opt_u64_at("end_us")?.unwrap_or_default(),
+            p50_us: j.u64_at("latency_us.p50")?,
+            p99_us: j.u64_at("latency_us.p99")?,
+            p999_us: j.u64_at("latency_us.p999")?,
+            max_us: j.opt_u64_at("latency_us.max")?.unwrap_or_default(),
+            mean_us: j.opt_u64_at("latency_us.mean")?.unwrap_or_default(),
             histogram: j
-                .get("histogram")
-                .and_then(|h| h.as_array())
-                .map(|rows| {
-                    rows.iter()
-                        .filter_map(|r| {
-                            let pair = r.as_array()?;
-                            Some((pair.first()?.as_u64()?, pair.get(1)?.as_u64()?))
-                        })
-                        .collect()
-                })
+                .opt_arr_at("histogram", |row| Ok((row.u64_at("0")?, row.u64_at("1")?)))?
                 .unwrap_or_default(),
-            counters,
-            goodput_per_sec: gate_f("goodput_per_sec")?,
-            amplification: gate_f("amplification")?,
-            budget_suppressed: u("budget_suppressed"),
-            codel_drops: u("codel_drops"),
-            breaker_trips: u("breaker_trips"),
-            breaker_fast_failed_batches: u("breaker_fast_failed_batches"),
-            outage_failed_batches: u("outage_failed_batches"),
-            batches: u("batches"),
+            counters: counters.unwrap_or_default(),
+            goodput_per_sec: j.f64_at("goodput_per_sec")?,
+            amplification: j.f64_at("amplification")?,
+            budget_suppressed: j.opt_u64_at("budget_suppressed")?.unwrap_or_default(),
+            codel_drops: j.opt_u64_at("codel_drops")?.unwrap_or_default(),
+            breaker_trips: j.opt_u64_at("breaker_trips")?.unwrap_or_default(),
+            breaker_fast_failed_batches: j
+                .opt_u64_at("breaker_fast_failed_batches")?
+                .unwrap_or_default(),
+            outage_failed_batches: j.opt_u64_at("outage_failed_batches")?.unwrap_or_default(),
+            batches: j.opt_u64_at("batches")?.unwrap_or_default(),
             degrade: DegradeSummary {
-                degrade_steps: du("steps"),
-                restore_steps: du("restores"),
-                max_level: du("max_level"),
-                time_at_level_us: degrade
-                    .and_then(|d| d.get("time_at_level_us"))
-                    .and_then(|a| a.as_array())
-                    .map(|xs| xs.iter().filter_map(|x| x.as_u64()).collect())
+                degrade_steps: j.opt_u64_at("degrade.steps")?.unwrap_or_default(),
+                restore_steps: j.opt_u64_at("degrade.restores")?.unwrap_or_default(),
+                max_level: j.opt_u64_at("degrade.max_level")?.unwrap_or_default(),
+                time_at_level_us: j
+                    .opt_arr_at("degrade.time_at_level_us", |t| t.u64_at(""))?
                     .unwrap_or_default(),
             },
             slo: SloTargets {
-                p50: su("p50", SloTargets::default().p50),
-                p99: su("p99", SloTargets::default().p99),
-                p999: su("p999", SloTargets::default().p999),
+                p50: j
+                    .opt_u64_at("slo_us.p50")?
+                    .map_or(pinned.p50, SimDuration::from_micros),
+                p99: j
+                    .opt_u64_at("slo_us.p99")?
+                    .map_or(pinned.p99, SimDuration::from_micros),
+                p999: j
+                    .opt_u64_at("slo_us.p999")?
+                    .map_or(pinned.p999, SimDuration::from_micros),
             },
         })
     }
@@ -512,6 +452,19 @@ mod tests {
         r.goodput_per_sec = base.goodput_per_sec * 0.5;
         r.amplification = base.amplification * 2.0;
         assert_eq!(r.compare_baseline(&base).len(), 3);
+    }
+
+    #[test]
+    fn out_of_range_sessions_and_non_hex_seeds_are_errors_not_wrapped() {
+        let text = sample().to_json().to_string();
+        for (from, to, field) in [
+            ("\"sessions\":100", "\"sessions\":4294967296", "sessions"),
+            ("\"seed\":\"A5\"", "\"seed\":\"A5G\"", "seed"),
+        ] {
+            let bad = Json::parse(&text.replacen(from, to, 1)).unwrap();
+            let err = ServeReport::from_json(&bad).unwrap_err();
+            assert!(err.starts_with(field), "{err}");
+        }
     }
 
     #[test]

@@ -450,10 +450,8 @@ fn trace_events(events: &[Event]) -> Vec<SortableEvent> {
 /// let events = sink.into_any().downcast::<VecSink>().unwrap().events;
 ///
 /// let doc = chrome_trace(&events, &labels);
-/// let spans = doc.get("traceEvents").and_then(trace::Json::as_array).unwrap();
-/// assert!(spans.iter().any(|e| {
-///     e.get("ph").and_then(trace::Json::as_str) == Some("X")
-/// }));
+/// let spans = doc.arr_at("traceEvents", Ok).unwrap();
+/// assert!(spans.iter().any(|e| e.str_at("ph") == Ok("X")));
 /// ```
 pub fn chrome_trace(events: &[Event], labels: &TraceLabels) -> Json {
     let mut text = Vec::new();
@@ -525,20 +523,20 @@ mod tests {
     }
 
     fn x_spans(doc: &Json) -> Vec<(u64, u64, u64, u64)> {
-        doc.get("traceEvents")
-            .and_then(Json::as_array)
-            .unwrap()
-            .iter()
-            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
-            .map(|e| {
-                (
-                    e.get("pid").and_then(Json::as_u64).unwrap(),
-                    e.get("tid").and_then(Json::as_u64).unwrap(),
-                    e.get("ts").and_then(Json::as_u64).unwrap(),
-                    e.get("dur").and_then(Json::as_u64).unwrap(),
-                )
-            })
-            .collect()
+        let events = doc.arr_at("traceEvents", Ok).unwrap();
+        let span = |e: &Json| {
+            Ok((
+                e.u64_at("pid")?,
+                e.u64_at("tid")?,
+                e.u64_at("ts")?,
+                e.u64_at("dur")?,
+            ))
+        };
+        let spans = events
+            .into_iter()
+            .filter(|e| e.str_at("ph") == Ok("X"))
+            .map(span);
+        spans.collect::<Result<_, String>>().unwrap()
     }
 
     #[test]
@@ -552,22 +550,19 @@ mod tests {
                 "no X span in process {pid}"
             );
         }
-        let all = doc.get("traceEvents").and_then(Json::as_array).unwrap();
+        let all = doc.arr_at("traceEvents", Ok).unwrap();
         for ph in ["s", "f", "M", "i"] {
             // "i" needs chaos or a spurious conflict; this world has the
             // §6.1 conflict because the notifier holds across a block.
             assert!(
-                all.iter()
-                    .any(|e| e.get("ph").and_then(Json::as_str) == Some(ph)),
+                all.iter().any(|e| e.str_at("ph") == Ok(ph)),
                 "no {ph:?} event"
             );
         }
         // Flow starts and finishes pair up by id.
         let ids = |phase: &str| -> Vec<u64> {
-            let mut v: Vec<u64> = all
-                .iter()
-                .filter(|e| e.get("ph").and_then(Json::as_str) == Some(phase))
-                .map(|e| e.get("id").and_then(Json::as_u64).unwrap())
+            let mut v: Vec<u64> = (all.iter().filter(|e| e.str_at("ph") == Ok(phase)))
+                .map(|e| e.u64_at("id").unwrap())
                 .collect();
             v.sort_unstable();
             v

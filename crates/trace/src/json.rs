@@ -5,7 +5,10 @@
 //! insertion-ordered objects and one encoder, [`Json::write_to`], behind
 //! `Display`, `to_string()` and the two-space [`Json::pretty`] form (the
 //! same walk with an indent). [`Json::parse`] is the matching
-//! recursive-descent reader.
+//! recursive-descent reader, and [`Json::load`] with the typed accessors
+//! ([`Json::u64_at`], [`Json::opt_str_at`], [`Json::arr_at`], ...) is
+//! how every loader reads a file back: a dotted path in, a value or an
+//! error naming that path out.
 //!
 //! The tree is for documents that are built once and are small: reports,
 //! case files, baselines. The per-event exporters do not go through it.
@@ -29,6 +32,7 @@
 
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
+use std::path::Path;
 
 /// A JSON document node. Object keys keep insertion order so exported
 /// records are stable across runs (a determinism requirement for the
@@ -158,6 +162,172 @@ impl Json {
         }
     }
 
+    /// Reads the file at `path` as one document and hands it to `read`,
+    /// the loader for its schema. Every error starts with the path,
+    /// whether the file cannot be read, is not JSON, or `read` refuses
+    /// it: the one way a report, case or baseline comes back from disk.
+    pub fn load<T>(
+        path: impl AsRef<Path>,
+        read: impl FnOnce(&Json) -> Result<T, String>,
+    ) -> Result<T, String> {
+        let path = path.as_ref();
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        Json::parse(&text)
+            .and_then(|doc| read(&doc))
+            .map_err(|e| format!("{}: {e}", path.display()))
+    }
+
+    /// The node at `path`, a dotted list of keys (`"latency_us.p99"`) in
+    /// which a segment of digits indexes an array and `""` names `self`.
+    /// `None` if a field on the way is absent or `null`; an error naming
+    /// the node's path if a node on the way is neither object nor array.
+    /// The typed accessors below read through it, and all but [`Json::at`]
+    /// take a `null` field for an absent one.
+    #[inline]
+    pub fn opt_at(&self, path: &str) -> Result<Option<&Json>, String> {
+        let mut node = self;
+        let mut rest = path;
+        while !rest.is_empty() {
+            let (seg, tail) = match rest.bytes().position(|b| b == b'.') {
+                Some(dot) => (&rest[..dot], &rest[dot + 1..]),
+                None => (rest, ""),
+            };
+            let child = match node {
+                Json::Obj(fields) => fields.iter().find(|(k, _)| k == seg).map(|(_, v)| v),
+                Json::Arr(items) if seg.bytes().all(|b| b.is_ascii_digit()) => {
+                    seg.parse().ok().and_then(|i: usize| items.get(i))
+                }
+                Json::Null => None,
+                other => {
+                    let parent = &path[..(path.len() - rest.len()).max(1) - 1];
+                    let found = format!("expected an object, found {}", other.kind());
+                    return Err(field_error(parent, &found));
+                }
+            };
+            let Some(child) = child else { return Ok(None) };
+            node = child;
+            rest = tail;
+        }
+        Ok(Some(node))
+    }
+
+    /// As [`Json::opt_at`], with an absent field an error.
+    #[inline]
+    pub fn at(&self, path: &str) -> Result<&Json, String> {
+        required(path, self.opt_at(path))
+    }
+
+    /// The unsigned integer at `path`; absent, or of another type, is an
+    /// error naming `path`.
+    #[inline]
+    pub fn u64_at(&self, path: &str) -> Result<u64, String> {
+        required(path, self.opt_u64_at(path))
+    }
+
+    /// As [`Json::u64_at`], but `None` for an absent field.
+    #[inline]
+    pub fn opt_u64_at(&self, path: &str) -> Result<Option<u64>, String> {
+        self.opt_typed_at(path, "an unsigned integer", Json::as_u64)
+    }
+
+    /// The unsigned integer at `path`, which must also fit a `u32`.
+    #[inline]
+    pub fn u32_at(&self, path: &str) -> Result<u32, String> {
+        required(path, self.opt_u32_at(path))
+    }
+
+    /// As [`Json::u32_at`], but `None` for an absent field.
+    #[inline]
+    pub fn opt_u32_at(&self, path: &str) -> Result<Option<u32>, String> {
+        let as_u32 = |v: &Json| v.as_u64().and_then(|n| u32::try_from(n).ok());
+        self.opt_typed_at(path, "an unsigned 32-bit integer", as_u32)
+    }
+
+    /// The number at `path` (integers convert).
+    #[inline]
+    pub fn f64_at(&self, path: &str) -> Result<f64, String> {
+        required(path, self.opt_typed_at(path, "a number", Json::as_f64))
+    }
+
+    /// The string at `path`.
+    #[inline]
+    pub fn str_at(&self, path: &str) -> Result<&str, String> {
+        required(path, self.opt_str_at(path))
+    }
+
+    /// As [`Json::str_at`], but `None` for an absent field.
+    #[inline]
+    pub fn opt_str_at(&self, path: &str) -> Result<Option<&str>, String> {
+        self.opt_typed_at(path, "a string", Json::as_str)
+    }
+
+    /// The array at `path`, each element read by `read`; an element's
+    /// error is restated under its own path (`decisions.2.site: ...`).
+    pub fn arr_at<'a, T>(
+        &'a self,
+        path: &str,
+        read: impl FnMut(&'a Json) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        required(path, self.opt_arr_at(path, read))
+    }
+
+    /// As [`Json::arr_at`], but `None` for an absent field.
+    pub fn opt_arr_at<'a, T>(
+        &'a self,
+        path: &str,
+        mut read: impl FnMut(&'a Json) -> Result<T, String>,
+    ) -> Result<Option<Vec<T>>, String> {
+        let items = self.opt_typed_at(path, "an array", Json::as_array)?;
+        let item = |(i, item)| read(item).map_err(|e| restate(&format!("{path}.{i}"), &e));
+        items
+            .map(|items| items.iter().enumerate().map(item).collect())
+            .transpose()
+    }
+
+    /// The object at `path` read whole by `read`, whose errors are
+    /// restated under `path`; `None` for an absent field.
+    pub fn opt_obj_at<'a, T>(
+        &'a self,
+        path: &str,
+        read: impl FnOnce(&'a Json) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        let obj = |v: &'a Json| matches!(v, Json::Obj(_)).then_some(v);
+        match self.opt_typed_at(path, "an object", obj)? {
+            Some(v) => read(v).map(Some).map_err(|e| restate(path, &e)),
+            None => Ok(None),
+        }
+    }
+
+    /// The node at `path` as `conv` reads it: `None` if it is absent or
+    /// `null`, an error naming `path` and `want` if `conv` refuses it.
+    fn opt_typed_at<'a, T>(
+        &'a self,
+        path: &str,
+        want: &str,
+        conv: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        match self.opt_at(path)? {
+            None | Some(Json::Null) => Ok(None),
+            Some(node) => conv(node).map(Some).ok_or_else(|| {
+                field_error(path, &format!("expected {want}, found {}", node.kind()))
+            }),
+        }
+    }
+
+    /// What a node is, for an error message: a number shows itself.
+    fn kind(&self) -> String {
+        match self {
+            Json::Null => "null",
+            Json::Bool(_) => "a boolean",
+            Json::Str(_) => "a string",
+            Json::Arr(_) => "an array",
+            Json::Obj(_) => "an object",
+            number => return number.to_string(),
+        }
+        .to_string()
+    }
+
     /// Renders with two-space indentation.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
@@ -196,6 +366,33 @@ impl Json {
             }),
         }
     }
+}
+
+/// A required field's value: `None` is an error naming `path`.
+fn required<T>(path: &str, value: Result<Option<T>, String>) -> Result<T, String> {
+    value?.ok_or_else(|| field_error(path, "missing field"))
+}
+
+/// An accessor's error: `path: what`, or just `what` for the document
+/// itself.
+fn field_error(path: &str, what: &str) -> String {
+    if path.is_empty() {
+        what.to_string()
+    } else {
+        format!("{path}: {what}")
+    }
+}
+
+/// An error from reading the node at `path`, restated from the
+/// document: one that starts with a relative field path (`site: ...`)
+/// gets `path.` before it, any other `path: `.
+fn restate(path: &str, e: &str) -> String {
+    let relative = e.split_once(": ").is_some_and(|(p, _)| {
+        !p.is_empty()
+            && p.bytes()
+                .all(|b| b.is_ascii_alphanumeric() || b"_.".contains(&b))
+    });
+    format!("{path}{}{e}", if relative { "." } else { ": " })
 }
 
 /// A container: in the pretty form each child starts a line, one indent
@@ -792,6 +989,43 @@ mod tests {
         );
         assert_eq!(v.get("missing"), None);
         assert_eq!(v.get("n").and_then(Json::as_f64), Some(7.0));
+    }
+
+    #[test]
+    fn path_accessors_read_and_name_the_path_in_every_error() {
+        let v = Json::parse(r#"{"a":{"n":7,"z":null},"xs":[[1,2],[3,"x"]],"big":4294967296}"#);
+        let v = v.unwrap();
+        assert_eq!(
+            (v.u64_at("xs.0.1"), v.at(""), v.at("a.z")),
+            (Ok(2), Ok(&v), Ok(&Json::Null))
+        );
+        // Absent and null read as None; a wrong type is still an error.
+        assert_eq!(
+            (v.opt_u64_at("a.z"), v.opt_u64_at("no.n")),
+            (Ok(None), Ok(None))
+        );
+        for (got, want) in [
+            (v.u64_at("a.z"), "a.z: missing field"),
+            (v.u64_at("a.n.x"), "a.n: expected an object, found 7"),
+            (
+                v.u64_at("xs.1.1"),
+                "xs.1.1: expected an unsigned integer, found a string",
+            ),
+            (
+                v.u32_at("big").map(u64::from),
+                "big: expected an unsigned 32-bit integer, found 4294967296",
+            ),
+            (
+                v.arr_at("xs", |x| x.u64_at("")).map(|_| 0),
+                "xs.0: expected an unsigned integer, found an array",
+            ),
+            (
+                v.opt_obj_at("a", |a| a.u64_at("n.m")).map(|_| 0),
+                "a.n: expected an object, found 7",
+            ),
+        ] {
+            assert_eq!(got, Err(want.to_string()));
+        }
     }
 
     #[test]

@@ -7,16 +7,6 @@
 
 pub use serverd::{run_serve, ServeOutcome, ServeReport, ServeScenario, ServeSpec, SloTargets};
 
-/// The reference serve cell at a given scale.
-pub fn reference_spec(sessions: u32, seed: u64) -> ServeSpec {
-    ServeSpec::reference(sessions, seed)
-}
-
-/// A named scenario cell at a given scale.
-pub fn scenario_spec(sc: ServeScenario, sessions: u32, seed: u64) -> ServeSpec {
-    ServeSpec::scenario(sc, sessions, seed)
-}
-
 /// Builds a small, hot serve world for fuzzing: the sim is configured
 /// with `chaos` faults and an optional thread cap, and the caller runs
 /// it however the fuzz harness likes.
@@ -85,7 +75,7 @@ mod tests {
     #[test]
     fn report_json_is_byte_deterministic() {
         let mk = || {
-            let mut spec = reference_spec(500, 0xA5);
+            let mut spec = ServeSpec::reference(500, 0xA5);
             spec.window = secs(5);
             run_report(spec).to_json().to_string()
         };

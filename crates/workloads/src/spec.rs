@@ -55,18 +55,6 @@ impl Benchmark {
         }
     }
 
-    /// The serve-world session class this interactive benchmark maps
-    /// to, if any: the serve traffic mix reuses the paper's keyboard /
-    /// mouse / scroll characterizations.
-    pub fn serve_class(self) -> Option<serverd::SessionClass> {
-        match self {
-            Benchmark::Keyboard => Some(serverd::SessionClass::Keyboard),
-            Benchmark::Mouse => Some(serverd::SessionClass::Mouse),
-            Benchmark::Scroll => Some(serverd::SessionClass::Scroll),
-            _ => None,
-        }
-    }
-
     /// The row label used in the paper's tables.
     pub fn label(self, system: System) -> String {
         match (system, self) {
