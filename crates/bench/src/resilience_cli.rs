@@ -8,26 +8,18 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-use pcr::{secs, ChaosConfig, RunLimit};
+use pcr::{secs, ChaosConfig};
 use resilience::{
-    benchmark_from_name, fuzz_with, guided_fuzz, observe, recover_preset, replay, shrink,
+    benchmark_from_name, fuzz_with, guided_fuzz, ladder, observe, replay, shrink,
     signatures_per_cpu_minute, supervise, supervise_benchmark, system_from_name,
-    unsupervised_wedges, FoundCase, FuzzCell, FuzzConfig, MutationDiscovery, Observation,
-    RecoveryKind, ShrinkConfig, StoredCase, SupervisorConfig, TrialSpec, TrialWorld,
+    unsupervised_wedges, FoundCase, FuzzConfig, MutationDiscovery, Observation, RecoveryKind,
+    ShrinkConfig, StoredCase, Supervision, SupervisorConfig, TrialSpec, TrialWorld,
 };
 use threadstudy_core::System;
 use trace::Table;
 use workloads::Benchmark;
 
 use crate::exit;
-
-/// The world-aware cell label shown in fuzz tables.
-fn case_cell_label(case: &StoredCase) -> String {
-    match case.world {
-        TrialWorld::Cell => format!("{}/{:?}", case.system.name(), case.benchmark),
-        other => other.tag(),
-    }
-}
 
 /// Parses a `--workload SYSTEM/BENCHMARK` filter ("cedar/keyboard",
 /// "gvx/scroll").
@@ -87,7 +79,7 @@ pub fn fuzz_cmd(opts: &FuzzOpts) -> i32 {
         ..FuzzConfig::default()
     };
     if let Some((system, benchmark)) = opts.workload {
-        cfg.cells = vec![FuzzCell::cell(system, benchmark)];
+        cfg.cells = vec![TrialWorld::Cell { system, benchmark }];
     }
     if let Some(w) = opts.window_secs {
         cfg.window = secs(w);
@@ -165,7 +157,7 @@ pub fn fuzz_cmd(opts: &FuzzOpts) -> i32 {
         table.row(vec![
             case.signature.clone(),
             found.count.to_string(),
-            case_cell_label(&case),
+            case.spec.world.label(),
             case.intensity.clone(),
             case.schedule.decisions.len().to_string(),
             path.display().to_string(),
@@ -327,8 +319,8 @@ pub fn replay_cmd(path: &Path) -> i32 {
             let sig = failure.signature();
             println!(
                 "replay: {} seed={:x} failed after {} with {sig}",
-                case_cell_label(&case),
-                case.seed,
+                case.spec.world.label(),
+                case.spec.seed,
                 obs.elapsed
             );
             if !failure.detail.is_empty() {
@@ -348,7 +340,7 @@ pub fn replay_cmd(path: &Path) -> i32 {
         None => {
             eprintln!(
                 "FAIL replay: no failure within {} (stored signature {:?})",
-                case.window, case.signature
+                case.spec.window, case.signature
             );
             exit::REGRESSION
         }
@@ -387,6 +379,17 @@ pub fn replay_all_cmd(dir: &Path) -> i32 {
     code
 }
 
+/// Logs `label`'s recovery actions to stderr and returns their tags,
+/// comma-joined, for the table and the JSON.
+fn recoveries(label: &str, sup: &Supervision) -> String {
+    for a in &sup.actions {
+        let (attempt, at, tag) = (a.attempt, a.at, a.kind.tag());
+        eprintln!("{label}: attempt {attempt} at {at}: {tag} ({})", a.detail);
+    }
+    let tags: Vec<&str> = sup.actions.iter().map(|a| a.kind.tag()).collect();
+    tags.join(", ")
+}
+
 /// The §6.2 inversion cell of `repro chaos --recover`: the magnified
 /// metalock world with donation and daemon both off wedges stably; the
 /// supervisor must resolve it with the runtime remedies (donation
@@ -398,11 +401,7 @@ fn recover_inversion_cell(
 ) -> i32 {
     let label = "xpipe/MetalockInversion".to_string();
     let mut code = exit::OK;
-    let wedged = {
-        let (mut sim, _h) = xpipe::inversion::build_metalock_world(false, false);
-        let report = sim.run(RunLimit::For(cfg.window));
-        report.deadlocked() || !sim.wait_for_graph().wedged(cfg.wedge_threshold).is_empty()
-    };
+    let wedged = unsupervised_wedges(xpipe::inversion::build_metalock_world(false, false).0, cfg);
     if !wedged {
         eprintln!("FAIL recover {label}: the inversion did not wedge the unsupervised run");
         code = exit::worst(code, exit::REGRESSION);
@@ -411,15 +410,7 @@ fn recover_inversion_cell(
         |_| xpipe::inversion::build_metalock_world(false, false).0,
         cfg,
     );
-    for action in &sup.actions {
-        eprintln!(
-            "{label}: attempt {} at {}: {} ({})",
-            action.attempt,
-            action.at,
-            action.kind.tag(),
-            action.detail
-        );
-    }
+    let recoveries = recoveries(&label, &sup);
     let remedied = sup.actions.iter().any(|a| {
         matches!(
             a.kind,
@@ -433,12 +424,6 @@ fn recover_inversion_cell(
         );
         code = exit::worst(code, exit::DEADLOCK);
     }
-    let recoveries = sup
-        .actions
-        .iter()
-        .map(|a| a.kind.tag())
-        .collect::<Vec<_>>()
-        .join(", ");
     table.row(vec![
         label.clone(),
         if wedged { "wedges" } else { "survives" }.to_string(),
@@ -478,39 +463,39 @@ pub fn recover_cmd(window: pcr::SimDuration, seed: u64, json_path: Option<&str>)
         ],
     );
     let mut json_rows = Vec::new();
-    for (system, benchmark) in [
-        (System::Cedar, Benchmark::Keyboard),
-        (System::Gvx, Benchmark::Scroll),
+    // Each demo cell's fault load is the rung of its fuzz ladder that the
+    // world is known not to tolerate on its own.
+    for (system, benchmark, rung) in [
+        (System::Cedar, Benchmark::Keyboard, "fork-cap"),
+        (System::Gvx, Benchmark::Scroll, "stall-gated"),
     ] {
-        let label = format!("{}/{benchmark:?}", system.name());
-        let (chaos, max_threads) = recover_preset(system);
-        let wedged = unsupervised_wedges(system, benchmark, seed, chaos.clone(), max_threads, &cfg);
+        let world = TrialWorld::Cell { system, benchmark };
+        let label = world.label();
+        let rung = ladder(world)
+            .into_iter()
+            .find(|r| r.name == rung)
+            .expect("the demo rung is on the cell's ladder");
+        let spec = TrialSpec {
+            world,
+            seed,
+            window: cfg.window,
+            slice: cfg.slice,
+            wedge_threshold: cfg.wedge_threshold,
+            max_threads: rung.max_threads,
+            policy: pcr::PolicyKind::RoundRobin,
+        };
+        let wedged = unsupervised_wedges(spec.build(rung.chaos.clone()), &cfg);
         if !wedged {
             eprintln!("FAIL recover {label}: fault load did not wedge the unsupervised run");
             code = exit::worst(code, exit::REGRESSION);
         }
-        let sup = supervise_benchmark(system, benchmark, seed, chaos, max_threads, &cfg);
-        for action in &sup.supervision.actions {
-            eprintln!(
-                "{label}: attempt {} at {}: {} ({})",
-                action.attempt,
-                action.at,
-                action.kind.tag(),
-                action.detail
-            );
-        }
+        let sup = supervise_benchmark(&spec, rung.chaos, &cfg);
+        let recoveries = recoveries(&label, &sup.supervision);
         let degradation = sup.result.degradation.unwrap_or(0.0);
         if sup.supervision.gave_up || degradation <= 0.0 {
             eprintln!("FAIL recover {label}: supervisor could not keep the world productive");
             code = exit::worst(code, exit::DEADLOCK);
         }
-        let recoveries = sup
-            .supervision
-            .actions
-            .iter()
-            .map(|a| a.kind.tag())
-            .collect::<Vec<_>>()
-            .join(", ");
         table.row(vec![
             label.clone(),
             if wedged { "wedges" } else { "survives" }.to_string(),
@@ -557,11 +542,10 @@ pub fn describe_schedule(path: &Path) -> Result<String, String> {
     let case = StoredCase::load(path)?;
     let mut out = String::new();
     out.push_str(&format!(
-        "schedule {}: {}/{:?} seed={:x}, {} decision(s), {} stall(s)\n",
+        "schedule {}: {} seed={:x}, {} decision(s), {} stall(s)\n",
         path.display(),
-        case.system.name(),
-        case.benchmark,
-        case.seed,
+        case.spec.world.label(),
+        case.spec.seed,
         case.schedule.decisions.len(),
         case.schedule.stalls.len()
     ));

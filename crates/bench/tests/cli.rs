@@ -519,6 +519,39 @@ fn diff_schedule_names_the_stored_fault_sites() {
 }
 
 #[test]
+fn a_mesh_case_is_labelled_by_its_world_and_a_zero_slice_is_refused() {
+    let dir = temp("repro-mesh-case");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mesh = r#"{"v": 2, "world": "mp:2", "seed": "5eed", "window_us": 6000000,
+        "slice_us": 250000, "wedge_threshold_us": 1500000, "max_threads": null,
+        "policy": "rr", "intensity": "mp-mesh", "signature": "deadlock:[teller#(monitor)x4]",
+        "decisions": [], "stalls": []}"#;
+    let case = format!("{dir}/mesh.json");
+    std::fs::write(&case, mesh).unwrap();
+    let (code, stdout, stderr) = run(&["replay", &case]);
+    assert_eq!(code, Some(0), "{stdout}{stderr}");
+    assert!(
+        stdout.starts_with("replay: mp:2 seed=5eed failed"),
+        "{stdout}"
+    );
+    let described = bench::resilience_cli::describe_schedule(Path::new(&case)).unwrap();
+    let want = format!("schedule {case}: mp:2 seed=5eed, 0 decision(s)");
+    assert!(described.starts_with(&want), "{described}");
+
+    // A zero slice would never end the trial: refused on load, never run.
+    let zero = format!("{dir}/zero-slice.json");
+    std::fs::write(
+        &zero,
+        mesh.replace("\"slice_us\": 250000", "\"slice_us\": 0"),
+    )
+    .unwrap();
+    let (code, _, stderr) = run(&["replay", &zero]);
+    assert_eq!(code, Some(6), "{stderr}");
+    assert!(stderr.contains("slice_us: must be positive"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn lint_subcommand_is_clean_and_writes_json() {
     let json = temp("threadlint.json");
     let (code, stdout, stderr) = run(&["lint", "--json", &json]);

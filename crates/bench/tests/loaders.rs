@@ -1,9 +1,10 @@
 //! Garbage in, error out: every loader of a file `repro` reads back — the
 //! serve, bench and lint baselines and the stored fuzz case — starting
 //! from a valid document of its kind, fed each proper prefix of its text,
-//! each node it reads replaced by a value of the wrong type, and each
-//! field removed. A damaged file is an `Err` naming the damaged path,
-//! never a panic and never a default; only an optional field may go.
+//! each node it reads replaced by a value of the wrong type, each field
+//! removed, and each value it refuses though the type is right. A
+//! damaged file is an `Err` naming the damaged path, never a panic and
+//! never a default; only an optional field may go.
 
 use trace::Json;
 
@@ -47,6 +48,12 @@ fn kinds() -> [(&'static str, Json, Reader, &'static str); 4] {
              stalls.0.thread stalls.0.at_us stalls.0.duration_us",
         ),
     ]
+}
+
+/// `(kind, path, value)`: values of the right type that the kind's
+/// reader must still refuse. A zero slice would never end a trial.
+fn out_of_range() -> [(&'static str, &'static str, Json); 1] {
+    [("case", "slice_us", Json::from(0u64))]
 }
 
 /// Every node's dotted path, each with whether its parent is an object.
@@ -95,6 +102,12 @@ fn edit(node: &mut Json, path: &str, new: Option<Json>) {
 fn every_damaged_document_is_an_error_naming_the_damage() {
     for (kind, doc, read, required) in kinds() {
         assert_eq!(read(&doc), Ok(()), "{kind}: the valid document");
+        for (_, path, value) in out_of_range().into_iter().filter(|(k, ..)| *k == kind) {
+            let mut bad = doc.clone();
+            edit(&mut bad, path, Some(value));
+            let err = read(&bad).expect_err(&format!("{kind}: {path} out of range"));
+            assert!(err.contains(path), "{kind}: {path} out of range: {err}");
+        }
         let text = doc.pretty();
         for end in (0..text.len()).filter(|&end| text.is_char_boundary(end)) {
             let got = Json::parse(&text[..end]).and_then(|j| read(&j));

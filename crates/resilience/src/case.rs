@@ -1,7 +1,7 @@
 //! Stored failing cases: the on-disk format of a fuzz finding.
 //!
 //! A [`StoredCase`] is everything needed to rebuild and replay one
-//! failing trial — cell, seed, watch parameters, and the exact
+//! failing trial — world, seed, watch parameters, and the exact
 //! [`FaultSchedule`] the run executed — serialized as a single JSON
 //! object via the repo's hand-rolled [`trace::Json`]. Files are named
 //! after the signature so re-running the fuzzer overwrites rather than
@@ -22,36 +22,16 @@ use crate::observe::{TrialSpec, TrialWorld};
 /// A replayable failing trial.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StoredCase {
-    /// Which world family the trial ran (`system`/`benchmark` only
-    /// select the cell when this is [`TrialWorld::Cell`]).
-    pub world: TrialWorld,
-    /// Which system's world failed.
-    pub system: System,
-    /// Which benchmark drove it.
-    pub benchmark: Benchmark,
-    /// Simulator seed.
-    pub seed: u64,
-    /// Trial window.
-    pub window: SimDuration,
-    /// Failure-check slice.
-    pub slice: SimDuration,
-    /// Wedge age threshold.
-    pub wedge_threshold: SimDuration,
-    /// Thread-table cap, when the intensity level set one.
-    pub max_threads: Option<usize>,
-    /// Scheduling policy the trial ran under. Files written before the
-    /// policy tournament carry no `"policy"` key and load as round-robin.
-    pub policy: PolicyKind,
+    /// The trial: world, seed, watch parameters, thread cap, policy.
+    /// Files written before the policy tournament carry no `"policy"`
+    /// key and load as round-robin.
+    pub spec: TrialSpec,
     /// Name of the intensity level that found the failure.
     pub intensity: String,
     /// The canonical failure signature the schedule reproduces.
     pub signature: String,
     /// The fault schedule to replay.
     pub schedule: FaultSchedule,
-}
-
-fn benchmark_name(b: Benchmark) -> String {
-    format!("{b:?}")
 }
 
 /// A benchmark by its name in any case (`keyboard`, `Scroll`): how a
@@ -74,21 +54,6 @@ pub fn system_from_name(name: &str) -> Result<System, String> {
 }
 
 impl StoredCase {
-    /// The trial parameters this case replays under.
-    pub fn spec(&self) -> TrialSpec {
-        TrialSpec {
-            world: self.world,
-            system: self.system,
-            benchmark: self.benchmark,
-            seed: self.seed,
-            window: self.window,
-            slice: self.slice,
-            wedge_threshold: self.wedge_threshold,
-            max_threads: self.max_threads,
-            policy: self.policy,
-        }
-    }
-
     /// Serializes the case to JSON.
     pub fn to_json(&self) -> Json {
         let decisions = Json::arr(self.schedule.decisions.iter().map(|d| {
@@ -111,40 +76,55 @@ impl StoredCase {
                 ),
             ])
         }));
-        Json::obj([
-            ("v", Json::UInt(2)),
-            ("world", Json::Str(self.world.tag())),
-            ("system", Json::Str(self.system.name().to_string())),
-            ("benchmark", Json::Str(benchmark_name(self.benchmark))),
-            ("seed", Json::Str(format!("{:x}", self.seed))),
-            ("window_us", Json::UInt(self.window.as_micros())),
-            ("slice_us", Json::UInt(self.slice.as_micros())),
+        let spec = &self.spec;
+        let mut fields = vec![("v", Json::UInt(2)), ("world", Json::Str(spec.world.tag()))];
+        if let TrialWorld::Cell { system, benchmark } = spec.world {
+            fields.push(("system", Json::Str(system.name().to_string())));
+            fields.push(("benchmark", Json::Str(benchmark.to_string())));
+        }
+        fields.extend([
+            ("seed", Json::Str(format!("{:x}", spec.seed))),
+            ("window_us", Json::UInt(spec.window.as_micros())),
+            ("slice_us", Json::UInt(spec.slice.as_micros())),
             (
                 "wedge_threshold_us",
-                Json::UInt(self.wedge_threshold.as_micros()),
+                Json::UInt(spec.wedge_threshold.as_micros()),
             ),
             (
                 "max_threads",
-                self.max_threads
+                spec.max_threads
                     .map_or(Json::Null, |n| Json::UInt(n as u64)),
             ),
-            ("policy", Json::Str(self.policy.as_str().to_string())),
+            ("policy", Json::Str(spec.policy.as_str().to_string())),
             ("intensity", Json::Str(self.intensity.clone())),
             ("signature", Json::Str(self.signature.clone())),
             ("decisions", decisions),
             ("stalls", stalls),
-        ])
+        ]);
+        Json::obj(fields)
     }
 
-    /// Parses a case back from JSON. Files written before the policy
-    /// tournament carry no `"policy"` (all ran round-robin), and v1 files
-    /// predate trial worlds (every one is a matrix cell).
+    /// Parses a case back from JSON. Files without `"policy"` ran
+    /// round-robin, v1 files predate trial worlds (all are matrix cells),
+    /// and older non-cell files' placeholder `"system"`/`"benchmark"`
+    /// pair is ignored. A zero `slice_us` is refused: it never ends.
     pub fn from_json(j: &Json) -> Result<StoredCase, String> {
-        let world = match j.u64_at("v")? {
-            1 => TrialWorld::Cell,
-            2 => TrialWorld::from_tag(j.str_at("world")?)?,
+        let tag = match j.u64_at("v")? {
+            1 => "cell",
+            2 => j.str_at("world")?,
             v => return Err(format!("unsupported case version {v}")),
         };
+        let world = match tag {
+            "cell" => TrialWorld::Cell {
+                system: system_from_name(j.str_at("system")?)?,
+                benchmark: benchmark_from_name(j.str_at("benchmark")?)?,
+            },
+            other => TrialWorld::from_tag(other)?,
+        };
+        let slice = SimDuration::from_micros(j.u64_at("slice_us")?);
+        if slice.is_zero() {
+            return Err("slice_us: must be positive, found 0".to_string());
+        }
         let seed_hex = j.str_at("seed")?;
         let seed =
             u64::from_str_radix(seed_hex, 16).map_err(|e| format!("bad seed {seed_hex:?}: {e}"))?;
@@ -170,17 +150,17 @@ impl StoredCase {
             })
         })?;
         Ok(StoredCase {
-            world,
-            system: system_from_name(j.str_at("system")?)?,
-            benchmark: benchmark_from_name(j.str_at("benchmark")?)?,
-            seed,
-            window: SimDuration::from_micros(j.u64_at("window_us")?),
-            slice: SimDuration::from_micros(j.u64_at("slice_us")?),
-            wedge_threshold: SimDuration::from_micros(j.u64_at("wedge_threshold_us")?),
-            max_threads,
-            policy: j
-                .opt_str_at("policy")?
-                .map_or(Ok(PolicyKind::RoundRobin), str::parse)?,
+            spec: TrialSpec {
+                world,
+                seed,
+                window: SimDuration::from_micros(j.u64_at("window_us")?),
+                slice,
+                wedge_threshold: SimDuration::from_micros(j.u64_at("wedge_threshold_us")?),
+                max_threads,
+                policy: j
+                    .opt_str_at("policy")?
+                    .map_or(Ok(PolicyKind::RoundRobin), str::parse)?,
+            },
             intensity: j.str_at("intensity")?.to_string(),
             signature: j.str_at("signature")?.to_string(),
             schedule: FaultSchedule { decisions, stalls },
@@ -215,15 +195,9 @@ impl StoredCase {
             hash ^= u64::from(b);
             hash = hash.wrapping_mul(0x100_0000_01b3);
         }
-        let prefix = self
-            .world
-            .file_prefix()
-            .map(|p| format!("{p}-"))
-            .unwrap_or_default();
         format!(
-            "{prefix}{}-{}-{slug}-{:08x}.json",
-            self.system.name().to_ascii_lowercase(),
-            benchmark_name(self.benchmark).to_ascii_lowercase(),
+            "{}-{slug}-{:08x}.json",
+            self.spec.world.file_prefix(),
             hash >> 32
         )
     }
@@ -272,15 +246,18 @@ mod tests {
 
     fn sample() -> StoredCase {
         StoredCase {
-            world: TrialWorld::Cell,
-            system: System::Gvx,
-            benchmark: Benchmark::Scroll,
-            seed: 0xDEAD_BEEF,
-            window: secs(6),
-            slice: millis(250),
-            wedge_threshold: millis(1500),
-            max_threads: Some(23),
-            policy: PolicyKind::RoundRobin,
+            spec: TrialSpec {
+                world: TrialWorld::Cell {
+                    system: System::Gvx,
+                    benchmark: Benchmark::Scroll,
+                },
+                seed: 0xDEAD_BEEF,
+                window: secs(6),
+                slice: millis(250),
+                wedge_threshold: millis(1500),
+                max_threads: Some(23),
+                policy: PolicyKind::RoundRobin,
+            },
             intensity: "stall-gated".to_string(),
             signature: "wedge:[GVX.DisplayWatchdog(monitor)]".to_string(),
             schedule: FaultSchedule {
@@ -320,11 +297,11 @@ mod tests {
     #[test]
     fn non_default_policy_round_trips() {
         let mut case = sample();
-        case.policy = PolicyKind::Mlfq;
+        case.spec.policy = PolicyKind::Mlfq;
         let text = case.to_json().pretty();
         assert!(text.contains("\"policy\": \"mlfq\""), "{text}");
         let back = reparse(&text);
-        assert_eq!(back.policy, PolicyKind::Mlfq);
+        assert_eq!(back.spec.policy, PolicyKind::Mlfq);
     }
 
     #[test]
@@ -335,17 +312,17 @@ mod tests {
             .pretty()
             .replace("\"policy\": \"rr\",", "");
         let back = reparse(&text);
-        assert_eq!(back.policy, PolicyKind::RoundRobin);
+        assert_eq!(back.spec.policy, PolicyKind::RoundRobin);
     }
 
     #[test]
     fn null_max_threads_and_while_holding_round_trip() {
         let mut case = sample();
-        case.max_threads = None;
+        case.spec.max_threads = None;
         case.schedule.stalls[0].while_holding = None;
         let text = case.to_json().pretty();
         let back = reparse(&text);
-        assert_eq!(back.max_threads, None);
+        assert_eq!(back.spec.max_threads, None);
         assert_eq!(back.schedule.stalls[0].while_holding, None);
     }
 
@@ -381,54 +358,66 @@ mod tests {
         assert_ne!(a.file_name(), b.file_name());
     }
 
+    /// `sample()` moved to `world`.
+    fn in_world(world: TrialWorld) -> StoredCase {
+        let mut case = sample();
+        case.spec.world = world;
+        case
+    }
+
     #[test]
     fn world_prefixes_and_tags_round_trip() {
+        let outage = workloads::serve::ServeScenario::Outage;
         for world in [
-            TrialWorld::Cell,
             TrialWorld::MultiCore { cpus: 2 },
             TrialWorld::WeakMemory { max_delay_us: 200 },
             TrialWorld::Serve {
                 scenario: workloads::serve::ServeScenario::Burst,
             },
-            TrialWorld::Serve {
-                scenario: workloads::serve::ServeScenario::Outage,
-            },
+            TrialWorld::Serve { scenario: outage },
         ] {
             assert_eq!(TrialWorld::from_tag(&world.tag()).unwrap(), world);
-            let mut case = sample();
-            case.world = world;
-            assert_eq!(reparse(&case.to_json().pretty()).world, world);
+            let text = in_world(world).to_json().pretty();
+            assert!(!text.contains("\"system\""), "{text}");
+            assert_eq!(reparse(&text).spec.world, world);
         }
+        // A cell's tag does not name the cell: only a whole case does.
+        assert_eq!(sample().spec.world.tag(), "cell");
+        assert!(TrialWorld::from_tag("cell").is_err());
         assert!(TrialWorld::from_tag("marsrover").is_err());
         assert!(TrialWorld::from_tag("serve:quiet").is_err());
-        let mp = StoredCase {
-            world: TrialWorld::MultiCore { cpus: 2 },
-            ..sample()
-        };
-        assert!(mp.file_name().starts_with("mp2-"), "{}", mp.file_name());
-        let sv = StoredCase {
-            world: TrialWorld::Serve {
-                scenario: workloads::serve::ServeScenario::Outage,
-            },
-            ..sample()
-        };
-        assert!(
-            sv.file_name().starts_with("serve-outage-"),
-            "{}",
-            sv.file_name()
-        );
+        let mp = in_world(TrialWorld::MultiCore { cpus: 2 }).file_name();
+        assert!(mp.starts_with("mp2-wedge-GVX-"), "{mp}");
+        let sv = in_world(TrialWorld::Serve { scenario: outage }).file_name();
+        assert!(sv.starts_with("serve-outage-wedge-"), "{sv}");
     }
 
     #[test]
-    fn v1_files_still_load_as_cell_cases() {
-        // Corpus files written before trial worlds existed carry v:1 and
-        // no "world" key; they must keep loading as matrix-cell cases.
-        let mut text = sample().to_json().pretty();
-        text = text.replace("\"v\": 2", "\"v\": 1");
-        text = text.replace("\"world\": \"cell\",", "");
-        text = text.replace("\"policy\": \"rr\",", "");
-        let back = reparse(&text);
-        assert_eq!(back.world, TrialWorld::Cell);
-        assert_eq!(back.seed, sample().seed);
+    fn files_an_older_writer_left_still_load() {
+        // A v2 mesh case as writers before this format wrote it, with the
+        // placeholder cell the mesh never read, and a v1 cell case from
+        // before trial worlds and the policy tournament.
+        let mesh = r#"{"v": 2, "world": "mp:2", "system": "Cedar", "benchmark": "Idle",
+            "seed": "5eed", "window_us": 6000000, "slice_us": 250000,
+            "wedge_threshold_us": 1500000, "max_threads": null, "policy": "rr",
+            "intensity": "mp-mesh", "signature": "deadlock:[teller#(monitor)x4]",
+            "decisions": [], "stalls": []}"#;
+        let v1 = r#"{"v": 1, "system": "Cedar", "benchmark": "Keyboard", "seed": "5eed",
+            "window_us": 6000000, "slice_us": 250000, "wedge_threshold_us": 1500000,
+            "max_threads": 36, "intensity": "fork-cap",
+            "signature": "wedge:[Cedar.Notifier(fork),Cedar.XServerWriter(fork)]",
+            "decisions": [], "stalls": []}"#;
+        let mesh = reparse(mesh);
+        assert_eq!(mesh.spec.world, TrialWorld::MultiCore { cpus: 2 });
+        let obs = crate::observe::replay(&mesh);
+        assert_eq!(obs.signature().as_deref(), Some(mesh.signature.as_str()));
+        let v1 = reparse(v1);
+        let keyboard = TrialWorld::Cell {
+            system: System::Cedar,
+            benchmark: Benchmark::Keyboard,
+        };
+        assert_eq!(v1.spec.world, keyboard);
+        assert_eq!(v1.spec.policy, PolicyKind::RoundRobin);
+        assert_eq!(v1.spec.max_threads, Some(36));
     }
 }

@@ -85,8 +85,6 @@ mod tests {
     use super::*;
     use crate::observe::{TrialSpec, TrialWorld};
     use pcr::FaultSchedule;
-    use threadstudy_core::System;
-    use workloads::Benchmark;
 
     #[test]
     fn party_kind_suffix_is_stripped_and_normalized() {
@@ -106,8 +104,6 @@ mod tests {
         for seed in 0..64u64 {
             let spec = TrialSpec {
                 world: TrialWorld::MultiCore { cpus: 2 },
-                system: System::Gvx,
-                benchmark: Benchmark::Idle,
                 seed,
                 window: pcr::secs(2),
                 slice: pcr::millis(100),
@@ -123,15 +119,7 @@ mod tests {
         }
         let (spec, signature) = found.expect("some seed deadlocks the teller mesh");
         let case = StoredCase {
-            world: spec.world,
-            system: spec.system,
-            benchmark: spec.benchmark,
-            seed: spec.seed,
-            window: spec.window,
-            slice: spec.slice,
-            wedge_threshold: spec.wedge_threshold,
-            max_threads: spec.max_threads,
-            policy: spec.policy,
+            spec,
             intensity: "baseline".to_string(),
             signature: signature.clone(),
             schedule: FaultSchedule::default(),

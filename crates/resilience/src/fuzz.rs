@@ -23,6 +23,7 @@
 
 use pcr::{millis, secs, ChaosConfig, PolicyKind, SimDuration, SimTime};
 use threadstudy_core::System;
+use workloads::serve::ServeScenario;
 use workloads::{chaos_preset, eternal_thread_count, Benchmark};
 
 use crate::case::StoredCase;
@@ -37,37 +38,6 @@ pub struct Intensity {
     pub chaos: ChaosConfig,
     /// Optional thread-table cap applied with this rung.
     pub max_threads: Option<usize>,
-}
-
-/// One cell of the fuzz grid: a world plus the `(system, benchmark)`
-/// pair that selects it when the world is [`TrialWorld::Cell`].
-#[derive(Clone, Copy, Debug)]
-pub struct FuzzCell {
-    /// Which world family this cell runs.
-    pub world: TrialWorld,
-    /// System (selects the cell world and its intensity ladder).
-    pub system: System,
-    /// Benchmark driving the cell world.
-    pub benchmark: Benchmark,
-}
-
-impl FuzzCell {
-    /// A matrix cell.
-    pub fn cell(system: System, benchmark: Benchmark) -> FuzzCell {
-        FuzzCell {
-            world: TrialWorld::Cell,
-            system,
-            benchmark,
-        }
-    }
-
-    /// One-line label for progress output.
-    pub fn label(&self) -> String {
-        match self.world {
-            TrialWorld::Cell => format!("{}/{}", self.system.name(), self.benchmark),
-            other => other.tag(),
-        }
-    }
 }
 
 fn cv_storm() -> ChaosConfig {
@@ -93,16 +63,22 @@ fn gvx_screen_stall(chaos: ChaosConfig) -> ChaosConfig {
     )
 }
 
-/// The per-system intensity ladder, mildest first, with the
-/// guaranteed-failure rungs early so small budgets reach them.
-pub fn intensity_ladder(system: System) -> Vec<Intensity> {
+/// The intensity ladder of one world, mildest first. Matrix cells get
+/// their system's ladder, with the guaranteed-failure rungs early so
+/// small budgets reach them; the out-of-matrix worlds get their own
+/// short ladders (the multiprocessor mesh ignores chaos entirely — its
+/// grid dimension is the seed-derived lock order).
+pub fn ladder(world: TrialWorld) -> Vec<Intensity> {
     let rung = |name, chaos| Intensity {
         name,
         chaos,
         max_threads: None,
     };
-    match system {
-        System::Cedar => vec![
+    match world {
+        TrialWorld::Cell {
+            system: System::Cedar,
+            ..
+        } => vec![
             rung("preset", chaos_preset()),
             Intensity {
                 name: "fork-cap",
@@ -120,7 +96,10 @@ pub fn intensity_ladder(system: System) -> Vec<Intensity> {
             ),
             rung("pct", chaos_preset().pct(4, 4096)),
         ],
-        System::Gvx => vec![
+        TrialWorld::Cell {
+            system: System::Gvx,
+            ..
+        } => vec![
             rung("preset", chaos_preset()),
             rung("stall-gated", gvx_screen_stall(chaos_preset())),
             rung("cv-storm", cv_storm()),
@@ -131,21 +110,6 @@ pub fn intensity_ladder(system: System) -> Vec<Intensity> {
             ),
             rung("pct", chaos_preset().pct(4, 4096)),
         ],
-    }
-}
-
-/// The intensity ladder for one fuzz cell. Matrix cells get the
-/// per-system ladder; the out-of-matrix worlds get their own short
-/// ladders (the multiprocessor mesh ignores chaos entirely — its grid
-/// dimension is the seed-derived lock order).
-pub fn cell_ladder(cell: &FuzzCell) -> Vec<Intensity> {
-    let rung = |name, chaos| Intensity {
-        name,
-        chaos,
-        max_threads: None,
-    };
-    match cell.world {
-        TrialWorld::Cell => intensity_ladder(cell.system),
         TrialWorld::MultiCore { .. } => vec![rung("mp-mesh", ChaosConfig::none())],
         TrialWorld::WeakMemory { .. } => vec![
             rung("wm-race", ChaosConfig::none()),
@@ -188,8 +152,8 @@ pub struct FuzzConfig {
     pub wall_budget_ms: Option<u64>,
     /// Base seed; trial seeds are derived from it deterministically.
     pub base_seed: u64,
-    /// The grid cells to sweep.
-    pub cells: Vec<FuzzCell>,
+    /// The worlds to sweep.
+    pub cells: Vec<TrialWorld>,
     /// Per-trial virtual window.
     pub window: SimDuration,
     /// Failure-check slice.
@@ -201,34 +165,19 @@ pub struct FuzzConfig {
     pub policy: PolicyKind,
 }
 
-/// The full default grid: every Table 1 matrix cell plus the
-/// multiprocessor mesh and the weak-memory race.
-pub fn default_cells() -> Vec<FuzzCell> {
+/// The full default grid: every Table 1 matrix cell, the
+/// multiprocessor mesh, the weak-memory race and two serve cells.
+pub fn default_cells() -> Vec<TrialWorld> {
     let mut cells = Vec::new();
     for system in [System::Cedar, System::Gvx] {
-        for benchmark in Benchmark::suite(system) {
-            cells.push(FuzzCell::cell(system, *benchmark));
+        for &benchmark in Benchmark::suite(system) {
+            cells.push(TrialWorld::Cell { system, benchmark });
         }
     }
-    cells.push(FuzzCell {
-        world: TrialWorld::MultiCore { cpus: 2 },
-        system: System::Cedar,
-        benchmark: Benchmark::Idle,
-    });
-    cells.push(FuzzCell {
-        world: TrialWorld::WeakMemory { max_delay_us: 200 },
-        system: System::Cedar,
-        benchmark: Benchmark::Idle,
-    });
-    for scenario in [
-        workloads::serve::ServeScenario::Burst,
-        workloads::serve::ServeScenario::Outage,
-    ] {
-        cells.push(FuzzCell {
-            world: TrialWorld::Serve { scenario },
-            system: System::Cedar,
-            benchmark: Benchmark::Idle,
-        });
+    cells.push(TrialWorld::MultiCore { cpus: 2 });
+    cells.push(TrialWorld::WeakMemory { max_delay_us: 200 });
+    for scenario in [ServeScenario::Burst, ServeScenario::Outage] {
+        cells.push(TrialWorld::Serve { scenario });
     }
     cells
 }
@@ -272,46 +221,34 @@ pub struct FuzzOutcome {
     pub cases: Vec<FoundCase>,
 }
 
-/// Maps grid-trial index `i` to its `(cell, rung, seed)` triple by
-/// mixed-radix decomposition — the shared enumeration behind both the
-/// plain sweep and the guided fuzzer's exploration trials.
+/// Maps grid-trial index `i` to its world's trial spec and rung by
+/// mixed-radix decomposition over world × rung × seed — the shared
+/// enumeration behind both the plain sweep and the guided fuzzer's
+/// exploration trials.
 pub(crate) fn grid_trial<'a>(
     cfg: &FuzzConfig,
     ladders: &'a [Vec<Intensity>],
     i: u32,
-) -> (FuzzCell, &'a Intensity, u64) {
+) -> (TrialSpec, &'a Intensity) {
     let cell_index = (i as usize) % cfg.cells.len();
-    let cell = cfg.cells[cell_index];
     let ladder = &ladders[cell_index];
     let layer = (i as usize) / cfg.cells.len();
     let rung = &ladder[layer % ladder.len()];
     let seed_index = (layer / ladder.len()) as u64;
-    // SplitMix-style spread so consecutive seed indices land far
-    // apart in the simulator's seed space.
-    let seed = cfg
-        .base_seed
-        .wrapping_add(seed_index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    (cell, rung, seed)
-}
-
-/// The trial spec for one grid triple under `cfg`'s watch parameters.
-pub(crate) fn grid_spec(
-    cfg: &FuzzConfig,
-    cell: FuzzCell,
-    rung: &Intensity,
-    seed: u64,
-) -> TrialSpec {
-    TrialSpec {
-        world: cell.world,
-        system: cell.system,
-        benchmark: cell.benchmark,
-        seed,
+    let spec = TrialSpec {
+        world: cfg.cells[cell_index],
+        // SplitMix-style spread so consecutive seed indices land far
+        // apart in the simulator's seed space.
+        seed: cfg
+            .base_seed
+            .wrapping_add(seed_index.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
         window: cfg.window,
         slice: cfg.slice,
         wedge_threshold: cfg.wedge_threshold,
         max_threads: rung.max_threads,
         policy: cfg.policy,
-    }
+    };
+    (spec, rung)
 }
 
 /// Sweeps `cfg.budget` trials over the cell × intensity × seed grid and
@@ -355,7 +292,7 @@ pub fn fuzz_with(
 ) -> FuzzOutcome {
     assert!(!cfg.cells.is_empty(), "fuzz needs at least one cell");
     let batch_size = (batch_size.max(1) as u32).min(cfg.budget.max(1));
-    let ladders: Vec<Vec<Intensity>> = cfg.cells.iter().map(cell_ladder).collect();
+    let ladders: Vec<Vec<Intensity>> = cfg.cells.iter().copied().map(ladder).collect();
     let start = std::time::Instant::now();
     let mut trials = 0u32;
     let mut failures = 0u32;
@@ -369,53 +306,38 @@ pub fn fuzz_with(
             }
         }
         let end = (next + batch_size).min(cfg.budget);
-        let triples: Vec<(u32, FuzzCell, &Intensity, u64)> = (next..end)
+        let (specs, rungs): (Vec<(TrialSpec, ChaosConfig)>, Vec<&Intensity>) = (next..end)
             .map(|i| {
-                let (cell, rung, seed) = grid_trial(cfg, &ladders, i);
-                (i, cell, rung, seed)
+                let (spec, rung) = grid_trial(cfg, &ladders, i);
+                ((spec, rung.chaos.clone()), rung)
             })
-            .collect();
-        let specs: Vec<(TrialSpec, ChaosConfig)> = triples
-            .iter()
-            .map(|&(_, cell, rung, seed)| (grid_spec(cfg, cell, rung, seed), rung.chaos.clone()))
-            .collect();
+            .unzip();
         let observations = run_batch(&specs);
         assert_eq!(
             observations.len(),
             specs.len(),
             "batch runner must return one observation per spec"
         );
-        for (&(i, cell, rung, seed), obs) in triples.iter().zip(observations) {
+        let trials_in_batch = specs.into_iter().zip(rungs).zip(observations);
+        for (i, (((spec, _), rung), obs)) in (next..).zip(trials_in_batch) {
             trials += 1;
+            let trial = format!(
+                "trial {i}: {} {} seed={:x}",
+                spec.world.label(),
+                rung.name,
+                spec.seed
+            );
             match obs.failure {
-                None => progress(&format!(
-                    "trial {i}: {} {} seed={seed:x} — clean",
-                    cell.label(),
-                    rung.name
-                )),
+                None => progress(&format!("{trial} — clean")),
                 Some(failure) => {
                     failures += 1;
                     let signature = failure.signature();
-                    progress(&format!(
-                        "trial {i}: {} {} seed={seed:x} — {} after {}",
-                        cell.label(),
-                        rung.name,
-                        signature,
-                        obs.elapsed
-                    ));
+                    progress(&format!("{trial} — {signature} after {}", obs.elapsed));
                     match cases.iter_mut().find(|c| c.case.signature == signature) {
                         Some(known) => known.count += 1,
                         None => cases.push(FoundCase {
                             case: StoredCase {
-                                world: cell.world,
-                                system: cell.system,
-                                benchmark: cell.benchmark,
-                                seed,
-                                window: cfg.window,
-                                slice: cfg.slice,
-                                wedge_threshold: cfg.wedge_threshold,
-                                max_threads: rung.max_threads,
-                                policy: cfg.policy,
+                                spec,
                                 intensity: rung.name.to_string(),
                                 signature,
                                 schedule: obs.schedule,

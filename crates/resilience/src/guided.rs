@@ -42,7 +42,7 @@ use pcr::{
 };
 
 use crate::case::StoredCase;
-use crate::fuzz::{cell_ladder, grid_trial, FoundCase, FuzzConfig, Intensity};
+use crate::fuzz::{grid_trial, ladder, FoundCase, FuzzConfig, Intensity};
 use crate::observe::observe;
 
 /// Energy a corpus entry starts with, and what novelty re-earns.
@@ -144,7 +144,7 @@ fn mutate(
     mutation: &str,
 ) -> Option<(StoredCase, ChaosConfig)> {
     let mut case = parent.case.clone();
-    let window_us = case.window.as_micros().max(1);
+    let window_us = case.spec.window.as_micros().max(1);
     match mutation {
         "splice-stall" => {
             let thread = if parent.live_threads.is_empty() {
@@ -163,7 +163,7 @@ fn mutate(
                 case.schedule.stalls.push(StallSpec {
                     thread,
                     at: SimTime::from_micros(rng.next_below((window_us / 2).max(1))),
-                    duration: case.window,
+                    duration: case.spec.window,
                     while_holding: Some(m.to_string()),
                 });
             } else {
@@ -219,7 +219,7 @@ fn mutate(
             }
         }
         "reseed" => {
-            case.seed = rng.next_u64();
+            case.spec.seed = rng.next_u64();
         }
         "gate-probe" => {
             // Drop the parent's schedule entirely (so its failure cannot
@@ -237,7 +237,7 @@ fn mutate(
             case.schedule.stalls.push(StallSpec {
                 thread,
                 at: SimTime::from_micros(250_000),
-                duration: case.window,
+                duration: case.spec.window,
                 while_holding: Some(m.to_string()),
             });
         }
@@ -256,11 +256,10 @@ fn intensity_hop(
     ladders: &[Vec<Intensity>],
     cfg: &FuzzConfig,
 ) -> Option<(StoredCase, ChaosConfig, String)> {
-    let cell_index = cfg.cells.iter().position(|c| {
-        c.world == parent.case.world
-            && c.system == parent.case.system
-            && c.benchmark == parent.case.benchmark
-    })?;
+    let cell_index = cfg
+        .cells
+        .iter()
+        .position(|&w| w == parent.case.spec.world)?;
     let ladder = &ladders[cell_index];
     if ladder.len() < 2 {
         return None;
@@ -270,8 +269,8 @@ fn intensity_hop(
         return None;
     }
     let mut case = parent.case.clone();
-    case.seed = rng.next_u64();
-    case.max_threads = rung.max_threads;
+    case.spec.seed = rng.next_u64();
+    case.spec.max_threads = rung.max_threads;
     case.schedule = FaultSchedule::default();
     Some((case, rung.chaos.clone(), rung.name.to_string()))
 }
@@ -280,7 +279,7 @@ fn intensity_hop(
 /// as [`crate::fuzz::fuzz`]. Deterministic for a given config.
 pub fn guided_fuzz(cfg: &FuzzConfig, mut progress: impl FnMut(&str)) -> GuidedOutcome {
     assert!(!cfg.cells.is_empty(), "guided fuzz needs at least one cell");
-    let ladders: Vec<Vec<Intensity>> = cfg.cells.iter().map(cell_ladder).collect();
+    let ladders: Vec<Vec<Intensity>> = cfg.cells.iter().copied().map(ladder).collect();
     let mut rng = SplitMix64::new(cfg.base_seed ^ 0x6D1D_ED5E_ED5E_ED01);
     let start = std::time::Instant::now();
     let mut corpus: Vec<CorpusEntry> = Vec::new();
@@ -300,18 +299,10 @@ pub fn guided_fuzz(cfg: &FuzzConfig, mut progress: impl FnMut(&str)) -> GuidedOu
         // the corpus. With no corpus yet, everything explores.
         let explore = corpus.is_empty() || i % 3 == 0;
         let (case, chaos, label, parent_index) = if explore {
-            let (cell, rung, seed) = grid_trial(cfg, &ladders, grid_cursor);
+            let (spec, rung) = grid_trial(cfg, &ladders, grid_cursor);
             grid_cursor += 1;
             let case = StoredCase {
-                world: cell.world,
-                system: cell.system,
-                benchmark: cell.benchmark,
-                seed,
-                window: cfg.window,
-                slice: cfg.slice,
-                wedge_threshold: cfg.wedge_threshold,
-                max_threads: rung.max_threads,
-                policy: cfg.policy,
+                spec,
                 intensity: rung.name.to_string(),
                 signature: String::new(),
                 schedule: FaultSchedule::default(),
@@ -342,11 +333,13 @@ pub fn guided_fuzz(cfg: &FuzzConfig, mut progress: impl FnMut(&str)) -> GuidedOu
             }
         };
         trials += 1;
-        let spec = case.spec();
-        let obs = observe(&spec, chaos);
+        let obs = observe(&case.spec, chaos);
         match obs.failure {
             None => {
-                progress(&format!("trial {i}: {label} seed={:x} — clean", case.seed));
+                progress(&format!(
+                    "trial {i}: {label} seed={:x} — clean",
+                    case.spec.seed
+                ));
                 if let Some(p) = parent_index {
                     corpus[p].energy = corpus[p].energy.saturating_sub(1).max(ENERGY_FLOOR);
                 }
@@ -356,7 +349,7 @@ pub fn guided_fuzz(cfg: &FuzzConfig, mut progress: impl FnMut(&str)) -> GuidedOu
                 let signature = failure.signature();
                 progress(&format!(
                     "trial {i}: {label} seed={:x} — {} after {}",
-                    case.seed, signature, obs.elapsed
+                    case.spec.seed, signature, obs.elapsed
                 ));
                 match counts.iter_mut().find(|(s, _)| *s == signature) {
                     Some((_, n)) => {
@@ -428,24 +421,32 @@ pub fn signatures_per_cpu_minute(distinct: usize, wall: std::time::Duration) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observe::TrialWorld;
-    use pcr::secs;
+    use crate::observe::{TrialSpec, TrialWorld};
+    use pcr::{secs, SimDuration};
     use threadstudy_core::System;
     use workloads::Benchmark;
+
+    fn cell(system: System, benchmark: Benchmark) -> TrialWorld {
+        TrialWorld::Cell { system, benchmark }
+    }
+
+    fn spec(world: TrialWorld, seed: u64, window: SimDuration) -> TrialSpec {
+        TrialSpec {
+            world,
+            seed,
+            window,
+            slice: millis(250),
+            wedge_threshold: millis(500),
+            max_threads: None,
+            policy: pcr::PolicyKind::RoundRobin,
+        }
+    }
 
     #[test]
     fn weighted_pick_respects_energy() {
         let entry = |energy| CorpusEntry {
             case: StoredCase {
-                world: TrialWorld::Cell,
-                system: System::Cedar,
-                benchmark: Benchmark::Idle,
-                seed: 1,
-                window: secs(1),
-                slice: millis(250),
-                wedge_threshold: millis(500),
-                max_threads: None,
-                policy: pcr::PolicyKind::RoundRobin,
+                spec: spec(cell(System::Cedar, Benchmark::Idle), 1, secs(1)),
                 intensity: "preset".to_string(),
                 signature: "sig".to_string(),
                 schedule: FaultSchedule::default(),
@@ -464,29 +465,18 @@ mod tests {
 
     #[test]
     fn gates_are_the_sorted_distinct_monitor_names_of_the_world() {
-        use crate::observe::TrialSpec;
         use pcr::RunLimit;
         use workloads::serve::ServeScenario;
-        let spec = |world| TrialSpec {
-            world,
-            system: System::Cedar,
-            benchmark: Benchmark::Keyboard,
-            seed: 0x6A7E,
-            window: secs(1),
-            slice: millis(250),
-            wedge_threshold: millis(500),
-            max_threads: None,
-            policy: pcr::PolicyKind::RoundRobin,
-        };
+        let trial = |world| spec(world, 0x6A7E, secs(1));
         let scenario = ServeScenario::Burst;
         let clean = ChaosConfig::none;
         for (spec, mut same_world) in [
             (
-                spec(TrialWorld::Cell),
+                trial(cell(System::Cedar, Benchmark::Keyboard)),
                 workloads::runner::build(System::Cedar, Benchmark::Keyboard, 0x6A7E),
             ),
             (
-                spec(TrialWorld::Serve { scenario }),
+                trial(TrialWorld::Serve { scenario }),
                 workloads::serve::build_fuzz_world(scenario, 0x6A7E, clean(), None),
             ),
         ] {
@@ -507,15 +497,10 @@ mod tests {
     fn schedule_mutations_are_deterministic_and_stay_valid() {
         let parent = CorpusEntry {
             case: StoredCase {
-                world: TrialWorld::Cell,
-                system: System::Gvx,
-                benchmark: Benchmark::Scroll,
-                seed: 0xABC,
-                window: secs(6),
-                slice: millis(250),
-                wedge_threshold: millis(1500),
-                max_threads: None,
-                policy: pcr::PolicyKind::RoundRobin,
+                spec: TrialSpec {
+                    wedge_threshold: millis(1500),
+                    ..spec(cell(System::Gvx, Benchmark::Scroll), 0xABC, secs(6))
+                },
                 intensity: "preset".to_string(),
                 signature: "wedge:[x(monitor)]".to_string(),
                 schedule: FaultSchedule {
@@ -542,7 +527,10 @@ mod tests {
             let (ca, _) = a.expect(mutation);
             let (cb, _) = b.expect(mutation);
             assert_eq!(ca.schedule, cb.schedule, "{mutation} not deterministic");
-            assert_eq!(ca.seed, cb.seed, "{mutation} seed not deterministic");
+            assert_eq!(
+                ca.spec.seed, cb.spec.seed,
+                "{mutation} seed not deterministic"
+            );
             for d in &ca.schedule.decisions {
                 if d.kind == FaultSiteKind::PriorityChange {
                     assert!((1..=Priority::LEVELS as u64).contains(&d.param_us));

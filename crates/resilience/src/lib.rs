@@ -8,8 +8,10 @@
 //! * [`fuzz`] sweeps seeds and chaos-intensity grids over the full
 //!   benchmark matrix — plus the multiprocessor transfer mesh, the
 //!   §5.5 weak-memory race, and the overload-resilient serve world's
-//!   burst and outage cells ([`TrialWorld`]) — classifies every failing
-//!   run by a seed-independent [`signature`], and stores each unique
+//!   burst and outage cells ([`TrialWorld`], each built by
+//!   [`TrialSpec::build`]) — classifies every failing run, as the one
+//!   failure predicate [`judge`] sees it, by a seed-independent
+//!   [`signature`], and stores each unique
 //!   failure as a replayable [`StoredCase`] carrying the exact
 //!   [`pcr::FaultSchedule`] that produced it.
 //! * [`guided_fuzz`] spends the same budget smarter: a corpus of cases
@@ -28,7 +30,7 @@
 //!   [`supervise_benchmark`] scores the result as a *degradation*
 //!   fraction against a clean run of the same cell.
 //!
-//! Everything here is deterministic per `(cell, chaos, seed)`: a fuzz
+//! Everything here is deterministic per `(world, chaos, seed)`: a fuzz
 //! finding replays byte-for-byte, a shrunk schedule carries a
 //! ready-to-paste repro command, and the supervisor's action log is
 //! stable across runs.
@@ -40,6 +42,7 @@ mod case;
 mod confirm;
 mod fuzz;
 mod guided;
+mod judge;
 mod observe;
 mod shrink;
 mod signature;
@@ -48,14 +51,15 @@ mod supervisor;
 pub use case::{benchmark_from_name, system_from_name, StoredCase};
 pub use confirm::{case_evidence, corpus_evidence, Evidence};
 pub use fuzz::{
-    default_cells, fuzz, fuzz_with, intensity_ladder, BatchRunner, FoundCase, FuzzCell, FuzzConfig,
-    FuzzOutcome, Intensity,
+    default_cells, fuzz, fuzz_with, ladder, BatchRunner, FoundCase, FuzzConfig, FuzzOutcome,
+    Intensity,
 };
 pub use guided::{guided_fuzz, signatures_per_cpu_minute, GuidedOutcome, MutationDiscovery};
+pub use judge::{judge, Verdict};
 pub use observe::{observe, replay, replay_schedule, Observation, TrialSpec, TrialWorld};
 pub use shrink::{shrink, ShrinkConfig, ShrinkReport};
 pub use signature::{normalize_name, signature, Failure, FailureClass};
 pub use supervisor::{
-    recover_preset, supervise, supervise_benchmark, unsupervised_wedges, RecoveryAction,
-    RecoveryKind, SupervisedBench, Supervision, SupervisorConfig,
+    supervise, supervise_benchmark, unsupervised_wedges, RecoveryAction, RecoveryKind,
+    SupervisedBench, Supervision, SupervisorConfig,
 };

@@ -3,10 +3,9 @@
 //! A *trial* is one world run under some chaos configuration for a
 //! bounded virtual window, executed in slices so the watcher can
 //! inspect the wait-for graph between them. The first slice after which
-//! the world is globally deadlocked, has a panicked thread, or carries a
-//! wedge older than the threshold ends the trial with a [`Failure`].
+//! [`judge`] finds the world failed ends the trial with a [`Failure`].
 //!
-//! Three world families are observable ([`TrialWorld`]):
+//! Four world families are observable ([`TrialWorld`]):
 //!
 //! * **Cell** — a `(system, benchmark)` cell of the paper's matrix,
 //!   built by [`workloads`];
@@ -15,28 +14,37 @@
 //!   seed-derived orders (AB-BA deadlocks for the unlucky orders, §5.3);
 //! * **WeakMemory** — the §5.5 publication race on [`pcr::weakmem`]: a
 //!   publisher stores data then flag with no fence, and the reader
-//!   panics when the flag outruns the data.
+//!   panics when the flag outruns the data;
+//! * **Serve** — a small, hot cell of the overload-resilient serve world.
 //!
-//! The same function serves both directions: recording (probabilistic
-//! chaos, harvesting [`pcr::Sim::fault_schedule`]) and replaying (a
-//! scripted [`FaultSchedule`], which by the `pcr` fixed-point property
-//! reproduces the recorded run byte-for-byte).
+//! [`TrialSpec::build`] builds every one of them. The same function
+//! serves both directions: recording (probabilistic chaos, harvesting
+//! [`pcr::Sim::fault_schedule`]) and replaying (a scripted
+//! [`FaultSchedule`], which by the `pcr` fixed-point property reproduces
+//! the recorded run byte-for-byte).
 
 use pcr::{
     micros, millis, weakmem::WeakMem, ChaosConfig, FaultSchedule, HazardCounts, Priority, RunLimit,
-    Sim, SimConfig, SimDuration, SplitMix64, StopReason, WaitForGraph,
+    Sim, SimConfig, SimDuration, SplitMix64, StopReason,
 };
 use threadstudy_core::System;
+use workloads::serve::ServeScenario;
 use workloads::{build_chaos_with, Benchmark};
 
 use crate::case::StoredCase;
+use crate::judge::{judge, Verdict};
 use crate::signature::{Failure, FailureClass};
 
-/// Which world family a trial runs.
+/// Which world a trial runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TrialWorld {
     /// A `(system, benchmark)` cell of the paper's matrix.
-    Cell,
+    Cell {
+        /// Which system's world to build.
+        system: System,
+        /// Which benchmark drives it.
+        benchmark: Benchmark,
+    },
     /// The transfer mesh on a multiprocessor [`pcr::Sim`].
     MultiCore {
         /// Simulated CPUs.
@@ -52,27 +60,26 @@ pub enum TrialWorld {
     /// of whatever chaos the rung injects.
     Serve {
         /// Which canned serve scenario the cell runs.
-        scenario: workloads::serve::ServeScenario,
+        scenario: ServeScenario,
     },
 }
 
 impl TrialWorld {
-    /// Stable serialization tag: `cell`, `mp:N`, `weakmem:D`, or
+    /// Stable serialization tag: `cell` (a case file names the cell in
+    /// its own `system` and `benchmark` keys), `mp:N`, `weakmem:D`, or
     /// `serve:SCENARIO`.
     pub fn tag(&self) -> String {
         match self {
-            TrialWorld::Cell => "cell".to_string(),
+            TrialWorld::Cell { .. } => "cell".to_string(),
             TrialWorld::MultiCore { cpus } => format!("mp:{cpus}"),
             TrialWorld::WeakMemory { max_delay_us } => format!("weakmem:{max_delay_us}"),
             TrialWorld::Serve { scenario } => format!("serve:{}", scenario.label()),
         }
     }
 
-    /// Parses a serialization tag back into a world.
+    /// Parses the tag of a world outside the matrix back into the world.
+    /// A cell's tag does not name its cell, so `cell` is an error here.
     pub fn from_tag(tag: &str) -> Result<TrialWorld, String> {
-        if tag == "cell" {
-            return Ok(TrialWorld::Cell);
-        }
         if let Some(n) = tag.strip_prefix("mp:") {
             let cpus = n
                 .parse()
@@ -86,20 +93,33 @@ impl TrialWorld {
             return Ok(TrialWorld::WeakMemory { max_delay_us });
         }
         if let Some(s) = tag.strip_prefix("serve:") {
-            let scenario = workloads::serve::ServeScenario::from_label(s)
+            let scenario = ServeScenario::from_label(s)
                 .ok_or_else(|| format!("bad serve world {tag:?}: unknown scenario {s:?}"))?;
             return Ok(TrialWorld::Serve { scenario });
         }
         Err(format!("unknown trial world {tag:?}"))
     }
 
-    /// Filesystem-safe prefix for stored-case file names.
-    pub fn file_prefix(&self) -> Option<String> {
+    /// The world's name in tables and progress lines: `Cedar/Keyboard`
+    /// for a cell, its tag (`mp:2`, `serve:burst`) for any other.
+    pub fn label(&self) -> String {
         match self {
-            TrialWorld::Cell => None,
-            TrialWorld::MultiCore { cpus } => Some(format!("mp{cpus}")),
-            TrialWorld::WeakMemory { max_delay_us } => Some(format!("weakmem{max_delay_us}")),
-            TrialWorld::Serve { scenario } => Some(format!("serve-{}", scenario.label())),
+            TrialWorld::Cell { system, benchmark } => format!("{}/{benchmark}", system.name()),
+            other => other.tag(),
+        }
+    }
+
+    /// Filesystem-safe prefix for stored-case file names.
+    pub fn file_prefix(&self) -> String {
+        match self {
+            TrialWorld::Cell { system, benchmark } => format!(
+                "{}-{}",
+                system.name().to_ascii_lowercase(),
+                benchmark.to_string().to_ascii_lowercase()
+            ),
+            TrialWorld::MultiCore { cpus } => format!("mp{cpus}"),
+            TrialWorld::WeakMemory { max_delay_us } => format!("weakmem{max_delay_us}"),
+            TrialWorld::Serve { scenario } => format!("serve-{}", scenario.label()),
         }
     }
 }
@@ -107,13 +127,8 @@ impl TrialWorld {
 /// Everything that identifies one trial besides its chaos configuration.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TrialSpec {
-    /// Which world family to run. `system`/`benchmark` only select the
-    /// cell when this is [`TrialWorld::Cell`].
+    /// Which world to run.
     pub world: TrialWorld,
-    /// Which system's world to build.
-    pub system: System,
-    /// Which benchmark drives it.
-    pub benchmark: Benchmark,
     /// Simulator seed.
     pub seed: u64,
     /// Total virtual window to run before declaring the trial clean.
@@ -128,6 +143,34 @@ pub struct TrialSpec {
     /// [`TrialWorld::Cell`] and [`TrialWorld::WeakMemory`]; the
     /// multiprocessor mesh always runs under the paper's.
     pub policy: pcr::PolicyKind,
+}
+
+impl TrialSpec {
+    /// Builds the world this spec names under `chaos`, with its seed,
+    /// thread cap and policy: the one builder behind [`observe`], the
+    /// supervisor's attempts and its clean yardstick, and the
+    /// unsupervised runs of `repro chaos --recover`. The multiprocessor
+    /// mesh takes none of `chaos`, the cap or the policy.
+    pub fn build(&self, chaos: ChaosConfig) -> Sim {
+        match self.world {
+            TrialWorld::Cell { system, benchmark } => {
+                build_chaos_with(system, benchmark, self.seed, chaos, |cfg| {
+                    let cfg = cfg.with_policy(self.policy);
+                    match self.max_threads {
+                        Some(n) => cfg.with_max_threads(n),
+                        None => cfg,
+                    }
+                })
+            }
+            TrialWorld::MultiCore { cpus } => build_mesh(self.seed, cpus),
+            TrialWorld::WeakMemory { max_delay_us } => {
+                build_weakmem_world(self, chaos, max_delay_us)
+            }
+            TrialWorld::Serve { scenario } => {
+                workloads::serve::build_fuzz_world(scenario, self.seed, chaos, self.max_threads)
+            }
+        }
+    }
 }
 
 /// The outcome of one trial.
@@ -160,27 +203,39 @@ impl Observation {
     }
 }
 
-/// A failure of `class` whose parties are `blocked`, threads of `graph`.
-fn blocked_failure<'a>(
-    class: FailureClass,
-    graph: &WaitForGraph,
-    blocked: impl IntoIterator<Item = &'a pcr::WaitingThread>,
-) -> Failure {
-    let party =
-        |w: &pcr::WaitingThread| (format!("{}({})", w.name, w.kind.tag()), w.resource.clone());
-    let (parties, resources) = blocked.into_iter().map(party).unzip();
-    Failure {
-        class,
-        parties,
-        resources,
-        detail: graph.render(),
+/// The failure a verdict names, if any: a stuck thread is a party
+/// `name(blockkind)` blocked on its resource, a panicked one
+/// `name(panic)`.
+fn failure(verdict: Verdict) -> Option<Failure> {
+    match verdict {
+        Verdict::Healthy => None,
+        Verdict::Panicked(names) => Some(Failure {
+            class: FailureClass::Panic,
+            parties: names.iter().map(|n| format!("{n}(panic)")).collect(),
+            resources: Vec::new(),
+            detail: String::new(),
+        }),
+        Verdict::Stuck {
+            deadlock,
+            graph,
+            threads,
+        } => {
+            let party = |w: &pcr::WaitingThread| {
+                (format!("{}({})", w.name, w.kind.tag()), w.resource.clone())
+            };
+            let (parties, resources) = threads.iter().map(party).unzip();
+            Some(Failure {
+                class: if deadlock {
+                    FailureClass::Deadlock
+                } else {
+                    FailureClass::Wedge
+                },
+                parties,
+                resources,
+                detail: graph.render(),
+            })
+        }
     }
-}
-
-/// Global deadlock: every blocked thread is a party (the clock has
-/// stopped, so the wedge-age filter is moot).
-fn deadlock_failure(graph: &WaitForGraph) -> Failure {
-    blocked_failure(FailureClass::Deadlock, graph, &graph.threads)
 }
 
 /// Builds the §5.5 publication-race world: the publisher fills the data
@@ -225,20 +280,17 @@ fn build_weakmem_world(spec: &TrialSpec, chaos: ChaosConfig, max_delay_us: u64) 
     sim
 }
 
-/// Runs the multiprocessor transfer mesh: four tellers move value
+/// Builds the multiprocessor transfer mesh: four tellers move value
 /// between three accounts, each locking its account pair in a
 /// seed-derived order. Opposing orders race into AB-BA deadlock; the
-/// wait-for graph's population becomes the failure's parties. The whole
-/// window is one run, under no chaos, and the observation names no live
-/// thread or monitor for the guided engine to aim at: the mesh's stored
-/// signatures and their counts are pinned to exactly this.
-fn observe_multicore(spec: &TrialSpec, cpus: u32) -> Observation {
-    let cfg = SimConfig::default().with_seed(spec.seed);
+/// wait-for graph's population becomes the failure's parties.
+fn build_mesh(seed: u64, cpus: u32) -> Sim {
+    let cfg = SimConfig::default().with_seed(seed);
     let mut mp = Sim::with_cpus(cfg, cpus.max(1) as usize);
     let accounts: Vec<_> = (0..3)
         .map(|i| mp.monitor(&format!("account{i}"), 100i64))
         .collect();
-    let mut rng = SplitMix64::new(spec.seed ^ 0xAB5A_AB5A);
+    let mut rng = SplitMix64::new(seed ^ 0xAB5A_AB5A);
     for t in 0..4 {
         let a = rng.next_below(accounts.len() as u64) as usize;
         let b = (a + 1 + rng.next_below(accounts.len() as u64 - 1) as usize) % accounts.len();
@@ -258,25 +310,7 @@ fn observe_multicore(spec: &TrialSpec, cpus: u32) -> Observation {
             }
         });
     }
-    let report = mp.run(RunLimit::For(spec.window));
-    let failure = match &report.reason {
-        StopReason::Deadlock(_) => Some(deadlock_failure(&mp.wait_for_graph())),
-        _ if mp.stats().panics > 0 => Some(Failure {
-            class: FailureClass::Panic,
-            parties: vec!["mp-world(panic)".to_string()],
-            resources: Vec::new(),
-            detail: String::new(),
-        }),
-        _ => None,
-    };
-    Observation {
-        failure,
-        schedule: FaultSchedule::default(),
-        hazards: HazardCounts::default(),
-        elapsed: report.elapsed,
-        live_threads: Vec::new(),
-        monitors: Vec::new(),
-    }
+    mp
 }
 
 /// Runs one trial of `spec` under `chaos` and watches it for failure.
@@ -284,74 +318,50 @@ fn observe_multicore(spec: &TrialSpec, cpus: u32) -> Observation {
 /// Deterministic: the same `(spec, chaos)` observes the same outcome,
 /// schedule, and elapsed time every call.
 pub fn observe(spec: &TrialSpec, chaos: ChaosConfig) -> Observation {
-    let mut sim = match spec.world {
-        TrialWorld::MultiCore { cpus } => return observe_multicore(spec, cpus),
-        TrialWorld::WeakMemory { max_delay_us } => build_weakmem_world(spec, chaos, max_delay_us),
-        TrialWorld::Serve { scenario } => {
-            workloads::serve::build_fuzz_world(scenario, spec.seed, chaos, spec.max_threads)
-        }
-        TrialWorld::Cell => {
-            build_chaos_with(spec.system, spec.benchmark, spec.seed, chaos, |cfg| {
-                let cfg = cfg.with_policy(spec.policy);
-                match spec.max_threads {
-                    Some(n) => cfg.with_max_threads(n),
-                    None => cfg,
-                }
-            })
-        }
+    // The mesh runs its whole window as one slice with the wedge check
+    // off, and names no live thread or monitor for the guided engine to
+    // aim at: its stored signatures and their counts are pinned to
+    // exactly this.
+    let watched = !matches!(spec.world, TrialWorld::MultiCore { .. });
+    let (slice, wedge_threshold) = if watched {
+        (spec.slice, Some(spec.wedge_threshold))
+    } else {
+        (spec.window, None)
     };
+    let mut sim = spec.build(chaos);
     let mut remaining = spec.window;
     let mut elapsed = SimDuration::ZERO;
     let mut hazards = HazardCounts::default();
-    let mut failure = None;
+    let mut failed = None;
     while !remaining.is_zero() {
-        let step = spec.slice.min(remaining);
+        let step = slice.min(remaining);
         let report = sim.run(RunLimit::For(step));
         elapsed += report.elapsed;
         remaining = remaining.saturating_sub(step);
         hazards = report.hazards;
-        if sim.stats().panics > 0 {
-            let parties = sim
-                .threads_iter()
-                .filter(|t| t.panicked)
-                .map(|t| format!("{}(panic)", t.name))
-                .collect();
-            failure = Some(Failure {
-                class: FailureClass::Panic,
-                parties,
-                resources: Vec::new(),
-                detail: String::new(),
-            });
-            break;
-        }
-        let graph = sim.wait_for_graph();
-        if let StopReason::Deadlock(_) = report.reason {
-            failure = Some(deadlock_failure(&graph));
-            break;
-        }
-        let wedged = graph.wedged(spec.wedge_threshold);
-        if !wedged.is_empty() {
-            failure = Some(blocked_failure(FailureClass::Wedge, &graph, wedged));
-            break;
-        }
-        if matches!(report.reason, StopReason::AllExited) {
+        failed = failure(judge(&sim, &report, wedge_threshold));
+        if failed.is_some() || matches!(report.reason, StopReason::AllExited) {
             break;
         }
     }
-    let mut live_threads: Vec<String> = sim
-        .threads_iter()
-        .filter(|t| !t.exited)
-        .map(|t| t.name.to_string())
-        .collect();
-    live_threads.sort();
-    live_threads.dedup();
+    let (mut live_threads, mut monitors) = (Vec::new(), Vec::new());
+    if watched {
+        live_threads = sim
+            .threads_iter()
+            .filter(|t| !t.exited)
+            .map(|t| t.name.to_string())
+            .collect();
+        live_threads.sort();
+        live_threads.dedup();
+        monitors = sim.monitor_names();
+    }
     Observation {
-        failure,
+        failure: failed,
         schedule: sim.fault_schedule(),
         hazards,
         elapsed,
         live_threads,
-        monitors: sim.monitor_names(),
+        monitors,
     }
 }
 
@@ -364,5 +374,5 @@ pub fn replay(case: &StoredCase) -> Observation {
 /// (the shrinker's oracle: "does this reduced schedule still produce the
 /// original failure signature?").
 pub fn replay_schedule(case: &StoredCase, schedule: &FaultSchedule) -> Observation {
-    observe(&case.spec(), ChaosConfig::none().scripted(schedule.clone()))
+    observe(&case.spec, ChaosConfig::none().scripted(schedule.clone()))
 }

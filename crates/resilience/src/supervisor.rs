@@ -22,12 +22,15 @@
 //! achieved across every attempt divided by a clean run's volume over
 //! the same window.
 
-use pcr::{millis, BlockKind, ChaosConfig, RunLimit, Sim, SimDuration, SimStats, SimTime};
-use threadstudy_core::System;
-use trace::Collector;
-use workloads::{
-    build_chaos_with, chaos_preset, eternal_thread_count, harvest, BenchResult, Benchmark,
+use pcr::{
+    millis, BlockKind, ChaosConfig, RunLimit, Sim, SimDuration, SimStats, SimTime, WaitForGraph,
+    WaitingThread,
 };
+use trace::Collector;
+use workloads::{harvest, BenchResult};
+
+use crate::judge::{judge, Verdict};
+use crate::observe::{TrialSpec, TrialWorld};
 
 /// Supervisor parameters.
 #[derive(Clone, Debug)]
@@ -120,8 +123,8 @@ pub struct Supervision {
     pub total_volume: u64,
     /// Virtual time the final attempt ran.
     pub final_elapsed: SimDuration,
-    /// True when the final state is live: no wedge past the threshold
-    /// and no panicked thread.
+    /// True when the supervisor did not give up and [`judge`] finds the
+    /// final attempt healthy after its last slice.
     pub healthy_at_end: bool,
 }
 
@@ -141,141 +144,47 @@ pub fn supervise(mut build: impl FnMut(u32) -> Sim, cfg: &SupervisorConfig) -> (
         let mut donation_enabled = false;
         let mut restart = false;
         let mut attempt_elapsed = SimDuration::ZERO;
+        let mut last_report = None;
         while !remaining.is_zero() {
             let step = cfg.slice.min(remaining);
             let report = sim.run(RunLimit::For(step));
             attempt_elapsed += report.elapsed;
             remaining = remaining.saturating_sub(step);
-            if sim.stats().panics > 0 {
-                let names: Vec<String> = sim
-                    .threads_iter()
-                    .filter(|t| t.panicked)
-                    .map(|t| t.name.to_string())
-                    .collect();
-                actions.push(RecoveryAction {
-                    attempt,
-                    at: sim.now(),
-                    kind: RecoveryKind::Restart,
-                    detail: format!("panic in {}", names.join(", ")),
-                });
-                restart = true;
-                break;
-            }
-            let graph = sim.wait_for_graph();
-            // Under global deadlock the clock stops, so age-based wedge
-            // detection is moot: every blocked thread is stuck.
-            let stuck: Vec<pcr::WaitingThread> = if report.deadlocked() {
-                graph.threads.clone()
-            } else {
-                graph
-                    .wedged(cfg.wedge_threshold)
-                    .into_iter()
-                    .cloned()
-                    .collect()
+            let verdict = judge(&sim, &report, Some(cfg.wedge_threshold));
+            last_report = Some(report);
+            let (kind, detail) = match verdict {
+                Verdict::Healthy => {
+                    grace = grace.saturating_sub(1);
+                    continue;
+                }
+                Verdict::Panicked(names) => (
+                    RecoveryKind::Restart,
+                    format!("panic in {}", names.join(", ")),
+                ),
+                Verdict::Stuck { .. } if grace > 0 => {
+                    grace -= 1;
+                    continue;
+                }
+                Verdict::Stuck { graph, threads, .. } => {
+                    pull_lever(&mut sim, &graph, &threads, cfg, &mut donation_enabled)
+                        .unwrap_or_else(|| {
+                            let parties: Vec<&str> = threads.iter().map(|w| &w.name[..]).collect();
+                            let detail = format!("unrecoverable wedge: {}", parties.join(", "));
+                            (RecoveryKind::Restart, detail)
+                        })
+                }
             };
-            if stuck.is_empty() {
-                grace = grace.saturating_sub(1);
-                continue;
-            }
-            if grace > 0 {
-                grace -= 1;
-                continue;
-            }
-            // Ladder rung 1: fork outage (§5.4).
-            if stuck.iter().any(|w| matches!(w.kind, BlockKind::Fork)) {
-                let n = sim.fail_pending_forks();
-                if n > 0 {
-                    actions.push(RecoveryAction {
-                        attempt,
-                        at: sim.now(),
-                        kind: RecoveryKind::FailPendingForks,
-                        detail: format!("failed {n} pending fork(s)"),
-                    });
-                    grace = cfg.grace_slices;
-                    continue;
-                }
-            }
-            // Ladder rung 2: §6.2 priority inversion — a high-priority
-            // thread aged out behind a *runnable* lower-priority holder.
-            // Metalock inversions get donation first (the paper's §6.2
-            // metalock fix); what remains gets a direct priority boost.
-            // Stalled holders are skipped: un-sticking an unresponsive
-            // thread is rejuvenation's job, not a priority problem.
-            let mut remedied = false;
-            for inv in graph.inversions(cfg.wedge_threshold) {
-                if inv.holder_stalled {
-                    continue;
-                }
-                if inv.kind == BlockKind::Metalock && !donation_enabled {
-                    let cleared = sim.set_metalock_donation(true);
-                    donation_enabled = true;
-                    actions.push(RecoveryAction {
-                        attempt,
-                        at: sim.now(),
-                        kind: RecoveryKind::EnableMetalockDonation,
-                        detail: format!(
-                            "donated {cleared} stuck metalock window(s); {} was starving {}",
-                            inv.holder_name, inv.victim_name
-                        ),
-                    });
-                    grace = cfg.grace_slices;
-                    remedied = true;
-                    break;
-                }
-                if sim.set_thread_priority(inv.holder, inv.victim_priority) {
-                    actions.push(RecoveryAction {
-                        attempt,
-                        at: sim.now(),
-                        kind: RecoveryKind::PriorityBoost,
-                        detail: format!(
-                            "boosted {} to p{} ({} starving behind it)",
-                            inv.holder_name,
-                            inv.victim_priority.get(),
-                            inv.victim_name
-                        ),
-                    });
-                    grace = cfg.grace_slices;
-                    remedied = true;
-                    break;
-                }
-            }
-            if remedied {
-                continue;
-            }
-            // Ladder rung 3: the wedge chain roots at a stalled thread
-            // (§5.2 task rejuvenation).
-            let mut rejuvenated = false;
-            for w in &stuck {
-                let root = graph.root_of(w.tid);
-                if let Some(root) = root {
-                    if let Some((tid, name)) = graph.stalled.iter().find(|(tid, _)| *tid == root) {
-                        if sim.rejuvenate(*tid) {
-                            actions.push(RecoveryAction {
-                                attempt,
-                                at: sim.now(),
-                                kind: RecoveryKind::Rejuvenate,
-                                detail: format!("rejuvenated {name}"),
-                            });
-                            grace = cfg.grace_slices;
-                            rejuvenated = true;
-                            break;
-                        }
-                    }
-                }
-            }
-            if rejuvenated {
-                continue;
-            }
-            // Ladder rung 4: restart the attempt.
-            let parties: Vec<String> = stuck.iter().map(|w| w.name.clone()).collect();
             actions.push(RecoveryAction {
                 attempt,
                 at: sim.now(),
-                kind: RecoveryKind::Restart,
-                detail: format!("unrecoverable wedge: {}", parties.join(", ")),
+                kind,
+                detail,
             });
-            restart = true;
-            break;
+            if kind == RecoveryKind::Restart {
+                restart = true;
+                break;
+            }
+            grace = cfg.grace_slices;
         }
         total_volume += sim.stats().event_volume() - base_volume;
         if restart && !remaining.is_zero() {
@@ -297,9 +206,9 @@ pub fn supervise(mut build: impl FnMut(u32) -> Sim, cfg: &SupervisorConfig) -> (
             // Restart wanted but no time left to try.
             gave_up = true;
         }
-        let healthy_at_end = sim.stats().panics == 0
-            && sim.wait_for_graph().wedged(cfg.wedge_threshold).is_empty()
-            && !gave_up;
+        let healthy_at_end = !gave_up
+            && last_report
+                .is_none_or(|report| judge(&sim, &report, Some(cfg.wedge_threshold)).is_healthy());
         return (
             Supervision {
                 attempts: attempt + 1,
@@ -315,24 +224,60 @@ pub fn supervise(mut build: impl FnMut(u32) -> Sim, cfg: &SupervisorConfig) -> (
     }
 }
 
-/// The fault load `repro chaos --recover` applies: the benchmark chaos
-/// preset plus the one fault each system is known not to tolerate on
-/// its own — a thread-table cap sized to the eternal population for
-/// Cedar (the first runtime fork wedges), a gated stall inside the
-/// screen monitor for GVX (the display watchdog wedges behind it).
-pub fn recover_preset(system: System) -> (ChaosConfig, Option<usize>) {
-    match system {
-        System::Cedar => (chaos_preset(), Some(eternal_thread_count(System::Cedar))),
-        System::Gvx => (
-            chaos_preset().stall_while_holding(
-                "GVX.InputPoller",
-                "gvx-screen",
-                SimTime::from_micros(2_000_000),
-                pcr::secs(120),
-            ),
-            None,
-        ),
+/// Pulls the mildest lever on the ladder that acts on a stuck world —
+/// rungs 1 to 3 — and names it; `None` leaves only the restart.
+fn pull_lever(
+    sim: &mut Sim,
+    graph: &WaitForGraph,
+    stuck: &[WaitingThread],
+    cfg: &SupervisorConfig,
+    donation_enabled: &mut bool,
+) -> Option<(RecoveryKind, String)> {
+    // Ladder rung 1: fork outage (§5.4).
+    if stuck.iter().any(|w| matches!(w.kind, BlockKind::Fork)) {
+        let n = sim.fail_pending_forks();
+        if n > 0 {
+            let detail = format!("failed {n} pending fork(s)");
+            return Some((RecoveryKind::FailPendingForks, detail));
+        }
     }
+    // Ladder rung 2: §6.2 priority inversion — a high-priority thread
+    // aged out behind a *runnable* lower-priority holder. Metalock
+    // inversions get donation first (the paper's §6.2 metalock fix); what
+    // remains gets a direct priority boost. Stalled holders are skipped:
+    // un-sticking an unresponsive thread is rejuvenation's job, not a
+    // priority problem.
+    for inv in graph.inversions(cfg.wedge_threshold) {
+        if inv.holder_stalled {
+            continue;
+        }
+        if inv.kind == BlockKind::Metalock && !*donation_enabled {
+            let cleared = sim.set_metalock_donation(true);
+            *donation_enabled = true;
+            let detail = format!(
+                "donated {cleared} stuck metalock window(s); {} was starving {}",
+                inv.holder_name, inv.victim_name
+            );
+            return Some((RecoveryKind::EnableMetalockDonation, detail));
+        }
+        if sim.set_thread_priority(inv.holder, inv.victim_priority) {
+            let detail = format!(
+                "boosted {} to p{} ({} starving behind it)",
+                inv.holder_name,
+                inv.victim_priority.get(),
+                inv.victim_name
+            );
+            return Some((RecoveryKind::PriorityBoost, detail));
+        }
+    }
+    // Ladder rung 3: the wedge chain roots at a stalled thread (§5.2 task
+    // rejuvenation).
+    stuck.iter().find_map(|w| {
+        let root = graph.root_of(w.tid)?;
+        let (tid, name) = graph.stalled.iter().find(|(tid, _)| *tid == root)?;
+        let detail = || (RecoveryKind::Rejuvenate, format!("rejuvenated {name}"));
+        sim.rejuvenate(*tid).then(detail)
+    })
 }
 
 /// A supervised benchmark run with its degradation score.
@@ -347,20 +292,32 @@ pub struct SupervisedBench {
     pub clean_volume: u64,
 }
 
-/// Runs `(system, benchmark)` under `chaos` (plus an optional
-/// thread-table cap) with the supervisor watching, and scores the
-/// degradation against a clean run of the same cell over the same
-/// window.
+/// Runs the matrix cell `spec` names under `chaos`, with its seed,
+/// thread cap and policy, with the supervisor watching over `cfg`'s
+/// window, and scores the degradation against a clean run of the same
+/// cell over the same window. `spec`'s own window and watch are not
+/// read.
+///
+/// # Panics
+///
+/// If `spec` names a world outside the matrix: only a cell harvests.
 pub fn supervise_benchmark(
-    system: System,
-    benchmark: Benchmark,
-    seed: u64,
+    spec: &TrialSpec,
     chaos: ChaosConfig,
-    max_threads: Option<usize>,
     cfg: &SupervisorConfig,
 ) -> SupervisedBench {
-    // The clean yardstick: same cell, same seed, no faults.
-    let mut clean = build_chaos_with(system, benchmark, seed, ChaosConfig::none(), |c| c);
+    let TrialWorld::Cell { system, benchmark } = spec.world else {
+        panic!(
+            "supervise_benchmark needs a matrix cell, not {}",
+            spec.world.label()
+        );
+    };
+    // The clean yardstick: same cell, same seed, no faults, no cap.
+    let yardstick = TrialSpec {
+        max_threads: None,
+        ..spec.clone()
+    };
+    let mut clean = yardstick.build(ChaosConfig::none());
     let clean_base = clean.stats().event_volume();
     clean.run(RunLimit::For(cfg.window));
     let clean_volume = clean.stats().event_volume() - clean_base;
@@ -372,13 +329,13 @@ pub fn supervise_benchmark(
         |attempt| {
             // Each attempt reseeds deterministically so a restart does
             // not replay the exact same misfortune.
-            let attempt_seed = seed.wrapping_add(u64::from(attempt).wrapping_mul(0x9E37));
-            let mut sim = build_chaos_with(system, benchmark, attempt_seed, chaos.clone(), |c| {
-                match max_threads {
-                    Some(n) => c.with_max_threads(n),
-                    None => c,
-                }
-            });
+            let attempt = TrialSpec {
+                seed: spec
+                    .seed
+                    .wrapping_add(u64::from(attempt).wrapping_mul(0x9E37)),
+                ..spec.clone()
+            };
+            let mut sim = attempt.build(chaos.clone());
             start_stats = sim.stats().clone();
             start_alloc = sim.alloc_counters();
             sim.set_sink(Box::new(Collector::for_sim(&sim)));
@@ -408,23 +365,10 @@ pub fn supervise_benchmark(
     }
 }
 
-/// Runs the same cell under the same fault load *without* the
-/// supervisor and reports whether it ends wedged, deadlocked, or
-/// panicked — the comparison line for `repro chaos --recover`.
-pub fn unsupervised_wedges(
-    system: System,
-    benchmark: Benchmark,
-    seed: u64,
-    chaos: ChaosConfig,
-    max_threads: Option<usize>,
-    cfg: &SupervisorConfig,
-) -> bool {
-    let mut sim = build_chaos_with(system, benchmark, seed, chaos, |c| match max_threads {
-        Some(n) => c.with_max_threads(n),
-        None => c,
-    });
+/// Runs `sim` over `cfg`'s window *without* the supervisor and reports
+/// whether it ends failed — wedged, deadlocked, or panicked, as
+/// [`judge`] sees it: the comparison line for `repro chaos --recover`.
+pub fn unsupervised_wedges(mut sim: Sim, cfg: &SupervisorConfig) -> bool {
     let report = sim.run(RunLimit::For(cfg.window));
-    report.deadlocked()
-        || sim.stats().panics > 0
-        || !sim.wait_for_graph().wedged(cfg.wedge_threshold).is_empty()
+    !judge(&sim, &report, Some(cfg.wedge_threshold)).is_healthy()
 }

@@ -4,11 +4,11 @@
 //! property over several seeds), and the supervisor recovers worlds
 //! that wedge the unsupervised run.
 
-use pcr::{millis, secs, Priority, Sim, SimConfig};
+use pcr::{millis, secs, Priority, RunLimit, Sim, SimConfig, SimDuration};
 use resilience::{
-    fuzz, guided_fuzz, intensity_ladder, observe, recover_preset, replay, shrink, supervise,
-    supervise_benchmark, unsupervised_wedges, FuzzCell, FuzzConfig, ShrinkConfig, StoredCase,
-    SupervisorConfig, TrialSpec, TrialWorld,
+    fuzz, guided_fuzz, judge, ladder, observe, replay, shrink, supervise, supervise_benchmark,
+    unsupervised_wedges, FuzzConfig, Intensity, ShrinkConfig, StoredCase, SupervisorConfig,
+    TrialSpec, TrialWorld, Verdict,
 };
 use threadstudy_core::System;
 use workloads::Benchmark;
@@ -17,48 +17,58 @@ fn no_progress(_: &str) {}
 
 /// The original two-cell grid the seeded-failure tests were written
 /// against (the default grid now spans the whole matrix).
-fn seeded_cells() -> Vec<FuzzCell> {
+fn seeded_cells() -> Vec<TrialWorld> {
     vec![
-        FuzzCell::cell(System::Cedar, Benchmark::Keyboard),
-        FuzzCell::cell(System::Gvx, Benchmark::Scroll),
+        cell(System::Cedar, Benchmark::Keyboard),
+        cell(System::Gvx, Benchmark::Scroll),
     ]
 }
 
-/// Runs the guaranteed-failure rung of `system`'s ladder on one cell and
-/// returns the stored case.
-fn seeded_case(system: System, benchmark: Benchmark, seed: u64) -> StoredCase {
-    let ladder = intensity_ladder(system);
-    let rung = &ladder[1];
-    let spec = TrialSpec {
-        world: TrialWorld::Cell,
-        system,
-        benchmark,
+fn cell(system: System, benchmark: Benchmark) -> TrialWorld {
+    TrialWorld::Cell { system, benchmark }
+}
+
+/// The six-second trial of `world` at `seed` the seeded-failure tests
+/// run, under `rung`'s thread cap.
+fn trial(world: TrialWorld, seed: u64, rung: &Intensity) -> TrialSpec {
+    TrialSpec {
+        world,
         seed,
         window: secs(6),
         slice: millis(250),
         wedge_threshold: millis(1500),
         max_threads: rung.max_threads,
         policy: pcr::PolicyKind::RoundRobin,
-    };
+    }
+}
+
+/// Runs the guaranteed-failure rung of `system`'s ladder on one cell and
+/// returns the stored case.
+fn seeded_case(system: System, benchmark: Benchmark, seed: u64) -> StoredCase {
+    let world = cell(system, benchmark);
+    let rung = &ladder(world)[1];
+    let spec = trial(world, seed, rung);
     let obs = observe(&spec, rung.chaos.clone());
     let failure = obs
         .failure
         .as_ref()
         .unwrap_or_else(|| panic!("{} rung {} did not fail", system.name(), rung.name));
     StoredCase {
-        world: TrialWorld::Cell,
-        system,
-        benchmark,
-        seed,
-        window: spec.window,
-        slice: spec.slice,
-        wedge_threshold: spec.wedge_threshold,
-        max_threads: rung.max_threads,
-        policy: spec.policy,
+        spec,
         intensity: rung.name.to_string(),
         signature: failure.signature(),
         schedule: obs.schedule.clone(),
     }
+}
+
+/// The rung of `world`'s ladder that `repro chaos --recover` loads it
+/// with, and the spec it runs under.
+fn recover_load(world: TrialWorld, rung: &str) -> (TrialSpec, Intensity) {
+    let rung = ladder(world)
+        .into_iter()
+        .find(|r| r.name == rung)
+        .expect("a rung of the ladder");
+    (trial(world, 0xC0FFEE, &rung), rung)
 }
 
 #[test]
@@ -89,7 +99,7 @@ fn fuzz_small_budget_finds_the_seeded_failures() {
     let cedar = outcome
         .cases
         .iter()
-        .find(|c| c.case.system == System::Cedar)
+        .find(|c| c.case.spec.world == cell(System::Cedar, Benchmark::Keyboard))
         .expect("no Cedar failure");
     assert_eq!(cedar.case.intensity, "fork-cap");
     assert!(
@@ -100,7 +110,7 @@ fn fuzz_small_budget_finds_the_seeded_failures() {
     let gvx = outcome
         .cases
         .iter()
-        .find(|c| c.case.system == System::Gvx)
+        .find(|c| c.case.spec.world == cell(System::Gvx, Benchmark::Scroll))
         .expect("no GVX failure");
     assert_eq!(gvx.case.intensity, "stall-gated");
     assert_eq!(gvx.case.schedule.stalls.len(), 1);
@@ -203,27 +213,13 @@ fn shrink_rejects_a_stale_case() {
 
 #[test]
 fn supervisor_recovers_cedar_from_a_fork_outage() {
-    let (chaos, max_threads) = recover_preset(System::Cedar);
+    let (spec, rung) = recover_load(cell(System::Cedar, Benchmark::Keyboard), "fork-cap");
     let cfg = SupervisorConfig::for_window(secs(6));
     assert!(
-        unsupervised_wedges(
-            System::Cedar,
-            Benchmark::Keyboard,
-            0xC0FFEE,
-            chaos.clone(),
-            max_threads,
-            &cfg
-        ),
+        unsupervised_wedges(spec.build(rung.chaos.clone()), &cfg),
         "the fault load must wedge the unsupervised run"
     );
-    let sup = supervise_benchmark(
-        System::Cedar,
-        Benchmark::Keyboard,
-        0xC0FFEE,
-        chaos,
-        max_threads,
-        &cfg,
-    );
+    let sup = supervise_benchmark(&spec, rung.chaos, &cfg);
     assert!(!sup.supervision.gave_up);
     assert!(
         sup.supervision
@@ -242,27 +238,13 @@ fn supervisor_recovers_cedar_from_a_fork_outage() {
 
 #[test]
 fn supervisor_rejuvenates_gvx_out_of_a_gated_stall() {
-    let (chaos, max_threads) = recover_preset(System::Gvx);
+    let (spec, rung) = recover_load(cell(System::Gvx, Benchmark::Scroll), "stall-gated");
     let cfg = SupervisorConfig::for_window(secs(6));
     assert!(
-        unsupervised_wedges(
-            System::Gvx,
-            Benchmark::Scroll,
-            0xC0FFEE,
-            chaos.clone(),
-            max_threads,
-            &cfg
-        ),
+        unsupervised_wedges(spec.build(rung.chaos.clone()), &cfg),
         "the gated stall must wedge the unsupervised run"
     );
-    let sup = supervise_benchmark(
-        System::Gvx,
-        Benchmark::Scroll,
-        0xC0FFEE,
-        chaos,
-        max_threads,
-        &cfg,
-    );
+    let sup = supervise_benchmark(&spec, rung.chaos, &cfg);
     assert!(!sup.supervision.gave_up);
     assert!(
         sup.supervision
@@ -280,39 +262,113 @@ fn supervisor_rejuvenates_gvx_out_of_a_gated_stall() {
     assert!(degradation > 0.0, "degradation = {degradation}");
 }
 
+/// Two threads that take monitors A and B and exit: in opposite orders
+/// (AB-BA) when `abba`, which deadlocks them 5 ms in.
+fn two_lockers(abba: bool) -> Sim {
+    let mut sim = Sim::new(SimConfig::default());
+    let a = sim.monitor("A", ());
+    let b = sim.monitor("B", ());
+    let (a1, b1) = (a.clone(), b.clone());
+    let _ = sim.fork_root("left", Priority::of(4), move |ctx| {
+        let _ga = ctx.enter(&a1);
+        ctx.sleep(millis(5)); // threadlint: allow(blocking-call-in-monitor)
+        let _gb = ctx.enter(&b1);
+        ctx.work(millis(1));
+    });
+    let _ = sim.fork_root("right", Priority::of(4), move |ctx| {
+        if abba {
+            let _gb = ctx.enter(&b);
+            ctx.sleep(millis(5)); // threadlint: allow(blocking-call-in-monitor)
+                                  // threadlint: allow(lock-order-cycle) — the AB-BA cycle is the point.
+            let _ga = ctx.enter(&a);
+        } else {
+            let _ga = ctx.enter(&a);
+            ctx.sleep(millis(5)); // threadlint: allow(blocking-call-in-monitor)
+                                  // threadlint: allow(lock-order-cycle)
+            let _gb = ctx.enter(&b);
+        }
+        ctx.work(millis(1));
+    });
+    sim
+}
+
+/// A `holder` that computes for `hold` inside monitor M while a
+/// `waiter` queues on M.
+fn holder_and_waiter(hold: SimDuration) -> Sim {
+    let mut sim = Sim::new(SimConfig::default());
+    let m = sim.monitor("M", ());
+    let m2 = m.clone();
+    let _ = sim.fork_root("holder", Priority::of(4), move |ctx| {
+        let _g = ctx.enter(&m2);
+        ctx.work(hold);
+    });
+    let _ = sim.fork_root("waiter", Priority::of(4), move |ctx| {
+        ctx.sleep(millis(1));
+        let _g = ctx.enter(&m);
+    });
+    sim
+}
+
+/// Runs `build`'s world for a second and checks what [`judge`] makes of
+/// it: `want` is the verdict and its threads.
+fn judged(build: fn() -> Sim, want: &str) {
+    let cfg = SupervisorConfig {
+        wedge_threshold: millis(500),
+        ..SupervisorConfig::for_window(secs(1))
+    };
+    let mut sim = build();
+    let report = sim.run(RunLimit::For(cfg.window));
+    let (verdict, mut names) = match judge(&sim, &report, Some(cfg.wedge_threshold)) {
+        Verdict::Healthy => ("healthy", Vec::new()),
+        Verdict::Panicked(names) => ("panicked", names),
+        Verdict::Stuck {
+            deadlock,
+            graph,
+            threads,
+        } => {
+            assert!(!deadlock || graph.wedged(cfg.wedge_threshold).is_empty());
+            let names = threads.into_iter().map(|w| w.name).collect();
+            (if deadlock { "deadlock" } else { "wedge" }, names)
+        }
+    };
+    names.sort();
+    assert_eq!(format!("{verdict} [{}]", names.join(", ")), want);
+    // The unsupervised checks of `repro chaos --recover` — the Cedar, GVX
+    // and §6.2 inversion cells alike — ask exactly this, so a panic
+    // counts in every one of them.
+    assert_eq!(
+        unsupervised_wedges(build(), &cfg),
+        verdict != "healthy",
+        "{want}"
+    );
+}
+
+#[test]
+fn the_judge_gives_one_verdict_per_kind_of_failure() {
+    judged(|| holder_and_waiter(millis(10)), "healthy []");
+    judged(
+        || {
+            let mut sim = Sim::new(SimConfig::default());
+            let _ = sim.fork_root("boom", Priority::of(4), |_| panic!("on purpose"));
+            let _ = sim.fork_root("bystander", Priority::of(4), |ctx| ctx.sleep(millis(1)));
+            sim
+        },
+        "panicked [boom]",
+    );
+    // Both parties have been blocked for no time when the clock stops, so
+    // `wedged` is empty, and still the world has failed.
+    judged(|| two_lockers(true), "deadlock [left, right]");
+    // The holder computes on, so the clock moves: only the waiter, blocked
+    // past the threshold, is stuck.
+    judged(|| holder_and_waiter(secs(60)), "wedge [waiter]");
+}
+
 #[test]
 fn supervisor_restarts_an_attempt_dependent_deadlock() {
     // Attempt 0 acquires two monitors in opposite orders (AB-BA) and
     // deadlocks; the rebuilt attempt uses one order and completes. The
     // restart rung is the only lever that helps here.
-    let build = |attempt: u32| {
-        let mut sim = Sim::new(SimConfig::default());
-        let a = sim.monitor("A", ());
-        let b = sim.monitor("B", ());
-        let (a1, b1) = (a.clone(), b.clone());
-        let _ = sim.fork_root("left", Priority::of(4), move |ctx| {
-            let _ga = ctx.enter(&a1);
-            ctx.sleep(millis(5)); // threadlint: allow(blocking-call-in-monitor)
-            let _gb = ctx.enter(&b1);
-            ctx.work(millis(1));
-        });
-        let flip = attempt == 0;
-        let _ = sim.fork_root("right", Priority::of(4), move |ctx| {
-            if flip {
-                let _gb = ctx.enter(&b);
-                ctx.sleep(millis(5)); // threadlint: allow(blocking-call-in-monitor)
-                                      // threadlint: allow(lock-order-cycle) — the AB-BA cycle is the point.
-                let _ga = ctx.enter(&a);
-            } else {
-                let _ga = ctx.enter(&a);
-                ctx.sleep(millis(5)); // threadlint: allow(blocking-call-in-monitor)
-                                      // threadlint: allow(lock-order-cycle)
-                let _gb = ctx.enter(&b);
-            }
-            ctx.work(millis(1));
-        });
-        sim
-    };
+    let build = |attempt: u32| two_lockers(attempt == 0);
     let cfg = SupervisorConfig {
         window: secs(2),
         slice: millis(100),
@@ -377,26 +433,17 @@ fn fuzz_reaches_the_out_of_matrix_worlds() {
     let cfg = FuzzConfig {
         budget: 8,
         cells: vec![
-            FuzzCell {
-                world: TrialWorld::MultiCore { cpus: 2 },
-                system: System::Cedar,
-                benchmark: Benchmark::Idle,
-            },
-            FuzzCell {
-                world: TrialWorld::WeakMemory { max_delay_us: 200 },
-                system: System::Cedar,
-                benchmark: Benchmark::Idle,
-            },
+            TrialWorld::MultiCore { cpus: 2 },
+            TrialWorld::WeakMemory { max_delay_us: 200 },
         ],
         ..FuzzConfig::default()
     };
     let outcome = fuzz(&cfg, no_progress);
     assert!(
-        outcome
-            .cases
-            .iter()
-            .any(|c| matches!(c.case.world, TrialWorld::MultiCore { .. })
-                && c.case.signature.starts_with("deadlock:")),
+        outcome.cases.iter().any(
+            |c| matches!(c.case.spec.world, TrialWorld::MultiCore { .. })
+                && c.case.signature.starts_with("deadlock:")
+        ),
         "no AB-BA deadlock out of the mp transfer mesh: {:?}",
         outcome
             .cases
@@ -405,11 +452,10 @@ fn fuzz_reaches_the_out_of_matrix_worlds() {
             .collect::<Vec<_>>()
     );
     assert!(
-        outcome
-            .cases
-            .iter()
-            .any(|c| matches!(c.case.world, TrialWorld::WeakMemory { .. })
-                && c.case.signature.contains("wm-reader(panic)")),
+        outcome.cases.iter().any(
+            |c| matches!(c.case.spec.world, TrialWorld::WeakMemory { .. })
+                && c.case.signature.contains("wm-reader(panic)")
+        ),
         "no stale-publication panic out of the weak-memory race: {:?}",
         outcome
             .cases
