@@ -29,7 +29,8 @@ commands:
                              one experiment by name
   history                    a 100ms event history of Cedar typing
   contention                 the §6.1 contention profile and §6.2 latency
-                             histogram (GVX scroll, Cedar typing)
+                             histogram of Cedar typing and GVX scroll:
+                             the reference-cell blocks of tables
   trace    [--chrome PATH] [--jsonl PATH] [--window SECS] [--chaos]
                              record one Cedar/Keyboard run (default 5s)
                              and export it: --chrome writes a Chrome
@@ -151,9 +152,10 @@ global options:
                  one cell at a time on the calling thread
   --policy P     scheduling policy for the simulated worlds: rr (the
                  paper's 7-priority round-robin, default), cfs, lottery,
-                 or mlfq; honored by bench, chaos, fuzz, and trace
-                 (tournament always races all four); see
-                 docs/SCHEDULING.md";
+                 or mlfq; honored by tables, figures, markdown, all,
+                 contention, history, trace, chaos (not --recover),
+                 fuzz, bench, and serve (tournament always races all
+                 four); see docs/SCHEDULING.md";
 
 /// Reports a failed run. Returns the exit code the condition maps to
 /// ([`exit::OK`] when the run was fine) so callers can accumulate the
@@ -172,12 +174,14 @@ fn check_run(label: &str, report: &pcr::RunReport) -> i32 {
     code
 }
 
-fn history(seed: u64) -> i32 {
+fn history(seed: u64, policy: pcr::PolicyKind) -> i32 {
     use trace::Timeline;
-    let mut sim = workloads::runner::build(
+    let mut sim = workloads::build_chaos_with(
         workloads::System::Cedar,
         workloads::Benchmark::Keyboard,
         seed,
+        pcr::ChaosConfig::none(),
+        |cfg| cfg.with_policy(policy),
     );
     sim.set_sink(Box::new(Timeline::new()));
     let report = sim.run(pcr::RunLimit::For(secs(5)));
@@ -190,45 +194,6 @@ fn history(seed: u64) -> i32 {
     );
     println!("{}", trace::thread_table(&infos).to_text());
     check_run("history Cedar/Keyboard", &report)
-}
-
-fn contention(seed: u64) -> i32 {
-    use trace::ContentionProfiler;
-    let mut code = exit::OK;
-    for (sys, bench) in [
-        (workloads::System::Gvx, workloads::Benchmark::Scroll),
-        (workloads::System::Cedar, workloads::Benchmark::Keyboard),
-    ] {
-        let mut sim = workloads::runner::build(sys, bench, seed);
-        sim.set_sink(Box::new(ContentionProfiler::for_sim(&sim)));
-        let report = sim.run(pcr::RunLimit::For(secs(30)));
-        code = exit::worst(
-            code,
-            check_run(&format!("contention {}/{bench:?}", sys.name()), &report),
-        );
-        let prof = trace::take_collector::<ContentionProfiler>(&mut sim).expect("profiler");
-        println!(
-            "{} / {bench:?}: {} of {} entries contended ({:.3}%)",
-            sys.name(),
-            prof.total_contended(),
-            prof.total_enters(),
-            100.0 * prof.total_contended() as f64 / prof.total_enters().max(1) as f64
-        );
-        let rows = prof.rows();
-        let shown = rows.len().min(12);
-        println!("{}", trace::contention_table(&rows[..shown]).to_text());
-        if rows.len() > shown {
-            println!(
-                "({} more monitors below the hottest {shown})\n",
-                rows.len() - shown
-            );
-        }
-        println!(
-            "{}",
-            trace::latency_table(&sim.stats().sched_latency).to_text()
-        );
-    }
-    code
 }
 
 /// `repro trace`: record one Cedar/Keyboard run and export it as a
@@ -336,10 +301,7 @@ fn diff_cmd(path_a: &str, path_b: &str, threshold_pct: f64, schedule: Option<&st
 fn chaos(window: pcr::SimDuration, seed: u64, policy: pcr::PolicyKind) -> i32 {
     let preset = workloads::chaos_preset();
     let mut code = exit::OK;
-    for (sys, bench) in [
-        (workloads::System::Cedar, workloads::Benchmark::Keyboard),
-        (workloads::System::Gvx, workloads::Benchmark::Scroll),
-    ] {
+    for (sys, bench) in bench::tables::REFERENCE_CELLS {
         let label = format!("chaos {}/{bench:?}", sys.name());
         let run = || {
             let mut sim = workloads::build_chaos_with(sys, bench, seed, preset.clone(), |cfg| {
@@ -426,10 +388,17 @@ fn main() {
         _ => Err("expected a positive integer".to_string()),
     });
     let workers = workers_flag.unwrap_or_else(bench::tables::workers_available);
-    let run_matrix = |window, seed| bench::tables::run_all_with_workers(window, seed, workers);
     // `--policy` (rr | cfs | lottery | mlfq); default is the paper's
     // round-robin, so outputs without the flag stay byte-identical.
     let policy: pcr::PolicyKind = flag(&args, "--policy", str::parse).unwrap_or_default();
+    // The given cells under `--policy`; a failed cell exits 3.
+    let measure = |cells: &[(workloads::System, workloads::Benchmark)]| {
+        let run = bench::tables::run_all_with_workers(cells, policy, window, seed, workers);
+        run.unwrap_or_else(|e| {
+            eprintln!("FAIL {e}");
+            std::process::exit(exit::DEADLOCK);
+        })
+    };
     let json_path = flag_value("--json");
     let workload = || flag(&args, "--workload", bench::resilience_cli::parse_workload);
 
@@ -442,8 +411,12 @@ fn main() {
             }
         }
         "help" => println!("{USAGE}\n\n{}", exit::TABLE),
-        "history" => code = history(seed_flag.unwrap_or(0xE7E27)),
-        "contention" => code = contention(seed),
+        "history" => code = history(seed_flag.unwrap_or(0xE7E27), policy),
+        "contention" => {
+            let results = measure(&bench::tables::REFERENCE_CELLS);
+            code = any_hazardous(&results);
+            print!("{}", bench::tables::profile_section(&results, false));
+        }
         "trace" => {
             code = trace_cmd(
                 window_flag.unwrap_or(secs(5)),
@@ -624,7 +597,7 @@ fn main() {
             }
         }
         "markdown" => {
-            let results = run_matrix(window, seed);
+            let results = measure(&bench::tables::matrix());
             code = any_hazardous(&results);
             println!("{}", bench::tables::table1(&results).to_markdown());
             println!("{}", bench::tables::table2(&results).to_markdown());
@@ -638,7 +611,7 @@ fn main() {
                     println!("{section}");
                 }
             }
-            let results = run_matrix(window, seed);
+            let results = measure(&bench::tables::matrix());
             code = any_hazardous(&results);
             if let Some(path) = &json_path {
                 let v = bench::tables::json_summary(&results);

@@ -20,6 +20,7 @@ use trace::Table;
 use workloads::Benchmark;
 
 use crate::exit;
+use crate::tables::REFERENCE_CELLS;
 
 /// Parses a `--workload SYSTEM/BENCHMARK` filter ("cedar/keyboard",
 /// "gvx/scroll").
@@ -465,10 +466,8 @@ pub fn recover_cmd(window: pcr::SimDuration, seed: u64, json_path: Option<&str>)
     let mut json_rows = Vec::new();
     // Each demo cell's fault load is the rung of its fuzz ladder that the
     // world is known not to tolerate on its own.
-    for (system, benchmark, rung) in [
-        (System::Cedar, Benchmark::Keyboard, "fork-cap"),
-        (System::Gvx, Benchmark::Scroll, "stall-gated"),
-    ] {
+    let rungs = ["fork-cap", "stall-gated"];
+    for ((system, benchmark), rung) in REFERENCE_CELLS.into_iter().zip(rungs) {
         let world = TrialWorld::Cell { system, benchmark };
         let label = world.label();
         let rung = ladder(world)
@@ -491,7 +490,7 @@ pub fn recover_cmd(window: pcr::SimDuration, seed: u64, json_path: Option<&str>)
         }
         let sup = supervise_benchmark(&spec, rung.chaos, &cfg);
         let recoveries = recoveries(&label, &sup.supervision);
-        let degradation = sup.result.degradation.unwrap_or(0.0);
+        let degradation = sup.degradation;
         if sup.supervision.gave_up || degradation <= 0.0 {
             eprintln!("FAIL recover {label}: supervisor could not keep the world productive");
             code = exit::worst(code, exit::DEADLOCK);

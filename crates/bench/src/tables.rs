@@ -1,8 +1,9 @@
-//! Regenerating the paper's Tables 1–4.
+//! Regenerating the paper's Tables 1–4, and the one driver every
+//! command that measures matrix cells runs them through.
 
-use pcr::SimDuration;
+use pcr::{ChaosConfig, PolicyKind, SimDuration};
 use trace::{f0, f1, pct, Json, Table};
-use workloads::{paper_row, run_benchmark, BenchResult, Benchmark, System};
+use workloads::{paper_row, run_benchmark_with, BenchResult, Benchmark, System};
 
 use crate::executor::{run_indexed, Reporter};
 
@@ -17,6 +18,18 @@ pub fn matrix() -> Vec<(System, Benchmark)> {
     cells
 }
 
+/// The two reference cells, Cedar typing and GVX scrolling, in table
+/// order: the §6.1/§6.2 profiles, `repro contention`, `repro chaos`, the
+/// recovery demos and `repro tournament --reference` run these.
+pub const REFERENCE_CELLS: [(System, Benchmark); 2] = [
+    (System::Cedar, Benchmark::Keyboard),
+    (System::Gvx, Benchmark::Scroll),
+];
+
+/// One matrix cell under one scheduling policy: the unit of work of
+/// every command that measures cells.
+pub type Job = (System, Benchmark, PolicyKind);
+
 /// Hardware threads available to the parallel driver.
 pub fn workers_available() -> usize {
     std::thread::available_parallelism()
@@ -24,19 +37,50 @@ pub fn workers_available() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs the matrix on `workers` threads through the host executor.
-/// Each cell is an independent deterministic simulation, so
-/// every worker count produces identical results for a given
-/// `(window, seed)` — the choice only affects wall-clock time.
-pub fn run_all_with_workers(window: SimDuration, seed: u64, workers: usize) -> Vec<BenchResult> {
-    let cells = matrix();
+/// Measures every job through [`workloads::run_benchmark_with`] on
+/// `workers` threads of the host executor and returns one `Result` per
+/// job, in job order; a cell that deadlocks or whose threads panic is
+/// its `Err`, and the other jobs still run. Each job is an independent
+/// deterministic simulation, so every worker count produces identical
+/// results for a given `(window, seed)` — the choice only affects
+/// wall-clock time.
+pub fn run_jobs(
+    jobs: &[Job],
+    window: SimDuration,
+    seed: u64,
+    workers: usize,
+) -> Vec<Result<BenchResult, String>> {
     let reporter = Reporter::new();
-    let (results, _) = run_indexed(workers, cells.len(), |i| {
-        let (sys, b) = cells[i];
-        reporter.line(&format!("  running {} / {b:?} ...", sys.name()));
-        run_benchmark(sys, b, window, seed)
+    let (results, _) = run_indexed(workers, jobs.len(), |i| {
+        let (system, benchmark, policy) = jobs[i];
+        reporter.line(&format!(
+            "  running {}/{benchmark:?} under {policy} ...",
+            system.name()
+        ));
+        let chaos = ChaosConfig::none();
+        run_benchmark_with(system, benchmark, window, seed, chaos, |c| {
+            c.with_policy(policy)
+        })
     });
     results
+}
+
+/// Runs every cell of `cells` under `policy` through [`run_jobs`]. The
+/// results come back in `cells` order, or the first failed cell as an
+/// error naming it.
+pub fn run_all_with_workers(
+    cells: &[(System, Benchmark)],
+    policy: PolicyKind,
+    window: SimDuration,
+    seed: u64,
+    workers: usize,
+) -> Result<Vec<BenchResult>, String> {
+    let jobs: Vec<Job> = cells.iter().map(|&(s, b)| (s, b, policy)).collect();
+    let results = run_jobs(&jobs, window, seed, workers);
+    let labelled = cells.iter().zip(results);
+    labelled
+        .map(|(&(s, b), r)| r.map_err(|e| format!("{}/{b:?} under {policy}: {e}", s.name())))
+        .collect()
 }
 
 fn rows_for(results: &[BenchResult], sys: System) -> impl Iterator<Item = &BenchResult> {
@@ -191,18 +235,14 @@ pub fn profile_json(rows: &[trace::MonitorProfileRow], lat: &pcr::SchedLatency) 
     ])
 }
 
-/// Renders the §6.1 contention and §6.2 latency tables for the two
-/// reference cells (Cedar/Keyboard and GVX/Scroll) out of an
-/// already-run matrix. `markdown` picks the output dialect.
+/// Renders the §6.1 contention and §6.2 latency tables for the
+/// [`REFERENCE_CELLS`] among `results`. `markdown` picks the output
+/// dialect.
 pub fn profile_section(results: &[BenchResult], markdown: bool) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     for r in results {
-        let reference = matches!(
-            (r.system, r.benchmark),
-            (System::Cedar, Benchmark::Keyboard) | (System::Gvx, Benchmark::Scroll)
-        );
-        if !reference {
+        if !REFERENCE_CELLS.contains(&(r.system, r.benchmark)) {
             continue;
         }
         let _ = writeln!(out, "== {} ==", r.rates.name);

@@ -3,26 +3,26 @@
 //! Runs the full Cedar/GVX benchmark matrix (or a slice of it) under
 //! every scheduling policy ([`pcr::PolicyKind`]) and compares the
 //! per-priority wakeup-to-run latency histograms and per-monitor
-//! contention profiles across policies. Each `(cell, policy)` run is an
-//! independent deterministic simulation, so the whole grid parallelizes
-//! through the host executor and every worker count produces
-//! identical results.
+//! contention profiles across policies. Each `(cell, policy)` run is a
+//! job of [`crate::tables::run_jobs`], the driver `repro tables` uses
+//! too, so a cell measures the same here as there and every worker
+//! count produces identical results.
 //!
-//! A cell that deadlocks under some policy is recorded as a failure
-//! rather than a panic: the tournament's acceptance gate is that every
-//! policy completes every cell deadlock-free (`repro tournament` exits
+//! A cell that deadlocks or panics under some policy is recorded as a
+//! failure rather than a panic: the tournament's acceptance gate is that
+//! every policy completes every cell deadlock-free (`repro tournament` exits
 //! [`crate::exit::DEADLOCK`] otherwise). The methodology and how to read
 //! the output are documented in `docs/SCHEDULING.md`; the §6.2
 //! walkthrough is experiment E16 in `EXPERIMENTS.md`.
 
 use std::path::{Path, PathBuf};
 
-use pcr::{secs, PolicyKind, RunLimit, SimDuration};
+use pcr::{PolicyKind, RunLimit, SimDuration};
 use trace::{Json, Table};
-use workloads::{build_chaos_with, harvest, BenchResult, Benchmark, System};
+use workloads::{build_chaos_with, BenchResult, Benchmark, System};
 
 use crate::executor::{run_indexed, Reporter};
-use crate::tables::{matrix, profile_json};
+use crate::tables::{matrix, profile_json, run_jobs, Job, REFERENCE_CELLS};
 
 /// Parameters for one tournament run.
 #[derive(Clone, Debug)]
@@ -57,13 +57,10 @@ impl TournamentOpts {
         }
     }
 
-    /// Restricts the matrix to the two reference cells (Cedar/Keyboard
-    /// and GVX/Scroll) — the CI smoke slice.
+    /// Restricts the matrix to the [`REFERENCE_CELLS`] — the CI smoke
+    /// slice.
     pub fn reference_cells(mut self) -> TournamentOpts {
-        self.cells = vec![
-            (System::Cedar, Benchmark::Keyboard),
-            (System::Gvx, Benchmark::Scroll),
-        ];
+        self.cells = REFERENCE_CELLS.to_vec();
         self
     }
 }
@@ -77,8 +74,8 @@ pub struct TournamentEntry {
     pub benchmark: Benchmark,
     /// Which policy dispatched it.
     pub policy: PolicyKind,
-    /// The measurements, or the deadlock description when the cell did
-    /// not survive this policy.
+    /// The measurements, or the runner's description of the deadlock or
+    /// panic when the cell did not survive this policy.
     pub outcome: Result<BenchResult, String>,
     /// Where the Chrome trace landed, when one was requested.
     pub trace_path: Option<PathBuf>,
@@ -105,46 +102,6 @@ pub struct TournamentReport {
     pub entries: Vec<TournamentEntry>,
 }
 
-/// Runs one matrix cell under `policy` without panicking on deadlock —
-/// the tournament's per-entry unit. Mirrors
-/// [`workloads::run_benchmark_policy`] (2 s warm-up, then the window)
-/// but returns the deadlock as an error so a losing policy is reported
-/// instead of aborting the grid.
-pub fn run_cell(
-    system: System,
-    benchmark: Benchmark,
-    window: SimDuration,
-    seed: u64,
-    policy: PolicyKind,
-) -> Result<BenchResult, String> {
-    let mut sim = build_chaos_with(system, benchmark, seed, pcr::ChaosConfig::none(), |cfg| {
-        cfg.with_policy(policy)
-    });
-    let warmup = sim.run(RunLimit::For(secs(2)));
-    if warmup.deadlocked() {
-        return Err(format!("deadlocked during warm-up: {:?}", warmup.reason));
-    }
-    let start_stats = sim.stats().clone();
-    let start_alloc = sim.alloc_counters();
-    sim.set_sink(Box::new(trace::Collector::for_sim(&sim)));
-    let report = sim.run(RunLimit::For(window));
-    if report.deadlocked() {
-        return Err(format!(
-            "deadlocked during measurement: {:?}",
-            report.reason
-        ));
-    }
-    Ok(harvest(
-        &mut sim,
-        system,
-        benchmark,
-        &start_stats,
-        start_alloc,
-        report.elapsed,
-        report.hazards,
-    ))
-}
-
 /// Replays one `(cell, policy)` run with an event recorder attached and
 /// writes it as a Chrome trace-event file under `dir`. The sink does not
 /// influence scheduling, so the trace is byte-faithful to the measured
@@ -161,7 +118,7 @@ fn write_cell_trace(
         cfg.with_policy(policy)
     });
     sim.set_sink(Box::new(pcr::VecSink::default()));
-    let _ = sim.run(RunLimit::For(secs(2) + window));
+    let _ = sim.run(RunLimit::For(workloads::runner::WARMUP + window));
     let labels = trace::TraceLabels::from_sim(&sim);
     let events = trace::take_collector::<pcr::VecSink>(&mut sim)
         .expect("vec sink present")
@@ -180,47 +137,40 @@ fn write_cell_trace(
     Ok(path)
 }
 
-/// Runs the whole grid. Entries come back in grid order regardless of
-/// worker count.
+/// Runs the whole grid through [`run_jobs`], then replays each
+/// completed entry into `trace_dir` when one is set. Entries come back
+/// in grid order regardless of worker count.
 pub fn run_tournament(opts: &TournamentOpts) -> TournamentReport {
-    let jobs: Vec<(System, Benchmark, PolicyKind)> = opts
+    let jobs: Vec<Job> = opts
         .cells
         .iter()
         .flat_map(|&(sys, b)| opts.policies.iter().map(move |&p| (sys, b, p)))
         .collect();
+    let outcomes = run_jobs(&jobs, opts.window, opts.seed, opts.workers);
     let reporter = Reporter::new();
-    let (entries, _) = run_indexed(opts.workers.max(1), jobs.len(), |i| {
+    let (trace_paths, _) = run_indexed(opts.workers, jobs.len(), |i| {
         let (system, benchmark, policy) = jobs[i];
-        reporter.line(&format!(
-            "  tournament: {}/{benchmark:?} under {policy} ...",
-            system.name()
-        ));
-        let outcome = run_cell(system, benchmark, opts.window, opts.seed, policy);
-        let trace_path = match (&opts.trace_dir, &outcome) {
-            (Some(dir), Ok(_)) => {
-                match write_cell_trace(dir, system, benchmark, opts.window, opts.seed, policy) {
-                    Ok(p) => Some(p),
-                    Err(e) => {
-                        reporter.line(&format!("  tournament: trace export failed: {e}"));
-                        None
-                    }
-                }
-            }
-            _ => None,
-        };
-        TournamentEntry {
-            system,
-            benchmark,
-            policy,
-            outcome,
-            trace_path,
-        }
+        let dir = opts.trace_dir.as_deref().filter(|_| outcomes[i].is_ok())?;
+        write_cell_trace(dir, system, benchmark, opts.window, opts.seed, policy)
+            .map_err(|e| reporter.line(&format!("  tournament: trace export failed: {e}")))
+            .ok()
     });
+    let entries = jobs.into_iter().zip(outcomes).zip(trace_paths);
     TournamentReport {
         window: opts.window,
         seed: opts.seed,
         policies: opts.policies.clone(),
-        entries,
+        entries: entries
+            .map(
+                |(((system, benchmark, policy), outcome), trace_path)| TournamentEntry {
+                    system,
+                    benchmark,
+                    policy,
+                    outcome,
+                    trace_path,
+                },
+            )
+            .collect(),
     }
 }
 
@@ -395,18 +345,19 @@ impl TournamentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcr::secs;
 
     #[test]
     fn reference_slice_is_the_two_profile_cells() {
         let opts = TournamentOpts::new(secs(1), 1, 1).reference_cells();
-        assert_eq!(
-            opts.cells,
-            vec![
-                (System::Cedar, Benchmark::Keyboard),
-                (System::Gvx, Benchmark::Scroll)
-            ]
-        );
+        assert_eq!(opts.cells, REFERENCE_CELLS);
         assert_eq!(opts.policies, PolicyKind::ALL.to_vec());
+        // One cell per system, each a row of the matrix.
+        assert_eq!(
+            REFERENCE_CELLS.map(|(s, _)| s),
+            [System::Cedar, System::Gvx]
+        );
+        assert!(REFERENCE_CELLS.iter().all(|c| matrix().contains(c)));
     }
 
     #[test]
@@ -419,7 +370,7 @@ mod tests {
                 system: System::Cedar,
                 benchmark: Benchmark::Idle,
                 policy: PolicyKind::RoundRobin,
-                outcome: Err("deadlocked during warm-up: ...".to_string()),
+                outcome: Err("world deadlocked during warm-up: ...".to_string()),
                 trace_path: None,
             }],
         };

@@ -187,6 +187,80 @@ fn trace_to_an_unwritable_path_is_an_io_error_not_a_panic() {
     std::fs::remove_dir_all(fuzz_out).ok();
 }
 
+/// Every command that measures a matrix cell runs it through the one
+/// runner under `--policy`: `rr` is the flagless run, byte for byte, and
+/// a reference cell's `cfs` profile in `tables` is the tournament's.
+#[test]
+fn tables_obey_the_policy_and_measure_a_cell_as_the_tournament_does() {
+    use trace::Json;
+    let written = |args: &[&str]| {
+        let path = temp(&args.join("-"));
+        let mut args = args.to_vec();
+        args.extend(["--window", "2", "--json", &path]);
+        let (code, _, stderr) = run(&args);
+        assert_eq!(code, Some(0), "{args:?} stderr:\n{stderr}");
+        let text = std::fs::read_to_string(&path).expect("the --json file");
+        std::fs::remove_file(&path).ok();
+        text
+    };
+    let flagless = written(&["tables"]);
+    let rr = written(&["tables", "--policy", "rr"]);
+    assert!(rr == flagless, "tables --policy rr is not the flagless run");
+    let cfs = Json::parse(&written(&["tables", "--policy", "cfs"])).expect("tables JSON");
+    let tournament = written(&["tournament", "--reference"]);
+    let tournament = Json::parse(&tournament).expect("tournament JSON");
+    let rows = cfs
+        .get("benchmarks")
+        .and_then(Json::as_array)
+        .expect("rows");
+    let cells = tournament
+        .get("cells")
+        .and_then(Json::as_array)
+        .expect("cells");
+    assert_eq!(cells.len(), 2);
+    for cell in cells {
+        let (system, benchmark) = (cell.get("system"), cell.get("benchmark"));
+        let label = format!("{system:?}/{benchmark:?}");
+        let entries = cell.get("policies").and_then(Json::as_array).expect(&label);
+        let profile = |policy: &str| {
+            let entry = entries.iter().find(|e| e.str_at("policy") == Ok(policy));
+            entry.and_then(|e| e.get("profile")).expect(&label)
+        };
+        let row = rows
+            .iter()
+            .find(|r| r.get("system") == system && r.get("benchmark") == benchmark)
+            .expect(&label);
+        assert!(profile("cfs") != profile("rr"), "{label}: cfs is rr");
+        assert!(row.get("profile") == Some(profile("cfs")), "{label}");
+    }
+}
+
+/// `contention` prints the reference-cell blocks of `tables`, at the same
+/// seed, window and policy; it and `history` obey `--policy`.
+#[test]
+fn contention_is_the_reference_blocks_of_tables_under_every_policy() {
+    let stdout = |args: &[&str]| {
+        let (code, stdout, stderr) = run(args);
+        assert_eq!(code, Some(0), "{args:?} stderr:\n{stderr}");
+        stdout
+    };
+    let mut outputs = Vec::new();
+    for policy in [&[][..], &["--policy", "cfs"]] {
+        let with = |cmd: &str| stdout(&[&[cmd][..], policy].concat());
+        let (tables, contention) = (with("tables"), with("contention"));
+        for block in ["== Keyboard input ==", "== Window scrolling =="] {
+            assert!(contention.contains(block), "{policy:?}:\n{contention}");
+        }
+        assert!(
+            tables.ends_with(&contention),
+            "{policy:?}: contention is not the tail of tables:\n{contention}"
+        );
+        outputs.push((contention, with("history")));
+    }
+    assert!(outputs[0].0 != outputs[1].0, "contention ignores --policy");
+    assert!(outputs[0].1 != outputs[1].1, "history ignores --policy");
+}
+
 #[test]
 fn help_documents_the_exit_codes() {
     let stdout = run(&["help"]).1;

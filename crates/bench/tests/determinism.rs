@@ -5,13 +5,14 @@
 //! byte, or failure signature.
 
 use bench::executor::run_indexed;
-use bench::tables::{json_summary, run_all_with_workers, table1, table2, table3};
+use bench::tables::{
+    json_summary, matrix, run_all_with_workers, table1, table2, table3, REFERENCE_CELLS,
+};
 use bench::tournament::{run_tournament, TournamentOpts};
 use pcr::{secs, ChaosConfig, PolicyKind};
 use resilience::{fuzz, fuzz_with, observe, FuzzConfig, FuzzOutcome, Observation, TrialSpec};
 use workloads::{
-    chaos_preset, run_benchmark, run_benchmark_chaos, run_benchmark_policy, BenchResult, Benchmark,
-    System,
+    chaos_preset, run_benchmark, run_benchmark_chaos, run_benchmark_policy, BenchResult,
 };
 
 fn table_text(results: &[BenchResult]) -> String {
@@ -31,11 +32,15 @@ fn worker_counts_cannot_change_matrix_results() {
     let max = bench::tables::workers_available().max(3);
     let worker_counts = [2, max];
     for seed in [0xCEDA_2026u64, 0xBEEF, 0x5EED_0003] {
-        let serial = run_all_with_workers(secs(1), seed, 1);
+        let run = |workers| {
+            let rr = PolicyKind::RoundRobin;
+            run_all_with_workers(&matrix(), rr, secs(1), seed, workers).expect("every cell runs")
+        };
+        let serial = run(1);
         let serial_tables = table_text(&serial);
         let serial_json = json_summary(&serial).pretty();
         for &workers in &worker_counts {
-            let parallel = run_all_with_workers(secs(1), seed, workers);
+            let parallel = run(workers);
             assert_eq!(serial.len(), parallel.len());
             for (a, b) in serial.iter().zip(&parallel) {
                 let label = format!(
@@ -123,10 +128,7 @@ fn explicit_round_robin_matches_the_default_scheduler() {
     // Any drift shows up as a differing counter or histogram bucket in
     // the full result debug rendering.
     for seed in [0xCEDA_2026u64, 0xBEEF, 0x5EED_0003] {
-        for (sys, b) in [
-            (System::Cedar, Benchmark::Keyboard),
-            (System::Gvx, Benchmark::Scroll),
-        ] {
+        for (sys, b) in REFERENCE_CELLS {
             let default = run_benchmark(sys, b, secs(2), seed);
             let explicit = run_benchmark_policy(sys, b, secs(2), seed, PolicyKind::RoundRobin);
             assert_eq!(
@@ -174,10 +176,7 @@ fn tournament_reference_slice_is_complete_and_deadlock_free() {
 fn chaos_cells_are_identical_under_concurrency() {
     // Chaos injection draws from a per-sim RNG; running two chaos worlds
     // on concurrent OS threads must not perturb either one's stream.
-    let cells = [
-        (System::Cedar, Benchmark::Keyboard),
-        (System::Gvx, Benchmark::Scroll),
-    ];
+    let cells = REFERENCE_CELLS;
     let serial: Vec<BenchResult> = cells
         .iter()
         .map(|&(sys, b)| run_benchmark_chaos(sys, b, secs(2), 0xCEDA_2026, chaos_preset()))

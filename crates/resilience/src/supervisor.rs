@@ -283,13 +283,16 @@ fn pull_lever(
 /// A supervised benchmark run with its degradation score.
 #[derive(Debug)]
 pub struct SupervisedBench {
-    /// The harvested measurements of the final attempt, with
-    /// [`BenchResult::degradation`] filled in.
+    /// The harvested measurements of the final attempt.
     pub result: BenchResult,
     /// The supervisor's log.
     pub supervision: Supervision,
     /// Event volume of the clean comparison run.
     pub clean_volume: u64,
+    /// Event volume achieved across every attempt divided by
+    /// [`SupervisedBench::clean_volume`], capped at 1: 1.0 is no
+    /// degradation, 0.0 nothing completed.
+    pub degradation: f64,
 }
 
 /// Runs the matrix cell `spec` names under `chaos`, with its seed,
@@ -344,7 +347,7 @@ pub fn supervise_benchmark(
         cfg,
     );
     let hazards = sim.hazards().map(|h| h.counts()).unwrap_or_default();
-    let mut result = harvest(
+    let result = harvest(
         &mut sim,
         system,
         benchmark,
@@ -353,15 +356,16 @@ pub fn supervise_benchmark(
         supervision.final_elapsed,
         hazards,
     );
-    result.degradation = Some(if clean_volume == 0 {
+    let degradation = if clean_volume == 0 {
         1.0
     } else {
         (supervision.total_volume as f64 / clean_volume as f64).min(1.0)
-    });
+    };
     SupervisedBench {
         result,
         supervision,
         clean_volume,
+        degradation,
     }
 }
 

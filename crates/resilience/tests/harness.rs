@@ -229,7 +229,7 @@ fn supervisor_recovers_cedar_from_a_fork_outage() {
         "expected the §5.4 lever in {:?}",
         sup.supervision.actions
     );
-    let degradation = sup.result.degradation.expect("degradation score");
+    let degradation = sup.degradation;
     assert!(
         degradation > 0.0 && degradation <= 1.0,
         "degradation = {degradation}"
@@ -258,7 +258,7 @@ fn supervisor_rejuvenates_gvx_out_of_a_gated_stall() {
         sup.supervision.healthy_at_end,
         "one-shot stall recovered: the world should finish healthy"
     );
-    let degradation = sup.result.degradation.expect("degradation score");
+    let degradation = sup.degradation;
     assert!(degradation > 0.0, "degradation = {degradation}");
 }
 

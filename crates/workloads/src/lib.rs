@@ -5,10 +5,11 @@
 //! product), as parameterized populations of threads on the [`pcr`]
 //! runtime whose paradigm mix, blocking structure, priorities, and event
 //! rates are calibrated to the paper's §3. Each of the paper's twelve
-//! benchmark rows (eight Cedar + four GVX) is a [`spec::Benchmark`] run
-//! through [`runner::run_benchmark`], which returns the measurements of
-//! Tables 1–3 plus the in-text distributions (execution intervals, fork
-//! genealogy, CPU by priority).
+//! benchmark rows (eight Cedar + four GVX) is a [`spec::Benchmark`]
+//! measured by [`runner::run_benchmark_with`], which returns the
+//! measurements of Tables 1–3 plus the in-text distributions (execution
+//! intervals, fork genealogy, CPU by priority), or an error naming a
+//! deadlock or panicked threads.
 //!
 //! [`inventory::census`] carries the Table 4 fork-site census as data,
 //! cross-checked against the dynamic models.
@@ -21,13 +22,11 @@ pub mod gvx;
 pub mod inventory;
 pub mod runner;
 pub mod serve;
-pub mod session;
 pub mod spec;
 pub mod world;
 
 pub use runner::{
-    build_chaos, build_chaos_with, chaos_preset, eternal_thread_count, harvest, probe,
-    run_benchmark, run_benchmark_chaos, run_benchmark_policy, run_benchmark_with, BenchResult,
-    DEFAULT_WINDOW,
+    build_chaos_with, chaos_preset, eternal_thread_count, harvest, probe, run_benchmark,
+    run_benchmark_chaos, run_benchmark_policy, run_benchmark_with, BenchResult, DEFAULT_WINDOW,
 };
 pub use spec::{paper_row, Benchmark, PaperRow, System};

@@ -52,19 +52,18 @@ pub struct BenchResult {
     /// window. At steady state the `*_allocs` components should be near
     /// zero: the warm-up populates the pools and the window reuses them.
     pub alloc: AllocCounters,
-    /// Degradation score under supervised fault load: event volume
-    /// achieved across every attempt divided by a clean same-cell run's
-    /// volume (1.0 ≈ no degradation, 0.0 ≈ nothing completed). `None`
-    /// for ordinary unsupervised runs.
-    pub degradation: Option<f64>,
 }
 
 /// Default virtual measurement window.
 pub const DEFAULT_WINDOW: SimDuration = secs(30);
 
+/// Virtual warm-up before every measurement window: queues and sleepers
+/// reach steady state, and none of it counts toward the rates.
+pub const WARMUP: SimDuration = secs(2);
+
 /// Builds the world for `(system, benchmark)` in a fresh simulator.
 pub fn build(system: System, benchmark: Benchmark, seed: u64) -> Sim {
-    build_chaos(system, benchmark, seed, ChaosConfig::none())
+    build_chaos_with(system, benchmark, seed, ChaosConfig::none(), |cfg| cfg)
 }
 
 /// The fault mix used for chaos-mode benchmark runs: spurious CV
@@ -81,15 +80,11 @@ pub fn chaos_preset() -> ChaosConfig {
 }
 
 /// Builds the world for `(system, benchmark)` with fault injection per
-/// `chaos` and hazard detection enabled whenever injection is active.
-pub fn build_chaos(system: System, benchmark: Benchmark, seed: u64, chaos: ChaosConfig) -> Sim {
-    build_chaos_with(system, benchmark, seed, chaos, |cfg| cfg)
-}
-
-/// Like [`build_chaos`], but lets `tweak` adjust the assembled
-/// [`SimConfig`] before the world is installed — the hook the resilience
-/// harness uses to cap the thread table or change fork policy without
-/// duplicating the per-system daemon tuning here.
+/// `chaos`, hazard detection enabled whenever injection is active, and
+/// `tweak` adjusting the assembled [`SimConfig`] before the world is
+/// installed — the hook that picks the scheduling policy, or caps the
+/// thread table for the resilience harness, without duplicating the
+/// per-system daemon tuning here.
 pub fn build_chaos_with(
     system: System,
     benchmark: Benchmark,
@@ -125,13 +120,13 @@ pub fn build_chaos_with(
     sim
 }
 
-/// Runs one benchmark for `window` of virtual time (plus a 2-second
-/// warm-up that is excluded from the rates) and returns the
+/// Runs one benchmark for `window` of virtual time (after the
+/// [`WARMUP`], which is excluded from the rates) and returns the
 /// measurements.
 ///
 /// # Panics
 ///
-/// Panics if the world deadlocks.
+/// Panics if the world deadlocks or its threads panic.
 pub fn run_benchmark(
     system: System,
     benchmark: Benchmark,
@@ -142,12 +137,12 @@ pub fn run_benchmark(
 }
 
 /// Like [`run_benchmark`], but dispatching with `policy` instead of the
-/// default round-robin — the per-cell unit of the policy tournament.
+/// default round-robin.
 ///
 /// # Panics
 ///
-/// Panics if the world deadlocks under the chosen policy (which the
-/// tournament treats as that policy losing the cell).
+/// Panics if the world deadlocks under the chosen policy or its threads
+/// panic.
 pub fn run_benchmark_policy(
     system: System,
     benchmark: Benchmark,
@@ -155,14 +150,15 @@ pub fn run_benchmark_policy(
     seed: u64,
     policy: pcr::PolicyKind,
 ) -> BenchResult {
-    run_benchmark_with(
+    let run = run_benchmark_with(
         system,
         benchmark,
         window,
         seed,
         ChaosConfig::none(),
         |cfg| cfg.with_policy(policy),
-    )
+    );
+    run.unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Like [`run_benchmark`], but with fault injection per `chaos` and the
@@ -173,7 +169,7 @@ pub fn run_benchmark_policy(
 ///
 /// Panics if the world deadlocks — which an aggressive `chaos` (dropped
 /// notifies, fork failures) can legitimately cause; [`chaos_preset`]
-/// stays within what the worlds tolerate.
+/// stays within what the worlds tolerate — or its threads panic.
 pub fn run_benchmark_chaos(
     system: System,
     benchmark: Benchmark,
@@ -181,16 +177,22 @@ pub fn run_benchmark_chaos(
     seed: u64,
     chaos: ChaosConfig,
 ) -> BenchResult {
-    run_benchmark_with(system, benchmark, window, seed, chaos, |cfg| cfg)
+    let run = run_benchmark_with(system, benchmark, window, seed, chaos, |cfg| cfg);
+    run.unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// The general benchmark runner: fault injection per `chaos` plus an
-/// arbitrary [`SimConfig`] `tweak` (scheduling policy, thread caps, …)
-/// applied before the world is installed.
+/// The benchmark runner: builds the world with fault injection per
+/// `chaos` and an arbitrary [`SimConfig`] `tweak` (scheduling policy,
+/// thread caps, …), runs the [`WARMUP`], snapshots the counters,
+/// installs a [`Collector`], runs `window` and [`harvest`]s it. Every
+/// other runner, and every command that measures a matrix cell, comes
+/// through here.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the world deadlocks.
+/// A world that deadlocks (naming the phase: warm-up or measurement),
+/// or whose threads panicked (naming them), is an `Err` describing it,
+/// so a driver over many cells can report a failed one and go on.
 pub fn run_benchmark_with(
     system: System,
     benchmark: Benchmark,
@@ -198,30 +200,37 @@ pub fn run_benchmark_with(
     seed: u64,
     chaos: ChaosConfig,
     tweak: impl FnOnce(SimConfig) -> SimConfig,
-) -> BenchResult {
+) -> Result<BenchResult, String> {
     let mut sim = build_chaos_with(system, benchmark, seed, chaos, tweak);
-    // Warm-up: let queues and sleepers reach steady state.
-    let warmup = sim.run(RunLimit::For(secs(2)));
-    assert!(
-        !warmup.deadlocked(),
-        "world deadlocked during warm-up: {:?}",
-        warmup.reason
-    );
+    let warmup = sim.run(RunLimit::For(WARMUP));
+    if warmup.deadlocked() {
+        return Err(format!(
+            "world deadlocked during warm-up: {:?}",
+            warmup.reason
+        ));
+    }
     let start_stats = sim.stats().clone();
     let start_alloc = sim.alloc_counters();
     sim.set_sink(Box::new(Collector::for_sim(&sim)));
     let report = sim.run(RunLimit::For(window));
-    assert!(
-        !report.deadlocked(),
-        "world deadlocked during measurement: {:?}",
-        report.reason
-    );
-    let end_stats = sim.stats().clone();
-    assert_eq!(
-        end_stats.panics, 0,
-        "world threads panicked — the model is crippled"
-    );
-    harvest(
+    if report.deadlocked() {
+        return Err(format!(
+            "world deadlocked during measurement: {:?}",
+            report.reason
+        ));
+    }
+    if sim.stats().panics > 0 {
+        let names: Vec<&str> = sim
+            .threads_iter()
+            .filter(|t| t.panicked)
+            .map(|t| t.name)
+            .collect();
+        return Err(format!(
+            "world threads panicked — the model is crippled: {}",
+            names.join(", ")
+        ));
+    }
+    Ok(harvest(
         &mut sim,
         system,
         benchmark,
@@ -229,13 +238,13 @@ pub fn run_benchmark_with(
         start_alloc,
         report.elapsed,
         report.hazards,
-    )
+    ))
 }
 
 /// Assembles a [`BenchResult`] from a simulator whose measurement window
 /// just finished: takes the installed [`Collector`] out of `sim` and
 /// computes every rate as the delta from `start_stats` over `elapsed`.
-/// Shared by [`run_benchmark_chaos`] and the resilience supervisor
+/// Shared by [`run_benchmark_with`] and the resilience supervisor
 /// (which measures the final attempt of a supervised run this way).
 pub fn harvest(
     sim: &mut Sim,
@@ -271,7 +280,6 @@ pub fn harvest(
             .window_since(&start_stats.sched_latency),
         contention: collector.contention.rows(),
         alloc: sim.alloc_counters().since(start_alloc),
-        degradation: None,
     }
 }
 
@@ -386,6 +394,26 @@ mod tests {
             "same seed + same chaos must replay identically"
         );
         assert_eq!(a.max_live_threads, b.max_live_threads);
+    }
+
+    #[test]
+    fn a_crippled_world_is_an_error_naming_its_panicked_threads() {
+        // Every fork fails: the Cedar typing world's X writer panics on
+        // a failed fork and the rest of the world runs on without it.
+        let chaos = ChaosConfig::none().fail_forks(1.0);
+        let cell = (System::Cedar, Benchmark::Keyboard, secs(5), 0xC0FFEE);
+        let (system, benchmark, window, seed) = cell;
+        let err = run_benchmark_with(system, benchmark, window, seed, chaos.clone(), |c| c)
+            .expect_err("a world with panicked threads must not be measured");
+        let crippled = "world threads panicked — the model is crippled";
+        assert_eq!(err, format!("{crippled}: Cedar.XServerWriter"));
+        // The panicking runners keep their message.
+        let panic = std::panic::catch_unwind(|| {
+            run_benchmark_chaos(system, benchmark, window, seed, chaos)
+        })
+        .expect_err("run_benchmark_chaos must panic");
+        let msg = panic.downcast_ref::<String>().expect("a formatted panic");
+        assert!(msg.starts_with(crippled), "{msg}");
     }
 
     #[test]

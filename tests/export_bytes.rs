@@ -7,7 +7,7 @@
 
 use threadstudy::pcr::{secs, ChaosConfig, Event, RunLimit, VecSink};
 use threadstudy::trace::{take_collector, write_chrome, write_jsonl, Json, TraceLabels};
-use threadstudy::workloads::{build_chaos, chaos_preset, Benchmark, System};
+use threadstudy::workloads::{build_chaos_with, chaos_preset, Benchmark, System};
 
 /// 64-bit FNV-1a, the hash `benchmark/` uses for its digests.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -19,7 +19,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Cedar/Keyboard for one virtual second under `chaos`: the recorded
 /// events and the names to export them with.
 fn record(chaos: ChaosConfig) -> (Vec<Event>, TraceLabels) {
-    let mut sim = build_chaos(System::Cedar, Benchmark::Keyboard, 0x5EED_0015, chaos);
+    let mut sim = build_chaos_with(
+        System::Cedar,
+        Benchmark::Keyboard,
+        0x5EED_0015,
+        chaos,
+        |c| c,
+    );
     sim.set_sink(Box::new(VecSink::default()));
     assert!(!sim.run(RunLimit::For(secs(1))).deadlocked());
     let labels = TraceLabels::from_sim(&sim);
