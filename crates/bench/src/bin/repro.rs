@@ -4,8 +4,8 @@
 //!
 //! Exit codes are unified in [`bench::exit`]: 0 success, 1 hazards or
 //! replay divergence, 2 usage, 3 deadlock/wedge, 4 diff deltas, 5
-//! regression or non-reproducing case, 6 file I/O, 7 new fuzz failure
-//! signature, 8 serve SLO breach. When several conditions accumulate,
+//! regression or non-reproducing case, 6 file I/O, 7 unexplained fuzz
+//! failure, 8 serve SLO breach. When several conditions accumulate,
 //! the largest code wins.
 
 use std::fs::File;
@@ -53,9 +53,8 @@ commands:
                              recovery actions + degradation score; the
                              §6.2 metalock-inversion cell must resolve
                              via donation/priority boost, restart-free
-  fuzz     [--budget N] [--workload SYS/BENCH] [--out DIR] [--shrink]
-           [--expect FILE] [--window SECS] [--guided] [--compare-grid]
-           [--wall-budget-ms MS] [--stats PATH]
+  fuzz     [--budget N] [--workload SYS/BENCH] [--out DIR] [--window SECS]
+           [--guided [--compare-grid]] [--wall-budget-ms MS] [--stats PATH]
                              chaos-schedule fuzzing: sweep seeds and
                              intensity grids over the benchmark matrix
                              plus the multiprocessor and weak-memory
@@ -70,9 +69,8 @@ commands:
                              fewer signatures; --wall-budget-ms caps
                              each sweep's wall clock; --stats writes a
                              JSON artifact with signatures/cpu-minute;
-                             --shrink minimizes each stored case;
-                             --expect FILE exits 7 on any signature
-                             missing from FILE
+                             a failure whose cause is unexplained prints
+                             its wait-for graph and exits 7
   shrink   FILE [--max-replays N]
                              delta-debug a stored failing schedule to a
                              locally minimal one with the same failure
@@ -148,8 +146,8 @@ global options:
                  digits, max 16, 0x prefix and _ separators allowed
   --workers N    worker threads for the matrix/fuzz executor (default:
                  all hardware threads); results are identical at every
-                 worker count, only wall-clock time changes; 1 runs
-                 one cell at a time on the calling thread
+                 worker count unless --wall-budget-ms cuts a fuzz sweep
+                 short; 1 runs one cell at a time on the calling thread
   --policy P     scheduling policy for the simulated worlds: rr (the
                  paper's 7-priority round-robin, default), cfs, lottery,
                  or mlfq; honored by tables, figures, markdown, all,
@@ -448,6 +446,10 @@ fn main() {
             );
         }
         "chaos" => code = chaos(window, seed, policy),
+        "fuzz" if has("--compare-grid") && !has("--guided") => {
+            eprintln!("bad --compare-grid: it needs --guided");
+            std::process::exit(exit::USAGE);
+        }
         "fuzz" => {
             let opts = bench::resilience_cli::FuzzOpts {
                 budget: count32("--budget").unwrap_or(64),
@@ -456,8 +458,6 @@ fn main() {
                 out_dir: flag_value("--out")
                     .unwrap_or_else(|| "target/fuzz".to_string())
                     .into(),
-                shrink: has("--shrink"),
-                expect: flag_value("--expect").map(Into::into),
                 window_secs: count("--window"),
                 guided: has("--guided"),
                 compare_grid: has("--compare-grid"),

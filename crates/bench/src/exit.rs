@@ -22,8 +22,8 @@ pub const DIFF_DELTA: i32 = 4;
 pub const REGRESSION: i32 = 5;
 /// A file could not be read, written, or parsed.
 pub const IO: i32 = 6;
-/// The fuzzer found a failure signature not in the expected set.
-pub const NEW_FAILURE: i32 = 7;
+/// The fuzzer found a failure that no injected fault or seeded world explains.
+pub const UNEXPLAINED: i32 = 7;
 /// A serve run missed one of its input-to-echo latency SLO gates.
 pub const SLO_BREACH: i32 = 8;
 
@@ -58,7 +58,7 @@ exit codes:
   4  diff deltas beyond threshold
   5  regression vs baseline, or stored failure no longer reproduces
   6  file I/O or parse error
-  7  fuzzer found a failure signature missing from --expect
+  7  fuzzer found a failure with an unexplained cause
   8  serve run breached an input-to-echo SLO gate";
 
 #[cfg(test)]
@@ -75,7 +75,7 @@ mod tests {
             DIFF_DELTA,
             REGRESSION,
             IO,
-            NEW_FAILURE,
+            UNEXPLAINED,
             SLO_BREACH,
         ];
         let mut dedup = codes.to_vec();
@@ -87,7 +87,7 @@ mod tests {
     #[test]
     fn worst_keeps_the_maximum() {
         assert_eq!(worst(OK, DEADLOCK), DEADLOCK);
-        assert_eq!(worst(NEW_FAILURE, HAZARD), NEW_FAILURE);
+        assert_eq!(worst(UNEXPLAINED, HAZARD), UNEXPLAINED);
         assert_eq!(worst(OK, OK), OK);
     }
 
@@ -101,7 +101,7 @@ mod tests {
             DIFF_DELTA,
             REGRESSION,
             IO,
-            NEW_FAILURE,
+            UNEXPLAINED,
             SLO_BREACH,
         ] {
             assert!(

@@ -5,15 +5,15 @@
 //! Each function returns an exit code from [`crate::exit`]; `main`
 //! accumulates the worst one.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use pcr::{secs, ChaosConfig};
 use resilience::{
-    benchmark_from_name, fuzz_with, guided_fuzz, ladder, observe, replay, shrink,
+    benchmark_from_name, cause, fuzz_with, guided_fuzz, ladder, observe, replay, shrink,
     signatures_per_cpu_minute, supervise, supervise_benchmark, system_from_name,
-    unsupervised_wedges, FoundCase, FuzzConfig, MutationDiscovery, Observation, RecoveryKind,
-    ShrinkConfig, StoredCase, Supervision, SupervisorConfig, TrialSpec, TrialWorld,
+    unsupervised_wedges, Cause, FoundCase, FuzzConfig, MutationDiscovery, Observation,
+    RecoveryKind, ShrinkConfig, StoredCase, Supervision, SupervisorConfig, TrialSpec, TrialWorld,
 };
 use threadstudy_core::System;
 use trace::Table;
@@ -43,11 +43,6 @@ pub struct FuzzOpts {
     pub workload: Option<(System, Benchmark)>,
     /// Where to store failing cases.
     pub out_dir: PathBuf,
-    /// Shrink each unique case before storing it.
-    pub shrink: bool,
-    /// Path to a file of known signatures; unknown ones exit
-    /// [`exit::NEW_FAILURE`].
-    pub expect: Option<PathBuf>,
     /// Per-trial window override (seconds).
     pub window_secs: Option<u64>,
     /// Run the coverage-guided fuzzer instead of the plain grid.
@@ -59,8 +54,8 @@ pub struct FuzzOpts {
     pub wall_budget_ms: Option<u64>,
     /// Write a JSON stats artifact (signatures per CPU-minute etc.).
     pub stats: Option<PathBuf>,
-    /// Worker threads for grid sweeps (1 = serial). Signatures are
-    /// identical at every worker count; only wall-clock time changes.
+    /// Worker threads for grid sweeps (1 = serial). Signatures are the same
+    /// at every worker count unless `wall_budget_ms` cuts the sweep short.
     /// The guided fuzzer is inherently sequential (each mutation depends
     /// on earlier outcomes) and ignores this.
     pub workers: usize,
@@ -69,8 +64,8 @@ pub struct FuzzOpts {
 }
 
 /// `repro fuzz`: sweep the chaos grid (or, with `--guided`, run the
-/// coverage-guided mutation search), store unique failures, and compare
-/// against the expected-signature set.
+/// coverage-guided mutation search), store unique failures, and work out
+/// each one's cause: an unexplained one exits [`exit::UNEXPLAINED`].
 pub fn fuzz_cmd(opts: &FuzzOpts) -> i32 {
     let mut cfg = FuzzConfig {
         budget: opts.budget,
@@ -107,15 +102,15 @@ pub fn fuzz_cmd(opts: &FuzzOpts) -> i32 {
             (o.trials, o.failures, o.cases, Vec::new())
         };
     let wall = started.elapsed();
-    let per_minute = signatures_per_cpu_minute(cases.len(), wall);
+    let fuzz_workers = if opts.guided { 1 } else { workers };
+    let per_minute = signatures_per_cpu_minute(cases.len(), wall, fuzz_workers);
     println!(
-        "fuzz[{mode}]: {} trial(s), {} failure(s), {} unique signature(s) in {:.1}s ({:.1} signatures/cpu-minute, {} worker(s))",
+        "fuzz[{mode}]: {} trial(s), {} failure(s), {} unique signature(s) in {:.1}s ({:.1} signatures/cpu-minute, {fuzz_workers} worker(s))",
         trials,
         failures,
         cases.len(),
         wall.as_secs_f64(),
         per_minute,
-        if opts.guided { 1 } else { workers }
     );
     for d in &discoveries {
         println!(
@@ -129,25 +124,16 @@ pub fn fuzz_cmd(opts: &FuzzOpts) -> i32 {
         &[
             "signature",
             "count",
+            "cause",
             "cell",
             "intensity",
             "decisions",
             "file",
         ],
     );
-    for found in &cases {
-        let mut case = found.case.clone();
-        if opts.shrink {
-            match shrink(&case, &ShrinkConfig::default(), |line| {
-                eprintln!("  {line}")
-            }) {
-                Ok(report) => case = report.case,
-                Err(e) => {
-                    eprintln!("FAIL fuzz: shrink of {}: {e}", case.signature);
-                    code = exit::worst(code, exit::REGRESSION);
-                }
-            }
-        }
+    let causes: Vec<Cause> = cases.iter().map(|found| cause(&found.case)).collect();
+    for (found, cause) in cases.iter().zip(&causes) {
+        let case = &found.case;
         let path = match case.save(&opts.out_dir) {
             Ok(p) => p,
             Err(e) => {
@@ -158,6 +144,7 @@ pub fn fuzz_cmd(opts: &FuzzOpts) -> i32 {
         table.row(vec![
             case.signature.clone(),
             found.count.to_string(),
+            cause.to_string(),
             case.spec.world.label(),
             case.intensity.clone(),
             case.schedule.decisions.len().to_string(),
@@ -167,12 +154,20 @@ pub fn fuzz_cmd(opts: &FuzzOpts) -> i32 {
     if !table.is_empty() {
         println!("{}", table.to_text());
     }
+    let mut per_cause = BTreeMap::<String, u64>::new();
+    for (found, cause) in cases.iter().zip(&causes) {
+        *per_cause.entry(cause.to_string()).or_default() += 1;
+        if *cause == Cause::Unexplained {
+            eprintln!("FAIL fuzz: unexplained failure {}", found.case.signature);
+            let detail = replay(&found.case).failure.map(|f| f.detail);
+            println!("{}", detail.unwrap_or_default());
+            code = exit::worst(code, exit::UNEXPLAINED);
+        }
+    }
+    let per_cause = trace::Json::Obj(per_cause.into_iter().map(|(c, n)| (c, n.into())).collect());
     let mut stats_fields = vec![
         ("mode", trace::Json::Str(mode.to_string())),
-        (
-            "workers",
-            trace::Json::UInt(if opts.guided { 1 } else { workers as u64 }),
-        ),
+        ("workers", trace::Json::UInt(fuzz_workers as u64)),
         ("trials", trace::Json::UInt(u64::from(trials))),
         ("failures", trace::Json::UInt(u64::from(failures))),
         ("distinct_signatures", trace::Json::UInt(cases.len() as u64)),
@@ -190,12 +185,13 @@ pub fn fuzz_cmd(opts: &FuzzOpts) -> i32 {
                     .map(|c| trace::Json::Str(c.case.signature.clone())),
             ),
         ),
+        ("causes", per_cause),
     ];
     if opts.compare_grid {
         let grid_started = std::time::Instant::now();
         let grid = fuzz_with(&cfg, |line| eprintln!("{line}"), workers, &mut grid_runner);
         let grid_wall = grid_started.elapsed();
-        let grid_per_minute = signatures_per_cpu_minute(grid.cases.len(), grid_wall);
+        let grid_per_minute = signatures_per_cpu_minute(grid.cases.len(), grid_wall, workers);
         println!(
             "fuzz[grid comparison]: {} trial(s), {} unique signature(s) in {:.1}s ({:.1} signatures/cpu-minute)",
             grid.trials,
@@ -230,36 +226,6 @@ pub fn fuzz_cmd(opts: &FuzzOpts) -> i32 {
     if let Some(stats_path) = &opts.stats {
         let doc = trace::Json::obj(stats_fields);
         code = exit::worst(code, exit::write(stats_path, doc.pretty() + "\n"));
-    }
-    if let Some(expect) = &opts.expect {
-        let known = match std::fs::read_to_string(expect) {
-            Ok(text) => text
-                .lines()
-                .map(str::trim)
-                .filter(|l| !l.is_empty() && !l.starts_with('#'))
-                .map(str::to_string)
-                .collect::<BTreeSet<String>>(),
-            Err(e) => {
-                eprintln!("FAIL fuzz: cannot read {}: {e}", expect.display());
-                return exit::worst(code, exit::IO);
-            }
-        };
-        let mut new = 0;
-        for found in &cases {
-            if !known.contains(&found.case.signature) {
-                eprintln!("FAIL fuzz: new failure signature: {}", found.case.signature);
-                new += 1;
-            }
-        }
-        if new > 0 {
-            code = exit::worst(code, exit::NEW_FAILURE);
-        } else {
-            println!(
-                "all {} signature(s) already in {}",
-                cases.len(),
-                expect.display()
-            );
-        }
     }
     code
 }

@@ -265,7 +265,7 @@ fn contention_is_the_reference_blocks_of_tables_under_every_policy() {
 fn help_documents_the_exit_codes() {
     let stdout = run(&["help"]).1;
     assert!(stdout.contains("exit codes:"), "{stdout}");
-    for needle in ["diff deltas", "deadlock or wedge", "--expect"] {
+    for needle in ["diff deltas", "deadlock or wedge", "unexplained cause"] {
         assert!(stdout.contains(needle), "missing {needle:?}:\n{stdout}");
     }
 }
@@ -324,6 +324,7 @@ fn bad_counts_are_rejected_with_an_explanation() {
         (&["tables", "--window"][..], "expected a value"),
         // A flag the command's own USAGE block does not name.
         (&["fuzz", "--gudied"][..], "repro fuzz does not take it"),
+        (&["fuzz", "--compare-grid"][..], "needs --guided"),
         (&["e17", "--window", "1"][..], "repro e17 does not take it"),
     ] {
         let (code, _, stderr) = run(args);
@@ -497,6 +498,7 @@ fn fuzz_shrink_replay_round_trip() {
     let (code, stdout, stderr) = run(&[&fuzz[..], &["--out", dir]].concat());
     assert_eq!(code, Some(0), "fuzz failed:\n{stdout}\n{stderr}");
     assert!(stdout.contains("1 unique signature(s)"), "{stdout}");
+    assert!(stdout.contains("fork-cap  Cedar/Keyboard"), "{stdout}");
     let case_file = StoredCase::corpus(Path::new(dir)).expect("fuzz out dir")[0].clone();
     let case = StoredCase::load(&case_file).expect("a stored case");
     let signature = case.signature;
@@ -526,16 +528,6 @@ fn fuzz_shrink_replay_round_trip() {
     assert_eq!(code, Some(0), "replay failed:\n{}", stdout);
     assert!(stdout.contains("signature reproduced"), "{}", stdout);
 
-    // The expected-signature gate: a matching file passes, a bogus one
-    // exits with the new-failure code.
-    let expect_ok = format!("{dir}/expected.txt");
-    std::fs::write(&expect_ok, format!("# known failures\n{signature}\n")).unwrap();
-    let expect_stale = format!("{dir}/stale.txt");
-    std::fs::write(&expect_stale, "wedge:[somebody-else(monitor)]\n").unwrap();
-    for (expect, want) in [(&expect_ok, Some(0)), (&expect_stale, Some(7))] {
-        let (code, _, stderr) = run(&[&fuzz[..], &["--out", dir, "--expect", expect]].concat());
-        assert_eq!(code, want, "expect file {expect:?}:\n{}", stderr);
-    }
     std::fs::remove_dir_all(dir).ok();
 }
 

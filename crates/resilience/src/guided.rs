@@ -35,6 +35,7 @@
 //! fails if it ever stops doing so.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use pcr::{
     millis, ChaosConfig, FaultDecision, FaultSchedule, FaultSiteKind, Priority, SimTime,
@@ -409,9 +410,10 @@ pub fn guided_fuzz(cfg: &FuzzConfig, mut progress: impl FnMut(&str)) -> GuidedOu
     }
 }
 
-/// Distinct signatures per CPU-minute: the tracked coverage metric.
-pub fn signatures_per_cpu_minute(distinct: usize, wall: std::time::Duration) -> f64 {
-    let minutes = wall.as_secs_f64() / 60.0;
+/// Distinct signatures per CPU-minute of a sweep that ran on `workers`
+/// threads for `wall`: the tracked coverage metric.
+pub fn signatures_per_cpu_minute(distinct: usize, wall: Duration, workers: usize) -> f64 {
+    let minutes = wall.as_secs_f64() * workers as f64 / 60.0;
     if minutes <= 0.0 {
         return 0.0;
     }
@@ -440,6 +442,11 @@ mod tests {
             max_threads: None,
             policy: pcr::PolicyKind::RoundRobin,
         }
+    }
+
+    #[test]
+    fn two_workers_halve_the_signature_rate() {
+        assert_eq!(signatures_per_cpu_minute(6, Duration::new(60, 0), 2), 3.0);
     }
 
     #[test]

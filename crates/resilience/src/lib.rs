@@ -22,7 +22,8 @@
 //! * [`shrink`] delta-debugs a failing schedule down to a locally
 //!   minimal one that still reproduces the same failure signature —
 //!   dropping injection decisions, halving stall durations — so the
-//!   repro a human reads is the smallest one the oracle accepts.
+//!   repro a human reads is the smallest one the oracle accepts. On the
+//!   same oracle, [`cause`] replays a case without its injected faults.
 //! * [`supervise`] runs a world in slices under a wait-for-graph watch
 //!   and pulls the paper's recovery levers when it wedges: failing
 //!   pending forks (§5.4), rejuvenating stalled components (§5.2), and
@@ -57,7 +58,7 @@ pub use fuzz::{
 pub use guided::{guided_fuzz, signatures_per_cpu_minute, GuidedOutcome, MutationDiscovery};
 pub use judge::{judge, Verdict};
 pub use observe::{observe, replay, replay_schedule, Observation, TrialSpec, TrialWorld};
-pub use shrink::{shrink, ShrinkConfig, ShrinkReport};
+pub use shrink::{cause, shrink, Cause, ShrinkConfig, ShrinkReport};
 pub use signature::{normalize_name, signature, Failure, FailureClass};
 pub use supervisor::{
     supervise, supervise_benchmark, unsupervised_wedges, RecoveryAction, RecoveryKind,

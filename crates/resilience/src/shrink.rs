@@ -1,4 +1,5 @@
-//! Delta-debugging minimization of failing fault schedules.
+//! Delta-debugging minimization of failing fault schedules, and the
+//! [`cause`] of a failure, both on one replay oracle.
 //!
 //! The oracle is deterministic replay: a candidate schedule "passes"
 //! when scripting it over the case's trial reproduces the original
@@ -12,7 +13,7 @@
 use pcr::FaultSchedule;
 
 use crate::case::StoredCase;
-use crate::observe::replay_schedule;
+use crate::observe::{replay_schedule, TrialWorld};
 
 /// Shrinker parameters.
 #[derive(Clone, Debug)]
@@ -20,12 +21,6 @@ pub struct ShrinkConfig {
     /// Maximum number of oracle replays before stopping with the best
     /// schedule found so far.
     pub max_replays: u32,
-}
-
-impl Default for ShrinkConfig {
-    fn default() -> Self {
-        ShrinkConfig { max_replays: 150 }
-    }
 }
 
 /// What the shrinker did.
@@ -227,4 +222,63 @@ pub fn shrink(
         replays: oracle.replays,
         exhausted,
     })
+}
+
+/// Why a stored failure happened, as [`cause`] works it out.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Cause {
+    /// Faults injected on purpose: each kind without which it does not recur.
+    Injected(Vec<&'static str>),
+    /// The spec caps the thread table and a party is blocked in FORK (§5.4).
+    ForkCap,
+    /// A world built to fail: the mesh's AB-BA tellers, the §5.5 reader.
+    Seeded,
+    /// None of these: a failure somebody should read.
+    Unexplained,
+}
+
+impl std::fmt::Display for Cause {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Cause::Injected(kinds) => write!(f, "injected:{}", kinds.join("+")),
+            Cause::ForkCap => f.write_str("fork-cap"),
+            Cause::Seeded => f.write_str("seeded"),
+            Cause::Unexplained => f.write_str("unexplained"),
+        }
+    }
+}
+
+/// Works out why `case` failed by replaying it with only the faults
+/// correct Mesa code must absorb (spurious wakeups, duplicated NOTIFYs,
+/// timer jitter). A failure that still recurs is the world's; one that
+/// does not is [`Cause::Injected`] with each removed kind whose removal
+/// alone stops it, or all of them if none does alone.
+pub fn cause(case: &StoredCase) -> Cause {
+    let mut oracle = Oracle {
+        case,
+        replays: 0,
+        budget: u32::MAX,
+    };
+    let s = &case.schedule;
+    let without = |dropped: &[&str]| {
+        let mut cut = s.clone();
+        cut.decisions.retain(|d| !dropped.contains(&d.kind.tag()));
+        if dropped.contains(&"stall") {
+            cut.stalls.clear();
+        }
+        cut
+    };
+    let mut removed = vec!["stall", "fork_fail", "drop_notify", "priority_change"];
+    removed.retain(|&k| without(&[k]) != *s);
+    if removed.is_empty() || oracle.accepts(&without(&removed)) == Some(true) {
+        let capped = case.spec.max_threads.is_some() && case.signature.contains("(fork)");
+        return match case.spec.world {
+            TrialWorld::MultiCore { .. } | TrialWorld::WeakMemory { .. } => Cause::Seeded,
+            _ if capped => Cause::ForkCap,
+            _ => Cause::Unexplained,
+        };
+    }
+    let mut alone = removed.clone();
+    alone.retain(|&k| oracle.accepts(&without(&[k])) == Some(false));
+    Cause::Injected(if alone.is_empty() { removed } else { alone })
 }

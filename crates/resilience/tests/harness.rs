@@ -6,9 +6,9 @@
 
 use pcr::{millis, secs, Priority, RunLimit, Sim, SimConfig, SimDuration};
 use resilience::{
-    fuzz, guided_fuzz, judge, ladder, observe, replay, shrink, supervise, supervise_benchmark,
-    unsupervised_wedges, FuzzConfig, Intensity, ShrinkConfig, StoredCase, SupervisorConfig,
-    TrialSpec, TrialWorld, Verdict,
+    cause, fuzz, guided_fuzz, judge, ladder, observe, replay, shrink, supervise,
+    supervise_benchmark, unsupervised_wedges, Cause, FuzzConfig, Intensity, ShrinkConfig,
+    StoredCase, SupervisorConfig, TrialSpec, TrialWorld, Verdict,
 };
 use threadstudy_core::System;
 use workloads::Benchmark;
@@ -42,23 +42,25 @@ fn trial(world: TrialWorld, seed: u64, rung: &Intensity) -> TrialSpec {
     }
 }
 
+/// Runs `rung` of `world`'s ladder at `seed`: the stored case, if it fails.
+fn case_at(world: TrialWorld, rung: &Intensity, seed: u64) -> Option<StoredCase> {
+    let spec = trial(world, seed, rung);
+    let obs = observe(&spec, rung.chaos.clone());
+    Some(StoredCase {
+        signature: obs.signature()?,
+        spec,
+        intensity: rung.name.to_string(),
+        schedule: obs.schedule,
+    })
+}
+
 /// Runs the guaranteed-failure rung of `system`'s ladder on one cell and
 /// returns the stored case.
 fn seeded_case(system: System, benchmark: Benchmark, seed: u64) -> StoredCase {
     let world = cell(system, benchmark);
     let rung = &ladder(world)[1];
-    let spec = trial(world, seed, rung);
-    let obs = observe(&spec, rung.chaos.clone());
-    let failure = obs
-        .failure
-        .as_ref()
-        .unwrap_or_else(|| panic!("{} rung {} did not fail", system.name(), rung.name));
-    StoredCase {
-        spec,
-        intensity: rung.name.to_string(),
-        signature: failure.signature(),
-        schedule: obs.schedule.clone(),
-    }
+    case_at(world, rung, seed)
+        .unwrap_or_else(|| panic!("{} rung {} did not fail", system.name(), rung.name))
 }
 
 /// The rung of `world`'s ladder that `repro chaos --recover` loads it
@@ -102,6 +104,7 @@ fn fuzz_small_budget_finds_the_seeded_failures() {
         .find(|c| c.case.spec.world == cell(System::Cedar, Benchmark::Keyboard))
         .expect("no Cedar failure");
     assert_eq!(cedar.case.intensity, "fork-cap");
+    assert_eq!(cause(&cedar.case), Cause::ForkCap);
     assert!(
         cedar.case.signature.contains("fork"),
         "fork-cap signature should name a fork wait: {}",
@@ -114,6 +117,20 @@ fn fuzz_small_budget_finds_the_seeded_failures() {
         .expect("no GVX failure");
     assert_eq!(gvx.case.intensity, "stall-gated");
     assert_eq!(gvx.case.schedule.stalls.len(), 1);
+    assert_eq!(cause(&gvx.case), Cause::Injected(vec!["stall"]));
+}
+
+#[test]
+fn an_injected_fault_is_named_as_the_cause() {
+    for (benchmark, rung, want) in [
+        (Benchmark::Preview, "pct", "priority_change"),
+        (Benchmark::Idle, "fork-storm", "fork_fail"),
+    ] {
+        let world = cell(System::Cedar, benchmark);
+        let rung = ladder(world).into_iter().find(|r| r.name == rung).unwrap();
+        let case = (0..32).find_map(|seed| case_at(world, &rung, seed));
+        assert_eq!(cause(&case.unwrap()), Cause::Injected(vec![want]));
+    }
 }
 
 #[test]
@@ -416,8 +433,9 @@ fn guided_fuzz_is_deterministic_and_covers_the_seeded_failures() {
     for w in a.cases.windows(2) {
         assert!(w[0].case.signature <= w[1].case.signature);
     }
-    // Every corpus entry replays to its own signature.
+    // Every corpus entry replays to its own signature, for a known cause.
     for found in &a.cases {
+        assert_ne!(cause(&found.case), Cause::Unexplained);
         let obs = replay(&found.case);
         assert_eq!(
             obs.signature().as_deref(),
@@ -443,6 +461,7 @@ fn fuzz_reaches_the_out_of_matrix_worlds() {
         outcome.cases.iter().any(
             |c| matches!(c.case.spec.world, TrialWorld::MultiCore { .. })
                 && c.case.signature.starts_with("deadlock:")
+                && cause(&c.case) == Cause::Seeded
         ),
         "no AB-BA deadlock out of the mp transfer mesh: {:?}",
         outcome
@@ -455,6 +474,7 @@ fn fuzz_reaches_the_out_of_matrix_worlds() {
         outcome.cases.iter().any(
             |c| matches!(c.case.spec.world, TrialWorld::WeakMemory { .. })
                 && c.case.signature.contains("wm-reader(panic)")
+                && cause(&c.case) == Cause::Seeded
         ),
         "no stale-publication panic out of the weak-memory race: {:?}",
         outcome
