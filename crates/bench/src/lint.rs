@@ -1,6 +1,6 @@
 //! `repro lint`: runs the `threadlint` static analyzer over the
-//! workspace's own sources and cross-checks the self-census against the
-//! hand-transcribed `core::inventory` catalog.
+//! workspace's own sources, prints the self-census, and fails on an
+//! unallowed finding or a lint that has gone blind.
 //!
 //! This is the paper's Table-4 methodology turned back on the
 //! reproduction itself: the same static sweep the authors ran over
@@ -21,7 +21,8 @@
 //!   world), or *unreached* (no dynamic echo). Static names are source
 //!   bindings; runtime names are construction literals with instance
 //!   numbers — both sides fold interpolations and digit runs to `#`
-//!   before the join, so `accounts[a]` meets `account0`.
+//!   (`threadlint::normalize_literal`) before the join, so
+//!   `accounts[a]` meets `account0`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -47,9 +48,9 @@ pub struct LintOpts {
 
 /// Runs the analyzer, prints the census and findings, handles the
 /// optional artifacts, and returns the exit code: [`exit::HAZARD`] on any
-/// unallowed finding, a census mismatch, a baseline delta, or an
-/// unreadable corpus, [`exit::IO`] if an artifact cannot be written or
-/// the baseline cannot be read.
+/// unallowed finding, a lint that fires nowhere in `mistakes`, a
+/// baseline delta, or an unreadable corpus, [`exit::IO`] if an artifact
+/// cannot be written or the baseline cannot be read.
 pub fn run(opts: &LintOpts) -> i32 {
     let root = workspace_root();
     let analysis = match analyze_workspace(&root) {
@@ -102,35 +103,9 @@ pub fn run(opts: &LintOpts) -> i32 {
         }
     }
 
-    // Census cross-check: every `modeled` site in the inventory must be
-    // traceable to a real fork call site in the workspace sources.
-    let modeled: Vec<String> = workloads::inventory::census()
-        .modeled_sites()
-        .map(|s| s.name.clone())
-        .collect();
-    let unmapped = threadlint::census_unmapped(&modeled, &analysis);
-    if unmapped.is_empty() {
-        println!(
-            "Census cross-check: all {} modeled inventory sites map to fork call sites",
-            modeled.len()
-        );
-    } else {
-        for name in &unmapped {
-            eprintln!("FAIL census: modeled inventory site {name:?} has no fork call site");
-        }
-        failed = true;
-    }
-
     if let Some(path) = &opts.json {
-        let mut doc = threadlint::to_json(&analysis);
-        doc.push(
-            "census_cross_check",
-            trace::Json::obj([
-                ("modeled_sites", trace::Json::from(modeled.len())),
-                ("unmapped", trace::Json::from(unmapped.clone())),
-            ]),
-        );
-        written = exit::worst(written, exit::write(path, doc.pretty()));
+        let doc = threadlint::to_json(&analysis).pretty();
+        written = exit::worst(written, exit::write(path, doc));
     }
 
     if let Some(path) = &opts.sarif {
@@ -237,28 +212,6 @@ impl Echo {
     }
 }
 
-/// Folds `{…}` interpolations in a source literal to `#`, then digit
-/// runs — the same normalization the runtime evidence went through, so
-/// `"teller{t}"` meets the stranded party `teller0`.
-fn normalize_literal(lit: &str) -> String {
-    let mut out = String::new();
-    let mut depth = 0usize;
-    for c in lit.chars() {
-        match c {
-            '{' => {
-                if depth == 0 {
-                    out.push('#');
-                }
-                depth += 1;
-            }
-            '}' => depth = depth.saturating_sub(1),
-            _ if depth == 0 => out.push(c),
-            _ => {}
-        }
-    }
-    resilience::normalize_name(&out)
-}
-
 /// The runtime-name set a finding's monitors could appear under: each
 /// binding maps through the construction-literal index when the scan
 /// found one, and falls back to its own (normalized) spelling.
@@ -301,7 +254,7 @@ fn confirm(a: &Analysis, dir: &Path) -> bool {
     let mut tally: BTreeMap<&'static str, usize> = BTreeMap::new();
     for f in findings {
         let names = runtime_names(f, &literals);
-        let thread = f.thread.as_deref().map(normalize_literal);
+        let thread = f.thread.as_deref().map(threadlint::normalize_literal);
         let mut echo = Echo::Unreached;
         let mut witness = String::new();
         for e in &evidence {

@@ -15,9 +15,8 @@ use resilience::{
     unsupervised_wedges, Cause, FoundCase, FuzzConfig, MutationDiscovery, Observation,
     RecoveryKind, ShrinkConfig, StoredCase, Supervision, SupervisorConfig, TrialSpec, TrialWorld,
 };
-use threadstudy_core::System;
 use trace::Table;
-use workloads::Benchmark;
+use workloads::{Benchmark, System};
 
 use crate::exit;
 use crate::tables::REFERENCE_CELLS;

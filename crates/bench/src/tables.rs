@@ -171,31 +171,28 @@ pub fn table3(results: &[BenchResult]) -> Table {
 
 /// Table 4: static paradigm counts from the census.
 pub fn table4() -> Table {
-    let inv = workloads::inventory::census();
-    let cedar = inv.counts(System::Cedar);
-    let gvx = inv.counts(System::Gvx);
-    let (ct, gt) = (
-        inv.total(System::Cedar) as f64,
-        inv.total(System::Gvx) as f64,
-    );
+    let counts = workloads::inventory::TABLE4_COUNTS;
+    let (ct, gt) = counts
+        .iter()
+        .fold((0, 0), |(c, g), &(_, cn, gn)| (c + cn, g + gn));
     let mut t = Table::new(
         "Table 4: Static counts of thread paradigms",
         &["Paradigm", "Cedar", "%", "GVX", "%"],
     );
-    for p in threadstudy_core::Paradigm::ALL {
+    for (p, c, g) in counts {
         t.row(vec![
             p.table_label().to_string(),
-            cedar[&p].to_string(),
-            pct(100.0 * cedar[&p] as f64 / ct),
-            gvx[&p].to_string(),
-            pct(100.0 * gvx[&p] as f64 / gt),
+            c.to_string(),
+            pct(100.0 * c as f64 / ct as f64),
+            g.to_string(),
+            pct(100.0 * g as f64 / gt as f64),
         ]);
     }
     t.row(vec![
         "TOTAL".to_string(),
-        format!("{}", inv.total(System::Cedar)),
+        ct.to_string(),
         "100%".to_string(),
-        format!("{}", inv.total(System::Gvx)),
+        gt.to_string(),
         "100%".to_string(),
     ]);
     t
@@ -318,12 +315,11 @@ pub fn json_summary(results: &[BenchResult]) -> Json {
             ("profile", profile_json(&r.contention, &r.sched_latency)),
         ])
     });
-    let inv = workloads::inventory::census();
-    let census = threadstudy_core::Paradigm::ALL.iter().map(|&p| {
+    let census = workloads::inventory::TABLE4_COUNTS.map(|(p, c, g)| {
         Json::obj([
             ("paradigm", Json::from(p.table_label())),
-            ("cedar", Json::from(inv.counts(System::Cedar)[&p])),
-            ("gvx", Json::from(inv.counts(System::Gvx)[&p])),
+            ("cedar", Json::from(c)),
+            ("gvx", Json::from(g)),
         ])
     });
     Json::obj([

@@ -69,6 +69,54 @@ fn help_lists_every_documented_subcommand() {
     }
 }
 
+/// Table 4 as the paper prints it: its counts and their rounded
+/// percentages, each TOTAL the sum of its column.
+const TABLE4: &str = "\
+Table 4: Static counts of thread paradigms\n\
+Paradigm                Cedar     %  GVX     %\n\
+----------------------------------------------\n\
+Defer work                108   31%   77   33%\n\
+General pumps              48   14%   33   14%\n\
+Slack processes             7    2%    2    1%\n\
+Sleepers                   67   19%   15    6%\n\
+Oneshots                   25    7%   11    5%\n\
+Deadlock avoid             35   10%    6    3%\n\
+Task rejuvenate            11    3%    0    0%\n\
+Serializers                 5    1%    7    3%\n\
+Encapsulated fork          14    4%    5    2%\n\
+Concurrency exploiters      3    1%    0    0%\n\
+Unknown or other           25    7%   78   33%\n\
+TOTAL                     348  100%  234  100%\n\
+\n";
+
+#[test]
+fn table4_prints_the_paper_counts_byte_for_byte() {
+    let (code, stdout, stderr) = run(&["table4"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(stdout, TABLE4);
+}
+
+#[test]
+fn json_summary_carries_table4_counts() {
+    let summary = bench::tables::json_summary(&[]);
+    let table4 = summary.get("table4").expect("a table4 field").to_string();
+    let rows = [
+        ("Defer work", 108, 77),
+        ("General pumps", 48, 33),
+        ("Slack processes", 7, 2),
+        ("Sleepers", 67, 15),
+        ("Oneshots", 25, 11),
+        ("Deadlock avoid", 35, 6),
+        ("Task rejuvenate", 11, 0),
+        ("Serializers", 5, 7),
+        ("Encapsulated fork", 14, 5),
+        ("Concurrency exploiters", 3, 0),
+        ("Unknown or other", 25, 78),
+    ]
+    .map(|(p, c, g)| format!("{{\"paradigm\":\"{p}\",\"cedar\":{c},\"gvx\":{g}}}"));
+    assert_eq!(table4, format!("[{}]", rows.join(",")));
+}
+
 /// Structural validation of a Chrome trace-event file: valid JSON, the
 /// object form with a traceEvents array, every X span with non-negative
 /// dur, and per-track monotonically non-decreasing timestamps.

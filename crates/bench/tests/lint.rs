@@ -1,30 +1,14 @@
-//! The census cross-check as a test: the hand-transcribed inventory
-//! and the static self-census must agree, and the workspace must be
-//! lint-clean. (threadlint's own `selfcheck` suite covers the lints in
-//! isolation; this suite closes the loop against `core::inventory`.)
+//! `repro lint` as a test: the workspace must be lint-clean, every
+//! lint must still fire on `paradigms::mistakes`, and the baseline,
+//! JSON and SARIF artifacts must hold their shape. (threadlint's own
+//! `selfcheck` suite covers the lints in isolation.)
 
 use threadlint::{analyze_workspace, workspace_root};
 
 #[test]
-fn modeled_inventory_sites_all_map_to_fork_call_sites() {
-    let analysis = analyze_workspace(&workspace_root()).expect("workspace scan");
-    let census = workloads::inventory::census();
-    let modeled: Vec<String> = census.modeled_sites().map(|s| s.name.clone()).collect();
-    assert!(
-        !modeled.is_empty(),
-        "inventory claims no modeled sites at all"
-    );
-    let unmapped = threadlint::census_unmapped(&modeled, &analysis);
-    assert!(
-        unmapped.is_empty(),
-        "modeled inventory sites with no fork call site: {unmapped:?}"
-    );
-}
-
-#[test]
 fn lint_run_reports_success() {
     // The full CLI path, minus the process boundary: census, lints,
-    // self-test, cross-check.
+    // self-test.
     assert_eq!(bench::lint::run(&Default::default()), bench::exit::OK);
 }
 

@@ -1,9 +1,10 @@
 //! # paradigms — the ten thread-usage paradigms, written once
 //!
 //! The paper's §4 classifies every thread-creation site in Cedar and GVX
-//! into ten paradigms. This crate implements each as a reusable
-//! component against [`pcr::Runtime`] — the §2 primitive surface as a
-//! trait the thread context implements — in the paper's order:
+//! into ten paradigms; [`Paradigm`] names them, with Table 4's row
+//! labels. This crate implements each as a reusable component against
+//! [`pcr::Runtime`] — the §2 primitive surface as a trait the thread
+//! context implements — in the paper's order:
 //!
 //! | § | Paradigm | Here |
 //! |---|----------|------|
@@ -69,6 +70,7 @@ pub mod deferred;
 pub mod exploit;
 pub mod mistakes;
 pub mod oneshot;
+mod paradigm;
 pub mod pipeline;
 pub mod pump;
 pub mod rejuvenate;
@@ -76,4 +78,4 @@ pub mod serializer;
 pub mod slack;
 pub mod sleeper;
 
-pub use threadstudy_core::Paradigm;
+pub use paradigm::Paradigm;

@@ -57,11 +57,6 @@ impl Paradigm {
         Paradigm::Unknown,
     ];
 
-    /// Parses a Table 4 row label back into a paradigm.
-    pub fn from_table_label(label: &str) -> Option<Paradigm> {
-        Paradigm::ALL.into_iter().find(|p| p.table_label() == label)
-    }
-
     /// The row label used in Table 4.
     pub fn table_label(self) -> &'static str {
         match self {
@@ -77,64 +72,6 @@ impl Paradigm {
             Paradigm::ConcurrencyExploiter => "Concurrency exploiters",
             Paradigm::Unknown => "Unknown or other",
         }
-    }
-
-    /// One-sentence description from the paper.
-    pub fn description(self) -> &'static str {
-        match self {
-            Paradigm::DeferWork => {
-                "Fork work not required for the procedure's return value, reducing client latency"
-            }
-            Paradigm::GeneralPump => {
-                "A pipeline component that picks up input, transforms it, and produces it as output"
-            }
-            Paradigm::SlackProcess => {
-                "A pump that explicitly adds latency hoping to reduce total work by merging input"
-            }
-            Paradigm::Sleeper => {
-                "Repeatedly waits for a triggering event (often a timeout), then executes briefly"
-            }
-            Paradigm::OneShot => "Sleeps for a while, runs once, and then goes away",
-            Paradigm::DeadlockAvoider => {
-                "Forked so lock-order constraints can be satisfied in a fresh thread"
-            }
-            Paradigm::TaskRejuvenation => {
-                "A new thread forked to recover from an unrecoverable state in an old one"
-            }
-            Paradigm::Serializer => {
-                "A queue plus a processing thread, serializing events from many sources"
-            }
-            Paradigm::EncapsulatedFork => {
-                "A fork captured inside a library package that encapsulates another paradigm"
-            }
-            Paradigm::ConcurrencyExploiter => {
-                "Created specifically to make use of multiple processors"
-            }
-            Paradigm::Unknown => "Does not fit easily into any category",
-        }
-    }
-
-    /// Whether the paper classifies this paradigm as *easy* (§5.1:
-    /// sleepers, one-shots, pumps outside critical timing paths, work
-    /// deferrers) or hard.
-    pub fn is_easy(self) -> bool {
-        matches!(
-            self,
-            Paradigm::DeferWork | Paradigm::GeneralPump | Paradigm::Sleeper | Paradigm::OneShot
-        )
-    }
-
-    /// Whether Birrell's 1991 introduction already described it, per the
-    /// paper's list in §4 ("new" entries are the paper's contribution).
-    pub fn new_in_paper(self) -> bool {
-        matches!(
-            self,
-            Paradigm::SlackProcess
-                | Paradigm::DeadlockAvoider
-                | Paradigm::TaskRejuvenation
-                | Paradigm::Serializer
-                | Paradigm::EncapsulatedFork
-        )
     }
 }
 
@@ -165,34 +102,13 @@ mod tests {
     }
 
     #[test]
-    fn easy_vs_hard_classification() {
-        assert!(Paradigm::Sleeper.is_easy());
-        assert!(Paradigm::DeferWork.is_easy());
-        assert!(!Paradigm::SlackProcess.is_easy());
-        assert!(!Paradigm::ConcurrencyExploiter.is_easy());
-    }
-
-    #[test]
-    fn novelty_flags() {
-        assert!(Paradigm::SlackProcess.new_in_paper());
-        assert!(Paradigm::TaskRejuvenation.new_in_paper());
-        assert!(!Paradigm::DeferWork.new_in_paper());
-        assert!(!Paradigm::GeneralPump.new_in_paper());
-    }
-
-    #[test]
-    fn descriptions_nonempty() {
-        for p in Paradigm::ALL {
-            assert!(!p.description().is_empty());
-            assert_eq!(p.to_string(), p.table_label());
-        }
-    }
-
-    #[test]
     fn label_roundtrip() {
         for p in Paradigm::ALL {
-            assert_eq!(Paradigm::from_table_label(p.table_label()), Some(p));
+            assert_eq!(p.to_string(), p.table_label());
+            let back = Paradigm::ALL
+                .into_iter()
+                .find(|q| q.table_label() == p.table_label());
+            assert_eq!(back, Some(p), "Table 4 row labels must be distinct");
         }
-        assert_eq!(Paradigm::from_table_label("nonsense"), None);
     }
 }

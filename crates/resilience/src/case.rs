@@ -13,9 +13,8 @@ use std::path::{Path, PathBuf};
 use pcr::{
     FaultDecision, FaultSchedule, FaultSiteKind, PolicyKind, SimDuration, SimTime, StallSpec,
 };
-use threadstudy_core::System;
 use trace::Json;
-use workloads::Benchmark;
+use workloads::{Benchmark, System};
 
 use crate::observe::{TrialSpec, TrialWorld};
 

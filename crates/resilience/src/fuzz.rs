@@ -22,9 +22,8 @@
 //! regardless of discovery order.
 
 use pcr::{millis, secs, ChaosConfig, PolicyKind, SimDuration, SimTime};
-use threadstudy_core::System;
 use workloads::serve::ServeScenario;
-use workloads::{chaos_preset, eternal_thread_count, Benchmark};
+use workloads::{chaos_preset, eternal_thread_count, Benchmark, System};
 
 use crate::case::StoredCase;
 use crate::observe::{observe, Observation, TrialSpec, TrialWorld};

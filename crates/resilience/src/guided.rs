@@ -425,8 +425,7 @@ mod tests {
     use super::*;
     use crate::observe::{TrialSpec, TrialWorld};
     use pcr::{secs, SimDuration};
-    use threadstudy_core::System;
-    use workloads::Benchmark;
+    use workloads::{Benchmark, System};
 
     fn cell(system: System, benchmark: Benchmark) -> TrialWorld {
         TrialWorld::Cell { system, benchmark }

@@ -27,8 +27,8 @@ use pcr::{
     micros, millis, weakmem::WeakMem, ChaosConfig, FaultSchedule, HazardCounts, Priority, RunLimit,
     Sim, SimConfig, SimDuration, SplitMix64, StopReason,
 };
-use threadstudy_core::System;
 use workloads::serve::ServeScenario;
+use workloads::System;
 use workloads::{build_chaos_with, Benchmark};
 
 use crate::case::StoredCase;

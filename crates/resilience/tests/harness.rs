@@ -10,8 +10,8 @@ use resilience::{
     supervise_benchmark, unsupervised_wedges, Cause, FuzzConfig, Intensity, ShrinkConfig,
     StoredCase, SupervisorConfig, TrialSpec, TrialWorld, Verdict,
 };
-use threadstudy_core::System;
 use workloads::Benchmark;
+use workloads::System;
 
 fn no_progress(_: &str) {}
 

@@ -8,8 +8,7 @@
 //! * a **self-census** of every thread-primitive call site (`fork*`,
 //!   `spawn*`, `wait*`, `notify`/`broadcast`, monitor/CV creation,
 //!   `yield*`, `enter`), keyed by crate/file/line and rendered as a
-//!   Table-4-style report — cross-checked against the hand-transcribed
-//!   `core::inventory` catalog;
+//!   Table-4-style report;
 //! * a set of **discipline lints** mirroring the paper's mistake
 //!   taxonomy (§5.3, §5.4, §2.6) — see [`lints`]. Mesa's compiler
 //!   inserted monitor locking; Rust + `pcr` do not, so the lint layer
@@ -37,7 +36,7 @@ use std::path::{Path, PathBuf};
 
 pub use lints::{Finding, LockEdge};
 pub use report::{
-    baseline_key, census_table, census_unmapped, findings_table, monitor_literals, to_json,
+    baseline_key, census_table, findings_table, monitor_literals, normalize_literal, to_json,
     to_sarif,
 };
 

@@ -499,6 +499,69 @@ pub fn lock_edges(f: &FileScan) -> Vec<LockEdge> {
     edges
 }
 
+/// An acquired-before edge, as [`elementary_cycles`] walks it.
+pub(crate) trait OrderEdge {
+    /// `(held, acquired)`.
+    fn ends(&self) -> (&str, &str);
+}
+
+impl OrderEdge for LockEdge {
+    fn ends(&self) -> (&str, &str) {
+        (&self.from, &self.to)
+    }
+}
+
+/// The elementary cycles of an acquired-before graph that `keep`
+/// accepts, in discovery order, each with its node names rotated to
+/// start at the smallest and reported once (parallel edges that make
+/// the same node cycle count once). A DFS from each node in name order
+/// walks only to nodes above its start, so a cycle is found from its
+/// smallest node; paths stop growing at `max_path` edges.
+pub(crate) fn elementary_cycles<'e, E: OrderEdge>(
+    edges: &'e [E],
+    max_path: usize,
+    mut keep: impl FnMut(&[&'e E]) -> bool,
+) -> Vec<(Vec<String>, Vec<&'e E>)> {
+    let mut adj: BTreeMap<&str, Vec<&E>> = BTreeMap::new();
+    for e in edges {
+        adj.entry(e.ends().0).or_default().push(e);
+    }
+    let mut seen: BTreeSet<Vec<String>> = BTreeSet::new();
+    let mut cycles = Vec::new();
+    for &start in adj.keys() {
+        let mut stack: Vec<(&str, Vec<&E>)> = vec![(start, Vec::new())];
+        while let Some((node, path)) = stack.pop() {
+            for &e in adj.get(node).map(|v| v.as_slice()).unwrap_or(&[]) {
+                let to = e.ends().1;
+                if to == start {
+                    let mut cycle = path.clone();
+                    cycle.push(e);
+                    if !keep(&cycle) {
+                        continue;
+                    }
+                    let mut names: Vec<String> =
+                        cycle.iter().map(|e| e.ends().0.to_string()).collect();
+                    let min = names.iter().min().unwrap().clone();
+                    while names[0] != min {
+                        names.rotate_left(1);
+                    }
+                    if seen.insert(names.clone()) {
+                        cycles.push((names, cycle));
+                    }
+                } else if path.len() < max_path
+                    && !path.iter().any(|p| p.ends().1 == to)
+                    && to > start
+                {
+                    let mut p = path.clone();
+                    p.push(e);
+                    stack.push((to, p));
+                }
+            }
+        }
+    }
+    cycles
+}
+
 /// §2.6: cycle detection over the per-file lock-order graph. Node
 /// identity is the normalized monitor expression within one file —
 /// lock-order conventions in this workspace are per-module, and
@@ -506,76 +569,36 @@ pub fn lock_edges(f: &FileScan) -> Vec<LockEdge> {
 /// files from manufacturing false cycles.
 fn lock_order_cycles(f: &FileScan, findings: &mut Vec<Finding>) {
     let edges = lock_edges(f);
-    if edges.is_empty() {
-        return;
-    }
-    let mut adj: BTreeMap<&str, Vec<&LockEdge>> = BTreeMap::new();
-    for e in &edges {
-        adj.entry(e.from.as_str()).or_default().push(e);
-    }
-    // Find elementary cycles by DFS from each node, smallest-name order;
-    // report each once, canonicalized by its smallest node.
-    let mut seen: BTreeSet<Vec<String>> = BTreeSet::new();
-    let nodes: Vec<&str> = adj.keys().copied().collect();
-    for &start in &nodes {
-        let mut stack: Vec<(&str, Vec<&LockEdge>)> = vec![(start, Vec::new())];
-        while let Some((node, path)) = stack.pop() {
-            for &e in adj.get(node).map(|v| v.as_slice()).unwrap_or(&[]) {
-                if e.to == start {
-                    let mut cycle_edges = path.clone();
-                    cycle_edges.push(e);
-                    let mut names: Vec<String> =
-                        cycle_edges.iter().map(|e| e.from.clone()).collect();
-                    // Canonical rotation: smallest node first.
-                    let min = names.iter().min().unwrap().clone();
-                    while names[0] != min {
-                        names.rotate_left(1);
-                    }
-                    if !seen.insert(names.clone()) {
-                        continue;
-                    }
-                    let allowed = cycle_edges
-                        .iter()
-                        .all(|e| f.clean.is_allowed(Lint::LockOrderCycle.name(), e.line));
-                    let anchor = cycle_edges.iter().map(|e| e.line).min().unwrap();
-                    findings.push(Finding {
-                        lint: Lint::LockOrderCycle,
-                        krate: f.krate.clone(),
-                        file: f.path.clone(),
-                        line: anchor,
-                        message: format!(
-                            "monitor acquisition order has a cycle: {} -> {} (ABBA deadlock \
-                             precondition, §2.6; edges at lines {})",
-                            names.join(" -> "),
-                            names[0],
-                            cycle_edges
-                                .iter()
-                                .map(|e| e.line.to_string())
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        ),
-                        allowed,
-                        monitors: names,
-                        // Attribute the cycle to the forked thread whose
-                        // body holds the anchor acquisition, when there
-                        // is one — the dynamic confirm join matches it
-                        // against stranded-party names.
-                        thread: cycle_edges
-                            .iter()
-                            .find_map(|e| enclosing_fork_name(f, e.off)),
-                    });
-                } else if path.len() < 8
-                    && !path.iter().any(|p| p.to == e.to)
-                    && e.to.as_str() > start
-                {
-                    // Only walk nodes > start so each cycle is found from
-                    // its smallest node exactly once.
-                    let mut p = path.clone();
-                    p.push(e);
-                    stack.push((e.to.as_str(), p));
-                }
-            }
-        }
+    for (names, cycle_edges) in elementary_cycles(&edges, 8, |_| true) {
+        let allowed = cycle_edges
+            .iter()
+            .all(|e| f.clean.is_allowed(Lint::LockOrderCycle.name(), e.line));
+        let anchor = cycle_edges.iter().map(|e| e.line).min().unwrap();
+        findings.push(Finding {
+            lint: Lint::LockOrderCycle,
+            krate: f.krate.clone(),
+            file: f.path.clone(),
+            line: anchor,
+            message: format!(
+                "monitor acquisition order has a cycle: {} -> {} (ABBA deadlock \
+                 precondition, §2.6; edges at lines {})",
+                names.join(" -> "),
+                names[0],
+                cycle_edges
+                    .iter()
+                    .map(|e| e.line.to_string())
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            ),
+            allowed,
+            monitors: names,
+            // Attribute the cycle to the forked thread whose body holds
+            // the anchor acquisition, when there is one — the dynamic
+            // confirm join matches it against stranded-party names.
+            thread: cycle_edges
+                .iter()
+                .find_map(|e| enclosing_fork_name(f, e.off)),
+        });
     }
 }
 

@@ -33,7 +33,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::{self, CallGraph, Edge};
-use crate::lints::{alias_map, enclosing_fork_name, resolve, Finding};
+use crate::lints::{
+    alias_map, elementary_cycles, enclosing_fork_name, resolve, Finding, OrderEdge,
+};
 use crate::scan::{last_segment, normalize_arg, split_args};
 use crate::{FileScan, Lint};
 
@@ -305,6 +307,12 @@ impl TransEdge {
     }
 }
 
+impl OrderEdge for TransEdge {
+    fn ends(&self) -> (&str, &str) {
+        (&self.from, &self.to)
+    }
+}
+
 /// Composes held→acquired edges: locally nested enters plus, at every
 /// call made while holding, everything the callee transitively enters.
 fn trans_edges(
@@ -459,88 +467,55 @@ fn cycles(
     findings: &mut Vec<Finding>,
 ) {
     let edges = trans_edges(files, g, loc, acq);
-    let mut adj: BTreeMap<&str, Vec<&TransEdge>> = BTreeMap::new();
-    for e in &edges {
-        adj.entry(e.from.as_str()).or_default().push(e);
-    }
-    let mut seen: BTreeSet<Vec<String>> = BTreeSet::new();
-    let nodes: Vec<&str> = adj.keys().copied().collect();
-    for &start in &nodes {
-        let mut stack: Vec<(&str, Vec<&TransEdge>)> = vec![(start, Vec::new())];
-        while let Some((node, path)) = stack.pop() {
-            for &e in adj.get(node).map(|v| v.as_slice()).unwrap_or(&[]) {
-                if e.to == start {
-                    let mut cycle: Vec<&TransEdge> = path.clone();
-                    cycle.push(e);
-                    if !cycle.iter().any(|e| e.crosses_call()) {
-                        continue;
-                    }
-                    let mut names: Vec<String> = cycle.iter().map(|e| e.from.clone()).collect();
-                    let min = names.iter().min().unwrap().clone();
-                    while names[0] != min {
-                        names.rotate_left(1);
-                    }
-                    if !seen.insert(names.clone()) {
-                        continue;
-                    }
-                    let allowed = cycle.iter().all(|e| {
-                        files[e.enter_file]
-                            .clean
-                            .is_allowed(Lint::LockOrderCycleTransitive.name(), e.enter_line)
-                    });
-                    let anchor = cycle
-                        .iter()
-                        .map(|e| {
-                            (
-                                files[e.enter_file].path.as_str(),
-                                e.enter_line,
-                                e.enter_file,
-                            )
-                        })
-                        .min()
-                        .unwrap();
-                    let detail = cycle
-                        .iter()
-                        .map(|e| {
-                            let site = format!("{}:{}", files[e.enter_file].path, e.enter_line);
-                            if e.via.is_empty() {
-                                format!("{} -> {} (enter at {site})", e.from, e.to)
-                            } else {
-                                format!(
-                                    "{} -> {} via {} (enter at {site})",
-                                    e.from,
-                                    e.to,
-                                    SiteRef::render(&e.via)
-                                )
-                            }
-                        })
-                        .collect::<Vec<_>>()
-                        .join("; ");
-                    findings.push(Finding {
-                        lint: Lint::LockOrderCycleTransitive,
-                        krate: files[anchor.2].krate.clone(),
-                        file: anchor.0.to_string(),
-                        line: anchor.1,
-                        message: format!(
-                            "monitor acquisition cycle across call chains: {} -> {} \
-                             (ABBA deadlock threaded through helpers, §2.6/§4.4): {detail}",
-                            names.join(" -> "),
-                            names[0],
-                        ),
-                        allowed,
-                        monitors: names,
-                        thread: None,
-                    });
-                } else if path.len() < 6
-                    && !path.iter().any(|p| p.to == e.to)
-                    && e.to.as_str() > start
-                {
-                    let mut p = path.clone();
-                    p.push(e);
-                    stack.push((e.to.as_str(), p));
+    for (names, cycle) in elementary_cycles(&edges, 6, |c| c.iter().any(|e| e.crosses_call())) {
+        let allowed = cycle.iter().all(|e| {
+            files[e.enter_file]
+                .clean
+                .is_allowed(Lint::LockOrderCycleTransitive.name(), e.enter_line)
+        });
+        let anchor = cycle
+            .iter()
+            .map(|e| {
+                (
+                    files[e.enter_file].path.as_str(),
+                    e.enter_line,
+                    e.enter_file,
+                )
+            })
+            .min()
+            .unwrap();
+        let detail = cycle
+            .iter()
+            .map(|e| {
+                let site = format!("{}:{}", files[e.enter_file].path, e.enter_line);
+                if e.via.is_empty() {
+                    format!("{} -> {} (enter at {site})", e.from, e.to)
+                } else {
+                    format!(
+                        "{} -> {} via {} (enter at {site})",
+                        e.from,
+                        e.to,
+                        SiteRef::render(&e.via)
+                    )
                 }
-            }
-        }
+            })
+            .collect::<Vec<_>>()
+            .join("; ");
+        findings.push(Finding {
+            lint: Lint::LockOrderCycleTransitive,
+            krate: files[anchor.2].krate.clone(),
+            file: anchor.0.to_string(),
+            line: anchor.1,
+            message: format!(
+                "monitor acquisition cycle across call chains: {} -> {} \
+                 (ABBA deadlock threaded through helpers, §2.6/§4.4): {detail}",
+                names.join(" -> "),
+                names[0],
+            ),
+            allowed,
+            monitors: names,
+            thread: None,
+        });
     }
 }
 

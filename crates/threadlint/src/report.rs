@@ -1,11 +1,10 @@
 //! Report rendering: the Table-4-style self-census, the findings
-//! table, the JSON export, and the inventory cross-check.
+//! table, the JSON and SARIF exports, and the monitor-literal index
+//! `repro lint --confirm` joins against runtime names.
 //!
 //! The paper's Table 4 classified ~650 fork sites found by a static
 //! sweep of 2.5 MLoC. Here the sweep runs over this workspace's own
-//! sources, and the cross-check closes the loop: every `modeled` site
-//! in the hand-transcribed `core::inventory` catalog must be traceable
-//! to a real fork call site in the code that claims to model it.
+//! sources.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -216,11 +215,11 @@ pub fn to_sarif(a: &Analysis) -> Json {
     ])
 }
 
-/// Rewrites `{…}` interpolation groups to `#`, the same shape
-/// [`squash_digits`] gives runtime instance numbers: the static
-/// literal `window-{w}.damage` and the runtime name `window-3.damage`
-/// both land on `window-#.damage`.
-fn braces_to_hash(lit: &str) -> String {
+/// Folds a source literal to the shape a runtime name takes once its
+/// instance numbers are squashed: `{…}` interpolation groups and digit
+/// runs both become `#`, so the static literal `window-{w}.damage` and
+/// the runtime name `window-3.damage` both land on `window-#.damage`.
+pub fn normalize_literal(lit: &str) -> String {
     let mut out = String::with_capacity(lit.len());
     let mut in_brace = false;
     for c in lit.chars() {
@@ -234,15 +233,15 @@ fn braces_to_hash(lit: &str) -> String {
             _ => {}
         }
     }
-    out
+    squash_digits(&out)
 }
 
 /// Maps static monitor binding names to the runtime name literals they
 /// were created with: `let screen = sim.monitor("gvx-screen", …)` maps
 /// `screen` → `gvx-screen`, and the clone alias `screen_poller` maps
-/// there too. Interpolated literals are normalized with `#` in place
-/// of `{…}` groups so they compare against digit-squashed runtime
-/// names. This is the static half of `repro lint --confirm`'s join.
+/// there too. Each literal goes through [`normalize_literal`] so it
+/// compares against digit-squashed runtime names. This is the static
+/// half of `repro lint --confirm`'s join.
 pub fn monitor_literals(a: &Analysis) -> BTreeMap<String, BTreeSet<String>> {
     let mut map: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
     for f in &a.files {
@@ -266,7 +265,7 @@ pub fn monitor_literals(a: &Analysis) -> BTreeMap<String, BTreeSet<String>> {
             local
                 .entry(name)
                 .or_default()
-                .insert(squash_digits(&braces_to_hash(&lit.value)));
+                .insert(normalize_literal(&lit.value));
         }
         let aliases = crate::lints::alias_map(f);
         for (k, root) in &aliases {
@@ -279,35 +278,6 @@ pub fn monitor_literals(a: &Analysis) -> BTreeMap<String, BTreeSet<String>> {
         }
     }
     map
-}
-
-/// Cross-checks the hand-transcribed inventory against the census:
-/// returns every `modeled` site name that could **not** be traced to a
-/// real fork call site. A name maps when it appears as a string literal
-/// in a file that itself contains at least one FORK call site — this
-/// covers both direct `fork_prio("Cedar.X", …)` literals and sleeper
-/// specs whose names are forked indirectly through `SleeperBus`.
-pub fn census_unmapped(modeled: &[String], a: &Analysis) -> Vec<String> {
-    let fork_files: BTreeSet<&str> = a
-        .sites
-        .iter()
-        .filter(|s| s.kind == PrimKind::Fork)
-        .map(|s| s.file.as_str())
-        .collect();
-    let mut literals: BTreeSet<&str> = BTreeSet::new();
-    for f in &a.files {
-        if !fork_files.contains(f.path.as_str()) {
-            continue;
-        }
-        for s in &f.clean.strings {
-            literals.insert(s.value.as_str());
-        }
-    }
-    modeled
-        .iter()
-        .filter(|name| !literals.contains(name.as_str()))
-        .cloned()
-        .collect()
 }
 
 #[cfg(test)]
@@ -362,28 +332,6 @@ mod tests {
         assert!(j.contains("\"unallowed_count\":1"), "{j}");
         assert!(j.contains("\"ok\":false"), "{j}");
         assert!(j.contains("fork-result-discarded"), "{j}");
-    }
-
-    #[test]
-    fn unmapped_names_are_reported() {
-        let a = analysis_of(vec![(
-            "w",
-            "crates/w/src/a.rs",
-            "fn f(ctx: &ThreadCtx) { let h = ctx.fork(\"W.Real\", b); }",
-        )]);
-        let modeled = vec!["W.Real".to_string(), "W.Ghost".to_string()];
-        assert_eq!(census_unmapped(&modeled, &a), vec!["W.Ghost".to_string()]);
-    }
-
-    #[test]
-    fn literal_in_forkless_file_does_not_map() {
-        let a = analysis_of(vec![(
-            "w",
-            "crates/w/src/a.rs",
-            "fn f() { let s = \"W.NameOnly\"; }",
-        )]);
-        let modeled = vec!["W.NameOnly".to_string()];
-        assert_eq!(census_unmapped(&modeled, &a), modeled);
     }
 
     #[test]

@@ -30,10 +30,10 @@ type PaintReq = (u32, u32);
 /// out at this interval when the system is quiet.
 const QUEUE_TIMEOUT: SimDuration = millis(500);
 
-/// Modeled sites with their paradigm tags; each has a `modeled: true`
-/// entry in the census (cross-checked by tests).
-pub fn modeled_sites() -> Vec<(String, threadstudy_core::Paradigm)> {
-    use threadstudy_core::Paradigm as P;
+/// Modeled sites with their paradigm tags: the names this world forks,
+/// joined both ways against its threads by `tests/invariants.rs`.
+pub fn modeled_sites() -> Vec<(String, paradigms::Paradigm)> {
+    use paradigms::Paradigm as P;
     let mut v: Vec<(String, P)> = sleeper_specs()
         .iter()
         .map(|s| (s.name.to_string(), P::Sleeper))

@@ -20,8 +20,8 @@
 
 use std::collections::VecDeque;
 
+use paradigms::Paradigm;
 use pcr::{micros, millis, secs, Priority, Sim};
-use threadstudy_core::Paradigm;
 
 use crate::spec::Benchmark;
 use crate::world::{next_gap, InputEvent, LibraryPool, SleeperBus, SleeperSpec};

@@ -1,18 +1,18 @@
-//! The static fork-site census (Table 4) as machine-readable data.
+//! The static fork-site census (Table 4) as data.
 //!
 //! The paper's authors classified ~650 thread-creation sites found by
 //! grepping Cedar's and GVX's (proprietary, now extinct) Mesa sources.
-//! The *counts* are published in Table 4 and transcribed here verbatim;
-//! site *names* are necessarily synthetic except for the sites the
-//! dynamic world models implement, which carry their real model names
-//! and `modeled: true`. Table 4 is regenerated by counting this
-//! inventory, and the model/census consistency is enforced by tests:
-//! every thread the synthetic worlds create must name a modeled census
-//! entry.
+//! Only the *counts* survive, in Table 4, and they are transcribed here
+//! verbatim: the census is its 22 numbers. The sites the synthetic
+//! worlds fork are [`crate::cedar::modeled_sites`] and
+//! [`crate::gvx::modeled_sites`]; `tests/invariants.rs` joins them
+//! against the threads the cells create, both ways.
 
-use threadstudy_core::{Inventory, Paradigm, System};
+use paradigms::Paradigm;
 
-/// Table 4's counts, transcribed: `(paradigm, cedar, gvx)`.
+/// Table 4's counts, transcribed, in [`Paradigm::ALL`]'s row order:
+/// `(paradigm, cedar, gvx)`. Each column sums to its system's TOTAL row
+/// (348 Cedar and 234 GVX sites).
 pub const TABLE4_COUNTS: [(Paradigm, usize, usize); 11] = [
     (Paradigm::DeferWork, 108, 77),
     (Paradigm::GeneralPump, 48, 33),
@@ -27,171 +27,88 @@ pub const TABLE4_COUNTS: [(Paradigm, usize, usize); 11] = [
     (Paradigm::Unknown, 25, 78),
 ];
 
-/// Total classified sites per system (Table 4's TOTAL row).
-pub const CEDAR_TOTAL: usize = 348;
-/// Total classified sites for GVX.
-pub const GVX_TOTAL: usize = 234;
-
-fn filler_name(system: System, paradigm: Paradigm, i: usize) -> String {
-    // Plausible site families per paradigm, cycled with an index. These
-    // stand in for the unpublished Mesa procedure names.
-    let family: &[&str] = match paradigm {
-        Paradigm::DeferWork => &[
-            "PrintDocumentFork",
-            "SendMailFork",
-            "CreateViewerFork",
-            "UpdateViewerFork",
-            "SaveFileFork",
-            "LoadFontFork",
-            "OpenConnectionFork",
-            "RecomputeLayoutFork",
-        ],
-        Paradigm::GeneralPump => &[
-            "ByteStreamPump",
-            "EventPreprocessPump",
-            "NetInputPump",
-            "NetOutputPump",
-            "SpoolerPump",
-        ],
-        Paradigm::SlackProcess => &["PaintBatchBuffer", "NetWriteCoalescer"],
-        Paradigm::Sleeper => &[
-            "CacheSweepSleeper",
-            "TimeoutWatchSleeper",
-            "BlinkSleeper",
-            "PollSleeper",
-            "FinalizeQueueSleeper",
-        ],
-        Paradigm::OneShot => &["GuardedButtonShot", "MenuTimeoutShot", "ToolTipShot"],
-        Paradigm::DeadlockAvoider => &[
-            "RepaintLockEscapeFork",
-            "CallbackInsulationFork",
-            "LockOrderEscapeFork",
-        ],
-        Paradigm::TaskRejuvenation => &["DispatcherRejuvenator", "StackOverflowReporter"],
-        Paradigm::Serializer => &["WindowEventSerializer", "MenuButtonQueue"],
-        Paradigm::EncapsulatedFork => &["DelayedForkPkg", "PeriodicalForkPkg", "MBQueuePkg"],
-        Paradigm::ConcurrencyExploiter => &["ParallelRasterizer", "ParallelSearch"],
-        Paradigm::Unknown => &["UncategorizedFork"],
-    };
-    format!(
-        "{}.{}{}",
-        system.name(),
-        family[i % family.len()],
-        i / family.len()
-    )
-}
-
-/// Builds the full census: Table 4's counts, with the dynamically
-/// modeled sites named after the world threads that implement them.
-pub fn census() -> Inventory {
-    let mut inv = Inventory::new();
-    let mut modeled: Vec<(System, String, Paradigm)> = Vec::new();
-    for (name, paradigm) in crate::cedar::modeled_sites() {
-        modeled.push((System::Cedar, name, paradigm));
-    }
-    for (name, paradigm) in crate::gvx::modeled_sites() {
-        modeled.push((System::Gvx, name, paradigm));
-    }
-    for (paradigm, cedar_n, gvx_n) in TABLE4_COUNTS {
-        for (system, n) in [(System::Cedar, cedar_n), (System::Gvx, gvx_n)] {
-            let mine: Vec<&(System, String, Paradigm)> = modeled
-                .iter()
-                .filter(|(s, _, p)| *s == system && *p == paradigm)
-                .collect();
-            assert!(
-                mine.len() <= n,
-                "model claims more {paradigm:?} sites ({}) than Table 4 grants {system:?} ({n})",
-                mine.len()
-            );
-            for (_, name, _) in &mine {
-                let added = inv.add(
-                    name,
-                    system,
-                    paradigm,
-                    true,
-                    "implemented by the world model",
-                );
-                assert!(added, "duplicate modeled site name {name:?}");
-            }
-            for i in 0..n - mine.len() {
-                let filler = filler_name(system, paradigm, i);
-                let added = inv.add(
-                    &filler,
-                    system,
-                    paradigm,
-                    false,
-                    "census count from Table 4; name synthetic",
-                );
-                assert!(added, "duplicate filler site name {filler:?}");
-            }
-        }
-    }
-    inv
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn totals() -> (usize, usize) {
+        TABLE4_COUNTS
+            .iter()
+            .fold((0, 0), |(c, g), &(_, cn, gn)| (c + cn, g + gn))
+    }
+
+    fn row(p: Paradigm) -> (usize, usize) {
+        let &(_, c, g) = TABLE4_COUNTS.iter().find(|r| r.0 == p).unwrap();
+        (c, g)
+    }
+
     #[test]
     fn census_totals_match_table_4() {
-        let inv = census();
-        assert_eq!(inv.total(System::Cedar), CEDAR_TOTAL);
-        assert_eq!(inv.total(System::Gvx), GVX_TOTAL);
+        assert_eq!(totals(), (348, 234));
+    }
+
+    #[test]
+    fn counts_by_system_and_paradigm() {
+        assert_eq!(row(Paradigm::DeferWork), (108, 77));
+        assert_eq!(row(Paradigm::Sleeper), (67, 15));
+        assert_eq!(row(Paradigm::Unknown), (25, 78));
+    }
+
+    #[test]
+    fn counts_cover_every_paradigm_row() {
+        let rows: Vec<Paradigm> = TABLE4_COUNTS.iter().map(|r| r.0).collect();
+        assert_eq!(rows, Paradigm::ALL, "Table 4 is printed in this order");
     }
 
     #[test]
     fn census_counts_match_per_paradigm() {
-        let inv = census();
-        let cedar = inv.counts(System::Cedar);
-        let gvx = inv.counts(System::Gvx);
+        // The worlds may model no more sites of a paradigm than Table 4
+        // counts for that system.
+        let cedar = crate::cedar::modeled_sites();
+        let gvx = crate::gvx::modeled_sites();
         for (p, c, g) in TABLE4_COUNTS {
-            assert_eq!(cedar[&p], c, "{p:?} Cedar");
-            assert_eq!(gvx[&p], g, "{p:?} GVX");
+            let modeled = |sites: &[(String, Paradigm)]| sites.iter().filter(|s| s.1 == p).count();
+            assert!(modeled(&cedar) <= c, "{p:?}: Cedar models more than {c}");
+            assert!(modeled(&gvx) <= g, "{p:?}: GVX models more than {g}");
         }
+    }
+
+    #[test]
+    fn modeled_sites_present_and_flagged() {
+        // The join keys: each name is unique across both worlds and
+        // carries its own system's prefix.
+        let mut names = Vec::new();
+        for (prefix, sites) in [
+            ("Cedar.", crate::cedar::modeled_sites()),
+            ("GVX.", crate::gvx::modeled_sites()),
+        ] {
+            for (name, _) in sites {
+                assert!(name.starts_with(prefix), "{name} lacks {prefix}");
+                names.push(name);
+            }
+        }
+        let before = names.len();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), before, "duplicate modeled site name");
     }
 
     #[test]
     fn paper_percentages_reproduce() {
         // Spot-check the percentage column: defer work is 31% of Cedar
         // and 33% of GVX; unknown is 7% / 33%.
-        let inv = census();
-        let cedar_defer = inv.counts(System::Cedar)[&Paradigm::DeferWork] as f64
-            / inv.total(System::Cedar) as f64;
-        assert!((cedar_defer - 0.31).abs() < 0.01);
-        let gvx_unknown =
-            inv.counts(System::Gvx)[&Paradigm::Unknown] as f64 / inv.total(System::Gvx) as f64;
-        assert!((gvx_unknown - 0.33).abs() < 0.01);
-    }
-
-    #[test]
-    fn modeled_sites_present_and_flagged() {
-        let inv = census();
-        for (name, _) in crate::cedar::modeled_sites() {
-            let site = inv.find(&name).unwrap_or_else(|| panic!("{name} missing"));
-            assert!(site.modeled, "{name} not flagged modeled");
-        }
-        for (name, _) in crate::gvx::modeled_sites() {
-            let site = inv.find(&name).unwrap_or_else(|| panic!("{name} missing"));
-            assert!(site.modeled);
-        }
+        let (ct, gt) = totals();
+        let (cedar_defer, gvx_defer) = row(Paradigm::DeferWork);
+        let (cedar_unknown, gvx_unknown) = row(Paradigm::Unknown);
+        assert!((cedar_defer as f64 / ct as f64 - 0.31).abs() < 0.01);
+        assert!((gvx_defer as f64 / gt as f64 - 0.33).abs() < 0.01);
+        assert!((cedar_unknown as f64 / ct as f64 - 0.07).abs() < 0.01);
+        assert!((gvx_unknown as f64 / gt as f64 - 0.33).abs() < 0.01);
     }
 
     #[test]
     fn gvx_has_no_rejuvenation_or_exploiters() {
-        let inv = census();
-        let gvx = inv.counts(System::Gvx);
-        assert_eq!(gvx[&Paradigm::TaskRejuvenation], 0);
-        assert_eq!(gvx[&Paradigm::ConcurrencyExploiter], 0);
-    }
-
-    #[test]
-    fn filler_names_are_unique() {
-        let inv = census();
-        let mut names: Vec<&str> = inv.sites.iter().map(|s| s.name.as_str()).collect();
-        let before = names.len();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), before, "duplicate census names");
+        assert_eq!(row(Paradigm::TaskRejuvenation).1, 0);
+        assert_eq!(row(Paradigm::ConcurrencyExploiter).1, 0);
     }
 }

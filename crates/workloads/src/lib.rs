@@ -11,8 +11,9 @@
 //! intervals, fork genealogy, CPU by priority), or an error naming a
 //! deadlock or panicked threads.
 //!
-//! [`inventory::census`] carries the Table 4 fork-site census as data,
-//! cross-checked against the dynamic models.
+//! [`inventory::TABLE4_COUNTS`] is the Table 4 fork-site census: the
+//! paper's counts, as data. The worlds' own fork sites are
+//! `cedar::modeled_sites` and `gvx::modeled_sites`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,11 +2,11 @@
 
 use std::sync::OnceLock;
 
+use crate::spec::System;
 use pcr::{
     millis, secs, AllocCounters, ChaosConfig, HazardConfig, HazardCounts, Priority, RunLimit,
     SchedLatency, Sim, SimConfig, SimDuration, SimStats, SystemDaemonConfig,
 };
-use threadstudy_core::System;
 use trace::{BenchmarkRates, Collector, IntervalHistogram, MonitorProfileRow};
 
 use crate::spec::Benchmark;

@@ -2,7 +2,24 @@
 
 use std::fmt;
 
-pub use threadstudy_core::System;
+/// Which of the two studied systems a world or fork site belongs to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum System {
+    /// The Cedar research system (348 classified fork sites).
+    Cedar,
+    /// GlobalView, the product system (234 classified fork sites).
+    Gvx,
+}
+
+impl System {
+    /// Display name.
+    pub fn name(self) -> &'static str {
+        match self {
+            System::Cedar => "Cedar",
+            System::Gvx => "GVX",
+        }
+    }
+}
 
 /// The benchmarks of Tables 1–3. Cedar runs all eight; GVX runs the four
 /// interactive ones.
@@ -134,6 +151,12 @@ mod tests {
     fn suites_match_paper_rows() {
         assert_eq!(Benchmark::suite(System::Cedar).len(), 8);
         assert_eq!(Benchmark::suite(System::Gvx).len(), 4);
+    }
+
+    #[test]
+    fn system_names() {
+        assert_eq!(System::Cedar.name(), "Cedar");
+        assert_eq!(System::Gvx.name(), "GVX");
     }
 
     #[test]

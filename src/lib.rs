@@ -10,14 +10,13 @@
 //! * [`trace`] — instrumentation: event collectors, rate counters,
 //!   execution-interval histograms, genealogy (the paper's measurement
 //!   apparatus);
-//! * [`core`] — the paradigm taxonomy and the static fork-site inventory
-//!   (the paper's primary intellectual contribution);
-//! * [`paradigms`] — the ten thread-usage paradigms as reusable
-//!   components, written once against [`pcr::Runtime`];
+//! * [`paradigms`] — the ten thread-usage paradigms (the paper's
+//!   taxonomy, [`paradigms::Paradigm`]) as reusable components, written
+//!   once against [`pcr::Runtime`];
 //! * [`mesa`] — the real-thread backend of that trait: hand `paradigms`
 //!   a [`mesa::RealCtx`] and the catalogue runs on `std::thread`s;
-//! * [`workloads`] — synthetic Cedar and GVX worlds and the paper's
-//!   twelve benchmarks;
+//! * [`workloads`] — synthetic Cedar and GVX worlds, the paper's
+//!   twelve benchmarks and Table 4's census counts;
 //! * [`xpipe`] — the X-server pipeline case studies (§5.2, §5.6, §6.1,
 //!   §6.3);
 //! * [`serverd`] — the overload-resilient serve world, the largest here
@@ -66,7 +65,6 @@ pub use mesa;
 pub use paradigms;
 pub use pcr;
 pub use serverd;
-pub use threadstudy_core as core;
 pub use trace;
 pub use workloads;
 pub use xpipe;

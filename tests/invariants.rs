@@ -1,9 +1,14 @@
 //! Structural invariants the paper reports, checked across the full
-//! synthetic worlds, plus determinism and census consistency.
+//! synthetic worlds, plus determinism and the join of the worlds'
+//! modeled fork sites against the threads they create.
 
-use threadstudy::core::System as CoreSystem;
-use threadstudy::pcr::{millis, secs};
-use threadstudy::workloads::{inventory, run_benchmark, runner, Benchmark, System};
+use std::collections::BTreeSet;
+use std::sync::OnceLock;
+
+use threadstudy::paradigms::Paradigm;
+use threadstudy::pcr::{millis, secs, SimDuration};
+use threadstudy::workloads::inventory::TABLE4_COUNTS;
+use threadstudy::workloads::{run_benchmark, runner, Benchmark, System};
 
 #[test]
 fn fork_generations_never_exceed_two() {
@@ -93,45 +98,77 @@ fn different_seeds_give_different_details() {
     );
 }
 
+/// The run-time join's seed and window: at `0x5EED_0001` over 10 s
+/// every modeled site forks in some cell. Shorter windows miss a site
+/// (seed 3 over 3 s never forks `Cedar.ScrollLeafFork`), which would
+/// hide a modeled site with no fork behind it.
+const JOIN_SEED: u64 = 0x5EED_0001;
+const JOIN_WINDOW: SimDuration = secs(10);
+
+/// Each system's join keys: the names its world declares it forks.
+fn modeled(sys: System) -> Vec<String> {
+    let sites = match sys {
+        System::Cedar => threadstudy::workloads::cedar::modeled_sites(),
+        System::Gvx => threadstudy::workloads::gvx::modeled_sites(),
+    };
+    sites.into_iter().map(|(name, _)| name).collect()
+}
+
+/// Every thread name the twelve cells create at the join's seed and
+/// window, per system (the runtime's own `SystemDaemon` is machinery,
+/// not an application fork site). Run once, read by both halves.
+fn world_threads() -> &'static BTreeSet<(System, String)> {
+    static THREADS: OnceLock<BTreeSet<(System, String)>> = OnceLock::new();
+    THREADS.get_or_init(|| {
+        let mut names = BTreeSet::new();
+        for sys in [System::Cedar, System::Gvx] {
+            for &b in Benchmark::suite(sys) {
+                let mut sim = runner::build(sys, b, JOIN_SEED);
+                sim.run(threadstudy::pcr::RunLimit::For(JOIN_WINDOW));
+                for t in sim.threads_iter().filter(|t| t.name != "SystemDaemon") {
+                    names.insert((sys, t.name.to_string()));
+                }
+            }
+        }
+        names
+    })
+}
+
 #[test]
 fn every_world_thread_names_a_modeled_census_site() {
-    // The Table 4 census and the dynamic models must agree: each thread
-    // the worlds create carries the name of a census entry flagged
-    // `modeled` (the runtime's own SystemDaemon is runtime machinery,
-    // not an application fork site).
-    let inv = inventory::census();
+    for (sys, name) in world_threads() {
+        assert!(
+            modeled(*sys).contains(name),
+            "{sys:?}: thread '{name}' is not a modeled site"
+        );
+    }
+}
+
+#[test]
+fn every_modeled_site_is_forked_by_some_cell() {
     for sys in [System::Cedar, System::Gvx] {
-        for &b in Benchmark::suite(sys) {
-            let mut sim = runner::build(sys, b, 3);
-            sim.run(threadstudy::pcr::RunLimit::For(secs(3)));
-            for t in sim.threads_iter() {
-                if t.name == "SystemDaemon" || t.name == "XServer" {
-                    continue; // Runtime/substrate machinery.
-                }
-                let site = inv.find(t.name).unwrap_or_else(|| {
-                    panic!("{sys:?}/{b:?}: thread '{}' has no census entry", t.name)
-                });
-                assert!(
-                    site.modeled,
-                    "census entry '{}' not flagged modeled",
-                    t.name
-                );
-            }
+        for name in modeled(sys) {
+            assert!(
+                world_threads().contains(&(sys, name.clone())),
+                "{sys:?}: modeled site '{name}' was never forked \
+                 (seed {JOIN_SEED:#x}, {JOIN_WINDOW} window)"
+            );
         }
     }
 }
 
 #[test]
 fn census_matches_table4_exactly() {
-    let inv = inventory::census();
-    assert_eq!(inv.total(CoreSystem::Cedar), 348);
-    assert_eq!(inv.total(CoreSystem::Gvx), 234);
-    let cedar = inv.counts(CoreSystem::Cedar);
-    assert_eq!(cedar[&threadstudy::core::Paradigm::DeferWork], 108);
-    assert_eq!(cedar[&threadstudy::core::Paradigm::Sleeper], 67);
-    let gvx = inv.counts(CoreSystem::Gvx);
-    assert_eq!(gvx[&threadstudy::core::Paradigm::DeferWork], 77);
-    assert_eq!(gvx[&threadstudy::core::Paradigm::Unknown], 78);
+    let row = |p: Paradigm| {
+        let &(_, cedar, gvx) = TABLE4_COUNTS.iter().find(|r| r.0 == p).unwrap();
+        (cedar, gvx)
+    };
+    let cedar: usize = TABLE4_COUNTS.iter().map(|r| r.1).sum();
+    let gvx: usize = TABLE4_COUNTS.iter().map(|r| r.2).sum();
+    assert_eq!((cedar, gvx), (348, 234));
+    assert_eq!(row(Paradigm::DeferWork), (108, 77));
+    assert_eq!(row(Paradigm::Sleeper).0, 67);
+    assert_eq!(row(Paradigm::Unknown).1, 78);
 }
 
 #[test]
