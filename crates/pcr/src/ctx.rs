@@ -15,6 +15,27 @@
 //! dispatch resumes it with the reply. (With more than one virtual CPU
 //! every call parks, so that the multiprocessor run loop can order the
 //! CPUs' same-instant calls.)
+//!
+//! Most calls decide nothing, and those are finished in place: [`enter`],
+//! the guard's EXIT and [`work`] first ask the kernel, under one borrow
+//! and before any request exists, to finish the call quietly — no
+//! request, no reply slot, no run forward of the clock. It does so only
+//! when the world has one CPU, no preemption is due, the call's cost ends
+//! strictly before its horizon (the next timer's deadline, the end of the
+//! quantum and of the run's window), and the call is an ENTER of a
+//! monitor with no owner and no metalock holder, an EXIT by the owner with
+//! nobody queued and no deferred NOTIFY, or a `work`. It runs the same
+//! rule and books the cost as the general path would in one slice, so
+//! nothing observable differs. "No preemption is due" is remembered, not
+//! recomputed: the kernel keeps the policy's last `false` until one of its
+//! inputs changes — the ready set, a priority, dispatch or the running
+//! thread leaving its CPU, the shield, a quantum expiry, or CPU booked
+//! under a policy whose preemption reads it (CFS). Under CFS the booking
+//! itself can make a ready thread the caller's preemptor; the call then
+//! parks, as it would have on the general path.
+//!
+//! [`enter`]: ThreadCtx::enter
+//! [`work`]: ThreadCtx::work
 
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -27,7 +48,7 @@ use crate::error::{ForkError, JoinError};
 use crate::event::WaitOutcome;
 use crate::monitor::{Monitor, MonitorGuard, MonitorId};
 use crate::rng::SplitMix64;
-use crate::sched::{BodyFn, ForkSpec, Kernel, Reply, Request, ShutdownSignal};
+use crate::sched::{BodyFn, ForkSpec, Kernel, QuietCall, Reply, Request, ShutdownSignal};
 use crate::thread::{JoinHandle, Priority, ResultSlot, ThreadId};
 use crate::time::{SimDuration, SimTime};
 
@@ -156,7 +177,33 @@ impl ThreadCtx {
         if self.shutting_down.get() {
             std::panic::panic_any(ShutdownSignal);
         }
-        match self.request(req) {
+        self.checked(self.request(req))
+    }
+
+    /// Finishes `call` in place if it is quiet ([`Kernel::finish_quietly`]),
+    /// parking only if the CPU it booked cost it the CPU; `None` if it
+    /// needs the general path. Checked before any [`Request`] exists, so
+    /// that the general path's code is what it would be without it.
+    #[inline(always)]
+    fn quietly(&self, call: QuietCall) -> Option<Reply> {
+        if self.shutting_down.get() {
+            return None;
+        }
+        let caught = IN_KERNEL.replace(true);
+        assert!(!caught, "a thread body caught a panic of the kernel's");
+        let kept_cpu = self.kernel.borrow_mut().finish_quietly(self.tid, call);
+        IN_KERNEL.set(false);
+        if kept_cpu? {
+            Some(Reply::Ok)
+        } else {
+            Some(self.baton.park())
+        }
+    }
+
+    /// The reply a body sees: a teardown or a fault unwinds instead.
+    #[inline(always)]
+    fn checked(&self, reply: Reply) -> Reply {
+        match reply {
             Reply::Shutdown => {
                 self.shutting_down.set(true);
                 std::panic::panic_any(ShutdownSignal)
@@ -269,7 +316,10 @@ impl ThreadCtx {
         if d.is_zero() {
             return;
         }
-        let _ = self.call(Request::Work(d));
+        let _ = match self.quietly(QuietCall::Work(d)) {
+            Some(reply) => self.checked(reply),
+            None => self.call(Request::Work(d)),
+        };
     }
 
     /// Sleeps for at least `d`. Like PCR timeouts, the wake time is
@@ -329,7 +379,11 @@ impl ThreadCtx {
     /// Panics on recursive entry: Mesa monitors are not re-entrant and a
     /// recursive ENTER would self-deadlock.
     pub fn enter<'a, T: Send + 'static>(&'a self, m: &'a Monitor<T>) -> MonitorGuard<'a, T> {
-        match self.call(Request::MonitorEnter(m.id)) {
+        let reply = match self.quietly(QuietCall::Enter(m.id)) {
+            Some(reply) => self.checked(reply),
+            None => self.call(Request::MonitorEnter(m.id)),
+        };
+        match reply {
             Reply::Ok => MonitorGuard {
                 ctx: self,
                 monitor: m,
@@ -345,7 +399,10 @@ impl ThreadCtx {
         if self.shutting_down.get() || IN_KERNEL.get() {
             return;
         }
-        let reply = self.request(Request::MonitorExit(mid));
+        let reply = match self.quietly(QuietCall::Exit(mid)) {
+            Some(reply) => reply,
+            None => self.request(Request::MonitorExit(mid)),
+        };
         if let Reply::Fault = reply {
             // A non-owner's EXIT is ignored, as it always was; its message
             // goes too, or this thread's next fault could report it.

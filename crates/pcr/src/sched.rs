@@ -19,11 +19,11 @@
 //!
 //! | File | Rules |
 //! |---|---|
-//! | `kernel.rs` | a kernel call: the [`Request`] and [`Reply`], the one `match` on requests, events, faults, chaos decisions, the host's views |
+//! | `kernel.rs` | a kernel call: the [`Request`] and [`Reply`], the one `match` on requests, the quiet path that needs neither, events, faults, chaos decisions, the host's views |
 //! | `threads.rs` | FORK (and its §5.4 limit), JOIN, DETACH, thread exit, priorities, the yields and the SystemDaemon's donation, chaos stalls |
 //! | `monitors.rs` | ENTER and EXIT, the hand-off to the next queued thread, the §6.2 metalock window and its cycle donation |
 //! | `waits.rs` | WAIT, NOTIFY and BROADCAST, the §6.1 deferred reschedule, timeouts and sleeps on the timer wheel |
-//! | `run.rs` | dispatch, preemption, the quantum, and the run loop on one CPU or several |
+//! | `run.rs` | dispatch, preemption and its memo, the quantum, and the run loop on one CPU or several |
 //! | `policy.rs` | which ready thread goes next ([`policy::Scheduler`]) |
 
 use std::cell::{OnceCell, RefCell};
@@ -52,7 +52,7 @@ mod run;
 mod threads;
 mod waits;
 
-pub(crate) use kernel::{BodyFn, ForkSpec, Reply, Request, ShutdownSignal};
+pub(crate) use kernel::{BodyFn, ForkSpec, QuietCall, Reply, Request, ShutdownSignal};
 use policy::Scheduler;
 use waits::{TimerKind, TimerWheel};
 
@@ -343,6 +343,10 @@ pub struct AllocCounters {
     /// Times the scheduler resumed a thread's body: one per dispatch that
     /// reaches the body, none for a kernel call that keeps the CPU.
     pub stack_switches: u64,
+    /// Kernel calls finished in place, without a request: uncontended
+    /// ENTERs and EXITs and `work` calls with nothing due before their
+    /// cost is paid (`ctx.rs` says when).
+    pub quiet_calls: u64,
 }
 
 impl AllocCounters {
@@ -354,6 +358,7 @@ impl AllocCounters {
             os_thread_spawns: self.os_thread_spawns - earlier.os_thread_spawns,
             os_thread_reuses: self.os_thread_reuses - earlier.os_thread_reuses,
             stack_switches: self.stack_switches - earlier.stack_switches,
+            quiet_calls: self.quiet_calls - earlier.quiet_calls,
         }
     }
 }
@@ -398,6 +403,15 @@ pub(crate) struct Kernel {
     cpus: Vec<Cpu>,
     /// Times a body was resumed ([`AllocCounters::stack_switches`]).
     stack_switches: u64,
+    /// Calls finished in place ([`AllocCounters::quiet_calls`]).
+    quiet_calls: u64,
+    /// True while `preempt_needed(0)` is known to answer `false`: set when
+    /// [`Kernel::preempt_pending`] computes that answer, cleared by every
+    /// change to an input of the policy's `preempts` (`run.rs` lists them).
+    preempt_clear: bool,
+    /// Whether the policy's `preempts` reads the CPU booked through
+    /// `on_cpu`, which then clears `preempt_clear` too.
+    preempts_read_cpu: bool,
     rng: SplitMix64,
     threads: Vec<Tcb>,
     /// The installed scheduling policy: owns the ready structure and
@@ -505,6 +519,9 @@ impl Sim {
             end: SimTime::ZERO,
             cpus: vec![Cpu::default(); cpus],
             stack_switches: 0,
+            quiet_calls: 0,
+            preempt_clear: false,
+            preempts_read_cpu: false,
             rng: SplitMix64::new(seed),
             threads: Vec::new(),
             policy: policy::make(kind, seed),
@@ -529,6 +546,7 @@ impl Sim {
             pct_sites: VecDeque::new(),
             hazards: None,
         };
+        k.preempts_read_cpu = k.policy.preempts_reads_cpu();
         k.chaos_script = k.cfg.chaos.script.as_ref().map(|s| s.cursors());
         if k.chaos_script.is_none() {
             if let Some(pct) = k.cfg.chaos.pct {

@@ -144,6 +144,14 @@ const _: fn() = || {
 /// Panic payload used to unwind a simulated thread at shutdown.
 pub(crate) struct ShutdownSignal;
 
+/// A call that [`Kernel::finish_quietly`] may finish without a [`Request`].
+#[derive(Clone, Copy)]
+pub(crate) enum QuietCall {
+    Enter(MonitorId),
+    Exit(MonitorId),
+    Work(SimDuration),
+}
+
 impl Kernel {
     /// One kernel call from the running thread `tid`, made on its own
     /// stack: the reply if it still holds the CPU, `None` once it has
@@ -157,6 +165,67 @@ impl Kernel {
             return None;
         }
         self.advance(tid)
+    }
+
+    /// Finishes `call` of the running thread `tid` in place, with no
+    /// [`Request`], no reply and no [`Kernel::advance`], when it is quiet:
+    /// one CPU, no preemption due ([`Kernel::preempt_pending`]), a cost
+    /// that ends strictly before the next timer's deadline, the end of the
+    /// quantum and the end of the run's window, and a call that decides
+    /// nothing — an ENTER of a monitor with no owner and no metalock
+    /// holder, an EXIT by the owner with nobody queued and no deferred
+    /// NOTIFY, or any `work`. `None` if it is not, and nothing has changed.
+    ///
+    /// The rule is the general path's; only the booking of its cost is
+    /// `advance`'s single slice written out, so events, counters and
+    /// policy calls are the same. `Some(false)`: the booked CPU made a
+    /// ready thread the caller's preemptor (a policy whose `preempts`
+    /// reads it), and it has left the CPU, to resume with [`Reply::Ok`].
+    #[inline]
+    pub(crate) fn finish_quietly(&mut self, tid: ThreadId, call: QuietCall) -> Option<bool> {
+        if !self.uniprocessor() || self.preempt_pending() {
+            return None;
+        }
+        let cost = match call {
+            QuietCall::Work(d) => d,
+            QuietCall::Enter(_) | QuietCall::Exit(_) => self.cfg.primitive_cost,
+        };
+        let window = self.end.saturating_since(self.clock);
+        let mut room = self.cpus[0].quantum_left.min(window);
+        if let Some(t) = self.timers.next_deadline() {
+            room = room.min(t.saturating_since(self.clock));
+        }
+        if cost >= room {
+            return None;
+        }
+        match call {
+            QuietCall::Enter(mid) => {
+                let m = &self.monitors[mid.0 as usize];
+                if m.owner.is_some() || m.meta.is_some() {
+                    return None;
+                }
+                self.take_free_monitor(tid, mid);
+            }
+            QuietCall::Exit(mid) => {
+                let m = &self.monitors[mid.0 as usize];
+                if m.owner != Some(tid) || !m.queue.is_empty() || !m.deferred.is_empty() {
+                    return None;
+                }
+                self.exit_owned_monitor(tid, mid);
+            }
+            QuietCall::Work(_) => {}
+        }
+        debug_assert!(self.threads[tid.0 as usize].debt.is_zero());
+        self.quiet_calls += 1;
+        self.charge_thread(tid, cost);
+        self.set_clock(self.clock + cost);
+        self.cpus[0].quantum_left -= cost;
+        if self.preempt_pending() {
+            self.threads[tid.0 as usize].pending_reply = Some(Reply::Ok);
+            self.push_ready(tid, true);
+            return Some(false);
+        }
+        Some(true)
     }
 
     /// Routes a request to the rule that serves it.
@@ -255,6 +324,9 @@ impl Kernel {
         self.stats.cpu_by_priority[prio.index()] += d;
         self.stats.total_cpu += d;
         self.policy.on_cpu(tid, prio, d);
+        if self.preempts_read_cpu {
+            self.preempt_clear = false;
+        }
     }
 
     /// What `tid` gets back once it has worked off `cost`.
@@ -416,6 +488,7 @@ impl Sim {
             os_thread_spawns: k.pool.mapped,
             os_thread_reuses: k.pool.reused,
             stack_switches: k.stack_switches,
+            quiet_calls: k.quiet_calls,
         }
     }
 

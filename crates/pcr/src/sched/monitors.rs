@@ -84,8 +84,7 @@ impl Kernel {
         }
         match self.monitors[mid.0 as usize].owner {
             None => {
-                self.monitors[mid.0 as usize].owner = Some(tid);
-                self.note_enter(tid, mid, false);
+                self.take_free_monitor(tid, mid);
                 self.reply_ok(tid);
             }
             Some(owner) if owner == tid => {
@@ -107,6 +106,13 @@ impl Kernel {
                 self.open_metalock_window(tid, mid);
             }
         }
+    }
+
+    /// The rule of an uncontended ENTER: `tid` owns the free `mid`.
+    #[inline]
+    pub(super) fn take_free_monitor(&mut self, tid: ThreadId, mid: MonitorId) {
+        self.monitors[mid.0 as usize].owner = Some(tid);
+        self.note_enter(tid, mid, false);
     }
 
     /// A contended ENTER on one CPU enqueues inside the monitor's metalock
@@ -146,9 +152,15 @@ impl Kernel {
             );
             return;
         }
+        self.exit_owned_monitor(tid, mid);
+        self.reply_ok(tid);
+    }
+
+    /// The rule of an EXIT by the owner: announced, and `mid` passes on.
+    #[inline]
+    pub(super) fn exit_owned_monitor(&mut self, tid: ThreadId, mid: MonitorId) {
         self.emit(EventKind::MlExit { tid, monitor: mid });
         self.release_monitor(mid);
-        self.reply_ok(tid);
     }
 
     /// Counts and announces one monitor entry.

@@ -123,6 +123,14 @@ pub trait Scheduler: Send {
     /// [`SimStats::cpu_by_priority`](crate::SimStats).
     fn on_cpu(&mut self, _tid: ThreadId, _priority: Priority, _d: SimDuration) {}
 
+    /// Does [`Scheduler::preempts`] read the CPU booked through
+    /// [`Scheduler::on_cpu`]? The simulator remembers a `false` answer of
+    /// `preempts` until one of its inputs changes, and booked CPU is one
+    /// only when this says so. [`Cfs`]'s virtual runtime is the one case.
+    fn preempts_reads_cpu(&self) -> bool {
+        false
+    }
+
     /// `tid` ran through a full quantum without blocking. MLFQ demotes
     /// here, before the simulator decides whether to requeue.
     fn on_quantum_expired(&mut self, _tid: ThreadId) {}
@@ -416,6 +424,10 @@ impl Scheduler for Cfs {
 
     fn has_competitor(&mut self, _ctx: &mut PolicyCtx<'_>, _running: ThreadId) -> bool {
         !self.queue.is_empty()
+    }
+
+    fn preempts_reads_cpu(&self) -> bool {
+        true
     }
 
     fn on_cpu(&mut self, tid: ThreadId, priority: Priority, d: SimDuration) {

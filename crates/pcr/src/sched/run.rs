@@ -205,7 +205,10 @@ impl Kernel {
     /// Splits the borrow of `self` into the installed policy and the
     /// [`PolicyCtx`] lending it the thread table — disjoint fields, so
     /// the policy can mutate its structure while reading thread state.
+    /// Whoever calls it may change the ready set: the remembered answer
+    /// of [`Kernel::preempt_pending`] goes.
     pub(super) fn policy_split(&mut self) -> (&mut dyn Scheduler, PolicyCtx<'_>) {
+        self.preempt_clear = false;
         let Kernel {
             policy, threads, ..
         } = self;
@@ -234,7 +237,7 @@ impl Kernel {
 
     /// Makes `tid` ready, unless a chaos stall was waiting for the moment.
     #[inline]
-    fn push_ready(&mut self, tid: ThreadId, front: bool) {
+    pub(super) fn push_ready(&mut self, tid: ThreadId, front: bool) {
         if self.apply_pending_stall(tid) {
             return;
         }
@@ -318,6 +321,7 @@ impl Kernel {
         }
         self.threads[tid.0 as usize].state = TState::Running;
         let quantum_left = quantum_override.unwrap_or_else(|| self.policy_timeslice(tid));
+        self.preempt_clear = false;
         self.cpus[cpu] = Cpu {
             running: Some(tid),
             last_dispatched: Some(tid),
@@ -346,7 +350,7 @@ impl Kernel {
                 // be re-enqueued until its stall ends.
                 return None;
             }
-            if self.clock >= self.end || self.preempt_needed(0) {
+            if self.clock >= self.end || self.preempt_pending() {
                 self.push_ready(tid, true);
                 return None;
             }
@@ -383,11 +387,38 @@ impl Kernel {
 
     /// The bookkeeping owed once the dispatched thread is off `cpu`.
     fn leave_cpu(&mut self, cpu: usize) {
+        self.preempt_clear = false;
         self.cpus[cpu].running = None;
         self.cpus[cpu].shield = None;
     }
 
     // ---- preemption and the quantum ------------------------------------------
+
+    /// [`Kernel::preempt_needed`] on the one CPU, remembering a `false`
+    /// answer (`preempt_clear`) until one of its inputs changes:
+    ///
+    /// * the ready set: every [`Kernel::policy_split`] caller;
+    /// * a priority ([`Kernel::set_priority_of`]);
+    /// * the running thread or its shield: dispatch, [`Kernel::leave_cpu`],
+    ///   and the shield a quantum expiry takes;
+    /// * a quantum expiry, which MLFQ demotes on;
+    /// * CPU booked ([`Kernel::charge_thread`]) under a policy whose
+    ///   `preempts` reads it ([`Scheduler::preempts_reads_cpu`]).
+    ///
+    /// Debug builds recompute every remembered answer.
+    #[inline]
+    pub(super) fn preempt_pending(&mut self) -> bool {
+        if self.preempt_clear {
+            if cfg!(debug_assertions) {
+                assert!(!self.preempt_needed(0), "a remembered answer went stale");
+                self.preempt_clear = true;
+            }
+            return false;
+        }
+        let pending = self.preempt_needed(0);
+        self.preempt_clear = !pending;
+        pending
+    }
 
     /// Does the policy want the thread on `cpu` off it for a ready one?
     /// Under the paper's, a ready thread of higher priority preempts.
@@ -417,6 +448,7 @@ impl Kernel {
         // Demotion (MLFQ) happens before the requeue decision so the
         // expired thread re-enters at its new level.
         self.policy.on_quantum_expired(tid);
+        self.preempt_clear = false;
         self.stats.quantum_expiries += 1;
         self.emit(EventKind::QuantumExpired { tid });
         if self.cpus[cpu].shield.take().is_some() || self.quantum_competitor_exists(tid) {

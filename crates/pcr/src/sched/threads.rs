@@ -61,8 +61,7 @@ impl Sim {
             return false;
         }
         let was_ready = k.remove_from_ready(tid);
-        k.threads[tid.0 as usize].priority = priority;
-        k.policy.on_priority_changed(tid, priority);
+        k.set_priority_of(tid, priority);
         if was_ready {
             k.ready_enqueue(tid, false, false);
         }
@@ -251,12 +250,19 @@ impl Kernel {
 
     /// A running thread changes its own priority.
     pub(super) fn handle_set_priority(&mut self, tid: ThreadId, p: Priority) {
-        self.threads[tid.0 as usize].priority = p;
         // The thread is running (not in the ready structure), so
         // the policy only needs the notification, not a requeue.
-        self.policy.on_priority_changed(tid, p);
+        self.set_priority_of(tid, p);
         self.emit(EventKind::SetPriority { tid, priority: p });
         self.reply_ok(tid);
+    }
+
+    /// Gives `tid`, which is not in the ready structure, priority `p`,
+    /// and tells the policy. A priority is an input of preemption.
+    fn set_priority_of(&mut self, tid: ThreadId, p: Priority) {
+        self.threads[tid.0 as usize].priority = p;
+        self.policy.on_priority_changed(tid, p);
+        self.preempt_clear = false;
     }
 
     // ---- yields and donation ----------------------------------------------
@@ -339,8 +345,7 @@ impl Kernel {
         });
         if let Some(level) = param {
             let prio = Priority::of(level.clamp(1, Priority::LEVELS as u64) as u8);
-            self.threads[tid.0 as usize].priority = prio;
-            self.policy.on_priority_changed(tid, prio);
+            self.set_priority_of(tid, prio);
             self.stats.chaos_priority_changes += 1;
             self.emit(EventKind::SetPriority {
                 tid,

@@ -533,3 +533,20 @@ fn child_world_with_one_panic_each_side() {
     let host = std::panic::catch_unwind(|| panic!("host-side failure"));
     assert!(host.is_err());
 }
+#[test]
+fn a_lone_threads_uncontended_calls_are_all_quiet() {
+    // A quantum longer than the run, and no timer: no call meets a horizon.
+    let mut sim = Sim::new(SimConfig::default().with_quantum(secs(10)));
+    let m = sim.monitor("m", 0u64);
+    let _ = sim.fork_root("lone", Priority::DEFAULT, move |ctx| {
+        for _ in 0..100_000 {
+            ctx.enter(&m).with_mut(|n| *n += 1);
+            ctx.work(micros(1));
+        }
+    });
+    let before = sim.alloc_counters();
+    sim.run(RunLimit::ToCompletion);
+    let calls = sim.alloc_counters().since(before);
+    assert_eq!(calls.quiet_calls, 300_000, "{calls:?}");
+    assert_eq!(sim.stats().ml_enters, 100_000);
+}

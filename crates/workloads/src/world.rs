@@ -92,8 +92,12 @@ impl LibCursor {
     /// Enters the next module monitor in the range, does `hold` of work
     /// inside, and exits.
     pub fn touch(&mut self, ctx: &ThreadCtx, hold: SimDuration) {
-        let m = &self.pool[self.start + (self.next % self.span)];
+        let m = &self.pool[self.start + self.next];
+        // Wrapped by a compare, not a division: this runs per touch.
         self.next += 1;
+        if self.next == self.span {
+            self.next = 0;
+        }
         let mut g = ctx.enter(m);
         if !hold.is_zero() {
             ctx.work(hold);

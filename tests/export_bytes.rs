@@ -1,13 +1,18 @@
-//! Pins the exported bytes of one recorded run inside tier-1: the JSONL
+//! Pins the exported bytes of recorded runs inside tier-1: the JSONL
 //! and Chrome documents of Cedar/Keyboard, one virtual second, clean and
-//! under the chaos preset (so instants and flows appear). The hashes
-//! were taken from the build before the exporters stopped going through
-//! a `Json` tree; `benchmark/expected.json` pins the same formats on
-//! other cells, but only when the benchmark runs.
+//! under the chaos preset (so instants and flows appear), clean under
+//! each of the other three scheduling policies, and clean on two virtual
+//! CPUs. The first two hashes were taken from the build before the
+//! exporters stopped going through a `Json` tree, the rest from the
+//! build before uncontended monitor calls and `work` were finished
+//! without a kernel request; `benchmark/expected.json` pins the same
+//! formats on other cells, but only when the benchmark runs.
 
-use threadstudy::pcr::{secs, ChaosConfig, RunLimit};
+use threadstudy::pcr::{
+    millis, secs, ChaosConfig, PolicyKind, RunLimit, Sim, SimConfig, SystemDaemonConfig,
+};
 use threadstudy::trace::{write_chrome, write_jsonl, Json, Recording};
-use threadstudy::workloads::{build_chaos_with, chaos_preset, Benchmark, System};
+use threadstudy::workloads::{build_chaos_with, cedar, chaos_preset, Benchmark, System};
 
 /// 64-bit FNV-1a, the hash `benchmark/` uses for its digests.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -16,18 +21,46 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Cedar/Keyboard for one virtual second under `chaos`.
-fn record(chaos: ChaosConfig) -> Recording {
-    let mut sim = build_chaos_with(
-        System::Cedar,
-        Benchmark::Keyboard,
-        0x5EED_0015,
-        chaos,
-        |c| c,
-    );
+const SEED: u64 = 0x5EED_0015;
+
+/// Cedar/Keyboard under `chaos` and `policy`.
+fn keyboard(chaos: ChaosConfig, policy: PolicyKind) -> Sim {
+    build_chaos_with(System::Cedar, Benchmark::Keyboard, SEED, chaos, |c| {
+        c.with_policy(policy)
+    })
+}
+
+/// Clean Cedar/Keyboard on two virtual CPUs, with the SystemDaemon
+/// `build_chaos_with` gives a Cedar world.
+fn keyboard_on_two_cpus() -> Sim {
+    let daemon = SystemDaemonConfig {
+        period: millis(100),
+        slice: millis(5),
+    };
+    let cfg = SimConfig::default()
+        .with_seed(SEED)
+        .with_system_daemon(daemon);
+    let mut sim = Sim::with_cpus(cfg, 2);
+    cedar::install(&mut sim, Benchmark::Keyboard);
+    sim
+}
+
+/// `sim` for one virtual second.
+fn record(mut sim: Sim) -> Recording {
     let (report, rec) = Recording::run(&mut sim, RunLimit::For(secs(1)));
     assert!(!report.deadlocked());
     rec
+}
+
+/// Exports `sim`'s recorded second and compares the event count and the
+/// two documents' hashes with `pinned`.
+fn assert_pinned(name: &str, sim: Sim, pinned: (usize, u64, u64)) {
+    let Recording { events, labels } = record(sim);
+    let (mut jsonl, mut chrome) = (Vec::new(), Vec::new());
+    let written = write_jsonl(&events, &mut jsonl).unwrap();
+    write_chrome(&events, &labels, &mut chrome).unwrap();
+    let got = (written, fnv1a(&jsonl), fnv1a(&chrome));
+    assert_eq!(got, pinned, "{name}: {got:#x?}");
 }
 
 #[test]
@@ -47,12 +80,44 @@ fn clean_and_chaos_runs_export_the_pinned_bytes() {
         ),
     ];
     for (chaos, events_pinned, jsonl_pinned, chrome_pinned) in pinned {
-        let Recording { events, labels } = record(chaos);
-        let (mut jsonl, mut chrome) = (Vec::new(), Vec::new());
-        assert_eq!(write_jsonl(&events, &mut jsonl).unwrap(), events_pinned);
-        write_chrome(&events, &labels, &mut chrome).unwrap();
-        let got = (fnv1a(&jsonl), fnv1a(&chrome));
-        assert_eq!(got, (jsonl_pinned, chrome_pinned), "{got:#x?}");
+        let sim = keyboard(chaos, PolicyKind::RoundRobin);
+        assert_pinned("rr", sim, (events_pinned, jsonl_pinned, chrome_pinned));
+    }
+}
+
+/// The same clean second under each of the other policies, whose
+/// preemption rules differ, and on two CPUs, where every call is served
+/// by the multiprocessor run loop. MLFQ's bytes are round-robin's: in
+/// its first seconds no Cedar/Keyboard thread runs out a quantum.
+#[test]
+fn every_policy_and_two_cpus_export_the_pinned_bytes() {
+    let pinned = [
+        (
+            Some(PolicyKind::Cfs),
+            3134,
+            0xd093_0999_c5f7_c883,
+            0x98e3_3bf1_8362_8a30,
+        ),
+        (
+            Some(PolicyKind::Lottery),
+            3095,
+            0xc9a9_30ef_4830_e1f2,
+            0x3860_261e_8e6d_2da7,
+        ),
+        (
+            Some(PolicyKind::Mlfq),
+            3101,
+            0x1f31_93b8_886e_9cb0,
+            0x96d5_fc1f_3866_f1ae,
+        ),
+        (None, 3106, 0x367a_febd_4189_9a5d, 0x1822_d707_4d72_01f9),
+    ];
+    for (policy, events_pinned, jsonl_pinned, chrome_pinned) in pinned {
+        let (name, sim) = match policy {
+            Some(policy) => (policy.as_str(), keyboard(ChaosConfig::none(), policy)),
+            None => ("two cpus", keyboard_on_two_cpus()),
+        };
+        assert_pinned(name, sim, (events_pinned, jsonl_pinned, chrome_pinned));
     }
 }
 
@@ -64,7 +129,8 @@ fn clean_and_chaos_runs_export_the_pinned_bytes() {
 /// the window.
 #[test]
 fn chrome_events_read_back_one_allocation_each() {
-    let Recording { events, labels } = record(ChaosConfig::none());
+    let Recording { events, labels } =
+        record(keyboard(ChaosConfig::none(), PolicyKind::RoundRobin));
     let mut chrome = Vec::new();
     write_chrome(&events, &labels, &mut chrome).unwrap();
     let doc = Json::parse(std::str::from_utf8(&chrome).unwrap()).unwrap();
