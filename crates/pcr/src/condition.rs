@@ -7,10 +7,11 @@
 //! quantized to the runtime's timer granularity (50 ms in PCR).
 
 use std::collections::VecDeque;
+use std::fmt;
 use std::sync::Arc;
 
 use crate::event::CondId;
-use crate::monitor::MonitorId;
+use crate::monitor::{MonitorId, SimId};
 use crate::thread::ThreadId;
 use crate::time::SimDuration;
 
@@ -20,11 +21,26 @@ use crate::time::SimDuration;
 /// waiter wakens* semantics and is only a performance hint: waiters must
 /// re-check their predicate, so BROADCAST can always be substituted
 /// without affecting correctness (§2).
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct Condition {
     pub(crate) id: CondId,
     pub(crate) monitor: MonitorId,
+    /// The simulation that made it: WAIT, NOTIFY and BROADCAST refuse a
+    /// CV of another one, whose id may name any CV of the caller's.
+    pub(crate) sim: SimId,
     pub(crate) timeout: Option<SimDuration>,
+}
+
+// By hand, to leave out `sim`: no output depends on how many worlds the
+// process built before this one.
+impl fmt::Debug for Condition {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Condition")
+            .field("id", &self.id)
+            .field("monitor", &self.monitor)
+            .field("timeout", &self.timeout)
+            .finish()
+    }
 }
 
 impl Condition {

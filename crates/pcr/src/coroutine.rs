@@ -1,5 +1,6 @@
-//! Stackful coroutines: the mechanism under the baton protocol, and the
-//! one module of this crate allowed to say `unsafe`.
+//! Stackful coroutines: the mechanism under the baton protocol, and one
+//! of the two modules of this crate allowed to say `unsafe` (`monitor`,
+//! whose data the kernel's ownership rule guards, is the other).
 //!
 //! A simulated thread is a [`Coroutine`]: a body running on its own
 //! `mmap`ed stack, on the OS thread of whoever built the simulation. The

@@ -46,7 +46,7 @@ use crate::condition::Condition;
 use crate::coroutine::{Baton, Coroutine, Stack};
 use crate::error::{ForkError, JoinError};
 use crate::event::WaitOutcome;
-use crate::monitor::{Monitor, MonitorGuard, MonitorId};
+use crate::monitor::{Monitor, MonitorGuard, MonitorId, SimId};
 use crate::rng::SplitMix64;
 use crate::sched::{BodyFn, ForkSpec, Kernel, QuietCall, Reply, Request, ShutdownSignal};
 use crate::thread::{JoinHandle, Priority, ResultSlot, ThreadId};
@@ -94,6 +94,8 @@ pub struct ThreadCtx {
     baton: Baton,
     /// The simulation's kernel, which serves each request on this stack.
     kernel: Rc<RefCell<Kernel>>,
+    /// The simulation's identity: only its monitors and CVs may be used.
+    sim: SimId,
     shutting_down: Cell<bool>,
     priority: Cell<Priority>,
     seed: u64,
@@ -108,7 +110,7 @@ impl ThreadCtx {
         name: String,
         priority: Priority,
         kernel: Rc<RefCell<Kernel>>,
-        seed: u64,
+        (sim, seed): (SimId, u64),
         body: BodyFn,
     ) -> Coroutine {
         Coroutine::new(stack, move |baton| {
@@ -117,6 +119,7 @@ impl ThreadCtx {
                 name,
                 baton,
                 kernel,
+                sim,
                 shutting_down: Cell::new(false),
                 priority: Cell::new(priority),
                 seed,
@@ -377,8 +380,12 @@ impl ThreadCtx {
     /// # Panics
     ///
     /// Panics on recursive entry: Mesa monitors are not re-entrant and a
-    /// recursive ENTER would self-deadlock.
+    /// recursive ENTER would self-deadlock. Panics if another simulation
+    /// made `m`: its id would name one of this simulation's monitors.
     pub fn enter<'a, T: Send + 'static>(&'a self, m: &'a Monitor<T>) -> MonitorGuard<'a, T> {
+        if m.sim != self.sim {
+            foreign_monitor("enter", m.id);
+        }
         let reply = match self.quietly(QuietCall::Enter(m.id)) {
             Some(reply) => self.checked(reply),
             None => self.call(Request::MonitorEnter(m.id)),
@@ -387,7 +394,7 @@ impl ThreadCtx {
             Reply::Ok => MonitorGuard {
                 ctx: self,
                 monitor: m,
-                active: true,
+                owns: true,
             },
             r => unreachable!("enter: unexpected reply {r:?}"),
         }
@@ -431,18 +438,24 @@ impl ThreadCtx {
     ///
     /// # Panics
     ///
-    /// Panics if `cv` belongs to a different monitor than `guard`.
+    /// Panics if `cv` belongs to a different monitor than `guard`, or to
+    /// another simulation.
     pub fn wait<T: Send + 'static>(
         &self,
         guard: &mut MonitorGuard<'_, T>,
         cv: &Condition,
     ) -> WaitOutcome {
-        assert_eq!(
-            guard.monitor.id, cv.monitor,
-            "WAIT: condition {:?} does not belong to monitor {:?}",
-            cv.id, guard.monitor.id
-        );
-        match self.call(Request::CvWait { cv: cv.id }) {
+        check_cv("WAIT", guard, cv);
+        if self.shutting_down.get() {
+            std::panic::panic_any(ShutdownSignal);
+        }
+        let reply = self.request(Request::CvWait { cv: cv.id });
+        if let Reply::Shutdown = reply {
+            // The kernel released the monitor as the WAIT began, and the
+            // unwind starting here keeps the guard alive a little longer.
+            guard.owns = false;
+        }
+        match self.checked(reply) {
             Reply::Wait(outcome) => outcome,
             r => unreachable!("wait: unexpected reply {r:?}"),
         }
@@ -451,39 +464,38 @@ impl ThreadCtx {
     /// NOTIFYs `cv`: makes exactly one waiter runnable, if any is queued.
     /// Requires the monitor to be held, which the guard proves.
     pub fn notify<T: Send + 'static>(&self, guard: &MonitorGuard<'_, T>, cv: &Condition) {
-        assert_eq!(
-            guard.monitor.id, cv.monitor,
-            "NOTIFY: condition {:?} does not belong to monitor {:?}",
-            cv.id, guard.monitor.id
-        );
+        check_cv("NOTIFY", guard, cv);
         let _ = self.call(Request::Notify { cv: cv.id });
     }
 
     /// BROADCASTs `cv`: makes every waiter runnable.
     pub fn broadcast<T: Send + 'static>(&self, guard: &MonitorGuard<'_, T>, cv: &Condition) {
-        assert_eq!(
-            guard.monitor.id, cv.monitor,
-            "BROADCAST: condition {:?} does not belong to monitor {:?}",
-            cv.id, guard.monitor.id
-        );
+        check_cv("BROADCAST", guard, cv);
         let _ = self.call(Request::Broadcast { cv: cv.id });
     }
 
     /// Creates a monitor at run time.
     pub fn new_monitor<T: Send + 'static>(&self, name: &str, data: T) -> Monitor<T> {
         match self.call(Request::NewMonitor { name: name.into() }) {
-            Reply::MonitorId(id) => Monitor::new(id, data),
+            Reply::MonitorId(id) => Monitor::new(id, self.sim, data),
             r => unreachable!("new_monitor: unexpected reply {r:?}"),
         }
     }
 
     /// Creates a condition variable on `m` at run time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if another simulation made `m`.
     pub fn new_condition<T: Send + 'static>(
         &self,
         m: &Monitor<T>,
         name: &str,
         timeout: Option<SimDuration>,
     ) -> Condition {
+        if m.sim != self.sim {
+            foreign_monitor("new_condition", m.id);
+        }
         match self.call(Request::NewCondition {
             name: name.into(),
             monitor: m.id,
@@ -492,6 +504,7 @@ impl ThreadCtx {
             Reply::CondId(id) => Condition {
                 id,
                 monitor: m.id,
+                sim: self.sim,
                 timeout,
             },
             r => unreachable!("new_condition: unexpected reply {r:?}"),
@@ -503,6 +516,26 @@ impl ThreadCtx {
             return;
         }
         self.baton.post(Request::Exit { panicked });
+    }
+}
+
+/// Refuses a monitor another simulation made: in the calling thread, or
+/// on the host for [`Sim::condition`](crate::Sim::condition).
+#[cold]
+#[inline(never)]
+pub(crate) fn foreign_monitor(op: &str, mid: MonitorId) -> ! {
+    panic!("{op}: monitor {mid:?} belongs to another simulation")
+}
+
+/// Refuses a CV of another monitor, or of another simulation, in the
+/// calling thread, before the kernel looks its id up.
+fn check_cv<T: Send + 'static>(op: &str, guard: &MonitorGuard<'_, T>, cv: &Condition) {
+    let mid = guard.monitor.id;
+    if mid != cv.monitor || guard.monitor.sim != cv.sim {
+        panic!(
+            "{op}: condition {:?} does not belong to monitor {mid:?}",
+            cv.id
+        );
     }
 }
 

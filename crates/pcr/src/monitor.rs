@@ -6,9 +6,55 @@
 //! it is through a [`MonitorGuard`] obtained from
 //! [`crate::ThreadCtx::enter`], so possession of the guard plays the role
 //! of "executing inside the module".
+//!
+//! # Soundness
+//!
+//! The data sits in an [`UnsafeCell`], not behind a lock: the kernel's
+//! ownership rule is the exclusion, and a lock under it could never be
+//! contended. [`MonitorGuard::with`] and [`MonitorGuard::with_mut`]
+//! dereference the cell directly, which is sound because:
+//!
+//! * **A guard reaches the data only while the kernel records its thread
+//!   as the monitor's owner.** [`crate::ThreadCtx::enter`], the only code
+//!   that builds one, does so only on the kernel's grant, and a second
+//!   ENTER by the owner faults (Mesa monitors are not re-entrant), so a
+//!   thread never holds two guards of one monitor. The one way a guard
+//!   outlives its ownership is a WAIT cut short by its world's teardown:
+//!   the kernel released the monitor when the WAIT began, and the caller
+//!   unwinds with the guard still alive, where a destructor or a
+//!   `catch_unwind` could use it while another thread is suspended inside
+//!   `with_mut`. [`crate::ThreadCtx::wait`] marks such a guard as no longer
+//!   owning, and `with`/`with_mut` refuse it with a panic (an abort if
+//!   the thread is already unwinding through a destructor).
+//! * **Ownership passes only by the owner's own EXIT or WAIT.** EXIT is
+//!   the guard's drop, which takes it by value; WAIT takes it by `&mut`,
+//!   and a [`Condition`] of another monitor or simulation is refused
+//!   before the kernel sees it. Either way the borrow checker has ended
+//!   every `&T` and `&mut T` that `with`/`with_mut` lent out. Nothing
+//!   else in the kernel clears or moves an owner: a thread that dies
+//!   inside unwinds through its guard's EXIT, and one unwound by its
+//!   world's teardown skips the EXIT and keeps the monitor for good.
+//! * **All of a simulation's threads share one OS thread**, and only one
+//!   of them runs at a time ([`crate::Sim`] and [`crate::ThreadCtx`] are
+//!   `!Send`, and so is a guard). A switch away inside `with_mut` — the
+//!   closure calls `ctx.work`, say — leaves the owner recorded, so any
+//!   other thread that tries to enter blocks.
+//! * **A monitor is entered only through the simulation that made it.**
+//!   A [`MonitorId`] of one `Sim` is a valid index in another, so each
+//!   `Sim` takes a process-unique `SimId`, every `Monitor` and
+//!   `Condition` carries its maker's, and `enter` (and WAIT, NOTIFY and
+//!   BROADCAST) refuse a foreign one with a thread panic; so does making
+//!   a CV on another world's monitor. Ids come from a
+//!   counter, never an address, so a world built after another was
+//!   dropped cannot inherit its monitors.
+//!
+//! A body that panics inside `with_mut` leaves whatever it wrote to the
+//! next enterer, as Mesa's UNWIND did.
 
+use std::cell::UnsafeCell;
 use std::fmt;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::condition::Condition;
 use crate::ctx::ThreadCtx;
@@ -36,6 +82,36 @@ impl fmt::Debug for MonitorId {
         write!(f, "ML{}", self.0)
     }
 }
+
+/// The identity of one [`crate::Sim`], unique in the process, stamped on
+/// every monitor and CV it makes. It is deliberately not `Debug`: it
+/// depends on how many worlds the process built before, so it appears in
+/// no event, report or digest.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SimId(u64);
+
+impl SimId {
+    /// A fresh id, never handed out before in this process.
+    pub(crate) fn fresh() -> SimId {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        // Relaxed: the id publishes no other data, and uniqueness needs
+        // only the atomicity of the increment.
+        SimId(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+/// A monitor's data: read and written in place by whichever thread the
+/// kernel records as the monitor's owner (see the module's soundness
+/// notes).
+struct Data<T>(UnsafeCell<T>);
+
+// SAFETY: like `Mutex<T>`, this hands out `&mut T` to one thread at a
+// time, so it may be shared across OS threads whenever `T` may be sent
+// between them. Only a `MonitorGuard` reaches the cell; a guard exists
+// only for the kernel's recorded owner, and only on the OS thread that
+// runs the guard's simulation, so at most one thread of one simulation
+// touches the data at a time.
+unsafe impl<T: Send> Sync for Data<T> {}
 
 /// A monitor protecting a value of type `T`.
 ///
@@ -68,27 +144,28 @@ impl fmt::Debug for MonitorId {
 /// ```
 pub struct Monitor<T: Send + 'static> {
     pub(crate) id: MonitorId,
-    // The simulator guarantees a single owner, but the data still sits
-    // behind a real mutex so that even API misuse cannot cause a data race.
-    // A body that panics inside leaves the data to the next enterer, as
-    // Mesa's UNWIND did: lock poison is recovered, not propagated.
-    data: Arc<Mutex<T>>,
+    /// The simulation that made it, and the only one that may enter it.
+    pub(crate) sim: SimId,
+    // No lock: the kernel's ownership rule excludes (module docs).
+    data: Arc<Data<T>>,
 }
 
 impl<T: Send + 'static> Clone for Monitor<T> {
     fn clone(&self) -> Self {
         Monitor {
             id: self.id,
+            sim: self.sim,
             data: Arc::clone(&self.data),
         }
     }
 }
 
 impl<T: Send + 'static> Monitor<T> {
-    pub(crate) fn new(id: MonitorId, data: T) -> Self {
+    pub(crate) fn new(id: MonitorId, sim: SimId, data: T) -> Self {
         Monitor {
             id,
-            data: Arc::new(Mutex::new(data)),
+            sim,
+            data: Arc::new(Data(UnsafeCell::new(data))),
         }
     }
 
@@ -114,20 +191,37 @@ impl<T: Send + 'static> fmt::Debug for Monitor<T> {
 pub struct MonitorGuard<'a, T: Send + 'static> {
     pub(crate) ctx: &'a ThreadCtx,
     pub(crate) monitor: &'a Monitor<T>,
-    pub(crate) active: bool,
+    /// Whether the kernel still records this guard's thread as the owner:
+    /// false only after a WAIT that teardown cut short (module docs).
+    pub(crate) owns: bool,
 }
 
 impl<'a, T: Send + 'static> MonitorGuard<'a, T> {
     /// Reads the protected data.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this guard's WAIT was cut short by the world's teardown:
+    /// the monitor is no longer its thread's. So does [`Self::with_mut`].
     pub fn with<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        let data = self.monitor.data.lock();
-        f(&data.unwrap_or_else(PoisonError::into_inner))
+        if !self.owns {
+            lost(self.monitor.id);
+        }
+        // SAFETY: this guard's thread owns the monitor, as `owns` says,
+        // and keeps it while `self` is borrowed, and a `&mut T` is lent
+        // only through `&mut self`, so no `&mut T` is alive (module docs).
+        f(unsafe { &*self.monitor.data.0.get() })
     }
 
     /// Mutates the protected data.
     pub fn with_mut<R>(&mut self, f: impl FnOnce(&mut T) -> R) -> R {
-        let data = self.monitor.data.lock();
-        f(&mut data.unwrap_or_else(PoisonError::into_inner))
+        if !self.owns {
+            lost(self.monitor.id);
+        }
+        // SAFETY: as in `with`, and `&mut self` rules out any other
+        // reference lent by this guard; no other guard of this monitor
+        // exists while this one's thread owns it (module docs).
+        f(unsafe { &mut *self.monitor.data.0.get() })
     }
 
     /// WAITs on `cv`, atomically releasing the monitor and re-entering it
@@ -182,8 +276,16 @@ impl<'a, T: Send + 'static> MonitorGuard<'a, T> {
 
 impl<'a, T: Send + 'static> Drop for MonitorGuard<'a, T> {
     fn drop(&mut self) {
-        if self.active {
+        if self.owns {
             self.ctx.monitor_exit(self.monitor.id);
         }
     }
+}
+
+/// Refuses a guard whose WAIT teardown cut short: its monitor is no longer
+/// its thread's, and another thread may be inside.
+#[cold]
+#[inline(never)]
+fn lost(mid: MonitorId) -> ! {
+    panic!("monitor {mid:?}: this guard's WAIT was cut short by teardown, and the monitor is no longer held")
 }

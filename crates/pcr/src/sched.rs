@@ -39,7 +39,7 @@ use crate::ctx::ThreadCtx;
 use crate::event::{CondId, EventMask, TraceSink, WaitOutcome};
 use crate::hazard::HazardMonitor;
 use crate::histogram::Log2Histogram;
-use crate::monitor::MonitorId;
+use crate::monitor::{MonitorId, SimId};
 use crate::rng::SplitMix64;
 use crate::thread::{Priority, ThreadId, ThreadInfo};
 use crate::time::{SimDuration, SimTime};
@@ -394,6 +394,8 @@ pub struct Sim {
 pub(crate) struct Kernel {
     /// The cell this kernel lives in, for the contexts of threads it forks.
     me: Weak<RefCell<Kernel>>,
+    /// This world's identity, stamped on its monitors and CVs.
+    sim: SimId,
     cfg: SimConfig,
     pub(crate) clock: SimTime,
     /// Where the [`Sim::run`] in progress stops.
@@ -514,6 +516,7 @@ impl Sim {
         let gates = vec![Default::default(); cfg.chaos.stalls.len()];
         let mut k = Kernel {
             me: Weak::new(),
+            sim: SimId::fresh(),
             cfg,
             clock: SimTime::ZERO,
             end: SimTime::ZERO,

@@ -16,7 +16,8 @@ use crate::time::SimDuration;
 impl Sim {
     /// Creates a monitor before the run starts.
     pub fn monitor<T: Send + 'static>(&mut self, name: &str, data: T) -> Monitor<T> {
-        Monitor::new(self.kernel_mut().new_monitor(name.into()), data)
+        let k = &mut *self.kernel_mut();
+        Monitor::new(k.new_monitor(name.into()), k.sim, data)
     }
 
     /// Toggles metalock cycle donation at runtime (§6.2 recovery: the

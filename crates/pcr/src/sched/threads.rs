@@ -89,7 +89,7 @@ impl Kernel {
             spec.name.clone(),
             priority,
             self.me.upgrade().expect("a kernel lives in its cell"),
-            self.cfg.seed,
+            (self.sim, self.cfg.seed),
             spec.body,
         );
         self.threads.push(Tcb {

@@ -39,16 +39,25 @@ pub(super) type TimerWheel = crate::wheel::Wheel<TimerKind>;
 
 impl Sim {
     /// Creates a condition variable on `m` before the run starts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if another simulation made `m`.
     pub fn condition<T: Send + 'static>(
         &mut self,
         m: &Monitor<T>,
         name: &str,
         timeout: Option<SimDuration>,
     ) -> Condition {
+        let k = &mut *self.kernel_mut();
+        if m.sim != k.sim {
+            crate::ctx::foreign_monitor("condition", m.id);
+        }
         let cv = CvState::new(name.into(), m.id(), timeout);
         Condition {
-            id: self.kernel_mut().new_condition(cv),
+            id: k.new_condition(cv),
             monitor: m.id(),
+            sim: k.sim,
             timeout,
         }
     }

@@ -1,9 +1,12 @@
 //! Integration tests for monitors, condition variables, fault paths,
 //! fork policies, and deadlock reporting.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex};
+
 use pcr::{
-    micros, millis, secs, EventKind, ForkError, ForkPolicy, JoinError, NotifyMode, Priority,
-    RunLimit, Sim, SimConfig, StopReason, VecSink, WaitOutcome,
+    micros, millis, panic_message, secs, EventKind, ForkError, ForkPolicy, JoinError, MonitorGuard,
+    NotifyMode, Priority, RunLimit, Sim, SimConfig, StopReason, VecSink, WaitOutcome,
 };
 
 fn sim() -> Sim {
@@ -87,6 +90,149 @@ fn panic_inside_monitor_releases_it() {
     let r = s.run(RunLimit::For(secs(2)));
     assert_eq!(r.reason, StopReason::AllExited);
     assert_eq!(h.into_result().unwrap().unwrap(), 1);
+}
+
+fn panicked(msg: &str) -> Result<(), JoinError> {
+    Err(JoinError::Panicked(msg.into()))
+}
+
+#[test]
+fn a_panic_inside_with_mut_leaves_its_partial_write_to_the_next_enterer() {
+    let mut s = sim();
+    let m = s.monitor("pair", (0u32, 0u32));
+    let m2 = m.clone();
+    let dies = s.fork_root("dies-mid-write", Priority::of(5), move |ctx| {
+        ctx.enter(&m2).with_mut(|p| {
+            p.0 = 1;
+            if p.0 == 1 {
+                panic!("dies between the two writes");
+            }
+            p.1 = 1;
+        })
+    });
+    let next = s.fork_root("next", Priority::of(4), move |ctx| {
+        ctx.sleep_precise(millis(1));
+        ctx.enter(&m).with(|p| *p)
+    });
+    assert_eq!(s.run(RunLimit::For(secs(2))).reason, StopReason::AllExited);
+    assert_eq!(
+        dies.into_result().unwrap(),
+        panicked("dies between the two writes")
+    );
+    assert_eq!(next.into_result().unwrap(), Ok((1, 0)));
+    assert_eq!(s.stats().panics, 1);
+}
+
+#[test]
+fn a_thread_preempted_inside_with_mut_keeps_the_monitor() {
+    let mut s = sim();
+    let m = s.monitor("pair", (0u32, 0u32));
+    let m2 = m.clone();
+    let _ = s.fork_root("writer", Priority::of(3), move |ctx| {
+        ctx.enter(&m2).with_mut(|p| {
+            p.0 = 1;
+            ctx.work(millis(20)); // The contender preempts it here, at 1ms.
+            p.1 = 1;
+        })
+    });
+    let contender = s.fork_root("contender", Priority::of(5), move |ctx| {
+        ctx.sleep_precise(millis(1));
+        let tried_at = ctx.now().as_micros();
+        let g = ctx.enter(&m);
+        (tried_at, ctx.now().as_micros(), g.with(|p| *p))
+    });
+    assert_eq!(s.run(RunLimit::For(secs(2))).reason, StopReason::AllExited);
+    let (tried_at, got_at, seen) = contender.into_result().unwrap().unwrap();
+    assert!(tried_at < 2_000 && got_at >= 20_000, "{tried_at} {got_at}");
+    assert_eq!(seen, (1, 1), "only the finished value is visible");
+    assert_eq!(s.stats().ml_contended, 1);
+}
+
+#[test]
+fn nested_reads_through_one_guard_return() {
+    let mut s = sim();
+    let m = s.monitor("m", 7u32);
+    let h = s.fork_root("reader", Priority::DEFAULT, move |ctx| {
+        let g = ctx.enter(&m);
+        g.with(|a| g.with(|b| *a + *b))
+    });
+    assert_eq!(s.run(RunLimit::For(secs(1))).reason, StopReason::AllExited);
+    assert_eq!(h.into_result().unwrap(), Ok(14));
+}
+
+/// A WAIT cut short by teardown has already given its monitor up, so the
+/// guard it leaves behind must not reach the data: here a destructor tries
+/// to, while another thread is suspended inside `with_mut`. The waiter has
+/// the lower tid, so teardown unwinds it first.
+#[test]
+fn a_guard_whose_wait_teardown_cut_short_is_refused() {
+    struct Peek<'g, 'a>(&'g mut MonitorGuard<'a, u32>, Arc<Mutex<Vec<String>>>);
+    impl Drop for Peek<'_, '_> {
+        fn drop(&mut self) {
+            let seen = catch_unwind(AssertUnwindSafe(|| self.0.with(|v| *v)));
+            let seen = match seen {
+                Ok(v) => format!("read {v}"),
+                Err(payload) => panic_message(payload.as_ref()),
+            };
+            self.1.lock().unwrap().push(seen);
+        }
+    }
+    let mut s = sim();
+    let m = s.monitor("m", 0u32);
+    let cv = s.condition(&m, "never", None);
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let (m2, log2) = (m.clone(), Arc::clone(&log));
+    let waiter = s.fork_root("waiter", Priority::DEFAULT, move |ctx| {
+        let mut g = ctx.enter(&m2);
+        let peek = Peek(&mut g, log2);
+        peek.0.wait(&cv);
+    });
+    let writer = s.fork_root("writer", Priority::DEFAULT, move |ctx| {
+        ctx.sleep_precise(millis(1));
+        ctx.enter(&m).with_mut(|v| {
+            *v = 1;
+            ctx.work(secs(10)); // Still here when the world is dropped.
+            *v = 2;
+        })
+    });
+    assert!(waiter.tid() < writer.tid());
+    assert_eq!(
+        s.run(RunLimit::For(millis(100))).reason,
+        StopReason::TimeLimit
+    );
+    drop(s);
+    let refused = "monitor ML0: this guard's WAIT was cut short by teardown, \
+                   and the monitor is no longer held";
+    assert_eq!(*log.lock().unwrap(), [refused]);
+}
+
+/// A monitor made by another simulation, by its host or by one of its
+/// threads, is refused in a world whose own first monitor has the same
+/// id: the entering thread alone pays, and the world's monitor stays free.
+#[test]
+fn a_monitor_made_by_another_sim_is_refused() {
+    let by_host = sim().monitor("by-host", 0u32);
+    let mut other = sim();
+    let by_thread = other.fork_root("maker", Priority::DEFAULT, |ctx| {
+        ctx.new_monitor("by-thread", 0u32)
+    });
+    other.run(RunLimit::ToCompletion);
+    for foreign in [by_host, by_thread.into_result().unwrap().unwrap()] {
+        let mut s = sim();
+        let own = s.monitor("own", 0u32);
+        assert_eq!(own.id(), foreign.id(), "the ids collide");
+        let trespasser = s.fork_root("trespasser", Priority::of(5), move |ctx| {
+            ctx.enter(&foreign).with_mut(|v| *v += 1)
+        });
+        let owner = s.fork_root("owner", Priority::of(4), move |ctx| {
+            ctx.enter(&own).with_mut(|v| std::mem::replace(v, 1))
+        });
+        assert_eq!(s.run(RunLimit::For(secs(1))).reason, StopReason::AllExited);
+        let refused = panicked("enter: monitor ML0 belongs to another simulation");
+        assert_eq!(trespasser.into_result().unwrap(), refused);
+        assert_eq!(owner.into_result().unwrap(), Ok(0));
+        assert_eq!((s.stats().panics, s.stats().ml_enters), (1, 1));
+    }
 }
 
 // ---- condition variables --------------------------------------------------
@@ -214,6 +360,62 @@ fn wait_on_foreign_monitors_cv_panics() {
         Err(JoinError::Panicked(msg)) => assert!(msg.contains("does not belong"), "{msg}"),
         other => panic!("expected panic, got {other:?}"),
     }
+}
+
+#[test]
+fn a_condition_made_by_another_sim_is_refused() {
+    let mut other = sim();
+    let theirs = other.monitor("theirs", ());
+    let foreign = other.condition(&theirs, "foreign", None);
+    let mut s = sim();
+    let own = s.monitor("own", ());
+    let own_cv = s.condition(&own, "own", None);
+    // Monitor and CV ids both collide: only the world tells them apart.
+    assert_eq!((own.id(), own_cv.id()), (theirs.id(), foreign.id()));
+    let handles = ["WAIT", "NOTIFY", "BROADCAST"].map(|op| {
+        let (own, foreign) = (own.clone(), foreign.clone());
+        let h = s.fork_root(op, Priority::DEFAULT, move |ctx| {
+            let mut g = ctx.enter(&own);
+            match op {
+                "WAIT" => _ = g.wait(&foreign),
+                "NOTIFY" => g.notify(&foreign),
+                _ => g.broadcast(&foreign),
+            }
+        });
+        (op, h)
+    });
+    assert_eq!(s.run(RunLimit::For(secs(1))).reason, StopReason::AllExited);
+    for (op, h) in handles {
+        let refused = format!("{op}: condition CondId(0) does not belong to monitor ML0");
+        assert_eq!(h.into_result().unwrap(), panicked(&refused));
+    }
+    let st = s.stats();
+    assert_eq!(
+        (st.panics, st.cv_waits, st.cv_notifies, st.cv_broadcasts),
+        (3, 0, 0, 0)
+    );
+}
+
+/// A CV is made only on a monitor of the world that makes it: another
+/// world's monitor, whose id names one of this world's, is refused on the
+/// host by `Sim::condition` and in the thread by `new_condition`.
+#[test]
+fn a_condition_on_another_sims_monitor_is_refused() {
+    let mut other = sim();
+    let theirs = other.monitor("theirs", ());
+    let mut s = sim();
+    let own = s.monitor("own", ());
+    assert_eq!(own.id(), theirs.id(), "the ids collide");
+    let on_host = catch_unwind(AssertUnwindSafe(|| s.condition(&theirs, "cv", None)));
+    let msg = panic_message(on_host.expect_err("refused on the host").as_ref());
+    assert_eq!(msg, "condition: monitor ML0 belongs to another simulation");
+    let h = s.fork_root("maker", Priority::DEFAULT, move |ctx| {
+        ctx.new_condition(&theirs, "cv", None);
+    });
+    assert_eq!(s.run(RunLimit::For(secs(1))).reason, StopReason::AllExited);
+    let refused = panicked("new_condition: monitor ML0 belongs to another simulation");
+    assert_eq!(h.into_result().unwrap(), refused);
+    assert!(s.condition_names().is_empty(), "no CV was made");
 }
 
 #[test]

@@ -24,13 +24,12 @@ pub enum LifetimeClass {
 
 #[derive(Clone, Debug)]
 struct ThreadBirth {
-    parent: Option<ThreadId>,
     generation: u32,
     born: SimTime,
     died: Option<SimTime>,
 }
 
-/// Collects fork parentage and lifetimes from the event stream.
+/// Collects fork generations and lifetimes from the event stream.
 #[derive(Debug, Default)]
 pub struct GenealogyCollector {
     threads: HashMap<ThreadId, ThreadBirth>,
@@ -106,11 +105,6 @@ impl GenealogyCollector {
     pub fn thread_count(&self) -> usize {
         self.threads.len()
     }
-
-    /// The recorded parent of a thread, if any.
-    pub fn parent_of(&self, tid: ThreadId) -> Option<ThreadId> {
-        self.threads.get(&tid).and_then(|t| t.parent)
-    }
 }
 
 impl TraceSink for GenealogyCollector {
@@ -122,15 +116,11 @@ impl TraceSink for GenealogyCollector {
         self.end = self.end.max(ev.t);
         match ev.kind {
             EventKind::Fork {
-                parent,
-                child,
-                generation,
-                ..
+                child, generation, ..
             } => {
                 self.threads.insert(
                     child,
                     ThreadBirth {
-                        parent,
                         generation,
                         born: ev.t,
                         died: None,
@@ -182,10 +172,10 @@ mod tests {
         g.record(&fork(20, Some(1), 2, 2));
         assert_eq!(g.max_generation(), 2);
         assert_eq!(g.generation_counts(), vec![1, 1, 1]);
-        assert_eq!(
-            g.parent_of(ThreadId::from_u32(2)),
-            Some(ThreadId::from_u32(1))
-        );
+        // A sibling counts at its own generation, not the last fork's.
+        g.record(&fork(30, Some(0), 3, 1));
+        assert_eq!(g.generation_counts(), vec![1, 2, 1]);
+        assert_eq!(g.thread_count(), 4);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! * [`IntervalCollector`] / [`IntervalHistogram`] — execution-interval
 //!   distributions (the §3 bimodal 3 ms / 45 ms shape);
-//! * [`GenealogyCollector`] — fork parentage, generations, lifetimes
+//! * [`GenealogyCollector`] — fork generations and lifetimes
 //!   (eternal / worker / transient classification);
 //! * [`BenchmarkRates`] — the per-benchmark rows of Tables 1–3;
 //! * [`ContentionProfiler`] — the §6.1 per-monitor hold/wait profile;

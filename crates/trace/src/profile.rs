@@ -94,12 +94,6 @@ impl ContentionProfiler {
         }
     }
 
-    /// The profile of one monitor by raw id.
-    pub fn for_monitor(&self, monitor: u32) -> MonitorProfile {
-        let known = self.per_monitor.get(monitor as usize).copied().flatten();
-        known.unwrap_or_default()
-    }
-
     /// Finished rows, hottest first (most contended entries, then most
     /// total wait, then id); monitors never entered are omitted.
     pub fn rows(&self) -> Vec<MonitorProfileRow> {
@@ -168,6 +162,13 @@ mod tests {
     use super::*;
     use pcr::{millis, secs, Priority, RunLimit, Sim, SimConfig};
 
+    /// One monitor's counters as `rows()` reports them; all zero if it
+    /// has no row.
+    fn row_of(prof: &ContentionProfiler, monitor: u32) -> MonitorProfile {
+        let row = prof.rows().into_iter().find(|r| r.monitor == monitor);
+        row.map(|r| r.profile).unwrap_or_default()
+    }
+
     fn contended_world() -> (Sim, u32, u32) {
         let mut sim = Sim::new(SimConfig::default());
         let hot = sim.monitor("hot", 0u32);
@@ -196,7 +197,7 @@ mod tests {
     fn profiles_hold_and_wait_time() {
         let (mut sim, hot_id, cold_id) = contended_world();
         let prof = crate::take_collector::<ContentionProfiler>(&mut sim).unwrap();
-        let hot = prof.for_monitor(hot_id);
+        let hot = row_of(&prof, hot_id);
         assert!(hot.contended > 0, "hot monitor never contended");
         // Each hold spans the 2 ms sleep, so hold and wait time are both
         // in the milliseconds.
@@ -205,7 +206,7 @@ mod tests {
         assert!(hot.total_wait >= millis(1), "wait = {:?}", hot.total_wait);
         assert!(hot.max_wait >= millis(1));
         assert!(hot.mean_wait().unwrap() >= millis(1));
-        let cold = prof.for_monitor(cold_id);
+        let cold = row_of(&prof, cold_id);
         assert_eq!(cold.contended, 0);
         assert_eq!(cold.total_wait, SimDuration::ZERO);
         assert!(cold.total_hold < millis(1), "cold held too long");
@@ -240,11 +241,11 @@ mod tests {
         let (_, rec) = crate::Recording::run(&mut sim, RunLimit::ToCompletion);
         let mut prof = ContentionProfiler::default();
         rec.events.iter().for_each(|ev| prof.record(ev));
-        let [m_hold, outer_hold, inner_hold] = ids.map(|id| prof.for_monitor(id).total_hold);
+        let [m_hold, outer_hold, inner_hold] = ids.map(|id| row_of(&prof, id).total_hold);
         // The 10 ms spent waiting must NOT count as hold time...
         assert!(m_hold < millis(2), "hold = {m_hold:?}");
         assert!(inner_hold < millis(2), "hold = {inner_hold:?}");
-        assert_eq!(prof.for_monitor(ids[0]).contended, 0);
+        assert_eq!(row_of(&prof, ids[0]).contended, 0);
         // ...except on the monitor the waiter never let go of.
         assert!(outer_hold >= millis(10), "hold = {outer_hold:?}");
 
@@ -265,7 +266,7 @@ mod tests {
     fn empty_profiler_is_sane() {
         let p = ContentionProfiler::default();
         assert!(p.rows().is_empty());
-        assert_eq!(p.for_monitor(3).mean_hold(), None);
-        assert_eq!(p.for_monitor(3).mean_wait(), None);
+        assert_eq!(row_of(&p, 3).mean_hold(), None);
+        assert_eq!(row_of(&p, 3).mean_wait(), None);
     }
 }
