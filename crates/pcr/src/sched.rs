@@ -252,9 +252,11 @@ pub(crate) struct Tcb {
     parent: Option<ThreadId>,
     generation: u32,
     cpu: SimDuration,
-    /// The CV wait in progress's timeout, and the spurious wakeup chaos
-    /// armed for it, until [`Kernel::end_wait`] takes them off the wheel.
-    wait_timers: [Option<WheelToken>; 2],
+    /// The timers that end the thread's wait or stall in progress: a CV
+    /// wait's timeout and the spurious wakeup chaos armed for it, or a
+    /// stall's end, until [`Kernel::cancel_wake_timers`] takes them off
+    /// the wheel.
+    wake_timers: [Option<WheelToken>; 2],
     /// Monitor to (re)acquire when next dispatched.
     acquire_on_dispatch: Option<MonitorId>,
     /// The CV wait that reacquiring its monitor ends, and the outcome to
@@ -423,14 +425,9 @@ pub(crate) struct Kernel {
     policy: Box<dyn Scheduler>,
     /// What a directed yield asked of the next pick (uniprocessor only).
     donation: Option<DonationPlan>,
+    /// Every timer still pending, and nothing else: a world with no thread
+    /// to run and an empty wheel is deadlocked.
     timers: TimerWheel,
-    /// The latest deadline of any wait timer cancelled so far: the
-    /// compatibility rule of cancelling eagerly. A cancelled timeout used to
-    /// stay in the wheel until its deadline, so an otherwise quiescent world
-    /// idled on to it before it stopped (`TimeLimit`, or `Deadlock` *at* that
-    /// deadline), and the fuzz signatures and goldens record those stops. Only
-    /// an idle world reads it ([`Kernel::next_stop`]); re-triaging deletes it.
-    cancelled_until: SimTime,
     /// This world's account with its OS thread's pool of vacant stacks:
     /// a simulated fork takes a vacated stack instead of mapping one, so
     /// steady-state fork/exit makes no system call, and nor does building
@@ -531,7 +528,6 @@ impl Sim {
             pool: StackPool::default(),
             donation: None,
             timers: TimerWheel::new(),
-            cancelled_until: SimTime::ZERO,
             monitors: Vec::new(),
             conds: Vec::new(),
             faults: Vec::new(),

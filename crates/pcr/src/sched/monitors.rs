@@ -270,6 +270,8 @@ impl Kernel {
             was_ready || self.threads[holder.0 as usize].state == TState::Stalled,
             "metalock holder must be preempted/ready (or chaos-stalled)"
         );
+        // A stalled holder's stall ends here, and its timer with it.
+        self.cancel_wake_timers(holder);
         self.finish_block_on_mutex(holder, mid);
     }
 

@@ -87,7 +87,7 @@ impl Sim {
             }
             match k.pick_next() {
                 Some((tid, slice, shield)) => k = self.dispatch(k, tid, slice, shield),
-                None => match k.next_stop(true) {
+                None => match k.timers.next_deadline() {
                     Some(t) if t <= end => k.set_clock(t),
                     Some(_) => return StopReason::TimeLimit,
                     None => return StopReason::Deadlock(k.deadlock_report()),
@@ -156,7 +156,7 @@ impl Sim {
                 return StopReason::AllExited;
             }
             let idle = k.cpus.iter().all(|c| c.running.is_none());
-            let next = k.next_stop(idle);
+            let next = k.timers.next_deadline();
             if idle && next.is_none() {
                 return StopReason::Deadlock(k.deadlock_report());
             }
@@ -505,8 +505,9 @@ impl Kernel {
     }
 
     /// Advances virtual time across all busy CPUs by the largest step that
-    /// passes no timer (`next`: [`Kernel::next_stop`]), no end of a debt and
-    /// no end of a quantum; with every CPU idle, the jump to `next` or `end`.
+    /// passes no timer (`next`, the wheel's earliest deadline), no end of a
+    /// debt and no end of a quantum; with every CPU idle, the jump to `next`
+    /// or `end`.
     /// A step of zero is a quantum that expires now.
     fn advance_cpus(&mut self, end: SimTime, next: Option<SimTime>) {
         let mut dt = end.saturating_since(self.clock);

@@ -42,8 +42,8 @@ impl Sim {
 
     /// Clears any chaos stall on `tid` — in force or pending — and puts
     /// a stalled thread back in the ready queue (§5.2 recovery: restart
-    /// the unresponsive component). The orphaned `ChaosStallEnd` timer
-    /// no-ops when it fires. Returns true if anything changed.
+    /// the unresponsive component). The stall's end comes off the timer
+    /// wheel with it. Returns true if anything changed.
     pub fn rejuvenate(&mut self, tid: ThreadId) -> bool {
         self.kernel_mut().rejuvenate(tid)
     }
@@ -105,7 +105,7 @@ impl Kernel {
             parent,
             generation,
             cpu: SimDuration::ZERO,
-            wait_timers: [None; 2],
+            wake_timers: [None; 2],
             acquire_on_dispatch: None,
             reacquire: None,
             stall_pending: None,
@@ -367,19 +367,24 @@ impl Kernel {
         true
     }
 
-    /// Takes `tid` (not currently in any queue) out of scheduling for `d`.
+    /// Takes `tid` (not currently in any queue or wait) out of scheduling
+    /// for `d`.
     pub(super) fn stall_thread(&mut self, tid: ThreadId, d: SimDuration) {
         let until = self.clock + d;
         self.threads[tid.0 as usize].state = TState::Stalled;
         self.stats.chaos_stalls += 1;
         self.emit(EventKind::ChaosStall { tid, until });
-        self.timers.schedule(until, TimerKind::ChaosStallEnd(tid));
+        let end = self.timers.schedule(until, TimerKind::ChaosStallEnd(tid));
+        let slot = &mut self.threads[tid.0 as usize].wake_timers;
+        debug_assert_eq!(*slot, [None; 2], "a stall inside a wait");
+        *slot = [Some(end), None];
     }
 
     pub(super) fn rejuvenate(&mut self, tid: ThreadId) -> bool {
         let had_pending = self.threads[tid.0 as usize].stall_pending.take().is_some();
         let was_stalled = self.threads[tid.0 as usize].state == TState::Stalled;
         if was_stalled {
+            self.cancel_wake_timers(tid);
             self.push_ready_back(tid);
         }
         had_pending || was_stalled

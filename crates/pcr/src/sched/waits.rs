@@ -6,8 +6,10 @@
 //! ordered by (deadline, insertion sequence), so same-deadline timers
 //! fire FIFO and traces replay identically. Quantization to the timer
 //! granularity happens at insertion, here. It holds live timers only: a
-//! CV wait keeps the tokens of its timers, and whatever ends the wait
-//! cancels what is left of them ([`Kernel::end_wait`]).
+//! CV wait or a chaos stall keeps the tokens of its timers, and whatever
+//! ends it cancels what is left of them ([`Kernel::cancel_wake_timers`]);
+//! a sleep ends only by its own timer. So a world with nothing to run and
+//! nothing in the wheel can never move again: it is deadlocked.
 
 use super::{Kernel, Reply, Sim, TState};
 use crate::chaos::FaultSiteKind;
@@ -16,7 +18,7 @@ use crate::config::NotifyMode;
 use crate::event::{CondId, EventKind, WaitOutcome};
 use crate::monitor::{Monitor, MonitorId};
 use crate::thread::ThreadId;
-use crate::time::{micros, millis, SimDuration, SimTime};
+use crate::time::{micros, millis, SimDuration};
 
 /// What to do when a timer fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -110,7 +112,7 @@ impl Kernel {
         let t = &mut self.threads[tid.0 as usize];
         t.state = TState::CvWait(cv);
         t.blocked_since = now;
-        t.wait_timers = [timeout, spurious];
+        t.wake_timers = [timeout, spurious];
         self.conds[cv.0 as usize].queue.push_back(tid);
         self.emit(EventKind::MlExit { tid, monitor: mid });
         self.release_monitor(mid);
@@ -196,7 +198,7 @@ impl Kernel {
     /// at once to reacquire the monitor, or (§6.1's deferred reschedule)
     /// queued on it when the notifier leaves.
     fn wake_waiter(&mut self, w: ThreadId, mid: MonitorId, cv: CondId) {
-        self.end_wait(w);
+        self.cancel_wake_timers(w);
         let wt = &mut self.threads[w.0 as usize];
         match self.cfg.notify_mode {
             NotifyMode::Immediate => {
@@ -212,15 +214,15 @@ impl Kernel {
         }
     }
 
-    /// The one way out of a CV wait, whoever ends it — NOTIFY, BROADCAST,
-    /// its timeout, a spurious wakeup: its timers come off the wheel (one
-    /// that is firing is off already), which so holds live timers only.
-    fn end_wait(&mut self, tid: ThreadId) {
-        let timers = std::mem::take(&mut self.threads[tid.0 as usize].wait_timers);
+    /// The one way out of a CV wait or a stall, whoever ends it — NOTIFY,
+    /// BROADCAST, a timeout, a spurious wakeup, the stall's end,
+    /// [`Sim::rejuvenate`] or a metalock donation: its timers come off the
+    /// wheel (one that is firing is off already), which so holds live
+    /// timers only.
+    pub(super) fn cancel_wake_timers(&mut self, tid: ThreadId) {
+        let timers = std::mem::take(&mut self.threads[tid.0 as usize].wake_timers);
         for token in timers.into_iter().flatten() {
-            if self.timers.cancel(token) {
-                self.cancelled_until = self.cancelled_until.max(token.deadline());
-            }
+            self.timers.cancel(token);
         }
     }
 
@@ -231,7 +233,7 @@ impl Kernel {
         let idx = tid.0 as usize;
         let waiting = self.threads[idx].state == TState::CvWait(cv);
         assert!(waiting, "a wait's timer outlived the wait");
-        self.end_wait(tid);
+        self.cancel_wake_timers(tid);
         let mid = self.conds[cv.0 as usize].monitor;
         self.conds[cv.0 as usize].queue.retain(|&w| w != tid);
         if outcome == WaitOutcome::TimedOut {
@@ -287,23 +289,14 @@ impl Kernel {
         }
     }
 
-    /// Where the clock next stops for a timer: the next one due, and with
-    /// nothing to run (`idle`) also the latest deadline cancelled, while it
-    /// is ahead of the clock (`cancelled_until` says why).
-    pub(super) fn next_stop(&self, idle: bool) -> Option<SimTime> {
-        let cancelled = Some(self.cancelled_until).filter(|&t| idle && t > self.clock);
-        let next = self.timers.next_deadline();
-        [next, cancelled].into_iter().flatten().min()
-    }
-
     #[inline(never)]
     fn fire_timers(&mut self) {
         while let Some(kind) = self.timers.pop_due(self.clock) {
             match kind {
                 TimerKind::Wake(tid) => {
-                    if self.threads[tid.0 as usize].state == TState::Sleeping {
-                        self.push_ready_back(tid);
-                    }
+                    let sleeping = self.threads[tid.0 as usize].state == TState::Sleeping;
+                    assert!(sleeping, "a sleep's timer outlived the sleep");
+                    self.push_ready_back(tid);
                 }
                 TimerKind::CvTimeout { tid, cv } => {
                     self.time_out_wait(tid, cv, WaitOutcome::TimedOut)
@@ -313,9 +306,10 @@ impl Kernel {
                 }
                 TimerKind::ChaosStallStart { spec } => self.start_chaos_stall(spec),
                 TimerKind::ChaosStallEnd(tid) => {
-                    if self.threads[tid.0 as usize].state == TState::Stalled {
-                        self.push_ready_back(tid);
-                    }
+                    let stalled = self.threads[tid.0 as usize].state == TState::Stalled;
+                    assert!(stalled, "a stall's timer outlived the stall");
+                    self.cancel_wake_timers(tid);
+                    self.push_ready_back(tid);
                 }
             }
         }

@@ -14,12 +14,15 @@
 //!
 //! ## Layout
 //!
-//! Seven levels of 64 slots each, 6 bits per level (Varghese–Lauck
+//! Eleven levels of 64 slots each, 6 bits per level (Varghese–Lauck
 //! hashed wheels, anchored form): a pending deadline `at` lives at the
 //! smallest level `L` whose *parent frame* matches the wheel's anchor,
 //! `(at >> 6(L+1)) == (current >> 6(L+1))`, in slot `(at >> 6L) & 63`.
 //! Level 0 slots therefore hold one exact microsecond deadline each;
-//! level `L` slots hold a `64^L`-µs range. The anchored rule (rather
+//! level `L` slots hold a `64^L`-µs range. The top level's parent frame
+//! is the whole clock, so it takes whatever no lower level does, in the
+//! 16 slots its top 4 bits name: every `SimTime` has a slot, up to
+//! `SimTime::MAX`, and there is no second store. The anchored rule (rather
 //! than a delta-based `level_of(at - current)`) means a slot can never
 //! alias entries one wrap ahead, so the bottom-up occupancy-bitmap scan
 //! yields the exact global minimum and every cascade strictly descends.
@@ -29,8 +32,6 @@
 //! the minimum deadline; the anchor only advances when timers fire, and
 //! advancing to the minimum `e` only ever needs to cascade `e`'s own
 //! slot on its level (everything else provably stays correctly placed).
-//! Deadlines beyond the 2⁴²-µs horizon (~52 days) go to an overflow
-//! list that drains when the anchor crosses the top-level frame.
 //!
 //! Cancellation is a physical unlink: [`Wheel::schedule`] returns a
 //! [`WheelToken`] naming the entry's `(deadline, seq)`, and
@@ -42,7 +43,7 @@ use crate::time::SimTime;
 
 const LEVEL_BITS: u32 = 6;
 const SLOTS: usize = 1 << LEVEL_BITS; // 64
-pub(crate) const LEVELS: usize = 7; // horizon: 2^(6*7) µs ≈ 52 days
+const LEVELS: usize = 64usize.div_ceil(LEVEL_BITS as usize); // 11: all of u64
 const NIL: u32 = u32::MAX;
 
 struct Node<K> {
@@ -59,13 +60,6 @@ struct Node<K> {
 pub struct WheelToken {
     at: SimTime,
     seq: u64,
-}
-
-impl WheelToken {
-    /// The deadline this token's entry was armed for.
-    pub fn deadline(&self) -> SimTime {
-        self.at
-    }
 }
 
 /// Pending timers over payload `K`, ordered by `(deadline, insertion
@@ -87,8 +81,6 @@ pub struct Wheel<K: Copy> {
     /// The anchor, in µs. Advances only when timers fire; always ≤ the
     /// sim clock and ≤ every pending deadline.
     current: u64,
-    /// Deadlines beyond the top-level frame of `current`.
-    overflow: Vec<(SimTime, u64, K)>,
     /// The exact earliest pending `(at)`, kept valid across every
     /// mutation so [`Wheel::next_deadline`] is a field read.
     cached_next: Option<SimTime>,
@@ -106,7 +98,6 @@ impl<K: Copy> Default for Wheel<K> {
             slots: [[NIL; SLOTS]; LEVELS],
             occupied: [0; LEVELS],
             current: 0,
-            overflow: Vec::new(),
             cached_next: None,
             next_seq: 0,
             len: 0,
@@ -123,17 +114,17 @@ impl<K: Copy> Wheel<K> {
     }
 
     /// The level `at` belongs to under the current anchor: the smallest
-    /// `L` whose parent frame contains both. Caller guarantees `at` is
-    /// inside the top-level frame (not overflow).
+    /// `L` whose parent frame contains both, and the top level, whose
+    /// frame is the whole clock, when no lower one does.
     #[inline]
     fn level_of(&self, at_us: u64) -> usize {
-        for level in 0..LEVELS {
+        for level in 0..LEVELS - 1 {
             let shift = LEVEL_BITS * (level as u32 + 1);
             if at_us >> shift == self.current >> shift {
                 return level;
             }
         }
-        unreachable!("overflow deadlines never reach level_of");
+        LEVELS - 1
     }
 
     #[inline]
@@ -142,14 +133,10 @@ impl<K: Copy> Wheel<K> {
     }
 
     /// Links a node for `(at, seq, kind)` into its slot, counting slab
-    /// traffic (overflow pushes count as neither alloc nor reuse).
+    /// traffic.
     fn insert(&mut self, at: SimTime, seq: u64, kind: K) {
         let at_us = at.as_micros();
         debug_assert!(at_us >= self.current, "timer armed in the past");
-        if at_us >> (LEVEL_BITS * LEVELS as u32) != self.current >> (LEVEL_BITS * LEVELS as u32) {
-            self.overflow.push((at, seq, kind));
-            return;
-        }
         let level = self.level_of(at_us);
         let idx = Self::slot_of(at_us, level);
         let head = self.slots[level][idx];
@@ -198,23 +185,6 @@ impl<K: Copy> Wheel<K> {
     /// never remove a different timer).
     pub fn cancel(&mut self, token: WheelToken) -> bool {
         let at_us = token.at.as_micros();
-        let top = LEVEL_BITS * LEVELS as u32;
-        if at_us >> top != self.current >> top {
-            // The entry, if still pending, lives on the overflow list.
-            let Some(pos) = self
-                .overflow
-                .iter()
-                .position(|&(at, seq, _)| at == token.at && seq == token.seq)
-            else {
-                return false;
-            };
-            self.overflow.remove(pos);
-            self.len -= 1;
-            if self.cached_next == Some(token.at) {
-                self.cached_next = self.recompute_next();
-            }
-            return true;
-        }
         if at_us < self.current {
             return false; // a deadline behind the anchor has fired
         }
@@ -268,18 +238,6 @@ impl<K: Copy> Wheel<K> {
     /// coarser frames in place.)
     fn advance_to(&mut self, e: SimTime) {
         let e_us = e.as_micros();
-        let top = LEVEL_BITS * LEVELS as u32;
-        if e_us >> top != self.current >> top {
-            // Crossing the top-level frame: everything in-wheel has
-            // already fired (e is the minimum), so only overflow entries
-            // remain. Re-home them under the new anchor.
-            self.current = e_us;
-            let pending = std::mem::take(&mut self.overflow);
-            for (at, seq, kind) in pending {
-                self.insert(at, seq, kind);
-            }
-            return;
-        }
         let level = self.level_of(e_us);
         self.current = e_us;
         if level == 0 {
@@ -337,7 +295,7 @@ impl<K: Copy> Wheel<K> {
             }
             return Some(min);
         }
-        self.overflow.iter().map(|&(at, _, _)| at).min()
+        None
     }
 
     /// Pops the next timer due at or before `now` — the globally
@@ -536,9 +494,9 @@ mod tests {
     }
 
     #[test]
-    fn overflow_horizon_round_trips() {
+    fn far_deadline_round_trips() {
         let mut w = Wheel::new();
-        let beyond = 1u64 << (LEVEL_BITS * LEVELS as u32); // past the horizon
+        let beyond = 1u64 << 42; // ~52 days: level 7 from an anchor at zero
         w.schedule(SimTime::from_micros(beyond + 5), 2u32);
         w.schedule(SimTime::from_micros(7), 1u32);
         assert_eq!(w.next_deadline(), Some(SimTime::from_micros(7)));
@@ -596,10 +554,15 @@ mod tests {
     /// fire / fire churn (the server world's per-request deadline
     /// pattern) must leave the wheel equivalent to the heap oracle at
     /// every step — same cancel verdicts, same pop order including
-    /// ties, same exact `next_deadline`, same live count.
-    #[test]
-    fn wheel_matches_heap_oracle_under_cancel_churn() {
-        for seed in [0xCA11_u64, 0xBEE5_2026, 0x5EED_CAFE] {
+    /// ties, same exact `next_deadline`, same live count. `arm` draws how
+    /// far ahead a timer is armed, `tick` how far the clock moves, both
+    /// in µs.
+    fn check_cancel_churn(
+        seeds: &[u64],
+        arm: fn(&mut SplitMix64) -> u64,
+        tick: fn(&mut SplitMix64) -> u64,
+    ) {
+        for &seed in seeds {
             let mut rng = SplitMix64::new(seed);
             let mut wheel = Wheel::new();
             let mut heap = HeapWheel::default();
@@ -612,13 +575,7 @@ mod tests {
                     // Arm (heavily) — sessions open faster than they
                     // resolve, so the wheel stays populated.
                     0..=3 => {
-                        let span = match rng.next_below(4) {
-                            0 => rng.next_below(64),
-                            1 => rng.next_below(5_000),
-                            2 => rng.next_below(300_000) / 100 * 100, // ties
-                            _ => rng.next_below(1 << 22),
-                        };
-                        let at = now + micros(span);
+                        let at = now.saturating_add(micros(arm(&mut rng)));
                         let k = rng.next_below(1 << 20) as u32;
                         let tw = wheel.schedule(at, k);
                         let th = heap.schedule(at, k);
@@ -646,7 +603,7 @@ mod tests {
                     }
                     // Fire: advance time and drain everything due.
                     _ => {
-                        now += micros(rng.next_below(30_000));
+                        now = now.saturating_add(micros(tick(&mut rng)));
                         loop {
                             let expect = heap.pop_due_at(now);
                             let got = wheel.pop_due_at(now);
@@ -665,6 +622,29 @@ mod tests {
                 assert_eq!(wheel.len(), heap.len(), "seed {seed:#x} step {step}");
             }
         }
+    }
+
+    #[test]
+    fn wheel_matches_heap_oracle_under_cancel_churn() {
+        let arm = |rng: &mut SplitMix64| match rng.next_below(4) {
+            0 => rng.next_below(64),
+            1 => rng.next_below(5_000),
+            2 => rng.next_below(300_000) / 100 * 100, // ties
+            _ => rng.next_below(1 << 22),
+        };
+        let tick = |rng: &mut SplitMix64| rng.next_below(30_000);
+        check_cancel_churn(&[0xCA11, 0xBEE5_2026, 0x5EED_CAFE], arm, tick);
+    }
+
+    /// The churn spread over the whole clock, up to its last microsecond:
+    /// the top level's cascades against the oracle. Spans are
+    /// log-uniform; the clock moves in smaller ones, so that it crosses
+    /// the top level's frames before it reaches the end.
+    #[test]
+    fn wheel_matches_heap_oracle_across_the_whole_clock() {
+        let arm = |rng: &mut SplitMix64| rng.next_u64() >> rng.next_below(64);
+        let tick = |rng: &mut SplitMix64| rng.next_u64() >> (5 + rng.next_below(59));
+        check_cancel_churn(&[0xFA2_2026], arm, tick);
     }
 
     #[test]
@@ -687,14 +667,32 @@ mod tests {
     }
 
     #[test]
-    fn cancel_reaches_overflow_entries() {
+    fn cancel_reaches_far_deadlines() {
         let mut w = Wheel::new();
-        let beyond = 1u64 << (LEVEL_BITS * LEVELS as u32);
+        let beyond = 1u64 << 42;
         let tok = w.schedule(SimTime::from_micros(beyond + 9), 7u32);
         assert_eq!(w.next_deadline(), Some(SimTime::from_micros(beyond + 9)));
         assert!(w.cancel(tok));
         assert!(w.is_empty());
         assert_eq!(w.next_deadline(), None);
+        assert!(!w.cancel(tok));
+    }
+
+    #[test]
+    fn the_last_microsecond_has_a_slot() {
+        let mut w = Wheel::new();
+        let last = SimTime::from_micros(u64::MAX);
+        let tok = w.schedule(last, 1u32);
+        assert_eq!(w.next_deadline(), Some(last));
+        assert!(w.cancel(tok));
+        assert_eq!(w.next_deadline(), None);
+        w.schedule(last, 2u32);
+        w.schedule(SimTime::from_micros(3), 3u32);
+        assert_eq!(w.pop_due(SimTime::from_micros(3)), Some(3));
+        assert_eq!(w.pop_due(SimTime::from_micros(u64::MAX - 1)), None);
+        assert_eq!(w.next_deadline(), Some(last));
+        assert_eq!(w.pop_due(last), Some(2));
+        assert!(w.is_empty());
         assert!(!w.cancel(tok));
     }
 

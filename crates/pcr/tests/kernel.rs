@@ -12,9 +12,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
 use pcr::{
-    micros, millis, secs, stack_pool_stats, ChaosConfig, Condition, Event, JoinError, Monitor,
-    PolicyKind, Priority, RunLimit, Sim, SimConfig, SimTime, StopReason, ThreadCtx, TraceSink,
-    WaitOutcome,
+    micros, millis, secs, stack_pool_stats, ChaosConfig, Condition, Event, EventKind, JoinError,
+    Monitor, PolicyKind, Priority, RunLimit, Sim, SimConfig, SimDuration, SimTime, StopReason,
+    ThreadCtx, TraceSink, VecSink, WaitOutcome,
 };
 
 /// Counts its own drops: a local of a body that must be destroyed
@@ -296,43 +296,81 @@ fn a_thread_switches_stacks_only_to_leave_the_cpu() {
     assert_eq!(stack_switches(quantum), 2 + 1);
 }
 
-/// A waiter on a CV with a 30 s timeout is NOTIFYed at ~1 ms, and then
-/// both threads wait for good on a CV with none.
-fn notified_then_quiescent(cpus: usize) -> Sim {
+/// A waiter on a CV with a 30 s timeout is NOTIFYed at ~1 ms (or, with
+/// `notify` false, is not), and then both threads wait for good on a CV
+/// with none. The instant each of them last waits goes into `waited`.
+fn quiescent_after(cpus: usize, notify: bool, waited: &Arc<Mutex<Vec<SimTime>>>) -> Sim {
     let mut sim = Sim::with_cpus(SimConfig::default(), cpus);
     let m = sim.monitor("m", ());
     let timed = sim.condition(&m, "timed", Some(secs(30)));
     let never = sim.condition(&m, "never", None);
-    let (m2, timed2, never2) = (m.clone(), timed.clone(), never.clone());
+    let (m2, timed2, never2, waited2) = (m.clone(), timed.clone(), never.clone(), waited.clone());
     let _ = sim.fork_root("waiter", Priority::DEFAULT, move |ctx| {
         let mut g = ctx.enter(&m2);
-        assert_eq!(g.wait(&timed2), WaitOutcome::Notified);
+        let outcome = g.wait(&timed2);
+        assert_eq!(outcome == WaitOutcome::Notified, notify, "{outcome:?}");
+        waited2.lock().unwrap().push(ctx.now());
         let _ = g.wait(&never2);
     });
+    let waited = waited.clone();
     let _ = sim.fork_root("notifier", Priority::DEFAULT, move |ctx| {
         ctx.sleep_precise(millis(1));
         let mut g = ctx.enter(&m);
-        g.notify(&timed);
+        if notify {
+            g.notify(&timed);
+        }
+        waited.lock().unwrap().push(ctx.now());
         let _ = g.wait(&never);
     });
     sim
 }
 
 #[test]
-fn a_quiescent_world_idles_on_to_the_deadline_of_a_wait_that_was_notified() {
-    // The timeout of the ended wait, on the 50 ms tick. It wakes nobody,
-    // but a world with nothing else to do is not over until it has passed.
+fn a_quiescent_world_is_deadlocked_at_once() {
+    // The NOTIFY ends the timed wait and takes its timeout off the wheel:
+    // once both threads wait on `never`, nothing is pending, so nothing
+    // can ever move again, within a 20 s window or without one.
+    for cpus in [1, 2] {
+        for limit in [RunLimit::For(secs(20)), RunLimit::ToCompletion] {
+            let waited = Arc::new(Mutex::new(Vec::new()));
+            let mut sim = quiescent_after(cpus, true, &waited);
+            let report = sim.run(limit);
+            let waited = waited.lock().unwrap().clone();
+            assert!(report.deadlocked(), "{cpus} cpus: {:?}", report.reason);
+            assert_eq!(waited.len(), 2, "{cpus} cpus");
+            assert_eq!(Some(&report.now), waited.iter().max(), "{cpus} cpus");
+            assert!(report.now < SimTime::ZERO + millis(2), "{cpus} cpus");
+            assert_eq!(sim.stats().cv_timeouts, 0, "{cpus} cpus");
+        }
+    }
+}
+
+#[test]
+fn a_quiescent_world_waits_out_a_live_timeout_then_deadlocks() {
+    // Un-notified, the 30 s timeout is armed rounded up to the 50 ms
+    // tick, and it is the one thing pending: the world idles to it, the
+    // waiter is dispatched at that instant, and the world is deadlocked
+    // the instant the waiter has waited again.
     let deadline = SimTime::ZERO + secs(30) + millis(50);
     for cpus in [1, 2] {
-        let report = notified_then_quiescent(cpus).run(RunLimit::For(secs(20)));
-        assert_eq!(report.reason, StopReason::TimeLimit, "{cpus} cpus");
-        assert_eq!(report.now, SimTime::ZERO + secs(20), "{cpus} cpus");
-
-        let mut sim = notified_then_quiescent(cpus);
+        let waited = Arc::new(Mutex::new(Vec::new()));
+        let mut sim = quiescent_after(cpus, false, &waited);
+        sim.set_sink(Box::new(VecSink::default()));
         let report = sim.run(RunLimit::ToCompletion);
+        let waited = waited.lock().unwrap().clone();
         assert!(report.deadlocked(), "{cpus} cpus: {:?}", report.reason);
-        assert_eq!(report.now, deadline, "{cpus} cpus");
-        assert_eq!(sim.stats().cv_timeouts, 0, "{cpus} cpus");
+        assert_eq!(sim.stats().cv_timeouts, 1, "{cpus} cpus");
+        let sink = sim.take_sink().expect("the VecSink installed above");
+        let events = sink.into_any().downcast::<VecSink>().unwrap().events;
+        // The last dispatch: the waiter's, ready since the timeout fired.
+        let woken = events.iter().rev().find_map(|e| match e.kind {
+            EventKind::Switch { ready_for, .. } => Some((e.t, ready_for)),
+            _ => None,
+        });
+        assert_eq!(woken, Some((deadline, SimDuration::ZERO)), "{cpus} cpus");
+        assert_eq!(waited.len(), 2, "{cpus} cpus");
+        assert_eq!(report.now, waited[1], "{cpus} cpus");
+        assert!(report.now < deadline + millis(1), "{cpus} cpus");
     }
 }
 

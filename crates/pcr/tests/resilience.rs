@@ -4,9 +4,11 @@
 //! live wait-for graph, and the two recovery levers a supervisor pulls —
 //! [`Sim::fail_pending_forks`] (§5.4) and [`Sim::rejuvenate`] (§5.2).
 
+use std::sync::{Arc, Mutex};
+
 use pcr::{
-    micros, millis, secs, BlockKind, ChaosConfig, Event, FaultDecision, FaultSchedule,
-    FaultSiteKind, Priority, RunLimit, Sim, SimConfig, SimTime, VecSink,
+    micros, millis, secs, BlockKind, ChaosConfig, Event, EventKind, FaultDecision, FaultSchedule,
+    FaultSiteKind, Priority, RunLimit, Sim, SimConfig, SimTime, StopReason, VecSink,
 };
 
 fn take_events(sim: &mut Sim) -> Vec<Event> {
@@ -243,4 +245,120 @@ fn rejuvenate_clears_a_pending_stall_too() {
     sim.run(RunLimit::For(secs(1)));
     assert_eq!(sim.stats().chaos_stalls, 0, "stall must never apply");
     assert_eq!(h.into_result().unwrap().unwrap(), 5);
+}
+
+#[test]
+fn a_rejuvenated_stalls_timer_does_not_end_a_later_stall() {
+    // Stalled at 10 ms until 110 ms, rejuvenated at 30 ms, stalled again
+    // at 50 ms until 250 ms: the first stall's end left the wheel with
+    // the first stall, so it cannot cut the second one short at 110 ms.
+    let chaos = ChaosConfig::none()
+        .stall("spinner", SimTime::ZERO + millis(10), millis(100))
+        .stall("spinner", SimTime::ZERO + millis(50), millis(200));
+    let mut sim = Sim::new(SimConfig::default().with_chaos(chaos));
+    let ran = Arc::new(Mutex::new(Vec::new()));
+    let ran2 = Arc::clone(&ran);
+    let h = sim.fork_root("spinner", Priority::DEFAULT, move |ctx| loop {
+        ctx.work(millis(1));
+        ran2.lock().unwrap().push(ctx.now());
+    });
+    let ms = |n| SimTime::ZERO + millis(n);
+    sim.run(RunLimit::Until(ms(30)));
+    assert!(sim.rejuvenate(h.tid()));
+    sim.run(RunLimit::Until(ms(300)));
+    assert_eq!(sim.stats().chaos_stalls, 2);
+    let ran = ran.lock().unwrap();
+    let resumed = ran.iter().find(|&&t| t > ms(50)).copied();
+    assert!(
+        resumed.is_some_and(|t| t > ms(250) && t < ms(251)),
+        "{resumed:?}"
+    );
+}
+
+#[test]
+fn a_rejuvenated_stalls_timer_does_not_hold_a_deadlock_open() {
+    // Stalled at 10 ms for 30 s and rejuvenated at 30 ms, the spinner
+    // then waits for good at 50 ms. Nothing else is pending, so that is
+    // the instant of the deadlock, not the dead stall's end at 30.01 s.
+    let chaos = ChaosConfig::none().stall("spinner", SimTime::ZERO + millis(10), secs(30));
+    let mut sim = Sim::new(SimConfig::default().with_chaos(chaos));
+    let m = sim.monitor("m", ());
+    let never = sim.condition(&m, "never", None);
+    let h = sim.fork_root("spinner", Priority::DEFAULT, move |ctx| {
+        while ctx.now() < SimTime::ZERO + millis(50) {
+            ctx.work(millis(1));
+        }
+        let mut g = ctx.enter(&m);
+        let _ = g.wait(&never);
+    });
+    sim.run(RunLimit::Until(SimTime::ZERO + millis(30)));
+    assert!(sim.rejuvenate(h.tid()));
+    let report = sim.run(RunLimit::ToCompletion);
+    let StopReason::Deadlock(wedge) = report.reason else {
+        panic!("{:?} at {}", report.reason, report.now);
+    };
+    assert_eq!(wedge.blocked.len(), 1, "{wedge}");
+    let spinner = &wedge.blocked[0];
+    assert_eq!(
+        (spinner.name.as_str(), spinner.resource.as_str()),
+        ("spinner", "never")
+    );
+    assert_eq!(report.now, spinner.since);
+    assert!(report.now < SimTime::ZERO + millis(51), "{}", report.now);
+}
+
+#[test]
+fn a_donated_metalock_window_ends_its_holders_stall_and_its_timer() {
+    // One CPU, a 20 ms metalock window. "holder" preempts "owner" at 1 ms
+    // and opens the window on its contended ENTER; a stall catches it
+    // inside at 5 ms, to end at 105 ms. "third" ENTERs at 10 ms and
+    // donates the window's rest, which ends the stall early: its timer
+    // must leave the wheel with it, so neither firing at 105 ms nor
+    // cutting short the holder's second stall, 200 ms long from 50 ms
+    // (pending until the holder is granted the monitor).
+    let chaos = ChaosConfig::none()
+        .stall("holder", SimTime::ZERO + millis(5), millis(100))
+        .stall("holder", SimTime::ZERO + millis(50), millis(200));
+    let cfg = SimConfig::default()
+        .with_metalock_cost(millis(20))
+        .with_chaos(chaos);
+    let mut sim = Sim::new(cfg);
+    sim.set_sink(Box::new(VecSink::default()));
+    let m = sim.monitor("m", ());
+    let (m2, m3) = (m.clone(), m.clone());
+    let _ = sim.fork_root("owner", Priority::of(4), move |ctx| {
+        let g = ctx.enter(&m);
+        ctx.work(millis(30));
+        drop(g);
+    });
+    let holder = sim.fork_root("holder", Priority::of(5), move |ctx| {
+        ctx.sleep_precise(millis(1));
+        drop(ctx.enter(&m2));
+    });
+    let _ = sim.fork_root("third", Priority::of(6), move |ctx| {
+        ctx.sleep_precise(millis(10));
+        drop(ctx.enter(&m3));
+    });
+    let report = sim.run(RunLimit::ToCompletion);
+    assert_eq!(report.reason, StopReason::AllExited, "at {}", report.now);
+    let holder = holder.tid();
+    let events = take_events(&mut sim);
+    let stalls: Vec<_> = (events.iter())
+        .filter_map(|e| match e.kind {
+            EventKind::ChaosStall { tid, until } if tid == holder => Some((e.t, until)),
+            _ => None,
+        })
+        .collect();
+    let ms = |n| SimTime::ZERO + millis(n);
+    assert_eq!(stalls.len(), 2, "{stalls:?}");
+    assert_eq!(stalls[0], (ms(5), ms(105)));
+    let (granted, until) = stalls[1];
+    assert_eq!(until, granted + millis(200));
+    let left = (events.iter())
+        .find(|e| matches!(e.kind, EventKind::MlExit { tid, .. } if tid == holder))
+        .map(|e| e.t);
+    assert!(
+        left.is_some_and(|t| t > until && t < until + millis(1)),
+        "{left:?}, stalled until {until}"
+    );
 }

@@ -6,7 +6,9 @@ use threadstudy::paradigms::pump::{spawn_pump, BoundedQueue};
 use threadstudy::paradigms::rejuvenate::supervise;
 use threadstudy::paradigms::serializer::MbQueue;
 use threadstudy::paradigms::sleeper::Periodical;
-use threadstudy::pcr::{millis, secs, Priority, RunLimit, Sim, SimConfig};
+use threadstudy::pcr::{
+    millis, secs, BlockKind, Priority, RunLimit, Sim, SimConfig, SimTime, StopReason,
+};
 
 #[test]
 fn a_small_interactive_system_from_paradigm_parts() {
@@ -87,13 +89,19 @@ fn a_small_interactive_system_from_paradigm_parts() {
         g.with(|v| v.clone())
     });
     let r = sim.run(RunLimit::For(secs(20)));
-    assert!(!r.deadlocked());
-    // The pump stays blocked in its take with nobody left to feed it,
-    // which alone would end the run as a deadlock. It ends at the time
-    // limit because the kernel remembers the deadline of the cancelled
-    // watchdog's 30 s `CvTimeout` (the latest it has cancelled) and an
-    // idle world idles on to that, so to the limit, before it is over.
-    // The main thread's result must be complete.
+    // Once main is done, the pump is left blocked in its take with nobody
+    // to feed it, and nothing is pending: the cancelled watchdog's 30 s
+    // timeout left the wheel with it. So the run ends as a deadlock, the
+    // instant main exits. The main thread's result must be complete.
+    let StopReason::Deadlock(wedge) = &r.reason else {
+        panic!("{:?} at {}", r.reason, r.now);
+    };
+    let blocked: Vec<_> = (wedge.blocked.iter())
+        .map(|w| (w.name.as_str(), w.resource.as_str(), &w.kind))
+        .collect();
+    let take = BlockKind::Condition { has_timeout: false };
+    assert_eq!(blocked, [("enricher", "raw.nonempty", &take)], "{wedge}");
+    assert_eq!(r.now, SimTime::from_micros(811_477));
     let applied = h.into_result().expect("main thread finished").unwrap();
     assert_eq!(applied.len(), 8);
     for (i, s) in applied.iter().enumerate() {
