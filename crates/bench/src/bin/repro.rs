@@ -103,15 +103,6 @@ commands:
                              Cedar/Keyboard + GVX/Scroll; exits 3 unless
                              every policy completes every cell
                              deadlock-free
-  bench    [--window SECS] [--reps N] [--json PATH] [--baseline PATH]
-                             wall-clock perf harness: times every matrix
-                             cell, one at a time (median of N reps,
-                             default 3), reports simulated events/sec,
-                             and writes BENCH_threadstudy.json;
-                             with --baseline, fails if aggregate
-                             events/sec regressed more than 30% vs that
-                             file (exit 5; exit 6 if the file cannot be
-                             read or lacks aggregate_events_per_sec)
   serve    [--sessions N] [--scenario reference|burst|outage]
            [--reps N] [--pipeline-workers N] [--no-retry-budget]
            [--json PATH] [--baseline PATH] [--chrome PATH]
@@ -149,8 +140,8 @@ global options:
                  paper's 7-priority round-robin, default), cfs, lottery,
                  or mlfq; honored by tables, figures, markdown, all,
                  contention, history, trace, chaos (not --recover),
-                 fuzz, bench, and serve (tournament always races all
-                 four); see docs/SCHEDULING.md";
+                 fuzz, and serve (tournament always races all four);
+                 see docs/SCHEDULING.md";
 
 /// Reports a failed run. Returns the exit code the condition maps to
 /// ([`exit::OK`] when the run was fine) so callers can accumulate the
@@ -470,40 +461,6 @@ fn main() {
                 confirm: flag_value("--confirm"),
             };
             code = bench::lint::run(&opts);
-        }
-        "bench" => {
-            let reps = count32("--reps").unwrap_or(3);
-            // Read before the report is written: without `--json` it goes
-            // to the very file a baseline usually names. An unreadable one
-            // fails before the run, not after it.
-            let baseline = flag_value("--baseline").map(|bpath| {
-                match trace::Json::load(&bpath, bench::perf::baseline_events_per_sec) {
-                    Ok(base) => (bpath, base),
-                    Err(e) => {
-                        eprintln!("FAIL bench --baseline: {e}");
-                        std::process::exit(exit::IO);
-                    }
-                }
-            });
-            let report = bench::perf::measure(window, seed, reps, policy);
-            print!("{}", report.text());
-            let path = json_path
-                .clone()
-                .unwrap_or_else(|| "BENCH_threadstudy.json".to_string());
-            code = exit::write(&path, report.to_json().pretty());
-            if let Some((bpath, base)) = baseline {
-                let cur = report.aggregate_events_per_sec;
-                println!(
-                    "baseline {base:.0} events/sec, current {cur:.0} ({:+.1}%)",
-                    100.0 * (cur / base - 1.0)
-                );
-                if cur < 0.70 * base {
-                    eprintln!(
-                        "FAIL bench: aggregate events/sec regressed more than 30% vs {bpath}"
-                    );
-                    code = exit::worst(code, exit::REGRESSION);
-                }
-            }
         }
         "serve" => {
             let mut opts =

@@ -1,9 +1,10 @@
 //! A minimal parallel-for for embarrassingly parallel, deterministic
 //! work units.
 //!
-//! Both the benchmark matrix (`repro bench`) and the resilience fuzz
-//! grid (`repro fuzz`) decompose into independent `(cell × seed × rep)`
-//! tasks whose *results* are byte-deterministic — only wall-clock time
+//! Both the benchmark matrix (`repro tables` and every command that
+//! shares its cell driver) and the resilience fuzz grid (`repro fuzz`)
+//! decompose into independent `(cell × seed × rep)` tasks whose
+//! *results* are byte-deterministic — only wall-clock time
 //! depends on who runs what. The tasks are known up front and coarse, so
 //! [`run_indexed`] hands them out through one shared cursor: each worker
 //! claims the next unclaimed index until none are left, which balances

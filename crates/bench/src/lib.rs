@@ -1,8 +1,8 @@
 //! # bench — the experiment harness
 //!
 //! Regenerates every table and figure of the paper's evaluation. The
-//! `repro` binary drives it; Criterion benches in `benches/` measure the
-//! runtime's primitives and paradigms.
+//! `repro` binary drives it; `benches/hotpath.rs`, a plain-`main` bench
+//! target, holds the runtime's hottest paths to ceilings.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -11,7 +11,6 @@ pub mod executor;
 pub mod exit;
 pub mod experiments;
 pub mod lint;
-pub mod perf;
 pub mod resilience_cli;
 pub mod serve_cli;
 pub mod tables;

@@ -7,14 +7,8 @@ use resilience::StoredCase;
 
 /// Runs `repro args` in the current directory: exit code, stdout, stderr.
 fn run(args: &[&str]) -> (Option<i32>, String, String) {
-    run_in(Path::new("."), args)
-}
-
-/// Runs `repro args` in `dir`.
-fn run_in(dir: &Path, args: &[&str]) -> (Option<i32>, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
-        .current_dir(dir)
         .output()
         .expect("spawn repro");
     let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
@@ -29,13 +23,15 @@ fn temp(name: &str) -> String {
 
 #[test]
 fn unknown_command_prints_usage_and_exits_nonzero() {
-    let (code, _, stderr) = run(&["no-such-command"]);
-    assert_eq!(code, Some(2), "exit code: {:?}", code);
-    assert!(
-        stderr.contains("unknown command: no-such-command"),
-        "{stderr}"
-    );
-    assert!(stderr.contains("usage: repro"), "{stderr}");
+    for command in ["no-such-command", "bench"] {
+        let (code, _, stderr) = run(&[command]);
+        assert_eq!(code, Some(2), "{command}: exit code {code:?}");
+        assert!(
+            stderr.contains(&format!("unknown command: {command}")),
+            "{stderr}"
+        );
+        assert!(stderr.contains("usage: repro"), "{stderr}");
+    }
 }
 
 #[test]
@@ -55,7 +51,7 @@ fn help_lists_every_documented_subcommand() {
     let (code, stdout, _) = run(&["help"]);
     assert_eq!(code, Some(0), "{:?}", code);
     let documented = "tables table4 figures experiments history contention trace diff chaos \
-                      fuzz shrink replay lint markdown bench serve tournament all help";
+                      fuzz shrink replay lint markdown serve tournament all help";
     for cmd in documented.split_whitespace() {
         assert!(
             stdout.lines().any(|l| {
@@ -211,7 +207,6 @@ fn trace_to_an_unwritable_path_is_an_io_error_not_a_panic() {
     for args in [
         &["trace", "--window", "1", "--chrome", x][..],
         &["trace", "--window", "1", "--jsonl", x],
-        &["bench", "--reps", "1", "--window", "1", "--json", x],
         &["tournament", "--reference", "--window", "1", "--json", x],
         &[
             "tournament",
@@ -348,21 +343,21 @@ fn bad_seeds_are_rejected_with_an_explanation() {
 #[test]
 fn bad_counts_are_rejected_with_an_explanation() {
     for (args, needle) in [
-        (&["bench", "--reps", "0"][..], "must be at least 1"),
-        (&["bench", "--reps", "-3"][..], "negative"),
+        (&["serve", "--reps", "0"][..], "must be at least 1"),
+        (&["serve", "--reps", "-3"][..], "negative"),
         (
-            &["bench", "--reps", "99999999999"][..],
+            &["serve", "--reps", "99999999999"][..],
             "does not fit a 32-bit count",
         ),
         (
-            &["bench", "--reps", "18446744073709551616"][..],
+            &["serve", "--reps", "18446744073709551616"][..],
             "does not fit a 64-bit count",
         ),
         (&["tables", "--window", "junk"][..], "positive integer"),
         (&["serve", "--sessions", "0"][..], "must be at least 1"),
         (&["serve", "--reps", "three"][..], "positive integer"),
         (&["serve", "--slo-p99-ms", "-1"][..], "negative"),
-        (&["bench", "--workers", "0"][..], "positive integer"),
+        (&["tables", "--workers", "0"][..], "positive integer"),
         // These four used to fall back to a default without a word;
         // `--wall-budget-ms` is the fuzz CI job's only wall-clock bound.
         (&["fuzz", "--budget", "lots"][..], "positive integer"),
@@ -377,7 +372,7 @@ fn bad_counts_are_rejected_with_an_explanation() {
         ),
         // A value-taking flag with nothing after it is not "absent".
         (&["fuzz", "--budget"][..], "expected a value"),
-        (&["bench", "--json"][..], "expected a value"),
+        (&["tables", "--json"][..], "expected a value"),
         (&["tables", "--window"][..], "expected a value"),
         // A flag the command's own USAGE block does not name.
         (&["fuzz", "--gudied"][..], "repro fuzz does not take it"),
@@ -473,39 +468,6 @@ fn serve_baseline_catches_a_planted_regression() {
     std::fs::remove_file(&path).ok();
     assert_eq!(code, Some(5), "planted baseline:\n{}", stderr);
     assert!(stderr.contains("goodput"), "{}", stderr);
-}
-
-/// Without `--json` the bench report lands in `BENCH_threadstudy.json`, the
-/// file the baseline names here: the gate must read the baseline first,
-/// not compare the run with itself.
-#[test]
-fn bench_baseline_is_read_before_the_report_overwrites_it() {
-    let dir = Path::new(&temp("repro-bench-base")).to_path_buf();
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let base = dir.join("BENCH_threadstudy.json");
-    std::fs::write(&base, "{\"aggregate_events_per_sec\":1e12}").expect("baseline");
-    let (code, _, stderr) = run_in(
-        &dir,
-        &[
-            "bench",
-            "--reps",
-            "1",
-            "--window",
-            "1",
-            "--baseline",
-            "BENCH_threadstudy.json",
-        ],
-    );
-    let written = std::fs::read_to_string(&base).expect("the report");
-    std::fs::remove_dir_all(&dir).ok();
-    assert_eq!(code, Some(5), "stderr:\n{stderr}");
-    assert!(stderr.contains("regressed more than 30%"), "{stderr}");
-    assert!(written.contains("threadstudy-bench-v4"), "{written:.200}");
-    // A baseline that is not there is an unreadable input (6), not a
-    // regression (5), and is found before the run.
-    let (code, _, stderr) = run(&["bench", "--baseline", "MISSING"]);
-    assert_eq!(code, Some(6), "stderr:\n{}", stderr);
-    assert!(stderr.contains("cannot read MISSING"), "{}", stderr);
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Garbage in, error out: every loader of a file `repro` reads back — the
-//! serve, bench and lint baselines and the stored fuzz case — starting
+//! serve and lint baselines and the stored fuzz case — starting
 //! from a valid document of its kind, fed each proper prefix of its text,
 //! each node it reads replaced by a value of the wrong type, each field
 //! removed, and each value it refuses though the type is right. A
@@ -16,9 +16,9 @@ const CASE: &str = r#"{"v":2,"world":"cell","system":"GVX","benchmark":"Scroll",
 "decisions":[{"kind":"spurious_wakeup","site":4,"param_us":120}],"stalls":[{"thread":"x",
 "at_us":2000,"duration_us":1000000,"while_holding":"gvx-screen"}]}"#;
 
-/// `(kind, valid document, reader, required paths)`. The bench and lint
-/// documents hold only the field their readers read.
-fn kinds() -> [(&'static str, Json, Reader, &'static str); 4] {
+/// `(kind, valid document, reader, required paths)`. The lint document
+/// holds only the field its reader reads.
+fn kinds() -> [(&'static str, Json, Reader, &'static str); 3] {
     let serve = workloads::serve::run_report(serverd::ServeSpec::reference(60, 0xA5));
     [
         (
@@ -26,12 +26,6 @@ fn kinds() -> [(&'static str, Json, Reader, &'static str); 4] {
             serve.to_json(),
             |j| serverd::ServeReport::from_json(j).map(drop),
             "schema latency_us.p50 latency_us.p99 latency_us.p999 goodput_per_sec amplification",
-        ),
-        (
-            "bench",
-            Json::parse(r#"{"aggregate_events_per_sec":79213.5}"#).unwrap(),
-            |j| bench::perf::baseline_events_per_sec(j).map(drop),
-            "aggregate_events_per_sec",
         ),
         (
             "lint",

@@ -1,7 +1,7 @@
 //! A generic hierarchical timer wheel with O(1) arm and cancel.
 //!
-//! This is the engine behind the runtime's internal timer queue
-//! (`pcr::timer`), exported so workloads can reuse it for their own
+//! This is the engine behind the kernel's timer queue (`sched/waits.rs`'s
+//! `TimerWheel`), exported so workloads can reuse it for their own
 //! deadline bookkeeping — the server world arms and cancels one
 //! per-request input-to-echo deadline per in-flight request, a churn
 //! pattern where a sorted sleeper list (the naive baseline) would cost

@@ -30,6 +30,7 @@ pub mod lockset;
 pub mod report;
 pub mod scan;
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -215,6 +216,9 @@ pub struct FileScan {
     pub clean: lexer::CleanSource,
     /// Structural scan.
     pub scan: scan::Scan,
+    /// Clone/move aliases, each name mapped to its root
+    /// (`lints::alias_map`), built once per file.
+    pub(crate) aliases: BTreeMap<String, String>,
 }
 
 /// The full analysis of a workspace.
@@ -247,11 +251,13 @@ impl Analysis {
 pub fn analyze_str(krate: &str, path: &str, src: &str) -> FileScan {
     let clean = lexer::clean(src);
     let scan = scan::scan(&clean);
+    let aliases = lints::alias_map(&clean, &scan);
     FileScan {
         krate: krate.to_string(),
         path: path.to_string(),
         clean,
         scan,
+        aliases,
     }
 }
 

@@ -20,7 +20,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::scan::{last_segment, normalize_arg, split_args, BlockKind, Call};
+use crate::lexer::CleanSource;
+use crate::scan::{last_segment, normalize_arg, split_args, BlockKind, Call, Scan};
 use crate::{FileScan, Lint, PrimKind};
 
 /// One lint finding.
@@ -297,11 +298,11 @@ fn is_ident(s: &str) -> bool {
 /// and, since the map is name-based, entering a *monitor* clone counts
 /// as entering the original (an unaliased lock-order audit would see
 /// `m` and `m2` as distinct and miss the AB-BA).
-pub(crate) fn alias_map(f: &FileScan) -> BTreeMap<String, String> {
+pub(crate) fn alias_map(clean: &CleanSource, scan: &Scan) -> BTreeMap<String, String> {
     let mut aliases = BTreeMap::new();
-    for l in &f.scan.lets {
+    for l in &scan.lets {
         let pat = l.pat.trim();
-        let rhs = f.clean.text[l.rhs.0..l.rhs.1].trim();
+        let rhs = clean.text[l.rhs.0..l.rhs.1].trim();
         let tuple = |s: &str| {
             s.strip_prefix('(')
                 .and_then(|s| s.strip_suffix(')'))
@@ -340,13 +341,33 @@ pub(crate) fn resolve<'a>(name: &'a str, aliases: &'a BTreeMap<String, String>) 
     aliases.get(name).map(String::as_str).unwrap_or(name)
 }
 
+/// The monitors held at byte offset `off` of `f`, clone aliases
+/// resolved: what the lock-order edges, the local locksets and the
+/// call-site locksets all mean by "held here".
+pub(crate) fn held_at(f: &FileScan, off: usize) -> Vec<String> {
+    f.scan
+        .guards_at(off)
+        .iter()
+        .filter(|g| !g.monitor.is_empty())
+        .map(|g| resolve(&g.monitor, &f.aliases).to_string())
+        .collect()
+}
+
+/// The monitor an `enter` call `c` names (its first argument that is not
+/// the context), clone aliases resolved; `None` when there is none.
+pub(crate) fn entered_monitor(f: &FileScan, c: &Call) -> Option<String> {
+    let args = split_args(&f.clean.text[c.args_start..c.args_end]);
+    let m = args.iter().find(|a| normalize_arg(a) != "ctx")?;
+    let m = resolve(&normalize_arg(m), &f.aliases).to_string();
+    (!m.is_empty()).then_some(m)
+}
+
 /// CV names (last path segment of the notify argument, clone aliases
 /// resolved) that some code path notifies or broadcasts, across the
 /// whole workspace.
 fn notified_cv_names(files: &[FileScan]) -> BTreeSet<String> {
     let mut names = BTreeSet::new();
     for f in files {
-        let aliases = alias_map(f);
         for c in f
             .scan
             .calls
@@ -356,7 +377,7 @@ fn notified_cv_names(files: &[FileScan]) -> BTreeSet<String> {
             let args = split_args(&f.clean.text[c.args_start..c.args_end]);
             if let Some(cv) = args.first() {
                 let name = last_segment(cv);
-                names.insert(resolve(&name, &aliases).to_string());
+                names.insert(resolve(&name, &f.aliases).to_string());
                 names.insert(name);
             }
         }
@@ -390,7 +411,6 @@ fn timeout_no_notify(f: &FileScan, notified: &BTreeSet<String>, findings: &mut V
     if timeout_cvs.is_empty() {
         return;
     }
-    let aliases = alias_map(f);
     for c in f
         .scan
         .calls
@@ -399,7 +419,7 @@ fn timeout_no_notify(f: &FileScan, notified: &BTreeSet<String>, findings: &mut V
     {
         let args = split_args(&f.clean.text[c.args_start..c.args_end]);
         let Some(cv) = args.first() else { continue };
-        let name = resolve(&last_segment(cv), &aliases).to_string();
+        let name = resolve(&last_segment(cv), &f.aliases).to_string();
         if timeout_cvs.contains_key(&name) && !notified.contains(&name) {
             push(
                 findings,
@@ -465,7 +485,6 @@ pub struct LockEdge {
 /// fork-to-avoid-deadlock closure acquires in a *new* thread, which is
 /// exactly the paper's §4.4 escape and must not count as nested.
 pub fn lock_edges(f: &FileScan) -> Vec<LockEdge> {
-    let aliases = alias_map(f);
     let mut edges = Vec::new();
     for c in f
         .scan
@@ -473,25 +492,18 @@ pub fn lock_edges(f: &FileScan) -> Vec<LockEdge> {
         .iter()
         .filter(|c| c.callee == "enter" && !c.is_def)
     {
-        let args = split_args(&f.clean.text[c.args_start..c.args_end]);
-        let inner = match args.iter().find(|a| normalize_arg(a) != "ctx") {
-            Some(a) => resolve(&normalize_arg(a), &aliases).to_string(),
-            None => continue,
-        };
-        if inner.is_empty() {
+        let Some(inner) = entered_monitor(f, c) else {
             continue;
-        }
-        for g in f.scan.guards_at(c.off) {
-            // A self-edge (re-entering the held monitor) is immediate
-            // self-deadlock; the cycle pass reports it as a 1-cycle.
-            if !g.monitor.is_empty() {
-                edges.push(LockEdge {
-                    from: resolve(&g.monitor, &aliases).to_string(),
-                    to: inner.clone(),
-                    line: c.line,
-                    off: c.off,
-                });
-            }
+        };
+        // A self-edge (re-entering the held monitor) is immediate
+        // self-deadlock; the cycle pass reports it as a 1-cycle.
+        for from in held_at(f, c.off) {
+            edges.push(LockEdge {
+                from,
+                to: inner.clone(),
+                line: c.line,
+                off: c.off,
+            });
         }
     }
     edges.sort();

@@ -34,9 +34,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::{self, CallGraph, Edge};
 use crate::lints::{
-    alias_map, elementary_cycles, enclosing_fork_name, resolve, Finding, OrderEdge,
+    elementary_cycles, enclosing_fork_name, entered_monitor, held_at, Finding, OrderEdge,
 };
-use crate::scan::{last_segment, normalize_arg, split_args};
+use crate::scan::{last_segment, split_args};
 use crate::{FileScan, Lint};
 
 /// Callees that block or stall the calling thread: `join` (unbounded)
@@ -146,30 +146,17 @@ fn is_plain_ident(s: &str) -> bool {
 /// Computes per-node local facts: enters, waits, and blocking calls
 /// with the locally held (alias-resolved) monitor sets.
 fn locals(files: &[FileScan], g: &CallGraph) -> Vec<Locals> {
-    let aliases: Vec<_> = files.iter().map(alias_map).collect();
     let mut out: Vec<Locals> = (0..g.nodes.len()).map(|_| Locals::default()).collect();
     for (ni, n) in g.nodes.iter().enumerate() {
         let f = &files[n.file];
-        let al = &aliases[n.file];
         for c in &f.scan.calls {
             if c.is_def || f.scan.body_of(c.off) != Some(n.block) {
                 continue;
             }
-            let held: Vec<String> = f
-                .scan
-                .guards_at(c.off)
-                .iter()
-                .filter(|gd| !gd.monitor.is_empty())
-                .map(|gd| resolve(&gd.monitor, al).to_string())
-                .collect();
+            let held = held_at(f, c.off);
             match c.callee.as_str() {
                 "enter" => {
-                    let args = split_args(&f.clean.text[c.args_start..c.args_end]);
-                    let Some(m) = args.iter().find(|a| normalize_arg(a) != "ctx") else {
-                        continue;
-                    };
-                    let m = resolve(&normalize_arg(m), al).to_string();
-                    if !m.is_empty() {
+                    if let Some(m) = entered_monitor(f, c) {
                         out[ni].enters.push((m, c.line, held));
                     }
                 }
@@ -190,20 +177,8 @@ fn locals(files: &[FileScan], g: &CallGraph) -> Vec<Locals> {
     out
 }
 
-/// Monitors held by the caller at a call edge, alias-resolved.
-fn held_at(files: &[FileScan], aliases: &[BTreeMap<String, String>], e: &Edge) -> Vec<String> {
-    files[e.file]
-        .scan
-        .guards_at(e.off)
-        .iter()
-        .filter(|gd| !gd.monitor.is_empty())
-        .map(|gd| resolve(&gd.monitor, &aliases[e.file]).to_string())
-        .collect()
-}
-
 /// Runs the entry-lockset fixpoint.
 pub fn compute(files: &[FileScan], g: &CallGraph) -> Lockset {
-    let aliases: Vec<_> = files.iter().map(alias_map).collect();
     let mut entry: Vec<BTreeSet<String>> = vec![BTreeSet::new(); g.nodes.len()];
     let mut entry_via: Vec<BTreeMap<String, Vec<SiteRef>>> = vec![BTreeMap::new(); g.nodes.len()];
     loop {
@@ -219,7 +194,7 @@ pub fn compute(files: &[FileScan], g: &CallGraph) -> Lockset {
                 chain.push(site.clone());
                 incoming.push((map_forward(&h, e, g), chain));
             }
-            for h in held_at(files, &aliases, e) {
+            for h in held_at(&files[e.file], e.off) {
                 incoming.push((map_forward(&h, e, g), vec![site.clone()]));
             }
             for (m, chain) in incoming {
@@ -321,7 +296,6 @@ fn trans_edges(
     loc: &[Locals],
     acq: &[BTreeMap<String, Acq>],
 ) -> Vec<TransEdge> {
-    let aliases: Vec<_> = files.iter().map(alias_map).collect();
     let mut edges: Vec<TransEdge> = Vec::new();
     let mut seen: BTreeSet<(String, String)> = BTreeSet::new();
     for (ni, n) in g.nodes.iter().enumerate() {
@@ -340,7 +314,7 @@ fn trans_edges(
         }
     }
     for e in &g.edges {
-        let held = held_at(files, &aliases, e);
+        let held = held_at(&files[e.file], e.off);
         if held.is_empty() {
             continue;
         }

@@ -267,8 +267,7 @@ pub fn monitor_literals(a: &Analysis) -> BTreeMap<String, BTreeSet<String>> {
                 .or_default()
                 .insert(normalize_literal(&lit.value));
         }
-        let aliases = crate::lints::alias_map(f);
-        for (k, root) in &aliases {
+        for (k, root) in &f.aliases {
             if let Some(lits) = local.get(root).cloned() {
                 local.entry(k.clone()).or_default().extend(lits);
             }
