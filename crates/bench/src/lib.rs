@@ -1,8 +1,8 @@
 //! # bench — the experiment harness
 //!
 //! Regenerates every table and figure of the paper's evaluation. The
-//! `repro` binary drives it; `benches/hotpath.rs`, a plain-`main` bench
-//! target, holds the runtime's hottest paths to ceilings.
+//! `repro` binary drives it. Wall-clock speed, of the whole and of each
+//! layer, is the pinned benchmark's (`benchmark/`) to measure.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -4,7 +4,8 @@
 //! each node it reads replaced by a value of the wrong type, each field
 //! removed, and each value it refuses though the type is right. A
 //! damaged file is an `Err` naming the damaged path, never a panic and
-//! never a default; only an optional field may go.
+//! never a default; only an optional field may go. The text readers, the
+//! trace's among them, also get cut and misspelt text and must not panic.
 
 use trace::Json;
 
@@ -45,9 +46,13 @@ fn kinds() -> [(&'static str, Json, Reader, &'static str); 3] {
 }
 
 /// `(kind, path, value)`: values of the right type that the kind's
-/// reader must still refuse. A zero slice would never end a trial.
-fn out_of_range() -> [(&'static str, &'static str, Json); 1] {
-    [("case", "slice_us", Json::from(0u64))]
+/// reader must still refuse. A zero slice would never end a trial, and a
+/// stall that ends past `u64::MAX` µs would overflow the clock.
+fn out_of_range() -> [(&'static str, &'static str, Json); 2] {
+    [
+        ("case", "slice_us", Json::from(0u64)),
+        ("case", "stalls.0.duration_us", Json::from(u64::MAX)),
+    ]
 }
 
 /// Every node's dotted path, each with whether its parent is an object.
@@ -133,6 +138,75 @@ fn every_damaged_document_is_an_error_naming_the_damage() {
                     Ok(()) => assert!(!needed, "{kind}: {path} is required, read without"),
                 }
             }
+        }
+    }
+}
+
+/// A text reader whose result does not matter, only that it returns.
+type TextReader = fn(&str);
+
+/// The bytes a misspelling writes: JSON's own punctuation, the starts of
+/// its literals, and three a string may not hold raw.
+const MISSPELLINGS: &[u8] = b"{}[]\":,.-+019eEtfnul \\\n\x00\x7f";
+
+/// `2 * n` garbled copies of `text`, each with what was done to it: `n`
+/// cut at char boundaries spread evenly over it, then `n` with one ASCII
+/// byte replaced by another from [`MISSPELLINGS`] at a seeded offset.
+fn garbled(text: &str, n: usize) -> Vec<(String, String)> {
+    let mut out: Vec<(String, String)> = (0..n)
+        .map(|i| {
+            let end = (0..=text.len() * i / n)
+                .rev()
+                .find(|&end| text.is_char_boundary(end))
+                .unwrap_or(0);
+            (format!("cut to {end} bytes"), text[..end].to_string())
+        })
+        .collect();
+    let mut rng = pcr::SplitMix64::new(0x6A2B_A6E5);
+    while out.len() < 2 * n {
+        let at = rng.next_below(text.len() as u64) as usize;
+        let to = MISSPELLINGS[rng.next_below(MISSPELLINGS.len() as u64) as usize];
+        let mut bytes = text.as_bytes().to_vec();
+        if bytes[at].is_ascii() && bytes[at] != to {
+            bytes[at] = to;
+            let text = String::from_utf8(bytes).expect("one ASCII byte for another");
+            out.push((format!("byte {at} as {:?}", char::from(to)), text));
+        }
+    }
+    out
+}
+
+#[test]
+fn garbled_text_is_never_a_panic() {
+    let mut sim = workloads::runner::build(
+        workloads::System::Cedar,
+        workloads::Benchmark::Keyboard,
+        0xBEEF,
+    );
+    let (_, trace::Recording { events, labels }) =
+        trace::Recording::run(&mut sim, pcr::RunLimit::For(pcr::millis(100)));
+    let (mut jsonl, mut chrome) = (Vec::new(), Vec::new());
+    trace::write_jsonl(&events, &mut jsonl).unwrap();
+    trace::write_chrome(&events, &labels, &mut chrome).unwrap();
+    let serve = workloads::serve::run_report(serverd::ServeSpec::reference(60, 0xA5));
+    let readers: [(&str, String, TextReader); 4] = [
+        ("jsonl", String::from_utf8(jsonl).unwrap(), |t| {
+            drop(trace::parse_jsonl(t))
+        }),
+        ("chrome", String::from_utf8(chrome).unwrap(), |t| {
+            drop(Json::parse(t))
+        }),
+        ("case", CASE.to_string(), |t| {
+            drop(Json::parse(t).and_then(|j| resilience::StoredCase::from_json(&j)))
+        }),
+        ("serve", serve.to_json().pretty(), |t| {
+            drop(Json::parse(t).and_then(|j| serverd::ServeReport::from_json(&j)))
+        }),
+    ];
+    for (kind, text, read) in readers {
+        for (what, input) in garbled(&text, 128) {
+            let read = std::panic::catch_unwind(|| read(&input));
+            assert!(read.is_ok(), "{kind}, {what}: the reader panicked");
         }
     }
 }

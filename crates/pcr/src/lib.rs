@@ -116,7 +116,7 @@ pub use rng::SplitMix64;
 pub use runtime::{Guard, Runtime};
 pub use sched::policy;
 pub use sched::{AllocCounters, RunLimit, SchedLatency, Sim, SimStats};
-pub use thread::{JoinHandle, Priority, ThreadId, ThreadInfo, ThreadSummary, ThreadView};
+pub use thread::{JoinHandle, Priority, ThreadId, ThreadInfo};
 pub use time::{micros, millis, secs, SimDuration, SimTime};
 pub use waitgraph::{BlockKind, Inversion, RunnableThread, WaitForGraph, WaitingThread};
 pub use wheel::{Wheel, WheelToken};

@@ -27,7 +27,7 @@ use crate::error::DeadlockReport;
 use crate::event::{CondId, Event, EventKind, EventMask, TraceSink, WaitOutcome};
 use crate::hazard::HazardMonitor;
 use crate::monitor::MonitorId;
-use crate::thread::{Priority, ThreadId, ThreadInfo, ThreadView};
+use crate::thread::{Priority, ThreadId, ThreadInfo};
 use crate::time::{SimDuration, SimTime};
 
 /// A simulated thread body, already wrapped for result capture and panic
@@ -535,9 +535,8 @@ impl Sim {
     /// Iterates borrowed summaries of every thread ever created, in
     /// creation order. The first call after a `&mut self` one takes a
     /// [`Sim::threads`] snapshot; later calls reuse it.
-    pub fn threads_iter(&self) -> impl Iterator<Item = ThreadView<'_>> + '_ {
-        let threads = self.threads_view.get_or_init(|| self.threads());
-        threads.iter().map(ThreadInfo::view)
+    pub fn threads_iter(&self) -> impl Iterator<Item = &ThreadInfo> + '_ {
+        self.threads_view.get_or_init(|| self.threads()).iter()
     }
 
     /// Number of threads ever created (exited ones included).

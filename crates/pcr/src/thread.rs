@@ -147,13 +147,14 @@ impl<T> fmt::Debug for JoinHandle<T> {
     }
 }
 
-/// Summary of one simulated thread, its name held as `N`.
-#[derive(Clone, Copy, Debug)]
-pub struct ThreadSummary<N> {
+/// Post-run summary of one simulated thread, from [`crate::Sim::threads`]
+/// and [`crate::Sim::threads_iter`].
+#[derive(Clone, Debug)]
+pub struct ThreadInfo {
     /// Thread identity.
     pub tid: ThreadId,
     /// Name given at fork time.
-    pub name: N,
+    pub name: String,
     /// Final priority.
     pub priority: Priority,
     /// Total virtual CPU time consumed.
@@ -168,30 +169,6 @@ pub struct ThreadSummary<N> {
     /// observes that no benchmark produced generations greater than 2
     /// counted from a worker or long-lived thread.
     pub generation: u32,
-}
-
-/// Post-run summary of one simulated thread, from [`crate::Sim::threads`].
-pub type ThreadInfo = ThreadSummary<String>;
-
-/// Borrowed, `Copy` counterpart of [`ThreadInfo`], from
-/// [`crate::Sim::threads_iter`]: the name is a borrow of the snapshot the
-/// iterator walks.
-pub type ThreadView<'a> = ThreadSummary<&'a str>;
-
-impl ThreadInfo {
-    /// A borrowed [`ThreadView`] of this summary.
-    pub fn view(&self) -> ThreadView<'_> {
-        ThreadView {
-            tid: self.tid,
-            name: &self.name,
-            priority: self.priority,
-            cpu: self.cpu,
-            exited: self.exited,
-            panicked: self.panicked,
-            parent: self.parent,
-            generation: self.generation,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -106,7 +106,8 @@ impl StoredCase {
     /// Parses a case back from JSON. Files without `"policy"` ran
     /// round-robin, v1 files predate trial worlds (all are matrix cells),
     /// and older non-cell files' placeholder `"system"`/`"benchmark"`
-    /// pair is ignored. A zero `slice_us` is refused: it never ends.
+    /// pair is ignored. A zero `slice_us` is refused: it never ends. So is
+    /// a stall whose end, `at_us + duration_us`, is past the clock's.
     pub fn from_json(j: &Json) -> Result<StoredCase, String> {
         let tag = match j.u64_at("v")? {
             1 => "cell",
@@ -141,10 +142,17 @@ impl StoredCase {
             })
         })?;
         let stalls = j.arr_at("stalls", |s| {
+            let (at_us, duration_us) = (s.u64_at("at_us")?, s.u64_at("duration_us")?);
+            if at_us.checked_add(duration_us).is_none() {
+                return Err(format!(
+                    "duration_us: the stall ends past the clock's last microsecond \
+                     ({at_us} + {duration_us})"
+                ));
+            }
             Ok(StallSpec {
                 thread: s.str_at("thread")?.to_string(),
-                at: SimTime::from_micros(s.u64_at("at_us")?),
-                duration: SimDuration::from_micros(s.u64_at("duration_us")?),
+                at: SimTime::from_micros(at_us),
+                duration: SimDuration::from_micros(duration_us),
                 while_holding: s.opt_str_at("while_holding")?.map(str::to_string),
             })
         })?;

@@ -24,8 +24,8 @@
 //! the recorded run byte-for-byte).
 
 use pcr::{
-    micros, millis, weakmem::WeakMem, ChaosConfig, FaultSchedule, HazardCounts, Priority, RunLimit,
-    Sim, SimConfig, SimDuration, SplitMix64, StopReason,
+    micros, millis, weakmem::WeakMem, ChaosConfig, FaultSchedule, Priority, RunLimit, Sim,
+    SimConfig, SimDuration, SplitMix64, StopReason,
 };
 use workloads::serve::ServeScenario;
 use workloads::System;
@@ -181,8 +181,6 @@ pub struct Observation {
     /// The fault schedule the run actually executed (recorded from the
     /// RNG in probabilistic mode, echoed back in scripted mode).
     pub schedule: FaultSchedule,
-    /// Hazard tallies over the run.
-    pub hazards: HazardCounts,
     /// Virtual time elapsed until failure detection or window end.
     pub elapsed: SimDuration,
     /// Names of the threads still live when the trial ended — the
@@ -331,14 +329,12 @@ pub fn observe(spec: &TrialSpec, chaos: ChaosConfig) -> Observation {
     let mut sim = spec.build(chaos);
     let mut remaining = spec.window;
     let mut elapsed = SimDuration::ZERO;
-    let mut hazards = HazardCounts::default();
     let mut failed = None;
     while !remaining.is_zero() {
         let step = slice.min(remaining);
         let report = sim.run(RunLimit::For(step));
         elapsed += report.elapsed;
         remaining = remaining.saturating_sub(step);
-        hazards = report.hazards;
         failed = failure(judge(&sim, &report, wedge_threshold));
         if failed.is_some() || matches!(report.reason, StopReason::AllExited) {
             break;
@@ -358,7 +354,6 @@ pub fn observe(spec: &TrialSpec, chaos: ChaosConfig) -> Observation {
     Observation {
         failure: failed,
         schedule: sim.fault_schedule(),
-        hazards,
         elapsed,
         live_threads,
         monitors,

@@ -337,7 +337,7 @@ mod tests {
         let sites: Vec<String> = modeled_sites().into_iter().map(|(n, _)| n).collect();
         for t in sim.threads_iter() {
             assert!(
-                sites.iter().any(|s| s == t.name),
+                sites.contains(&t.name),
                 "thread '{}' missing from modeled_sites()",
                 t.name
             );

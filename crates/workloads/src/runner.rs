@@ -223,7 +223,7 @@ pub fn run_benchmark_with(
         let names: Vec<&str> = sim
             .threads_iter()
             .filter(|t| t.panicked)
-            .map(|t| t.name)
+            .map(|t| t.name.as_str())
             .collect();
         return Err(format!(
             "world threads panicked — the model is crippled: {}",
