@@ -115,34 +115,27 @@ impl<T: Send + 'static, C: Runtime> BoundedQueue<T, C> {
         }
     }
 
-    /// Inserts as many of `items` as fit without blocking, in order,
-    /// under one monitor entry. Returns the rejected tail (everything
-    /// if the queue is closed). Wakes every consumer when more than one
-    /// item lands, so batch producers don't strand parallel consumers.
-    pub fn try_put_all(&self, ctx: &C, items: Vec<T>) -> Vec<T> {
+    /// Moves as many of `items` as fit into the queue without blocking,
+    /// in order, under one monitor entry, and leaves the rejected tail
+    /// (everything if the queue is closed) in `items`. Wakes every
+    /// consumer when more than one item lands, so batch producers don't
+    /// strand parallel consumers.
+    pub fn try_put_all(&self, ctx: &C, items: &mut Vec<T>) {
         if items.is_empty() {
-            return items;
+            return;
         }
         let mut g = ctx.enter(&self.monitor);
-        let (accepted, rejected) = g.with_mut(|q| {
-            if q.closed {
-                return (0, items);
-            }
+        let accepted = g.with_mut(|q| {
             let room = q.capacity.saturating_sub(q.items.len());
-            let mut it = items.into_iter();
-            let mut accepted = 0;
-            for item in it.by_ref().take(room) {
-                q.items.push_back(item);
-                accepted += 1;
-            }
-            (accepted, it.collect())
+            let n = if q.closed { 0 } else { room.min(items.len()) };
+            q.items.extend(items.drain(..n));
+            n
         });
         match accepted {
             0 => {}
             1 => g.notify(&self.nonempty),
             _ => g.broadcast(&self.nonempty),
         }
-        rejected
     }
 
     /// Removes up to `max` items, blocking while the queue is empty.
@@ -185,14 +178,15 @@ impl<T: Send + 'static, C: Runtime> BoundedQueue<T, C> {
         item
     }
 
-    /// Drains everything currently queued without blocking.
-    pub fn drain(&self, ctx: &C) -> Vec<T> {
+    /// Drains everything currently queued without blocking, appending
+    /// it to `out`.
+    pub fn drain(&self, ctx: &C, out: &mut Vec<T>) {
         let mut g = ctx.enter(&self.monitor);
-        let items = g.with_mut(|q| q.items.drain(..).collect::<Vec<_>>());
-        if !items.is_empty() {
+        let held = out.len();
+        g.with_mut(|q| out.extend(q.items.drain(..)));
+        if out.len() > held {
             g.broadcast(&self.nonfull);
         }
-        items
     }
 
     /// Current length.
@@ -391,14 +385,19 @@ mod tests {
         let q = BoundedQueue::new_in_sim(&mut sim, "q", 4, None);
         let h = sim.fork_root("t", Priority::DEFAULT, move |ctx| {
             // 6 items into capacity 4: order preserved, tail rejected.
-            let rejected = q.try_put_all(ctx, (0..6).collect());
-            assert_eq!(rejected, vec![4, 5]);
+            let mut items = (0..6).collect();
+            q.try_put_all(ctx, &mut items);
+            assert_eq!(items, vec![4, 5]);
             assert_eq!(q.take_up_to(ctx, 3), vec![0, 1, 2]);
             assert_eq!(q.take_up_to(ctx, 8), vec![3]);
-            assert!(q.try_put_all(ctx, Vec::new()).is_empty());
+            let mut none = Vec::new();
+            q.try_put_all(ctx, &mut none);
+            assert!(none.is_empty() && q.is_empty(ctx));
             q.close(ctx);
             // Closed: everything bounces, takes return empty.
-            assert_eq!(q.try_put_all(ctx, vec![9]), vec![9]);
+            let mut items = vec![9];
+            q.try_put_all(ctx, &mut items);
+            assert_eq!(items, vec![9]);
             q.take_up_to(ctx, 4).is_empty()
         });
         sim.run(RunLimit::ToCompletion);
@@ -424,7 +423,9 @@ mod tests {
         }
         let _ = sim.fork_root("producer", Priority::of(3), move |ctx| {
             ctx.sleep_precise(millis(5));
-            assert!(q.try_put_all(ctx, vec![1, 2, 3, 4]).is_empty());
+            let mut items = vec![1, 2, 3, 4];
+            q.try_put_all(ctx, &mut items);
+            assert!(items.is_empty());
         });
         let r = sim.run(RunLimit::For(secs(1)));
         assert_eq!(r.reason, StopReason::AllExited);

@@ -10,7 +10,7 @@
 //! Deadline timers are armed once per request and *cancelled* on
 //! resolution — the churn pattern the wheel's O(1) cancel exists for.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use pcr::{SimTime, SplitMix64, Wheel, WheelToken};
 
@@ -144,6 +144,8 @@ impl ClientCounters {
     }
 }
 
+// Wheel payloads must be Copy.
+#[derive(Clone, Copy)]
 enum ClientEvent {
     /// Session `sid` starts (emits its first request).
     Arrive(u32),
@@ -154,14 +156,6 @@ enum ClientEvent {
     /// Request `rid`'s input-to-echo deadline (stale if resolved).
     Deadline(u64),
 }
-
-// Wheel payloads must be Copy.
-impl Clone for ClientEvent {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl Copy for ClientEvent {}
 
 struct Session {
     class: u8,
@@ -177,17 +171,52 @@ struct Outstanding {
     attempts: u32,
 }
 
+/// The in-flight table, a ring indexed by rid. Rids are issued in
+/// order, so request `rid` sits at `rid - first`; a resolved one leaves
+/// a `None` until the resolved prefix is popped off the front, so the
+/// ring is empty exactly when nothing is in flight. A rid below the
+/// front or past the end finds nothing: stale events are ignored.
+#[derive(Default)]
+struct InFlight {
+    slots: VecDeque<Option<Outstanding>>,
+    /// The rid of `slots[0]`.
+    first: u64,
+}
+
+impl InFlight {
+    fn next_rid(&self) -> u64 {
+        self.first + self.slots.len() as u64
+    }
+
+    fn slot(&mut self, rid: u64) -> Option<&mut Option<Outstanding>> {
+        // Below the front, the difference wraps past every index.
+        self.slots.get_mut(rid.wrapping_sub(self.first) as usize)
+    }
+
+    fn get_mut(&mut self, rid: u64) -> Option<&mut Outstanding> {
+        self.slot(rid)?.as_mut()
+    }
+
+    fn remove(&mut self, rid: u64) -> Option<Outstanding> {
+        let o = self.slot(rid)?.take()?;
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.first += 1;
+        }
+        Some(o)
+    }
+}
+
 /// The whole client fleet: sessions, in-flight requests, timers,
 /// retry state, counters.
 pub struct ClientPopulation {
     wheel: Wheel<ClientEvent>,
     sessions: Vec<Session>,
-    outstanding: BTreeMap<u64, Outstanding>,
+    outstanding: InFlight,
     mix: Vec<ClassParams>,
     policy: RetryPolicy,
     budget: RetryBudget,
     retry_rng: SplitMix64,
-    next_rid: u64,
     /// All the fleet's counters.
     pub counters: ClientCounters,
 }
@@ -242,12 +271,11 @@ impl ClientPopulation {
         ClientPopulation {
             wheel,
             sessions,
-            outstanding: BTreeMap::new(),
+            outstanding: InFlight::default(),
             mix: mix.to_vec(),
             budget: RetryBudget::new(&policy),
             policy,
             retry_rng: SplitMix64::new(seed ^ 0x9E37_79B9_7F4A_7C15),
-            next_rid: 0,
             counters: ClientCounters::default(),
         }
     }
@@ -259,12 +287,12 @@ impl ClientPopulation {
 
     /// True while any request is in flight.
     pub fn has_outstanding(&self) -> bool {
-        !self.outstanding.is_empty()
+        !self.outstanding.slots.is_empty()
     }
 
     /// True once every session is exhausted and every request resolved.
     pub fn done(&self) -> bool {
-        self.wheel.is_empty() && self.outstanding.is_empty()
+        self.wheel.is_empty() && self.outstanding.slots.is_empty()
     }
 
     /// Retry-budget suppressions (for the report).
@@ -272,17 +300,24 @@ impl ClientPopulation {
         self.budget.suppressed
     }
 
-    /// Pops every event due at or before `now`; returns the submissions
-    /// to present to the pipeline, in deterministic event order.
+    /// [`ClientPopulation::poll_into`] into a new vector.
     pub fn poll(&mut self, now: SimTime) -> Vec<Submission> {
         let mut subs = Vec::new();
+        self.poll_into(now, &mut subs);
+        subs
+    }
+
+    /// Pops every event due at or before `now` and appends the
+    /// submissions to present to the pipeline to `subs`, in
+    /// deterministic event order.
+    pub fn poll_into(&mut self, now: SimTime, subs: &mut Vec<Submission>) {
         while let Some((t, ev)) = self.wheel.pop_due_at(now) {
             match ev {
                 ClientEvent::Arrive(sid) | ClientEvent::NextReq(sid) => {
-                    self.emit(sid, t, &mut subs);
+                    self.emit(sid, t, subs);
                 }
                 ClientEvent::Retry(rid) => {
-                    if let Some(o) = self.outstanding.get_mut(&rid) {
+                    if let Some(o) = self.outstanding.get_mut(rid) {
                         o.attempts += 1;
                         self.counters.attempts += 1;
                         subs.push(Submission {
@@ -295,13 +330,12 @@ impl ClientPopulation {
                     }
                 }
                 ClientEvent::Deadline(rid) => {
-                    if self.outstanding.remove(&rid).is_some() {
+                    if self.outstanding.remove(rid).is_some() {
                         self.counters.timed_out += 1;
                     }
                 }
             }
         }
-        subs
     }
 
     fn emit(&mut self, sid: u32, t: SimTime, subs: &mut Vec<Submission>) {
@@ -313,20 +347,16 @@ impl ClientPopulation {
             let gap = poisson_gap(&mut s.rng, params.events_per_sec);
             self.wheel.schedule(t + gap, ClientEvent::NextReq(sid));
         }
-        let rid = self.next_rid;
-        self.next_rid += 1;
+        let rid = self.outstanding.next_rid();
         let deadline = t + params.deadline;
         let tok = self.wheel.schedule(deadline, ClientEvent::Deadline(rid));
-        self.outstanding.insert(
-            rid,
-            Outstanding {
-                class: s.class,
-                produced_at: t,
-                deadline,
-                deadline_tok: tok,
-                attempts: 1,
-            },
-        );
+        self.outstanding.slots.push_back(Some(Outstanding {
+            class: s.class,
+            produced_at: t,
+            deadline,
+            deadline_tok: tok,
+            attempts: 1,
+        }));
         self.counters.offered += 1;
         self.counters.attempts += 1;
         self.budget.on_offered();
@@ -352,7 +382,7 @@ impl ClientPopulation {
     pub fn on_completion(&mut self, now: SimTime, c: Completion) {
         match c.outcome {
             Outcome::Painted => {
-                if let Some(o) = self.outstanding.remove(&c.rid) {
+                if let Some(o) = self.outstanding.remove(c.rid) {
                     self.wheel.cancel(o.deadline_tok);
                     self.counters.painted += 1;
                 } else {
@@ -360,7 +390,7 @@ impl ClientPopulation {
                 }
             }
             Outcome::ShedDeadline => {
-                if let Some(o) = self.outstanding.remove(&c.rid) {
+                if let Some(o) = self.outstanding.remove(c.rid) {
                     self.wheel.cancel(o.deadline_tok);
                     self.counters.shed_deadline += 1;
                 }
@@ -384,7 +414,7 @@ impl ClientPopulation {
     /// deadline, and the retry budget all allow; resolves the request
     /// as failed otherwise.
     fn maybe_retry(&mut self, now: SimTime, rid: u64) {
-        let Some(o) = self.outstanding.get(&rid) else {
+        let Some(o) = self.outstanding.get_mut(rid) else {
             return; // already resolved (e.g. deadline fired first)
         };
         if o.attempts >= self.policy.max_attempts {
@@ -408,7 +438,7 @@ impl ClientPopulation {
     }
 
     fn resolve_failed(&mut self, rid: u64) {
-        if let Some(o) = self.outstanding.remove(&rid) {
+        if let Some(o) = self.outstanding.remove(rid) {
             self.wheel.cancel(o.deadline_tok);
             self.counters.failed += 1;
         }
@@ -430,6 +460,85 @@ mod tests {
             policy,
             0xA5,
         )
+    }
+
+    #[test]
+    fn in_flight_ring_agrees_with_an_ordered_map() {
+        use std::collections::BTreeMap;
+        // No sessions, so the wheel stays empty and `done()` means
+        // exactly "nothing in flight".
+        let mut pop = ClientPopulation::new(
+            &default_mix(),
+            &LoadShape::steady(),
+            0,
+            secs(1),
+            RetryPolicy::default(),
+            1,
+        );
+        let tok = Wheel::new().schedule(SimTime::ZERO, ClientEvent::Arrive(0));
+        let mut oracle: BTreeMap<u64, u32> = BTreeMap::new();
+        let mut rng = SplitMix64::new(0x51A7);
+        let (mut below, mut past, mut double, mut emptied) = (0, 0, 0, 0);
+        for step in 0..40_000u32 {
+            let ring = &mut pop.outstanding;
+            let next = ring.next_rid();
+            // Push-heavy phases of 100 steps, resolve-heavy ones of 300.
+            let push_pct = if step % 400 < 100 { 50 } else { 5 };
+            let roll = rng.next_below(100);
+            let span = ring.first + rng.next_below(next - ring.first + 1);
+            let rid = match rng.next_below(6) {
+                0 => ring.first.saturating_sub(1 + rng.next_below(4)),
+                1 => next + rng.next_below(4),
+                2 => span,
+                // In flight, in no particular order, while any is.
+                _ => oracle
+                    .range(span..)
+                    .chain(oracle.iter())
+                    .next()
+                    .map_or(span, |(&r, _)| r),
+            };
+            below += u32::from(rid < ring.first);
+            past += u32::from(rid >= next);
+            if roll < push_pct {
+                ring.slots.push_back(Some(Outstanding {
+                    class: 0,
+                    produced_at: SimTime::ZERO,
+                    deadline: SimTime::ZERO,
+                    deadline_tok: tok,
+                    attempts: step,
+                }));
+                oracle.insert(next, step);
+            } else if roll < push_pct + (100 - push_pct) / 2 {
+                let got = ring.remove(rid).map(|o| o.attempts);
+                double += u32::from(got.is_none() && (ring.first..next).contains(&rid));
+                assert_eq!(got, oracle.remove(&rid), "step {step}: remove({rid})");
+                emptied += u32::from(got.is_some() && oracle.is_empty());
+            } else {
+                let got = ring.get_mut(rid).map(|o| {
+                    o.attempts += 1;
+                    o.attempts
+                });
+                let want = oracle.get_mut(&rid).map(|a| {
+                    *a += 1;
+                    *a
+                });
+                assert_eq!(got, want, "step {step}: get_mut({rid})");
+            }
+            // The resolved prefix is gone: the front is the oldest rid
+            // in flight, or the next rid when none is.
+            let ring = &pop.outstanding;
+            let front = oracle.keys().next().copied().unwrap_or(ring.next_rid());
+            assert_eq!(ring.first, front, "step {step}");
+            let held = (ring.first..).zip(&ring.slots);
+            let held = held.filter_map(|(r, o)| Some((r, o.as_ref()?.attempts)));
+            assert!(held.eq(oracle.iter().map(|(&r, &a)| (r, a))), "step {step}");
+            assert_eq!(pop.has_outstanding(), !oracle.is_empty(), "step {step}");
+            assert_eq!(pop.done(), oracle.is_empty(), "step {step}");
+        }
+        assert!(
+            below > 100 && past > 100 && double > 100 && emptied > 5,
+            "below {below}, past {past}, double {double}, emptied {emptied}"
+        );
     }
 
     #[test]

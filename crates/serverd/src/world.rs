@@ -133,20 +133,12 @@ impl ServeSpec {
                 }
             }
             ServeScenario::Outage => {
-                spec.outage = Self::outage_preset(spec.window);
+                // Two 1.2 s blackouts, at 35 % and 65 % of the window.
+                let at = |pct| (micros(spec.window.as_micros() * pct / 100), millis(1200));
+                spec.outage = vec![at(35), at(65)];
             }
         }
         spec
-    }
-
-    /// The standard outage schedule: two blackouts at 35% and 65% of
-    /// the arrival window, 1.2s each.
-    pub fn outage_preset(window: SimDuration) -> Vec<(SimDuration, SimDuration)> {
-        let w = window.as_micros();
-        vec![
-            (micros(w * 35 / 100), millis(1200)),
-            (micros(w * 65 / 100), millis(1200)),
-        ]
     }
 
     /// A small, hot cell for fuzzing: few sessions, tight queues, short
@@ -180,6 +172,16 @@ struct Request {
     sub: crate::clients::Submission,
     enqueued_at: SimTime,
     dequeued_at: SimTime,
+}
+
+impl Request {
+    /// The pipeline's answer to the client about this request.
+    fn completion(&self, outcome: Outcome) -> Completion {
+        Completion {
+            rid: self.sub.rid,
+            outcome,
+        }
+    }
 }
 
 /// Shared worker-side control state (one monitor).
@@ -376,29 +378,31 @@ fn serve_main(ctx: &ThreadCtx, spec: &ServeSpec) -> ServeOutcome {
         bucket_of_class[c.class.index()] = Some(i);
     }
 
+    // Reused across steps, so a quiet step allocates nothing.
+    let (mut completed, mut subs, mut admitted) = (Vec::new(), Vec::new(), Vec::new());
     while !pop.done() {
         let now = ctx.now();
-        for c in completions.drain(ctx) {
+        completions.drain(ctx, &mut completed);
+        for c in completed.drain(..) {
             pop.on_completion(now, c);
         }
-        let subs = pop.poll(now);
-        if !subs.is_empty() {
-            let mut admitted = Vec::with_capacity(subs.len());
-            for sub in subs {
-                let slot = bucket_of_class[sub.class.index()].expect("class not in mix");
-                if buckets[slot].admit(now) {
-                    admitted.push(Request {
-                        sub,
-                        enqueued_at: now,
-                        dequeued_at: now,
-                    });
-                } else {
-                    pop.on_submit_rejected(now, sub.rid, RejectReason::Admission);
-                }
+        pop.poll_into(now, &mut subs);
+        for sub in subs.drain(..) {
+            let slot = bucket_of_class[sub.class.index()].expect("class not in mix");
+            if buckets[slot].admit(now) {
+                admitted.push(Request {
+                    sub,
+                    enqueued_at: now,
+                    dequeued_at: now,
+                });
+            } else {
+                pop.on_submit_rejected(now, sub.rid, RejectReason::Admission);
             }
-            for req in ingress.try_put_all(ctx, admitted) {
-                pop.on_submit_rejected(ctx.now(), req.sub.rid, RejectReason::Backpressure);
-            }
+        }
+        // Enters ingress only when something was admitted.
+        ingress.try_put_all(ctx, &mut admitted);
+        for req in admitted.drain(..) {
+            pop.on_submit_rejected(ctx.now(), req.sub.rid, RejectReason::Backpressure);
         }
         if pop.done() {
             break;
@@ -458,60 +462,50 @@ fn worker_loop(
     for c in mix {
         service_of_class[c.class.index()] = c.service;
     }
+    let mut shed: Vec<Completion> = Vec::new();
     loop {
         let coalesce = ctx.enter(control).with(|c| c.coalesce).max(1) as usize;
-        let batch = ingress.take_up_to(ctx, coalesce);
+        let mut batch = ingress.take_up_to(ctx, coalesce);
         if batch.is_empty() {
             break; // Closed and drained.
         }
         let now = ctx.now();
-        let mut live: Vec<Request> = Vec::with_capacity(batch.len());
-        let mut shed: Vec<Completion> = Vec::new();
-        for (i, mut req) in batch.into_iter().enumerate() {
-            if i == 0 {
+        // Filter in place: what is left is the batch handed to XConn.
+        let mut head = true;
+        batch.retain_mut(|req| {
+            if std::mem::take(&mut head) {
                 // CoDel watches head-of-queue sojourn only.
                 let sojourn = now.saturating_since(req.enqueued_at);
                 let verdict = ctx
                     .enter(control)
                     .with_mut(|c| c.codel.on_dequeue(now, sojourn));
                 if verdict == CodelVerdict::Drop {
-                    shed.push(Completion {
-                        rid: req.sub.rid,
-                        outcome: Outcome::ShedCodel,
-                    });
-                    continue;
+                    shed.push(req.completion(Outcome::ShedCodel));
+                    return false;
                 }
             }
             if now >= req.sub.deadline {
                 // Already blown: imaging it would waste capacity on a
                 // paint nobody wants.
-                shed.push(Completion {
-                    rid: req.sub.rid,
-                    outcome: Outcome::ShedDeadline,
-                });
-                continue;
+                shed.push(req.completion(Outcome::ShedDeadline));
+                return false;
             }
             req.dequeued_at = now;
-            live.push(req);
-        }
-        if !live.is_empty() {
+            true
+        });
+        if !batch.is_empty() {
             if ctx.enter(breaker_m).with_mut(|b| b.allow(now)) {
                 let mut cost = SimDuration::ZERO;
-                for req in &live {
+                for req in &batch {
                     cost += service_of_class[req.sub.class.index()];
                 }
                 ctx.work(cost);
-                xq.put(ctx, live);
+                xq.put(ctx, batch);
             } else {
-                for req in live {
-                    shed.push(Completion {
-                        rid: req.sub.rid,
-                        outcome: Outcome::FastFail,
-                    });
-                }
+                shed.extend(batch.iter().map(|req| req.completion(Outcome::FastFail)));
             }
         }
-        for c in shed {
+        for c in shed.drain(..) {
             completions.put(ctx, c);
         }
     }
@@ -533,7 +527,7 @@ fn xconn_loop(
     breaker_m: &pcr::Monitor<CircuitBreaker>,
     metrics_m: &pcr::Monitor<ServeMetrics>,
 ) {
-    while let Some(batch) = xq.take(ctx) {
+    while let Some(mut batch) = xq.take(ctx) {
         let now = ctx.now();
         if in_outage(outage, now) {
             // The connection is down: a quick failed write, not a paint.
@@ -543,51 +537,32 @@ fn xconn_loop(
             ctx.enter(metrics_m)
                 .with_mut(|m| m.outage_failed_batches += 1);
             for req in batch {
-                completions.put(
-                    ctx,
-                    Completion {
-                        rid: req.sub.rid,
-                        outcome: Outcome::XFail,
-                    },
-                );
+                completions.put(ctx, req.completion(Outcome::XFail));
             }
         } else {
             // Last-chance deadline shed: a request that blew its
             // deadline while queued behind this connection is not worth
             // a paint (the client already gave up on it).
-            let (live, blown): (Vec<Request>, Vec<Request>) =
-                batch.into_iter().partition(|r| now < r.sub.deadline);
-            for req in blown {
-                completions.put(
-                    ctx,
-                    Completion {
-                        rid: req.sub.rid,
-                        outcome: Outcome::ShedDeadline,
-                    },
-                );
+            for req in batch.iter().filter(|r| now >= r.sub.deadline) {
+                completions.put(ctx, req.completion(Outcome::ShedDeadline));
             }
-            if live.is_empty() {
+            batch.retain(|r| now < r.sub.deadline);
+            if batch.is_empty() {
                 continue;
             }
-            ctx.work(costs.batch_cost(live.len()));
+            ctx.work(costs.batch_cost(batch.len()));
             let painted_at = ctx.now();
             ctx.enter(breaker_m).with_mut(|b| b.on_success(painted_at));
             ctx.enter(metrics_m).with_mut(|m| {
                 m.batches += 1;
-                for req in &live {
+                for req in &batch {
                     m.record_paint(req.sub.produced_at, painted_at);
                     m.sojourn
                         .record(req.dequeued_at.saturating_since(req.enqueued_at));
                 }
             });
-            for req in live {
-                completions.put(
-                    ctx,
-                    Completion {
-                        rid: req.sub.rid,
-                        outcome: Outcome::Painted,
-                    },
-                );
+            for req in &batch {
+                completions.put(ctx, req.completion(Outcome::Painted));
             }
         }
     }

@@ -315,10 +315,14 @@ fn bounded_queue_is_fifo_with_backpressure<C: Runtime>(ctx: &C) {
     ctx.join(producer.unwrap()).unwrap();
     assert_eq!(got, (0..50).collect::<Vec<_>>());
 
-    assert_eq!(q.try_put_all(ctx, (0..6).collect()), vec![4, 5]);
+    let mut items = (0..6).collect();
+    q.try_put_all(ctx, &mut items);
+    assert_eq!(items, vec![4, 5]);
     assert_eq!(q.try_put(ctx, 9), Err(9));
     assert_eq!(q.try_take(ctx), Some(0));
-    assert_eq!(q.drain(ctx), vec![1, 2, 3]);
+    let mut drained = Vec::new();
+    q.drain(ctx, &mut drained);
+    assert_eq!(drained, vec![1, 2, 3]);
     assert!(q.is_empty(ctx) && q.try_take(ctx).is_none());
 
     let (woken, w2) = counter();
@@ -333,6 +337,32 @@ fn bounded_queue_is_fifo_with_backpressure<C: Runtime>(ctx: &C) {
     q.close(ctx);
     until(ctx, "close to wake every taker", || woken.load(SeqCst) == 3);
     assert!(q.is_closed(ctx) && !q.put(ctx, 1));
+}
+
+/// The in-place bulk forms: `try_put_all` leaves the rejected tail in
+/// the caller's vector, in order, and `drain` appends to it; neither
+/// gives up the caller's buffer.
+fn bounded_queue_bulk_forms_work_in_place<C: Runtime>(ctx: &C) {
+    let q = BoundedQueue::new(ctx, "q", 3, None);
+    let mut buf: Vec<u32> = Vec::with_capacity(64);
+    let cap = buf.capacity();
+    for round in 0..3 {
+        buf.extend(10 * round..10 * round + 5);
+        q.try_put_all(ctx, &mut buf);
+        assert_eq!(buf, [10 * round + 3, 10 * round + 4], "the rejected tail");
+        q.drain(ctx, &mut buf);
+        let want = [3, 4, 0, 1, 2].map(|i| 10 * round + i);
+        assert_eq!(buf, want, "drain appends after what was held");
+        buf.clear();
+        assert_eq!(buf.capacity(), cap, "the caller's buffer is kept");
+    }
+    q.drain(ctx, &mut buf);
+    assert!(buf.is_empty() && q.is_empty(ctx));
+    q.close(ctx);
+    buf.extend([7, 8]);
+    q.try_put_all(ctx, &mut buf);
+    assert_eq!(buf, [7, 8], "a closed queue rejects everything");
+    assert!(q.is_empty(ctx) && buf.capacity() == cap);
 }
 
 fn pipeline_transforms_filters_and_shuts_down<C: Runtime>(ctx: &C) {
@@ -716,6 +746,7 @@ on_both_backends![
     monitors_exclude,
     a_panic_inside_a_monitor_releases_it,
     bounded_queue_is_fifo_with_backpressure,
+    bounded_queue_bulk_forms_work_in_place,
     pipeline_transforms_filters_and_shuts_down,
     slack_process_conserves_items,
     sleepers_tick_until_cancelled_and_service_in_order,
