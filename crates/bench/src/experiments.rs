@@ -2,13 +2,20 @@
 
 use std::fmt::Write as _;
 
+use paradigms::exploit::parallel_map;
 use pcr::{
-    micros, millis, secs, ForkError, ForkPolicy, Priority, RunLimit, Sim, SimConfig, SimDuration,
+    micros, millis, secs, ChaosConfig, ForkError, ForkPolicy, NotifyMode, Priority, RunLimit, Sim,
+    SimConfig, SimDuration, StopReason, ThreadCtx,
 };
+use trace::{f1, Table};
+use workloads::{run_benchmark_with, BenchResult, Benchmark, System};
+
+use crate::executor::run_indexed;
+use crate::tables;
 
 /// E5 (§5.2): plain YIELD vs `YieldButNotToMe` in the slack pipeline.
 pub fn slack_report() -> String {
-    let (plain, fixed) = xpipe::slackbench::yield_comparison();
+    let (plain, fixed) = crate::slackbench::yield_comparison();
     let mut out = String::new();
     let _ = writeln!(out, "E5 (§5.2) — slack process feeding the X server");
     let _ = writeln!(
@@ -36,7 +43,7 @@ pub fn slack_report() -> String {
 
 /// E8 (§6.3): quantum sweep.
 pub fn quantum_report() -> String {
-    let sweep = xpipe::slackbench::quantum_sweep();
+    let sweep = crate::slackbench::quantum_sweep();
     let mut out = String::new();
     let _ = writeln!(out, "E8 (§6.3) — effect of the time-slice quantum");
     let _ = writeln!(
@@ -67,7 +74,7 @@ pub fn quantum_report() -> String {
         out,
         "  ablation: 50ms quantum with a decoupled timer granularity (SleepTimeout 5ms)"
     );
-    for (g, o) in xpipe::slackbench::granularity_ablation() {
+    for (g, o) in crate::slackbench::granularity_ablation() {
         let _ = writeln!(
             out,
             "    granularity {:>5}  merge-ratio {:6.1}  mean-staleness {:>9}",
@@ -83,24 +90,74 @@ pub fn quantum_report() -> String {
     out
 }
 
-/// E6 (§6.1): spurious lock conflicts.
+/// E6's window and seed: the matrix's default seed, and a window long
+/// enough that every Cedar cell wastes a dispatch under
+/// [`NotifyMode::Immediate`].
+const E6_WINDOW: SimDuration = secs(10);
+const E6_SEED: u64 = 0xCEDA_2026;
+
+/// The two §6.1 NOTIFY modes, in E6's column order.
+const NOTIFY_MODES: [NotifyMode; 2] = [NotifyMode::Immediate, NotifyMode::DeferredReschedule];
+
+/// Every matrix cell under each of [`NOTIFY_MODES`], measured through
+/// the one cell runner: `(cell, one result per mode)`, in matrix order.
+///
+/// # Panics
+///
+/// Panics if a cell deadlocks or its threads panic.
+fn spurious_runs() -> Vec<((System, Benchmark), Vec<BenchResult>)> {
+    let cells = tables::matrix();
+    let n = NOTIFY_MODES.len();
+    let (runs, _) = run_indexed(tables::workers_available(), cells.len() * n, |i| {
+        let ((system, benchmark), mode) = (cells[i / n], NOTIFY_MODES[i % n]);
+        let chaos = ChaosConfig::none();
+        let run = run_benchmark_with(system, benchmark, E6_WINDOW, E6_SEED, chaos, |c| {
+            c.with_notify_mode(mode)
+        });
+        run.unwrap_or_else(|e| panic!("{}/{benchmark:?} under {mode:?}: {e}", system.name()))
+    });
+    let mut runs = runs.into_iter();
+    let per_cell = |cell| (cell, runs.by_ref().take(n).collect());
+    cells.into_iter().map(per_cell).collect()
+}
+
+/// E6 (§6.1): spurious lock conflicts in the Cedar and GVX worlds, under
+/// the NOTIFY that reschedules at once and under the deferred reschedule.
 pub fn spurious_report() -> String {
-    let (imm, def) = xpipe::spurious::compare(500);
-    let mut out = String::new();
-    let _ = writeln!(out, "E6 (§6.1) — spurious lock conflicts");
-    for o in [&imm, &def] {
-        let _ = writeln!(
-            out,
-            "  {:22} notifies {:5}  spurious conflicts {:5}  switches {:6}",
-            format!("{:?}", o.mode),
-            o.notifies,
-            o.spurious_conflicts,
-            o.switches
-        );
+    let runs = spurious_runs();
+    let mut t = Table::new(
+        &format!("E6 (§6.1) — spurious lock conflicts in the twelve cells ({E6_WINDOW} window)"),
+        &[
+            "Cell",
+            "Immediate: spurious",
+            "switches/s",
+            "DeferredReschedule: spurious",
+            "switches/s",
+        ],
+    );
+    let mut wasting = [0usize; 2];
+    for ((system, benchmark), results) in &runs {
+        let mut row = vec![format!("{}/{benchmark:?}", system.name())];
+        for (r, wasting) in results.iter().zip(&mut wasting) {
+            *wasting += usize::from(r.spurious_conflicts > 0);
+            row.extend([
+                r.spurious_conflicts.to_string(),
+                f1(r.rates.switches_per_sec),
+            ]);
+        }
+        t.row(row);
     }
+    let mut out = t.to_text();
     let _ = writeln!(
         out,
-        "  => deferring the reschedule until monitor exit eliminates every wasted trip"
+        "  => cells that waste dispatches: {} of {} under Immediate, {} under DeferredReschedule;",
+        wasting[0],
+        runs.len(),
+        wasting[1]
+    );
+    let _ = writeln!(
+        out,
+        "     deferring the reschedule until monitor exit removes every wasted trip"
     );
     out
 }
@@ -113,8 +170,8 @@ pub fn inversion_report() -> String {
     };
     let mut out = String::new();
     let _ = writeln!(out, "E7 (§6.2) — stable priority inversion");
-    let plain = xpipe::inversion::monitor_inversion(false);
-    let rescued = xpipe::inversion::monitor_inversion(true);
+    let plain = crate::inversion::monitor_inversion(false);
+    let rescued = crate::inversion::monitor_inversion(true);
     let _ = writeln!(
         out,
         "  monitor inversion, no daemon:     high-prio acquire {}",
@@ -127,7 +184,7 @@ pub fn inversion_report() -> String {
         rescued.donations
     );
     for (donation, daemon) in [(true, false), (false, false), (true, true), (false, true)] {
-        let o = xpipe::inversion::metalock_inversion(donation, daemon);
+        let o = crate::inversion::metalock_inversion(donation, daemon);
         let _ = writeln!(
             out,
             "  metalock: donation={:5} daemon={:5}  acquire {:>14}  stalls {}",
@@ -150,7 +207,7 @@ pub fn inversion_report() -> String {
 
 /// E12 (§5.6): threaded Xlib vs X1.
 pub fn xlib_report() -> String {
-    let (xlib, x1) = xpipe::xlib::compare();
+    let (xlib, x1) = crate::xlib::compare();
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -347,15 +404,76 @@ pub fn weakmem_report() -> String {
     out
 }
 
-/// E13 (§4.7): concurrency exploiters on the multiprocessor scheduler.
+/// One point of E13's speedup curve.
+#[derive(Clone, Copy, Debug)]
+struct SpeedupPoint {
+    /// Virtual processors used.
+    cpus: usize,
+    /// Virtual makespan of the whole job.
+    makespan: SimDuration,
+    /// Speedup relative to one processor.
+    speedup: f64,
+    /// Cross-CPU monitor contention.
+    contended: u64,
+}
+
+/// Maps 16 tasks through [`paradigms::exploit::parallel_map`] on `cpus`
+/// processors, each `free` of independent work and then `serialized`
+/// inside one shared monitor (never entered if that is zero). Returns
+/// the virtual makespan and the contended entries.
+fn fan_out(cpus: usize, free: SimDuration, serialized: SimDuration) -> (SimDuration, u64) {
+    let mut sim = Sim::with_cpus(SimConfig::default().with_seed(3), cpus);
+    let shared = sim.monitor("shared-structure", 0u64);
+    let h = sim.fork_root("driver", Priority::of(5), move |ctx| {
+        let t0 = ctx.now();
+        let tasks = (0..16).collect();
+        parallel_map(ctx, "w", tasks, free, move |ctx: &ThreadCtx, _: u32| {
+            if !serialized.is_zero() {
+                let mut g = ctx.enter(&shared);
+                ctx.work(serialized);
+                g.with_mut(|v| *v += 1);
+            }
+        });
+        ctx.now().since(t0)
+    });
+    let r = sim.run(RunLimit::For(secs(600)));
+    assert_eq!(r.reason, StopReason::AllExited, "fork/join did not finish");
+    (h.into_result().unwrap().unwrap(), sim.stats().ml_contended)
+}
+
+/// E13's two task shapes, `(free, serialized)`: 25 ms of independent
+/// work, and 7 of 25 ms inside one shared monitor, which serializes that
+/// fraction and caps the speedup (Amdahl, observed rather than stated).
+const INDEPENDENT: (SimDuration, SimDuration) = (millis(25), SimDuration::ZERO);
+const CONTENDED: (SimDuration, SimDuration) = (millis(18), millis(7));
+
+/// E13's curve across 1, 2, 4 and 8 processors.
+fn speedup_curve((free, serialized): (SimDuration, SimDuration)) -> Vec<SpeedupPoint> {
+    let mut one_cpu = None;
+    let point = |cpus| {
+        let (makespan, contended) = fan_out(cpus, free, serialized);
+        let base = *one_cpu.get_or_insert(makespan);
+        let speedup = base.as_micros() as f64 / makespan.as_micros().max(1) as f64;
+        SpeedupPoint {
+            cpus,
+            makespan,
+            speedup,
+            contended,
+        }
+    };
+    [1, 2, 4, 8].into_iter().map(point).collect()
+}
+
+/// E13 (§4.7): concurrency exploiters on the multiprocessor scheduler,
+/// through the unchanged paradigm library.
 pub fn exploiters_report() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "E13 (§4.7) — concurrency exploiters on 1/2/4/8 virtual processors"
     );
-    let free = xpipe::exploiters::speedup_curve();
-    let contended = xpipe::exploiters::contended_speedup_curve();
+    let free = speedup_curve(INDEPENDENT);
+    let contended = speedup_curve(CONTENDED);
     let _ = writeln!(
         out,
         "  cpus  independent: makespan  speedup | shared-monitor: makespan  speedup  contended"
@@ -469,6 +587,49 @@ pub fn all_reports() -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn immediate_notify_wastes_dispatches_in_every_cedar_cell_and_deferred_in_none() {
+        for ((system, benchmark), results) in spurious_runs() {
+            let [imm, def] = [0, 1].map(|mode| results[mode].spurious_conflicts);
+            let cell = format!("{}/{benchmark:?}", system.name());
+            let gvx = system == System::Gvx;
+            assert!(gvx || imm > 0, "{cell}: no spurious conflict, Immediate");
+            assert_eq!(def, 0, "{cell}: spurious conflicts, DeferredReschedule");
+        }
+    }
+
+    #[test]
+    fn independent_work_scales_nearly_linearly() {
+        let curve = speedup_curve(INDEPENDENT);
+        let at = |cpus: usize| curve.iter().find(|p| p.cpus == cpus).unwrap().speedup;
+        assert!((at(1) - 1.0).abs() < 0.01);
+        assert!(at(2) > 1.8, "2 cpus: {}", at(2));
+        assert!(at(4) > 3.3, "4 cpus: {}", at(4));
+        assert!(at(8) > 5.0, "8 cpus: {}", at(8));
+    }
+
+    #[test]
+    fn serialized_fraction_caps_the_speedup() {
+        // 7ms of every 25ms is serialized: 16 tasks need ≥ 112ms of
+        // serialized time, so speedup can never exceed 400/112 ≈ 3.6.
+        let curve = speedup_curve(CONTENDED);
+        let at8 = curve.iter().find(|p| p.cpus == 8).unwrap();
+        assert!(at8.speedup < 3.8, "8 cpus: {}", at8.speedup);
+        assert!(at8.speedup > 2.0, "8 cpus: {}", at8.speedup);
+        assert!(at8.contended > 0, "no cross-CPU contention observed");
+        // And the independent curve beats it at every width > 1.
+        let free = speedup_curve(INDEPENDENT);
+        for (f, c) in free.iter().zip(&curve).skip(1) {
+            assert!(
+                f.speedup > c.speedup,
+                "{} cpus: free {} vs contended {}",
+                f.cpus,
+                f.speedup,
+                c.speedup
+            );
+        }
+    }
 
     #[test]
     fn mistakes_report_shows_slowdown() {

@@ -10,8 +10,11 @@
 pub mod executor;
 pub mod exit;
 pub mod experiments;
+pub mod inversion;
 pub mod lint;
 pub mod resilience_cli;
 pub mod serve_cli;
+pub mod slackbench;
 pub mod tables;
 pub mod tournament;
+pub mod xlib;

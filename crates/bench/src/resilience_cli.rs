@@ -365,15 +365,15 @@ fn recover_inversion_cell(
     table: &mut Table,
     json_rows: &mut Vec<trace::Json>,
 ) -> i32 {
-    let label = "xpipe/MetalockInversion".to_string();
+    let label = "E7/MetalockInversion".to_string();
     let mut code = exit::OK;
-    let wedged = unsupervised_wedges(xpipe::inversion::build_metalock_world(false, false).0, cfg);
+    let wedged = unsupervised_wedges(crate::inversion::build_metalock_world(false, false).0, cfg);
     if !wedged {
         eprintln!("FAIL recover {label}: the inversion did not wedge the unsupervised run");
         code = exit::worst(code, exit::REGRESSION);
     }
     let (sup, _sim) = supervise(
-        |_| xpipe::inversion::build_metalock_world(false, false).0,
+        |_| crate::inversion::build_metalock_world(false, false).0,
         cfg,
     );
     let recoveries = recoveries(&label, &sup);

@@ -12,11 +12,100 @@
 //! timeout-based buffer works only when the timer granularity (coupled
 //! to the quantum) is small.
 
-use pcr::{micros, millis, Priority, RunLimit, Sim, SimConfig, SimDuration};
+use pcr::{
+    micros, millis, Monitor, Priority, RunLimit, Sim, SimConfig, SimDuration, SimTime, ThreadCtx,
+};
 
-use crate::server::{PaintReq, ServerCosts, XServer};
 use paradigms::pump::BoundedQueue;
 use paradigms::slack::{spawn_slack, SlackPolicy};
+use serverd::ServerCosts;
+
+/// One paint request: which region, which content version, and when the
+/// imaging thread produced it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PaintReq {
+    /// Screen region.
+    pub region: u32,
+    /// Content version (later replaces earlier).
+    pub version: u32,
+    /// When the request was produced.
+    pub produced_at: SimTime,
+}
+
+/// Statistics the X server accumulates.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ServerStats {
+    /// Batches received.
+    pub batches: u64,
+    /// Individual requests painted.
+    pub requests: u64,
+    /// Sum of produce-to-paint latency (µs) across requests.
+    pub total_latency_us: u64,
+    /// Worst produce-to-paint latency seen (µs).
+    pub max_latency_us: u64,
+}
+
+impl ServerStats {
+    /// Mean produce-to-paint latency.
+    pub fn mean_latency(&self) -> SimDuration {
+        SimDuration::from_micros(
+            self.total_latency_us
+                .checked_div(self.requests)
+                .unwrap_or(0),
+        )
+    }
+
+    /// Worst produce-to-paint latency.
+    pub fn max_latency(&self) -> SimDuration {
+        SimDuration::from_micros(self.max_latency_us)
+    }
+}
+
+/// The simulated X server: an external process with high per-transaction
+/// costs, the reason batching pays (§5.2). A thread consuming batches
+/// from a queue, charging [`ServerCosts`] per batch and per request, and
+/// recording when each screen region was last painted.
+pub struct XServer {
+    stats: Monitor<ServerStats>,
+}
+
+impl XServer {
+    /// Spawns the server thread consuming `batches`.
+    pub fn spawn(
+        ctx: &ThreadCtx,
+        priority: Priority,
+        costs: ServerCosts,
+        batches: BoundedQueue<Vec<PaintReq>>,
+    ) -> XServer {
+        let stats = ctx.new_monitor("xserver.stats", ServerStats::default());
+        let st = stats.clone();
+        let _ = ctx
+            .fork_detached_prio("XServer", priority, move |ctx| {
+                while let Some(batch) = batches.take(ctx) {
+                    ctx.work(costs.batch_cost(batch.len()));
+                    let now = ctx.now();
+                    let mut g = ctx.enter(&st);
+                    g.with_mut(|s| {
+                        s.batches += 1;
+                        for r in &batch {
+                            s.requests += 1;
+                            let lat = now.saturating_since(r.produced_at).as_micros();
+                            s.total_latency_us += lat;
+                            s.max_latency_us = s.max_latency_us.max(lat);
+                        }
+                    });
+                }
+            })
+            .expect("fork X server");
+        XServer { stats }
+    }
+
+    /// Snapshot of the server's counters.
+    pub fn stats(&self, ctx: &ThreadCtx) -> ServerStats {
+        let g = ctx.enter(&self.stats);
+        g.with(|s| *s)
+    }
+}
 
 /// Merges paint requests per region, keeping the latest content but the
 /// *earliest* production time, so the measured latency is the region's
@@ -176,7 +265,7 @@ pub fn run_slack(cfg: SlackConfig) -> SlackOutcome {
         server_requests: server_stats.requests,
         merge_ratio: slack_stats.merge_ratio(),
         switches: sim.stats().switches,
-        completion: done_at.saturating_since(pcr::SimTime::ZERO),
+        completion: done_at.saturating_since(SimTime::ZERO),
         mean_latency: server_stats.mean_latency(),
         max_latency: server_stats.max_latency(),
     }
@@ -238,6 +327,38 @@ pub fn quantum_sweep() -> Vec<SlackOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn server_charges_batch_and_request_costs() {
+        let mut sim = Sim::new(SimConfig::default());
+        let q: BoundedQueue<Vec<PaintReq>> = BoundedQueue::new_in_sim(&mut sim, "b", 8, None);
+        let q2 = q.clone();
+        let h = sim.fork_root("driver", Priority::of(5), move |ctx| {
+            let server = XServer::spawn(ctx, Priority::of(4), ServerCosts::default(), q2);
+            let t0 = ctx.now();
+            for i in 0..3 {
+                q.put(
+                    ctx,
+                    vec![PaintReq {
+                        region: i,
+                        version: 1,
+                        produced_at: t0,
+                    }],
+                );
+            }
+            q.close(ctx);
+            ctx.sleep_precise(millis(100));
+            server.stats(ctx)
+        });
+        sim.run(RunLimit::For(pcr::secs(2)));
+        let stats = h.into_result().unwrap().unwrap();
+        assert_eq!(stats.batches, 3);
+        assert_eq!(stats.requests, 3);
+        // Each single-request batch costs ~2.15ms; the LAST one finishes
+        // ~6.5ms after production.
+        assert!(stats.max_latency() >= millis(6));
+        assert!(stats.mean_latency() >= millis(2));
+    }
 
     #[test]
     fn yield_but_not_to_me_beats_plain_yield_by_3x() {

@@ -38,6 +38,36 @@ fn monitor_protects_a_read_modify_write() {
     assert_eq!(h.into_result().unwrap().unwrap(), 100);
 }
 
+/// EXIT hands the monitor to the thread queued longest: three ENTERs
+/// that queue behind a holder get it in the order they queued.
+#[test]
+fn exit_grants_queued_enters_in_fifo_order() {
+    let mut s = sim();
+    let m = s.monitor("m", Vec::new());
+    let held = m.clone();
+    let _ = s.fork_root("holder", Priority::of(2), move |ctx| {
+        let _g = ctx.enter(&held);
+        ctx.work(millis(10));
+    });
+    for (i, name) in ["first", "second", "third"].into_iter().enumerate() {
+        let m = m.clone();
+        let _ = s.fork_root(name, Priority::of(5), move |ctx| {
+            ctx.sleep_precise(millis(1 + i as u64));
+            ctx.enter(&m).with_mut(|order| order.push(name));
+        });
+    }
+    let h = s.fork_root("reader", Priority::of(1), move |ctx| {
+        ctx.sleep_precise(millis(20));
+        ctx.enter(&m).with(|order| order.clone())
+    });
+    assert_eq!(s.run(RunLimit::ToCompletion).reason, StopReason::AllExited);
+    assert_eq!(s.stats().ml_contended, 3, "all three queued");
+    assert_eq!(
+        h.into_result().unwrap().unwrap(),
+        ["first", "second", "third"]
+    );
+}
+
 #[test]
 fn recursive_monitor_entry_panics_the_thread_not_the_sim() {
     let mut s = sim();
@@ -418,18 +448,22 @@ fn a_condition_on_another_sims_monitor_is_refused() {
     assert!(s.condition_names().is_empty(), "no CV was made");
 }
 
+/// §6.1 on one CPU: a NOTIFY that reschedules at once sends a waiter
+/// that outranks the notifier onto the still-held monitor, once per
+/// NOTIFY; the deferred reschedule wastes no trip and fewer switches,
+/// and a waiter below the notifier never conflicts in either mode.
 #[test]
 fn immediate_vs_deferred_notify_mode_is_observable() {
-    let run = |mode: NotifyMode| {
+    let run = |mode: NotifyMode, waiter: u8| {
         let mut s = Sim::new(SimConfig::default().with_notify_mode(mode));
         let m = s.monitor("m", 0u32);
         let cv = s.condition(&m, "cv", None);
         let (m2, cv2) = (m.clone(), cv.clone());
-        let _ = s.fork_root("hi-waiter", Priority::of(6), move |ctx| {
+        let _ = s.fork_root("waiter", Priority::of(waiter), move |ctx| {
             let mut g = ctx.enter(&m2);
             g.wait_until(&cv2, |&v| v >= 20);
         });
-        let _ = s.fork_root("lo-notifier", Priority::of(3), move |ctx| {
+        let _ = s.fork_root("notifier", Priority::of(3), move |ctx| {
             for _ in 0..20 {
                 let mut g = ctx.enter(&m);
                 g.with_mut(|v| *v += 1);
@@ -438,11 +472,30 @@ fn immediate_vs_deferred_notify_mode_is_observable() {
                 drop(g);
             }
         });
-        s.run(RunLimit::For(secs(5)));
-        s.stats().spurious_conflicts
+        assert_eq!(s.run(RunLimit::For(secs(5))).reason, StopReason::AllExited);
+        let stats = s.stats();
+        (stats.spurious_conflicts, stats.switches, stats.cv_notifies)
     };
-    assert!(run(NotifyMode::Immediate) >= 19);
-    assert_eq!(run(NotifyMode::DeferredReschedule), 0);
+    let (imm, def) = (
+        run(NotifyMode::Immediate, 6),
+        run(NotifyMode::DeferredReschedule, 6),
+    );
+    assert!(imm.0 >= 19, "spurious conflicts under Immediate: {}", imm.0);
+    assert_eq!(def.0, 0);
+    assert!(
+        def.1 + 20 <= imm.1,
+        "switches: immediate {} deferred {}",
+        imm.1,
+        def.1
+    );
+    assert_eq!(imm.2, def.2, "the same NOTIFYs either way");
+    for mode in [NotifyMode::Immediate, NotifyMode::DeferredReschedule] {
+        assert_eq!(
+            run(mode, 2).0,
+            0,
+            "a lower-priority waiter conflicts under {mode:?}"
+        );
+    }
 }
 
 /// What a trace reader may rely on to rebuild holds: a WAIT emits

@@ -318,6 +318,46 @@ fn strict_priority_across_cpus() {
     assert!(lo_end >= SimTime::from_micros(58_000), "lo ended {lo_end}");
 }
 
+/// On two busy CPUs a waking higher-priority thread runs at once, on the
+/// CPU of the lowest-priority running thread. `mid` takes CPU 0 and forks
+/// the sleeper, so `low` runs on CPU 1: the victim is not the first CPU.
+#[test]
+fn a_waking_thread_displaces_the_lowest_priority_running_one() {
+    let mut sim = mp(2);
+    let mid = sim.fork_root("mid", Priority::of(3), |ctx| {
+        let high = ctx.fork_prio("high", Priority::of(6), |ctx| {
+            ctx.sleep_precise(millis(10));
+            let woke = ctx.now();
+            ctx.work(millis(20));
+            woke
+        });
+        ctx.work(millis(100));
+        (ctx.now(), high.unwrap())
+    });
+    let low = sim.fork_root("low", Priority::of(2), |ctx| {
+        ctx.work(millis(100));
+        ctx.now()
+    });
+    assert_eq!(
+        sim.run(RunLimit::ToCompletion).reason,
+        StopReason::AllExited
+    );
+    // Six dispatches: mid and low; high at its FORK and at its wakeup,
+    // each time in low's place; low back after each. Displacing mid
+    // instead would requeue it, and it would displace low in turn.
+    assert_eq!(sim.stats().switches, 6);
+    let (mid, high) = mid.into_result().unwrap().unwrap();
+    let high = high.into_result().unwrap().unwrap().as_micros();
+    let low = low.into_result().unwrap().unwrap().as_micros();
+    let mid = mid.as_micros();
+    assert!(
+        high < 10_500,
+        "the high thread ran at {high}us, not at once"
+    );
+    assert!(mid < 101_000, "mid was displaced: ended at {mid}us");
+    assert!(low >= 120_000, "low was not displaced: ended at {low}us");
+}
+
 #[test]
 fn monitors_are_globally_exclusive_across_cpus() {
     // A forker forks 4 workers hammering one monitor from 4 CPUs,

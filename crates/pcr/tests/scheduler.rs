@@ -314,15 +314,22 @@ fn set_priority_applies_immediately() {
     assert_eq!(infos[0].priority.get(), 2);
 }
 
+/// FORK with no priority runs the child at its forker's (§2), not at
+/// the default one; a priority given to FORK wins. The checks run on the
+/// host: a failed assertion inside a body only ends that thread.
 #[test]
 fn fork_priority_inherits_parent() {
     let mut s = sim();
-    let _ = s.fork_root("parent", Priority::of(5), |ctx| {
-        let c = ctx.fork("child", |ctx| ctx.priority().get()).unwrap();
-        let p = ctx.join(c).unwrap();
-        assert_eq!(p, 5);
+    let h = s.fork_root("forker", Priority::of(6), |ctx| {
+        let inherits = ctx.fork("inherits", |ctx| ctx.priority()).unwrap();
+        let given = ctx.fork_prio("given", Priority::of(2), |ctx| ctx.priority());
+        let given = given.unwrap();
+        (ctx.join(inherits).unwrap(), ctx.join(given).unwrap())
     });
-    s.run(RunLimit::ToCompletion);
+    assert_eq!(s.run(RunLimit::ToCompletion).reason, StopReason::AllExited);
+    let (inherited, given) = h.into_result().unwrap().unwrap();
+    assert_eq!(inherited, Priority::of(6));
+    assert_eq!(given, Priority::of(2));
 }
 
 #[test]

@@ -60,4 +60,4 @@ pub use metrics::LatencyHistogram;
 pub use report::{DegradeSummary, ServeReport, SloTargets};
 pub use retry::{RetryBudget, RetryPolicy};
 pub use traffic::{ClassParams, LoadShape, ServeScenario, SessionClass, StartTable};
-pub use world::{build_sim, install, run_serve, ServeOutcome, ServeSpec};
+pub use world::{build_sim, install, run_serve, ServeOutcome, ServeSpec, ServerCosts};

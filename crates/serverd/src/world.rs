@@ -11,7 +11,6 @@ use pcr::{
     micros, millis, secs, PolicyKind, Priority, RunLimit, Sim, SimConfig, SimDuration, SimTime,
     StopReason, ThreadCtx,
 };
-use xpipe::server::ServerCosts;
 
 use crate::admission::TokenBucket;
 use crate::breaker::{BreakerSpec, CircuitBreaker};
@@ -22,6 +21,43 @@ use crate::metrics::ServeMetrics;
 use crate::report::SloTargets;
 use crate::retry::RetryPolicy;
 use crate::traffic::{default_mix, ClassParams, LoadShape, ServeScenario, SessionClass};
+
+/// The X connection's cost model: the per-batch overhead dominates small
+/// batches, which is what makes merging worthwhile (§5.2).
+#[derive(Clone, Copy, Debug)]
+pub struct ServerCosts {
+    /// Charged once per batch (connection + round-trip overhead).
+    pub per_batch: SimDuration,
+    /// Charged per request in a batch.
+    pub per_request: SimDuration,
+}
+
+impl Default for ServerCosts {
+    fn default() -> Self {
+        ServerCosts {
+            per_batch: millis(2),
+            per_request: micros(150),
+        }
+    }
+}
+
+impl ServerCosts {
+    /// Total cost of writing one batch of `n` requests.
+    pub fn batch_cost(&self, n: usize) -> SimDuration {
+        self.per_batch + self.per_request * n as u64
+    }
+
+    /// The cost model of the serve world's persistent batched X
+    /// connection: far cheaper than the default interactive pipeline
+    /// (no per-batch connection setup), which is what makes a
+    /// million-session open-loop world feasible at all.
+    pub fn serve_connection() -> Self {
+        ServerCosts {
+            per_batch: micros(600),
+            per_request: micros(60),
+        }
+    }
+}
 
 /// Everything that determines a serve run. Fully deterministic: two
 /// specs with equal fields produce byte-identical reports.

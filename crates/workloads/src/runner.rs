@@ -41,6 +41,9 @@ pub struct BenchResult {
     /// given `(system, benchmark, window, seed)`, so the perf harness can
     /// divide it by wall-clock time to report simulated events/sec.
     pub event_volume: u64,
+    /// §6.1's spurious lock conflicts inside the measurement window: a
+    /// woken thread dispatched onto a monitor that is still held (E6).
+    pub spurious_conflicts: u64,
     /// Wakeup-to-run scheduler latency per priority over the measurement
     /// window (§6.2/§6.3), including the log₂-µs histogram.
     pub sched_latency: SchedLatency,
@@ -275,6 +278,7 @@ pub fn harvest(
         mean_transient_lifetime: collector.genealogy.mean_lifetime_of_exited(),
         hazards,
         event_volume: end_stats.event_volume() - start_stats.event_volume(),
+        spurious_conflicts: end_stats.spurious_conflicts - start_stats.spurious_conflicts,
         sched_latency: end_stats
             .sched_latency
             .window_since(&start_stats.sched_latency),

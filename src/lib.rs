@@ -17,10 +17,12 @@
 //!   a [`mesa::RealCtx`] and the catalogue runs on `std::thread`s;
 //! * [`workloads`] — synthetic Cedar and GVX worlds, the paper's
 //!   twelve benchmarks and Table 4's census counts;
-//! * [`xpipe`] — the X-server pipeline case studies (§5.2, §5.6, §6.1,
-//!   §6.3);
 //! * [`serverd`] — the overload-resilient serve world, the largest here
-//!   ([`serverd::ServeSpec`]: a fleet of sessions against that pipeline).
+//!   ([`serverd::ServeSpec`]: a fleet of sessions against an
+//!   input-to-echo pipeline).
+//!
+//! The §5/§6 experiments are the `bench` crate's `repro` commands, not
+//! part of this facade.
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for
 //! paper-vs-measured results of every table and figure.
@@ -67,4 +69,3 @@ pub use pcr;
 pub use serverd;
 pub use trace;
 pub use workloads;
-pub use xpipe;
