@@ -448,54 +448,53 @@ fn a_condition_on_another_sims_monitor_is_refused() {
     assert!(s.condition_names().is_empty(), "no CV was made");
 }
 
-/// §6.1 on one CPU: a NOTIFY that reschedules at once sends a waiter
-/// that outranks the notifier onto the still-held monitor, once per
-/// NOTIFY; the deferred reschedule wastes no trip and fewer switches,
-/// and a waiter below the notifier never conflicts in either mode.
+/// §6.1 on one CPU: 20 NOTIFYs from a notifier at 3 that works on inside
+/// the monitor. Returns (spurious conflicts, switches, NOTIFYs).
+fn notify_bench(mode: NotifyMode, waiter: u8) -> (u64, u64, u64) {
+    let mut s = Sim::new(SimConfig::default().with_notify_mode(mode));
+    let m = s.monitor("m", 0u32);
+    let cv = s.condition(&m, "cv", None);
+    let (m2, cv2) = (m.clone(), cv.clone());
+    let _ = s.fork_root("waiter", Priority::of(waiter), move |ctx| {
+        let mut g = ctx.enter(&m2);
+        g.wait_until(&cv2, |&v| v >= 20);
+    });
+    let _ = s.fork_root("notifier", Priority::of(3), move |ctx| {
+        for _ in 0..20 {
+            let mut g = ctx.enter(&m);
+            g.with_mut(|v| *v += 1);
+            g.notify(&cv);
+            ctx.work(micros(100)); // Still holding the monitor.
+            drop(g);
+        }
+    });
+    assert_eq!(s.run(RunLimit::For(secs(5))).reason, StopReason::AllExited);
+    let stats = s.stats();
+    (stats.spurious_conflicts, stats.switches, stats.cv_notifies)
+}
+
+/// An immediate reschedule sends a waiter that outranks the notifier
+/// onto the held monitor once per NOTIFY; the deferred one never does.
 #[test]
 fn immediate_vs_deferred_notify_mode_is_observable() {
-    let run = |mode: NotifyMode, waiter: u8| {
-        let mut s = Sim::new(SimConfig::default().with_notify_mode(mode));
-        let m = s.monitor("m", 0u32);
-        let cv = s.condition(&m, "cv", None);
-        let (m2, cv2) = (m.clone(), cv.clone());
-        let _ = s.fork_root("waiter", Priority::of(waiter), move |ctx| {
-            let mut g = ctx.enter(&m2);
-            g.wait_until(&cv2, |&v| v >= 20);
-        });
-        let _ = s.fork_root("notifier", Priority::of(3), move |ctx| {
-            for _ in 0..20 {
-                let mut g = ctx.enter(&m);
-                g.with_mut(|v| *v += 1);
-                g.notify(&cv);
-                ctx.work(micros(100)); // Still holding the monitor.
-                drop(g);
-            }
-        });
-        assert_eq!(s.run(RunLimit::For(secs(5))).reason, StopReason::AllExited);
-        let stats = s.stats();
-        (stats.spurious_conflicts, stats.switches, stats.cv_notifies)
-    };
-    let (imm, def) = (
-        run(NotifyMode::Immediate, 6),
-        run(NotifyMode::DeferredReschedule, 6),
-    );
-    assert!(imm.0 >= 19, "spurious conflicts under Immediate: {}", imm.0);
-    assert_eq!(def.0, 0);
-    assert!(
-        def.1 + 20 <= imm.1,
-        "switches: immediate {} deferred {}",
-        imm.1,
-        def.1
-    );
-    assert_eq!(imm.2, def.2, "the same NOTIFYs either way");
-    for mode in [NotifyMode::Immediate, NotifyMode::DeferredReschedule] {
-        assert_eq!(
-            run(mode, 2).0,
-            0,
-            "a lower-priority waiter conflicts under {mode:?}"
-        );
-    }
+    let imm = notify_bench(NotifyMode::Immediate, 6).0;
+    assert!(imm >= 19, "spurious conflicts under Immediate: {imm}");
+    assert_eq!(notify_bench(NotifyMode::DeferredReschedule, 6).0, 0);
+}
+
+#[test]
+fn deferred_mode_switches_less() {
+    let (_, imm, imm_notifies) = notify_bench(NotifyMode::Immediate, 6);
+    let (_, def, def_notifies) = notify_bench(NotifyMode::DeferredReschedule, 6);
+    assert!(def + 20 <= imm, "switches: immediate {imm} deferred {def}");
+    assert_eq!(imm_notifies, def_notifies, "the same NOTIFYs either way");
+}
+
+/// Conflicts need the inversion: a waiter below the notifier has none.
+#[test]
+fn lower_priority_waiter_never_conflicts() {
+    assert_eq!(notify_bench(NotifyMode::Immediate, 2).0, 0);
+    assert_eq!(notify_bench(NotifyMode::DeferredReschedule, 2).0, 0);
 }
 
 /// What a trace reader may rely on to rebuild holds: a WAIT emits
