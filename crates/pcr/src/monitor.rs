@@ -47,6 +47,17 @@
 //!   a CV on another world's monitor. Ids come from a
 //!   counter, never an address, so a world built after another was
 //!   dropped cannot inherit its monitors.
+//! * **A guard reaches only its own monitor's slot.** A batch of monitors
+//!   ([`crate::Sim::monitors`]; a single monitor is a batch of one) keeps
+//!   its data in one shared block, `Arc<[UnsafeCell<T>]>`. Each `Monitor`
+//!   holds a share of the block and a pointer to its own slot's cell,
+//!   taken from the bounds-checked slot when the batch is made and never
+//!   changed; a clone copies both. The batch gives its `i`th monitor slot
+//!   `i`, so two monitors of one block never share a slot, and each slot
+//!   is its own cell, so a `&mut T` into one slot aliases no other. The
+//!   rules above then hold slot by slot: a slot is touched only by its own
+//!   monitor's owner. The pointer stays valid while the guard lives, since
+//!   the guard borrows a `Monitor`, whose share keeps the block.
 //!
 //! A body that panics inside `with_mut` leaves whatever it wrote to the
 //! next enterer, as Mesa's UNWIND did.
@@ -100,19 +111,6 @@ impl SimId {
     }
 }
 
-/// A monitor's data: read and written in place by whichever thread the
-/// kernel records as the monitor's owner (see the module's soundness
-/// notes).
-struct Data<T>(UnsafeCell<T>);
-
-// SAFETY: like `Mutex<T>`, this hands out `&mut T` to one thread at a
-// time, so it may be shared across OS threads whenever `T` may be sent
-// between them. Only a `MonitorGuard` reaches the cell; a guard exists
-// only for the kernel's recorded owner, and only on the OS thread that
-// runs the guard's simulation, so at most one thread of one simulation
-// touches the data at a time.
-unsafe impl<T: Send> Sync for Data<T> {}
-
 /// A monitor protecting a value of type `T`.
 ///
 /// Cloning the monitor clones the *handle*; all clones refer to the same
@@ -146,26 +144,68 @@ pub struct Monitor<T: Send + 'static> {
     pub(crate) id: MonitorId,
     /// The simulation that made it, and the only one that may enter it.
     pub(crate) sim: SimId,
-    // No lock: the kernel's ownership rule excludes (module docs).
-    data: Arc<Data<T>>,
+    /// The data in this monitor's own slot of `block`, read and written
+    /// in place by the kernel's recorded owner. No lock: the kernel's
+    /// ownership rule excludes (module docs).
+    data: *mut T,
+    /// What keeps `data` alive: its batch's data, one allocation with one
+    /// cell per monitor.
+    block: Arc<[UnsafeCell<T>]>,
 }
+
+// SAFETY: a monitor is a share of its block plus a pointer into it, and
+// only a `MonitorGuard` dereferences the pointer. Like `Mutex<T>`, the
+// block hands out `&mut T` to one thread at a time, so the handle may be
+// sent and shared across OS threads whenever `T` may be sent between
+// them: a guard exists only for the kernel's recorded owner, and only on
+// the OS thread that runs the guard's simulation, so at most one thread of
+// one simulation touches a slot at a time. These are `Arc<Mutex<T>>`'s.
+unsafe impl<T: Send> Send for Monitor<T> {}
+// SAFETY: as for `Send`: `&Monitor` reaches the data only through a guard.
+unsafe impl<T: Send> Sync for Monitor<T> {}
 
 impl<T: Send + 'static> Clone for Monitor<T> {
     fn clone(&self) -> Self {
         Monitor {
             id: self.id,
             sim: self.sim,
-            data: Arc::clone(&self.data),
+            data: self.data,
+            block: Arc::clone(&self.block),
         }
     }
 }
 
 impl<T: Send + 'static> Monitor<T> {
+    /// A batch of one.
     pub(crate) fn new(id: MonitorId, sim: SimId, data: T) -> Self {
+        Self::in_slot(id, sim, Arc::new([UnsafeCell::new(data)]), 0)
+    }
+
+    /// `n` monitors with consecutive ids from `first`, slot `i` holding
+    /// `init(i)`: their data is one allocation, and so is the `Vec`.
+    pub(crate) fn batch(
+        first: MonitorId,
+        sim: SimId,
+        n: usize,
+        mut init: impl FnMut(usize) -> T,
+    ) -> Vec<Self> {
+        let block: Arc<[UnsafeCell<T>]> = (0..n).map(|i| UnsafeCell::new(init(i))).collect();
+        (0..n)
+            .map(|slot| {
+                let id = MonitorId(first.0 + slot as u32);
+                Self::in_slot(id, sim, Arc::clone(&block), slot)
+            })
+            .collect()
+    }
+
+    /// The monitor whose data is `block`'s cell `slot`: the only place a
+    /// slot is chosen, and the index is bounds-checked here, once.
+    fn in_slot(id: MonitorId, sim: SimId, block: Arc<[UnsafeCell<T>]>, slot: usize) -> Self {
         Monitor {
             id,
             sim,
-            data: Arc::new(Data(UnsafeCell::new(data))),
+            data: block[slot].get(),
+            block,
         }
     }
 
@@ -210,7 +250,9 @@ impl<'a, T: Send + 'static> MonitorGuard<'a, T> {
         // SAFETY: this guard's thread owns the monitor, as `owns` says,
         // and keeps it while `self` is borrowed, and a `&mut T` is lent
         // only through `&mut self`, so no `&mut T` is alive (module docs).
-        f(unsafe { &*self.monitor.data.0.get() })
+        // `data` points into the block the monitor keeps alive, at its own
+        // slot; other slots belong to other monitors.
+        f(unsafe { &*self.monitor.data })
     }
 
     /// Mutates the protected data.
@@ -220,8 +262,9 @@ impl<'a, T: Send + 'static> MonitorGuard<'a, T> {
         }
         // SAFETY: as in `with`, and `&mut self` rules out any other
         // reference lent by this guard; no other guard of this monitor
-        // exists while this one's thread owns it (module docs).
-        f(unsafe { &mut *self.monitor.data.0.get() })
+        // exists while this one's thread owns it (module docs), and the
+        // `&mut T` covers only this monitor's slot of the block.
+        f(unsafe { &mut *self.monitor.data })
     }
 
     /// WAITs on `cv`, atomically releasing the monitor and re-entering it

@@ -20,6 +20,32 @@ impl Sim {
         Monitor::new(k.new_monitor(name.into()), k.sim, data)
     }
 
+    /// Creates one monitor per name before the run, with consecutive ids
+    /// in `names`' order; the `i`th holds `init(i)`. The batch costs O(1)
+    /// allocations: the kernel's table grows once, each name is a clone
+    /// of the caller's shared one, and every monitor's data sits in one
+    /// block.
+    pub fn monitors<T: Send + 'static>(
+        &mut self,
+        names: &[Arc<str>],
+        init: impl FnMut(usize) -> T,
+    ) -> Vec<Monitor<T>> {
+        let (first, sim) = {
+            let k = &mut *self.kernel_mut();
+            // Once, and to the capacity that growth by doubling would
+            // reach: an exact reserve leaves the world's next monitor a
+            // copy into a table twice the batch.
+            let want = (k.monitors.len() + names.len()).next_power_of_two();
+            k.monitors.reserve(want - k.monitors.len());
+            let first = MonitorId(k.monitors.len() as u32);
+            for name in names {
+                k.new_monitor(Arc::clone(name));
+            }
+            (first, k.sim)
+        };
+        Monitor::batch(first, sim, names.len(), init)
+    }
+
     /// Toggles metalock cycle donation at runtime (§6.2 recovery: the
     /// remedy PCR shipped). Enabling it immediately donates the
     /// remaining window of every preempted metalock holder that has

@@ -57,11 +57,14 @@ fn inactive_chaos_injects_nothing() {
 #[test]
 fn fork_failure_injection_is_visible() {
     let cfg = SimConfig::default().with_chaos(ChaosConfig::none().fail_forks(1.0));
+    let mut forker = None;
     let (events, _) = run_capturing(cfg, |sim| {
-        let _ = sim.fork_root("forker", Priority::DEFAULT, |ctx| {
-            assert!(ctx.fork("doomed", |_| ()).is_err(), "p=1.0 must fail");
-        });
+        forker = Some(sim.fork_root("forker", Priority::DEFAULT, |ctx| {
+            ctx.fork("doomed", |_| ()).is_err()
+        }));
     });
+    let failed = forker.unwrap().into_result().unwrap();
+    assert_eq!(failed, Ok(true), "p=1.0 must fail");
     assert!(has_kind(&events, |k| matches!(
         k,
         EventKind::ChaosForkFail { .. }

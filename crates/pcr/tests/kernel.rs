@@ -298,7 +298,9 @@ fn a_thread_switches_stacks_only_to_leave_the_cpu() {
 
 /// A waiter on a CV with a 30 s timeout is NOTIFYed at ~1 ms (or, with
 /// `notify` false, is not), and then both threads wait for good on a CV
-/// with none. The instant each of them last waits goes into `waited`.
+/// with none. The instant each of them last waits goes into `waited`;
+/// a wrong `WaitOutcome` panics the waiter, which the callers' check of
+/// `SimStats::panics` reports.
 fn quiescent_after(cpus: usize, notify: bool, waited: &Arc<Mutex<Vec<SimTime>>>) -> Sim {
     let mut sim = Sim::with_cpus(SimConfig::default(), cpus);
     let m = sim.monitor("m", ());
@@ -337,6 +339,7 @@ fn a_quiescent_world_is_deadlocked_at_once() {
             let report = sim.run(limit);
             let waited = waited.lock().unwrap().clone();
             assert!(report.deadlocked(), "{cpus} cpus: {:?}", report.reason);
+            assert_eq!(sim.stats().panics, 0, "{cpus} cpus");
             assert_eq!(waited.len(), 2, "{cpus} cpus");
             assert_eq!(Some(&report.now), waited.iter().max(), "{cpus} cpus");
             assert!(report.now < SimTime::ZERO + millis(2), "{cpus} cpus");
@@ -359,6 +362,7 @@ fn a_quiescent_world_waits_out_a_live_timeout_then_deadlocks() {
         let report = sim.run(RunLimit::ToCompletion);
         let waited = waited.lock().unwrap().clone();
         assert!(report.deadlocked(), "{cpus} cpus: {:?}", report.reason);
+        assert_eq!(sim.stats().panics, 0, "{cpus} cpus");
         assert_eq!(sim.stats().cv_timeouts, 1, "{cpus} cpus");
         let sink = sim.take_sink().expect("the VecSink installed above");
         let events = sink.into_any().downcast::<VecSink>().unwrap().events;

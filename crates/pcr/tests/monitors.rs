@@ -265,6 +265,101 @@ fn a_monitor_made_by_another_sim_is_refused() {
     }
 }
 
+// ---- batches (`Sim::monitors`) --------------------------------------------
+
+fn names(names: &[&str]) -> Vec<Arc<str>> {
+    names.iter().map(|&n| Arc::from(n)).collect()
+}
+
+/// The monitors of one batch share a data block but nothing else: a
+/// holder of slot 0 does not block an ENTER of slot 1, and a write to one
+/// slot shows in no other.
+#[test]
+fn batch_monitors_are_independent() {
+    let mut s = sim();
+    let ms = s.monitors(&names(&["a", "b", "c"]), |i| 10 * i as u32);
+    let holder_m = ms[0].clone();
+    let _ = s.fork_root("holder", Priority::of(3), move |ctx| {
+        let mut g = ctx.enter(&holder_m);
+        g.with_mut(|v| *v += 1);
+        ctx.work(millis(20)); // The contender preempts it here, at 1ms.
+    });
+    let contender_m = ms[1].clone();
+    let contender = s.fork_root("contender", Priority::of(5), move |ctx| {
+        ctx.sleep_precise(millis(1));
+        let tried_at = ctx.now().as_micros();
+        let mut g = ctx.enter(&contender_m);
+        let got_at = ctx.now().as_micros();
+        g.with_mut(|v| *v = 99);
+        (tried_at, got_at)
+    });
+    let reader = s.fork_root("reader", Priority::of(2), move |ctx| {
+        ms.iter()
+            .map(|m| ctx.enter(m).with(|v| *v))
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(s.run(RunLimit::For(secs(1))).reason, StopReason::AllExited);
+    let (tried_at, got_at) = contender.into_result().unwrap().unwrap();
+    // Slot 0 is held until 20ms; slot 1 is granted at the ENTER's cost.
+    assert!(
+        tried_at < 2_000 && got_at - tried_at < 10,
+        "{tried_at} {got_at}"
+    );
+    assert_eq!(reader.into_result().unwrap(), Ok(vec![1, 99, 20]));
+    assert_eq!((s.stats().ml_contended, s.stats().panics), (0, 0));
+}
+
+/// A batch's ids follow on from the monitors made before it, in the
+/// order of its names, and the kernel keeps the very names it was given.
+#[test]
+fn batch_ids_follow_on_and_names_are_as_given() {
+    let mut s = sim();
+    let before = s.monitor("before", 0u8);
+    let given = names(&["x", "y", "z"]);
+    let mut inits = Vec::new();
+    let batch = s.monitors(&given, |i| {
+        inits.push(i);
+        i as u8
+    });
+    assert!(s.monitors(&[], |_| 0u8).is_empty());
+    let after = s.monitor("after", 0u8);
+    assert_eq!(inits, [0, 1, 2]);
+    let ids: Vec<u32> = std::iter::once(&before)
+        .chain(&batch)
+        .chain([&after])
+        .map(|m| m.id().as_u32())
+        .collect();
+    assert_eq!(ids, [0, 1, 2, 3, 4]);
+    let kept = s.monitor_names();
+    let kept_str: Vec<&str> = kept.iter().map(|n| &**n).collect();
+    assert_eq!(kept_str, ["before", "x", "y", "z", "after"]);
+    for (k, g) in kept[1..4].iter().zip(&given) {
+        assert!(Arc::ptr_eq(k, g), "{k} was copied, not shared");
+    }
+}
+
+/// A batch monitor entered from another world is refused like any other
+/// foreign monitor, though its id is a valid index there.
+#[test]
+fn a_batch_monitor_from_another_sim_is_refused() {
+    let pair = names(&["p", "q"]);
+    let foreign = sim().monitors(&pair, |_| 0u32).pop().unwrap();
+    let mut s = sim();
+    let own = s.monitors(&pair, |_| 0u32).pop().unwrap();
+    assert_eq!(own.id(), foreign.id(), "the ids collide");
+    let trespasser = s.fork_root("trespasser", Priority::of(5), move |ctx| {
+        ctx.enter(&foreign).with_mut(|v| *v += 1)
+    });
+    let owner = s.fork_root("owner", Priority::of(4), move |ctx| {
+        ctx.enter(&own).with_mut(|v| std::mem::replace(v, 1))
+    });
+    assert_eq!(s.run(RunLimit::For(secs(1))).reason, StopReason::AllExited);
+    let refused = panicked("enter: monitor ML1 belongs to another simulation");
+    assert_eq!(trespasser.into_result().unwrap(), refused);
+    assert_eq!(owner.into_result().unwrap(), Ok(0));
+    assert_eq!((s.stats().panics, s.stats().ml_enters), (1, 1));
+}
+
 // ---- condition variables --------------------------------------------------
 
 #[test]

@@ -302,14 +302,16 @@ fn system_daemon_rescues_starved_thread() {
 #[test]
 fn set_priority_applies_immediately() {
     let mut s = sim();
-    let _ = s.fork_root("self-demoting", Priority::of(6), |ctx| {
-        assert_eq!(ctx.priority().get(), 6);
+    let h = s.fork_root("self-demoting", Priority::of(6), |ctx| {
+        let before = ctx.priority().get();
         ctx.set_priority(Priority::of(2));
-        assert_eq!(ctx.priority().get(), 2);
+        let after = ctx.priority().get();
         ctx.work(millis(1));
+        (before, after)
     });
     let r = s.run(RunLimit::ToCompletion);
     assert_eq!(r.reason, StopReason::AllExited);
+    assert_eq!(h.into_result().unwrap(), Ok((6, 2)), "as the thread saw it");
     let infos = s.threads();
     assert_eq!(infos[0].priority.get(), 2);
 }

@@ -147,7 +147,7 @@ fn sleeper_specs() -> Vec<SleeperSpec> {
 /// Library-pool layout: disjoint ranges per activity (Cedar's monitors
 /// are fine-grained and mostly uncontended — §3 reports 0.01–0.1 %
 /// contention).
-mod lib_map {
+pub(crate) mod lib_map {
     /// Idle sweeps: 6 fast + 6 sweepers + 8 watchers + 4 slow.
     pub const SLEEPER_BASE: usize = 0;
     pub const SLEEPER_SPANS: [usize; 24] = [

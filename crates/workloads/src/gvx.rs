@@ -29,7 +29,7 @@ use crate::world::{next_gap, InputEvent, LibraryPool, SleeperBus, SleeperSpec};
 /// GVX library layout: a small pool with *overlapping* hot ranges —
 /// coarse monitors shared across threads, the source of its higher
 /// contention.
-mod lib_map {
+pub(crate) mod lib_map {
     /// Keystroke handling.
     pub const KEYBOARD: (usize, usize) = (44, 150);
     /// Scroll/repaint structures.

@@ -15,6 +15,7 @@
 //!   NOTIFYs sleepers and drives the timeout fraction down;
 //! * [`InputEvent`] — the keyboard/mouse/scroll event vocabulary.
 
+use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -31,6 +32,14 @@ pub enum InputEvent {
     Click(u32),
 }
 
+thread_local! {
+    /// `module-{i}` at index `i`, grown on demand: every world built on
+    /// this OS thread shares these names rather than formatting its own.
+    /// Per thread, so worlds on different OS threads never contend for a
+    /// name's reference count.
+    static MODULE_NAMES: RefCell<Vec<Arc<str>>> = const { RefCell::new(Vec::new()) };
+}
+
 /// A pool of monitors standing in for library-module monitor locks.
 #[derive(Clone)]
 pub struct LibraryPool {
@@ -38,17 +47,15 @@ pub struct LibraryPool {
 }
 
 impl LibraryPool {
-    /// Creates `size` module monitors before the run.
+    /// Creates `size` module monitors, `module-0` onwards, before the run:
+    /// one batch, named from this OS thread's shared table.
     pub fn new(sim: &mut Sim, size: usize) -> Self {
-        // One buffer for every name: the simulator keeps its own copy.
-        let mut name = String::new();
-        let monitors = (0..size)
-            .map(|i| {
-                name.clear();
-                let _ = write!(name, "module-{i}");
-                sim.monitor(&name, 0u64)
-            })
-            .collect();
+        let monitors = MODULE_NAMES.with_borrow_mut(|names| {
+            while names.len() < size {
+                names.push(format!("module-{}", names.len()).into());
+            }
+            sim.monitors(&names[..size], |_| 0u64)
+        });
         LibraryPool {
             monitors: Arc::new(monitors),
         }
@@ -291,6 +298,33 @@ mod tests {
             (touts as f64 / waits as f64) < 0.5,
             "pings should dominate timeouts: {touts}/{waits}"
         );
+    }
+
+    /// Worlds built on one OS thread name their library monitors from one
+    /// table: the `module-{i}` names of two Cedar worlds and a GVX world
+    /// are the same allocations, and the pool is still each world's first
+    /// monitors, `module-{i}` at id `i`.
+    #[test]
+    fn worlds_on_one_thread_share_their_module_names() {
+        use crate::{runner::build, Benchmark, System};
+        let keyboard = build(System::Cedar, Benchmark::Keyboard, 1).monitor_names();
+        let idle = build(System::Cedar, Benchmark::Idle, 2).monitor_names();
+        let gvx = build(System::Gvx, Benchmark::Scroll, 3).monitor_names();
+        let (cedar_pool, gvx_pool) = (crate::cedar::lib_map::POOL, crate::gvx::lib_map::POOL);
+        for (i, name) in keyboard.iter().enumerate().take(cedar_pool) {
+            assert_eq!(**name, *format!("module-{i}"));
+            assert!(Arc::ptr_eq(name, &idle[i]), "{name}");
+            if i < gvx_pool {
+                assert!(Arc::ptr_eq(name, &gvx[i]), "{name}");
+            }
+        }
+        for names in [
+            &keyboard[cedar_pool..],
+            &idle[cedar_pool..],
+            &gvx[gvx_pool..],
+        ] {
+            assert!(names.iter().all(|n| !n.starts_with("module-")));
+        }
     }
 
     #[test]
