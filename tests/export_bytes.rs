@@ -6,12 +6,17 @@
 //! exporters stopped going through a `Json` tree, the rest from the
 //! build before uncontended monitor calls and `work` were finished
 //! without a kernel request; `benchmark/expected.json` pins the same
-//! formats on other cells, but only when the benchmark runs.
+//! formats on other cells, but only when the benchmark runs. The serve
+//! world's report JSON is pinned here too, on the reference cell and on
+//! the two small scenario cells that drive admission, CoDel, the ladder
+//! and the breaker.
 
 use threadstudy::pcr::{
     millis, secs, ChaosConfig, PolicyKind, RunLimit, Sim, SimConfig, SystemDaemonConfig,
 };
+use threadstudy::serverd::{ServeScenario, ServeSpec};
 use threadstudy::trace::{write_chrome, write_jsonl, Json, Recording};
+use threadstudy::workloads::serve::run_report;
 use threadstudy::workloads::{build_chaos_with, cedar, chaos_preset, Benchmark, System};
 
 /// 64-bit FNV-1a, the hash `benchmark/` uses for its digests.
@@ -119,6 +124,46 @@ fn every_policy_and_two_cpus_export_the_pinned_bytes() {
         };
         assert_pinned(name, sim, (events_pinned, jsonl_pinned, chrome_pinned));
     }
+}
+
+/// The serve world's report, byte for byte: the reference cell, the two
+/// small fuzz cells (in the outage one the circuit breaker trips and
+/// probes, and the retry budget runs dry) and a burst at reference scale,
+/// where backpressure, CoDel and the degradation ladder all act. Each pin
+/// is the JSON's length and FNV-1a hash.
+#[test]
+fn serve_reports_are_the_pinned_bytes() {
+    const SERVE_SEED: u64 = 0xCEDA_2026;
+    let mut overload = ServeSpec::scenario(ServeScenario::Burst, 3_000, SERVE_SEED);
+    overload.window = secs(5);
+    let pinned = [
+        (
+            "reference",
+            ServeSpec::reference(1_000, SERVE_SEED),
+            857,
+            0xfa0d_f921_ab69_486b,
+        ),
+        (
+            "burst",
+            ServeSpec::fuzz_small(ServeScenario::Burst, SERVE_SEED),
+            883,
+            0xee6e_15b8_5767_a0fe,
+        ),
+        (
+            "outage",
+            ServeSpec::fuzz_small(ServeScenario::Outage, SERVE_SEED),
+            887,
+            0x05b4_7b58_9b1d_0660,
+        ),
+        ("overload", overload, 983, 0xd6d2_d2d6_4848_5a56),
+    ];
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    for (name, spec, len_pinned, hash_pinned) in pinned {
+        let json = run_report(spec).to_json().to_string();
+        got.push((name, json.len(), fnv1a(json.as_bytes())));
+        want.push((name, len_pinned, hash_pinned));
+    }
+    assert_eq!(got, want, "{got:#x?}");
 }
 
 /// The reader sizes each object by its sibling: a Chrome trace's events
