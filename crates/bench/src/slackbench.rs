@@ -74,7 +74,6 @@ impl XServer {
     pub fn spawn(
         ctx: &ThreadCtx,
         priority: Priority,
-        costs: ServerCosts,
         batches: BoundedQueue<Vec<PaintReq>>,
     ) -> XServer {
         let stats = ctx.new_monitor("xserver.stats", ServerStats::default());
@@ -82,7 +81,7 @@ impl XServer {
         let _ = ctx
             .fork_detached_prio("XServer", priority, move |ctx| {
                 while let Some(batch) = batches.take(ctx) {
-                    ctx.work(costs.batch_cost(batch.len()));
+                    ctx.work(ServerCosts::default().batch_cost(batch.len()));
                     let now = ctx.now();
                     let mut g = ctx.enter(&st);
                     g.with_mut(|s| {
@@ -123,6 +122,13 @@ fn merge_paint(batch: &mut Vec<PaintReq>, item: PaintReq) -> bool {
     }
 }
 
+/// Paint requests the imaging thread produces.
+const REQUESTS: u32 = 1500;
+/// Distinct screen regions (merge targets).
+const REGIONS: u32 = 20;
+/// Imaging cost per request.
+const PRODUCE_COST: SimDuration = micros(300);
+
 /// Configuration of one slack-pipeline run.
 #[derive(Clone, Copy, Debug)]
 pub struct SlackConfig {
@@ -135,12 +141,6 @@ pub struct SlackConfig {
     /// paper implies in §6.3: it is the *granularity* that limits the
     /// timeout-based buffer, and PCR just happened to tie the two).
     pub granularity: Option<SimDuration>,
-    /// Paint requests the imaging thread produces.
-    pub requests: u32,
-    /// Distinct screen regions (merge targets).
-    pub regions: u32,
-    /// Imaging cost per request.
-    pub produce_cost: SimDuration,
 }
 
 impl Default for SlackConfig {
@@ -149,9 +149,6 @@ impl Default for SlackConfig {
             policy: SlackPolicy::YieldButNotToMe,
             quantum: millis(50),
             granularity: None,
-            requests: 1500,
-            regions: 20,
-            produce_cost: micros(300),
         }
     }
 }
@@ -163,7 +160,7 @@ pub struct SlackOutcome {
     pub policy: SlackPolicy,
     /// The quantum it ran under.
     pub quantum: SimDuration,
-    /// Requests produced (== config.requests when drained).
+    /// Requests produced (all `REQUESTS` of them when drained).
     pub produced: u64,
     /// Batches the X server received.
     pub server_batches: u64,
@@ -197,14 +194,13 @@ pub fn run_slack(cfg: SlackConfig) -> SlackOutcome {
     // Imaging thread: low priority (§5.2: "the buffer thread is a higher
     // priority thread than the image threads that feed it").
     let pq = paint_q.clone();
-    let (n, regions, cost) = (cfg.requests, cfg.regions, cfg.produce_cost);
     let _ = sim.fork_root("imaging", Priority::of(3), move |ctx| {
-        for i in 0..n {
-            ctx.work(cost);
+        for i in 0..REQUESTS {
+            ctx.work(PRODUCE_COST);
             pq.put(
                 ctx,
                 PaintReq {
-                    region: i % regions,
+                    region: i % REGIONS,
                     version: i,
                     produced_at: ctx.now(),
                 },
@@ -218,12 +214,7 @@ pub fn run_slack(cfg: SlackConfig) -> SlackOutcome {
     let policy = cfg.policy;
     let bq = batch_q.clone();
     let h = sim.fork_root("driver", Priority::of(7), move |ctx| {
-        let server = XServer::spawn(
-            ctx,
-            Priority::of(5),
-            ServerCosts::default(),
-            batch_q.clone(),
-        );
+        let server = XServer::spawn(ctx, Priority::of(5), batch_q.clone());
         let out_q = batch_q.clone();
         let slack = spawn_slack(
             ctx,
@@ -298,7 +289,6 @@ pub fn granularity_ablation() -> Vec<(SimDuration, SlackOutcome)> {
                 policy: SlackPolicy::SleepTimeout(millis(5)),
                 quantum: millis(50),
                 granularity: Some(g),
-                ..SlackConfig::default()
             });
             (g, out)
         })
@@ -334,7 +324,7 @@ mod tests {
         let q: BoundedQueue<Vec<PaintReq>> = BoundedQueue::new_in_sim(&mut sim, "b", 8, None);
         let q2 = q.clone();
         let h = sim.fork_root("driver", Priority::of(5), move |ctx| {
-            let server = XServer::spawn(ctx, Priority::of(4), ServerCosts::default(), q2);
+            let server = XServer::spawn(ctx, Priority::of(4), q2);
             let t0 = ctx.now();
             for i in 0..3 {
                 q.put(

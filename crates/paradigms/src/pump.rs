@@ -429,6 +429,8 @@ mod tests {
         });
         let r = sim.run(RunLimit::For(secs(1)));
         assert_eq!(r.reason, StopReason::AllExited);
+        // The producer's handle is dropped: its assertion shows only here.
+        assert_eq!(sim.stats().panics, 0, "the producer's assertion failed");
         let total: usize = handles
             .into_iter()
             .map(|h| h.into_result().unwrap().unwrap())

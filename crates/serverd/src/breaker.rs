@@ -2,39 +2,26 @@
 //!
 //! Classic three-state machine: **Closed** (normal; count consecutive
 //! failures), **Open** (fast-fail everything without touching the
-//! connection, for `open_for`), **HalfOpen** (let a few probe batches
+//! connection, for `OPEN_FOR`), **HalfOpen** (let a few probe batches
 //! through; one success closes, one failure re-opens). Composes with
 //! `pcr::chaos` outage faults: the outage makes writes fail, the
 //! breaker converts sustained failure into cheap fast-fails that the
 //! client retry budget then refuses to amplify.
 
-use pcr::{millis, SimTime};
+use pcr::{millis, SimDuration, SimTime};
 
-/// Tuning knobs for [`CircuitBreaker`].
-#[derive(Clone, Copy, Debug)]
-pub struct BreakerSpec {
-    /// Consecutive failures that trip Closed → Open.
-    pub failure_threshold: u32,
-    /// How long to stay Open before probing.
-    pub open_for: pcr::SimDuration,
-    /// Probe batches allowed through per HalfOpen episode.
-    pub half_open_probes: u32,
-}
-
-impl Default for BreakerSpec {
-    fn default() -> Self {
-        BreakerSpec {
-            failure_threshold: 5,
-            open_for: millis(400),
-            half_open_probes: 2,
-        }
-    }
-}
+/// Consecutive failures that trip Closed → Open.
+const FAILURE_THRESHOLD: u32 = 5;
+/// How long to stay Open before probing.
+const OPEN_FOR: SimDuration = millis(400);
+/// Probe batches allowed through per HalfOpen episode.
+const HALF_OPEN_PROBES: u32 = 2;
 
 /// The breaker's current state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BreakerState {
     /// Normal operation.
+    #[default]
     Closed,
     /// Fast-failing; no traffic reaches the connection.
     Open,
@@ -45,9 +32,8 @@ pub enum BreakerState {
 /// The breaker itself. Lives in a monitor shared by the pipeline
 /// workers (who ask [`CircuitBreaker::allow`]) and the X-connection
 /// thread (who reports outcomes).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct CircuitBreaker {
-    spec: BreakerSpec,
     state: BreakerState,
     consecutive_failures: u32,
     opened_at: SimTime,
@@ -60,23 +46,15 @@ pub struct CircuitBreaker {
 
 impl CircuitBreaker {
     /// A closed breaker.
-    pub fn new(spec: BreakerSpec) -> Self {
-        CircuitBreaker {
-            spec,
-            state: BreakerState::Closed,
-            consecutive_failures: 0,
-            opened_at: SimTime::ZERO,
-            probes_left: 0,
-            trips: 0,
-            fast_failed_batches: 0,
-        }
+    pub fn new() -> Self {
+        CircuitBreaker::default()
     }
 
     /// Current state (after lazily applying the Open → HalfOpen clock).
     pub fn state(&mut self, now: SimTime) -> BreakerState {
-        if self.state == BreakerState::Open && now >= self.opened_at + self.spec.open_for {
+        if self.state == BreakerState::Open && now >= self.opened_at + OPEN_FOR {
             self.state = BreakerState::HalfOpen;
-            self.probes_left = self.spec.half_open_probes;
+            self.probes_left = HALF_OPEN_PROBES;
         }
         self.state
     }
@@ -119,7 +97,7 @@ impl CircuitBreaker {
             }
             BreakerState::Closed => {
                 self.consecutive_failures += 1;
-                if self.consecutive_failures >= self.spec.failure_threshold {
+                if self.consecutive_failures >= FAILURE_THRESHOLD {
                     self.state = BreakerState::Open;
                     self.opened_at = now;
                     self.trips += 1;
@@ -136,29 +114,29 @@ mod tests {
 
     #[test]
     fn trips_probes_and_recovers() {
-        let spec = BreakerSpec {
-            failure_threshold: 3,
-            open_for: millis(100),
-            half_open_probes: 1,
-        };
-        let mut b = CircuitBreaker::new(spec);
+        let mut b = CircuitBreaker::new();
         let t0 = SimTime::ZERO;
         assert!(b.allow(t0));
-        for _ in 0..3 {
+        for _ in 0..FAILURE_THRESHOLD - 1 {
             b.on_failure(t0);
         }
+        assert_eq!(b.state(t0), BreakerState::Closed, "one failure short");
+        b.on_failure(t0);
         assert_eq!(b.state(t0), BreakerState::Open);
         assert_eq!(b.trips, 1);
         assert!(!b.allow(t0), "open fast-fails");
-        // After open_for: half-open, one probe allowed, second refused.
-        let t1 = t0 + millis(100);
-        assert!(b.allow(t1));
+        // After OPEN_FOR: half-open, HALF_OPEN_PROBES probes allowed,
+        // the next refused.
+        let t1 = t0 + OPEN_FOR;
+        for _ in 0..HALF_OPEN_PROBES {
+            assert!(b.allow(t1));
+        }
         assert!(!b.allow(t1));
         // Probe fails → re-open; next window's probe succeeds → closed.
         b.on_failure(t1);
         assert_eq!(b.state(t1), BreakerState::Open);
         assert_eq!(b.trips, 2);
-        let t2 = t1 + millis(100);
+        let t2 = t1 + OPEN_FOR;
         assert!(b.allow(t2));
         b.on_success(t2);
         assert_eq!(b.state(t2), BreakerState::Closed);

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 
 use pcr::{SimTime, SplitMix64, Wheel, WheelToken};
 
-use crate::retry::{RetryBudget, RetryPolicy};
+use crate::retry::{backoff, RetryBudget, RetryPolicy, MAX_ATTEMPTS};
 use crate::traffic::{poisson_gap, ClassParams, LoadShape, SessionClass, StartTable};
 
 /// One request submission handed to the serving pipeline.
@@ -214,7 +214,6 @@ pub struct ClientPopulation {
     sessions: Vec<Session>,
     outstanding: InFlight,
     mix: Vec<ClassParams>,
-    policy: RetryPolicy,
     budget: RetryBudget,
     retry_rng: SplitMix64,
     /// All the fleet's counters.
@@ -274,7 +273,6 @@ impl ClientPopulation {
             outstanding: InFlight::default(),
             mix: mix.to_vec(),
             budget: RetryBudget::new(&policy),
-            policy,
             retry_rng: SplitMix64::new(seed ^ 0x9E37_79B9_7F4A_7C15),
             counters: ClientCounters::default(),
         }
@@ -417,13 +415,13 @@ impl ClientPopulation {
         let Some(o) = self.outstanding.get_mut(rid) else {
             return; // already resolved (e.g. deadline fired first)
         };
-        if o.attempts >= self.policy.max_attempts {
+        if o.attempts >= MAX_ATTEMPTS {
             self.counters.retries_capped += 1;
             self.resolve_failed(rid);
             return;
         }
-        let backoff = self.policy.backoff(o.attempts, &mut self.retry_rng);
-        if now + backoff >= o.deadline {
+        let delay = backoff(o.attempts, &mut self.retry_rng);
+        if now + delay >= o.deadline {
             self.counters.retries_past_deadline += 1;
             self.resolve_failed(rid);
             return;
@@ -434,7 +432,7 @@ impl ClientPopulation {
             return;
         }
         self.counters.retries += 1;
-        self.wheel.schedule(now + backoff, ClientEvent::Retry(rid));
+        self.wheel.schedule(now + delay, ClientEvent::Retry(rid));
     }
 
     fn resolve_failed(&mut self, rid: u64) {
@@ -570,9 +568,7 @@ mod tests {
     #[test]
     fn rejects_retry_then_resolve() {
         let mut pop = small_pop(RetryPolicy {
-            budget_cap: 1000.0,
-            budget_ratio: 1.0,
-            ..RetryPolicy::default()
+            budget_enabled: false,
         });
         let mut now = SimTime::ZERO;
         let mut first_attempts = 0u64;
@@ -622,10 +618,7 @@ mod tests {
 
     #[test]
     fn budget_dry_fails_fast_instead_of_storming() {
-        let mut pop = small_pop(RetryPolicy {
-            budget_ratio: 0.05,
-            ..RetryPolicy::default()
-        });
+        let mut pop = small_pop(RetryPolicy::default());
         let mut now = SimTime::ZERO;
         while !pop.done() {
             now = pop.next_wakeup().unwrap_or(now + millis(1)).max(now);

@@ -12,39 +12,22 @@
 
 use pcr::{millis, SimDuration, SimTime};
 
-/// Ladder tuning.
-#[derive(Clone, Debug)]
-pub struct LadderSpec {
-    /// Coalescing factor per quality level; level 0 is full quality.
-    pub levels: Vec<u32>,
-    /// Degrade when window p99 exceeds this fraction of the p99 SLO.
-    pub degrade_at: f64,
-    /// Restore when window p99 is below this fraction (and depth low).
-    pub restore_below: f64,
-    /// Degrade when sampled ingress depth exceeds this fraction of
-    /// capacity, regardless of painted latency (outage backlogs paint
-    /// nothing, so p99 alone can look deceptively healthy).
-    pub depth_degrade_frac: f64,
-    /// Minimum dwell between level changes.
-    pub hold: SimDuration,
-}
-
-impl Default for LadderSpec {
-    fn default() -> Self {
-        LadderSpec {
-            levels: vec![4, 8, 16, 32],
-            degrade_at: 0.75,
-            restore_below: 0.35,
-            depth_degrade_frac: 0.5,
-            hold: millis(400),
-        }
-    }
-}
+/// Coalescing factor per quality level; level 0 is full quality.
+pub(crate) const LEVELS: [u32; 4] = [4, 8, 16, 32];
+/// Degrade when window p99 exceeds this fraction of the p99 SLO.
+const DEGRADE_AT: f64 = 0.75;
+/// Restore when window p99 is below this fraction (and depth low).
+const RESTORE_BELOW: f64 = 0.35;
+/// Degrade when sampled ingress depth exceeds this fraction of capacity,
+/// regardless of painted latency (outage backlogs paint nothing, so p99
+/// alone can look deceptively healthy).
+const DEPTH_DEGRADE_FRAC: f64 = 0.5;
+/// Minimum dwell between level changes.
+const HOLD: SimDuration = millis(400);
 
 /// The controller state plus its outcome counters.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Ladder {
-    spec: LadderSpec,
     level: usize,
     last_change: SimTime,
     level_entered: SimTime,
@@ -55,29 +38,18 @@ pub struct Ladder {
     /// Deepest level reached.
     pub max_level: usize,
     /// Virtual µs spent at each level (finalized by [`Ladder::finish`]).
-    pub time_at_level_us: Vec<u64>,
+    pub time_at_level_us: [u64; LEVELS.len()],
 }
 
 impl Ladder {
     /// A ladder at full quality.
-    pub fn new(spec: LadderSpec) -> Self {
-        assert!(!spec.levels.is_empty(), "ladder needs at least one level");
-        let n = spec.levels.len();
-        Ladder {
-            spec,
-            level: 0,
-            last_change: SimTime::ZERO,
-            level_entered: SimTime::ZERO,
-            degrade_steps: 0,
-            restore_steps: 0,
-            max_level: 0,
-            time_at_level_us: vec![0; n],
-        }
+    pub fn new() -> Self {
+        Ladder::default()
     }
 
     /// The current coalescing factor workers should use.
     pub fn coalesce(&self) -> u32 {
-        self.spec.levels[self.level]
+        LEVELS[self.level]
     }
 
     /// Current quality level (0 = full quality).
@@ -96,21 +68,17 @@ impl Ladder {
         depth_frac: f64,
         slo_p99: SimDuration,
     ) -> u32 {
-        let held = now.saturating_since(self.last_change) >= self.spec.hold;
+        let held = now.saturating_since(self.last_change) >= HOLD;
         let slo_us = slo_p99.as_micros() as f64;
         let p99_frac = window_p99.map(|d| d.as_micros() as f64 / slo_us);
-        let pressured = p99_frac.is_some_and(|f| f > self.spec.degrade_at)
-            || depth_frac > self.spec.depth_degrade_frac;
-        let calm = p99_frac.is_none_or(|f| f < self.spec.restore_below)
-            && depth_frac < self.spec.depth_degrade_frac / 4.0;
-        if pressured && held && self.level + 1 < self.spec.levels.len() {
+        let pressured = p99_frac.is_some_and(|f| f > DEGRADE_AT) || depth_frac > DEPTH_DEGRADE_FRAC;
+        let calm =
+            p99_frac.is_none_or(|f| f < RESTORE_BELOW) && depth_frac < DEPTH_DEGRADE_FRAC / 4.0;
+        if pressured && held && self.level + 1 < LEVELS.len() {
             self.switch_to(self.level + 1, now);
             self.degrade_steps += 1;
             self.max_level = self.max_level.max(self.level);
-        } else if calm
-            && self.level > 0
-            && now.saturating_since(self.last_change) >= self.spec.hold * 2
-        {
+        } else if calm && self.level > 0 && now.saturating_since(self.last_change) >= HOLD * 2 {
             self.switch_to(self.level - 1, now);
             self.restore_steps += 1;
         }
@@ -138,7 +106,7 @@ mod tests {
 
     #[test]
     fn degrades_under_pressure_restores_when_calm() {
-        let mut l = Ladder::new(LadderSpec::default());
+        let mut l = Ladder::new();
         let slo = millis(50);
         let mut now = SimTime::ZERO + secs(1);
         assert_eq!(l.coalesce(), 4);

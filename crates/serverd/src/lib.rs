@@ -50,12 +50,12 @@ pub mod traffic;
 pub mod world;
 
 pub use admission::TokenBucket;
-pub use breaker::{BreakerSpec, BreakerState, CircuitBreaker};
+pub use breaker::{BreakerState, CircuitBreaker};
 pub use clients::{
     ClientCounters, ClientPopulation, Completion, Outcome, RejectReason, Submission,
 };
 pub use codel::{CoDel, CodelSpec, CodelVerdict};
-pub use degrade::{Ladder, LadderSpec};
+pub use degrade::Ladder;
 pub use metrics::LatencyHistogram;
 pub use report::{DegradeSummary, ServeReport, SloTargets};
 pub use retry::{RetryBudget, RetryPolicy};

@@ -7,24 +7,25 @@
 //! freely; when an outage fails *everything*, the budget drains and
 //! further retries are suppressed — bounding the amplification factor
 //! (total submissions / original requests) near 1 + ratio instead of
-//! the `max_attempts`× retry storm an unbudgeted client fleet produces.
+//! the `MAX_ATTEMPTS`× retry storm an unbudgeted client fleet produces.
 
 use crate::admission::TokenBucket;
 use pcr::{millis, SimDuration, SimTime, SplitMix64};
 
-/// Client retry policy.
+/// First backoff (doubles per attempt).
+const BASE: SimDuration = millis(5);
+/// Backoff cap.
+const CAP: SimDuration = millis(80);
+/// Max total submissions per request (1 = no retries).
+pub(crate) const MAX_ATTEMPTS: u32 = 4;
+/// Retry tokens earned per original request (0.1 = 10% budget).
+const BUDGET_RATIO: f64 = 0.1;
+/// Budget bucket depth.
+const BUDGET_CAP: f64 = 64.0;
+
+/// Client retry policy: whether the budget governs retries at all.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
-    /// First backoff (doubles per attempt).
-    pub base: SimDuration,
-    /// Backoff cap.
-    pub cap: SimDuration,
-    /// Max total submissions per request (1 = no retries).
-    pub max_attempts: u32,
-    /// Retry tokens earned per original request (0.1 = 10% budget).
-    pub budget_ratio: f64,
-    /// Budget bucket depth.
-    pub budget_cap: f64,
     /// Disable the budget entirely (the E17 counterfactual).
     pub budget_enabled: bool,
 }
@@ -32,28 +33,19 @@ pub struct RetryPolicy {
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
-            base: millis(5),
-            cap: millis(80),
-            max_attempts: 4,
-            budget_ratio: 0.1,
-            budget_cap: 64.0,
             budget_enabled: true,
         }
     }
 }
 
-impl RetryPolicy {
-    /// Backoff before submission `attempt + 1`, where `attempt` ≥ 1 is
-    /// the submission that just failed: capped exponential, with
-    /// deterministic half-jitter (`d/2 + uniform(0, d/2)`).
-    pub fn backoff(&self, attempt: u32, rng: &mut SplitMix64) -> SimDuration {
-        let exp = attempt.saturating_sub(1).min(16);
-        let full = self
-            .cap
-            .min(SimDuration::from_micros(self.base.as_micros() << exp));
-        let half = full.as_micros() / 2;
-        SimDuration::from_micros(half + rng.next_below(half.max(1)))
-    }
+/// Backoff before submission `attempt + 1`, where `attempt` ≥ 1 is the
+/// submission that just failed: capped exponential, with deterministic
+/// half-jitter (`d/2 + uniform(0, d/2)`).
+pub(crate) fn backoff(attempt: u32, rng: &mut SplitMix64) -> SimDuration {
+    let exp = attempt.saturating_sub(1).min(16);
+    let full = CAP.min(SimDuration::from_micros(BASE.as_micros() << exp));
+    let half = full.as_micros() / 2;
+    SimDuration::from_micros(half + rng.next_below(half.max(1)))
 }
 
 /// The budget bucket plus its suppression counters.
@@ -61,7 +53,6 @@ impl RetryPolicy {
 pub struct RetryBudget {
     bucket: TokenBucket,
     enabled: bool,
-    ratio: f64,
     /// Retries refused because the budget was dry.
     pub suppressed: u64,
 }
@@ -71,16 +62,15 @@ impl RetryBudget {
     pub fn new(policy: &RetryPolicy) -> Self {
         RetryBudget {
             // Rate 0 and empty start: tokens come only from earn().
-            bucket: TokenBucket::new(0.0, policy.budget_cap).with_initial(0.0),
+            bucket: TokenBucket::new(0.0, BUDGET_CAP).with_initial(0.0),
             enabled: policy.budget_enabled,
-            ratio: policy.budget_ratio,
             suppressed: 0,
         }
     }
 
     /// An original request was offered: earn the ratio.
     pub fn on_offered(&mut self) {
-        self.bucket.earn(self.ratio);
+        self.bucket.earn(BUDGET_RATIO);
     }
 
     /// May we schedule a retry now? Spends a token when allowed.
@@ -103,13 +93,10 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps_with_jitter() {
-        let p = RetryPolicy::default();
         let mut rng = SplitMix64::new(1);
         for attempt in 1..8 {
-            let d = p.backoff(attempt, &mut rng);
-            let full = p.cap.min(SimDuration::from_micros(
-                p.base.as_micros() << (attempt - 1),
-            ));
+            let d = backoff(attempt, &mut rng);
+            let full = CAP.min(SimDuration::from_micros(BASE.as_micros() << (attempt - 1)));
             assert!(d >= SimDuration::from_micros(full.as_micros() / 2));
             assert!(d <= full);
         }
@@ -119,8 +106,7 @@ mod tests {
     fn budget_bounds_amplification() {
         // 100 offered requests at 10% ratio: at most ~10 retries pass
         // (plus nothing from refill — rate is zero).
-        let p = RetryPolicy::default();
-        let mut b = RetryBudget::new(&p);
+        let mut b = RetryBudget::new(&RetryPolicy::default());
         let now = SimTime::ZERO;
         for _ in 0..100 {
             b.on_offered();
@@ -133,7 +119,6 @@ mod tests {
         // Disabled budget always grants.
         let mut free = RetryBudget::new(&RetryPolicy {
             budget_enabled: false,
-            ..p
         });
         assert!((0..50).all(|_| free.try_spend(now)));
         assert_eq!(free.suppressed, 0);

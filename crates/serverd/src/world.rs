@@ -13,10 +13,10 @@ use pcr::{
 };
 
 use crate::admission::TokenBucket;
-use crate::breaker::{BreakerSpec, CircuitBreaker};
+use crate::breaker::CircuitBreaker;
 use crate::clients::{ClientCounters, ClientPopulation, Completion, Outcome, RejectReason};
 use crate::codel::{CoDel, CodelSpec, CodelVerdict};
-use crate::degrade::{Ladder, LadderSpec};
+use crate::degrade::{self, Ladder};
 use crate::metrics::ServeMetrics;
 use crate::report::SloTargets;
 use crate::retry::RetryPolicy;
@@ -46,18 +46,32 @@ impl ServerCosts {
     pub fn batch_cost(&self, n: usize) -> SimDuration {
         self.per_batch + self.per_request * n as u64
     }
-
-    /// The cost model of the serve world's persistent batched X
-    /// connection: far cheaper than the default interactive pipeline
-    /// (no per-batch connection setup), which is what makes a
-    /// million-session open-loop world feasible at all.
-    pub fn serve_connection() -> Self {
-        ServerCosts {
-            per_batch: micros(600),
-            per_request: micros(60),
-        }
-    }
 }
+
+/// The cost model of the serve world's persistent batched X connection:
+/// far cheaper than the default interactive pipeline (no per-batch
+/// connection setup), which is what makes a million-session open-loop
+/// world feasible at all.
+const XCONN_COSTS: ServerCosts = ServerCosts {
+    per_batch: micros(600),
+    per_request: micros(60),
+};
+
+/// Batch queue bound between workers and the X connection. Keep the pipe
+/// *downstream* of the shedding point short: backlog must accumulate in
+/// ingress, where CoDel and the deadline check can act on it, not past
+/// them.
+const XQ_CAPACITY: usize = 2;
+/// CV timeout for the pipeline queues (keeps idle waits Mesa-honest).
+const CV_TIMEOUT: Option<SimDuration> = Some(millis(50));
+/// Client-loop housekeeping tick while requests are outstanding.
+const TICK: SimDuration = millis(1);
+/// Admission rate headroom over the expected per-class offered rate.
+const ADMISSION_HEADROOM: f64 = 1.8;
+/// Admission bucket depth, seconds of headroom rate.
+const ADMISSION_BURST_SECS: f64 = 0.25;
+/// Controller wake interval.
+const CONTROL_INTERVAL: SimDuration = millis(250);
 
 /// Everything that determines a serve run. Fully deterministic: two
 /// specs with equal fields produce byte-identical reports.
@@ -77,30 +91,10 @@ pub struct ServeSpec {
     pub workers: usize,
     /// Ingress queue bound (backpressure past this).
     pub ingress_capacity: usize,
-    /// Batch queue bound between workers and the X connection.
-    pub xq_capacity: usize,
     /// Completion queue bound (server → clients).
     pub completion_capacity: usize,
-    /// CV timeout for the pipeline queues (keeps idle waits Mesa-honest).
-    pub cv_timeout: Option<SimDuration>,
-    /// Client-loop housekeeping tick while requests are outstanding.
-    pub tick: SimDuration,
-    /// X connection cost model.
-    pub costs: ServerCosts,
-    /// Client retry policy (backoff + budget).
+    /// Client retry policy (the budget switch).
     pub retry: RetryPolicy,
-    /// Admission rate headroom over the expected per-class offered rate.
-    pub admission_headroom: f64,
-    /// Admission bucket depth, seconds of headroom rate.
-    pub admission_burst_secs: f64,
-    /// CoDel sojourn control at dequeue.
-    pub codel: CodelSpec,
-    /// Circuit breaker on the X connection.
-    pub breaker: BreakerSpec,
-    /// Graceful-degradation ladder.
-    pub ladder: LadderSpec,
-    /// Controller wake interval.
-    pub control_interval: SimDuration,
     /// Latency gates the run is measured against.
     pub slo: SloTargets,
     /// X-connection outage windows as `(offset, duration)` from t=0.
@@ -125,21 +119,8 @@ impl ServeSpec {
             shape: LoadShape::reference(),
             workers: 2,
             ingress_capacity: 512,
-            // Keep the pipe *downstream* of the shedding point short:
-            // backlog must accumulate in ingress, where CoDel and the
-            // deadline check can act on it, not past them.
-            xq_capacity: 2,
             completion_capacity: 2048,
-            cv_timeout: Some(millis(50)),
-            tick: millis(1),
-            costs: ServerCosts::serve_connection(),
             retry: RetryPolicy::default(),
-            admission_headroom: 1.8,
-            admission_burst_secs: 0.25,
-            codel: CodelSpec::default(),
-            breaker: BreakerSpec::default(),
-            ladder: LadderSpec::default(),
-            control_interval: millis(250),
             slo: SloTargets::default(),
             outage: Vec::new(),
             policy: PolicyKind::RoundRobin,
@@ -307,24 +288,24 @@ pub fn run_serve(spec: ServeSpec) -> ServeOutcome {
 }
 
 fn serve_main(ctx: &ThreadCtx, spec: &ServeSpec) -> ServeOutcome {
-    let ingress = BoundedQueue::new(ctx, "serve.ingress", spec.ingress_capacity, spec.cv_timeout);
+    let ingress = BoundedQueue::new(ctx, "serve.ingress", spec.ingress_capacity, CV_TIMEOUT);
     let xq: BoundedQueue<Vec<Request>> =
-        BoundedQueue::new(ctx, "serve.xq", spec.xq_capacity, spec.cv_timeout);
+        BoundedQueue::new(ctx, "serve.xq", XQ_CAPACITY, CV_TIMEOUT);
     let completions: BoundedQueue<Completion> = BoundedQueue::new(
         ctx,
         "serve.completions",
         spec.completion_capacity,
-        spec.cv_timeout,
+        CV_TIMEOUT,
     );
     let control = ctx.new_monitor(
         "serve.control",
         ControlState {
-            coalesce: Ladder::new(spec.ladder.clone()).coalesce(),
-            codel: CoDel::new(spec.codel),
+            coalesce: degrade::LEVELS[0],
+            codel: CoDel::new(CodelSpec::default()),
             workers_left: spec.workers.max(1),
         },
     );
-    let breaker_m = ctx.new_monitor("serve.breaker", CircuitBreaker::new(spec.breaker));
+    let breaker_m = ctx.new_monitor("serve.breaker", CircuitBreaker::new());
     let metrics_m = ctx.new_monitor("serve.metrics", ServeMetrics::default());
     let done_m = ctx.new_monitor("serve.done", false);
 
@@ -349,18 +330,9 @@ fn serve_main(ctx: &ThreadCtx, spec: &ServeSpec) -> ServeOutcome {
         let completions = completions.clone();
         let breaker_m = breaker_m.clone();
         let metrics_m = metrics_m.clone();
-        let costs = spec.costs;
         let outage = spec.outage.clone();
         ctx.fork_prio("Serve.XConn", Priority::of(4), move |ctx| {
-            xconn_loop(
-                ctx,
-                costs,
-                &outage,
-                &xq,
-                &completions,
-                &breaker_m,
-                &metrics_m,
-            )
+            xconn_loop(ctx, &outage, &xq, &completions, &breaker_m, &metrics_m)
         })
         .expect("fork serve xconn")
     };
@@ -370,21 +342,11 @@ fn serve_main(ctx: &ThreadCtx, spec: &ServeSpec) -> ServeOutcome {
         let control = control.clone();
         let metrics_m = metrics_m.clone();
         let done_m = done_m.clone();
-        let ladder_spec = spec.ladder.clone();
-        let interval = spec.control_interval;
         let capacity = spec.ingress_capacity;
         let slo_p99 = spec.slo.p99;
         ctx.fork_prio("Serve.Controller", Priority::of(5), move |ctx| {
             controller_loop(
-                ctx,
-                ladder_spec,
-                interval,
-                capacity,
-                slo_p99,
-                &ingress,
-                &control,
-                &metrics_m,
-                &done_m,
+                ctx, capacity, slo_p99, &ingress, &control, &metrics_m, &done_m,
             )
         })
         .expect("fork serve controller")
@@ -406,10 +368,10 @@ fn serve_main(ctx: &ThreadCtx, spec: &ServeSpec) -> ServeOutcome {
         [None; SessionClass::ALL.len()];
     let mut buckets: Vec<TokenBucket> = Vec::with_capacity(spec.mix.len());
     for (i, c) in spec.mix.iter().enumerate() {
-        let rate = sessions_per_sec * c.share * c.events_per_session() * spec.admission_headroom;
+        let rate = sessions_per_sec * c.share * c.events_per_session() * ADMISSION_HEADROOM;
         buckets.push(TokenBucket::new(
             rate,
-            (rate * spec.admission_burst_secs).max(20.0),
+            (rate * ADMISSION_BURST_SECS).max(20.0),
         ));
         bucket_of_class[c.class.index()] = Some(i);
     }
@@ -444,10 +406,10 @@ fn serve_main(ctx: &ThreadCtx, spec: &ServeSpec) -> ServeOutcome {
             break;
         }
         let now = ctx.now();
-        let mut target = pop.next_wakeup().unwrap_or(now + spec.tick);
+        let mut target = pop.next_wakeup().unwrap_or(now + TICK);
         if pop.has_outstanding() {
             // Wake at least every tick to drain completions promptly.
-            target = target.min(now + spec.tick);
+            target = target.min(now + TICK);
         }
         ctx.sleep_precise(target.saturating_since(now).max(micros(50)));
     }
@@ -556,7 +518,6 @@ fn worker_loop(
 
 fn xconn_loop(
     ctx: &ThreadCtx,
-    costs: ServerCosts,
     outage: &[(SimDuration, SimDuration)],
     xq: &BoundedQueue<Vec<Request>>,
     completions: &BoundedQueue<Completion>,
@@ -586,7 +547,7 @@ fn xconn_loop(
             if batch.is_empty() {
                 continue;
             }
-            ctx.work(costs.batch_cost(batch.len()));
+            ctx.work(XCONN_COSTS.batch_cost(batch.len()));
             let painted_at = ctx.now();
             ctx.enter(breaker_m).with_mut(|b| b.on_success(painted_at));
             ctx.enter(metrics_m).with_mut(|m| {
@@ -605,11 +566,8 @@ fn xconn_loop(
     completions.close(ctx);
 }
 
-#[allow(clippy::too_many_arguments)]
 fn controller_loop(
     ctx: &ThreadCtx,
-    ladder_spec: LadderSpec,
-    interval: SimDuration,
     ingress_capacity: usize,
     slo_p99: SimDuration,
     ingress: &BoundedQueue<Request>,
@@ -617,9 +575,9 @@ fn controller_loop(
     metrics_m: &pcr::Monitor<ServeMetrics>,
     done_m: &pcr::Monitor<bool>,
 ) -> Ladder {
-    let mut ladder = Ladder::new(ladder_spec);
+    let mut ladder = Ladder::new();
     loop {
-        ctx.sleep_precise(interval);
+        ctx.sleep_precise(CONTROL_INTERVAL);
         if ctx.enter(done_m).with(|d| *d) {
             break;
         }

@@ -8,47 +8,38 @@
 //! the 45–50 ms intervals carry 20–50 % (Cedar) / 30–80 % (GVX) of the
 //! total execution time.
 
-use pcr::{SimDuration, SimTime};
+use pcr::{millis, SimDuration, SimTime};
+
+/// Bucket width: the paper's plots resolve 1 ms.
+const BUCKET_WIDTH: SimDuration = millis(1);
+/// 60 one-millisecond buckets up to 60 ms, plus the overflow bucket.
+const BUCKETS: usize = 61;
 
 /// Histogram of execution-interval lengths with fixed-width buckets.
 #[derive(Clone, Debug)]
 pub struct IntervalHistogram {
-    bucket_width: SimDuration,
-    buckets: Vec<u64>,
+    buckets: [u64; BUCKETS],
     /// Sum of interval lengths per bucket (for CPU-weighted statistics).
-    bucket_time: Vec<SimDuration>,
+    bucket_time: [SimDuration; BUCKETS],
     count: u64,
     total: SimDuration,
 }
 
 impl IntervalHistogram {
-    /// Creates a histogram with the given bucket width covering
-    /// `0..bucket_width * buckets`; longer intervals land in the final
-    /// overflow bucket.
-    pub fn new(bucket_width: SimDuration, buckets: usize) -> Self {
-        assert!(!bucket_width.is_zero(), "bucket width must be positive");
-        assert!(
-            buckets >= 2,
-            "need at least one regular and one overflow bucket"
-        );
+    /// A histogram matching the paper's plots: 1 ms buckets up to 60 ms;
+    /// longer intervals land in the final overflow bucket.
+    pub fn new() -> Self {
         IntervalHistogram {
-            bucket_width,
-            buckets: vec![0; buckets],
-            bucket_time: vec![SimDuration::ZERO; buckets],
+            buckets: [0; BUCKETS],
+            bucket_time: [SimDuration::ZERO; BUCKETS],
             count: 0,
             total: SimDuration::ZERO,
         }
     }
 
-    /// A histogram matching the paper's plots: 1 ms buckets up to 60 ms.
-    pub fn paper_default() -> Self {
-        IntervalHistogram::new(pcr::millis(1), 61)
-    }
-
     /// Records one execution interval.
     pub fn record(&mut self, interval: SimDuration) {
-        let idx = ((interval.as_micros() / self.bucket_width.as_micros()) as usize)
-            .min(self.buckets.len() - 1);
+        let idx = ((interval.as_micros() / BUCKET_WIDTH.as_micros()) as usize).min(BUCKETS - 1);
         self.buckets[idx] += 1;
         self.bucket_time[idx] += interval;
         self.count += 1;
@@ -97,14 +88,14 @@ impl IntervalHistogram {
     /// The bucket start with the most intervals at or above `from`
     /// (to find the second mode past the short-interval peak).
     pub fn mode_at_or_above(&self, from: SimDuration) -> Option<SimDuration> {
-        let start_idx = (from.as_micros() / self.bucket_width.as_micros()) as usize;
+        let start_idx = (from.as_micros() / BUCKET_WIDTH.as_micros()) as usize;
         self.buckets
             .iter()
             .enumerate()
             .skip(start_idx)
             .max_by_key(|(_, &n)| n)
             .filter(|(_, &n)| n > 0)
-            .map(|(i, _)| self.bucket_width * i as u64)
+            .map(|(i, _)| BUCKET_WIDTH * i as u64)
     }
 
     /// Iterates `(bucket_start, bucket_count_time, count)` triples.
@@ -112,7 +103,7 @@ impl IntervalHistogram {
         self.buckets
             .iter()
             .enumerate()
-            .map(move |(i, &n)| (self.bucket_width * i as u64, self.bucket_time[i], n))
+            .map(move |(i, &n)| (BUCKET_WIDTH * i as u64, self.bucket_time[i], n))
     }
 
     /// Renders the histogram rows: `(bucket_start_ms, count, pct, time_pct)`.
@@ -135,6 +126,12 @@ impl IntervalHistogram {
     }
 }
 
+impl Default for IntervalHistogram {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// Builds an [`IntervalHistogram`] from the runtime's event stream.
 ///
 /// Install it as (part of) a trace sink; it measures the time between
@@ -150,7 +147,7 @@ impl IntervalCollector {
     /// Creates a collector with the paper's default bucketing.
     pub fn new() -> Self {
         IntervalCollector {
-            hist: IntervalHistogram::paper_default(),
+            hist: IntervalHistogram::new(),
             last_switch: None,
         }
     }
@@ -190,11 +187,11 @@ impl pcr::TraceSink for IntervalCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcr::{micros, millis};
+    use pcr::micros;
 
     #[test]
     fn records_into_correct_buckets() {
-        let mut h = IntervalHistogram::new(millis(1), 61);
+        let mut h = IntervalHistogram::new();
         h.record(micros(500)); // bucket 0
         h.record(micros(1500)); // bucket 1
         h.record(millis(45)); // bucket 45
@@ -209,7 +206,7 @@ mod tests {
 
     #[test]
     fn fraction_between_counts() {
-        let mut h = IntervalHistogram::new(millis(1), 61);
+        let mut h = IntervalHistogram::new();
         for _ in 0..3 {
             h.record(millis(2));
         }
@@ -220,7 +217,7 @@ mod tests {
 
     #[test]
     fn time_fraction_weights_by_duration() {
-        let mut h = IntervalHistogram::new(millis(1), 61);
+        let mut h = IntervalHistogram::new();
         // 5 short intervals of 1ms (5ms) + one 45ms interval (45ms).
         for _ in 0..5 {
             h.record(millis(1));
@@ -232,7 +229,7 @@ mod tests {
 
     #[test]
     fn mode_detection() {
-        let mut h = IntervalHistogram::new(millis(1), 61);
+        let mut h = IntervalHistogram::new();
         for _ in 0..10 {
             h.record(millis(3));
         }
@@ -267,7 +264,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_is_sane() {
-        let h = IntervalHistogram::paper_default();
+        let h = IntervalHistogram::new();
         assert_eq!(h.count(), 0);
         assert_eq!(h.fraction_between(millis(0), millis(5)), 0.0);
         assert_eq!(h.time_fraction_between(millis(45), millis(50)), 0.0);

@@ -53,7 +53,7 @@ pub fn outcome_report(spec: &ServeSpec, outcome: &ServeOutcome) -> ServeReport {
             degrade_steps: outcome.ladder.degrade_steps,
             restore_steps: outcome.ladder.restore_steps,
             max_level: outcome.ladder.max_level as u64,
-            time_at_level_us: outcome.ladder.time_at_level_us.clone(),
+            time_at_level_us: outcome.ladder.time_at_level_us.to_vec(),
         },
         slo: spec.slo,
     };

@@ -67,6 +67,8 @@ fn monitor_mutual_exclusion() {
         }
         let r = sim.run(RunLimit::For(secs(60)));
         assert!(!r.deadlocked());
+        // A body's assertion is its own panic: count it here.
+        assert_eq!(sim.stats().panics, 0, "a thread's assertion failed");
         let final_value = {
             let mut sim2 = sim; // Read back through a probe thread.
             let h = sim2.fork_root("probe", Priority::of(6), move |ctx| {
@@ -172,7 +174,7 @@ fn histogram_conservation() {
     for_cases(24, |rng| {
         let n = pick(rng, 0, 200) as usize;
         let intervals: Vec<u64> = (0..n).map(|_| rng.next_below(200_000)).collect();
-        let mut h = threadstudy::trace::IntervalHistogram::paper_default();
+        let mut h = threadstudy::trace::IntervalHistogram::new();
         let mut total = 0u64;
         for &us in &intervals {
             h.record(micros(us));
